@@ -11,8 +11,9 @@
 // the top of the refgen size axis beyond the default 128 (powers of two up
 // to N).
 //
-// A second section benchmarks the replay kernels themselves (scalar vs
-// batched SoA, see sparse/batched.h) on the large-size axis — ladder-1024,
+// A second section benchmarks the replay paths themselves (the scalar
+// oracle, forced through sparse::testing::ScopedScalarReplay, vs the
+// automatic batched SoA path, see sparse/batched.h) on the large-size axis — ladder-1024,
 // ladder-4096 and RC grid meshes (genuine fill-in, multi-step supernodes) —
 // and records the samples_per_sec_per_core headline metric plus the
 // batched-over-scalar speedup per circuit.
@@ -23,6 +24,7 @@
 #include <complex>
 #include <cstdio>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,6 +33,7 @@
 #include "mna/nodal.h"
 #include "netlist/canonical.h"
 #include "refgen/adaptive.h"
+#include "sparse/batched.h"
 #include "support/bench_json.h"
 #include "support/cli.h"
 #include "support/table.h"
@@ -40,19 +43,22 @@ namespace {
 
 using symref::support::thread_ladder;
 
-/// Sustained single-thread replay throughput of one kernel on one circuit:
-/// repeated evaluate_batch() over a fixed probe-point set (the engine's
-/// inner loop with the adaptive logic stripped away). The first batch warms
-/// the caches and establishes the factorization plan before timing starts.
+/// Sustained single-thread replay throughput on one circuit: repeated
+/// evaluate_batch() over a fixed probe-point set (the engine's inner loop
+/// with the adaptive logic stripped away), on the scalar oracle path when
+/// `force_scalar`. The first batch warms the caches and establishes the
+/// factorization plan before timing starts.
 double replay_samples_per_sec(const symref::mna::CofactorEvaluator& evaluator,
                               const std::vector<std::complex<double>>& points,
-                              double f_scale, symref::sparse::ReplayKernel kernel) {
-  auto warm = evaluator.evaluate_batch(points, f_scale, 1.0, nullptr, kernel);
+                              double f_scale, bool force_scalar) {
+  std::optional<symref::sparse::testing::ScopedScalarReplay> scalar;
+  if (force_scalar) scalar.emplace();
+  auto warm = evaluator.evaluate_batch(points, f_scale, 1.0);
   benchmark::DoNotOptimize(warm.data());
   symref::support::Timer timer;
   std::size_t samples = 0;
   while (timer.seconds() < 0.2) {
-    auto batch = evaluator.evaluate_batch(points, f_scale, 1.0, nullptr, kernel);
+    auto batch = evaluator.evaluate_batch(points, f_scale, 1.0);
     benchmark::DoNotOptimize(batch.data());
     samples += batch.size();
   }
@@ -60,7 +66,7 @@ double replay_samples_per_sec(const symref::mna::CofactorEvaluator& evaluator,
 }
 
 void print_kernel_throughput(std::map<std::string, double>& json_metrics) {
-  std::printf("--- replay kernel throughput (single thread) ---\n");
+  std::printf("--- replay path throughput (single thread) ---\n");
   struct Row {
     const char* tag;
     symref::netlist::Circuit circuit;
@@ -92,10 +98,8 @@ void print_kernel_throughput(std::map<std::string, double>& json_metrics) {
       const double theta = 3.141592653589793 * (k + 0.5) / row.points;
       points[static_cast<std::size_t>(k)] = {std::cos(theta), std::sin(theta)};
     }
-    const double scalar = replay_samples_per_sec(evaluator, points, f_scale,
-                                                 symref::sparse::ReplayKernel::kScalar);
-    const double batched = replay_samples_per_sec(evaluator, points, f_scale,
-                                                  symref::sparse::ReplayKernel::kBatched);
+    const double scalar = replay_samples_per_sec(evaluator, points, f_scale, true);
+    const double batched = replay_samples_per_sec(evaluator, points, f_scale, false);
     const double speedup = scalar > 0.0 ? batched / scalar : 0.0;
     table.add_row({row.tag, std::to_string(system.dim()),
                    std::to_string(evaluator.supernode_count()),

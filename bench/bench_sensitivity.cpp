@@ -1,12 +1,12 @@
-// Ablation A7: adjoint sensitivity screening for SBG.
+// Ablation A7: adjoint sensitivity ranking.
 //
-// The brute-force SBG candidate scan re-simulates the circuit once per
-// element per greedy round; the adjoint method ranks ALL elements with two
-// extra solves per frequency. This bench measures both the agreement (same
-// prune set) and the cost difference on the µA741.
+// Brute-force influence ranking re-simulates the circuit once per element;
+// the adjoint method ranks ALL elements with two extra solves per
+// frequency. This bench measures the adjoint ranking on the µA741.
 // Flags: --json <path> selects the metrics file (default BENCH_refgen.json).
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstdio>
 #include <map>
 #include <string>
@@ -14,24 +14,18 @@
 #include "circuits/ua741.h"
 #include "mna/sensitivity.h"
 #include "netlist/canonical.h"
-#include "refgen/adaptive.h"
 #include "support/bench_json.h"
 #include "support/cli.h"
-#include "support/table.h"
 #include "support/timer.h"
-#include "symbolic/sbg.h"
 
 namespace {
 
-void print_agreement(const std::string& json_path) {
-  const auto ua = symref::circuits::ua741();
+void print_ranking(const std::string& json_path) {
   const auto spec = symref::circuits::ua741_gain_spec();
-  const auto reference = symref::refgen::generate_reference(ua, spec);
-
-  std::printf("=== Ablation A7: adjoint screening for SBG (uA741) ===\n\n");
+  std::printf("=== Ablation A7: adjoint sensitivity ranking (uA741) ===\n\n");
 
   // Raw sensitivity ranking on the canonical twin.
-  const auto canonical = symref::netlist::canonicalize(ua);
+  const auto canonical = symref::netlist::canonicalize(symref::circuits::ua741());
   symref::support::Timer rank_timer;
   const auto band = symref::mna::band_sensitivities(canonical, spec, 10.0, 1e6, 1);
   const double rank_ms = rank_timer.millis();
@@ -42,58 +36,12 @@ void print_agreement(const std::string& json_path) {
   }
   std::printf("adjoint ranking: %zu elements in %.2f ms; %d below 5e-4 influence\n\n",
               band.size(), rank_ms, negligible);
-
-  // Run both policies on the canonical twin (screening needs the
-  // homogeneous form; the element set maps 1:1 through canonicalization).
-  symref::symbolic::SbgOptions options;
-  options.epsilon = 0.05;
-  options.f_start_hz = 10.0;
-  options.f_stop_hz = 1e6;
-  options.points_per_decade = 1;
-  options.max_removals = 20;
-
-  symref::support::Timer brute_timer;
-  const auto brute = symref::symbolic::simplify_before_generation(
-      canonical, spec, reference.reference, options);
-  const double brute_ms = brute_timer.millis();
-
-  options.sensitivity_screening = true;
-  symref::support::Timer screened_timer;
-  const auto screened = symref::symbolic::simplify_before_generation(
-      canonical, spec, reference.reference, options);
-  const double screened_ms = screened_timer.millis();
-
-  symref::support::TextTable table;
-  table.set_header({"policy", "removed", "time [ms]"});
-  table.add_row({"brute force", std::to_string(brute.actions.size()),
-                 symref::support::format_sci(brute_ms, 4)});
-  table.add_row({"adjoint-screened", std::to_string(screened.actions.size()),
-                 symref::support::format_sci(screened_ms, 4)});
-  std::printf("%s\n", table.str().c_str());
-
-  int agree = 0;
-  const std::size_t common = std::min(brute.actions.size(), screened.actions.size());
-  for (std::size_t i = 0; i < common; ++i) {
-    if (brute.actions[i].element == screened.actions[i].element) ++agree;
-  }
-  std::printf("prune-sequence agreement: %d of %zu actions identical\n\n", agree, common);
-  const std::map<std::string, double> json_metrics = {
-      {"sensitivity_rank_ms", rank_ms},
-      {"sbg_brute_ms", brute_ms},
-      {"sbg_screened_ms", screened_ms},
-      {"sbg_prune_agreement", common == 0 ? 1.0 : static_cast<double>(agree) /
-                                                      static_cast<double>(common)},
-  };
+  const std::map<std::string, double> json_metrics = {{"sensitivity_rank_ms", rank_ms}};
   if (!symref::support::merge_bench_json(json_path, json_metrics)) {
     std::fprintf(stderr, "warning: could not write %s\n", json_path.c_str());
   } else {
     std::printf("metrics merged into %s\n\n", json_path.c_str());
   }
-  std::printf("Reading: the adjoint ranking itself is ~1000x cheaper than one greedy SBG\n");
-  std::printf("round, and screening provably never changes the prune sequence. On the 741\n");
-  std::printf("only a minority of elements exceed the exclusion threshold, so end-to-end\n");
-  std::printf("wall clock is parity — the ranking's real use is standalone influence\n");
-  std::printf("analysis (see mna/sensitivity.h) and aggressive screening thresholds.\n");
 }
 
 void BM_AdjointBandRanking(benchmark::State& state) {
@@ -110,7 +58,7 @@ BENCHMARK(BM_AdjointBandRanking)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
   const symref::support::CliArgs args(argc, argv, {"json"});
-  print_agreement(args.get("json", symref::support::kBenchJsonPath));
+  print_ranking(args.get("json", symref::support::kBenchJsonPath));
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -356,69 +356,50 @@ void JobManager::run(const std::shared_ptr<Job>& job) {
     maybe_retry_or_finish(job, std::move(outcome));
     return;
   }
+  // One capture path for every request type: the status, and the response
+  // in the outcome's slot for that type.
+  const auto keep = [&outcome](auto response, auto& slot) {
+    outcome.status = response.status();
+    if (response.ok()) slot = response.take();
+  };
   switch (request.type) {
-    case AnyRequest::Type::kRefgen: {
+    case AnyRequest::Type::kRefgen:
       wire(request.refgen.options);
-      auto response = service_.refgen(job->handle, request.refgen);
-      outcome.status = response.status();
-      if (response.ok()) outcome.refgen = response.take();
+      keep(service_.refgen(job->handle, request.refgen), outcome.refgen);
       break;
-    }
-    case AnyRequest::Type::kSweep: {
+    case AnyRequest::Type::kSweep:
       request.sweep.cancel = token;
-      auto response = service_.sweep(job->handle, request.sweep);
-      outcome.status = response.status();
-      if (response.ok()) outcome.sweep = response.take();
+      keep(service_.sweep(job->handle, request.sweep), outcome.sweep);
       break;
-    }
-    case AnyRequest::Type::kPolesZeros: {
+    case AnyRequest::Type::kPolesZeros:
       wire(request.poles_zeros.options);
-      auto response = service_.poles_zeros(job->handle, request.poles_zeros);
-      outcome.status = response.status();
-      if (response.ok()) outcome.poles_zeros = response.take();
+      keep(service_.poles_zeros(job->handle, request.poles_zeros), outcome.poles_zeros);
       break;
-    }
-    case AnyRequest::Type::kBatch: {
+    case AnyRequest::Type::kBatch:
       for (RefgenRequest& item : request.batch.items) item.options.cancel = token;
-      auto response = service_.batch(job->handle, request.batch);
-      outcome.status = response.status();
-      if (response.ok()) outcome.batch = response.take();
+      keep(service_.batch(job->handle, request.batch), outcome.batch);
       break;
-    }
-    case AnyRequest::Type::kParamSweep: {
+    case AnyRequest::Type::kParamSweep:
       request.param_sweep.cancel = token;
-      auto response = service_.param_sweep(job->handle, request.param_sweep);
-      outcome.status = response.status();
-      if (response.ok()) outcome.param_sweep = response.take();
+      keep(service_.param_sweep(job->handle, request.param_sweep), outcome.param_sweep);
       break;
-    }
-    case AnyRequest::Type::kSimplify: {
+    case AnyRequest::Type::kSimplify:
       // The simplify engine re-runs the reference internally; its observer
       // hook feeds the same progress stream as a refgen job.
       wire(request.simplify.options.engine);
-      auto response = service_.simplify(job->handle, request.simplify);
-      outcome.status = response.status();
-      if (response.ok()) outcome.simplify = response.take();
+      keep(service_.simplify(job->handle, request.simplify), outcome.simplify);
       break;
-    }
-    case AnyRequest::Type::kOp: {
-      // The bias was solved at compile; the token is wired for symmetry but
-      // the serve is a lock-free copy of the stored solution.
-      request.op.cancel = token;
-      auto response = service_.op(job->handle, request.op);
-      outcome.status = response.status();
-      if (response.ok()) outcome.op = response.take();
+    case AnyRequest::Type::kOp:
+      // The bias was solved at compile: the serve is a lock-free copy of the
+      // stored solution, with nothing to cancel.
+      keep(service_.op(job->handle, request.op), outcome.op);
       break;
-    }
-    case AnyRequest::Type::kTransient: {
+    case AnyRequest::Type::kTransient:
       // The token trips the integrator's per-step (and per-Newton-iterate)
       // checkpoints, so cancel/deadline land mid-run, not only at the end.
       request.transient.cancel = token;
-      auto response = service_.transient(job->handle, request.transient);
-      outcome.status = response.status();
-      if (response.ok()) outcome.transient = response.take();
+      keep(service_.transient(job->handle, request.transient), outcome.transient);
       break;
-    }
   }
   maybe_retry_or_finish(job, std::move(outcome));
 }

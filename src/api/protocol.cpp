@@ -31,32 +31,10 @@ double read_number(const Json& params, const char* key, double fallback) {
   return value != nullptr && value->is_number() ? value->as_number() : fallback;
 }
 
-/// Deep copy with every "threads" and "kernel" member removed: results are
-/// bit-identical at any thread count and under either replay kernel (the
-/// oracle contract of sparse/batched.h), so the reference-store key must
-/// not depend on them — a batched-kernel client warm-hits entries a
-/// scalar-kernel client persisted, and vice versa.
-Json strip_execution_knobs(const Json& value) {
-  if (value.is_object()) {
-    Json out = Json::object();
-    for (const auto& [key, member] : value.members()) {
-      if (key == "threads" || key == "kernel") continue;
-      out.set(key, strip_execution_knobs(member));
-    }
-    return out;
-  }
-  if (value.is_array()) {
-    Json out = Json::array();
-    for (const Json& item : value.items()) out.push_back(strip_execution_knobs(item));
-    return out;
-  }
-  return value;
-}
-
-/// Reference-store key of one (compiled netlist, request) pair.
-std::string store_key(const std::string& content_key, const Json& request_json) {
-  return content_key + "-" +
-         support::hex64(support::fnv1a64(strip_execution_knobs(request_json).dump()));
+/// Reference-store key of one (compiled netlist, request) pair: the same
+/// request_key the Service response caches use.
+std::string store_key(const std::string& content_key, const AnyRequest& request) {
+  return content_key + "-" + support::hex64(support::fnv1a64(request_key(to_json(request))));
 }
 
 Json circuit_info(const std::string& id, const CircuitHandle& handle) {
@@ -257,7 +235,7 @@ Json Session::dispatch(const Json& request) {
       std::string key;
       if (store != nullptr && store->ok()) {
         const std::string content = core_.registry().content_key(circuit_id);
-        if (!content.empty()) key = store_key(content, *request_json);
+        if (!content.empty()) key = store_key(content, any_request);
       }
 
       JobDoneFn on_done = [writer, store, key](JobId job, const JobOutcome& outcome) {

@@ -58,10 +58,6 @@ struct SweepRequest {
   /// sweep fails with kCancelled; the handle's plan caches stay valid.
   /// Like threads, not part of the response-cache key.
   support::CancellationToken cancel;
-  /// Replay kernel for the per-point solves (see sparse/batched.h). Results
-  /// are bit-identical under either kernel — like threads, not part of the
-  /// response-cache key.
-  sparse::ReplayKernel kernel = sparse::ReplayKernel::kScalar;
   /// Required `true` to serve this request on a handle whose netlist
   /// contains nonlinear devices (D/Q/M cards): the request then runs
   /// against the small-signal circuit linearized at the handle's solved DC
@@ -125,9 +121,6 @@ struct ParamSweepRequest {
   int threads = 1;
   /// Cooperative cancellation, polled per sample. Not part of the cache key.
   support::CancellationToken cancel;
-  /// Replay kernel for the per-point plan replays; bit-identical results,
-  /// not part of the response-cache key.
-  sparse::ReplayKernel kernel = sparse::ReplayKernel::kScalar;
   /// Required `true` to serve this request on a handle whose netlist
   /// contains nonlinear devices (D/Q/M cards): the request then runs
   /// against the small-signal circuit linearized at the PER-SAMPLE solved DC
@@ -145,9 +138,9 @@ struct ParamSweepResponse {
 
 /// Reference-driven symbolic simplification of one transfer function: prune,
 /// re-reference, enumerate and drop terms until the band error certificate
-/// fits the budget (refgen/simplify.h). `options.engine.threads/kernel/
-/// cancel` drive every stage; results are bit-identical at any setting, so
-/// none is part of the response-cache key. Errors: kInvalidSpec (spec the
+/// fits the budget (refgen/simplify.h). `options.engine.threads/cancel`
+/// drive every stage; results are bit-identical at any thread count, so
+/// neither is part of the response-cache key. Errors: kInvalidSpec (spec the
 /// generators cannot represent), kIncomplete (budget not certifiable within
 /// the enumeration caps), kSingularSystem, kCancelled.
 struct SimplifyRequest {
@@ -172,15 +165,9 @@ struct SimplifyResponse {
 /// stepping, one shared factorization plan — see dc/newton.h); this request
 /// returns that solution, so the first call and every later one are cache
 /// hits by construction. On a purely linear handle it fails with
-/// kInvalidArgument (there is no bias problem to solve).
-struct OpRequest {
-  /// Accepted for wire symmetry with the other requests; the Newton solve
-  /// is inherently serial and the value does not change the result (not
-  /// part of any cache key).
-  int threads = 1;
-  /// Cooperative cancellation, polled per Newton iteration.
-  support::CancellationToken cancel;
-};
+/// kInvalidArgument (there is no bias problem to solve). The request has no
+/// fields: nothing about serving a stored bias is tunable.
+struct OpRequest {};
 
 struct OpResponse {
   dc::OpResult result;
@@ -205,10 +192,6 @@ struct TransientRequest {
   transient::Method method = transient::Method::kTrapezoidal;
   /// LTE step control on/off; off = constant tstep steps (one plan bucket).
   bool adaptive = true;
-  /// Accepted for wire symmetry with the other requests; time stepping is
-  /// inherently serial and the value never changes the result (not part of
-  /// the response-cache key).
-  int threads = 1;
   /// Cooperative cancellation, polled at every step and Newton iterate.
   support::CancellationToken cancel;
 };

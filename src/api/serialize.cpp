@@ -145,33 +145,6 @@ Status read_int(const Json& json, const char* key, int* out, const char* what) {
   return Status();
 }
 
-const char* kernel_name(sparse::ReplayKernel kernel) noexcept {
-  return kernel == sparse::ReplayKernel::kBatched ? "batched" : "scalar";
-}
-
-/// Optional "kernel" member: "scalar" (default) or "batched". Results are
-/// bit-identical either way, so an absent key is never an error.
-Status read_kernel(const Json& json, const char* key, sparse::ReplayKernel* out,
-                   const char* what) {
-  const Json* value = json.find(key);
-  if (value == nullptr) return Status();
-  if (!value->is_string()) {
-    return Status::error(StatusCode::kInvalidArgument,
-                         std::string(what) + ": \"" + key + "\" must be a string");
-  }
-  const std::string& name = value->as_string();
-  if (name == "scalar") {
-    *out = sparse::ReplayKernel::kScalar;
-  } else if (name == "batched") {
-    *out = sparse::ReplayKernel::kBatched;
-  } else {
-    return Status::error(StatusCode::kInvalidArgument,
-                         std::string(what) + ": unknown kernel \"" + name +
-                             "\" (expected scalar or batched)");
-  }
-  return Status();
-}
-
 Status read_bool(const Json& json, const char* key, bool* out, const char* what) {
   const Json* value = json.find(key);
   if (value == nullptr) return Status();
@@ -180,6 +153,29 @@ Status read_bool(const Json& json, const char* key, bool* out, const char* what)
                          std::string(what) + ": \"" + key + "\" must be a boolean");
   }
   *out = value->as_bool();
+  return Status();
+}
+
+/// Required "spec" member.
+Status read_spec(const Json& json, mna::TransferSpec* out, const char* what) {
+  const Json* spec = json.find("spec");
+  if (spec == nullptr) {
+    return Status::error(StatusCode::kInvalidArgument,
+                         std::string(what) + ": missing required key \"spec\"");
+  }
+  Result<mna::TransferSpec> parsed = spec_from_json(*spec);
+  if (!parsed.ok()) return parsed.status();
+  *out = parsed.take();
+  return Status();
+}
+
+/// Optional "options" member (engine defaults when absent).
+Status read_options(const Json& json, refgen::AdaptiveOptions* out) {
+  const Json* options = json.find("options");
+  if (options == nullptr) return Status();
+  Result<refgen::AdaptiveOptions> parsed = options_from_json(*options);
+  if (!parsed.ok()) return parsed.status();
+  *out = parsed.take();
   return Status();
 }
 
@@ -221,7 +217,6 @@ Json to_json(const refgen::AdaptiveOptions& options) {
   out.set("initial_g", options.initial_g);
   out.set("no_progress_limit", options.no_progress_limit);
   out.set("threads", options.threads);
-  out.set("kernel", kernel_name(options.kernel));
   return out;
 }
 
@@ -513,6 +508,7 @@ Result<mna::TransferSpec> spec_from_json(const Json& json) {
 
 Result<refgen::AdaptiveOptions> options_from_json(const Json& json) {
   constexpr const char* kWhat = "options";
+  // "kernel" is legacy: accepted and ignored (see request_from_json).
   Status status = check_keys(json,
                              {"sigma", "noise_decades", "tuning_r", "max_iterations",
                               "use_deflation", "conjugate_symmetry", "simultaneous_scaling",
@@ -552,7 +548,6 @@ Result<refgen::AdaptiveOptions> options_from_json(const Json& json) {
     return status;
   }
   if (!(status = read_int(json, "threads", &options.threads, kWhat)).ok()) return status;
-  if (!(status = read_kernel(json, "kernel", &options.kernel, kWhat)).ok()) return status;
   return options;
 }
 
@@ -570,108 +565,179 @@ const char* request_type_name(AnyRequest::Type type) noexcept {
   return "refgen";
 }
 
-Json to_json(const AnyRequest& request) {
+namespace {
+
+Json typed(AnyRequest::Type type) {
   Json out = Json::object();
-  out.set("type", request_type_name(request.type));
-  switch (request.type) {
-    case AnyRequest::Type::kRefgen:
-      out.set("spec", to_json(request.refgen.spec));
-      out.set("options", to_json(request.refgen.options));
-      out.set("auto_linearize", request.refgen.auto_linearize);
-      break;
-    case AnyRequest::Type::kPolesZeros:
-      out.set("spec", to_json(request.poles_zeros.spec));
-      out.set("options", to_json(request.poles_zeros.options));
-      out.set("auto_linearize", request.poles_zeros.auto_linearize);
-      break;
-    case AnyRequest::Type::kOp:
-      out.set("threads", request.op.threads);
-      break;
-    case AnyRequest::Type::kTransient:
-      out.set("tstop", request.transient.tstop);
-      out.set("tstep", request.transient.tstep);
-      out.set("method", transient::method_name(request.transient.method));
-      out.set("adaptive", request.transient.adaptive);
-      out.set("threads", request.transient.threads);
-      break;
-    case AnyRequest::Type::kSweep:
-      out.set("spec", to_json(request.sweep.spec));
-      out.set("f_start_hz", request.sweep.f_start_hz);
-      out.set("f_stop_hz", request.sweep.f_stop_hz);
-      out.set("points_per_decade", request.sweep.points_per_decade);
-      out.set("threads", request.sweep.threads);
-      out.set("kernel", kernel_name(request.sweep.kernel));
-      out.set("auto_linearize", request.sweep.auto_linearize);
-      break;
-    case AnyRequest::Type::kBatch: {
-      Json items = Json::array();
-      for (const RefgenRequest& item : request.batch.items) {
-        Json entry = Json::object();
-        entry.set("spec", to_json(item.spec));
-        entry.set("options", to_json(item.options));
-        items.push_back(std::move(entry));
-      }
-      out.set("items", std::move(items));
-      out.set("threads", request.batch.threads);
-      break;
-    }
-    case AnyRequest::Type::kSimplify: {
-      const refgen::SimplifyOptions& options = request.simplify.options;
-      out.set("spec", to_json(request.simplify.spec));
-      out.set("error_budget", options.error_budget);
-      out.set("f_start_hz", options.f_start_hz);
-      out.set("f_stop_hz", options.f_stop_hz);
-      out.set("band_points", options.band_points);
-      out.set("prune", options.prune);
-      out.set("prune_share", options.prune_share);
-      out.set("max_terms", static_cast<double>(options.max_terms_per_coefficient));
-      out.set("max_queue", static_cast<double>(options.max_queue));
-      out.set("skip_factor", options.coefficient_skip_factor);
-      out.set("options", to_json(options.engine));
-      out.set("auto_linearize", request.simplify.auto_linearize);
-      break;
-    }
-    case AnyRequest::Type::kParamSweep: {
-      const ParamSweepRequest& sweep = request.param_sweep;
-      out.set("spec", to_json(sweep.spec));
-      const bool grid = sweep.mode == ParamSweepRequest::Mode::kGrid;
-      out.set("mode", grid ? "grid" : "monte_carlo");
-      Json params = Json::array();
-      if (grid) {
-        for (const mna::ParamAxis& axis : sweep.axes) {
-          Json entry = Json::object();
-          entry.set("name", axis.name);
-          entry.set("from", axis.from);
-          entry.set("to", axis.to);
-          entry.set("count", axis.count);
-          entry.set("log", axis.log_scale);
-          params.push_back(std::move(entry));
-        }
-      } else {
-        for (const mna::ParamDist& dist : sweep.dists) {
-          Json entry = Json::object();
-          entry.set("name", dist.name);
-          entry.set("nominal", dist.nominal);
-          entry.set("rel_sigma", dist.rel_sigma);
-          entry.set("dist",
-                    dist.kind == mna::ParamDist::Kind::kGaussian ? "gaussian" : "uniform");
-          params.push_back(std::move(entry));
-        }
-        out.set("samples", sweep.samples);
-        out.set("seed", static_cast<double>(sweep.seed));
-      }
-      out.set("params", std::move(params));
-      out.set("f_start_hz", sweep.f_start_hz);
-      out.set("f_stop_hz", sweep.f_stop_hz);
-      out.set("points_per_decade", sweep.points_per_decade);
-      out.set("threads", sweep.threads);
-      out.set("kernel", kernel_name(sweep.kernel));
-      out.set("auto_linearize", sweep.auto_linearize);
-      break;
-    }
-  }
+  out.set("type", request_type_name(type));
   return out;
 }
+
+/// The members of a refgen-shaped request: refgen, poles_zeros, batch item.
+Json refgen_members(Json out, const mna::TransferSpec& spec,
+                    const refgen::AdaptiveOptions& options, bool auto_linearize) {
+  out.set("spec", to_json(spec));
+  out.set("options", to_json(options));
+  out.set("auto_linearize", auto_linearize);
+  return out;
+}
+
+/// Deep copy minus every "threads" member.
+Json strip_execution_knobs(const Json& value) {
+  if (value.is_object()) {
+    Json out = Json::object();
+    for (const auto& [key, member] : value.members()) {
+      if (key != "threads") out.set(key, strip_execution_knobs(member));
+    }
+    return out;
+  }
+  if (value.is_array()) {
+    Json out = Json::array();
+    for (const Json& item : value.items()) out.push_back(strip_execution_knobs(item));
+    return out;
+  }
+  // dump() writes every non-finite number as null; spell them out so that
+  // inf, -inf and nan keep distinct keys.
+  if (value.is_number() && !std::isfinite(value.as_number())) {
+    return hex_double(value.as_number());
+  }
+  return value;
+}
+
+}  // namespace
+
+Json to_json(const RefgenRequest& request) {
+  return refgen_members(typed(AnyRequest::Type::kRefgen), request.spec, request.options,
+                        request.auto_linearize);
+}
+
+Json to_json(const PolesZerosRequest& request) {
+  return refgen_members(typed(AnyRequest::Type::kPolesZeros), request.spec, request.options,
+                        request.auto_linearize);
+}
+
+Json to_json(const OpRequest& /*request*/) { return typed(AnyRequest::Type::kOp); }
+
+Json to_json(const TransientRequest& request) {
+  Json out = typed(AnyRequest::Type::kTransient);
+  out.set("tstop", request.tstop);
+  out.set("tstep", request.tstep);
+  out.set("method", transient::method_name(request.method));
+  out.set("adaptive", request.adaptive);
+  return out;
+}
+
+Json to_json(const SweepRequest& request) {
+  Json out = typed(AnyRequest::Type::kSweep);
+  out.set("spec", to_json(request.spec));
+  out.set("f_start_hz", request.f_start_hz);
+  out.set("f_stop_hz", request.f_stop_hz);
+  out.set("points_per_decade", request.points_per_decade);
+  out.set("threads", request.threads);
+  out.set("auto_linearize", request.auto_linearize);
+  return out;
+}
+
+Json to_json(const BatchRequest& request) {
+  Json out = typed(AnyRequest::Type::kBatch);
+  Json items = Json::array();
+  for (const RefgenRequest& item : request.items) {
+    items.push_back(refgen_members(Json::object(), item.spec, item.options, item.auto_linearize));
+  }
+  out.set("items", std::move(items));
+  out.set("threads", request.threads);
+  return out;
+}
+
+Json to_json(const SimplifyRequest& request) {
+  const refgen::SimplifyOptions& options = request.options;
+  Json out = typed(AnyRequest::Type::kSimplify);
+  out.set("spec", to_json(request.spec));
+  out.set("error_budget", options.error_budget);
+  out.set("f_start_hz", options.f_start_hz);
+  out.set("f_stop_hz", options.f_stop_hz);
+  out.set("band_points", options.band_points);
+  out.set("prune", options.prune);
+  out.set("prune_share", options.prune_share);
+  out.set("max_terms", static_cast<double>(options.max_terms_per_coefficient));
+  out.set("max_queue", static_cast<double>(options.max_queue));
+  out.set("skip_factor", options.coefficient_skip_factor);
+  out.set("options", to_json(options.engine));
+  out.set("auto_linearize", request.auto_linearize);
+  return out;
+}
+
+Json to_json(const ParamSweepRequest& request) {
+  Json out = typed(AnyRequest::Type::kParamSweep);
+  out.set("spec", to_json(request.spec));
+  const bool grid = request.mode == ParamSweepRequest::Mode::kGrid;
+  out.set("mode", grid ? "grid" : "monte_carlo");
+  Json params = Json::array();
+  if (grid) {
+    for (const mna::ParamAxis& axis : request.axes) {
+      Json entry = Json::object();
+      entry.set("name", axis.name);
+      entry.set("from", axis.from);
+      entry.set("to", axis.to);
+      entry.set("count", axis.count);
+      entry.set("log", axis.log_scale);
+      params.push_back(std::move(entry));
+    }
+  } else {
+    for (const mna::ParamDist& dist : request.dists) {
+      Json entry = Json::object();
+      entry.set("name", dist.name);
+      entry.set("nominal", dist.nominal);
+      entry.set("rel_sigma", dist.rel_sigma);
+      entry.set("dist", dist.kind == mna::ParamDist::Kind::kGaussian ? "gaussian" : "uniform");
+      params.push_back(std::move(entry));
+    }
+    out.set("samples", request.samples);
+    out.set("seed", static_cast<double>(request.seed));
+  }
+  out.set("params", std::move(params));
+  out.set("f_start_hz", request.f_start_hz);
+  out.set("f_stop_hz", request.f_stop_hz);
+  out.set("points_per_decade", request.points_per_decade);
+  out.set("threads", request.threads);
+  out.set("auto_linearize", request.auto_linearize);
+  return out;
+}
+
+Json to_json(const AnyRequest& request) {
+  switch (request.type) {
+    case AnyRequest::Type::kRefgen: return to_json(request.refgen);
+    case AnyRequest::Type::kPolesZeros: return to_json(request.poles_zeros);
+    case AnyRequest::Type::kOp: return to_json(request.op);
+    case AnyRequest::Type::kTransient: return to_json(request.transient);
+    case AnyRequest::Type::kSweep: return to_json(request.sweep);
+    case AnyRequest::Type::kBatch: return to_json(request.batch);
+    case AnyRequest::Type::kSimplify: return to_json(request.simplify);
+    case AnyRequest::Type::kParamSweep: return to_json(request.param_sweep);
+  }
+  return Json::object();
+}
+
+std::string request_key(const Json& encoded_request) {
+  return strip_execution_knobs(encoded_request).dump();
+}
+
+namespace {
+
+/// The members of a refgen-shaped request: required "spec", optional
+/// "options" and "auto_linearize".
+Result<RefgenRequest> refgen_request_from_json(const Json& json, const char* what) {
+  RefgenRequest request;
+  Status status;
+  if (!(status = read_spec(json, &request.spec, what)).ok()) return status;
+  if (!(status = read_options(json, &request.options)).ok()) return status;
+  if (!(status = read_bool(json, "auto_linearize", &request.auto_linearize, what)).ok()) {
+    return status;
+  }
+  return request;
+}
+
+}  // namespace
 
 Result<AnyRequest> request_from_json(const Json& json) {
   constexpr const char* kWhat = "request";
@@ -682,33 +748,23 @@ Result<AnyRequest> request_from_json(const Json& json) {
   Status status = read_string(json, "type", true, &type, kWhat);
   if (!status.ok()) return status;
 
+  // Accepted-and-ignored members, kept so old request files still parse:
+  // "kernel" (the replay kernel is chosen automatically) and "threads" on op
+  // and transient (both run serially).
   AnyRequest request;
   if (type == "refgen" || type == "poles_zeros") {
     status = check_keys(json, {"type", "spec", "options", "auto_linearize"}, kWhat);
     if (!status.ok()) return status;
-    const Json* spec = json.find("spec");
-    if (spec == nullptr) {
-      return Status::error(StatusCode::kInvalidArgument,
-                           "request: missing required key \"spec\"");
-    }
-    Result<mna::TransferSpec> parsed_spec = spec_from_json(*spec);
-    if (!parsed_spec.ok()) return parsed_spec.status();
-    refgen::AdaptiveOptions options;
-    if (const Json* options_json = json.find("options"); options_json != nullptr) {
-      Result<refgen::AdaptiveOptions> parsed = options_from_json(*options_json);
-      if (!parsed.ok()) return parsed.status();
-      options = parsed.take();
-    }
-    bool auto_linearize = false;
-    if (!(status = read_bool(json, "auto_linearize", &auto_linearize, kWhat)).ok()) {
-      return status;
-    }
+    Result<RefgenRequest> parsed = refgen_request_from_json(json, kWhat);
+    if (!parsed.ok()) return parsed.status();
     if (type == "refgen") {
       request.type = AnyRequest::Type::kRefgen;
-      request.refgen = {parsed_spec.take(), std::move(options), auto_linearize};
+      request.refgen = parsed.take();
     } else {
+      RefgenRequest refgen = parsed.take();
       request.type = AnyRequest::Type::kPolesZeros;
-      request.poles_zeros = {parsed_spec.take(), std::move(options), auto_linearize};
+      request.poles_zeros = {std::move(refgen.spec), std::move(refgen.options),
+                             refgen.auto_linearize};
     }
     return request;
   }
@@ -719,34 +775,20 @@ Result<AnyRequest> request_from_json(const Json& json) {
          "auto_linearize"},
         kWhat);
     if (!status.ok()) return status;
-    const Json* spec = json.find("spec");
-    if (spec == nullptr) {
-      return Status::error(StatusCode::kInvalidArgument,
-                           "request: missing required key \"spec\"");
-    }
-    Result<mna::TransferSpec> parsed_spec = spec_from_json(*spec);
-    if (!parsed_spec.ok()) return parsed_spec.status();
     request.type = AnyRequest::Type::kSweep;
-    request.sweep.spec = parsed_spec.take();
-    if (!(status = read_number(json, "f_start_hz", &request.sweep.f_start_hz, kWhat)).ok()) {
+    SweepRequest& sweep = request.sweep;
+    if (!(status = read_spec(json, &sweep.spec, kWhat)).ok()) return status;
+    if (!(status = read_number(json, "f_start_hz", &sweep.f_start_hz, kWhat)).ok()) {
       return status;
     }
-    if (!(status = read_number(json, "f_stop_hz", &request.sweep.f_stop_hz, kWhat)).ok()) {
+    if (!(status = read_number(json, "f_stop_hz", &sweep.f_stop_hz, kWhat)).ok()) {
       return status;
     }
-    if (!(status =
-              read_int(json, "points_per_decade", &request.sweep.points_per_decade, kWhat))
-             .ok()) {
+    if (!(status = read_int(json, "points_per_decade", &sweep.points_per_decade, kWhat)).ok()) {
       return status;
     }
-    if (!(status = read_int(json, "threads", &request.sweep.threads, kWhat)).ok()) {
-      return status;
-    }
-    if (!(status = read_kernel(json, "kernel", &request.sweep.kernel, kWhat)).ok()) {
-      return status;
-    }
-    if (!(status = read_bool(json, "auto_linearize", &request.sweep.auto_linearize, kWhat))
-             .ok()) {
+    if (!(status = read_int(json, "threads", &sweep.threads, kWhat)).ok()) return status;
+    if (!(status = read_bool(json, "auto_linearize", &sweep.auto_linearize, kWhat)).ok()) {
       return status;
     }
     return request;
@@ -755,7 +797,6 @@ Result<AnyRequest> request_from_json(const Json& json) {
     status = check_keys(json, {"type", "threads"}, kWhat);
     if (!status.ok()) return status;
     request.type = AnyRequest::Type::kOp;
-    if (!(status = read_int(json, "threads", &request.op.threads, kWhat)).ok()) return status;
     return request;
   }
   if (type == "transient") {
@@ -778,7 +819,6 @@ Result<AnyRequest> request_from_json(const Json& json) {
       }
     }
     if (!(status = read_bool(json, "adaptive", &tran.adaptive, kWhat)).ok()) return status;
-    if (!(status = read_int(json, "threads", &tran.threads, kWhat)).ok()) return status;
     return request;
   }
   if (type == "batch") {
@@ -791,22 +831,11 @@ Result<AnyRequest> request_from_json(const Json& json) {
     }
     request.type = AnyRequest::Type::kBatch;
     for (const Json& item : items->items()) {
-      status = check_keys(item, {"spec", "options"}, "batch item");
+      status = check_keys(item, {"spec", "options", "auto_linearize"}, "batch item");
       if (!status.ok()) return status;
-      const Json* spec = item.find("spec");
-      if (spec == nullptr) {
-        return Status::error(StatusCode::kInvalidArgument,
-                             "batch item: missing required key \"spec\"");
-      }
-      Result<mna::TransferSpec> parsed_spec = spec_from_json(*spec);
-      if (!parsed_spec.ok()) return parsed_spec.status();
-      refgen::AdaptiveOptions options;
-      if (const Json* options_json = item.find("options"); options_json != nullptr) {
-        Result<refgen::AdaptiveOptions> parsed = options_from_json(*options_json);
-        if (!parsed.ok()) return parsed.status();
-        options = parsed.take();
-      }
-      request.batch.items.push_back({parsed_spec.take(), std::move(options)});
+      Result<RefgenRequest> parsed = refgen_request_from_json(item, "batch item");
+      if (!parsed.ok()) return parsed.status();
+      request.batch.items.push_back(parsed.take());
     }
     if (!(status = read_int(json, "threads", &request.batch.threads, kWhat)).ok()) {
       return status;
@@ -820,15 +849,8 @@ Result<AnyRequest> request_from_json(const Json& json) {
                          "skip_factor", "options", "auto_linearize"},
                         kWhat);
     if (!status.ok()) return status;
-    const Json* spec = json.find("spec");
-    if (spec == nullptr) {
-      return Status::error(StatusCode::kInvalidArgument,
-                           "request: missing required key \"spec\"");
-    }
-    Result<mna::TransferSpec> parsed_spec = spec_from_json(*spec);
-    if (!parsed_spec.ok()) return parsed_spec.status();
     request.type = AnyRequest::Type::kSimplify;
-    request.simplify.spec = parsed_spec.take();
+    if (!(status = read_spec(json, &request.simplify.spec, kWhat)).ok()) return status;
     refgen::SimplifyOptions& options = request.simplify.options;
     if (!(status = read_number(json, "error_budget", &options.error_budget, kWhat)).ok()) {
       return status;
@@ -860,11 +882,7 @@ Result<AnyRequest> request_from_json(const Json& json) {
              .ok()) {
       return status;
     }
-    if (const Json* options_json = json.find("options"); options_json != nullptr) {
-      Result<refgen::AdaptiveOptions> parsed = options_from_json(*options_json);
-      if (!parsed.ok()) return parsed.status();
-      options.engine = parsed.take();
-    }
+    if (!(status = read_options(json, &options.engine)).ok()) return status;
     if (!(status = read_bool(json, "auto_linearize", &request.simplify.auto_linearize, kWhat))
              .ok()) {
       return status;
@@ -878,16 +896,9 @@ Result<AnyRequest> request_from_json(const Json& json) {
                          "auto_linearize"},
                         kWhat);
     if (!status.ok()) return status;
-    const Json* spec = json.find("spec");
-    if (spec == nullptr) {
-      return Status::error(StatusCode::kInvalidArgument,
-                           "request: missing required key \"spec\"");
-    }
-    Result<mna::TransferSpec> parsed_spec = spec_from_json(*spec);
-    if (!parsed_spec.ok()) return parsed_spec.status();
     request.type = AnyRequest::Type::kParamSweep;
     ParamSweepRequest& sweep = request.param_sweep;
-    sweep.spec = parsed_spec.take();
+    if (!(status = read_spec(json, &sweep.spec, kWhat)).ok()) return status;
 
     std::string mode = "grid";
     if (!(status = read_string(json, "mode", false, &mode, kWhat)).ok()) return status;
@@ -979,7 +990,6 @@ Result<AnyRequest> request_from_json(const Json& json) {
       return status;
     }
     if (!(status = read_int(json, "threads", &sweep.threads, kWhat)).ok()) return status;
-    if (!(status = read_kernel(json, "kernel", &sweep.kernel, kWhat)).ok()) return status;
     if (!(status = read_bool(json, "auto_linearize", &sweep.auto_linearize, kWhat)).ok()) {
       return status;
     }

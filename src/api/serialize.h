@@ -88,25 +88,44 @@ struct AnyRequest {
 const char* request_type_name(AnyRequest::Type type) noexcept;
 
 /// Encode a request in the exact schema request_from_json accepts — the
-/// client half of the wire (tools/refgen --connect, request-file writers).
+/// client half of the wire (tools/refgen --connect, request-file writers)
+/// and the canonical form request_key() reads.
+Json to_json(const RefgenRequest& request);
+Json to_json(const PolesZerosRequest& request);
+Json to_json(const SweepRequest& request);
+Json to_json(const ParamSweepRequest& request);
+Json to_json(const SimplifyRequest& request);
+Json to_json(const OpRequest& request);
+Json to_json(const TransientRequest& request);
+Json to_json(const BatchRequest& request);
 Json to_json(const AnyRequest& request);
 
+/// The one cache-key rule: an encoded request (to_json above) minus every
+/// execution knob ("threads", which never changes a result bit), dumped
+/// compactly. Requests that differ in any result-affecting field, down to
+/// one ulp of a double, get different keys. api::Service keys its response
+/// caches on it and the daemon's reference store hashes it, so the two
+/// always agree on which requests are the same.
+std::string request_key(const Json& encoded_request);
+
 /// Parse {"type": "refgen"|"sweep"|"poles_zeros"|"batch"|"param_sweep"|
-/// "simplify"|"op", ...}. Strict: unknown keys and missing required fields fail
-/// with kInvalidArgument, so typos in hand-written request files surface
-/// instead of silently using defaults. A batch request carries "items": an
-/// array of {"spec", "options"} refgen items, plus optional "threads". A
-/// param_sweep request carries "mode" ("grid"|"monte_carlo") and "params":
-/// grid axes {"name", "from", "to", "count", "log"} or Monte-Carlo
-/// dimensions {"name", "nominal", "rel_sigma", "dist"} plus
-/// "samples"/"seed". A transient request carries "tstop" plus optional
-/// "tstep", "method" ("trap"|"bdf1"|"bdf2"), "adaptive" and "threads". A
-/// simplify request carries "error_budget", the band
+/// "simplify"|"op"|"transient", ...}. Strict: unknown keys and missing
+/// required fields fail with kInvalidArgument, so typos in hand-written
+/// request files surface instead of silently using defaults. A batch request
+/// carries "items": an array of {"spec", "options", "auto_linearize"} refgen
+/// items, plus optional "threads". A param_sweep request carries "mode"
+/// ("grid"|"monte_carlo") and "params": grid axes {"name", "from", "to",
+/// "count", "log"} or Monte-Carlo dimensions {"name", "nominal",
+/// "rel_sigma", "dist"} plus "samples"/"seed". A transient request carries
+/// "tstop" plus optional "tstep", "method" ("trap"|"bdf1"|"bdf2") and
+/// "adaptive". A simplify request carries "error_budget", the band
 /// ("f_start_hz"/"f_stop_hz"/"band_points") and optional tuning knobs
 /// ("prune", "prune_share", "max_terms", "max_queue", "skip_factor") plus
-/// the nested reference-engine "options". An op request carries only an
-/// optional "threads". Every AC-family request accepts an optional boolean
-/// "auto_linearize" (required true on device-bearing handles).
+/// the nested reference-engine "options". An op request carries nothing
+/// else. Every AC-family request and batch item accepts an optional boolean
+/// "auto_linearize" (required true on device-bearing handles). Legacy
+/// members are accepted and ignored: "kernel" on sweep, param_sweep and
+/// engine "options", and "threads" on op and transient.
 Result<AnyRequest> request_from_json(const Json& json);
 
 /// Parse a request *session*: either one request object or an array of

@@ -1,12 +1,12 @@
 #include "api/service.h"
 
 #include <atomic>
-#include <cstdio>
 #include <map>
 #include <mutex>
 #include <utility>
 #include <vector>
 
+#include "api/serialize.h"
 #include "dc/linearize.h"
 #include "dc/newton.h"
 #include "mna/ac.h"
@@ -21,102 +21,6 @@
 namespace symref::api {
 
 namespace {
-
-/// Exact textual fingerprint of a spec — the per-handle cache key. Node
-/// names cannot contain '\n', so joining with it is collision-free.
-std::string spec_key(const mna::TransferSpec& spec) {
-  std::string key = spec.kind == mna::TransferSpec::Kind::VoltageGain ? "vg" : "ti";
-  for (const std::string* part : {&spec.in_pos, &spec.in_neg, &spec.out_pos, &spec.out_neg}) {
-    key += '\n';
-    key += *part;
-  }
-  return key;
-}
-
-/// Exact fingerprint of the engine options. Doubles are rendered as hex
-/// floats (bit-exact); `threads`, `kernel` and `on_iteration` are excluded —
-/// none influences the result (bit-identical parallelism and replay
-/// kernels; observer is a hook).
-std::string options_key(const refgen::AdaptiveOptions& o) {
-  char buffer[256];
-  std::snprintf(buffer, sizeof(buffer), "%d|%a|%a|%d|%d%d%d%d|%a|%a|%d", o.sigma,
-                o.noise_decades, o.tuning_r, o.max_iterations, o.use_deflation ? 1 : 0,
-                o.conjugate_symmetry ? 1 : 0, o.simultaneous_scaling ? 1 : 0,
-                o.geometric_mean_heuristic ? 1 : 0, o.initial_f, o.initial_g,
-                o.no_progress_limit);
-  return buffer;
-}
-
-/// Exact fingerprint of a simplify request (engine threads/kernel/cancel
-/// excluded — bit-identical results at any setting). The nested engine
-/// options reuse options_key.
-std::string simplify_key(const refgen::SimplifyOptions& o) {
-  char buffer[256];
-  std::snprintf(buffer, sizeof(buffer), "%a|%a|%a|%d|%d|%a|%zu|%zu|%a|", o.error_budget,
-                o.f_start_hz, o.f_stop_hz, o.band_points, o.prune ? 1 : 0, o.prune_share,
-                o.max_terms_per_coefficient, o.max_queue, o.coefficient_skip_factor);
-  return buffer + options_key(o.engine);
-}
-
-/// Exact fingerprint of a transient request (threads and cancel excluded —
-/// time stepping is serial and bit-identical regardless).
-std::string transient_key(const TransientRequest& request) {
-  char buffer[128];
-  std::snprintf(buffer, sizeof(buffer), "%s|%a|%a|%d",
-                transient::method_name(request.method), request.tstop, request.tstep,
-                request.adaptive ? 1 : 0);
-  return buffer;
-}
-
-std::string sweep_key(const SweepRequest& request) {
-  char buffer[128];
-  std::snprintf(buffer, sizeof(buffer), "%a|%a|%d", request.f_start_hz, request.f_stop_hz,
-                request.points_per_decade);
-  return buffer;
-}
-
-/// Exact fingerprint of a parameter-sweep request (threads and cancel
-/// excluded — neither influences the bit-identical result). Parameter
-/// names are length-prefixed so arbitrary name content (any length, any
-/// delimiter characters) cannot collide with the numeric fields; numbers
-/// are formatted one per bounded buffer, never truncated.
-std::string param_sweep_key(const ParamSweepRequest& request) {
-  std::string key = request.mode == ParamSweepRequest::Mode::kGrid ? "grid" : "mc";
-  char buffer[64];
-  auto add_number = [&](double value) {
-    std::snprintf(buffer, sizeof(buffer), "|%a", value);
-    key += buffer;
-  };
-  auto add_name = [&](const std::string& name) {
-    key += '|';
-    key += std::to_string(name.size());
-    key += ':';
-    key += name;
-  };
-  for (const mna::ParamAxis& axis : request.axes) {
-    key += "|a";
-    add_name(axis.name);
-    add_number(axis.from);
-    add_number(axis.to);
-    std::snprintf(buffer, sizeof(buffer), "|%d|%d", axis.count, axis.log_scale ? 1 : 0);
-    key += buffer;
-  }
-  for (const mna::ParamDist& dist : request.dists) {
-    key += "|d";
-    add_name(dist.name);
-    add_number(dist.nominal);
-    add_number(dist.rel_sigma);
-    key += dist.kind == mna::ParamDist::Kind::kGaussian ? "|g" : "|u";
-  }
-  std::snprintf(buffer, sizeof(buffer), "|%d|%llu", request.samples,
-                static_cast<unsigned long long>(request.seed));
-  key += buffer;
-  add_number(request.f_start_hz);
-  add_number(request.f_stop_hz);
-  std::snprintf(buffer, sizeof(buffer), "|%d", request.points_per_decade);
-  key += buffer;
-  return key;
-}
 
 /// Engine terminations that are errors at the facade boundary.
 Status termination_status(const refgen::AdaptiveResult& result) {
@@ -181,6 +85,8 @@ struct CompiledCircuit {
   netlist::Circuit canonical;
   mna::NodalSystem system;
   std::string name;
+  /// ServiceOptions::cache_responses / max_cached_responses at compile.
+  bool cache_responses = true;
   std::size_t cache_capacity = 0;
   /// The parsed-but-unexpanded netlist (compile_netlist only) — what
   /// param_sweep() re-elaborates per sample. Invalid for programmatic
@@ -222,17 +128,20 @@ struct CompiledCircuit {
   std::atomic<std::uint64_t> transient_pivot_escalations{0};
 
   /// Transient analyses have no TransferSpec, so their response cache lives
-  /// on the circuit itself rather than in a SpecEntry. Lazily built under
-  /// transient_mutex (cache_capacity is assigned after construction).
+  /// on the circuit itself rather than in a SpecEntry.
   std::mutex transient_mutex;
-  std::unique_ptr<support::LruCache<std::string, TransientResponse>> transient_cache;
+  support::LruCache<std::string, TransientResponse> transient_cache;
 
-  CompiledCircuit(netlist::Circuit circuit, const netlist::CanonicalOptions& options)
+  CompiledCircuit(netlist::Circuit circuit, const ServiceOptions& options)
       : original(std::move(circuit)),
         op(original.has_devices() ? dc::solve_op(original) : dc::OpResult{}),
         linear(original.has_devices() ? dc::linearize_at(original, op) : original),
-        canonical(netlist::canonicalize(linear, options)),
-        system(canonical) {
+        canonical(netlist::canonicalize(linear, options.canonical)),
+        system(canonical),
+        cache_responses(options.cache_responses),
+        cache_capacity(options.max_cached_responses),
+        canonical_options(options.canonical),
+        transient_cache(options.max_cached_responses) {
     if (original.has_devices()) {
       op_solves.store(1, std::memory_order_relaxed);
       newton_iterations.store(static_cast<std::uint64_t>(op.newton_iterations),
@@ -240,9 +149,19 @@ struct CompiledCircuit {
     }
   }
 
-  std::shared_ptr<SpecEntry> entry(const mna::TransferSpec& spec) {
+  /// Every spec entry, collected under specs_mutex: callers then lock each
+  /// entry briefly, never specs_mutex and an entry mutex together.
+  std::vector<std::shared_ptr<SpecEntry>> spec_entries() {
     const std::lock_guard<std::mutex> lock(specs_mutex);
-    std::shared_ptr<SpecEntry>& slot = specs[spec_key(spec)];
+    std::vector<std::shared_ptr<SpecEntry>> entries;
+    for (const auto& [key, entry] : specs) entries.push_back(entry);
+    return entries;
+  }
+
+  std::shared_ptr<SpecEntry> entry(const mna::TransferSpec& spec) {
+    const std::string key = to_json(spec).dump();
+    const std::lock_guard<std::mutex> lock(specs_mutex);
+    std::shared_ptr<SpecEntry>& slot = specs[key];
     if (!slot) slot = std::make_shared<SpecEntry>(cache_capacity);
     return slot;
   }
@@ -271,6 +190,71 @@ Status check_auto_linearize(const CompiledCircuit& compiled, bool auto_linearize
   return Status();
 }
 
+/// Values a memoized response pins. The LRU bound counts entries, not
+/// bytes, and one Monte-Carlo study or long transient can reach gigabytes —
+/// a long-lived daemon must not pin that behind a 64-entry cache. Only
+/// responses of at most kMaxCachedValues values are memoized; recomputing
+/// the others is bit-identical, so a miss costs only time.
+constexpr std::size_t kMaxCachedValues = std::size_t{1} << 16;
+
+template <typename Response>
+std::size_t cached_values(const Response& /*response*/) {
+  return 0;
+}
+std::size_t cached_values(const ParamSweepResponse& response) {
+  return response.result.response.size();
+}
+std::size_t cached_values(const TransientResponse& response) {
+  const transient::TransientResult& result = response.result;
+  return result.states.size() * (result.node_names.size() + result.branch_names.size());
+}
+
+/// How long cached_call holds the cache's mutex.
+enum class LockScope {
+  /// From the lookup through the insert: the compute step drives the
+  /// spec's evaluator or simulator, a non-reentrant plan cache whose pivot
+  /// history sets the last bits of the result.
+  kWholeCall,
+  /// Only around the lookup and around the insert: the compute step touches
+  /// no shared state, so a long run never blocks the spec. Two racing
+  /// identical misses both compute; their results are bit-identical.
+  kLookupAndInsert,
+};
+
+/// The one memoized request path: look the request up in `cache` (keyed by
+/// request_key), else run `compute` and insert its response. Counts hits,
+/// misses and evictions on the circuit, stamps `from_cache` and `seconds`,
+/// and memoizes nothing when caching is off or compute fails.
+template <typename Response, typename Request, typename Compute>
+Result<Response> cached_call(CompiledCircuit& compiled, std::mutex& mutex,
+                             support::LruCache<std::string, Response>& cache, LockScope scope,
+                             const Request& request, Compute compute) {
+  support::Timer timer;
+  const std::string key = compiled.cache_responses ? request_key(to_json(request)) : "";
+  std::unique_lock<std::mutex> lock(mutex);
+  if (compiled.cache_responses) {
+    if (const Response* hit = cache.find(key)) {
+      Response response = *hit;
+      lock.unlock();
+      compiled.cache_hits.fetch_add(1, std::memory_order_relaxed);
+      response.from_cache = true;
+      response.seconds = timer.seconds();
+      return response;
+    }
+    compiled.cache_misses.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (scope == LockScope::kLookupAndInsert) lock.unlock();
+  Result<Response> computed = compute();
+  if (!computed.ok()) return computed;
+  computed.value().seconds = timer.seconds();
+  if (compiled.cache_responses && cached_values(computed.value()) <= kMaxCachedValues) {
+    if (!lock.owns_lock()) lock.lock();
+    compiled.cache_evictions.fetch_add(cache.insert(key, computed.value()),
+                                       std::memory_order_relaxed);
+  }
+  return computed;
+}
+
 }  // namespace
 
 const netlist::Circuit& CircuitHandle::circuit() const { return compiled_->original; }
@@ -296,12 +280,10 @@ Service::~Service() = default;
 Result<CircuitHandle> Service::finish_compile(netlist::Circuit circuit, std::string name,
                                               netlist::NetlistTemplate netlist_template) const {
   try {
-    auto compiled = std::make_shared<CompiledCircuit>(std::move(circuit), options_.canonical);
+    auto compiled = std::make_shared<CompiledCircuit>(std::move(circuit), options_);
     compiled->name = name.empty() ? compiled->original.title : std::move(name);
     if (compiled->name.empty()) compiled->name = "circuit";
-    compiled->cache_capacity = options_.max_cached_responses;
     compiled->netlist_template = std::move(netlist_template);
-    compiled->canonical_options = options_.canonical;
     CircuitHandle handle;
     handle.compiled_ = std::move(compiled);
     return handle;
@@ -324,164 +306,110 @@ Result<CircuitHandle> Service::compile(const netlist::Circuit& circuit, std::str
   return finish_compile(circuit, std::move(name));
 }
 
-Result<RefgenResponse> Service::refgen(const CircuitHandle& handle,
-                                       const RefgenRequest& request) const {
+template <typename Response, typename Body>
+Result<Response> Service::guarded(const CircuitHandle& handle, Body body) {
   if (!handle.valid()) {
     return Status::error(StatusCode::kInvalidArgument, kEmptyHandleMessage);
   }
-  support::Timer timer;
   try {
-    CompiledCircuit& compiled = *handle.compiled_;
+    return body(*handle.compiled_);
+  } catch (...) {
+    return status_from_current_exception();
+  }
+}
+
+Result<RefgenResponse> Service::refgen(const CircuitHandle& handle,
+                                       const RefgenRequest& request) const {
+  return guarded<RefgenResponse>(handle, [&](CompiledCircuit& compiled) -> Result<RefgenResponse> {
     if (const Status gate = check_auto_linearize(compiled, request.auto_linearize); !gate.ok()) {
       return gate;
     }
     const std::shared_ptr<SpecEntry> entry = compiled.entry(request.spec);
-    const std::lock_guard<std::mutex> lock(entry->mutex);
-
-    const std::string key = options_key(request.options);
-    if (options_.cache_responses) {
-      if (const RefgenResponse* hit = entry->refgen_cache.find(key)) {
-        compiled.cache_hits.fetch_add(1, std::memory_order_relaxed);
-        RefgenResponse response = *hit;
-        response.from_cache = true;
-        response.seconds = timer.seconds();
-        return response;
-      }
-      compiled.cache_misses.fetch_add(1, std::memory_order_relaxed);
-    }
-
-    // Warm path: the spec's evaluator keeps its assembly pattern and LU
-    // plan across runs, so a repeat request skips the pattern merge and the
-    // first Markowitz ordering (the engine replays the cached plan).
-    if (!entry->evaluator) {
-      entry->evaluator = std::make_unique<mna::CofactorEvaluator>(compiled.system, request.spec);
-    }
-    refgen::AdaptiveScalingEngine engine(compiled.system, request.spec, request.options,
-                                         entry->evaluator.get());
-    RefgenResponse response;
-    response.result = engine.run();
-    response.seconds = timer.seconds();
-    const Status status = termination_status(response.result);
-    if (!status.ok()) return status;
-    if (response.result.degraded) {
-      compiled.degraded_responses.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (options_.cache_responses) {
-      compiled.cache_evictions.fetch_add(entry->refgen_cache.insert(key, response),
-                                         std::memory_order_relaxed);
-    }
-    return response;
-  } catch (...) {
-    return status_from_current_exception();
-  }
+    return cached_call(
+        compiled, entry->mutex, entry->refgen_cache, LockScope::kWholeCall, request,
+        [&]() -> Result<RefgenResponse> {
+          // Warm path: the spec's evaluator keeps its assembly pattern and LU
+          // plan across runs, so a repeat request skips the pattern merge and
+          // the first Markowitz ordering (the engine replays the cached plan).
+          if (!entry->evaluator) {
+            entry->evaluator =
+                std::make_unique<mna::CofactorEvaluator>(compiled.system, request.spec);
+          }
+          refgen::AdaptiveScalingEngine engine(compiled.system, request.spec, request.options,
+                                               entry->evaluator.get());
+          RefgenResponse response;
+          response.result = engine.run();
+          if (const Status status = termination_status(response.result); !status.ok()) {
+            return status;
+          }
+          if (response.result.degraded) {
+            compiled.degraded_responses.fetch_add(1, std::memory_order_relaxed);
+          }
+          return response;
+        });
+  });
 }
 
 Result<SimplifyResponse> Service::simplify(const CircuitHandle& handle,
                                            const SimplifyRequest& request) const {
-  if (!handle.valid()) {
-    return Status::error(StatusCode::kInvalidArgument, kEmptyHandleMessage);
-  }
-  support::Timer timer;
-  try {
-    CompiledCircuit& compiled = *handle.compiled_;
+  return guarded<SimplifyResponse>(handle, [&](CompiledCircuit& compiled)
+                                               -> Result<SimplifyResponse> {
     if (const Status gate = check_auto_linearize(compiled, request.auto_linearize); !gate.ok()) {
       return gate;
     }
     const std::shared_ptr<SpecEntry> entry = compiled.entry(request.spec);
-    const std::lock_guard<std::mutex> lock(entry->mutex);
-
-    const std::string key = simplify_key(request.options);
-    if (options_.cache_responses) {
-      if (const SimplifyResponse* hit = entry->simplify_cache.find(key)) {
-        compiled.cache_hits.fetch_add(1, std::memory_order_relaxed);
-        SimplifyResponse response = *hit;
-        response.from_cache = true;
-        response.seconds = timer.seconds();
-        return response;
-      }
-      compiled.cache_misses.fetch_add(1, std::memory_order_relaxed);
-    }
-
-    // Warm path: the spec's evaluator serves the baseline band sweep with
-    // its cached assembly pattern and LU plan; the ranking lanes copy it
-    // (sharing the immutable symbolic plan) inside the engine.
-    if (!entry->evaluator) {
-      entry->evaluator = std::make_unique<mna::CofactorEvaluator>(compiled.system, request.spec);
-    }
-    SimplifyResponse response;
-    response.result = refgen::simplify_transfer(compiled.canonical, compiled.system,
-                                                request.spec, request.options,
-                                                entry->evaluator.get());
-    response.seconds = timer.seconds();
-    compiled.simplify_term_evals.fetch_add(response.result.term_evals,
-                                           std::memory_order_relaxed);
-    compiled.simplify_terms_dropped.fetch_add(response.result.terms_dropped,
-                                              std::memory_order_relaxed);
-    if (options_.cache_responses) {
-      compiled.cache_evictions.fetch_add(entry->simplify_cache.insert(key, response),
-                                         std::memory_order_relaxed);
-    }
-    return response;
-  } catch (...) {
-    return status_from_current_exception();
-  }
+    return cached_call(
+        compiled, entry->mutex, entry->simplify_cache, LockScope::kWholeCall, request,
+        [&]() -> Result<SimplifyResponse> {
+          // Warm path: the spec's evaluator serves the baseline band sweep
+          // with its cached assembly pattern and LU plan; the ranking lanes
+          // copy it (sharing the immutable symbolic plan) inside the engine.
+          if (!entry->evaluator) {
+            entry->evaluator =
+                std::make_unique<mna::CofactorEvaluator>(compiled.system, request.spec);
+          }
+          SimplifyResponse response;
+          response.result = refgen::simplify_transfer(compiled.canonical, compiled.system,
+                                                      request.spec, request.options,
+                                                      entry->evaluator.get());
+          compiled.simplify_term_evals.fetch_add(response.result.term_evals,
+                                                 std::memory_order_relaxed);
+          compiled.simplify_terms_dropped.fetch_add(response.result.terms_dropped,
+                                                    std::memory_order_relaxed);
+          return response;
+        });
+  });
 }
 
 Result<SweepResponse> Service::sweep(const CircuitHandle& handle,
                                      const SweepRequest& request) const {
-  if (!handle.valid()) {
-    return Status::error(StatusCode::kInvalidArgument, kEmptyHandleMessage);
-  }
-  support::Timer timer;
-  try {
-    CompiledCircuit& compiled = *handle.compiled_;
+  return guarded<SweepResponse>(handle, [&](CompiledCircuit& compiled) -> Result<SweepResponse> {
     if (const Status gate = check_auto_linearize(compiled, request.auto_linearize); !gate.ok()) {
       return gate;
     }
     const std::shared_ptr<SpecEntry> entry = compiled.entry(request.spec);
-    const std::lock_guard<std::mutex> lock(entry->mutex);
-
-    const std::string key = sweep_key(request);
-    if (options_.cache_responses) {
-      if (const SweepResponse* hit = entry->sweep_cache.find(key)) {
-        compiled.cache_hits.fetch_add(1, std::memory_order_relaxed);
-        SweepResponse response = *hit;
-        response.from_cache = true;
-        response.seconds = timer.seconds();
-        return response;
-      }
-      compiled.cache_misses.fetch_add(1, std::memory_order_relaxed);
-    }
-
-    // Warm path: the per-spec simulator caches the drive-augmented circuit,
-    // its assembler, and the factorization plan; later sweeps and later
-    // points replay instead of re-pivoting.
-    if (!entry->simulator) {
-      entry->simulator = std::make_unique<mna::AcSimulator>(compiled.linear);
-    }
-    SweepResponse response;
-    response.points = entry->simulator->bode(request.spec, request.f_start_hz,
-                                             request.f_stop_hz, request.points_per_decade,
-                                             request.threads, request.cancel, request.kernel);
-    response.seconds = timer.seconds();
-    if (options_.cache_responses) {
-      compiled.cache_evictions.fetch_add(entry->sweep_cache.insert(key, response),
-                                         std::memory_order_relaxed);
-    }
-    return response;
-  } catch (...) {
-    return status_from_current_exception();
-  }
+    return cached_call(
+        compiled, entry->mutex, entry->sweep_cache, LockScope::kWholeCall, request,
+        [&]() -> Result<SweepResponse> {
+          // Warm path: the per-spec simulator caches the drive-augmented
+          // circuit, its assembler, and the factorization plan; later sweeps
+          // and later points replay instead of re-pivoting.
+          if (!entry->simulator) {
+            entry->simulator = std::make_unique<mna::AcSimulator>(compiled.linear);
+          }
+          SweepResponse response;
+          response.points = entry->simulator->bode(request.spec, request.f_start_hz,
+                                                   request.f_stop_hz, request.points_per_decade,
+                                                   request.threads, request.cancel);
+          return response;
+        });
+  });
 }
 
 Result<ParamSweepResponse> Service::param_sweep(const CircuitHandle& handle,
                                                 const ParamSweepRequest& request) const {
-  if (!handle.valid()) {
-    return Status::error(StatusCode::kInvalidArgument, kEmptyHandleMessage);
-  }
-  support::Timer timer;
-  try {
-    CompiledCircuit& compiled = *handle.compiled_;
+  return guarded<ParamSweepResponse>(handle, [&](CompiledCircuit& compiled)
+                                                 -> Result<ParamSweepResponse> {
     if (!compiled.netlist_template.valid()) {
       return Status::error(StatusCode::kInvalidArgument,
                            "param_sweep requires a handle compiled from netlist text "
@@ -490,93 +418,52 @@ Result<ParamSweepResponse> Service::param_sweep(const CircuitHandle& handle,
     if (const Status gate = check_auto_linearize(compiled, request.auto_linearize); !gate.ok()) {
       return gate;
     }
+    // Fields the mode does not use are rejected before the lookup: the
+    // request's encoding (its cache key) carries only the mode's own fields.
+    const bool grid = request.mode == ParamSweepRequest::Mode::kGrid;
+    if (grid && (!request.dists.empty() || request.samples != 0)) {
+      return Status::error(StatusCode::kInvalidArgument,
+                           "param_sweep: grid mode takes axes only (no dists/samples)");
+    }
+    if (!grid && !request.axes.empty()) {
+      return Status::error(StatusCode::kInvalidArgument,
+                           "param_sweep: monte_carlo mode takes dists only (no axes)");
+    }
+    // Seeds ride a JSON number in the encoding, exact up to 2^53.
+    if (request.seed > (std::uint64_t{1} << 53)) {
+      return Status::error(StatusCode::kInvalidArgument, "param_sweep: seed must be <= 2^53");
+    }
     const std::shared_ptr<SpecEntry> entry = compiled.entry(request.spec);
-
-    // Unlike refgen/sweep, the run itself touches no shared per-spec state
-    // (everything is rebuilt from the immutable template), so the entry
-    // mutex guards only the cache lookups/insert — a long sweep never
-    // blocks other requests on the same spec. Two racing identical sweeps
-    // may both compute; results are bit-identical, so that is benign.
-    const std::string key = param_sweep_key(request);
-    if (options_.cache_responses) {
-      bool hit_cache = false;
-      ParamSweepResponse response;
-      {
-        const std::lock_guard<std::mutex> lock(entry->mutex);
-        if (const ParamSweepResponse* hit = entry->param_sweep_cache.find(key)) {
-          response = *hit;
-          hit_cache = true;
-        }
-      }
-      if (hit_cache) {
-        compiled.cache_hits.fetch_add(1, std::memory_order_relaxed);
-        response.from_cache = true;
-        response.seconds = timer.seconds();
-        return response;
-      }
-      compiled.cache_misses.fetch_add(1, std::memory_order_relaxed);
-    }
-
-    // Resolve the sample plan, then run: every sample re-elaborates the
-    // compiled template and replays the baseline factorization plan.
-    mna::ParamSamplePlan plan;
-    if (request.mode == ParamSweepRequest::Mode::kGrid) {
-      if (!request.dists.empty() || request.samples != 0) {
-        return Status::error(StatusCode::kInvalidArgument,
-                             "param_sweep: grid mode takes axes only (no dists/samples)");
-      }
-      plan = mna::grid_samples(request.axes);
-    } else {
-      if (!request.axes.empty()) {
-        return Status::error(StatusCode::kInvalidArgument,
-                             "param_sweep: monte_carlo mode takes dists only (no axes)");
-      }
-      plan = mna::monte_carlo_samples(request.dists, request.samples, request.seed);
-    }
-    mna::ParamSweepOptions options;
-    options.spec = request.spec;
-    options.f_start_hz = request.f_start_hz;
-    options.f_stop_hz = request.f_stop_hz;
-    options.points_per_decade = request.points_per_decade;
-    options.threads = request.threads;
-    options.kernel = request.kernel;
-    options.cancel = request.cancel;
-    options.canonical = compiled.canonical_options;
-
-    ParamSweepResponse response;
-    response.result = mna::run_param_sweep(compiled.netlist_template, plan, options);
-    response.seconds = timer.seconds();
-    // Newton telemetry (device-bearing sweeps re-bias per sample). Computed
-    // runs only — a later cache hit of this response does not re-count.
-    compiled.op_solves.fetch_add(response.result.op_solves, std::memory_order_relaxed);
-    compiled.newton_iterations.fetch_add(response.result.newton_iterations,
-                                         std::memory_order_relaxed);
-    // Memoize only reasonably sized studies: the LRU bound counts entries,
-    // not bytes, and one maximal Monte-Carlo response can reach gigabytes —
-    // a long-lived daemon must not pin that behind a 64-entry cache.
-    constexpr std::size_t kMaxCachedSweepValues = std::size_t{1} << 16;
-    if (options_.cache_responses && response.result.response.size() <= kMaxCachedSweepValues) {
-      std::size_t evicted = 0;
-      {
-        const std::lock_guard<std::mutex> lock(entry->mutex);
-        evicted = entry->param_sweep_cache.insert(key, response);
-      }
-      compiled.cache_evictions.fetch_add(evicted, std::memory_order_relaxed);
-    }
-    return response;
-  } catch (...) {
-    return status_from_current_exception();
-  }
+    return cached_call(
+        compiled, entry->mutex, entry->param_sweep_cache, LockScope::kLookupAndInsert, request,
+        [&]() -> Result<ParamSweepResponse> {
+          // Resolve the sample plan, then run: every sample re-elaborates the
+          // compiled template and replays the baseline factorization plan.
+          const mna::ParamSamplePlan plan =
+              grid ? mna::grid_samples(request.axes)
+                   : mna::monte_carlo_samples(request.dists, request.samples, request.seed);
+          mna::ParamSweepOptions options;
+          options.spec = request.spec;
+          options.f_start_hz = request.f_start_hz;
+          options.f_stop_hz = request.f_stop_hz;
+          options.points_per_decade = request.points_per_decade;
+          options.threads = request.threads;
+          options.cancel = request.cancel;
+          options.canonical = compiled.canonical_options;
+          ParamSweepResponse response;
+          response.result = mna::run_param_sweep(compiled.netlist_template, plan, options);
+          // Newton telemetry (device-bearing sweeps re-bias per sample).
+          compiled.op_solves.fetch_add(response.result.op_solves, std::memory_order_relaxed);
+          compiled.newton_iterations.fetch_add(response.result.newton_iterations,
+                                               std::memory_order_relaxed);
+          return response;
+        });
+  });
 }
 
-Result<OpResponse> Service::op(const CircuitHandle& handle, const OpRequest& request) const {
-  (void)request;  // threads/cancel are wire symmetry only — bias is pre-solved
-  if (!handle.valid()) {
-    return Status::error(StatusCode::kInvalidArgument, kEmptyHandleMessage);
-  }
+Result<OpResponse> Service::op(const CircuitHandle& handle, const OpRequest& /*request*/) const {
   support::Timer timer;
-  try {
-    CompiledCircuit& compiled = *handle.compiled_;
+  return guarded<OpResponse>(handle, [&](CompiledCircuit& compiled) -> Result<OpResponse> {
     if (!compiled.original.has_devices()) {
       return Status::error(StatusCode::kInvalidArgument,
                            "op requires a handle with nonlinear devices (D/Q/M cards); a "
@@ -587,174 +474,104 @@ Result<OpResponse> Service::op(const CircuitHandle& handle, const OpRequest& req
     response.from_cache = compiled.op_served.exchange(true, std::memory_order_relaxed);
     response.seconds = timer.seconds();
     return response;
-  } catch (...) {
-    return status_from_current_exception();
-  }
+  });
 }
 
 Result<TransientResponse> Service::transient(const CircuitHandle& handle,
                                              const TransientRequest& request) const {
-  if (!handle.valid()) {
-    return Status::error(StatusCode::kInvalidArgument, kEmptyHandleMessage);
-  }
-  support::Timer timer;
-  try {
-    CompiledCircuit& compiled = *handle.compiled_;
-    // Deliberately NO check_auto_linearize: a transient analysis runs the
-    // large-signal netlist directly (Newton per step on device handles) —
-    // linearizing first would be answering a different question.
-    const std::string key = transient_key(request);
-    if (options_.cache_responses) {
-      bool hit_cache = false;
-      TransientResponse response;
-      {
-        const std::lock_guard<std::mutex> lock(compiled.transient_mutex);
-        if (compiled.transient_cache) {
-          if (const TransientResponse* hit = compiled.transient_cache->find(key)) {
-            response = *hit;
-            hit_cache = true;
+  // Deliberately NO check_auto_linearize: a transient analysis runs the
+  // large-signal netlist directly (Newton per step on device handles) —
+  // linearizing first would be answering a different question.
+  return guarded<TransientResponse>(handle, [&](CompiledCircuit& compiled) {
+    return cached_call(
+        compiled, compiled.transient_mutex, compiled.transient_cache,
+        LockScope::kLookupAndInsert, request, [&]() -> Result<TransientResponse> {
+          transient::TransientOptions options;
+          options.method = request.method;
+          options.tstop = request.tstop;
+          options.tstep = request.tstep;
+          options.adaptive = request.adaptive;
+          options.cancel = request.cancel;
+          // A fresh solver per run: the step-bucket plans are shaped by the
+          // request's tstep, so they are not reusable across different
+          // requests anyway, and the runs stay shared-nothing (bit-identical
+          // at any concurrency, never serialized behind a per-handle solver).
+          TransientResponse response;
+          response.result = transient::TransientSolver(options).solve(compiled.original);
+          const transient::TransientResult& result = response.result;
+          compiled.transient_steps.fetch_add(static_cast<std::uint64_t>(result.steps),
+                                             std::memory_order_relaxed);
+          compiled.lte_rejections.fetch_add(static_cast<std::uint64_t>(result.lte_rejections),
+                                            std::memory_order_relaxed);
+          compiled.transient_fresh_factorizations.fetch_add(result.fresh_factorizations,
+                                                            std::memory_order_relaxed);
+          compiled.transient_pivot_escalations.fetch_add(result.pivot_escalations,
+                                                         std::memory_order_relaxed);
+          compiled.newton_iterations.fetch_add(
+              static_cast<std::uint64_t>(result.newton_iterations), std::memory_order_relaxed);
+          if (result.degraded) {
+            compiled.degraded_responses.fetch_add(1, std::memory_order_relaxed);
           }
-        }
-      }
-      if (hit_cache) {
-        compiled.cache_hits.fetch_add(1, std::memory_order_relaxed);
-        response.from_cache = true;
-        response.seconds = timer.seconds();
-        return response;
-      }
-      compiled.cache_misses.fetch_add(1, std::memory_order_relaxed);
-    }
-
-    transient::TransientOptions options;
-    options.method = request.method;
-    options.tstop = request.tstop;
-    options.tstep = request.tstep;
-    options.adaptive = request.adaptive;
-    options.cancel = request.cancel;
-    TransientResponse response;
-    {
-      // A fresh solver per run: the step-bucket plans are shaped by the
-      // request's tstep, so they are not reusable across different requests
-      // anyway, and the runs stay shared-nothing (bit-identical at any
-      // concurrency, never serialized behind a per-handle solver).
-      transient::TransientSolver solver(options);
-      response.result = solver.solve(compiled.original);
-    }
-    response.seconds = timer.seconds();
-    const transient::TransientResult& result = response.result;
-    compiled.transient_steps.fetch_add(static_cast<std::uint64_t>(result.steps),
-                                       std::memory_order_relaxed);
-    compiled.lte_rejections.fetch_add(static_cast<std::uint64_t>(result.lte_rejections),
-                                      std::memory_order_relaxed);
-    compiled.transient_fresh_factorizations.fetch_add(result.fresh_factorizations,
-                                                      std::memory_order_relaxed);
-    compiled.transient_pivot_escalations.fetch_add(result.pivot_escalations,
-                                                   std::memory_order_relaxed);
-    compiled.newton_iterations.fetch_add(
-        static_cast<std::uint64_t>(result.newton_iterations), std::memory_order_relaxed);
-    if (result.degraded) {
-      compiled.degraded_responses.fetch_add(1, std::memory_order_relaxed);
-    }
-    // Memoize only reasonably sized waveforms, like param_sweep: the LRU
-    // bound counts entries, not bytes, and a long run's state history can
-    // reach gigabytes. Recomputing is bit-identical, so a miss is only time.
-    constexpr std::size_t kMaxCachedStateValues = std::size_t{1} << 16;
-    const std::size_t state_values =
-        result.states.size() *
-        (result.node_names.size() + result.branch_names.size());
-    if (options_.cache_responses && state_values <= kMaxCachedStateValues) {
-      std::size_t evicted = 0;
-      {
-        const std::lock_guard<std::mutex> lock(compiled.transient_mutex);
-        if (!compiled.transient_cache) {
-          compiled.transient_cache =
-              std::make_unique<support::LruCache<std::string, TransientResponse>>(
-                  compiled.cache_capacity);
-        }
-        evicted = compiled.transient_cache->insert(key, response);
-      }
-      compiled.cache_evictions.fetch_add(evicted, std::memory_order_relaxed);
-    }
-    return response;
-  } catch (...) {
-    return status_from_current_exception();
-  }
+          return response;
+        });
+  });
 }
 
 Result<CacheStats> Service::cache_stats(const CircuitHandle& handle) const {
-  if (!handle.valid()) {
-    return Status::error(StatusCode::kInvalidArgument, kEmptyHandleMessage);
-  }
-  CompiledCircuit& compiled = *handle.compiled_;
-  CacheStats stats;
-  stats.hits = compiled.cache_hits.load(std::memory_order_relaxed);
-  stats.misses = compiled.cache_misses.load(std::memory_order_relaxed);
-  stats.evictions = compiled.cache_evictions.load(std::memory_order_relaxed);
-  // Collect the entries first, then lock each one briefly — never hold
-  // specs_mutex and an entry mutex together.
-  std::vector<std::shared_ptr<SpecEntry>> entries;
-  {
-    const std::lock_guard<std::mutex> lock(compiled.specs_mutex);
-    for (const auto& [key, entry] : compiled.specs) entries.push_back(entry);
-  }
-  for (const std::shared_ptr<SpecEntry>& entry : entries) {
-    const std::lock_guard<std::mutex> lock(entry->mutex);
-    stats.entries += entry->refgen_cache.size() + entry->sweep_cache.size() +
-                     entry->param_sweep_cache.size() + entry->simplify_cache.size();
-  }
-  {
+  return guarded<CacheStats>(handle, [](CompiledCircuit& compiled) -> Result<CacheStats> {
+    CacheStats stats;
+    stats.hits = compiled.cache_hits.load(std::memory_order_relaxed);
+    stats.misses = compiled.cache_misses.load(std::memory_order_relaxed);
+    stats.evictions = compiled.cache_evictions.load(std::memory_order_relaxed);
+    for (const std::shared_ptr<SpecEntry>& entry : compiled.spec_entries()) {
+      const std::lock_guard<std::mutex> lock(entry->mutex);
+      stats.entries += entry->refgen_cache.size() + entry->sweep_cache.size() +
+                       entry->param_sweep_cache.size() + entry->simplify_cache.size();
+    }
     const std::lock_guard<std::mutex> lock(compiled.transient_mutex);
-    if (compiled.transient_cache) stats.entries += compiled.transient_cache->size();
-  }
-  return stats;
+    stats.entries += compiled.transient_cache.size();
+    return stats;
+  });
 }
 
 Result<EngineStats> Service::engine_stats(const CircuitHandle& handle) const {
-  if (!handle.valid()) {
-    return Status::error(StatusCode::kInvalidArgument, kEmptyHandleMessage);
-  }
-  CompiledCircuit& compiled = *handle.compiled_;
-  EngineStats stats;
-  stats.degraded_responses = compiled.degraded_responses.load(std::memory_order_relaxed);
-  stats.simplify_term_evals = compiled.simplify_term_evals.load(std::memory_order_relaxed);
-  stats.simplify_terms_dropped =
-      compiled.simplify_terms_dropped.load(std::memory_order_relaxed);
-  stats.newton_iterations = compiled.newton_iterations.load(std::memory_order_relaxed);
-  stats.op_solves = compiled.op_solves.load(std::memory_order_relaxed);
-  stats.transient_steps = compiled.transient_steps.load(std::memory_order_relaxed);
-  stats.lte_rejections = compiled.lte_rejections.load(std::memory_order_relaxed);
-  // The compile-time bias solve and the transient runs contribute their
-  // factorization telemetry alongside the per-spec evaluators' counters.
-  stats.fresh_factorizations += compiled.op.fresh_factorizations;
-  stats.pivot_escalations += compiled.op.pivot_escalations;
-  stats.fresh_factorizations +=
-      compiled.transient_fresh_factorizations.load(std::memory_order_relaxed);
-  stats.pivot_escalations +=
-      compiled.transient_pivot_escalations.load(std::memory_order_relaxed);
-  // Same discipline as cache_stats: collect entries, then lock each briefly.
-  std::vector<std::shared_ptr<SpecEntry>> entries;
-  {
-    const std::lock_guard<std::mutex> lock(compiled.specs_mutex);
-    for (const auto& [key, entry] : compiled.specs) entries.push_back(entry);
-  }
-  for (const std::shared_ptr<SpecEntry>& entry : entries) {
-    const std::lock_guard<std::mutex> lock(entry->mutex);
-    if (!entry->evaluator) continue;
-    stats.fresh_factorizations += entry->evaluator->fresh_factor_count();
-    stats.pivot_escalations += entry->evaluator->pivot_escalation_count();
-    stats.supernodes += entry->evaluator->supernode_count();
-    stats.batched_lanes += entry->evaluator->batched_lane_count();
-  }
-  return stats;
+  return guarded<EngineStats>(handle, [](CompiledCircuit& compiled) -> Result<EngineStats> {
+    EngineStats stats;
+    stats.degraded_responses = compiled.degraded_responses.load(std::memory_order_relaxed);
+    stats.simplify_term_evals = compiled.simplify_term_evals.load(std::memory_order_relaxed);
+    stats.simplify_terms_dropped =
+        compiled.simplify_terms_dropped.load(std::memory_order_relaxed);
+    stats.newton_iterations = compiled.newton_iterations.load(std::memory_order_relaxed);
+    stats.op_solves = compiled.op_solves.load(std::memory_order_relaxed);
+    stats.transient_steps = compiled.transient_steps.load(std::memory_order_relaxed);
+    stats.lte_rejections = compiled.lte_rejections.load(std::memory_order_relaxed);
+    // The compile-time bias solve and the transient runs contribute their
+    // factorization telemetry alongside the per-spec evaluators' counters.
+    stats.fresh_factorizations += compiled.op.fresh_factorizations;
+    stats.pivot_escalations += compiled.op.pivot_escalations;
+    stats.fresh_factorizations +=
+        compiled.transient_fresh_factorizations.load(std::memory_order_relaxed);
+    stats.pivot_escalations +=
+        compiled.transient_pivot_escalations.load(std::memory_order_relaxed);
+    for (const std::shared_ptr<SpecEntry>& entry : compiled.spec_entries()) {
+      const std::lock_guard<std::mutex> lock(entry->mutex);
+      if (!entry->evaluator) continue;
+      stats.fresh_factorizations += entry->evaluator->fresh_factor_count();
+      stats.pivot_escalations += entry->evaluator->pivot_escalation_count();
+      stats.supernodes += entry->evaluator->supernode_count();
+      stats.batched_lanes += entry->evaluator->batched_lane_count();
+    }
+    return stats;
+  });
 }
 
 Result<PolesZerosResponse> Service::poles_zeros(const CircuitHandle& handle,
                                                 const PolesZerosRequest& request) const {
   support::Timer timer;
-  Result<RefgenResponse> reference =
-      refgen(handle, {request.spec, request.options, request.auto_linearize});
-  if (!reference.ok()) return reference.status();
-  try {
+  return guarded<PolesZerosResponse>(handle, [&](CompiledCircuit&) -> Result<PolesZerosResponse> {
+    Result<RefgenResponse> reference =
+        refgen(handle, {request.spec, request.options, request.auto_linearize});
+    if (!reference.ok()) return reference.status();
     const refgen::NumericalReference& ref = reference.value().result.reference;
     const numeric::RootResult zeros = numeric::find_roots(ref.numerator().polynomial());
     const numeric::RootResult poles = numeric::find_roots(ref.denominator().polynomial());
@@ -766,36 +583,26 @@ Result<PolesZerosResponse> Service::poles_zeros(const CircuitHandle& handle,
     response.from_cache = reference.value().from_cache;
     response.seconds = timer.seconds();
     return response;
-  } catch (...) {
-    return status_from_current_exception();
-  }
+  });
 }
 
 Result<BatchResponse> Service::batch(const CircuitHandle& handle,
                                      const BatchRequest& request) const {
-  if (!handle.valid()) {
-    return Status::error(StatusCode::kInvalidArgument, kEmptyHandleMessage);
-  }
   support::Timer timer;
-  BatchResponse response;
-  response.items.resize(request.items.size());
-  if (request.items.empty()) return response;
-
-  try {
-    CompiledCircuit& compiled = *handle.compiled_;
+  return guarded<BatchResponse>(handle, [&](CompiledCircuit& compiled) -> Result<BatchResponse> {
+    BatchResponse response;
+    response.items.resize(request.items.size());
+    if (request.items.empty()) return response;
     // Shared-nothing lanes: each item builds its own evaluator over the
     // shared immutable system, so items never contend and results match
-    // running each request alone (at any thread count). The per-spec
-    // response cache is consulted/updated with short locks around the run,
-    // never across it — two racing identical items may both compute
-    // (benign: results are identical).
+    // running each request alone (at any thread count and lane schedule).
+    // Items share the per-spec refgen response cache.
     support::ThreadPool pool(request.threads);
     pool.parallel_for(request.items.size(), [&](std::size_t begin, std::size_t end,
                                                 int /*lane*/) {
       for (std::size_t i = begin; i < end; ++i) {
         const RefgenRequest& item = request.items[i];
         BatchItemResponse& out = response.items[i];
-        support::Timer item_timer;
         try {
           if (const Status gate = check_auto_linearize(compiled, item.auto_linearize);
               !gate.ok()) {
@@ -803,38 +610,21 @@ Result<BatchResponse> Service::batch(const CircuitHandle& handle,
             continue;
           }
           const std::shared_ptr<SpecEntry> entry = compiled.entry(item.spec);
-          const std::string key = options_key(item.options);
-          if (options_.cache_responses) {
-            bool hit_cache = false;
-            {
-              const std::lock_guard<std::mutex> lock(entry->mutex);
-              if (const RefgenResponse* hit = entry->refgen_cache.find(key)) {
-                out.response = *hit;
-                hit_cache = true;
-              }
-            }
-            if (hit_cache) {
-              compiled.cache_hits.fetch_add(1, std::memory_order_relaxed);
-              out.response.from_cache = true;
-              out.response.seconds = item_timer.seconds();
-              continue;
-            }
-            compiled.cache_misses.fetch_add(1, std::memory_order_relaxed);
-          }
-          refgen::AdaptiveOptions options = item.options;
-          options.threads = 1;  // outer parallelism owns the lanes
-          refgen::AdaptiveScalingEngine engine(compiled.system, item.spec, options);
-          out.response.result = engine.run();
-          out.response.seconds = item_timer.seconds();
-          out.status = termination_status(out.response.result);
-          if (out.status.ok() && options_.cache_responses) {
-            std::size_t evicted = 0;
-            {
-              const std::lock_guard<std::mutex> lock(entry->mutex);
-              evicted = entry->refgen_cache.insert(key, out.response);
-            }
-            compiled.cache_evictions.fetch_add(evicted, std::memory_order_relaxed);
-          }
+          Result<RefgenResponse> result = cached_call(
+              compiled, entry->mutex, entry->refgen_cache, LockScope::kLookupAndInsert, item,
+              [&]() -> Result<RefgenResponse> {
+                refgen::AdaptiveOptions options = item.options;
+                options.threads = 1;  // outer parallelism owns the lanes
+                refgen::AdaptiveScalingEngine engine(compiled.system, item.spec, options);
+                RefgenResponse computed;
+                computed.result = engine.run();
+                if (const Status status = termination_status(computed.result); !status.ok()) {
+                  return status;
+                }
+                return computed;
+              });
+          out.status = result.status();
+          if (result.ok()) out.response = result.take();
         } catch (...) {
           out.status = status_from_current_exception();
         }
@@ -842,9 +632,7 @@ Result<BatchResponse> Service::batch(const CircuitHandle& handle,
     });
     response.seconds = timer.seconds();
     return response;
-  } catch (...) {
-    return status_from_current_exception();
-  }
+  });
 }
 
 }  // namespace symref::api

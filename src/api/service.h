@@ -26,8 +26,9 @@
 //
 // Concurrency: Service methods are safe to call from multiple threads.
 // Requests against different handles (or different specs of one handle)
-// run concurrently; requests sharing one handle+spec serialize on that
-// spec's cache entry, except batch() items, which run shared-nothing.
+// run concurrently; refgen, sweep and simplify requests sharing one
+// handle+spec serialize on that spec's cache entry, while param_sweep,
+// transient and batch() items run shared-nothing.
 #pragma once
 
 #include <cstddef>
@@ -51,15 +52,15 @@ struct CompiledCircuit;
 struct ServiceOptions {
   /// Canonicalization applied at compile() (gyrator/VCVS conductances...).
   netlist::CanonicalOptions canonical;
-  /// Memoize responses per handle, keyed by the exact request parameters
-  /// (thread counts excluded — results are bit-identical at any count).
+  /// Memoize responses per handle, keyed by api::request_key (the exact
+  /// request minus thread counts — results are bit-identical at any count).
   /// Identical repeated requests then cost a map lookup, the way an
   /// idempotent server endpoint would serve them.
   bool cache_responses = true;
-  /// Bound on each per-spec response cache (refgen and sweep memoization
-  /// each keep at most this many entries, least-recently-used evicted
-  /// first). 0 = unbounded — the pre-LRU behavior, unsafe for a long-lived
-  /// server under adversarial option churn.
+  /// Bound on each response cache — one per (spec, request type) plus the
+  /// per-circuit transient cache — with least-recently-used eviction.
+  /// 0 = unbounded — the pre-LRU behavior, unsafe for a long-lived server
+  /// under adversarial option churn.
   std::size_t max_cached_responses = 64;
 };
 
@@ -88,7 +89,7 @@ struct EngineStats {
   /// plan property, so NOT monotonic — it reflects the plans resident now.
   std::uint64_t supernodes = 0;
   /// Samples evaluated through the batched SoA replay kernel (all specs
-  /// combined). Stays 0 under the scalar kernel. Monotonic.
+  /// combined). Stays 0 when every replay ran the scalar path. Monotonic.
   std::uint64_t batched_lanes = 0;
   /// Band-point evaluations the simplify() pruning/certification stages
   /// spent ranking candidates and trialing term drops. Monotonic.
@@ -241,6 +242,11 @@ class Service {
   [[nodiscard]] const ServiceOptions& options() const noexcept { return options_; }
 
  private:
+  /// The facade's error contract around one request body: an empty handle
+  /// fails with kInvalidArgument, and no exception escapes.
+  template <typename Response, typename Body>
+  static Result<Response> guarded(const CircuitHandle& handle, Body body);
+
   [[nodiscard]] Result<CircuitHandle> finish_compile(
       netlist::Circuit circuit, std::string name,
       netlist::NetlistTemplate netlist_template = {}) const;

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "mna/errors.h"
+#include "sparse/batched.h"
 #include "support/thread_pool.h"
 
 namespace symref::mna {
@@ -133,8 +134,7 @@ std::vector<double> log_frequency_grid(double f_start_hz, double f_stop_hz,
 
 std::vector<BodePoint> AcSimulator::bode(const TransferSpec& spec, double f_start_hz,
                                          double f_stop_hz, int points_per_decade,
-                                         int threads, support::CancellationToken cancel,
-                                         sparse::ReplayKernel kernel) const {
+                                         int threads, support::CancellationToken cancel) const {
   const std::vector<double> grid = log_frequency_grid(f_start_hz, f_stop_hz, points_per_decade);
   SpecCache& cache = prepare(spec);
   auto s_of = [](double f) { return std::complex<double>(0.0, kTwoPi * f); };
@@ -157,8 +157,8 @@ std::vector<BodePoint> AcSimulator::bode(const TransferSpec& spec, double f_star
       MnaAssembler assembler;
       sparse::SparseLu lu;
       std::vector<std::complex<double>> rhs;
-      // Batched-kernel state (unused under kScalar): the SoA replay bound
-      // to the cache's plan, its solve buffer and the group's s values.
+      // Batched-path state (unused on the scalar path): the SoA replay
+      // bound to the cache's plan, its solve buffer and the group's s values.
       sparse::BatchedReplay replay;
       std::vector<std::complex<double>> soa_rhs;
       std::vector<std::complex<double>> s_values;
@@ -186,17 +186,13 @@ std::vector<BodePoint> AcSimulator::bode(const TransferSpec& spec, double f_star
       }
     };
 
-    // Batched kernel: SoA groups against the first point's plan. Requires a
+    // Batched path: SoA groups against the first point's plan. Requires a
     // structurally replayable plan — otherwise (first point singular or
     // re-factored onto a different pattern, which cannot happen for a fixed
-    // assembler but costs nothing to check) the sweep falls back to the
-    // scalar body, which is bit-identical anyway.
+    // assembler but costs nothing to check) the sweep runs the scalar body,
+    // which is bit-identical anyway.
     const auto plan = cache.lu.plan();
-    const sparse::CompressedMatrix& pattern = cache.assembler->pattern();
-    const bool batched = kernel == sparse::ReplayKernel::kBatched && plan != nullptr &&
-                         pattern.dim == plan->dim &&
-                         pattern.row_start == plan->pattern_row_start &&
-                         pattern.cols == plan->pattern_cols;
+    const bool batched = sparse::use_batched_replay(plan.get(), cache.assembler->pattern());
     const int width = static_cast<int>(std::min<std::size_t>(
         static_cast<std::size_t>(sparse::kDefaultBatchWidth), grid.size() - 1));
     auto batched_body = [&](std::size_t begin, std::size_t end, int lane) {
@@ -244,30 +240,14 @@ std::vector<BodePoint> AcSimulator::bode(const TransferSpec& spec, double f_star
                 voltage(cache.out_pos_row) - voltage(cache.out_neg_row);
             continue;
           }
-          // Refused lane: the exact scalar refusal branch of solve_point
-          // with persist_plan == false — a throwaway fresh factorization of
-          // this point alone (no second replay attempt: the lane's refusal
-          // IS the refactor refusal).
-          const sparse::CompressedMatrix& matrix =
-              state.assembler.assemble(state.s_values[static_cast<std::size_t>(l)]);
-          state.rhs.assign(static_cast<std::size_t>(dim), std::complex<double>());
-          if (cache.drive_branch >= 0) {
-            state.rhs[static_cast<std::size_t>(cache.drive_branch)] = 1.0;
-          } else {
-            if (cache.in_pos_row >= 0) state.rhs[static_cast<std::size_t>(cache.in_pos_row)] += 1.0;
-            if (cache.in_neg_row >= 0) state.rhs[static_cast<std::size_t>(cache.in_neg_row)] -= 1.0;
-          }
-          sparse::SparseLu throwaway;
-          if (!throwaway.factor(matrix)) {
-            throw SingularSystemError("AcSimulator: singular MNA system");
-          }
-          throwaway.solve(state.rhs);
-          auto voltage = [&](int row) -> std::complex<double> {
-            return row < 0 ? std::complex<double>(0.0, 0.0)
-                           : state.rhs[static_cast<std::size_t>(row)];
-          };
+          // Refused lane: solve_point's refusal branch — a throwaway fresh
+          // factorization of this point alone. The planless LU makes
+          // solve_point skip a second replay attempt: the lane's refusal IS
+          // the refactor refusal.
+          sparse::SparseLu no_plan;
           values[at + 1 + static_cast<std::size_t>(l)] =
-              voltage(cache.out_pos_row) - voltage(cache.out_neg_row);
+              solve_point(cache, state.assembler, no_plan, state.rhs, /*persist_plan=*/false,
+                          state.s_values[static_cast<std::size_t>(l)]);
         }
       }
     };

@@ -2,7 +2,7 @@
 //
 // This is the repo's stand-in for the "commercial electrical simulator" the
 // paper compares against in Fig. 2 — a SPICE AC analysis is exactly this
-// computation. It is also the SBG pass's error oracle.
+// computation.
 #pragma once
 
 #include <complex>
@@ -12,7 +12,6 @@
 #include "mna/assembler.h"
 #include "mna/transfer.h"
 #include "netlist/circuit.h"
-#include "sparse/batched.h"
 #include "sparse/lu.h"
 #include "support/cancellation.h"
 
@@ -70,23 +69,21 @@ class AcSimulator {
   /// `threads` <= 0 picks the hardware thread count (the ThreadPool
   /// convention); 1 is the serial path.
   ///
-  /// `cancel` is a cooperative checkpoint polled before every point solve
-  /// (before every SoA group under the batched kernel); a tripped token
-  /// makes bode throw support::CancelledError promptly. The spec cache and
-  /// its factorization plan stay valid — a later sweep on the same
-  /// simulator just resumes replaying the plan.
+  /// When the first point's plan replays the assembly
+  /// (sparse::use_batched_replay), the remaining points sweep in SoA groups
+  /// through sparse::BatchedReplay, falling back per refused lane to the
+  /// scalar path; otherwise every point runs the scalar path. Values are
+  /// bit-identical either way, at every thread count.
   ///
-  /// `kernel` selects the replay implementation for the per-point solves:
-  /// kBatched sweeps SoA groups through sparse::BatchedReplay against the
-  /// first point's plan, falling back per refused lane (and wholesale when
-  /// no replayable plan exists) to the scalar path. Values are bit-identical
-  /// under either kernel, at every thread count.
+  /// `cancel` is a cooperative checkpoint polled before every point solve
+  /// (before every SoA group on the batched path); a tripped token makes
+  /// bode throw support::CancelledError promptly. The spec cache and its
+  /// factorization plan stay valid — a later sweep on the same simulator
+  /// just resumes replaying the plan.
   [[nodiscard]] std::vector<BodePoint> bode(const TransferSpec& spec, double f_start_hz,
                                             double f_stop_hz, int points_per_decade = 10,
                                             int threads = 1,
-                                            support::CancellationToken cancel = {},
-                                            sparse::ReplayKernel kernel =
-                                                sparse::ReplayKernel::kScalar) const;
+                                            support::CancellationToken cancel = {}) const;
 
  private:
   /// Per-spec sweep state: the drive-augmented circuit copy, its assembler

@@ -207,16 +207,8 @@ CofactorEvaluator::Sample CofactorEvaluator::evaluate_pinned(std::complex<double
     sample.degraded = plan_degraded_;
     return sample;
   }
-  // Refused replay: fresh Markowitz factorization on a throwaway instance,
-  // leaving the member plan pinned for the next point/sample.
-  ++fresh_factor_count_;
-  sparse::SparseLu fresh;
-  bool degraded = false;
-  if (!factor_with_ladder(fresh, compressed, &degraded)) return Sample{};
-  if (degraded) ++pivot_escalation_count_;
-  Sample sample = finish_sample(fresh, rhs);
-  sample.degraded = degraded;
-  return sample;
+  // Refused replay: leave the member plan pinned for the next point/sample.
+  return fresh_sample(compressed, rhs, /*count=*/true);
 }
 
 CofactorEvaluator::Sample CofactorEvaluator::evaluate_in(EvalContext& context,
@@ -232,15 +224,22 @@ CofactorEvaluator::Sample CofactorEvaluator::evaluate_in(EvalContext& context,
     sample.degraded = plan_degraded_;
     return sample;
   }
-  // Degraded replay: fresh Markowitz factorization for this point only. The
-  // throwaway instance keeps the context's baseline plan untouched, so the
+  // Degraded replay: the context's baseline plan stays untouched, so the
   // next point in the chunk sees exactly what it would see in any other
-  // evaluation order. (The escalation counter is NOT bumped here — lanes
-  // share this const instance — but the sample still carries the flag.)
+  // evaluation order. (No counter is bumped here — lanes share this const
+  // instance — but the sample still carries the degraded flag.)
+  return fresh_sample(compressed, context.rhs, /*count=*/false);
+}
+
+CofactorEvaluator::Sample CofactorEvaluator::fresh_sample(
+    const sparse::CompressedMatrix& matrix, std::vector<std::complex<double>>& rhs,
+    bool count) const {
+  if (count) ++fresh_factor_count_;
   sparse::SparseLu fresh;
   bool degraded = false;
-  if (!factor_with_ladder(fresh, compressed, &degraded)) return Sample{};
-  Sample sample = finish_sample(fresh, context.rhs);
+  if (!factor_with_ladder(fresh, matrix, &degraded)) return Sample{};
+  if (count && degraded) ++pivot_escalation_count_;
+  Sample sample = finish_sample(fresh, rhs);
   sample.degraded = degraded;
   return sample;
 }
@@ -264,13 +263,6 @@ bool CofactorEvaluator::factor_with_ladder(sparse::SparseLu& lu,
     }
   }
   return false;  // no nonzero pivot at any threshold: truly singular
-}
-
-bool CofactorEvaluator::plan_replayable() const {
-  const auto plan = lu_.plan();
-  const sparse::CompressedMatrix& matrix = assembly_.matrix();
-  return plan != nullptr && matrix.dim == plan->dim &&
-         matrix.row_start == plan->pattern_row_start && matrix.cols == plan->pattern_cols;
 }
 
 void CofactorEvaluator::evaluate_group_batched(BatchContext& context,
@@ -333,27 +325,16 @@ void CofactorEvaluator::evaluate_group_batched(BatchContext& context,
       out[l].degraded = plan_degraded_;
       continue;
     }
-    // Refused lane: the batched mirror of the scalar replay-refusal branch —
-    // a throwaway fresh factorization of this point alone, leaving the
-    // baseline plan (and the other lanes) untouched.
-    const sparse::CompressedMatrix& compressed =
-        context.assembly.assemble(s_hats[l], f_scale, g_scale);
-    if (count_fallbacks) ++fresh_factor_count_;
-    sparse::SparseLu fresh;
-    bool degraded = false;
-    if (!factor_with_ladder(fresh, compressed, &degraded)) {
-      out[l] = Sample{};
-      continue;
-    }
-    if (count_fallbacks && degraded) ++pivot_escalation_count_;
-    out[l] = finish_sample(fresh, context.rhs);
-    out[l].degraded = degraded;
+    // Refused lane: the batched mirror of the scalar replay-refusal branch,
+    // leaving the baseline plan (and the other lanes) untouched.
+    out[l] = fresh_sample(context.assembly.assemble(s_hats[l], f_scale, g_scale), context.rhs,
+                          count_fallbacks);
   }
 }
 
 std::vector<CofactorEvaluator::Sample> CofactorEvaluator::evaluate_batch(
     const std::vector<std::complex<double>>& s_hats, double f_scale, double g_scale,
-    support::ThreadPool* pool, sparse::ReplayKernel kernel, int batch_width) const {
+    support::ThreadPool* pool, int batch_width) const {
   std::vector<Sample> samples(s_hats.size());
   if (s_hats.empty()) return samples;
 
@@ -367,8 +348,8 @@ std::vector<CofactorEvaluator::Sample> CofactorEvaluator::evaluate_batch(
 
   // The batched kernel needs a structurally replayable baseline plan; when
   // point 0 left none (singular, or the pattern changed), the whole batch
-  // degrades to the scalar path below — which is bit-identical anyway.
-  if (kernel == sparse::ReplayKernel::kBatched && batch_width >= 1 && plan_replayable()) {
+  // runs the scalar path below — which is bit-identical anyway.
+  if (sparse::use_batched_replay(lu_.plan().get(), assembly_.matrix())) {
     const auto plan = lu_.plan();
     const int width = static_cast<int>(
         std::min<std::size_t>(static_cast<std::size_t>(batch_width), s_hats.size() - 1));
@@ -427,14 +408,14 @@ std::vector<CofactorEvaluator::Sample> CofactorEvaluator::evaluate_batch(
 
 std::vector<CofactorEvaluator::Sample> CofactorEvaluator::evaluate_pinned_batch(
     const std::vector<std::complex<double>>& s_hats, double f_scale, double g_scale,
-    sparse::ReplayKernel kernel, int batch_width) const {
+    int batch_width) const {
   std::vector<Sample> samples(s_hats.size());
   if (s_hats.empty()) return samples;
 
   // The scalar loop doubles as the fallback when the pinned plan is missing
   // or structurally stale: evaluate_pinned's refusal branch then reproduces
   // the exact counter increments the batched path would have produced.
-  if (kernel != sparse::ReplayKernel::kBatched || batch_width < 1 || !plan_replayable()) {
+  if (!sparse::use_batched_replay(lu_.plan().get(), assembly_.matrix())) {
     for (std::size_t i = 0; i < s_hats.size(); ++i) {
       samples[i] = evaluate_pinned(s_hats[i], f_scale, g_scale);
     }

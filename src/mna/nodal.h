@@ -156,18 +156,16 @@ class CofactorEvaluator {
   /// leaves no baseline plan, each remaining point runs its own fresh
   /// factorization — still a pure function of that point alone).
   ///
-  /// `kernel` selects the numeric replay implementation. kBatched groups the
-  /// remaining points into SoA lanes (at most `batch_width` per group) and
-  /// runs them through one sparse::BatchedReplay pass per group; a refused
-  /// lane falls back to the same throwaway fresh factorization the scalar
-  /// path uses. Results are bit-identical to kScalar by the oracle contract
-  /// (and hence across batch widths and thread counts); when the baseline
-  /// plan is missing or its pattern no longer matches the assembly, the
-  /// batched path degrades to the scalar one wholesale.
+  /// When the baseline plan replays the assembly (sparse::use_batched_replay)
+  /// the remaining points run in SoA groups of at most `batch_width` (>= 1)
+  /// lanes, one sparse::BatchedReplay pass per group; a refused lane falls
+  /// back to the same throwaway fresh factorization the scalar path uses.
+  /// Otherwise every point runs the scalar path. Results are bit-identical
+  /// either way by the oracle contract (and hence across batch widths and
+  /// thread counts).
   [[nodiscard]] std::vector<Sample> evaluate_batch(
       const std::vector<std::complex<double>>& s_hats, double f_scale, double g_scale,
       support::ThreadPool* pool = nullptr,
-      sparse::ReplayKernel kernel = sparse::ReplayKernel::kScalar,
       int batch_width = sparse::kDefaultBatchWidth) const;
 
   /// Point the evaluator at a NEW NodalSystem with the same structure but
@@ -191,18 +189,16 @@ class CofactorEvaluator {
   [[nodiscard]] Sample evaluate_pinned(std::complex<double> s_hat, double f_scale,
                                        double g_scale) const;
 
-  /// evaluate_pinned() over a whole point list, optionally through the
-  /// batched kernel: with kBatched (and a replayable pinned plan) the points
-  /// run in SoA groups of at most `batch_width` lanes; refused lanes fall
-  /// back per point exactly like evaluate_pinned (counted by
-  /// fresh_factor_count(), escalations included). With kScalar — or when
-  /// the plan is missing / its pattern no longer matches — this is a plain
-  /// evaluate_pinned loop. Results and counter increments are identical
-  /// under either kernel (the differential suite's engine-stats contract).
-  /// Single-threaded, like every other method of one instance.
+  /// evaluate_pinned() over a whole point list: when the pinned plan
+  /// replays the assembly the points run in SoA groups of at most
+  /// `batch_width` (>= 1) lanes, refused lanes falling back per point
+  /// exactly like evaluate_pinned (counted by fresh_factor_count(),
+  /// escalations included); otherwise this is a plain evaluate_pinned loop.
+  /// Results and counter increments are identical either way (the
+  /// differential suite's engine-stats contract). Single-threaded, like
+  /// every other method of one instance.
   [[nodiscard]] std::vector<Sample> evaluate_pinned_batch(
       const std::vector<std::complex<double>>& s_hats, double f_scale, double g_scale,
-      sparse::ReplayKernel kernel = sparse::ReplayKernel::kScalar,
       int batch_width = sparse::kDefaultBatchWidth) const;
 
   /// Fresh (non-replay) factorizations this instance has run — the plan
@@ -224,8 +220,8 @@ class CofactorEvaluator {
   }
 
   /// Points this instance has evaluated through batched replay lanes
-  /// (evaluate_batch / evaluate_pinned_batch with kBatched on a replayable
-  /// plan; points that fell back to the scalar path are not counted).
+  /// (evaluate_batch / evaluate_pinned_batch on a replayable plan; points
+  /// that ran the scalar path are not counted).
   /// Purely observational — feeds Service::engine_stats, never results.
   [[nodiscard]] std::uint64_t batched_lane_count() const noexcept { return batched_lane_count_; }
 
@@ -274,6 +270,13 @@ class CofactorEvaluator {
                               int count, double f_scale, double g_scale, bool count_fallbacks,
                               Sample* out) const;
 
+  /// The replay-refusal fallback shared by every path: a throwaway fresh
+  /// factorization (through the degradation ladder) of this point alone,
+  /// leaving every plan untouched. `count` bumps fresh_factor_count() /
+  /// pivot_escalation_count() — caller thread only, never pool lanes.
+  [[nodiscard]] Sample fresh_sample(const sparse::CompressedMatrix& matrix,
+                                    std::vector<std::complex<double>>& rhs, bool count) const;
+
   /// Shared tail of every evaluation path: determinant, cofactor solve and
   /// the two error proxies from an already factored system.
   [[nodiscard]] Sample finish_sample(const sparse::SparseLu& lu,
@@ -294,11 +297,6 @@ class CofactorEvaluator {
   [[nodiscard]] Sample sample_from_ports(const numeric::ScaledComplex& det, double min_pivot,
                                          double max_entry, std::complex<double> v_out,
                                          std::complex<double> v_in, double max_abs_v) const;
-
-  /// True when the member plan exists and its structural fingerprint matches
-  /// the cached assembly — i.e. a (scalar or batched) replay would be
-  /// accepted structurally.
-  [[nodiscard]] bool plan_replayable() const;
 
   /// The numeric degradation ladder: a fresh factorization at the default
   /// options, then — instead of giving up — retries with progressively

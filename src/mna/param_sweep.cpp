@@ -254,7 +254,7 @@ ParamSweepResult run_param_sweep(const netlist::NetlistTemplate& netlist,
       slot->eval.rebind(system);
       std::uint8_t all_ok = 1;
       const std::vector<CofactorEvaluator::Sample> point_samples =
-          slot->eval.evaluate_pinned_batch(probe_points, 1.0, 1.0, options.kernel);
+          slot->eval.evaluate_pinned_batch(probe_points, 1.0, 1.0);
       for (std::size_t k = 0; k < points; ++k) {
         const CofactorEvaluator::Sample& sample = point_samples[k];
         if (!sample.ok || sample.denominator.is_zero()) {

@@ -42,7 +42,6 @@
 #include "mna/transfer.h"
 #include "netlist/canonical.h"
 #include "netlist/parser.h"
-#include "sparse/batched.h"
 #include "support/cancellation.h"
 
 namespace symref::mna {
@@ -100,12 +99,6 @@ struct ParamSweepOptions {
   /// Worker lanes; <= 0 picks the hardware thread count. Results are
   /// bit-identical at every setting.
   int threads = 1;
-  /// Replay kernel for the per-point plan replays: kBatched runs each
-  /// sample's probe grid as SoA lanes (CofactorEvaluator::
-  /// evaluate_pinned_batch). Results and fresh_factorizations are identical
-  /// under either kernel — like threads, never part of a request
-  /// fingerprint.
-  sparse::ReplayKernel kernel = sparse::ReplayKernel::kScalar;
   /// Cooperative checkpoint, polled once per sample on every lane.
   support::CancellationToken cancel;
   netlist::CanonicalOptions canonical;

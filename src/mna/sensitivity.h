@@ -14,7 +14,7 @@
 // for an element contributing y_e through stamp rows (a, b) and controlling
 // voltage (c, d); for two-terminal admittances (c, d) == (a, b). The
 // normalized magnitude |y_e * dH/dy_e / H| is the classic sensitivity
-// ranking used to pre-screen SBG candidates.
+// ranking of SBG candidates.
 #pragma once
 
 #include <complex>

@@ -1,7 +1,7 @@
 // Netlist serialization.
 //
-// Used by the SBG pass to emit the simplified circuit in a form the parser
-// (and, for the primitive subset, any SPICE) can read back. Round-trip
+// Emits a circuit in a form the parser (and, for the primitive subset, any
+// SPICE) can read back. Round-trip
 // caveats: a two-terminal Conductance is written as a resistor card with
 // value 1/G, and element names are prefixed with the card letter when their
 // first letter does not already match it.

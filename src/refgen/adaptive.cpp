@@ -263,8 +263,7 @@ AdaptiveResult AdaptiveScalingEngine::run() {
       // singular iteration the batch still evaluates every point (the
       // scan stops at the first failure) — the tilt hunt rarely produces
       // one, and per-point independence is what buys the parallelism.
-      const auto batch = evaluator.evaluate_batch(sampler.evaluation_points(), f, g, pool.get(),
-                                                  options_.kernel);
+      const auto batch = evaluator.evaluate_batch(sampler.evaluation_points(), f, g, pool.get());
       for (const auto& sample : batch) {
         if (!sample.ok) {
           singular = true;

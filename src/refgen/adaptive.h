@@ -83,11 +83,6 @@ struct AdaptiveOptions {
   /// replays of one shared factorization plan, written into per-point slots
   /// (see CofactorEvaluator::evaluate_batch).
   int threads = 1;
-  /// Numeric replay kernel for the per-iteration sample batch: kScalar
-  /// replays one point at a time, kBatched runs SoA supernodal lanes (see
-  /// sparse/batched.h). Bit-identical results by the oracle contract, so —
-  /// like threads — never part of any request fingerprint.
-  sparse::ReplayKernel kernel = sparse::ReplayKernel::kScalar;
   /// Iteration-progress hook (see ProgressObserver above). Not part of any
   /// request fingerprint: two requests differing only here are identical.
   ProgressObserver on_iteration;

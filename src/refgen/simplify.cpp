@@ -136,13 +136,12 @@ std::vector<PruneCandidate> make_candidates(const netlist::Circuit& canonical,
 /// bit-identical at every thread count.
 double surrogate_error(const netlist::Circuit& base, const PruneCandidate& candidate,
                        mna::CofactorEvaluator& lane, const std::vector<Complex>& s_points,
-                       const std::vector<ScaledComplex>& baseline,
-                       sparse::ReplayKernel kernel) {
+                       const std::vector<ScaledComplex>& baseline) {
   netlist::Circuit trial = base;
   trial.set_element_value(candidate.element, candidate.open ? 0.0 : candidate.surrogate);
   const mna::NodalSystem system(trial);
   lane.rebind(system);
-  return band_error(lane.evaluate_pinned_batch(s_points, 1.0, 1.0, kernel), baseline);
+  return band_error(lane.evaluate_pinned_batch(s_points, 1.0, 1.0), baseline);
 }
 
 /// Apply the first `count` accepted actions for real and drop elements whose
@@ -250,7 +249,6 @@ SimplifyResult simplify_transfer(const netlist::Circuit& canonical,
   const std::vector<Complex> s_points = to_s_points(freqs);
   const std::size_t points = freqs.size();
   const support::CancellationToken& cancel = options.engine.cancel;
-  const sparse::ReplayKernel kernel = options.engine.kernel;
 
   SimplifyResult result;
   result.certificate.frequencies_hz = freqs;
@@ -267,7 +265,7 @@ SimplifyResult simplify_transfer(const netlist::Circuit& canonical,
   }
   std::vector<ScaledComplex> baseline(points);
   {
-    const auto samples = evaluator->evaluate_batch(s_points, 1.0, 1.0, &pool, kernel);
+    const auto samples = evaluator->evaluate_batch(s_points, 1.0, 1.0, &pool);
     for (std::size_t i = 0; i < points; ++i) {
       const auto h = sample_ratio(samples[i]);
       if (!h) {
@@ -295,7 +293,7 @@ SimplifyResult simplify_transfer(const netlist::Circuit& canonical,
           if (cancel.cancelled()) return;
           candidates[i].error =
               surrogate_error(canonical, candidates[i], lanes[static_cast<std::size_t>(lane)],
-                              s_points, baseline, kernel);
+                              s_points, baseline);
         }
       });
       for (const auto& lane : lanes) {
@@ -327,7 +325,7 @@ SimplifyResult simplify_transfer(const netlist::Circuit& canonical,
       const mna::NodalSystem trial_system(trial);
       walk.rebind(trial_system);
       const double error =
-          band_error(walk.evaluate_pinned_batch(s_points, 1.0, 1.0, kernel), baseline);
+          band_error(walk.evaluate_pinned_batch(s_points, 1.0, 1.0), baseline);
       result.term_evals += points;
       if (error <= prune_budget) {
         cumulative = std::move(trial);
@@ -353,7 +351,7 @@ SimplifyResult simplify_transfer(const netlist::Circuit& canonical,
       const mna::NodalSystem probe_system(probe);
       const mna::CofactorEvaluator probe_evaluator(probe_system, spec);
       prune_error = band_error(
-          probe_evaluator.evaluate_batch(s_points, 1.0, 1.0, &pool, kernel), baseline);
+          probe_evaluator.evaluate_batch(s_points, 1.0, 1.0, &pool), baseline);
       result.term_evals += points;
       fits = prune_error <= prune_budget;
     } catch (const std::exception&) {

@@ -30,10 +30,10 @@
 //      of the returned terms reproduces.
 //
 // Determinism: the baseline and trial replays are bit-identical at every
-// thread count and kernel by the evaluator's oracle contract; every ranking
-// trial is a pure function of its candidate; all accumulation runs serially
-// in fixed order. Results are therefore bit-identical across
-// threads = 1..N and kScalar/kBatched.
+// thread count and on either replay path by the evaluator's oracle
+// contract; every ranking trial is a pure function of its candidate; all
+// accumulation runs serially in fixed order. Results are therefore
+// bit-identical across threads = 1..N.
 //
 // Failure taxonomy: a spec the generators cannot represent (differential,
 // > 64 nodes) throws symbolic::NonAdmissibleError (api: invalid_spec);
@@ -76,10 +76,10 @@ struct SimplifyOptions {
   /// dropped wholesale (their cost lands in the certificate like any other
   /// model error).
   double coefficient_skip_factor = 1e-3;
-  /// Reference generation on the reduced circuit; `engine.threads`,
-  /// `engine.kernel` and `engine.cancel` also drive the replay trials of
-  /// the pruning/certification stages. As everywhere else, threads and
-  /// kernel never influence results.
+  /// Reference generation on the reduced circuit; `engine.threads` and
+  /// `engine.cancel` also drive the replay trials of the
+  /// pruning/certification stages. As everywhere else, threads never
+  /// influence results.
   AdaptiveOptions engine;
 };
 

@@ -1,6 +1,7 @@
 #include "sparse/batched.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 
@@ -54,7 +55,23 @@ inline void lane_sub_mul(double* __restrict sr, double* __restrict si,
     si[l] -= mr[l] * bi[l] + mi[l] * br[l];
   }
 }
+
+/// Live testing::ScopedScalarReplay instances.
+std::atomic<int> scalar_replay_scopes{0};
 }  // namespace
+
+bool use_batched_replay(const ReplayPlan* plan, const CompressedMatrix& pattern) {
+  return plan != nullptr && plan->matches(pattern) &&
+         scalar_replay_scopes.load(std::memory_order_relaxed) == 0;
+}
+
+testing::ScopedScalarReplay::ScopedScalarReplay() {
+  scalar_replay_scopes.fetch_add(1, std::memory_order_relaxed);
+}
+
+testing::ScopedScalarReplay::~ScopedScalarReplay() {
+  scalar_replay_scopes.fetch_sub(1, std::memory_order_relaxed);
+}
 
 void BatchedReplay::bind(std::shared_ptr<const ReplayPlan> plan, int width) {
   assert(plan != nullptr);
@@ -79,11 +96,6 @@ void BatchedReplay::bind(std::shared_ptr<const ReplayPlan> plan, int width) {
   s_im_.assign(w, 0.0);
   lane_ok_.assign(w, 0);
   max_abs_entry_.assign(w, 0.0);
-}
-
-bool BatchedReplay::pattern_matches(const CompressedMatrix& matrix) const {
-  return plan_ != nullptr && matrix.dim == plan_->dim &&
-         matrix.row_start == plan_->pattern_row_start && matrix.cols == plan_->pattern_cols;
 }
 
 void BatchedReplay::replay(int active, const SparseLuOptions& options) {

@@ -46,15 +46,29 @@
 
 namespace symref::sparse {
 
-/// Engine-wide replay kernel selection, threaded from the public options
-/// structs down to the evaluators. kScalar is the oracle (one point at a
-/// time through SparseLu::refactor()); kBatched runs BatchedReplay lanes.
-/// Results are bit-identical by contract, so the choice — like the thread
-/// count — never participates in result cache keys.
-enum class ReplayKernel {
-  kScalar,
-  kBatched,
+/// The one replay-kernel choice, shared by every batch evaluation path
+/// (CofactorEvaluator::evaluate_batch / evaluate_pinned_batch and
+/// AcSimulator::bode): BatchedReplay lanes whenever `plan` can replay
+/// `pattern` structurally, the scalar SparseLu::refactor() path otherwise.
+/// Results are bit-identical either way (the oracle contract above), so the
+/// choice is never a request option.
+[[nodiscard]] bool use_batched_replay(const ReplayPlan* plan, const CompressedMatrix& pattern);
+
+namespace testing {
+
+/// Test-only oracle switch: while an instance is alive, use_batched_replay()
+/// answers false in the whole process, so every batch path runs the scalar
+/// oracle the batched kernel is compared against. No request, option, flag
+/// or environment variable reaches it.
+class ScopedScalarReplay {
+ public:
+  ScopedScalarReplay();
+  ~ScopedScalarReplay();
+  ScopedScalarReplay(const ScopedScalarReplay&) = delete;
+  ScopedScalarReplay& operator=(const ScopedScalarReplay&) = delete;
 };
+
+}  // namespace testing
 
 /// Default SoA lane width for the batched consumers. Wide enough to amortize
 /// the plan's index traffic across many points, small enough that the SoA
@@ -78,11 +92,6 @@ class BatchedReplay {
   [[nodiscard]] int width() const noexcept { return width_; }
   [[nodiscard]] int dim() const noexcept { return plan_ ? plan_->dim : 0; }
   [[nodiscard]] const std::shared_ptr<const ReplayPlan>& plan() const noexcept { return plan_; }
-
-  /// True when the matrix structure matches the bound plan's fingerprint —
-  /// the caller-side analogue of refactor()'s pattern check. Lanes share
-  /// one structure, so the check runs once per batch, not per lane.
-  [[nodiscard]] bool pattern_matches(const CompressedMatrix& matrix) const;
 
   /// SoA input values of A: CSR position k of lane l at
   /// values()[k * width() + l]. Fill lanes [0, active) (e.g. via

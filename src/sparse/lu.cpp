@@ -368,8 +368,7 @@ void SparseLu::require_refactor(const CompressedMatrix& matrix, const SparseLuOp
 }
 
 bool SparseLu::refactor(const CompressedMatrix& matrix, const SparseLuOptions& options) {
-  if (!plan_ || matrix.dim != plan_->dim || matrix.row_start != plan_->pattern_row_start ||
-      matrix.cols != plan_->pattern_cols) {
+  if (!plan_ || !plan_->matches(matrix)) {
     return false;  // no plan or pattern changed: need a full factor()
   }
   // Fault site "lu_pivot": pretend a reused pivot degraded. The caller's

@@ -164,6 +164,13 @@ struct ReplayPlan {
   [[nodiscard]] std::size_t supernode_count() const noexcept {
     return supernode_start.empty() ? 0 : supernode_start.size() - 1;
   }
+
+  /// True when `matrix` has exactly the structure this plan was recorded
+  /// on — the structural half of every replay's acceptance test.
+  [[nodiscard]] bool matches(const CompressedMatrix& matrix) const {
+    return matrix.dim == dim && matrix.row_start == pattern_row_start &&
+           matrix.cols == pattern_cols;
+  }
 };
 
 class SparseLu {

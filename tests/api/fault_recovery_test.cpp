@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <filesystem>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/jobs.h"
@@ -427,35 +429,45 @@ TEST_F(FaultRecoveryTest, StoreReplaysByteIdenticalAcrossServerCores) {
   fs::remove_all(dir);
 }
 
-TEST_F(FaultRecoveryTest, ThreadCountDoesNotChangeTheStoreKey) {
+TEST_F(FaultRecoveryTest, StoreAndServiceCachesShareOneKeyRule) {
+  // The reference store and the Service response caches both key on
+  // request_key: they agree that a thread count or a legacy "kernel" member
+  // changes nothing, and that one ulp of tuning_r is another request.
   const fs::path dir = fs::path(::testing::TempDir()) / "fault_recovery_store_threads";
   fs::remove_all(dir);
   protocol::ServerOptions options;
   options.workers = 1;
   options.store_dir = dir.string();
 
-  const auto script_with_threads = [&](int threads) {
-    return std::string(R"({"id":1,"method":"compile","params":{"netlist":)") +
-           Json(std::string(kRcNetlist)).dump() + R"(}})" +
-           "\n"
-           R"({"id":2,"method":"submit","params":{"circuit_id":"c1","request":{"type":"refgen","spec":{"in":"in","out":"out"},"options":{"threads":)" +
-           std::to_string(threads) + R"(}}}})" +
-           "\n"
-           R"({"id":3,"method":"wait","params":{"job_id":"j1"}})"
-           "\n";
+  const std::string nudged_r = Json(std::nextafter(0.5, 1.0)).dump();
+  const std::vector<std::pair<std::string, bool>> cases = {
+      {R"({"tuning_r":0.5,"threads":1})", false},
+      {R"({"tuning_r":0.5,"threads":2})", true},
+      {R"({"tuning_r":0.5,"threads":4,"kernel":"batched"})", true},
+      {R"({"tuning_r":)" + nudged_r + "}", false},
   };
-  {
+  const Service service;
+  const CircuitHandle handle = compile(service, kRcNetlist);
+  for (const auto& [request_options, shared] : cases) {
+    SCOPED_TRACE(request_options);
+    const std::string request = R"({"type":"refgen","spec":{"in":"in","out":"out"},"options":)" +
+                                request_options + "}";
     protocol::ServerCore core(options);
-    run_session(core, script_with_threads(1));
-  }
-  {
-    protocol::ServerCore core(options);
-    const auto lines = run_session(core, script_with_threads(2));
+    const auto lines = run_session(
+        core, std::string(R"({"id":1,"method":"compile","params":{"netlist":)") +
+                  Json(std::string(kRcNetlist)).dump() + "}}\n" +
+                  R"({"id":2,"method":"submit","params":{"circuit_id":"c1","request":)" +
+                  request + "}}\n" + R"({"id":3,"method":"wait","params":{"job_id":"j1"}})" +
+                  "\n");
     const Json submit = find_reply(lines, 2);
     ASSERT_TRUE(submit.find("result") != nullptr);
-    const Json* stored = submit.find("result")->find("stored");
-    ASSERT_TRUE(stored != nullptr) << "thread count leaked into the store key";
-    EXPECT_TRUE(stored->as_bool());
+    EXPECT_EQ(submit.find("result")->find("stored") != nullptr, shared);
+
+    const Result<AnyRequest> parsed = request_from_json(Json::parse(request).take());
+    ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
+    const auto response = service.refgen(handle, parsed.value().refgen);
+    ASSERT_TRUE(response.ok()) << response.status().to_string();
+    EXPECT_EQ(response.value().from_cache, shared);
   }
   fs::remove_all(dir);
 }

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <string>
 
 #include "api/service.h"
@@ -338,22 +340,106 @@ TEST(SerializeResponse, ParamSweepCarriesHexFloatPoints) {
 TEST(SerializeRequest, OpRoundTripAndStrictness) {
   AnyRequest request;
   request.type = AnyRequest::Type::kOp;
-  request.op.threads = 4;
+  EXPECT_EQ(to_json(request).dump(), R"({"type":"op"})");
   const auto parsed = request_from_json(to_json(request));
   ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
   EXPECT_EQ(parsed.value().type, AnyRequest::Type::kOp);
-  EXPECT_EQ(parsed.value().op.threads, 4);
 
-  // Minimal form: just the type.
-  const auto minimal = request_from_json(Json::parse(R"({"type":"op"})").take());
-  ASSERT_TRUE(minimal.ok()) << minimal.status().to_string();
-  EXPECT_EQ(minimal.value().op.threads, 1);
+  // A legacy "threads" member still parses (and changes nothing).
+  const auto legacy = request_from_json(Json::parse(R"({"type":"op","threads":4})").take());
+  ASSERT_TRUE(legacy.ok()) << legacy.status().to_string();
+  EXPECT_EQ(legacy.value().type, AnyRequest::Type::kOp);
 
   // An op request has no spec or options; unknown keys are rejected.
   EXPECT_EQ(request_from_json(Json::parse(R"({"type":"op","spec":{"in":"a","out":"b"}})").take())
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(SerializeRequest, LegacyExecutionMembersParseAndAreIgnored) {
+  // Request files written when the replay kernel was a request knob, and
+  // when op/transient carried "threads", keep parsing.
+  for (const char* text : {
+           R"({"type":"sweep","spec":{"in":"a","out":"b"},"kernel":"batched"})",
+           R"({"type":"refgen","spec":{"in":"a","out":"b"},"options":{"kernel":"scalar"}})",
+           R"({"type":"param_sweep","spec":{"in":"a","out":"b"},"kernel":"batched",
+               "params":[{"name":"r","from":1,"to":2,"count":2}]})",
+           R"({"type":"transient","tstop":1e-3,"threads":8})",
+       }) {
+    SCOPED_TRACE(text);
+    const auto parsed = request_from_json(Json::parse(text).take());
+    ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
+    // The encoder no longer writes them back.
+    const std::string encoded = to_json(parsed.value()).dump();
+    EXPECT_EQ(encoded.find("kernel"), std::string::npos) << encoded;
+  }
+  AnyRequest transient;
+  transient.type = AnyRequest::Type::kTransient;
+  EXPECT_EQ(to_json(transient).find("threads"), nullptr);
+}
+
+TEST(SerializeRequest, BatchItemsRoundTripAutoLinearize) {
+  AnyRequest request;
+  request.type = AnyRequest::Type::kBatch;
+  request.batch.threads = 3;
+  request.batch.items.push_back({mna::TransferSpec::voltage_gain("in", "out"), {}, true});
+  request.batch.items.push_back({mna::TransferSpec::voltage_gain("in", "mid"), {}, false});
+  request.batch.items[0].options.sigma = 5;
+  const auto parsed = request_from_json(to_json(request));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
+  const BatchRequest& round = parsed.value().batch;
+  ASSERT_EQ(round.items.size(), 2u);
+  EXPECT_TRUE(round.items[0].auto_linearize);
+  EXPECT_FALSE(round.items[1].auto_linearize);
+  EXPECT_EQ(round.items[0].options.sigma, 5);
+  EXPECT_EQ(round.items[1].spec.out_pos, "mid");
+  EXPECT_EQ(round.threads, 3);
+  EXPECT_EQ(to_json(parsed.value()).dump(), to_json(request).dump());
+
+  // Hand-written items may carry the flag; non-booleans are rejected.
+  EXPECT_TRUE(request_from_json(
+                  Json::parse(R"({"type":"batch","items":[{"spec":{"in":"a","out":"b"},
+                    "auto_linearize":true}]})")
+                      .take())
+                  .ok());
+  EXPECT_FALSE(request_from_json(
+                   Json::parse(R"({"type":"batch","items":[{"spec":{"in":"a","out":"b"},
+                     "auto_linearize":1}]})")
+                       .take())
+                   .ok());
+}
+
+TEST(RequestKey, ExecutionKnobsShareAKeyAndOneUlpMisses) {
+  RefgenRequest refgen{mna::TransferSpec::voltage_gain("in", "out"), {}};
+  RefgenRequest threaded = refgen;
+  threaded.options.threads = 8;
+  EXPECT_EQ(request_key(to_json(refgen)), request_key(to_json(threaded)));
+  EXPECT_EQ(request_key(to_json(refgen)).find("threads"), std::string::npos);
+
+  RefgenRequest nudged = refgen;
+  nudged.options.tuning_r = std::nextafter(refgen.options.tuning_r, 1.0);
+  EXPECT_NE(request_key(to_json(refgen)), request_key(to_json(nudged)));
+
+  SweepRequest sweep;
+  sweep.spec = refgen.spec;
+  SweepRequest sweep_threaded = sweep;
+  sweep_threaded.threads = 8;
+  EXPECT_EQ(request_key(to_json(sweep)), request_key(to_json(sweep_threaded)));
+  SweepRequest sweep_nudged = sweep;
+  sweep_nudged.f_start_hz = std::nextafter(sweep.f_start_hz, 0.0);
+  EXPECT_NE(request_key(to_json(sweep)), request_key(to_json(sweep_nudged)));
+
+  // Non-finite values stay distinct although JSON renders them all as null.
+  TransientRequest inf_stop;
+  inf_stop.tstop = std::numeric_limits<double>::infinity();
+  TransientRequest nan_stop;
+  nan_stop.tstop = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_NE(request_key(to_json(inf_stop)), request_key(to_json(nan_stop)));
+
+  // A poles_zeros request is keyed as its own type.
+  const PolesZerosRequest poles{refgen.spec, refgen.options, false};
+  EXPECT_NE(request_key(to_json(refgen)), request_key(to_json(poles)));
 }
 
 TEST(SerializeRequest, AutoLinearizeRoundTripsOnAcFamilyRequests) {

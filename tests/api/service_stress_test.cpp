@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <string>
 #include <thread>
 #include <vector>
@@ -221,6 +222,64 @@ TEST(ServiceCacheBound, LruEvictionAndCounters) {
   ASSERT_TRUE(open_stats.ok());
   EXPECT_EQ(open_stats.value().evictions, 0u);
   EXPECT_EQ(open_stats.value().entries, 6u);
+}
+
+// The one key rule (request_key) over an overflowing sequence: one LRU per
+// (spec, request type) plus the per-circuit transient LRU, execution knobs
+// outside the key, one ulp inside it.
+TEST(ServiceCacheBound, KeyRuleAndPerTypeLruOrder) {
+  ServiceOptions options;
+  options.max_cached_responses = 2;
+  const Service service(options);
+  const auto compiled = service.compile_netlist(
+      "I1 0 in 1m\nR0 in 0 1k\nR1 in n1 1k\nC1 n1 0 1n\nR2 n1 out 1k\nC2 out 0 1n\n");
+  ASSERT_TRUE(compiled.ok()) << compiled.status().to_string();
+  const CircuitHandle handle = compiled.value();
+  const mna::TransferSpec spec = mna::TransferSpec::voltage_gain("in", "out");
+
+  auto sweep = [&](double f_start, int threads = 1) {
+    SweepRequest request;
+    request.spec = spec;
+    request.f_start_hz = f_start;
+    request.f_stop_hz = 1e6;
+    request.points_per_decade = 2;
+    request.threads = threads;
+    const auto response = service.sweep(handle, request);
+    EXPECT_TRUE(response.ok()) << response.status().to_string();
+    return response.ok() && response.value().from_cache;
+  };
+  auto refgen = [&]() {
+    const auto response = service.refgen(handle, {spec, {}});
+    EXPECT_TRUE(response.ok()) << response.status().to_string();
+    return response.ok() && response.value().from_cache;
+  };
+  const double nudged = std::nextafter(3.0, 0.0);
+
+  EXPECT_FALSE(refgen());
+  EXPECT_FALSE(sweep(1.0));
+  EXPECT_TRUE(sweep(1.0, 4));    // threads are not part of the key
+  EXPECT_FALSE(sweep(2.0));
+  EXPECT_FALSE(sweep(3.0));      // evicts 1.0 (least recently used)
+  EXPECT_TRUE(refgen());         // the refgen LRU is separate
+  EXPECT_FALSE(sweep(1.0));      // recomputed; evicts 2.0
+  EXPECT_TRUE(sweep(3.0));       // touched: now most recent
+  EXPECT_FALSE(sweep(nudged));   // one ulp is another entry; evicts 1.0
+  EXPECT_FALSE(sweep(1.0));      // so 1.0 misses again; evicts 3.0
+  EXPECT_TRUE(sweep(nudged));
+
+  TransientRequest transient;
+  transient.tstop = 1e-5;
+  ASSERT_TRUE(service.transient(handle, transient).ok());
+  const auto repeat = service.transient(handle, transient);
+  ASSERT_TRUE(repeat.ok());
+  EXPECT_TRUE(repeat.value().from_cache);
+
+  const auto stats = service.cache_stats(handle);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats.value().misses, 8u);
+  EXPECT_EQ(stats.value().hits, 5u);
+  EXPECT_EQ(stats.value().evictions, 4u);
+  EXPECT_EQ(stats.value().entries, 4u);  // 1 refgen + 2 sweeps + 1 transient
 }
 
 }  // namespace

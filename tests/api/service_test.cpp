@@ -547,9 +547,14 @@ TEST(ServiceOp, AutoLinearizeGatesEveryAcFamilyEntryPoint) {
   EXPECT_TRUE(allowed.value().result.complete);
 
   // The flag is a no-op on linear handles (back-compat with every caller).
+  // It is part of the request, so it keys its own cache entry, as it does in
+  // the daemon's reference store.
   const CircuitHandle rc = service.compile_netlist(kRcNetlist).take();
   const auto linear = service.refgen(rc, {rc_spec(), {}, /*auto_linearize=*/true});
-  EXPECT_TRUE(linear.ok()) << linear.status().to_string();
+  ASSERT_TRUE(linear.ok()) << linear.status().to_string();
+  const auto plain = service.refgen(rc, {rc_spec(), {}});
+  ASSERT_TRUE(plain.ok()) << plain.status().to_string();
+  EXPECT_FALSE(plain.value().from_cache);
 }
 
 }  // namespace

@@ -14,7 +14,6 @@
 #include "mna/nodal.h"
 #include "netlist/canonical.h"
 #include "refgen/adaptive.h"
-#include "refgen/batch.h"
 #include "support/thread_pool.h"
 
 namespace symref::refgen {
@@ -159,57 +158,6 @@ TEST(ParallelRefgen, SingularFirstPointDoesNotCondemnTheBatch) {
   EXPECT_TRUE(parallel[1].ok);
   EXPECT_TRUE(parallel[1].denominator == samples[1].denominator);
   EXPECT_TRUE(parallel[2].denominator == samples[2].denominator);
-}
-
-TEST(BatchRunner, ResultsInJobOrderAndIdenticalToStandalone) {
-  std::vector<BatchJob> jobs;
-  for (const int n : {4, 8, 16, 32}) {
-    BatchJob job;
-    job.circuit = circuits::rc_ladder(n);
-    job.spec = circuits::rc_ladder_spec(n);
-    job.label = "ladder-" + std::to_string(n);
-    jobs.push_back(job);
-  }
-  BatchJob ua;
-  ua.circuit = circuits::ua741();
-  ua.spec = circuits::ua741_gain_spec();
-  ua.label = "ua741";
-  jobs.push_back(ua);
-
-  const BatchRunner runner(8);
-  const auto results = runner.run(jobs);
-  ASSERT_EQ(results.size(), jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    ASSERT_TRUE(results[i].ok()) << results[i].status.to_string();
-    EXPECT_EQ(results[i].label, jobs[i].label);
-    const AdaptiveResult standalone =
-        generate_reference(jobs[i].circuit, jobs[i].spec, jobs[i].options);
-    expect_runs_identical(standalone, results[i].result);
-  }
-}
-
-TEST(BatchRunner, BadJobDoesNotPoisonTheBatch) {
-  std::vector<BatchJob> jobs;
-  BatchJob good;
-  good.circuit = circuits::rc_ladder(4);
-  good.spec = circuits::rc_ladder_spec(4);
-  good.label = "good";
-  jobs.push_back(good);
-  BatchJob bad;
-  bad.circuit = circuits::rc_ladder(4);
-  bad.spec = mna::TransferSpec::voltage_gain("no_such_node", "out");
-  bad.label = "bad";
-  jobs.push_back(bad);
-
-  const BatchRunner runner(2);
-  const auto results = runner.run(jobs);
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_TRUE(results[0].ok());
-  EXPECT_FALSE(results[1].ok());
-  // The bad spec carries the same machine-readable code a single
-  // api::Service request would report.
-  EXPECT_EQ(results[1].status.code(), api::StatusCode::kInvalidSpec);
-  EXPECT_FALSE(results[1].status.message().empty());
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <complex>
 #include <map>
+#include <optional>
 
 #include "circuits/ladder.h"
 #include "circuits/ota.h"
@@ -15,6 +16,7 @@
 #include "mna/nodal.h"
 #include "netlist/canonical.h"
 #include "numeric/scaled.h"
+#include "sparse/batched.h"
 #include "symbolic/errors.h"
 
 namespace symref::refgen {
@@ -51,24 +53,36 @@ ScaledComplex evaluate_terms(const std::vector<SimplifiedTerm>& terms, double om
   return sum;
 }
 
-/// Max relative error of the returned model over the certificate's band,
-/// measured against a fresh evaluator on the ORIGINAL circuit — nothing
-/// from the simplify run is reused.
-double independent_max_error(const netlist::Circuit& circuit, const mna::TransferSpec& spec,
-                             const SimplifyResult& result) {
-  const netlist::Circuit canonical = netlist::canonicalize(circuit);
-  const mna::NodalSystem system(canonical);
-  const mna::CofactorEvaluator evaluator(system, spec);
-  double worst = 0.0;
-  for (std::size_t i = 0; i < result.certificate.frequencies_hz.size(); ++i) {
-    const double omega = 2.0 * 3.14159265358979323846 * result.certificate.frequencies_hz[i];
+/// The exact response from a fresh evaluator on the ORIGINAL circuit —
+/// nothing from the simplify run is reused.
+struct ExactResponse {
+  ExactResponse(const netlist::Circuit& circuit, const mna::TransferSpec& spec)
+      : canonical(netlist::canonicalize(circuit)), system(canonical), evaluator(system, spec) {}
+
+  /// Relative error of the returned model at one frequency.
+  double model_error(const SimplifyResult& result, double f_hz) const {
+    const double omega = 2.0 * 3.14159265358979323846 * f_hz;
     const auto sample = evaluator.evaluate(std::complex<double>(0.0, omega), 1.0, 1.0);
-    EXPECT_TRUE(sample.ok) << "baseline evaluation failed at point " << i;
-    const ScaledComplex exact =
-        ScaledComplex(sample.numerator) / ScaledComplex(sample.denominator);
+    EXPECT_TRUE(sample.ok) << "baseline evaluation failed at " << f_hz << " Hz";
+    const ScaledComplex exact = sample.numerator / sample.denominator;
     const ScaledComplex model = evaluate_terms(result.numerator_terms, omega) /
                                 evaluate_terms(result.denominator_terms, omega);
-    const double error = numeric::ratio_abs((model - exact).abs(), exact.abs());
+    return numeric::ratio_abs((model - exact).abs(), exact.abs());
+  }
+
+  netlist::Circuit canonical;
+  mna::NodalSystem system;
+  mna::CofactorEvaluator evaluator;
+};
+
+/// Max relative error of the returned model over the certificate's band,
+/// measured independently of the simplify run.
+double independent_max_error(const netlist::Circuit& circuit, const mna::TransferSpec& spec,
+                             const SimplifyResult& result) {
+  const ExactResponse exact(circuit, spec);
+  double worst = 0.0;
+  for (std::size_t i = 0; i < result.certificate.frequencies_hz.size(); ++i) {
+    const double error = exact.model_error(result, result.certificate.frequencies_hz[i]);
     worst = error > worst ? error : worst;
     // The certificate must be what an independent re-evaluation reproduces.
     EXPECT_NEAR(error, result.certificate.relative_error[i],
@@ -76,6 +90,13 @@ double independent_max_error(const netlist::Circuit& circuit, const mna::Transfe
         << "certificate point " << i << " does not reproduce";
   }
   return worst;
+}
+
+bool has_action(const SimplifyResult& result, const std::string& element, const char* op) {
+  for (const SimplifyPruneAction& action : result.prune_actions) {
+    if (action.element == element && action.op == op) return true;
+  }
+  return false;
 }
 
 TEST(Simplify, RcLadderCertificateReproducesIndependently) {
@@ -91,6 +112,69 @@ TEST(Simplify, RcLadderCertificateReproducesIndependently) {
   EXPECT_GT(result.enumerated_terms, 0u);
   EXPECT_LE(result.kept_terms, result.enumerated_terms);
   EXPECT_LE(independent_max_error(ladder, spec, result), options.error_budget);
+}
+
+TEST(Simplify, ErrorBoundHoldsAcrossTheBand) {
+  // A divider dominated by two elements: the tiny parasitic branches are
+  // pruned, and the model stays inside the budget between the
+  // certificate's grid points too (with the same 1.5x interpolation slack).
+  netlist::Circuit divider;
+  divider.add_resistor("r1", "in", "out", 1e3);
+  divider.add_resistor("r2", "out", "0", 1e3);
+  divider.add_resistor("rpar", "in", "out", 1e9);    // negligible parallel path
+  divider.add_capacitor("cpar", "out", "0", 1e-18);  // far-away pole
+  divider.add_capacitor("cmain", "out", "0", 1e-9);  // the real pole
+  const mna::TransferSpec spec = mna::TransferSpec::voltage_gain("in", "out");
+  SimplifyOptions options;
+  options.error_budget = 0.02;
+  options.f_start_hz = 1e2;
+  options.f_stop_hz = 1e7;
+  const SimplifyResult result = simplify_transfer(divider, spec, options);
+  EXPECT_TRUE(has_action(result, "rpar", "open"));
+  EXPECT_TRUE(has_action(result, "cpar", "open"));
+  EXPECT_LE(independent_max_error(divider, spec, result), options.error_budget);
+  const ExactResponse exact(divider, spec);
+  for (const double f : {1e2, 3e3, 1e5, 7e5, 1e7}) {
+    EXPECT_LT(exact.model_error(result, f), options.error_budget * 1.5) << f << " Hz";
+  }
+}
+
+TEST(Simplify, ShortActionMergesSeriesResistance) {
+  // 10 ohm in series with a 2k path: shorting it is the cheapest prune.
+  // (Far smaller series resistances are out of the surrogate's reach: the
+  // 1e12-times-stiffer trial value rounds away the rest of its rows.)
+  netlist::Circuit circuit;
+  circuit.add_resistor("r1", "in", "x", 1e3);
+  circuit.add_resistor("rpar", "x", "out", 10.0);
+  circuit.add_resistor("r2", "out", "0", 1e3);
+  circuit.add_capacitor("c1", "out", "0", 1e-9);
+  const mna::TransferSpec spec = mna::TransferSpec::voltage_gain("in", "out");
+  SimplifyOptions options;
+  options.error_budget = 0.05;
+  options.f_start_hz = 1e2;
+  options.f_stop_hz = 1e6;
+  const SimplifyResult result = simplify_transfer(circuit, spec, options);
+  EXPECT_TRUE(has_action(result, "rpar", "short"));
+  EXPECT_EQ(result.reduced_dim, 2);  // x merged into out
+  EXPECT_LE(independent_max_error(circuit, spec, result), options.error_budget);
+}
+
+TEST(Simplify, PortNodesNeverMergedAway) {
+  // A resistor straight across in-out is never shorted, even where that
+  // would "simplify" the circuit: the merge would erase the question.
+  netlist::Circuit circuit;
+  circuit.add_resistor("r1", "in", "out", 10.0);
+  circuit.add_resistor("r2", "out", "0", 1e3);
+  circuit.add_capacitor("c1", "out", "0", 1e-12);
+  const mna::TransferSpec spec = mna::TransferSpec::voltage_gain("in", "out");
+  SimplifyOptions options;
+  options.error_budget = 0.05;
+  options.f_start_hz = 1e2;
+  options.f_stop_hz = 1e4;
+  const SimplifyResult result = simplify_transfer(circuit, spec, options);
+  EXPECT_FALSE(has_action(result, "r1", "short"));
+  EXPECT_EQ(result.reduced_dim, 2);  // in and out both survive
+  EXPECT_LE(independent_max_error(circuit, spec, result), options.error_budget);
 }
 
 TEST(Simplify, Ua741OnePercentBudgetCertifies) {
@@ -120,7 +204,7 @@ TEST(Simplify, Ua741OnePercentBudgetCertifies) {
   EXPECT_LE(independent_max_error(amp, spec, result), options.error_budget);
 }
 
-TEST(Simplify, Ua741BitIdenticalAcrossThreadsAndKernels) {
+TEST(Simplify, Ua741BitIdenticalAcrossThreadsAndReplayPaths) {
   const netlist::Circuit amp = circuits::ua741(reduced_ua741_options());
   const mna::TransferSpec spec = mna::TransferSpec::voltage_gain("inp", "vo");
   SimplifyOptions base;
@@ -131,11 +215,11 @@ TEST(Simplify, Ua741BitIdenticalAcrossThreadsAndKernels) {
 
   std::vector<SimplifyResult> results;
   for (const int threads : {1, 8}) {
-    for (const bool batched : {false, true}) {
+    for (const bool force_scalar : {true, false}) {
       SimplifyOptions options = base;
       options.engine.threads = threads;
-      options.engine.kernel =
-          batched ? sparse::ReplayKernel::kBatched : sparse::ReplayKernel::kScalar;
+      std::optional<sparse::testing::ScopedScalarReplay> scalar;
+      if (force_scalar) scalar.emplace();
       results.push_back(simplify_transfer(amp, spec, options));
     }
   }
@@ -155,7 +239,7 @@ TEST(Simplify, Ua741BitIdenticalAcrossThreadsAndKernels) {
     ASSERT_EQ(first.certificate.relative_error.size(), other.certificate.relative_error.size());
     for (std::size_t i = 0; i < first.certificate.relative_error.size(); ++i) {
       // Bitwise, not approximately: the oracle contract promises identical
-      // results at every thread count and kernel.
+      // results at every thread count and on either replay path.
       EXPECT_EQ(first.certificate.relative_error[i], other.certificate.relative_error[i])
           << "config " << r << " point " << i;
     }

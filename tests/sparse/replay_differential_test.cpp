@@ -1,11 +1,12 @@
 // Differential oracle suite for the batched supernodal replay kernel.
 //
 // The scalar SparseLu::refactor()/solve() path is the oracle; BatchedReplay
-// (and every consumer selecting ReplayKernel::kBatched) must reproduce its
-// results BIT FOR BIT — no tolerances anywhere in this file. Randomized
-// matrices and circuits are generated deterministically from a seed alone
-// (support::Rng is splitmix64-seeded xoshiro256**, bit-stable across
-// platforms), so every failure here is replayable from the test name.
+// (and every batch evaluation path, which picks it automatically) must
+// reproduce its results BIT FOR BIT — no tolerances anywhere in this file.
+// testing::ScopedScalarReplay forces the oracle path for the comparisons.
+// Randomized matrices and circuits are generated deterministically from a
+// seed alone (support::Rng is splitmix64-seeded xoshiro256**, bit-stable
+// across platforms), so every failure here is replayable from the test name.
 #include "sparse/batched.h"
 
 #include <gtest/gtest.h>
@@ -107,7 +108,7 @@ void run_matrix_differential(std::uint64_t seed, int n, int width) {
 
   BatchedReplay replay;
   replay.bind(plan, width);
-  ASSERT_TRUE(replay.pattern_matches(lanes.front()));
+  ASSERT_TRUE(replay.plan()->matches(lanes.front()));
   ASSERT_EQ(replay.pattern_nonzeros(), pattern.values.size());
   for (std::size_t k = 0; k < pattern.values.size(); ++k) {
     for (int l = 0; l < width; ++l) {
@@ -256,7 +257,7 @@ TEST(BatchedReplay, RefusedLaneMatchesScalarRefusalAndOthersSurvive) {
   expect_bitwise_equal(replay.determinant(2), scalar_healthy.determinant());
 }
 
-// --- Evaluator-level differential: kernels, widths and thread counts --------
+// --- Evaluator-level differential: replay paths, widths and thread counts ---
 
 using mna::CofactorEvaluator;
 
@@ -302,18 +303,23 @@ TEST(EvaluatorDifferential, BatchMatchesScalarAcrossWidthsAndThreads) {
     const CofactorEvaluator evaluator(system, spec);
 
     const std::vector<Complex> points = probe_grid(37);
-    const std::vector<CofactorEvaluator::Sample> oracle =
-        evaluator.evaluate_batch(points, 1.0, 1.0);  // scalar, serial
+    std::vector<CofactorEvaluator::Sample> oracle;
+    {
+      const testing::ScopedScalarReplay scalar;
+      oracle = evaluator.evaluate_batch(points, 1.0, 1.0);  // scalar, serial
+      for (const int threads : {1, 2, 8}) {
+        support::ThreadPool pool(threads);
+        expect_samples_bitwise_equal(oracle, evaluator.evaluate_batch(points, 1.0, 1.0, &pool));
+      }
+    }
+    EXPECT_EQ(evaluator.batched_lane_count(), 0u);
 
     for (const int threads : {1, 2, 8}) {
       support::ThreadPool pool(threads);
-      const std::vector<CofactorEvaluator::Sample> scalar_pooled =
-          evaluator.evaluate_batch(points, 1.0, 1.0, &pool, ReplayKernel::kScalar);
-      expect_samples_bitwise_equal(oracle, scalar_pooled);
       for (const int width : {1, 3, 8, 33}) {
         SCOPED_TRACE(::testing::Message() << "threads=" << threads << " width=" << width);
         const std::vector<CofactorEvaluator::Sample> batched =
-            evaluator.evaluate_batch(points, 1.0, 1.0, &pool, ReplayKernel::kBatched, width);
+            evaluator.evaluate_batch(points, 1.0, 1.0, &pool, width);
         expect_samples_bitwise_equal(oracle, batched);
       }
     }
@@ -323,8 +329,8 @@ TEST(EvaluatorDifferential, BatchMatchesScalarAcrossWidthsAndThreads) {
 
 TEST(EvaluatorDifferential, PinnedBatchMatchesScalarWithEqualCounters) {
   // The parameter-sweep path: results AND the robustness counters
-  // (fresh_factor_count / pivot_escalation_count) must be identical under
-  // either kernel — the engine-stats half of the oracle contract.
+  // (fresh_factor_count / pivot_escalation_count) must be identical on
+  // either replay path — the engine-stats half of the oracle contract.
   const netlist::Circuit circuit = circuits::rc_ladder(24);
   const netlist::Circuit canonical = netlist::canonicalize(circuit);
   const mna::NodalSystem system(canonical);
@@ -334,10 +340,12 @@ TEST(EvaluatorDifferential, PinnedBatchMatchesScalarWithEqualCounters) {
 
   const CofactorEvaluator scalar_eval = base;
   const CofactorEvaluator batched_eval = base;
-  const auto scalar_samples =
-      scalar_eval.evaluate_pinned_batch(points, 1.0, 1.0, ReplayKernel::kScalar);
-  const auto batched_samples =
-      batched_eval.evaluate_pinned_batch(points, 1.0, 1.0, ReplayKernel::kBatched, 8);
+  std::vector<CofactorEvaluator::Sample> scalar_samples;
+  {
+    const testing::ScopedScalarReplay scalar;
+    scalar_samples = scalar_eval.evaluate_pinned_batch(points, 1.0, 1.0);
+  }
+  const auto batched_samples = batched_eval.evaluate_pinned_batch(points, 1.0, 1.0, 8);
   expect_samples_bitwise_equal(scalar_samples, batched_samples);
   EXPECT_EQ(scalar_eval.fresh_factor_count(), batched_eval.fresh_factor_count());
   EXPECT_EQ(scalar_eval.pivot_escalation_count(), batched_eval.pivot_escalation_count());
@@ -353,10 +361,10 @@ class ReplayFaultParity : public ::testing::Test {
   void TearDown() override { support::FaultInjector::instance().reset(); }
 };
 
-TEST_F(ReplayFaultParity, InjectedPivotFaultsDrawIdenticallyUnderBothKernels) {
-  // The "lu_pivot" site is consulted once per point under BOTH kernels (the
-  // batched path draws once per active lane, in lane order). With a
-  // probabilistic fault the two kernels therefore consume the same draw
+TEST_F(ReplayFaultParity, InjectedPivotFaultsDrawIdenticallyOnBothPaths) {
+  // The "lu_pivot" site is consulted once per point on BOTH replay paths
+  // (the batched path draws once per active lane, in lane order). With a
+  // probabilistic fault the two paths therefore consume the same draw
   // stream, refuse the same points, fall back identically — results and
   // counters must match bit for bit.
   const netlist::Circuit circuit = circuits::rc_ladder(16);
@@ -371,14 +379,16 @@ TEST_F(ReplayFaultParity, InjectedPivotFaultsDrawIdenticallyUnderBothKernels) {
     const CofactorEvaluator scalar_eval = base;
     const CofactorEvaluator batched_eval = base;
 
-    ASSERT_TRUE(support::FaultInjector::instance().configure(config));
-    const auto scalar_samples =
-        scalar_eval.evaluate_pinned_batch(points, 1.0, 1.0, ReplayKernel::kScalar);
-    support::FaultInjector::instance().reset();
+    std::vector<CofactorEvaluator::Sample> scalar_samples;
+    {
+      const testing::ScopedScalarReplay scalar;
+      ASSERT_TRUE(support::FaultInjector::instance().configure(config));
+      scalar_samples = scalar_eval.evaluate_pinned_batch(points, 1.0, 1.0);
+      support::FaultInjector::instance().reset();
+    }
 
     ASSERT_TRUE(support::FaultInjector::instance().configure(config));
-    const auto batched_samples =
-        batched_eval.evaluate_pinned_batch(points, 1.0, 1.0, ReplayKernel::kBatched, 8);
+    const auto batched_samples = batched_eval.evaluate_pinned_batch(points, 1.0, 1.0, 8);
     support::FaultInjector::instance().reset();
 
     expect_samples_bitwise_equal(scalar_samples, batched_samples);

@@ -139,17 +139,16 @@ api::Json strip_timing(const api::Json& value) {
   return out;
 }
 
-TEST_F(TransientReplayTest, SerializedResponseIsByteIdenticalAcrossThreadCounts) {
+TEST_F(TransientReplayTest, SerializedResponseIsByteIdenticalAcrossHandles) {
   const api::Service service;
   std::string baseline;
-  for (const int threads : {1, 2, 8}) {
+  for (int run = 0; run < 3; ++run) {
     auto compiled = service.compile_netlist(kRectifierNetlist);
     ASSERT_TRUE(compiled.ok()) << compiled.status().to_string();
     api::TransientRequest request;
     request.tstop = 1e-3;
     request.tstep = 2e-6;
     request.adaptive = false;
-    request.threads = threads;
     auto response = service.transient(compiled.value(), request);
     ASSERT_TRUE(response.ok()) << response.status().to_string();
     EXPECT_FALSE(response.value().from_cache);
@@ -157,7 +156,7 @@ TEST_F(TransientReplayTest, SerializedResponseIsByteIdenticalAcrossThreadCounts)
     if (baseline.empty()) {
       baseline = text;
     } else {
-      EXPECT_EQ(text, baseline) << "threads = " << threads;
+      EXPECT_EQ(text, baseline) << "run " << run;
     }
   }
 }

@@ -309,7 +309,6 @@ void print_usage() {
       "            [--mc-samples=N] [--seed=S] [--probe=f0:f1[:ppd]]\n"
       "  transfer: [--in-neg=<node>] [--out-neg=<node>] [--transimpedance]\n"
       "  engine:   [--sigma=N] [--max-iterations=N] [--threads=N] [--timeout=SECONDS]\n"
-      "            [--kernel=scalar|batched] (replay kernel; results bit-identical)\n"
       "  devices:  [--auto-linearize] (required to run AC analyses on a netlist\n"
       "            with D/Q/M cards; they use the linearized small-signal circuit)\n"
       "  remote:   [--connect=[host:]port] [--retry=N] [--deadline-ms=N]\n"
@@ -706,9 +705,9 @@ int run_connected(const symref::support::CliArgs& args, const std::string& netli
 int main(int argc, char** argv) {
   const symref::support::CliArgs args(
       argc, argv,
-      {"in", "out", "in-neg", "out-neg", "sigma", "max-iterations", "threads", "kernel",
-       "sweep", "sweep-param", "mc-param", "mc-samples", "seed", "probe", "requests", "json",
-       "name", "timeout", "connect", "retry", "deadline-ms", "error-budget", "band", "tran"});
+      {"in", "out", "in-neg", "out-neg", "sigma", "max-iterations", "threads", "sweep",
+       "sweep-param", "mc-param", "mc-samples", "seed", "probe", "requests", "json", "name",
+       "timeout", "connect", "retry", "deadline-ms", "error-budget", "band", "tran"});
   if (args.positional().empty()) {
     print_usage();
     return 2;
@@ -752,13 +751,11 @@ int main(int argc, char** argv) {
     if (want_op) {
       AnyRequest request;
       request.type = AnyRequest::Type::kOp;
-      request.op.threads = args.get_int("threads", 1);
       requests.push_back(std::move(request));
     }
     if (want_tran) {
       AnyRequest request;
       request.type = AnyRequest::Type::kTransient;
-      request.transient.threads = args.get_int("threads", 1);
       if (!parse_tran(args.get("tran"), &request.transient)) {
         std::fprintf(stderr,
                      "error: bad --tran '%s' (want tstop[:tstep[:method[:fixed]]], "
@@ -886,38 +883,6 @@ int main(int argc, char** argv) {
     }
     }
   }
-  // --kernel applies to every request of the session (including ones read
-  // from a --requests file). Results are bit-identical either way, so the
-  // override is safe — it only selects the replay implementation.
-  if (args.has("kernel")) {
-    const std::string kernel_name = args.get("kernel");
-    symref::sparse::ReplayKernel kernel = symref::sparse::ReplayKernel::kScalar;
-    if (kernel_name == "batched") {
-      kernel = symref::sparse::ReplayKernel::kBatched;
-    } else if (kernel_name != "scalar") {
-      std::fprintf(stderr, "error: bad --kernel '%s' (want scalar or batched)\n",
-                   kernel_name.c_str());
-      return 2;
-    }
-    for (AnyRequest& request : requests) {
-      switch (request.type) {
-        case AnyRequest::Type::kRefgen: request.refgen.options.kernel = kernel; break;
-        case AnyRequest::Type::kPolesZeros: request.poles_zeros.options.kernel = kernel; break;
-        case AnyRequest::Type::kSweep: request.sweep.kernel = kernel; break;
-        case AnyRequest::Type::kParamSweep: request.param_sweep.kernel = kernel; break;
-        case AnyRequest::Type::kSimplify:
-          request.simplify.options.engine.kernel = kernel;
-          break;
-        case AnyRequest::Type::kBatch:
-          for (symref::api::RefgenRequest& item : request.batch.items) {
-            item.options.kernel = kernel;
-          }
-          break;
-        case AnyRequest::Type::kOp: break;       // bias is solved at compile
-        case AnyRequest::Type::kTransient: break;  // serial time stepping
-      }
-    }
-  }
   // --auto-linearize marks every AC-family request of the session (including
   // ones read from a --requests file) — the explicit opt-in a device-bearing
   // netlist requires before its linearized circuit is analyzed.
@@ -1003,7 +968,7 @@ int main(int argc, char** argv) {
         case AnyRequest::Type::kSimplify:
           request.simplify.options.engine.cancel = token;
           break;
-        case AnyRequest::Type::kOp: request.op.cancel = token; break;
+        case AnyRequest::Type::kOp: break;  // serves the stored bias
         case AnyRequest::Type::kTransient: request.transient.cancel = token; break;
       }
     }
@@ -1035,98 +1000,53 @@ int main(int argc, char** argv) {
   for (const AnyRequest& request : requests) {
     Json payload;
     Status status;
+    // One serving path for every request type: the typed payload or error
+    // envelope, plus the text rendering in human mode.
+    const auto serve = [&](const auto& response, const auto& print_text) {
+      status = response.status();
+      if (!response.ok()) {
+        payload = symref::api::error_response(symref::api::request_type_name(request.type),
+                                              status);
+        return;
+      }
+      payload = symref::api::to_json(response.value());
+      if (!json_mode) print_text(response.value());
+    };
     switch (request.type) {
-      case AnyRequest::Type::kRefgen: {
-        const auto response = service.refgen(handle, request.refgen);
-        status = response.status();
-        if (response.ok()) {
-          payload = symref::api::to_json(response.value());
-          if (!json_mode) print_refgen_text(response.value(), args.has("emit-reference"));
-        } else {
-          payload = symref::api::error_response("refgen", status);
-        }
+      case AnyRequest::Type::kRefgen:
+        serve(service.refgen(handle, request.refgen),
+              [&](const symref::api::RefgenResponse& response) {
+                print_refgen_text(response, args.has("emit-reference"));
+              });
         break;
-      }
-      case AnyRequest::Type::kSweep: {
-        const auto response = service.sweep(handle, request.sweep);
-        status = response.status();
-        if (response.ok()) {
-          payload = symref::api::to_json(response.value());
-          if (!json_mode) print_sweep_text(response.value());
-        } else {
-          payload = symref::api::error_response("sweep", status);
-        }
+      case AnyRequest::Type::kSweep:
+        serve(service.sweep(handle, request.sweep), print_sweep_text);
         break;
-      }
-      case AnyRequest::Type::kPolesZeros: {
-        const auto response = service.poles_zeros(handle, request.poles_zeros);
-        status = response.status();
-        if (response.ok()) {
-          payload = symref::api::to_json(response.value());
-          if (!json_mode) print_poles_zeros_text(response.value());
-        } else {
-          payload = symref::api::error_response("poles_zeros", status);
-        }
+      case AnyRequest::Type::kPolesZeros:
+        serve(service.poles_zeros(handle, request.poles_zeros), print_poles_zeros_text);
         break;
-      }
       case AnyRequest::Type::kBatch: {
         const auto response = service.batch(handle, request.batch);
-        status = response.status();
+        // A batch call succeeds as a whole; surface the first item failure
+        // for the exit code.
         if (response.ok()) {
-          payload = symref::api::to_json(response.value());
-          if (!json_mode) print_batch_text(response.value());
-          // A batch call succeeds as a whole; surface the first item
-          // failure for the exit code.
           for (const auto& item : response.value().items) failures.record(item.status);
-        } else {
-          payload = symref::api::error_response("batch", status);
         }
+        serve(response, print_batch_text);
         break;
       }
-      case AnyRequest::Type::kParamSweep: {
-        const auto response = service.param_sweep(handle, request.param_sweep);
-        status = response.status();
-        if (response.ok()) {
-          payload = symref::api::to_json(response.value());
-          if (!json_mode) print_param_sweep_text(response.value());
-        } else {
-          payload = symref::api::error_response("param_sweep", status);
-        }
+      case AnyRequest::Type::kParamSweep:
+        serve(service.param_sweep(handle, request.param_sweep), print_param_sweep_text);
         break;
-      }
-      case AnyRequest::Type::kSimplify: {
-        const auto response = service.simplify(handle, request.simplify);
-        status = response.status();
-        if (response.ok()) {
-          payload = symref::api::to_json(response.value());
-          if (!json_mode) print_simplify_text(response.value());
-        } else {
-          payload = symref::api::error_response("simplify", status);
-        }
+      case AnyRequest::Type::kSimplify:
+        serve(service.simplify(handle, request.simplify), print_simplify_text);
         break;
-      }
-      case AnyRequest::Type::kOp: {
-        const auto response = service.op(handle, request.op);
-        status = response.status();
-        if (response.ok()) {
-          payload = symref::api::to_json(response.value());
-          if (!json_mode) print_op_text(response.value());
-        } else {
-          payload = symref::api::error_response("op", status);
-        }
+      case AnyRequest::Type::kOp:
+        serve(service.op(handle, request.op), print_op_text);
         break;
-      }
-      case AnyRequest::Type::kTransient: {
-        const auto response = service.transient(handle, request.transient);
-        status = response.status();
-        if (response.ok()) {
-          payload = symref::api::to_json(response.value());
-          if (!json_mode) print_transient_text(response.value());
-        } else {
-          payload = symref::api::error_response("transient", status);
-        }
+      case AnyRequest::Type::kTransient:
+        serve(service.transient(handle, request.transient), print_transient_text);
         break;
-      }
     }
     failures.record(status);
     if (!status.ok()) {

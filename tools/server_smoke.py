@@ -18,10 +18,11 @@ time-varying sources):
      sample payloads are byte-identical to a direct 1-thread refgen CLI run
      (the determinism contract of the sweep engine, over the wire).
   5. A simplify job (reference-driven symbolic simplification) on the
-     daemon at 8 worker threads with the batched kernel, byte-identical to
-     a direct 1-thread scalar refgen --simplify CLI run, certificate under
-     budget. Runs on the reduced ua741_core.cir next to the netlist (the
-     full model is not sparsely representable at a 1% budget).
+     daemon at 8 worker threads, byte-identical to a direct 1-thread refgen
+     --simplify CLI run, certificate under budget. The request carries a
+     legacy "kernel" member, which must still parse. Runs on the reduced
+     ua741_core.cir next to the netlist (the full model is not sparsely
+     representable at a 1% budget).
   6. A transient job (nonlinear peak detector, fixed-step trapezoidal) on
      the daemon whose hex-float waveform points are byte-identical to a
      direct refgen --tran CLI run, with the step-bucket plan probe
@@ -233,15 +234,15 @@ def main():
     print("param_sweep OK: 32 MC samples on the daemon byte-identical to the "
           "direct run, one shared factorization plan")
 
-    # --- 5. simplify: daemon (8 threads, batched) vs direct CLI (1 thread) --
+    # --- 5. simplify: daemon (8 threads) vs direct CLI (1 thread) ----------
     # The simplified model, its error certificate, and every hex-float term
-    # value must be byte-identical across thread counts and replay kernels.
+    # value must be byte-identical across thread counts. The daemon request
+    # keeps a legacy "kernel" member: old request files still parse.
     core_path = os.path.join(os.path.dirname(netlist_path), "ua741_core.cir")
     core_netlist = open(core_path).read()
     direct = subprocess.run(
         [refgen, core_path, "--in=inp", "--out=vo", "--simplify",
-         "--error-budget=0.01", "--band=10:1e3:9", "--threads=1",
-         "--kernel=scalar", "--json=-"],
+         "--error-budget=0.01", "--band=10:1e3:9", "--threads=1", "--json=-"],
         capture_output=True, text=True, timeout=300,
     )
     assert direct.returncode == 0, direct.stderr
@@ -275,7 +276,7 @@ def main():
     assert got == want, "daemon simplify differs from the direct 1-thread run"
     print(f"simplify OK: {result['kept_terms']} of "
           f"{result['enumerated_terms']} terms certified at 1% on the daemon, "
-          f"byte-identical to the direct scalar run")
+          f"byte-identical to the direct 1-thread run")
 
     # --- 6. transient: daemon vs direct CLI, byte-identical waveform --------
     # Serial time stepping with shared-nothing per-request solvers: the
