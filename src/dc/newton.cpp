@@ -2,17 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <complex>
-#include <map>
-#include <memory>
 #include <sstream>
 
-#include "dc/stamps.h"
 #include "devices/models.h"
 #include "mna/errors.h"
-#include "support/fault_injection.h"
 #include "support/timer.h"
 
 namespace symref::dc {
@@ -20,159 +14,73 @@ namespace symref::dc {
 using netlist::Circuit;
 using netlist::Device;
 using netlist::DeviceKind;
-using netlist::Element;
-using netlist::ElementKind;
 using sparse::PatternStamp;
-
-// The stamping machinery (Layout, build_layout, stamp_device, junction
-// limiting, factor_with_ladder) lives in dc/stamps.{h,cpp}, shared with the
-// transient integrator.
-
-namespace {
-
-struct StageTelemetry {
-  int iterations = 0;
-  std::uint64_t fresh_factors = 0;
-  std::uint64_t escalations = 0;
-  bool degraded = false;
-};
-
-}  // namespace
 
 OpSolver::OpSolver(OpOptions options) : options_(std::move(options)) {}
 
 OpResult OpSolver::solve(const Circuit& circuit) {
   const support::Timer timer;
-  auto layout_ptr = build_layout(circuit);
-  const Layout& layout = *layout_ptr;
+  const mna::StampTable table = solver_table(circuit);
 
   OpResult result;
   for (int n = 1; n < circuit.node_count(); ++n) result.node_names.push_back(circuit.node_name(n));
-  result.branch_names = layout.branch_names;
-  if (layout.dim == 0) {
+  result.branch_names = branch_names(circuit);
+  if (table.dim == 0) {
     result.seconds = timer.seconds();
     return result;
   }
 
-  const std::size_t dim = static_cast<std::size_t>(layout.dim);
+  const std::size_t dim = static_cast<std::size_t>(table.dim);
   std::vector<double> x(dim, 0.0);
-  std::vector<DeviceState> state(layout.devices.size());
+  std::vector<DeviceState> state(circuit.devices().size());
   std::vector<PatternStamp> stamps;
   std::vector<double> rhs(dim, 0.0);
-  std::vector<std::complex<double>> rhs_c(dim);
-  StageTelemetry telemetry;
-  bool plan_degraded = false;
-  // Hidden diagnostic: SYMREF_DC_TRACE=1 prints one line per Newton
-  // iteration (stage, step norm, worst unknown, limited junctions).
-  const bool trace = std::getenv("SYMREF_DC_TRACE") != nullptr;
+  std::vector<std::complex<double>> solution;
+  FactorTally tally;
+  int iterations = 0;
+  bool degraded = false;
+  const NewtonControl control{options_.max_iterations, options_.reltol,  options_.abstol_v,
+                              options_.abstol_i,       options_.max_voltage_step,
+                              options_.cancel};
 
   auto reset_start = [&] {
     std::fill(x.begin(), x.end(), 0.0);
-    for (std::size_t i = 0; i < state.size(); ++i) state[i] = initial_state(*layout.devices[i]);
+    for (std::size_t i = 0; i < state.size(); ++i) state[i] = initial_state(circuit.devices()[i]);
   };
 
   // One damped Newton stage at a fixed (gmin, source scale). Returns true on
   // convergence; x/state carry the last iterate either way.
   auto newton_stage = [&](double gmin, double alpha) -> bool {
-    bool converged = false;
-    for (int iter = 0; iter < options_.max_iterations; ++iter) {
-      if (options_.cancel.cancelled()) throw support::CancelledError();
-      ++telemetry.iterations;
-
-      // Assemble: base stamps + device companions at the current state.
-      stamps.assign(layout.base_stamps.begin(), layout.base_stamps.end());
+    const LinearSolve solve_at =
+        [&](const std::vector<DeviceState>& at) -> const std::vector<std::complex<double>>& {
+      // Assemble: table stamps + device companions at the given state.
+      stamps.assign(table.stamps.begin(), table.stamps.end());
       std::fill(rhs.begin(), rhs.end(), 0.0);
-      for (const Layout::Source& s : layout.sources) {
-        rhs[static_cast<std::size_t>(s.row)] += alpha * s.value;
+      for (const mna::SourceRow& source : table.sources) {
+        const double level =
+            circuit.elements()[static_cast<std::size_t>(source.element)].dc_value;
+        rhs[static_cast<std::size_t>(source.row)] += alpha * (source.sign * level);
       }
-      for (std::size_t i = 0; i < layout.devices.size(); ++i) {
-        stamp_device(stamps, *layout.devices[i], state[i], gmin, layout, &rhs);
+      for (std::size_t i = 0; i < at.size(); ++i) {
+        stamp_device(stamps, circuit.devices()[i], at[i], gmin, table, &rhs);
       }
-      if (!assembly_.rebind(layout.dim, stamps)) {
+      if (!assembly_.rebind(table.dim, stamps)) {
         // New merged structure (first solve, or a different circuit): a
         // fresh pattern invalidates any recorded plan.
-        assembly_ = sparse::PatternedMatrix(layout.dim, stamps);
-        has_pattern_ = false;
+        assembly_ = sparse::PatternedMatrix(table.dim, stamps);
+        plan_.planned = false;
       }
       const sparse::CompressedMatrix& matrix = assembly_.assemble(0.0);
-
-      // Factor: replay the recorded plan; fresh factorization only when the
-      // replay is refused (or the newton_step fault site fires), through the
-      // same escalation ladder the AC evaluators use.
-      const bool refused =
-          !has_pattern_ || !lu_.has_plan() || support::fault("newton_step") ||
-          !lu_.refactor(matrix);
-      if (refused) {
-        bool degraded = false;
-        if (!factor_with_ladder(lu_, matrix, &degraded)) {
-          throw mna::SingularSystemError(
-              "dc: singular Jacobian (floating node or degenerate DC path?)");
-        }
-        ++telemetry.fresh_factors;
-        if (degraded) ++telemetry.escalations;
-        plan_degraded = degraded;
-        has_pattern_ = true;
+      if (!replay_or_factor(plan_, matrix, &tally)) {
+        throw mna::SingularSystemError(
+            "dc: singular Jacobian (floating node or degenerate DC path?)");
       }
-      telemetry.degraded = telemetry.degraded || plan_degraded;
-
-      for (std::size_t i = 0; i < dim; ++i) rhs_c[i] = rhs[i];
-      lu_.solve(rhs_c);
-
-      // Damped acceptance: per-component clamp on the node-voltage step.
-      bool clamped = false;
-      double max_rel = 0.0;
-      std::size_t worst = 0;
-      for (std::size_t i = 0; i < dim; ++i) {
-        const double x_new = rhs_c[i].real();
-        double delta = x_new - x[i];
-        if (i < static_cast<std::size_t>(layout.node_rows) &&
-            std::fabs(delta) > options_.max_voltage_step) {
-          delta = delta > 0 ? options_.max_voltage_step : -options_.max_voltage_step;
-          clamped = true;
-        }
-        const double accepted = x[i] + delta;
-        const double abstol =
-            i < static_cast<std::size_t>(layout.node_rows) ? options_.abstol_v : options_.abstol_i;
-        const double tol =
-            abstol + options_.reltol * std::max(std::fabs(accepted), std::fabs(x[i]));
-        if (std::fabs(delta) / tol > max_rel) worst = i;
-        max_rel = std::max(max_rel, std::fabs(delta) / tol);
-        x[i] = accepted;
-      }
-
-      // Junction limiting against the previous evaluation point.
-      bool limited = false;
-      std::string limited_names;
-      for (std::size_t i = 0; i < layout.devices.size(); ++i) {
-        const DeviceState proposed = proposed_state(*layout.devices[i], x, layout);
-        bool this_limited = false;
-        state[i] = limit_state(*layout.devices[i], proposed, state[i], &this_limited);
-        if (this_limited) {
-          limited = true;
-          if (trace) {
-            limited_names += ' ';
-            limited_names += layout.devices[i]->name;
-          }
-        }
-      }
-      if (trace) {
-        std::fprintf(stderr,
-                     "dc-trace: gmin=%.1e alpha=%.2f iter=%d max_rel=%.3e worst=%s "
-                     "x[worst]=%.6g clamped=%d limited=[%s]\n",
-                     gmin, alpha, iter, max_rel,
-                     worst < static_cast<std::size_t>(layout.node_rows)
-                         ? result.node_names[worst].c_str()
-                         : layout.branch_names[worst - static_cast<std::size_t>(layout.node_rows)]
-                               .c_str(),
-                     x[worst], clamped ? 1 : 0, limited_names.c_str());
-      }
-
-      if (!clamped && !limited && max_rel <= 1.0 && iter > 0) {
-        converged = true;
-        break;
-      }
-    }
-    return converged;
+      degraded = degraded || plan_.degraded;
+      solution.assign(rhs.begin(), rhs.end());
+      plan_.lu.solve(solution);
+      return solution;
+    };
+    return newton_solve(circuit, table, control, solve_at, x, state, &iterations);
   };
 
   // --- Homotopy ladder ----------------------------------------------------
@@ -209,18 +117,18 @@ OpResult OpSolver::solve(const Circuit& circuit) {
     converged = ramp_ok;
   }
 
-  result.newton_iterations = telemetry.iterations;
+  result.newton_iterations = iterations;
   result.gmin_steps = gmin_steps;
   result.source_steps = source_steps;
-  fresh_factors_ += telemetry.fresh_factors;
-  escalations_ += telemetry.escalations;
-  result.fresh_factorizations = telemetry.fresh_factors;
-  result.pivot_escalations = telemetry.escalations;
-  result.degraded = telemetry.degraded;
+  fresh_factors_ += tally.fresh;
+  escalations_ += tally.escalations;
+  result.fresh_factorizations = tally.fresh;
+  result.pivot_escalations = tally.escalations;
+  result.degraded = degraded;
 
   if (!converged) {
     std::ostringstream os;
-    os << "dc: no convergence after " << telemetry.iterations << " Newton iterations ("
+    os << "dc: no convergence after " << iterations << " Newton iterations ("
        << gmin_steps << " gmin steps, " << source_steps << " source steps)";
     throw NoConvergenceError(os.str());
   }
@@ -234,19 +142,19 @@ OpResult OpSolver::solve(const Circuit& circuit) {
           s.conductance * x[static_cast<std::size_t>(s.col)];
     }
     double max_res = 0.0;
-    for (std::size_t i = 0; i < static_cast<std::size_t>(layout.node_rows); ++i) {
+    for (std::size_t i = 0; i < static_cast<std::size_t>(table.node_rows); ++i) {
       max_res = std::max(max_res, std::fabs(f[i] - rhs[i]));
     }
     result.max_residual = max_res;
   }
 
-  result.node_voltages.assign(x.begin(), x.begin() + layout.node_rows);
-  result.branch_currents.assign(x.begin() + layout.node_rows, x.end());
+  result.node_voltages.assign(x.begin(), x.begin() + table.node_rows);
+  result.branch_currents.assign(x.begin() + table.node_rows, x.end());
 
   // Device operating-point table (terminal frame: voltages/currents carry
   // the device's sign; small-signal magnitudes are positive).
-  for (std::size_t i = 0; i < layout.devices.size(); ++i) {
-    const Device& d = *layout.devices[i];
+  for (std::size_t i = 0; i < circuit.devices().size(); ++i) {
+    const Device& d = circuit.devices()[i];
     const double pol = static_cast<double>(d.polarity);
     OpDeviceInfo info;
     info.name = d.name;

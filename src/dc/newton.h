@@ -1,10 +1,12 @@
 // Damped Newton-Raphson DC operating-point (".op") solver.
 //
-// The solver assembles the full MNA system (node voltages plus auxiliary
-// branch currents for V/E/H/L/opamp elements) with every nonlinear device
-// replaced by its companion linearization (devices/models.h). The key
-// property the engine is built around carries over from the AC path: the
-// Jacobian's sparsity pattern is FIXED across iterations — device stamps are
+// The solver assembles the circuit's MNA stamp table (mna::StampTable: node
+// voltages plus auxiliary branch currents for V/E/H/L/opamp elements) at
+// s = 0 — capacitors open, inductors shorted, their positions kept as
+// explicit zeros — with every nonlinear device appended as its companion
+// linearization (devices/models.h). The key property the engine is built
+// around carries over from the AC path: the Jacobian's sparsity pattern is
+// FIXED across iterations — device stamps are
 // emitted at every position they can ever occupy (including a permanent
 // gmin shunt across each junction), so iterating is
 //
@@ -14,8 +16,9 @@
 // and a fresh Markowitz factorization happens exactly once per pattern — or
 // again only on the degradation ladder when a replay is refused (mirroring
 // CofactorEvaluator's escalation policy). An OpSolver instance keeps its
-// plan across solve() calls, so a parameter sweep re-solving the bias point
-// per sample replays one plan for the whole sweep.
+// plan across solve() calls, and copies share it, so a parameter sweep
+// re-solving the bias point per sample (each on a copy of the nominal
+// solver) replays one plan for the whole sweep.
 //
 // Convergence homotopy, in order: plain damped Newton with junction
 // limiting; gmin stepping (the junction shunt walks 1e-2 -> gmin, same
@@ -31,8 +34,8 @@
 #include <utility>
 #include <vector>
 
+#include "dc/stamps.h"
 #include "netlist/circuit.h"
-#include "sparse/lu.h"
 #include "sparse/matrix.h"
 #include "support/cancellation.h"
 
@@ -120,8 +123,7 @@ class OpSolver {
  private:
   OpOptions options_;
   sparse::PatternedMatrix assembly_;
-  sparse::SparseLu lu_;
-  bool has_pattern_ = false;
+  Plan plan_;
   std::uint64_t fresh_factors_ = 0;
   std::uint64_t escalations_ = 0;
 };

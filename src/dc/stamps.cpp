@@ -1,17 +1,21 @@
 #include "dc/stamps.h"
 
-#include <map>
+#include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "devices/models.h"
+#include "mna/errors.h"
+#include "support/fault_injection.h"
 
 namespace symref::dc {
 
+using mna::stamp_admittance;
+using mna::stamp_entry;
 using netlist::Circuit;
 using netlist::Device;
 using netlist::DeviceKind;
 using netlist::Element;
-using netlist::ElementKind;
 using sparse::PatternStamp;
 
 bool factor_with_ladder(sparse::SparseLu& lu, const sparse::CompressedMatrix& matrix,
@@ -30,142 +34,55 @@ bool factor_with_ladder(sparse::SparseLu& lu, const sparse::CompressedMatrix& ma
   return false;
 }
 
-void stamp_conductance(std::vector<PatternStamp>& stamps, int ra, int rb, double g) {
-  if (ra >= 0) stamps.push_back({ra, ra, g, 0.0});
-  if (rb >= 0) stamps.push_back({rb, rb, g, 0.0});
-  if (ra >= 0 && rb >= 0) {
-    stamps.push_back({ra, rb, -g, 0.0});
-    stamps.push_back({rb, ra, -g, 0.0});
+bool replay_or_factor(Plan& plan, const sparse::CompressedMatrix& matrix, FactorTally* tally) {
+  if (plan.planned && plan.lu.has_plan() && !support::fault("newton_step") &&
+      plan.lu.refactor(matrix)) {
+    return true;
   }
+  plan.planned = factor_with_ladder(plan.lu, matrix, &plan.degraded);
+  if (!plan.planned) return false;
+  ++tally->fresh;
+  if (plan.degraded) ++tally->escalations;
+  return true;
 }
 
-void stamp_entry(std::vector<PatternStamp>& stamps, int row, int col, double g) {
-  if (row >= 0 && col >= 0) stamps.push_back({row, col, g, 0.0});
+mna::StampTable solver_table(const Circuit& circuit) {
+  mna::StampTable table = mna::build_stamp_table(circuit);
+  if (!table.error.empty()) throw std::invalid_argument("dc: " + table.error);
+  for (int n = 1; n < circuit.node_count(); ++n) {
+    if (table.row_of(n) < 0) {
+      throw mna::SingularSystemError("dc: node '" + circuit.node_name(n) +
+                                     "' is not connected to any element or device");
+    }
+  }
+  return table;
 }
 
-void stamp_vccs(std::vector<PatternStamp>& stamps, int rp, int rn, int rcp, int rcn, double g) {
-  stamp_entry(stamps, rp, rcp, g);
-  stamp_entry(stamps, rp, rcn, -g);
-  stamp_entry(stamps, rn, rcp, -g);
-  stamp_entry(stamps, rn, rcn, g);
-}
-
-std::unique_ptr<Layout> build_layout(const Circuit& circuit) {
-  auto layout = std::make_unique<Layout>();
-  layout->node_rows = circuit.unknown_count();
-
-  // Pass 1: assign branch rows.
-  std::map<std::string, int> branch_row;
-  int next_row = layout->node_rows;
+std::vector<std::string> branch_names(const Circuit& circuit) {
+  std::vector<std::string> names;
   for (const Element& e : circuit.elements()) {
-    if (e.needs_branch_current()) {
-      branch_row[e.name] = next_row++;
-      layout->branch_names.push_back(e.name);
-    }
+    if (e.needs_branch_current()) names.push_back(e.name);
   }
-  layout->dim = next_row;
-
-  auto row = [&](int node) { return node - 1; };  // ground (0) -> -1
-  auto ctrl_row = [&](const Element& e) {
-    const auto it = branch_row.find(e.ctrl_branch);
-    if (it == branch_row.end()) {
-      throw std::invalid_argument("dc: element '" + e.name + "' senses branch '" +
-                                  e.ctrl_branch +
-                                  "' which is not a branch-current element");
-    }
-    return it->second;
-  };
-
-  // Pass 2: constant linear stamps + alpha-scaled source terms.
-  std::vector<PatternStamp>& stamps = layout->base_stamps;
-  for (std::size_t index = 0; index < circuit.elements().size(); ++index) {
-    const Element& e = circuit.elements()[index];
-    const int rp = row(e.node_pos);
-    const int rn = row(e.node_neg);
-    switch (e.kind) {
-      case ElementKind::Resistor:
-        stamp_conductance(stamps, rp, rn, 1.0 / e.value);
-        break;
-      case ElementKind::Conductance:
-        stamp_conductance(stamps, rp, rn, e.value);
-        break;
-      case ElementKind::Capacitor:
-        // Open at DC; the transient integrator appends its companion stamps.
-        layout->capacitors.push_back({static_cast<int>(index), rp, rn, -1, e.value});
-        break;
-      case ElementKind::Vccs:
-        stamp_vccs(stamps, rp, rn, row(e.ctrl_pos), row(e.ctrl_neg), e.value);
-        break;
-      case ElementKind::Cccs: {
-        const int rb = ctrl_row(e);
-        stamp_entry(stamps, rp, rb, e.value);
-        stamp_entry(stamps, rn, rb, -e.value);
-        break;
-      }
-      case ElementKind::VoltageSource:
-      case ElementKind::Inductor:
-      case ElementKind::Vcvs:
-      case ElementKind::Ccvs: {
-        const int rb = branch_row.at(e.name);
-        stamp_entry(stamps, rp, rb, 1.0);
-        stamp_entry(stamps, rn, rb, -1.0);
-        stamp_entry(stamps, rb, rp, 1.0);
-        stamp_entry(stamps, rb, rn, -1.0);
-        if (e.kind == ElementKind::Vcvs) {
-          stamp_entry(stamps, rb, row(e.ctrl_pos), -e.value);
-          stamp_entry(stamps, rb, row(e.ctrl_neg), e.value);
-        } else if (e.kind == ElementKind::Ccvs) {
-          stamps.push_back({branch_row.at(e.name), ctrl_row(e), -e.value, 0.0});
-        } else if (e.kind == ElementKind::VoltageSource) {
-          layout->sources.push_back({rb, e.dc_value, true, static_cast<int>(index), 1.0});
-        } else {  // Inductor: short at DC, companion resistance in transient.
-          layout->inductors.push_back({static_cast<int>(index), rp, rn, rb, e.value});
-        }
-        break;
-      }
-      case ElementKind::CurrentSource:
-        // Positive current flows from node_pos through the source to
-        // node_neg: extracted at pos, injected at neg.
-        if (rp >= 0) {
-          layout->sources.push_back({rp, -e.dc_value, false, static_cast<int>(index), -1.0});
-        }
-        if (rn >= 0) {
-          layout->sources.push_back({rn, e.dc_value, false, static_cast<int>(index), 1.0});
-        }
-        break;
-      case ElementKind::IdealOpAmp: {
-        const int rb = branch_row.at(e.name);
-        stamp_entry(stamps, rp, rb, 1.0);
-        stamp_entry(stamps, rn, rb, -1.0);
-        stamp_entry(stamps, rb, row(e.ctrl_pos), 1.0);
-        stamp_entry(stamps, rb, row(e.ctrl_neg), -1.0);
-        break;
-      }
-    }
-  }
-
-  for (const Device& d : circuit.devices()) layout->devices.push_back(&d);
-  return layout;
+  return names;
 }
 
 void stamp_device(std::vector<PatternStamp>& stamps, const Device& d, const DeviceState& state,
-                  double gmin, const Layout& layout,
-                  std::vector<double>* rhs) {
+                  double gmin, const mna::StampTable& table, std::vector<double>* rhs) {
   const double pol = static_cast<double>(d.polarity);
   switch (d.kind) {
     case DeviceKind::kDiode: {
-      const int ra = layout.row_of_node(d.nodes[0]);
-      const int rc = layout.row_of_node(d.nodes[1]);
+      const int ra = table.row_of(d.nodes[0]);
+      const int rc = table.row_of(d.nodes[1]);
       const devices::DiodeEval e = devices::eval_diode(d.model, state.v1);
-      stamp_conductance(stamps, ra, rc, e.gd + gmin);
+      stamp_admittance(stamps, ra, rc, e.gd + gmin);
       if (ra >= 0) (*rhs)[static_cast<std::size_t>(ra)] -= pol * e.ieq;
       if (rc >= 0) (*rhs)[static_cast<std::size_t>(rc)] += pol * e.ieq;
       break;
     }
     case DeviceKind::kBjt: {
-      const int rc = layout.row_of_node(d.nodes[0]);
-      const int rb = layout.row_of_node(d.nodes[1]);
-      const int re = layout.row_of_node(d.nodes[2]);
+      const int rc = table.row_of(d.nodes[0]);
+      const int rb = table.row_of(d.nodes[1]);
+      const int re = table.row_of(d.nodes[2]);
       const devices::BjtEval e = devices::eval_bjt(d.model, state.v1, state.v2);
       // Terminal-frame Jacobian (polarity cancels in every derivative):
       //   d ic/dVb = dic_dvbe + dic_dvbc, d ic/dVe = -dic_dvbe,
@@ -184,17 +101,17 @@ void stamp_device(std::vector<PatternStamp>& stamps, const Device& d, const Devi
       stamp_entry(stamps, re, re, e.dic_dvbe + e.dib_dvbe);
       stamp_entry(stamps, re, rc, e.dic_dvbc + e.dib_dvbc);
       // Junction gmin shunts.
-      stamp_conductance(stamps, rb, re, gmin);
-      stamp_conductance(stamps, rb, rc, gmin);
+      stamp_admittance(stamps, rb, re, gmin);
+      stamp_admittance(stamps, rb, rc, gmin);
       if (rc >= 0) (*rhs)[static_cast<std::size_t>(rc)] -= pol * e.ic_eq;
       if (rb >= 0) (*rhs)[static_cast<std::size_t>(rb)] -= pol * e.ib_eq;
       if (re >= 0) (*rhs)[static_cast<std::size_t>(re)] += pol * (e.ic_eq + e.ib_eq);
       break;
     }
     case DeviceKind::kMos: {
-      const int rd = layout.row_of_node(d.nodes[0]);
-      const int rg = layout.row_of_node(d.nodes[1]);
-      const int rs = layout.row_of_node(d.nodes[2]);
+      const int rd = table.row_of(d.nodes[0]);
+      const int rg = table.row_of(d.nodes[1]);
+      const int rs = table.row_of(d.nodes[2]);
       const devices::MosEval e = devices::eval_mos(d.model, state.v1, state.v2);
       // Drain row: id depends on vgs = Vg - Vs and vds = Vd - Vs.
       stamp_entry(stamps, rd, rg, e.did_dvgs);
@@ -205,7 +122,7 @@ void stamp_device(std::vector<PatternStamp>& stamps, const Device& d, const Devi
       stamp_entry(stamps, rs, rd, -e.did_dvds);
       stamp_entry(stamps, rs, rs, e.did_dvgs + e.did_dvds);
       // Channel gmin (keeps a cut-off device's drain/source rows alive).
-      stamp_conductance(stamps, rd, rs, gmin);
+      stamp_admittance(stamps, rd, rs, gmin);
       if (rd >= 0) (*rhs)[static_cast<std::size_t>(rd)] -= pol * e.id_eq;
       if (rs >= 0) (*rhs)[static_cast<std::size_t>(rs)] += pol * e.id_eq;
       break;
@@ -214,9 +131,9 @@ void stamp_device(std::vector<PatternStamp>& stamps, const Device& d, const Devi
 }
 
 DeviceState proposed_state(const Device& d, const std::vector<double>& x,
-                           const Layout& layout) {
+                           const mna::StampTable& table) {
   auto v = [&](int node) {
-    const int r = layout.row_of_node(node);
+    const int r = table.row_of(node);
     return r < 0 ? 0.0 : x[static_cast<std::size_t>(r)];
   };
   const double pol = static_cast<double>(d.polarity);
@@ -273,6 +190,42 @@ DeviceState limit_state(const Device& d, const DeviceState& proposed, const Devi
       break;
   }
   return next;
+}
+
+bool newton_solve(const Circuit& circuit, const mna::StampTable& table,
+                  const NewtonControl& control, const LinearSolve& solve,
+                  std::vector<double>& x, std::vector<DeviceState>& state, int* iterations) {
+  const std::size_t node_rows = static_cast<std::size_t>(table.node_rows);
+  for (int iter = 0; iter < control.max_iterations; ++iter) {
+    if (control.cancel.cancelled()) throw support::CancelledError();
+    ++*iterations;
+    const std::vector<std::complex<double>>& next = solve(state);
+
+    // Damped acceptance: per-component clamp on the node-voltage step.
+    bool clamped = false;
+    double max_rel = 0.0;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      double delta = next[i].real() - x[i];
+      if (i < node_rows && std::fabs(delta) > control.max_voltage_step) {
+        delta = delta > 0 ? control.max_voltage_step : -control.max_voltage_step;
+        clamped = true;
+      }
+      const double accepted = x[i] + delta;
+      const double abstol = i < node_rows ? control.abstol_v : control.abstol_i;
+      const double tol = abstol + control.reltol * std::max(std::fabs(accepted), std::fabs(x[i]));
+      max_rel = std::max(max_rel, std::fabs(delta) / tol);
+      x[i] = accepted;
+    }
+
+    // Junction limiting against the previous evaluation point.
+    bool limited = false;
+    for (std::size_t i = 0; i < state.size(); ++i) {
+      const Device& d = circuit.devices()[i];
+      state[i] = limit_state(d, proposed_state(d, x, table), state[i], &limited);
+    }
+    if (!clamped && !limited && max_rel <= 1.0 && iter > 0) return true;
+  }
+  return false;
 }
 
 }  // namespace symref::dc

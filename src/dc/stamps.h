@@ -1,24 +1,27 @@
-// Shared MNA stamping machinery for the time-invariant solvers (dc::OpSolver
-// and transient::TransientSolver).
+// Newton machinery shared by the time-invariant solvers (dc::OpSolver and
+// transient::TransientSolver).
 //
-// Both solvers live on the same contract: the stamp vector handed to
-// sparse::PatternedMatrix::rebind() is rebuilt every iterate as base stamps
-// followed by per-device companion stamps appended in device order, so the
-// (row, col) sequence — and with it the merged structure and the recorded
-// symbolic plan — is pinned across iterations. This header extracts that
-// machinery (row assignment, linear stamps, device companion stamps, junction
-// limiting and the escalating-pivot factorization ladder) out of the Newton
-// solver so the transient integrator reuses it verbatim instead of forking a
-// second copy of the stamp conventions.
+// Both solvers assemble the circuit's mna::StampTable (the one place element
+// stamps are written) followed by per-device companion stamps appended in
+// device order, so the (row, col) sequence handed to
+// sparse::PatternedMatrix::rebind() — and with it the merged structure and
+// the recorded symbolic plan — is pinned across iterations. This header holds
+// what the two solvers share on top of that table: the device companion
+// stamps, junction limiting, the escalating-pivot factorization ladder, the
+// replay-or-fresh-factor step and the damped Newton loop.
 #pragma once
 
-#include <memory>
+#include <complex>
+#include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "mna/assembler.h"
 #include "netlist/circuit.h"
 #include "sparse/lu.h"
 #include "sparse/matrix.h"
+#include "support/cancellation.h"
 
 namespace symref::dc {
 
@@ -39,6 +42,38 @@ namespace symref::dc {
 bool factor_with_ladder(sparse::SparseLu& lu, const sparse::CompressedMatrix& matrix,
                         bool* degraded);
 
+/// One recorded factorization plan: `planned` once a fresh factorization
+/// has recorded it for the current pattern, `degraded` while that plan came
+/// from an escalated ladder level (its replays are flagged too).
+struct Plan {
+  sparse::SparseLu lu;
+  bool planned = false;
+  bool degraded = false;
+};
+
+/// Fresh factorizations and pivot escalations, accumulated across calls.
+struct FactorTally {
+  std::uint64_t fresh = 0;
+  std::uint64_t escalations = 0;
+};
+
+/// Replay `plan`'s recorded plan on `matrix`; when there is none, the
+/// replay is refused, or the newton_step fault site fires, factor fresh
+/// through factor_with_ladder instead (re-recording the plan). Returns false
+/// when even the ladder finds the matrix singular.
+bool replay_or_factor(Plan& plan, const sparse::CompressedMatrix& matrix, FactorTally* tally);
+
+/// The circuit's stamp table, checked for the Newton solvers: throws
+/// std::invalid_argument for a CCCS/CCVS sensing a branchless element and
+/// mna::SingularSystemError for a non-ground node no element or device
+/// touches. Every node therefore has a row, and row = node - 1: the unknown
+/// vector is already in result order (node voltages in circuit order, then
+/// branch currents in element order).
+mna::StampTable solver_table(const netlist::Circuit& circuit);
+
+/// Branch-current element names in row order.
+std::vector<std::string> branch_names(const netlist::Circuit& circuit);
+
 /// Per-device Newton state: the (limited) junction voltages the companion
 /// models were last evaluated at, in the positive-polarity model frame.
 struct DeviceState {
@@ -46,72 +81,18 @@ struct DeviceState {
   double v2 = 0.0;  // BJT vbc / MOS vds
 };
 
-/// Stamping layout of one circuit: row assignment, the constant linear
-/// stamps, the alpha-scaled source terms, and per-device bookkeeping.
-struct Layout {
-  int node_rows = 0;  // non-ground node count
-  int dim = 0;        // node rows + auxiliary branch rows
-
-  /// Linear stamps that are constant across Newton iterations. The DC layout
-  /// treats capacitors as open and inductors as shorts; the transient layout
-  /// appends companion stamps after these (see reactive_* below).
-  std::vector<sparse::PatternStamp> base_stamps;
-
-  struct Source {
-    int row = 0;  // branch row (V) or node row (I)
-    double value = 0.0;
-    bool branch = false;
-    int element = -1;  // index into Circuit::elements() (waveform lookup)
-    /// Sign of this row's contribution: value == scale * dc_value always, but
-    /// the transient path re-derives the level from the element's waveform at
-    /// each time point and needs the sign even when dc_value is 0.
-    double scale = 1.0;
-  };
-  std::vector<Source> sources;  // rhs += alpha * value at row
-
-  /// Reactive elements (for the transient companion models; the DC solver
-  /// ignores these — a capacitor is already open in base_stamps and an
-  /// inductor branch row already reads v_p - v_n = 0).
-  struct Reactive {
-    int element = -1;  // index into Circuit::elements()
-    int row_pos = -1;  // node rows (-1 = ground)
-    int row_neg = -1;
-    int branch = -1;   // inductor auxiliary current row
-    double value = 0.0;  // farads / henries
-  };
-  std::vector<Reactive> capacitors;
-  std::vector<Reactive> inductors;
-
-  std::vector<std::string> branch_names;
-  std::vector<const netlist::Device*> devices;
-
-  [[nodiscard]] int row_of_node(int node) const noexcept { return node - 1; }
-};
-
-void stamp_conductance(std::vector<sparse::PatternStamp>& stamps, int ra, int rb, double g);
-void stamp_entry(std::vector<sparse::PatternStamp>& stamps, int row, int col, double g);
-
-/// Transconductance block: current g*(v_cp - v_cn) leaving node rp (entering
-/// rn) — four entries, ground rows/columns skipped.
-void stamp_vccs(std::vector<sparse::PatternStamp>& stamps, int rp, int rn, int rcp, int rcn,
-                double g);
-
-/// Row assignment + constant linear stamps + source terms for `circuit`.
-/// Throws std::invalid_argument when a CCCS/CCVS senses a branchless element.
-std::unique_ptr<Layout> build_layout(const netlist::Circuit& circuit);
-
 /// Append one device's companion stamps for the given evaluation (device
 /// conductances + the junction gmin shunts) and subtract its equivalent
 /// currents from `rhs`. MUST emit the same (row, col) sequence for every
 /// call — the pattern pin.
 void stamp_device(std::vector<sparse::PatternStamp>& stamps, const netlist::Device& d,
-                  const DeviceState& state, double gmin, const Layout& layout,
+                  const DeviceState& state, double gmin, const mna::StampTable& table,
                   std::vector<double>* rhs);
 
 /// Junction voltages proposed by the unknown vector x, in the
 /// positive-polarity model frame.
 DeviceState proposed_state(const netlist::Device& d, const std::vector<double>& x,
-                           const Layout& layout);
+                           const mna::StampTable& table);
 
 /// Initial junction guesses: forward junctions at vcrit (the classic SPICE
 /// warm start that also makes the FIRST factorization see on-state
@@ -123,5 +104,32 @@ DeviceState initial_state(const netlist::Device& d);
 /// pass through (polynomial model, handled by the global damping clamp).
 DeviceState limit_state(const netlist::Device& d, const DeviceState& proposed,
                         const DeviceState& old, bool* limited);
+
+/// Per-solver settings of one damped Newton solve.
+struct NewtonControl {
+  int max_iterations = 0;
+  /// Per-unknown acceptance: |dx| <= abstol + reltol * max(|x_new|, |x_old|),
+  /// abstol_v on node rows and abstol_i on branch rows.
+  double reltol = 0.0;
+  double abstol_v = 0.0;
+  double abstol_i = 0.0;
+  double max_voltage_step = 0.0;  // per-iterate clamp on node-voltage steps [V]
+  support::CancellationToken cancel;
+};
+
+/// Assembles and factors the linearized system at the given device states
+/// and returns its solution (dim entries).
+using LinearSolve =
+    std::function<const std::vector<std::complex<double>>&(const std::vector<DeviceState>&)>;
+
+/// The damped Newton loop of both solvers, from the iterate x / state: per
+/// iterate, poll the cancel token, bump *iterations, solve, clamp node steps
+/// to max_voltage_step, test every unknown against its tolerance, pnjlim the
+/// junctions, and stop once nothing was clamped or limited after the first
+/// iterate. Returns true on convergence; x / state hold the last iterate
+/// either way.
+bool newton_solve(const netlist::Circuit& circuit, const mna::StampTable& table,
+                  const NewtonControl& control, const LinearSolve& solve,
+                  std::vector<double>& x, std::vector<DeviceState>& state, int* iterations);
 
 }  // namespace symref::dc

@@ -5,64 +5,59 @@
 
 namespace symref::mna {
 
+using netlist::Device;
 using netlist::Element;
 using netlist::ElementKind;
 
-MnaAssembler::MnaAssembler(const netlist::Circuit& circuit) : circuit_(circuit) {
-  // Active nodes: touched by at least one element (ground excluded).
+void stamp_entry(std::vector<sparse::PatternStamp>& stamps, int row, int col, double g,
+                 double c) {
+  if (row >= 0 && col >= 0) stamps.push_back({row, col, g, c});
+}
+
+void stamp_admittance(std::vector<sparse::PatternStamp>& stamps, int ra, int rb, double g,
+                      double c) {
+  stamp_entry(stamps, ra, ra, g, c);
+  stamp_entry(stamps, rb, rb, g, c);
+  stamp_entry(stamps, ra, rb, -g, -c);
+  stamp_entry(stamps, rb, ra, -g, -c);
+}
+
+StampTable build_stamp_table(const netlist::Circuit& circuit) {
+  StampTable table;
+  // Active nodes: touched by at least one element or device terminal
+  // (ground excluded).
   std::vector<bool> active(static_cast<std::size_t>(circuit.node_count()), false);
+  auto touch = [&](int node) {
+    if (node >= 0) active[static_cast<std::size_t>(node)] = true;
+  };
   for (const Element& e : circuit.elements()) {
-    active[static_cast<std::size_t>(e.node_pos)] = true;
-    active[static_cast<std::size_t>(e.node_neg)] = true;
-    if (e.ctrl_pos >= 0) active[static_cast<std::size_t>(e.ctrl_pos)] = true;
-    if (e.ctrl_neg >= 0) active[static_cast<std::size_t>(e.ctrl_neg)] = true;
+    touch(e.node_pos);
+    touch(e.node_neg);
+    touch(e.ctrl_pos);
+    touch(e.ctrl_neg);
   }
-  node_to_row_.assign(static_cast<std::size_t>(circuit.node_count()), -1);
+  for (const Device& d : circuit.devices()) {
+    for (const int node : d.nodes) touch(node);
+  }
+  table.node_to_row.assign(static_cast<std::size_t>(circuit.node_count()), -1);
   int next = 0;
   for (int n = 1; n < circuit.node_count(); ++n) {
-    if (active[static_cast<std::size_t>(n)]) node_to_row_[static_cast<std::size_t>(n)] = next++;
+    if (active[static_cast<std::size_t>(n)]) table.node_to_row[static_cast<std::size_t>(n)] = next++;
   }
+  table.node_rows = next;
   for (const Element& e : circuit.elements()) {
-    if (e.needs_branch_current()) {
-      branch_rows_.emplace(e.name, next++);
-    }
+    if (e.needs_branch_current()) table.branch_rows.emplace(e.name, next++);
   }
-  dim_ = next;
+  table.dim = next;
 
-  // Name -> row cache for the sweep loops (find_node resolves aliases from
-  // short_element merges, so go through it once per name here).
-  for (int n = 0; n < circuit.node_count(); ++n) {
-    const auto resolved = circuit.find_node(circuit.node_name(n));
-    const int row =
-        resolved ? node_to_row_[static_cast<std::size_t>(*resolved)] : -1;
-    node_rows_by_name_.emplace(circuit.node_name(n), row);
-  }
-
-  // Merge every element stamp into the fixed structural layout. MNA values
-  // are affine in s; PatternStamp.conductance carries the s^0 part and
-  // .capacitance the s^1 part (C and -L).
-  auto row_of = [&](int node) { return node_to_row_[static_cast<std::size_t>(node)]; };
+  // Every element stamp, in element order. MNA values are affine in s;
+  // PatternStamp.conductance carries the s^0 part and .capacitance the s^1
+  // part (C and -L).
+  std::vector<sparse::PatternStamp>& stamps = table.stamps;
+  stamps.reserve(4 * circuit.elements().size());
+  auto row_of = [&](int node) { return table.row_of(node); };
   auto add = [&](int r, int c, double base, double reactive) {
-    if (r >= 0 && c >= 0) stamps_.push_back({r, c, base, reactive});
-  };
-  auto stamp_admittance = [&](int a, int b, double g, double cap) {
-    const int ra = row_of(a);
-    const int rb = row_of(b);
-    add(ra, ra, g, cap);
-    add(rb, rb, g, cap);
-    add(ra, rb, -g, -cap);
-    add(rb, ra, -g, -cap);
-  };
-  // VCCS: i(a->b) = gm * v(c, d); SPICE sign convention.
-  auto stamp_vccs = [&](int a, int b, int c, int d, double gm) {
-    const int ra = row_of(a);
-    const int rb = row_of(b);
-    const int rc = row_of(c);
-    const int rd = row_of(d);
-    add(ra, rc, gm, 0.0);
-    add(ra, rd, -gm, 0.0);
-    add(rb, rc, -gm, 0.0);
-    add(rb, rd, gm, 0.0);
+    stamp_entry(stamps, r, c, base, reactive);
   };
   auto stamp_branch = [&](const Element& e, int k) {
     add(row_of(e.node_pos), k, 1.0, 0.0);
@@ -70,82 +65,106 @@ MnaAssembler::MnaAssembler(const netlist::Circuit& circuit) : circuit_(circuit) 
     add(k, row_of(e.node_pos), 1.0, 0.0);
     add(k, row_of(e.node_neg), -1.0, 0.0);
   };
+  // Row of the branch current a CCCS/CCVS senses; -1 (and the deferred
+  // error) when the controlling element has none.
+  auto sensed_branch = [&](const Element& e, const char* kind) {
+    const auto it = table.branch_rows.find(e.ctrl_branch);
+    if (it != table.branch_rows.end()) return it->second;
+    table.error = std::string(kind) + " '" + e.name + "': controlling element '" +
+                  e.ctrl_branch + "' has no branch current";
+    return -1;
+  };
 
-  for (const Element& e : circuit.elements()) {
+  for (std::size_t index = 0; index < circuit.elements().size(); ++index) {
+    const Element& e = circuit.elements()[index];
+    const int element = static_cast<int>(index);
+    const int k = e.needs_branch_current() ? table.branch_rows.at(e.name) : -1;
     switch (e.kind) {
       case ElementKind::Resistor:
-        stamp_admittance(e.node_pos, e.node_neg, 1.0 / e.value, 0.0);
+        stamp_admittance(stamps, row_of(e.node_pos), row_of(e.node_neg), 1.0 / e.value, 0.0);
         break;
       case ElementKind::Conductance:
-        stamp_admittance(e.node_pos, e.node_neg, e.value, 0.0);
+        stamp_admittance(stamps, row_of(e.node_pos), row_of(e.node_neg), e.value, 0.0);
         break;
       case ElementKind::Capacitor:
-        stamp_admittance(e.node_pos, e.node_neg, 0.0, e.value);
+        stamp_admittance(stamps, row_of(e.node_pos), row_of(e.node_neg), 0.0, e.value);
         break;
-      case ElementKind::Vccs:
-        stamp_vccs(e.node_pos, e.node_neg, e.ctrl_pos, e.ctrl_neg, e.value);
+      case ElementKind::Vccs: {
+        // i(a->b) = gm * v(c, d); SPICE sign convention.
+        const int ra = row_of(e.node_pos);
+        const int rb = row_of(e.node_neg);
+        add(ra, row_of(e.ctrl_pos), e.value, 0.0);
+        add(ra, row_of(e.ctrl_neg), -e.value, 0.0);
+        add(rb, row_of(e.ctrl_pos), -e.value, 0.0);
+        add(rb, row_of(e.ctrl_neg), e.value, 0.0);
         break;
-      case ElementKind::CurrentSource:
-        break;  // excitation only
+      }
+      case ElementKind::CurrentSource: {
+        // Positive current flows n+ -> n- through the source: extracted at
+        // n+, injected at n-.
+        const int ra = row_of(e.node_pos);
+        const int rb = row_of(e.node_neg);
+        if (ra >= 0) table.sources.push_back({ra, -1.0, element});
+        if (rb >= 0) table.sources.push_back({rb, 1.0, element});
+        break;
+      }
       case ElementKind::VoltageSource:
-        stamp_branch(e, *branch_index(e.name));
+        stamp_branch(e, k);
+        table.sources.push_back({k, 1.0, element});
         break;
-      case ElementKind::Inductor: {
-        const int k = *branch_index(e.name);
+      case ElementKind::Inductor:
         stamp_branch(e, k);
         add(k, k, 0.0, -e.value);
         break;
-      }
-      case ElementKind::Vcvs: {
-        const int k = *branch_index(e.name);
+      case ElementKind::Vcvs:
         stamp_branch(e, k);
         add(k, row_of(e.ctrl_pos), -e.value, 0.0);
         add(k, row_of(e.ctrl_neg), e.value, 0.0);
         break;
-      }
       case ElementKind::Cccs: {
-        const auto kc = branch_index(e.ctrl_branch);
-        if (!kc) {
-          stamp_error_ = "CCCS '" + e.name + "': controlling element '" + e.ctrl_branch +
-                         "' has no branch current";
-          break;
-        }
-        add(row_of(e.node_pos), *kc, e.value, 0.0);
-        add(row_of(e.node_neg), *kc, -e.value, 0.0);
+        const int kc = sensed_branch(e, "CCCS");
+        if (kc < 0) break;
+        add(row_of(e.node_pos), kc, e.value, 0.0);
+        add(row_of(e.node_neg), kc, -e.value, 0.0);
         break;
       }
       case ElementKind::Ccvs: {
-        const auto kc = branch_index(e.ctrl_branch);
-        if (!kc) {
-          stamp_error_ = "CCVS '" + e.name + "': controlling element '" + e.ctrl_branch +
-                         "' has no branch current";
-          break;
-        }
-        const int k = *branch_index(e.name);
+        const int kc = sensed_branch(e, "CCVS");
+        if (kc < 0) break;
         stamp_branch(e, k);
-        add(k, *kc, -e.value, 0.0);
+        add(k, kc, -e.value, 0.0);
         break;
       }
-      case ElementKind::IdealOpAmp: {
+      case ElementKind::IdealOpAmp:
         // Nullor: output branch current is whatever keeps v(ctrl+)==v(ctrl-).
-        const int k = *branch_index(e.name);
         add(row_of(e.node_pos), k, 1.0, 0.0);
         add(row_of(e.node_neg), k, -1.0, 0.0);
         add(k, row_of(e.ctrl_pos), 1.0, 0.0);
         add(k, row_of(e.ctrl_neg), -1.0, 0.0);
         break;
-      }
     }
-    if (!stamp_error_.empty()) break;
+    if (!table.error.empty()) break;
   }
-  if (stamp_error_.empty()) {
-    assembly_ = sparse::PatternedMatrix(dim_, stamps_);
+  return table;
+}
+
+MnaAssembler::MnaAssembler(const netlist::Circuit& circuit)
+    : circuit_(circuit), table_(build_stamp_table(circuit)) {
+  // Name -> row cache for the sweep loops (find_node resolves aliases from
+  // short_element merges, so go through it once per name here).
+  for (int n = 0; n < circuit.node_count(); ++n) {
+    const auto resolved = circuit.find_node(circuit.node_name(n));
+    const int row = resolved ? table_.row_of(*resolved) : -1;
+    node_rows_by_name_.emplace(circuit.node_name(n), row);
+  }
+  if (table_.error.empty()) {
+    assembly_ = sparse::PatternedMatrix(table_.dim, table_.stamps);
   }
 }
 
 std::optional<int> MnaAssembler::node_index(int node) const {
-  if (node < 0 || node >= static_cast<int>(node_to_row_.size())) return std::nullopt;
-  const int row = node_to_row_[static_cast<std::size_t>(node)];
+  if (node < 0 || node >= static_cast<int>(table_.node_to_row.size())) return std::nullopt;
+  const int row = table_.row_of(node);
   return row < 0 ? std::nullopt : std::optional<int>(row);
 }
 
@@ -162,19 +181,19 @@ std::optional<int> MnaAssembler::node_index(std::string_view name) const {
 }
 
 std::optional<int> MnaAssembler::branch_index(std::string_view element_name) const {
-  const auto it = branch_rows_.find(element_name);
-  if (it == branch_rows_.end()) return std::nullopt;
+  const auto it = table_.branch_rows.find(element_name);
+  if (it == table_.branch_rows.end()) return std::nullopt;
   return it->second;
 }
 
 void MnaAssembler::require_stamps() const {
-  if (!stamp_error_.empty()) throw std::invalid_argument(stamp_error_);
+  if (!table_.error.empty()) throw std::invalid_argument(table_.error);
 }
 
 sparse::TripletMatrix MnaAssembler::matrix(std::complex<double> s) const {
   require_stamps();
-  sparse::TripletMatrix mat(dim_);
-  for (const sparse::PatternStamp& stamp : stamps_) {
+  sparse::TripletMatrix mat(table_.dim);
+  for (const sparse::PatternStamp& stamp : table_.stamps) {
     const std::complex<double> value = stamp.conductance + s * stamp.capacitance;
     if (value != std::complex<double>()) mat.add(stamp.row, stamp.col, value);
   }
@@ -193,19 +212,10 @@ void MnaAssembler::assemble_batch(std::complex<double>* dest, std::size_t stride
 }
 
 std::vector<std::complex<double>> MnaAssembler::excitation() const {
-  std::vector<std::complex<double>> rhs(static_cast<std::size_t>(dim_));
-  auto row_of = [&](int node) { return node_to_row_[static_cast<std::size_t>(node)]; };
-  for (const Element& e : circuit_.elements()) {
-    if (e.kind == ElementKind::CurrentSource) {
-      // Positive current flows n+ -> n- through the source.
-      const int ra = row_of(e.node_pos);
-      const int rb = row_of(e.node_neg);
-      if (ra >= 0) rhs[static_cast<std::size_t>(ra)] -= e.value;
-      if (rb >= 0) rhs[static_cast<std::size_t>(rb)] += e.value;
-    } else if (e.kind == ElementKind::VoltageSource) {
-      const int k = *branch_index(e.name);
-      rhs[static_cast<std::size_t>(k)] += e.value;
-    }
+  std::vector<std::complex<double>> rhs(static_cast<std::size_t>(table_.dim));
+  for (const SourceRow& source : table_.sources) {
+    const Element& e = circuit_.elements()[static_cast<std::size_t>(source.element)];
+    rhs[static_cast<std::size_t>(source.row)] += source.sign * e.value;
   }
   return rhs;
 }

@@ -1,16 +1,20 @@
 // Full modified nodal analysis.
 //
-// Unknowns are the non-ground node voltages that at least one element
-// touches, plus one auxiliary branch current per element that needs it
-// (V sources, VCVS, CCVS, inductors, ideal opamps). This is the paper's
-// eq. (7): Y_MNA * X = E. The assembler is the backbone of the AC simulator;
-// the interpolation engine uses the leaner homogeneous NodalAssembler.
+// Unknowns are the non-ground node voltages that at least one element (or
+// device terminal) touches, plus one auxiliary branch current per element
+// that needs it (V sources, VCVS, CCVS, inductors, ideal opamps). This is
+// the paper's eq. (7): Y_MNA * X = E.
 //
 // Every MNA entry is affine in s (conductances and the ±1 incidence
-// constants plus s*C / -s*L reactive parts), so the constructor merges the
-// element stamps into a fixed structural layout once and assemble() rewrites
-// only the value array per frequency point — the pattern stability that lets
-// the AC simulator sweep via SparseLu::refactor().
+// constants plus s*C / -s*L reactive parts), so one stamp table per circuit
+// serves every analysis: the AC simulator assembles it at s = jω, the
+// interpolation engine's NodalSystem merges it by position, the DC Newton
+// solver assembles it at s = 0 plus device companions, and the transient
+// integrator at the real point s = a0 (the step's G + a0·C) plus devices.
+// build_stamp_table() is the only code that turns elements into matrix
+// entries; MnaAssembler merges the table into a fixed structural layout once
+// and assemble() rewrites only the value array per frequency point — the
+// pattern stability that lets the AC simulator sweep via SparseLu::refactor().
 #pragma once
 
 #include <complex>
@@ -24,12 +28,59 @@
 
 namespace symref::mna {
 
+/// Stamp helpers shared by the table and the device companions: each skips
+/// ground (row or column -1) and appends {row, col, g, c} entries, g the
+/// conductance (s^0) part and c the capacitance (s^1) part.
+void stamp_entry(std::vector<sparse::PatternStamp>& stamps, int row, int col, double g,
+                 double c = 0.0);
+
+/// Two-terminal admittance g + s·c between rows ra and rb.
+void stamp_admittance(std::vector<sparse::PatternStamp>& stamps, int ra, int rb, double g,
+                      double c = 0.0);
+
+/// One independent source's right-hand-side entry: rhs[row] += sign * level,
+/// where the level is the element's AC magnitude (value), DC level
+/// (dc_value) or waveform sample, whichever the analysis drives.
+struct SourceRow {
+  int row = 0;
+  double sign = 1.0;
+  int element = -1;  // index into Circuit::elements()
+};
+
+/// The MNA stamp table of one circuit: Y_MNA(s) = G + s·C and the source
+/// rows of E.
+struct StampTable {
+  int dim = 0;
+  /// Node rows come first, in node order: [0, node_rows).
+  int node_rows = 0;
+  /// Row of each circuit node; -1 for ground and for nodes no element or
+  /// device touches.
+  std::vector<int> node_to_row;
+  /// Auxiliary branch-current rows by element name (element order, after the
+  /// node rows).
+  std::map<std::string, int, std::less<>> branch_rows;
+  /// Element stamps in element order; conductance is the G part and
+  /// capacitance the C part.
+  std::vector<sparse::PatternStamp> stamps;
+  /// Independent-source rows in element order.
+  std::vector<SourceRow> sources;
+  /// Deferred stamp error (a CCCS/CCVS sensing a branchless element): the
+  /// table is still built, its users throw std::invalid_argument with it.
+  std::string error;
+
+  [[nodiscard]] int row_of(int node) const noexcept {
+    return node_to_row[static_cast<std::size_t>(node)];
+  }
+};
+
+[[nodiscard]] StampTable build_stamp_table(const netlist::Circuit& circuit);
+
 class MnaAssembler {
  public:
   explicit MnaAssembler(const netlist::Circuit& circuit);
 
   /// System dimension: active nodes + auxiliary branch currents.
-  [[nodiscard]] int dim() const noexcept { return dim_; }
+  [[nodiscard]] int dim() const noexcept { return table_.dim; }
 
   /// Row/column of a node's voltage unknown; nullopt for ground or a node no
   /// element touches. The name overload resolves through a prebuilt
@@ -80,17 +131,12 @@ class MnaAssembler {
   void require_stamps() const;
 
   const netlist::Circuit& circuit_;
-  int dim_ = 0;
-  std::vector<int> node_to_row_;                  // -1 when inactive/ground
-  std::map<std::string, int, std::less<>> branch_rows_;
-  std::map<std::string, int, std::less<>> node_rows_by_name_;
-  /// Merged stamps (conductance = s^0 part, capacitance = s^1 part) and the
-  /// pattern-cached matrix they assemble into.
-  std::vector<sparse::PatternStamp> stamps_;
+  /// The circuit's stamp table and the pattern-cached matrix it assembles
+  /// into (left empty when the table carries a stamp error: construction
+  /// succeeds, matrix()/assemble() throw).
+  StampTable table_;
   sparse::PatternedMatrix assembly_;
-  /// Deferred stamp error (e.g. CCCS controlling element without a branch
-  /// current): construction succeeds, matrix()/assemble() throw.
-  std::string stamp_error_;
+  std::map<std::string, int, std::less<>> node_rows_by_name_;
 };
 
 }  // namespace symref::mna

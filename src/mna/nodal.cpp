@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <memory>
 #include <stdexcept>
 
+#include "mna/assembler.h"
 #include "mna/errors.h"
 #include "netlist/canonical.h"
 #include "numeric/stats.h"
@@ -22,71 +22,31 @@ NodalSystem::NodalSystem(const netlist::Circuit& circuit) : circuit_(circuit) {
     throw std::invalid_argument(
         "NodalSystem: circuit is not canonical; run netlist::canonicalize first");
   }
-
-  std::vector<bool> active(static_cast<std::size_t>(circuit.node_count()), false);
-  for (const Element& e : circuit.elements()) {
-    active[static_cast<std::size_t>(e.node_pos)] = true;
-    active[static_cast<std::size_t>(e.node_neg)] = true;
-    if (e.ctrl_pos >= 0) active[static_cast<std::size_t>(e.ctrl_pos)] = true;
-    if (e.ctrl_neg >= 0) active[static_cast<std::size_t>(e.ctrl_neg)] = true;
-  }
-  node_to_row_.assign(static_cast<std::size_t>(circuit.node_count()), -1);
-  int next = 0;
-  for (int n = 1; n < circuit.node_count(); ++n) {
-    if (active[static_cast<std::size_t>(n)]) node_to_row_[static_cast<std::size_t>(n)] = next++;
-  }
-  dim_ = next;
-
-  // Merge stamps position-wise so matrix() is a flat scan.
-  std::map<std::pair<int, int>, PatternStamp> merged;
-  auto accumulate = [&](int r, int c, double g, double cap) {
-    if (r < 0 || c < 0) return;
-    PatternStamp& entry = merged[{r, c}];
-    entry.row = r;
-    entry.col = c;
-    entry.conductance += g;
-    entry.capacitance += cap;
-  };
-  auto row_of = [&](int node) { return node_to_row_[static_cast<std::size_t>(node)]; };
-
   for (const Element& e : circuit.elements()) {
     // Reject NaN/Inf element values up front: a non-finite stamp would slip
     // through the LU replay as a "successful" factorization of garbage.
     if (!std::isfinite(e.value)) {
       throw SpecError("NodalSystem: non-finite value on element '" + e.name + "'");
     }
-    const int ra = row_of(e.node_pos);
-    const int rb = row_of(e.node_neg);
-    switch (e.kind) {
-      case ElementKind::Conductance:
-        accumulate(ra, ra, e.value, 0.0);
-        accumulate(rb, rb, e.value, 0.0);
-        accumulate(ra, rb, -e.value, 0.0);
-        accumulate(rb, ra, -e.value, 0.0);
-        break;
-      case ElementKind::Capacitor:
-        if (e.node_pos != e.node_neg) ++capacitor_count_;
-        accumulate(ra, ra, 0.0, e.value);
-        accumulate(rb, rb, 0.0, e.value);
-        accumulate(ra, rb, 0.0, -e.value);
-        accumulate(rb, ra, 0.0, -e.value);
-        break;
-      case ElementKind::Vccs: {
-        const int rc = row_of(e.ctrl_pos);
-        const int rd = row_of(e.ctrl_neg);
-        accumulate(ra, rc, e.value, 0.0);
-        accumulate(ra, rd, -e.value, 0.0);
-        accumulate(rb, rc, -e.value, 0.0);
-        accumulate(rb, rd, e.value, 0.0);
-        break;
-      }
-      default:
-        // unreachable: canonicality checked in the constructor
-        break;
-    }
+    if (e.kind == ElementKind::Capacitor && e.node_pos != e.node_neg) ++capacitor_count_;
   }
-  entries_.reserve(merged.size());
-  for (const auto& [key, entry] : merged) entries_.push_back(entry);
+
+  // Merge the table's stamps position-wise so matrix() is a flat scan:
+  // sorted by (row, col), each position summed in emission order from +0.0.
+  StampTable table = build_stamp_table(circuit);
+  dim_ = table.dim;
+  node_to_row_ = std::move(table.node_to_row);
+  std::stable_sort(table.stamps.begin(), table.stamps.end(),
+                   [](const PatternStamp& a, const PatternStamp& b) {
+                     return a.row != b.row ? a.row < b.row : a.col < b.col;
+                   });
+  for (const PatternStamp& stamp : table.stamps) {
+    if (entries_.empty() || entries_.back().row != stamp.row || entries_.back().col != stamp.col) {
+      entries_.push_back({stamp.row, stamp.col, 0.0, 0.0});
+    }
+    entries_.back().conductance += stamp.conductance;
+    entries_.back().capacitance += stamp.capacitance;
+  }
 }
 
 std::optional<int> NodalSystem::row_of_node(std::string_view name) const {

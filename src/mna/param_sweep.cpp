@@ -179,14 +179,13 @@ ParamSweepResult run_param_sweep(const netlist::NetlistTemplate& netlist,
   // the immutable symbolic plan and replay it per (sample, point).
   //
   // Device-bearing netlists get a second baseline: the nominal DC bias is
-  // solved once here, recording the Newton Jacobian plan, and the lanes
-  // clone THAT solver too — so every per-sample re-bias replays one shared
-  // plan, exactly like the AC points replay the evaluator's.
+  // solved once here, recording the Newton Jacobian plan, and every sample
+  // re-biases on a fresh copy of THAT solver — so every per-sample re-bias
+  // replays one shared plan, exactly like the AC points replay the
+  // evaluator's, and depends only on (plan, sample).
   const netlist::Circuit base_circuit = netlist.elaborate();
   const bool has_devices = base_circuit.has_devices();
-  dc::OpOptions op_options = options.op;
-  op_options.cancel = options.cancel;
-  dc::OpSolver base_op_solver(op_options);
+  dc::OpSolver base_op_solver(dc::OpOptions{.cancel = options.cancel});
   netlist::Circuit base_linear = base_circuit;
   if (has_devices) {
     const dc::OpResult base_op = base_op_solver.solve(base_circuit);
@@ -212,9 +211,8 @@ ParamSweepResult run_param_sweep(const netlist::NetlistTemplate& netlist,
   // not double counted through the clones.
   struct Lane {
     CofactorEvaluator eval;
-    dc::OpSolver op_solver;
     std::uint64_t start = 0;
-    std::uint64_t op_start = 0;
+    std::uint64_t op_fresh = 0;
     std::uint64_t op_solves = 0;
     std::uint64_t newton_iterations = 0;
   };
@@ -224,9 +222,8 @@ ParamSweepResult run_param_sweep(const netlist::NetlistTemplate& netlist,
   auto body = [&](std::size_t begin, std::size_t end, int lane_index) {
     std::unique_ptr<Lane>& slot = lanes[static_cast<std::size_t>(lane_index)];
     if (!slot) {
-      slot = std::make_unique<Lane>(Lane{baseline, base_op_solver});
+      slot = std::make_unique<Lane>(Lane{baseline});
       slot->start = slot->eval.fresh_factor_count();
-      slot->op_start = slot->op_solver.fresh_factor_count();
     }
     std::map<std::string, double> overrides;
     for (std::size_t i = begin; i < end; ++i) {
@@ -243,7 +240,9 @@ ParamSweepResult run_param_sweep(const netlist::NetlistTemplate& netlist,
       netlist::Circuit linear_storage;
       const netlist::Circuit* linear = &circuit;
       if (has_devices) {
-        const dc::OpResult op = slot->op_solver.solve(circuit);
+        dc::OpSolver op_solver = base_op_solver;
+        const dc::OpResult op = op_solver.solve(circuit);
+        slot->op_fresh += op.fresh_factorizations;
         slot->op_solves += 1;
         slot->newton_iterations += static_cast<std::uint64_t>(op.newton_iterations);
         linear_storage = dc::linearize_at(circuit, op);
@@ -273,7 +272,7 @@ ParamSweepResult run_param_sweep(const netlist::NetlistTemplate& netlist,
   for (const std::unique_ptr<Lane>& lane : lanes) {
     if (!lane) continue;
     result.fresh_factorizations += lane->eval.fresh_factor_count() - lane->start;
-    result.fresh_factorizations += lane->op_solver.fresh_factor_count() - lane->op_start;
+    result.fresh_factorizations += lane->op_fresh;
     result.op_solves += lane->op_solves;
     result.newton_iterations += lane->newton_iterations;
   }

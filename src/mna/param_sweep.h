@@ -38,7 +38,6 @@
 #include <string>
 #include <vector>
 
-#include "dc/newton.h"
 #include "mna/transfer.h"
 #include "netlist/canonical.h"
 #include "netlist/parser.h"
@@ -102,11 +101,6 @@ struct ParamSweepOptions {
   /// Cooperative checkpoint, polled once per sample on every lane.
   support::CancellationToken cancel;
   netlist::CanonicalOptions canonical;
-  /// Newton options of the per-sample DC bias solves a device-bearing
-  /// netlist needs before linearization (ignored when the elaborated
-  /// circuit has no D/Q/M cards). Its own cancel token is replaced by
-  /// `cancel` so one token trips the whole sweep.
-  dc::OpOptions op;
 };
 
 struct ParamSweepResult {
@@ -125,7 +119,9 @@ struct ParamSweepResult {
   /// baseline symbolic plan served every sample and point — the headline
   /// economics this engine exists for (2 for a device-bearing netlist: the
   /// AC plan plus the one Newton Jacobian plan every bias solve replays).
-  /// Independent of the thread count while every replay is accepted.
+  /// Independent of the thread count: every sample's bias solve starts from
+  /// a fresh copy of the baseline solver, so a refused replay in one sample
+  /// never leaves its fresh plan behind for the next.
   std::uint64_t fresh_factorizations = 0;
   /// DC operating-point solves performed: 0 for a linear netlist, else the
   /// nominal baseline bias plus one re-bias per sample — `.param` symbols

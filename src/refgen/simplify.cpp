@@ -5,8 +5,6 @@
 #include <cmath>
 #include <complex>
 #include <cstddef>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <numbers>
 #include <optional>
@@ -462,13 +460,6 @@ SimplifyResult simplify_transfer(const netlist::Circuit& canonical,
       sdg.max_queue = options.max_queue;
       const symbolic::SdgResult generated = symbolic::generate_transfer_terms(
           matrix, spec, s.side, k, s.reference->at(k).value, sdg);
-      if (std::getenv("SIMPLIFY_DEBUG")) {
-        std::fprintf(stderr,
-                     "[simplify] %s k=%d w=%.3e eps=%.3e -> %zu terms %s err=%.3e ref=%.6e\n",
-                     side_name(s.side), k, s.weights[j], sdg.epsilon,
-                     generated.generated(), generated.termination.c_str(),
-                     generated.relative_error, s.reference->at(k).value.to_double());
-      }
       result.enumerated_terms += generated.generated();
       if (!generated.met) {
         unmet += (unmet.empty() ? "" : ", ") + std::string("s^") + std::to_string(k) + " (" +
@@ -529,17 +520,6 @@ SimplifyResult simplify_transfer(const netlist::Circuit& canonical,
   };
 
   std::vector<double> errors = certificate_errors(sides[0].sum, sides[1].sum);
-  if (std::getenv("SIMPLIFY_DEBUG")) {
-    for (std::size_t i = 0; i < points; ++i) {
-      std::fprintf(stderr, "[simplify] f=%.3e |H|=%.3e |N~|=%.3e |D~|=%.3e err=%.3e\n",
-                   freqs[i], baseline[i].abs().to_double(),
-                   sides[0].sum[i].abs().to_double(), sides[1].sum[i].abs().to_double(),
-                   errors[i]);
-    }
-    std::fprintf(stderr, "[simplify] prune_error=%.3e actions=%zu reduced_dim=%d ref=%s\n",
-                 prune_error, accepted.size(), result.reduced_dim,
-                 reference_run.termination.c_str());
-  }
   result.term_evals += points;
   if (max_error(errors) > options.error_budget) {
     throw symbolic::TermEnumerationError(

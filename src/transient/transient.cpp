@@ -8,15 +8,13 @@
 #include <stdexcept>
 #include <utility>
 
-#include "dc/stamps.h"
+#include "dc/newton.h"
 #include "mna/errors.h"
-#include "support/fault_injection.h"
 #include "support/timer.h"
 
 namespace symref::transient {
 
 using dc::DeviceState;
-using dc::Layout;
 using netlist::Circuit;
 using netlist::Element;
 using sparse::PatternStamp;
@@ -28,72 +26,40 @@ namespace {
 constexpr int kFinalPartialBucket = -2;
 
 /// Bucket key of the consistent-initialization solve: a BDF1 "step" of
-/// near-zero length at t = 0. The huge companion conductances pin every
-/// capacitor voltage and inductor current at its initial value while the
-/// purely algebraic unknowns relax to a consistent t = 0+ state — and the
-/// BDF1 current recovery i = geq * (v - v0) reads off the TRUE initial
-/// capacitor currents, which the trapezoidal history needs (an inconsistent
-/// initial current error alternates sign forever under trap instead of
-/// decaying).
+/// near-zero length at t = 0. The huge a0·C pins every capacitor voltage and
+/// inductor current at its initial value while the purely algebraic
+/// unknowns relax to a consistent t = 0+ state — and the step's y1 reads off
+/// the TRUE initial capacitor currents, which the trapezoidal history needs
+/// (an inconsistent initial current error alternates sign forever under
+/// trap instead of decaying).
 constexpr int kInitBucket = -3;
 
 /// Norton forcing applied to each .ic node during the initialization solve
 /// (its stamp position is kept in every later assembly with value 0 so the
 /// pattern stays pinned). Strong against ordinary circuit conductances but
-/// WEAK against the initialization companions (~1e12x the working geq), so a
+/// WEAK against the initialization's a0·C (~1e12x a working step's), so a
 /// capacitor at an .ic node keeps sinking essentially all of the node's
 /// imbalance current — the pin must not skew the recovered i_C(0).
 constexpr double kIcPinConductance = 1e6;
 
-/// Per-reactive-element integration history at the last accepted points.
-struct ReactiveHistory {
-  double v = 0.0;       // across-voltage at t_n
-  double v_prev = 0.0;  // at t_{n-1} (BDF2)
-  double i = 0.0;       // through-current at t_n
-  double i_prev = 0.0;  // at t_{n-1} (BDF2)
+/// One step's integration coefficients (the table in transient.h).
+struct Coefficients {
+  double a0 = 0.0;
+  double a1 = 0.0;
+  double a2 = 0.0;
+  double b1 = 0.0;
 };
 
-/// Companion-model coefficients of one step. For a capacitor the model is
-/// i = geq * v - hist (hist injected into the node rows of the RHS); for an
-/// inductor the branch row reads (vp - vn) - req * i = rhs_b.
-struct CompanionCoeffs {
-  double geq_scale = 0.0;  // geq = geq_scale * C / h ; req = geq_scale * L / h
-};
-
-double capacitor_hist(Method m, double c, double h, const ReactiveHistory& s) {
+Coefficients coefficients(Method m, double h) {
   switch (m) {
     case Method::kTrapezoidal:
-      return (2.0 * c / h) * s.v + s.i;
+      return {2.0 / h, 2.0 / h, 0.0, 1.0};
     case Method::kBdf1:
-      return (c / h) * s.v;
+      return {1.0 / h, 1.0 / h, 0.0, 0.0};
     case Method::kBdf2:
-      return (c / (2.0 * h)) * (4.0 * s.v - s.v_prev);
+      return {1.5 / h, 2.0 / h, -0.5 / h, 0.0};
   }
-  return 0.0;
-}
-
-double inductor_rhs(Method m, double l, double h, const ReactiveHistory& s) {
-  switch (m) {
-    case Method::kTrapezoidal:
-      return -((2.0 * l / h) * s.i + s.v);
-    case Method::kBdf1:
-      return -(l / h) * s.i;
-    case Method::kBdf2:
-      return -(l / (2.0 * h)) * (4.0 * s.i - s.i_prev);
-  }
-  return 0.0;
-}
-
-double companion_scale(Method m) {
-  switch (m) {
-    case Method::kTrapezoidal:
-      return 2.0;
-    case Method::kBdf1:
-      return 1.0;
-    case Method::kBdf2:
-      return 1.5;
-  }
-  return 2.0;
+  return {};
 }
 
 }  // namespace
@@ -153,24 +119,19 @@ TransientResult TransientSolver::solve(const Circuit& circuit) {
   if (options_.tstep > options_.tstop) {
     throw std::invalid_argument("transient: tstep exceeds tstop");
   }
-  if (options_.max_halvings < 0 || options_.max_halvings > 60) {
-    throw std::invalid_argument("transient: max_halvings must be in [0, 60]");
-  }
 
-  auto layout_ptr = dc::build_layout(circuit);
-  const Layout& layout = *layout_ptr;
+  const mna::StampTable table = dc::solver_table(circuit);
 
   TransientResult result;
   for (int n = 1; n < circuit.node_count(); ++n) result.node_names.push_back(circuit.node_name(n));
-  result.branch_names = layout.branch_names;
-  if (layout.dim == 0) {
+  result.branch_names = dc::branch_names(circuit);
+  if (table.dim == 0) {
     result.times.push_back(0.0);
     result.states.emplace_back();
     result.seconds = timer.seconds();
     return result;
   }
-  const std::size_t dim = static_cast<std::size_t>(layout.dim);
-  const std::size_t node_rows = static_cast<std::size_t>(layout.node_rows);
+  const std::size_t dim = static_cast<std::size_t>(table.dim);
 
   // --- t = 0 bias point: the DC operating point of the circuit with every
   // source held at its waveform's t = 0 level, then .ic node overrides. ----
@@ -184,39 +145,20 @@ TransientResult TransientSolver::solve(const Circuit& circuit) {
         mutable_e->waveform = netlist::Waveform{};
       }
     }
-    dc::OpOptions bias_options = options_.bias;
-    bias_options.cancel = options_.cancel;
-    const dc::OpResult bias = dc::solve_op(bias_circuit, bias_options);
+    const dc::OpResult bias = dc::solve_op(bias_circuit, dc::OpOptions{.cancel = options_.cancel});
     result.fresh_factorizations += bias.fresh_factorizations;
     result.pivot_escalations += bias.pivot_escalations;
     result.degraded = result.degraded || bias.degraded;
-    for (std::size_t i = 0; i < node_rows; ++i) x[i] = bias.node_voltages[i];
-    for (std::size_t i = node_rows; i < dim; ++i) x[i] = bias.branch_currents[i - node_rows];
+    std::copy(bias.node_voltages.begin(), bias.node_voltages.end(), x.begin());
+    std::copy(bias.branch_currents.begin(), bias.branch_currents.end(),
+              x.begin() + table.node_rows);
   }
   for (const auto& [node, volts] : circuit.initial_conditions()) {
-    x[static_cast<std::size_t>(layout.row_of_node(node))] = volts;
+    x[static_cast<std::size_t>(table.row_of(node))] = volts;
   }
-
-  // Reactive histories at t = 0: capacitor voltages from the (possibly
-  // .ic-overridden) bias state with zero current (a capacitor is open at
-  // DC); inductor currents from their bias branch rows.
-  auto across = [&](const Layout::Reactive& r, const std::vector<double>& v) {
-    const double vp = r.row_pos >= 0 ? v[static_cast<std::size_t>(r.row_pos)] : 0.0;
-    const double vn = r.row_neg >= 0 ? v[static_cast<std::size_t>(r.row_neg)] : 0.0;
-    return vp - vn;
-  };
-  std::vector<ReactiveHistory> cap_hist(layout.capacitors.size());
-  std::vector<ReactiveHistory> ind_hist(layout.inductors.size());
-  for (std::size_t i = 0; i < layout.capacitors.size(); ++i) {
-    cap_hist[i].v = cap_hist[i].v_prev = across(layout.capacitors[i], x);
-  }
-  for (std::size_t i = 0; i < layout.inductors.size(); ++i) {
-    ind_hist[i].i = ind_hist[i].i_prev = x[static_cast<std::size_t>(layout.inductors[i].branch)];
-    ind_hist[i].v = across(layout.inductors[i], x);
-  }
-  std::vector<DeviceState> dev_state(layout.devices.size());
-  for (std::size_t i = 0; i < layout.devices.size(); ++i) {
-    dev_state[i] = dc::proposed_state(*layout.devices[i], x, layout);
+  std::vector<DeviceState> dev_state(circuit.devices().size());
+  for (std::size_t i = 0; i < dev_state.size(); ++i) {
+    dev_state[i] = dc::proposed_state(circuit.devices()[i], x, table);
   }
 
   result.times.push_back(0.0);
@@ -236,177 +178,130 @@ TransientResult TransientSolver::solve(const Circuit& circuit) {
   }
 
   // --- Per-step machinery -------------------------------------------------
+  // Integration history: x_prev = x_{-1}, and y = C·x' at the last accepted
+  // point (zero at the bias point, which the initialization step replaces).
+  std::vector<double> x_prev(x);
+  std::vector<double> y(dim, 0.0);
+  std::vector<double> hist(dim, 0.0);
+  std::vector<double> scratch(dim, 0.0);
+  // The table's C part, and the rows it touches (y is zero on every other
+  // row by definition).
+  std::vector<PatternStamp> c_part;
+  std::vector<bool> reactive_row(dim, false);
+  for (const PatternStamp& stamp : table.stamps) {
+    if (stamp.capacitance == 0.0) continue;
+    c_part.push_back(stamp);
+    reactive_row[static_cast<std::size_t>(stamp.row)] = true;
+  }
   std::vector<PatternStamp> stamps;
   std::vector<double> rhs(dim, 0.0);
-  std::vector<std::complex<double>> rhs_c(dim);
+  std::vector<std::complex<double>> solution;
   std::vector<double> x_new(dim, 0.0);
   std::vector<DeviceState> state_new(dev_state);
   std::set<int> buckets_used;
+  dc::FactorTally tally;
+  const dc::NewtonControl control{kMaxNewtonIterations, kNewtonReltol, kNewtonAbstolV,
+                                  kNewtonAbstolI, dc::OpOptions{}.max_voltage_step,
+                                  options_.cancel};
+  bool pin_ic = false;
 
-  // Factor-or-replay against one bucket's plan: the first visit records the
-  // bucket's plan fresh; every later visit replays it (escalation ladder on
-  // refusal, mirroring the DC solver's policy and fault sites).
-  auto factor_bucket = [&](int key, const sparse::CompressedMatrix& matrix,
-                           double t_new) -> sparse::SparseLu& {
+  // One step candidate t -> t_new = t + h against bucket `key`. Fills x_new /
+  // state_new; returns false when the per-step Newton fails to converge
+  // (never for a linear circuit — one replayed solve is exact).
+  auto step_once = [&](Method m, double t_new, double h, int key) -> bool {
+    // History term C·(a1·x0 + a2·x-1) + b1·y0, fixed for the whole step.
+    const Coefficients k = coefficients(m, h);
+    for (std::size_t i = 0; i < dim; ++i) scratch[i] = k.a1 * x[i] + k.a2 * x_prev[i];
+    std::fill(hist.begin(), hist.end(), 0.0);
+    for (const PatternStamp& stamp : c_part) {
+      hist[static_cast<std::size_t>(stamp.row)] +=
+          stamp.capacitance * scratch[static_cast<std::size_t>(stamp.col)];
+    }
+    for (std::size_t i = 0; i < dim; ++i) hist[i] += k.b1 * y[i];
     // A bucket counts as used the moment its plan is touched — including a
     // trial step later rejected by LTE control — so the replay invariant
     // "fresh factorizations == buckets + bias + init" holds exactly. The
     // initialization micro-step is accounted separately (it is not a step
     // size the run ever revisits).
     if (key != kInitBucket) buckets_used.insert(key);
-    BucketPlan& bucket = buckets_[key];
-    const bool refused = !bucket.planned || !bucket.lu.has_plan() ||
-                         support::fault("newton_step") || !bucket.lu.refactor(matrix);
-    if (refused) {
-      bool degraded = false;
-      if (!dc::factor_with_ladder(bucket.lu, matrix, &degraded)) {
+
+    // Assemble G + a0·C at the given device states in the pinned order —
+    // table stamps, device companions, .ic pin positions (nonzero only
+    // during the initialization solve) — then replay the bucket's plan, or
+    // record it fresh on the first visit (escalation ladder on refusal).
+    const dc::LinearSolve solve_at =
+        [&](const std::vector<DeviceState>& at) -> const std::vector<std::complex<double>>& {
+      stamps.assign(table.stamps.begin(), table.stamps.end());
+      std::fill(rhs.begin(), rhs.end(), 0.0);
+      for (const mna::SourceRow& source : table.sources) {
+        const Element& e = circuit.elements()[static_cast<std::size_t>(source.element)];
+        rhs[static_cast<std::size_t>(source.row)] += source.sign * e.transient_value(t_new);
+      }
+      for (std::size_t i = 0; i < at.size(); ++i) {
+        dc::stamp_device(stamps, circuit.devices()[i], at[i], kGmin, table, &rhs);
+      }
+      for (const auto& [node, volts] : circuit.initial_conditions()) {
+        const int row = table.row_of(node);
+        const double g_pin = pin_ic ? kIcPinConductance : 0.0;
+        stamps.push_back({row, row, g_pin, 0.0});
+        rhs[static_cast<std::size_t>(row)] += g_pin * volts;
+      }
+      if (!assembly_.rebind(table.dim, stamps)) {
+        // First assembly of this pattern (or a different circuit): every
+        // recorded bucket plan belongs to the old structure.
+        assembly_ = sparse::PatternedMatrix(table.dim, stamps);
+        buckets_.clear();
+      }
+      const sparse::CompressedMatrix& matrix = assembly_.assemble(k.a0);
+      dc::Plan& plan = buckets_[key];
+      if (!dc::replay_or_factor(plan, matrix, &tally)) {
         std::ostringstream os;
         os << "transient: singular system at t = " << t_new
            << " (floating node or degenerate companion network?)";
         throw mna::SingularSystemError(os.str());
       }
-      ++result.fresh_factorizations;
-      if (degraded) {
-        ++result.pivot_escalations;
-        result.degraded = true;
-      }
-      bucket.planned = true;
-    }
-    return bucket.lu;
-  };
+      result.degraded = result.degraded || plan.degraded;
+      solution.resize(dim);
+      for (std::size_t i = 0; i < dim; ++i) solution[i] = rhs[i] + hist[i];
+      plan.lu.solve(solution);
+      return solution;
+    };
 
-  // Assemble the step system at time t_new with step h: base stamps, then
-  // reactive companions, then device companions, then the .ic pin positions
-  // — ALWAYS in this order so the merged pattern is pinned for the whole
-  // run (the .ic pins carry a nonzero value only during the t = 0
-  // initialization solve).
-  bool pin_ic = false;
-  auto assemble_step = [&](Method m, double t_new, double h,
-                           const std::vector<DeviceState>& dstate)
-      -> const sparse::CompressedMatrix& {
-    stamps.assign(layout.base_stamps.begin(), layout.base_stamps.end());
-    std::fill(rhs.begin(), rhs.end(), 0.0);
-    const double scale = companion_scale(m);
-    for (const Layout::Source& s : layout.sources) {
-      const Element& e = circuit.elements()[static_cast<std::size_t>(s.element)];
-      rhs[static_cast<std::size_t>(s.row)] += s.scale * e.transient_value(t_new);
-    }
-    for (std::size_t i = 0; i < layout.capacitors.size(); ++i) {
-      const Layout::Reactive& r = layout.capacitors[i];
-      const double geq = scale * r.value / h;
-      dc::stamp_conductance(stamps, r.row_pos, r.row_neg, geq);
-      const double hist = capacitor_hist(m, r.value, h, cap_hist[i]);
-      if (r.row_pos >= 0) rhs[static_cast<std::size_t>(r.row_pos)] += hist;
-      if (r.row_neg >= 0) rhs[static_cast<std::size_t>(r.row_neg)] -= hist;
-    }
-    for (std::size_t i = 0; i < layout.inductors.size(); ++i) {
-      const Layout::Reactive& r = layout.inductors[i];
-      const double req = scale * r.value / h;
-      stamps.push_back({r.branch, r.branch, -req, 0.0});
-      rhs[static_cast<std::size_t>(r.branch)] += inductor_rhs(m, r.value, h, ind_hist[i]);
-    }
-    for (std::size_t i = 0; i < layout.devices.size(); ++i) {
-      dc::stamp_device(stamps, *layout.devices[i], dstate[i], options_.gmin, layout, &rhs);
-    }
-    for (const auto& [node, volts] : circuit.initial_conditions()) {
-      const int row = layout.row_of_node(node);
-      const double g_pin = pin_ic ? kIcPinConductance : 0.0;
-      stamps.push_back({row, row, g_pin, 0.0});
-      rhs[static_cast<std::size_t>(row)] += g_pin * volts;
-    }
-    if (!assembly_.rebind(layout.dim, stamps)) {
-      // First assembly of this pattern (or a different circuit): every
-      // recorded bucket plan belongs to the old structure.
-      assembly_ = sparse::PatternedMatrix(layout.dim, stamps);
-      buckets_.clear();
-      has_pattern_ = false;
-    }
-    return assembly_.assemble(0.0);
-  };
-
-  // One step candidate t -> t_new = t + h against bucket `key`. Fills x_new /
-  // state_new; returns false when the per-step Newton fails to converge
-  // (never for a linear circuit — one replayed solve is exact).
-  auto step_once = [&](Method m, double t_new, double h, int key) -> bool {
-    if (layout.devices.empty()) {
-      const sparse::CompressedMatrix& matrix = assemble_step(m, t_new, h, dev_state);
-      sparse::SparseLu& lu = factor_bucket(key, matrix, t_new);
-      has_pattern_ = true;
-      for (std::size_t i = 0; i < dim; ++i) rhs_c[i] = rhs[i];
-      lu.solve(rhs_c);
-      for (std::size_t i = 0; i < dim; ++i) x_new[i] = rhs_c[i].real();
-      return true;
-    }
-
-    // Newton-per-step, warm-started at the previous accepted point; the
-    // convergence criterion mirrors the DC solver's (clamp + junction limit
-    // + per-unknown step tolerance).
+    // Newton-per-step, warm-started at the previous accepted point.
     x_new = x;
     state_new = dev_state;
-    for (int iter = 0; iter < options_.max_newton_iterations; ++iter) {
-      if (options_.cancel.cancelled()) throw support::CancelledError();
-      ++result.newton_iterations;
-      const sparse::CompressedMatrix& matrix = assemble_step(m, t_new, h, state_new);
-      sparse::SparseLu& lu = factor_bucket(key, matrix, t_new);
-      has_pattern_ = true;
-      for (std::size_t i = 0; i < dim; ++i) rhs_c[i] = rhs[i];
-      lu.solve(rhs_c);
-
-      bool clamped = false;
-      double max_rel = 0.0;
-      for (std::size_t i = 0; i < dim; ++i) {
-        double delta = rhs_c[i].real() - x_new[i];
-        if (i < node_rows && std::fabs(delta) > options_.bias.max_voltage_step) {
-          delta = delta > 0 ? options_.bias.max_voltage_step : -options_.bias.max_voltage_step;
-          clamped = true;
-        }
-        const double accepted = x_new[i] + delta;
-        const double abstol = i < node_rows ? options_.newton_abstol_v : options_.newton_abstol_i;
-        const double tol = abstol + options_.newton_reltol *
-                                        std::max(std::fabs(accepted), std::fabs(x_new[i]));
-        max_rel = std::max(max_rel, std::fabs(delta) / tol);
-        x_new[i] = accepted;
-      }
-      bool limited = false;
-      for (std::size_t i = 0; i < layout.devices.size(); ++i) {
-        const DeviceState proposed = dc::proposed_state(*layout.devices[i], x_new, layout);
-        state_new[i] = dc::limit_state(*layout.devices[i], proposed, state_new[i], &limited);
-      }
-      if (!clamped && !limited && max_rel <= 1.0 && iter > 0) return true;
+    if (circuit.devices().empty()) {
+      const std::vector<std::complex<double>>& next = solve_at(state_new);
+      for (std::size_t i = 0; i < dim; ++i) x_new[i] = next[i].real();
+      return true;
     }
-    return false;
+    return dc::newton_solve(circuit, table, control, solve_at, x_new, state_new,
+                            &result.newton_iterations);
   };
 
-  // Roll the reactive histories onto the freshly solved x_new: the new
-  // across-voltages, and the element currents recovered from the companion
-  // relation i = geq * v - hist of the step that was just taken.
-  auto roll_histories = [&](Method m, double h) {
-    const double scale = companion_scale(m);
-    for (std::size_t i = 0; i < layout.capacitors.size(); ++i) {
-      const Layout::Reactive& r = layout.capacitors[i];
-      const double v1 = across(r, x_new);
-      const double geq = scale * r.value / h;
-      const double i1 = geq * v1 - capacitor_hist(m, r.value, h, cap_hist[i]);
-      cap_hist[i].v_prev = cap_hist[i].v;
-      cap_hist[i].i_prev = cap_hist[i].i;
-      cap_hist[i].v = v1;
-      cap_hist[i].i = i1;
-    }
-    for (std::size_t i = 0; i < layout.inductors.size(); ++i) {
-      const Layout::Reactive& r = layout.inductors[i];
-      ind_hist[i].i_prev = ind_hist[i].i;
-      ind_hist[i].v_prev = ind_hist[i].v;
-      ind_hist[i].i = x_new[static_cast<std::size_t>(r.branch)];
-      ind_hist[i].v = across(r, x_new);
-    }
-  };
-
-  // Accept a step: roll the histories forward and record the point.
+  // Accept the candidate in x_new: shift the history and record y1 = C·x1'.
+  // y1 is read off the step's own equation G·x1 + y1 = b(t1) (device
+  // currents and .ic pins included): the last assembly's right-hand side
+  // without the history, minus its G part times x1. In exact arithmetic this
+  // is C·(a0·x1 - a1·x0 - a2·x-1) - b1·y0, but it carries no 1/h factor: the
+  // initialization step's a0 ~ 1e12/h would amplify the last-bit rounding
+  // of x1 - x0 into a spurious current that trap never damps.
   double h_last = 0.0;
-  auto accept_step = [&](Method m, double t_new, double h) {
-    roll_histories(m, h);
+  auto take_step = [&] {
+    y = rhs;
+    for (const PatternStamp& stamp : stamps) {
+      y[static_cast<std::size_t>(stamp.row)] -=
+          stamp.conductance * x_new[static_cast<std::size_t>(stamp.col)];
+    }
+    for (std::size_t i = 0; i < dim; ++i) {
+      if (!reactive_row[i]) y[i] = 0.0;
+    }
+    x_prev = x;
     x = x_new;
     dev_state = state_new;
+  };
+  auto accept_step = [&](double t_new, double h) {
+    take_step();
     h_last = h;
     result.times.push_back(t_new);
     result.states.push_back(x);
@@ -440,8 +335,8 @@ TransientResult TransientSolver::solve(const Circuit& circuit) {
     double worst = 0.0;
     for (std::size_t i = 0; i < dim; ++i) {
       const double predicted = c0 * s0[i] + c1 * s1[i] + c2 * s2[i];
-      const double tol = options_.lte_abstol +
-                         options_.lte_reltol * std::max(std::fabs(x_new[i]), std::fabs(predicted));
+      const double tol =
+          kLteAbstol + kLteReltol * std::max(std::fabs(x_new[i]), std::fabs(predicted));
       worst = std::max(worst, std::fabs(x_new[i] - predicted) / tol);
     }
     return worst;
@@ -452,12 +347,10 @@ TransientResult TransientSolver::solve(const Circuit& circuit) {
   // (capacitor voltages, inductor currents) but leaves the algebraic
   // unknowns inconsistent: an .ic-forced node drags its neighbours, and the
   // initial capacitor CURRENTS are not part of the DC solution at all. One
-  // near-zero-length BDF1 step pins the differential state (companion
-  // conductances ~ 1e9x the working ones) and relaxes everything else; the
-  // companion current recovery then reads off the true t = 0+ capacitor
-  // currents the trapezoidal history needs.
-  if (!layout.capacitors.empty() || !layout.inductors.empty() ||
-      !circuit.initial_conditions().empty()) {
+  // near-zero-length BDF1 step pins the differential state (a0·C ~ 1e12x a
+  // working step's) and relaxes everything else; its y1 is the true t = 0+
+  // C·x' the trapezoidal history needs.
+  if (!c_part.empty() || !circuit.initial_conditions().empty()) {
     const double h_first = options_.adaptive ? h_ref : fixed_h;
     const double h_init = h_first * 1e-12;
     pin_ic = true;
@@ -467,18 +360,8 @@ TransientResult TransientSolver::solve(const Circuit& circuit) {
       throw NoConvergenceError(
           "transient: Newton failed to converge on the t = 0 initialization solve");
     }
-    roll_histories(Method::kBdf1, h_init);
-    // Startup duplicates: BDF2's two-point history starts uniform.
-    for (ReactiveHistory& s : cap_hist) {
-      s.v_prev = s.v;
-      s.i_prev = s.i;
-    }
-    for (ReactiveHistory& s : ind_hist) {
-      s.v_prev = s.v;
-      s.i_prev = s.i;
-    }
-    x = x_new;
-    dev_state = state_new;
+    take_step();
+    x_prev = x;  // startup duplicate: BDF2's two-point history starts uniform
     result.states[0] = x;
   }
 
@@ -486,9 +369,9 @@ TransientResult TransientSolver::solve(const Circuit& circuit) {
   int attempts = 0;
   auto check_budget = [&] {
     if (options_.cancel.cancelled()) throw support::CancelledError();
-    if (++attempts > options_.max_steps) {
+    if (++attempts > kMaxSteps) {
       std::ostringstream os;
-      os << "transient: step budget exhausted (" << options_.max_steps << " attempts, "
+      os << "transient: step budget exhausted (" << kMaxSteps << " attempts, "
          << result.steps << " accepted, t = " << result.times.back() << " of "
          << options_.tstop << ")";
       throw NoConvergenceError(os.str());
@@ -509,7 +392,7 @@ TransientResult TransientSolver::solve(const Circuit& circuit) {
            << " with fixed step " << fixed_h << " (try a smaller tstep or adaptive control)";
         throw NoConvergenceError(os.str());
       }
-      accept_step(m, t_new, fixed_h);
+      accept_step(t_new, fixed_h);
     }
   } else {
     int k = 0;  // current halving depth: h = h_ref / 2^k
@@ -530,7 +413,7 @@ TransientResult TransientSolver::solve(const Circuit& circuit) {
       const double err = newton_ok ? lte_ratio(t_new) : 0.0;
       if (!newton_ok || err > 1.0) {
         if (newton_ok) ++result.lte_rejections;
-        if (k >= options_.max_halvings) {
+        if (k >= kMaxHalvings) {
           if (!newton_ok) {
             std::ostringstream os;
             os << "transient: Newton failed to converge at t = " << t_new
@@ -545,7 +428,7 @@ TransientResult TransientSolver::solve(const Circuit& circuit) {
           continue;
         }
       }
-      accept_step(m, t_new, h);
+      accept_step(t_new, h);
       t = t_new;
       // Sustained headroom grows the step back toward h_ref (the predictor
       // error scales ~h^3, so a generous margin is required before doubling).
@@ -561,6 +444,8 @@ TransientResult TransientSolver::solve(const Circuit& circuit) {
   }
 
   result.step_size_buckets = static_cast<int>(buckets_used.size());
+  result.fresh_factorizations += tally.fresh;
+  result.pivot_escalations += tally.escalations;
   result.seconds = timer.seconds();
   return result;
 }

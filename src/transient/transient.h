@@ -1,23 +1,37 @@
 // Time-domain (transient) analysis with plan-reusing time stepping.
 //
-// The integrator discretizes every capacitor and inductor into a companion
-// conductance + history source (trapezoidal, BDF1 or BDF2). The companion
-// stamps occupy the same matrix positions at every step, so the MNA pattern
-// is fixed for the whole run: each accepted step is a PatternedMatrix
-// rebind() + SparseLu refactor() replay of a recorded plan. The companion
-// conductances scale with 1/h, so the plan is keyed by the *step-size
-// bucket*: allowed step sizes are h_ref / 2^k, each bucket owns one
-// factorization plan (recorded the first time the controller lands in it and
-// replayed forever after), and a constant-step run performs exactly three
-// fresh factorizations end to end — the t = 0 bias pattern, the
-// consistent-initialization solve, and the single step bucket.
-// `TransientResult::fresh_factorizations` probes the contract.
+// The circuit is the MNA system G·x + C·x' = b(t) of its stamp table
+// (mna::StampTable: the G and C parts AC analysis assembles at s = jω).
+// With y = C·x', every step of size h solves
 //
-// Device-bearing netlists run a damped Newton iteration per step (the PR 9
-// OpSolver machinery from dc/stamps.h: fixed-pattern device companions,
+//   (G + a0·C)·x1 = b(t1) + C·(a1·x0 + a2·x-1) + b1·y0
+//
+// and then records y1 = C·x1', which is C·(a0·x1 - a1·x0 - a2·x-1) - b1·y0
+// in exact arithmetic (transient.cpp reads it off the step's equation), with
+//
+//   method   a0        a1     a2          b1
+//   trap     2/h       2/h    0           1
+//   BDF1     1/h       1/h    0           0
+//   BDF2     3/(2h)    2/h    -1/(2h)     0
+//
+// so a step's matrix is the table assembled at the real point s = a0. Its
+// positions are the same at every step, so the MNA pattern is fixed for the
+// whole run: each accepted step is a PatternedMatrix rebind() + SparseLu
+// refactor() replay of a recorded plan. a0 scales with 1/h, so the plan is
+// keyed by the *step-size bucket*: allowed step sizes are h_ref / 2^k, each
+// bucket owns one factorization plan (recorded the first time the
+// controller lands in it and replayed forever after), and a constant-step
+// run performs exactly three fresh factorizations end to end — the t = 0
+// bias pattern, the consistent-initialization solve, and the single step
+// bucket. `TransientResult::fresh_factorizations` probes the contract.
+//
+// Device-bearing netlists run a damped Newton iteration per step — the same
+// dc::newton_solve the DC solver runs (fixed-pattern device companions,
 // pnjlim junction limiting, the escalating-pivot degradation ladder); the
 // previous step's solution is the warm start, so a handful of iterations per
-// step suffice and every iterate replays the bucket's plan.
+// step suffice and every iterate replays the bucket's plan. Every assembly
+// appends its stamps in one pinned order: table stamps, device companions,
+// .ic pins.
 //
 // Step control: the local truncation error is estimated per accepted
 // candidate by comparing the corrector against a quadratic predictor
@@ -29,15 +43,13 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "dc/newton.h"
 #include "dc/stamps.h"
 #include "netlist/circuit.h"
-#include "sparse/lu.h"
 #include "sparse/matrix.h"
 #include "support/cancellation.h"
 
@@ -55,6 +67,23 @@ const char* method_name(Method method) noexcept;
 /// Parse a method name; throws std::invalid_argument on anything else.
 Method method_from_name(std::string_view name);
 
+/// Fixed integrator settings.
+/// LTE acceptance: |x - predictor| <= kLteAbstol + kLteReltol * |x| per
+/// unknown.
+inline constexpr double kLteReltol = 1e-3;
+inline constexpr double kLteAbstol = 1e-6;
+/// Deepest adaptive bucket: h_min = tstep / 2^kMaxHalvings.
+inline constexpr int kMaxHalvings = 20;
+/// Hard cap on accepted + rejected steps (runaway guard).
+inline constexpr int kMaxSteps = 1 << 20;
+/// Newton per step (device-bearing netlists).
+inline constexpr int kMaxNewtonIterations = 100;
+inline constexpr double kNewtonReltol = 1e-6;
+inline constexpr double kNewtonAbstolV = 1e-9;
+inline constexpr double kNewtonAbstolI = 1e-12;
+/// Junction gmin shunt of the per-step device companions [S].
+inline constexpr double kGmin = 1e-12;
+
 struct TransientOptions {
   Method method = Method::kTrapezoidal;
 
@@ -62,36 +91,15 @@ struct TransientOptions {
   double tstop = 0.0;
 
   /// Reference (maximum) step size. 0 picks tstop / 1000. With adaptive
-  /// control the allowed steps are tstep / 2^k, k in [0, max_halvings].
+  /// control the allowed steps are tstep / 2^k, k in [0, kMaxHalvings].
   double tstep = 0.0;
 
   /// LTE step control on/off. Off = constant tstep steps (one bucket).
   bool adaptive = true;
 
-  /// LTE acceptance: |x - predictor| <= lte_abstol + lte_reltol * |x| per
-  /// unknown, with a safety factor applied on rejection.
-  double lte_reltol = 1e-3;
-  double lte_abstol = 1e-6;
-
-  /// Deepest allowed bucket: h_min = tstep / 2^max_halvings.
-  int max_halvings = 20;
-
-  /// Hard cap on accepted + rejected steps (runaway guard).
-  int max_steps = 1 << 20;
-
-  /// Newton-per-step controls (device-bearing netlists).
-  int max_newton_iterations = 100;
-  double newton_reltol = 1e-6;
-  double newton_abstol_v = 1e-9;
-  double newton_abstol_i = 1e-12;
-  double gmin = 1e-12;
-
-  /// Options for the t = 0 bias solve (homotopy ladder etc.); tstep-shaped
-  /// fields are ignored. The cancel token below is threaded into it.
-  dc::OpOptions bias;
-
   /// Cooperative cancellation, polled at every step (and every Newton
-  /// iterate): a tripped token throws support::CancelledError.
+  /// iterate, the t = 0 bias solve's included): a tripped token throws
+  /// support::CancelledError.
   support::CancellationToken cancel;
 };
 
@@ -145,17 +153,11 @@ class TransientSolver {
   [[nodiscard]] TransientResult solve(const netlist::Circuit& circuit);
 
  private:
-  /// One factorization plan per step-size bucket (key: halving count k;
-  /// -1 = the t = 0 DC pattern).
-  struct BucketPlan {
-    sparse::SparseLu lu;
-    bool planned = false;
-  };
-
   TransientOptions options_;
   sparse::PatternedMatrix assembly_;
-  bool has_pattern_ = false;
-  std::map<int, BucketPlan> buckets_;
+  /// One factorization plan per step-size bucket (key: halving count k, or
+  /// one of the special keys in transient.cpp).
+  std::map<int, dc::Plan> buckets_;
 };
 
 /// One-shot convenience wrapper.

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <complex>
+#include <fstream>
 #include <sstream>
 #include <string>
 
@@ -253,6 +254,57 @@ TEST(ParamSweep, Ua741MonteCarloBitIdenticalAcrossThreadCounts) {
     }
     EXPECT_EQ(serial.values, parallel.values);
     EXPECT_EQ(serial.fresh_factorizations, parallel.fresh_factorizations);
+  }
+}
+
+// --- Device deck: per-sample Newton re-bias, bit-identical at any thread count
+
+/// The transistor-level µA741 with its bias-chain resistor r5 lifted to a
+/// .param: every Monte-Carlo sample moves the operating point, so each
+/// sample runs its own Newton bias solve before linearization.
+std::string parameterized_ua741_npn() {
+  std::ifstream in(std::string(SYMREF_SOURCE_DIR) + "/tools/data/ua741_npn.cir");
+  std::ostringstream text;
+  text << in.rdbuf();
+  std::string deck = text.str();
+  const std::string card = "r5 b11 bias 39000";
+  const std::size_t at = deck.find(card);
+  EXPECT_NE(at, std::string::npos) << "ua741_npn.cir no longer has the r5 card";
+  if (at == std::string::npos) return deck;
+  deck.replace(at, card.size(), "r5 b11 bias {r5v}");
+  return ".param r5v=39000\n" + deck;
+}
+
+TEST(ParamSweep, DeviceDeckMonteCarloBitIdenticalAcrossThreadCounts) {
+  const netlist::NetlistTemplate tpl =
+      netlist::parse_netlist_template(parameterized_ua741_npn());
+  ParamSweepOptions options;
+  options.spec = circuits::ua741_gain_spec();
+  options.f_start_hz = 1.0;
+  options.f_stop_hz = 1e8;
+  options.points_per_decade = 2;
+  const ParamSamplePlan plan = monte_carlo_samples(
+      {{"r5v", 39000.0, 0.05, ParamDist::Kind::kGaussian}}, 64, 3);
+
+  options.threads = 1;
+  const ParamSweepResult serial = run_param_sweep(tpl, plan, options);
+  EXPECT_EQ(serial.op_solves, 65u);  // nominal baseline + one re-bias per sample
+  for (const int threads : {3, 8}) {
+    options.threads = threads;
+    const ParamSweepResult parallel = run_param_sweep(tpl, plan, options);
+    ASSERT_EQ(parallel.response.size(), serial.response.size());
+    for (std::size_t i = 0; i < serial.response.size(); ++i) {
+      // Bit-equality: a sample's bias solve must not depend on which lane
+      // ran it or which samples that lane solved before.
+      EXPECT_EQ(serial.response[i].real(), parallel.response[i].real())
+          << "threads=" << threads << " index " << i;
+      EXPECT_EQ(serial.response[i].imag(), parallel.response[i].imag())
+          << "threads=" << threads << " index " << i;
+    }
+    EXPECT_EQ(serial.ok, parallel.ok);
+    EXPECT_EQ(serial.fresh_factorizations, parallel.fresh_factorizations);
+    EXPECT_EQ(serial.op_solves, parallel.op_solves);
+    EXPECT_EQ(serial.newton_iterations, parallel.newton_iterations);
   }
 }
 

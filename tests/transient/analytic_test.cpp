@@ -1,9 +1,11 @@
 // Transient integrator vs closed-form circuit theory: first-order RC/RL
-// step responses, the three damping regimes of a series RLC, and a diode
+// step responses, the three damping regimes of a series RLC, a diode
 // rectifier checked against a per-point scalar Newton solution of the diode
-// equation. These are the golden references the integrator has to hit — any
-// companion-model sign error, history-rollover bug or step-control defect
-// shows up here as a tolerance violation, not a subtle drift.
+// equation, a DC-driven deck that must sit still at its operating point, and
+// a node only devices touch. These are the golden references the integrator
+// has to hit — any history-coefficient sign error, history-rollover bug or
+// step-control defect shows up here as a tolerance violation, not a subtle
+// drift.
 #include "transient/transient.h"
 
 #include <gtest/gtest.h>
@@ -11,6 +13,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "dc/newton.h"
 #include "devices/models.h"
 #include "netlist/parser.h"
 
@@ -264,15 +267,14 @@ TEST(TransientAnalytic, DiodeRectifierTracksThePerPointNewtonSolution) {
       "r1 in out 1k\n"
       "d1 out 0 dfast\n"
       ".end\n");
-  TransientOptions o = fixed_step(2e-3, 2e-6);  // two cycles, 500 pts/cycle
-  const TransientResult r = solve_transient(c, o);
+  const TransientResult r = solve_transient(c, fixed_step(2e-3, 2e-6));  // 500 pts/cycle
   ASSERT_FALSE(c.devices().empty());
   const netlist::DeviceModel& model = c.devices()[0].model;
   const std::vector<double> wave = r.waveform_of("out");
   double worst = 0.0;
   for (std::size_t k = 0; k < r.times.size(); ++k) {
     const double vin = 5.0 * std::sin(2.0 * kPi * 1e3 * r.times[k]);
-    worst = std::max(worst, std::fabs(wave[k] - rectifier_reference(vin, 1e3, model, o.gmin)));
+    worst = std::max(worst, std::fabs(wave[k] - rectifier_reference(vin, 1e3, model, kGmin)));
   }
   // Memoryless circuit: the only error is Newton's own tolerance.
   EXPECT_LT(worst, 1e-5);
@@ -308,6 +310,86 @@ TEST(TransientAnalytic, PeakDetectorHoldsChargeAcrossReverseHalfCycles) {
   EXPECT_GT(wave[k_hold], 4.0);
   // And it must never exceed the crest of the drive.
   EXPECT_LT(*std::max_element(wave.begin(), wave.end()), 5.0);
+}
+
+// --- The matrix history at a fixed point ------------------------------------
+//
+// A linear deck driven only by DC sources has x' = 0 at its operating point,
+// so every step must reproduce the .op. A step coefficient set that is not
+// consistent (a0 != a1 + a2), a wrong sign in the C·x history, or a spurious
+// initial y = C·x' (solve round-off amplified by the initialization
+// micro-step's 1/h) moves it.
+
+TEST(TransientAnalytic, DcDrivenLinearDeckStaysAtItsOperatingPoint) {
+  const netlist::Circuit c = netlist::parse_netlist(
+      "* R, C, L, VCVS, CCCS and DC sources\n"
+      "vs in 0 dc 5\n"
+      "r1 in a 1k\n"
+      "l1 a b 2m\n"
+      "c1 b 0 100n\n"
+      "r2 b 0 2k\n"
+      "e1 c 0 b 0 2\n"
+      "r3 c d 500\n"
+      "c2 d 0 47n\n"
+      "f1 0 d vs 0.1\n"
+      "is1 0 b dc 1m\n"
+      "r4 d 0 3k\n"
+      ".end\n");
+  const dc::OpResult op = dc::solve_op(c);
+  std::vector<double> x_op = op.node_voltages;
+  x_op.insert(x_op.end(), op.branch_currents.begin(), op.branch_currents.end());
+  for (const double value : x_op) ASSERT_NE(value, 0.0);  // every unknown has a scale
+
+  for (const Method m : {Method::kTrapezoidal, Method::kBdf1, Method::kBdf2}) {
+    const TransientResult r = solve_transient(c, fixed_step(200e-6, 1e-6, m));
+    ASSERT_EQ(r.steps, 200) << method_name(m);
+    for (std::size_t i = 0; i < x_op.size(); ++i) {
+      double worst = 0.0;
+      for (const std::vector<double>& state : r.states) {
+        worst = std::max(worst, std::fabs(state[i] - x_op[i]) / std::fabs(x_op[i]));
+      }
+      EXPECT_LT(worst, 1e-9) << method_name(m) << ", unknown " << i;
+    }
+  }
+}
+
+// --- A node only devices touch -----------------------------------------------
+//
+// Node b joins two identical diodes and nothing else, so it gets its row from
+// the device terminals alone. Identical diodes in series carry the same
+// current and split the drop evenly: v(b) = v(a) / 2 at the operating point
+// and at every time point of this memoryless circuit.
+
+TEST(TransientAnalytic, NodeOnlyDevicesTouchSolvesAtOpAndOverTime) {
+  const netlist::Circuit c = netlist::parse_netlist(
+      "* diode stack\n"
+      ".model dm d is=1e-14 n=1\n"
+      "vin in 0 dc 3 sin(3 2 1k)\n"
+      "r1 in a 1k\n"
+      "d1 a b dm\n"
+      "d2 b 0 dm\n"
+      ".end\n");
+  const dc::OpResult op = dc::solve_op(c);
+  const double va = op.voltage_of("a");
+  const double vb = op.voltage_of("b");
+  EXPECT_NEAR(vb, va / 2.0, 1e-6);
+  // KCL at a: the resistor feeds the stack's junction current.
+  const netlist::DeviceModel& model = c.devices()[0].model;
+  const double n_vt = model.n * devices::kThermalVoltage;
+  EXPECT_NEAR((3.0 - va) / 1e3, model.is * std::expm1(vb / n_vt), 1e-9);
+
+  const TransientResult r = solve_transient(c, fixed_step(1e-3, 2e-6));
+  const std::vector<double> wa = r.waveform_of("a");
+  const std::vector<double> wb = r.waveform_of("b");
+  EXPECT_NEAR(wb.front(), vb, 1e-9);
+  double worst = 0.0;
+  for (std::size_t k = 0; k < wb.size(); ++k) {
+    worst = std::max(worst, std::fabs(wb[k] - wa[k] / 2.0));
+  }
+  EXPECT_LT(worst, 1e-5);
+  // The drive swings 1..5 V, so the stack's drop must follow it.
+  EXPECT_GT(*std::max_element(wb.begin(), wb.end()) - *std::min_element(wb.begin(), wb.end()),
+            0.02);
 }
 
 }  // namespace

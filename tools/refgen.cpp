@@ -596,6 +596,25 @@ int dial_with_retry(const std::string& target, int retries, std::string* error) 
   }
 }
 
+/// Write the JSON envelope where --json points: stdout for "-" (or a bare
+/// --json), else the named file. Returns 0, or 2 when the file cannot be
+/// written.
+int write_envelope(const symref::support::CliArgs& args, const Json& envelope) {
+  const std::string path = args.get("json", "-");
+  const std::string text = envelope.dump(2);
+  if (path == "-" || path.empty()) {
+    std::printf("%s\n", text.c_str());
+    return 0;
+  }
+  std::ofstream file(path);
+  file << text << '\n';
+  if (!file) {
+    std::fprintf(stderr, "error: cannot write '%s'\n", path.c_str());
+    return 2;
+  }
+  return 0;
+}
+
 int run_connected(const symref::support::CliArgs& args, const std::string& netlist_text,
                   const std::vector<AnyRequest>& requests, bool json_mode, bool progress) {
   std::string error;
@@ -695,7 +714,7 @@ int run_connected(const symref::support::CliArgs& args, const std::string& netli
     output.set("circuit", std::move(circuit));
     output.set("ok", failures.exit_code() == 0);
     output.set("responses", std::move(responses));
-    std::printf("%s\n", output.dump(2).c_str());
+    if (const int written = write_envelope(args, output); written != 0) return written;
   }
   return failures.exit_code();
 }
@@ -987,7 +1006,7 @@ int main(int argc, char** argv) {
       output.set("status", symref::api::to_json(compiled.status()));
       output.set("ok", false);
       output.set("responses", Json::array());
-      std::printf("%s\n", output.dump(2).c_str());
+      if (const int written = write_envelope(args, output); written != 0) return written;
     }
     std::fprintf(stderr, "error: %s\n", compiled.status().to_string().c_str());
     return exit_code_for(compiled.status().code());
@@ -1070,19 +1089,7 @@ int main(int argc, char** argv) {
     output.set("circuit", std::move(circuit));
     output.set("ok", failures.exit_code() == 0);
     output.set("responses", std::move(responses));
-
-    const std::string path = args.get("json", "-");
-    const std::string text = output.dump(2);
-    if (path == "-" || path.empty()) {
-      std::printf("%s\n", text.c_str());
-    } else {
-      std::ofstream file(path);
-      file << text << '\n';
-      if (!file) {
-        std::fprintf(stderr, "error: cannot write '%s'\n", path.c_str());
-        return 2;
-      }
-    }
+    if (const int written = write_envelope(args, output); written != 0) return written;
   }
   return failures.exit_code();
 }

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Smoke-test the refgend daemon over stdio.
+"""Smoke-test the refgend daemon over stdio (and one TCP session).
 
 Usage: server_smoke.py <refgend> <refgen> <netlist>
 
-Seven scenarios, all against the bundled netlist (the transient scenario
+Eight scenarios, all against the bundled netlist (the transient scenario
 builds its own small nonlinear deck — the bundled models have no
 time-varying sources):
   1. Four CONCURRENT stdio-scripted sessions (one refgend process each):
@@ -32,6 +32,9 @@ time-varying sources):
      a restarted daemon sharing the store dir must reply "stored": true
      with a result byte-identical to the pre-crash response. A corrupted
      store entry must be quarantined (<key>.corrupt) and recomputed.
+  8. refgen --connect against a TCP daemon (--listen=0) with --json=PATH:
+     the envelope lands in PATH, nothing is printed on stdout, and the
+     reference is byte-identical to the direct run.
 
 Set REFGEN_CHAOS=1 to additionally run every store-scenario daemon plus a
 retry session under low-probability injected faults (REFGEN_FAULT): results
@@ -436,6 +439,36 @@ def main():
               + (" [chaos: REFGEN_FAULT active]" if chaos else ""))
     finally:
         shutil.rmtree(store_dir, ignore_errors=True)
+
+    # --- 8. refgen --connect honours --json=PATH ---------------------------
+    # A remote session writes its envelope where --json points, exactly like
+    # a local run: the file holds the envelope and stdout stays empty.
+    listener = subprocess.Popen([daemon, "--listen=0"], stdout=subprocess.PIPE,
+                                stderr=subprocess.DEVNULL, text=True)
+    out_dir = tempfile.mkdtemp(prefix="refgen-connect-")
+    try:
+        banner = listener.stdout.readline()
+        assert banner.startswith("refgend: listening on "), banner
+        target = banner.rsplit(" ", 1)[1].strip()
+        envelope_path = os.path.join(out_dir, "envelope.json")
+        remote = subprocess.run(
+            [refgen, netlist_path, "--in=inp", "--in-neg=inn", "--out=vo",
+             "--connect=" + target, "--json=" + envelope_path],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert remote.returncode == 0, remote.stderr
+        assert remote.stdout == "", "--connect --json=PATH printed on stdout"
+        with open(envelope_path) as handle:
+            envelope = json.load(handle)
+        assert envelope["status"]["code"] == "ok" and envelope["ok"] is True, envelope
+        got = json.dumps(envelope["responses"][0]["reference"], sort_keys=True)
+        assert got == expected_reference, "--connect reference differs from the direct run"
+        print("connect OK: --json=PATH written by the remote session, stdout "
+              "empty, reference byte-identical to the direct run")
+    finally:
+        listener.terminate()
+        listener.wait(timeout=30)
+        shutil.rmtree(out_dir, ignore_errors=True)
 
 
 if __name__ == "__main__":
