@@ -7,28 +7,20 @@
 #include <ostream>
 #include <utility>
 
+#include "api/wire.h"
+
 namespace symref::api::protocol {
 
 namespace {
 
-Status require_string(const Json& params, const char* key, std::string* out) {
-  const Json* value = params.find(key);
-  if (value == nullptr || !value->is_string()) {
-    return Status::error(StatusCode::kInvalidArgument,
-                         std::string("params: missing string \"") + key + "\"");
-  }
-  *out = value->as_string();
-  return Status();
-}
+using wire::Need;
 
-bool read_flag(const Json& params, const char* key, bool fallback) {
-  const Json* value = params.find(key);
-  return value != nullptr && value->is_bool() ? value->as_bool() : fallback;
-}
-
-double read_number(const Json& params, const char* key, double fallback) {
-  const Json* value = params.find(key);
-  return value != nullptr && value->is_number() ? value->as_number() : fallback;
+/// The params of a method that takes one required string member (strict,
+/// like every method's params).
+Status one_string(const Json& params, const char* key, std::string* out) {
+  wire::Decoder in(params, "params");
+  in.field(key, *out, Need::kRequired);
+  return in.finish();
 }
 
 /// Reference-store key of one (compiled netlist, request) pair: the same
@@ -167,24 +159,23 @@ Json Session::dispatch(const Json& request) {
     if (!request.is_object()) {
       return Status::error(StatusCode::kInvalidArgument, "request: expected a JSON object");
     }
-    std::string method;
-    Status status = require_string(request, "method", &method);
-    if (!status.ok()) {
+    const Json* method_json = request.find("method");
+    if (method_json == nullptr || !method_json->is_string()) {
       return Status::error(StatusCode::kInvalidArgument, "request: missing string \"method\"");
     }
+    const std::string& method = method_json->as_string();
+    static const Json kNoParams = Json::object();
     const Json* params_ptr = request.find("params");
-    const Json params = params_ptr != nullptr ? *params_ptr : Json::object();
-    if (!params.is_object()) {
-      return Status::error(StatusCode::kInvalidArgument, "params: expected a JSON object");
-    }
+    const Json& params = params_ptr != nullptr ? *params_ptr : kNoParams;
+    Status status;
 
     if (method == "compile") {
       std::string netlist;
-      if (!(status = require_string(params, "netlist", &netlist)).ok()) return status;
       std::string name;
-      if (const Json* value = params.find("name"); value != nullptr && value->is_string()) {
-        name = value->as_string();
-      }
+      wire::Decoder in(params, "params");
+      in.field("netlist", netlist, Need::kRequired);
+      in.field("name", name);
+      if (!(status = in.finish()).ok()) return status;
       Result<CircuitHandle> compiled = core_.service().compile_netlist(netlist, name);
       if (!compiled.ok()) return compiled.status();
       CircuitHandle handle = compiled.take();
@@ -197,23 +188,24 @@ Json Session::dispatch(const Json& request) {
 
     if (method == "submit") {
       std::string circuit_id;
-      if (!(status = require_string(params, "circuit_id", &circuit_id)).ok()) return status;
-      const Json* request_json = params.find("request");
-      if (request_json == nullptr) {
-        return Status::error(StatusCode::kInvalidArgument,
-                             "params: missing object \"request\"");
-      }
+      AnyRequest any_request;
+      bool progress_events = false;
+      SubmitOptions options;
+      options.retry = core_.options().default_retry;
+      wire::Decoder in(params, "params");
+      in.field("circuit_id", circuit_id, Need::kRequired);
+      in.object("request", any_request, Need::kRequired);
+      in.field("progress", progress_events);
+      in.field("deadline_ms", options.deadline_ms);
+      in.field("max_attempts", options.retry.max_attempts);
+      if (!(status = in.finish()).ok()) return status;
       Result<CircuitHandle> handle_result = core_.registry().get(circuit_id);
       if (!handle_result.ok()) return handle_result.status();
-      Result<AnyRequest> parsed = request_from_json(*request_json);
-      if (!parsed.ok()) return parsed.status();
       CircuitHandle handle = handle_result.take();
-      AnyRequest any_request = parsed.take();
 
       const std::shared_ptr<Writer> writer = writer_;
-      JobProgressFn on_progress;
-      if (read_flag(params, "progress", false)) {
-        on_progress = [writer](const JobProgress& progress) {
+      if (progress_events) {
+        options.on_progress = [writer](const JobProgress& progress) {
           Json event = Json::object();
           event.set("event", "progress");
           event.set("job_id", job_id_token(progress.id));
@@ -274,15 +266,7 @@ Json Session::dispatch(const Json& request) {
         }
       }
 
-      SubmitOptions options;
-      options.on_progress = std::move(on_progress);
       options.on_done = std::move(on_done);
-      options.deadline_ms = read_number(params, "deadline_ms", 0.0);
-      options.retry = core_.options().default_retry;
-      if (const Json* value = params.find("max_attempts");
-          value != nullptr && value->is_number()) {
-        options.retry.max_attempts = value->as_int(options.retry.max_attempts);
-      }
       const JobId job =
           core_.jobs().submit(std::move(handle), std::move(any_request), std::move(options));
       submitted_.push_back(job);
@@ -293,7 +277,7 @@ Json Session::dispatch(const Json& request) {
 
     if (method == "poll" || method == "wait") {
       std::string token;
-      if (!(status = require_string(params, "job_id", &token)).ok()) return status;
+      if (!(status = one_string(params, "job_id", &token)).ok()) return status;
       Result<JobId> job = parse_job_id(token);
       if (!job.ok()) return job.status();
       if (method == "wait") {
@@ -313,7 +297,7 @@ Json Session::dispatch(const Json& request) {
 
     if (method == "cancel") {
       std::string token;
-      if (!(status = require_string(params, "job_id", &token)).ok()) return status;
+      if (!(status = one_string(params, "job_id", &token)).ok()) return status;
       Result<JobId> job = parse_job_id(token);
       if (!job.ok()) return job.status();
       Json out = Json::object();
@@ -323,6 +307,7 @@ Json Session::dispatch(const Json& request) {
     }
 
     if (method == "list") {
+      if (!(status = wire::Decoder(params, "params").finish()).ok()) return status;
       Json circuits = Json::array();
       for (const Registry::Entry& entry : core_.registry().list()) {
         circuits.push_back(circuit_info(entry.id, entry.handle));
@@ -337,7 +322,7 @@ Json Session::dispatch(const Json& request) {
 
     if (method == "evict") {
       std::string circuit_id;
-      if (!(status = require_string(params, "circuit_id", &circuit_id)).ok()) return status;
+      if (!(status = one_string(params, "circuit_id", &circuit_id)).ok()) return status;
       Json out = Json::object();
       out.set("circuit_id", circuit_id);
       out.set("evicted", core_.registry().evict(circuit_id));
@@ -346,7 +331,7 @@ Json Session::dispatch(const Json& request) {
 
     if (method == "stats") {
       std::string circuit_id;
-      if (!(status = require_string(params, "circuit_id", &circuit_id)).ok()) return status;
+      if (!(status = one_string(params, "circuit_id", &circuit_id)).ok()) return status;
       Result<CircuitHandle> handle = core_.registry().get(circuit_id);
       if (!handle.ok()) return handle.status();
       Result<CacheStats> stats = core_.service().cache_stats(handle.value());
@@ -396,6 +381,7 @@ Json Session::dispatch(const Json& request) {
     }
 
     if (method == "shutdown") {
+      if (!(status = wire::Decoder(params, "params").finish()).ok()) return status;
       stop_ = true;
       core_.request_shutdown();
       Json out = Json::object();

@@ -1,10 +1,15 @@
 #include "api/serialize.h"
 
+#include <algorithm>
 #include <climits>
 #include <cmath>
+#include <concepts>
 #include <cstdio>
-#include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
+
+#include "api/wire.h"
 
 namespace symref::api {
 
@@ -67,116 +72,356 @@ Json envelope(const char* type, const Status& status) {
   return out;
 }
 
-// --- Strict decoding helpers ------------------------------------------------
+}  // namespace
 
-/// Verifies every member of `json` is in the allowed list.
-Status check_keys(const Json& json, std::initializer_list<const char*> allowed,
-                  const char* what) {
-  if (!json.is_object()) {
-    return Status::error(StatusCode::kInvalidArgument,
-                         std::string(what) + ": expected a JSON object");
+namespace wire {
+
+// --- Strict decoding --------------------------------------------------------
+
+Decoder::Decoder(const Json& json, const char* what) : json_(json), what_(what) {
+  named_.reserve(16);
+  if (!json.is_object()) fail("expected a JSON object");
+}
+
+const Json* Decoder::find(const char* key, Need need) {
+  named_.push_back(key);
+  if (!status_.ok()) return nullptr;
+  const Json* value = json_.find(key);
+  if (value == nullptr && (need == Need::kRequired || need == Need::kNonEmpty)) {
+    fail("missing required key \"" + std::string(key) + "\"");
   }
-  for (const auto& [key, value] : json.members()) {
-    bool known = false;
-    for (const char* name : allowed) {
-      if (key == name) {
-        known = true;
-        break;
+  return value;
+}
+
+void Decoder::fail(const char* key, const char* message) {
+  std::string text = "\"";
+  text.append(key).append("\" ").append(message);
+  fail(std::move(text));
+}
+
+void Decoder::fail(std::string message) {
+  status_ = Status::error(StatusCode::kInvalidArgument, std::string(what_) + ": " + message);
+}
+
+bool Decoder::adopt(Status status) {
+  if (status.ok()) return true;
+  status_ = std::move(status);
+  return false;
+}
+
+bool Decoder::integer(const char* key, Need need, double low, double high, double* out) {
+  const Json* value = find(key, need);
+  if (value == nullptr) return false;
+  if (need == Need::kPositive) {
+    low = 1.0;
+    high = INT_MAX;
+  }
+  // Range-check before any cast: casting an out-of-range double is
+  // undefined, and these members come from untrusted documents.
+  const double number = value->as_number();
+  if (!value->is_number() || !(number >= low && number <= high) ||
+      number != std::trunc(number)) {
+    char range[64];
+    std::snprintf(range, sizeof(range), "must be an integer in [%.0f, %.0f]", low, high);
+    fail(key, range);
+    return false;
+  }
+  *out = number;
+  return true;
+}
+
+void Decoder::field(const char* key, double& member, Need need) {
+  const Json* value = find(key, need);
+  if (value == nullptr) return;
+  if (!value->is_number()) return fail(key, "must be a number");
+  member = value->as_number();
+}
+
+void Decoder::field(const char* key, int& member, Need need) {
+  double number = 0.0;
+  if (integer(key, need, INT_MIN, INT_MAX, &number)) member = static_cast<int>(number);
+}
+
+void Decoder::field(const char* key, std::uint64_t& member, Need need) {
+  double number = 0.0;
+  if (integer(key, need, 0.0, 0x1p53, &number)) member = static_cast<std::uint64_t>(number);
+}
+
+void Decoder::field(const char* key, bool& member, Need need) {
+  const Json* value = find(key, need);
+  if (value == nullptr) return;
+  if (!value->is_bool()) return fail(key, "must be a boolean");
+  member = value->as_bool();
+}
+
+void Decoder::field(const char* key, std::string& member, Need need) {
+  const Json* value = find(key, need);
+  if (value == nullptr) return;
+  if (!value->is_string()) return fail(key, "must be a string");
+  member = value->as_string();
+}
+
+Status Decoder::finish() {
+  if (!status_.ok()) return status_;
+  for (const auto& member : json_.members()) {
+    const std::string& key = member.first;
+    if (std::none_of(named_.begin(), named_.end(),
+                     [&key](const char* name) { return key == name; })) {
+      fail("unknown key \"" + key + "\"");
+      break;
+    }
+  }
+  return status_;
+}
+
+// --- Encoding ---------------------------------------------------------------
+
+template <typename T>
+Json encode(const T& value);
+
+/// The Decoder's twin: writes each member in schema order.
+class Encoder {
+ public:
+  void field(const char* key, double value, Need = Need::kOptional) { out_.set(key, value); }
+  void field(const char* key, int value, Need = Need::kOptional) { out_.set(key, value); }
+  void field(const char* key, bool value, Need = Need::kOptional) { out_.set(key, value); }
+  void field(const char* key, const std::string& value, Need = Need::kOptional) {
+    out_.set(key, value);
+  }
+  void field(const char* key, std::uint64_t value, Need = Need::kOptional) {
+    out_.set(key, static_cast<double>(value));
+  }
+  template <typename E, std::size_t N>
+  void choice(const char* key, E value, const Token<E> (&tokens)[N], Need = Need::kOptional) {
+    for (const Token<E>& token : tokens) {
+      if (token.value == value) {
+        out_.set(key, token.name);
+        return;
       }
     }
-    if (!known) {
-      return Status::error(StatusCode::kInvalidArgument,
-                           std::string(what) + ": unknown key \"" + key + "\"");
-    }
   }
-  return Status();
+  template <typename T>
+  void object(const char* key, const T& member, Need = Need::kOptional) {
+    out_.set(key, encode(member));
+  }
+  template <typename T>
+  void objects(const char* key, const std::vector<T>& items, const char* /*what*/,
+               Need = Need::kOptional) {
+    Json array = Json::array();
+    for (const T& item : items) array.push_back(encode(item));
+    out_.set(key, std::move(array));
+  }
+  void ignored(const char* /*key*/) {}
+
+  Json take() { return std::move(out_); }
+
+ private:
+  Json out_ = Json::object();
+};
+
+template <typename T>
+Json encode(const T& value) {
+  Encoder out;
+  schema(out, value);
+  return out.take();
 }
 
-Status read_string(const Json& json, const char* key, bool required, std::string* out,
-                   const char* what) {
-  const Json* value = json.find(key);
-  if (value == nullptr) {
-    if (!required) return Status();
-    return Status::error(StatusCode::kInvalidArgument,
-                         std::string(what) + ": missing required key \"" + key + "\"");
-  }
-  if (!value->is_string()) {
-    return Status::error(StatusCode::kInvalidArgument,
-                         std::string(what) + ": \"" + key + "\" must be a string");
-  }
-  *out = value->as_string();
-  return Status();
+// --- Schemas: every wire member of every request type, named once ----------
+
+/// `T` is `U` or `const U`: one schema serves the Decoder (mutable members)
+/// and the Encoder (const members).
+template <typename T, typename U>
+concept Is = std::same_as<std::remove_const_t<T>, U>;
+
+constexpr Token<mna::TransferSpec::Kind> kSpecKinds[] = {
+    {"voltage_gain", mna::TransferSpec::Kind::VoltageGain},
+    {"transimpedance", mna::TransferSpec::Kind::Transimpedance}};
+
+constexpr Token<ParamSweepRequest::Mode> kSweepModes[] = {
+    {"grid", ParamSweepRequest::Mode::kGrid},
+    {"monte_carlo", ParamSweepRequest::Mode::kMonteCarlo}};
+
+constexpr Token<mna::ParamDist::Kind> kDistKinds[] = {
+    {"gaussian", mna::ParamDist::Kind::kGaussian},
+    {"uniform", mna::ParamDist::Kind::kUniform}};
+
+/// transient::method_from_name's tokens; the first of each method is the
+/// one the encoder writes (transient::method_name).
+constexpr Token<transient::Method> kMethods[] = {
+    {"trap", transient::Method::kTrapezoidal}, {"trapezoidal", transient::Method::kTrapezoidal},
+    {"bdf1", transient::Method::kBdf1},        {"be", transient::Method::kBdf1},
+    {"euler", transient::Method::kBdf1},       {"bdf2", transient::Method::kBdf2},
+    {"gear2", transient::Method::kBdf2}};
+
+constexpr Token<AnyRequest::Type> kRequestTypes[] = {
+    {"refgen", AnyRequest::Type::kRefgen},
+    {"sweep", AnyRequest::Type::kSweep},
+    {"poles_zeros", AnyRequest::Type::kPolesZeros},
+    {"batch", AnyRequest::Type::kBatch},
+    {"param_sweep", AnyRequest::Type::kParamSweep},
+    {"simplify", AnyRequest::Type::kSimplify},
+    {"op", AnyRequest::Type::kOp},
+    {"transient", AnyRequest::Type::kTransient}};
+
+template <typename IO, Is<mna::TransferSpec> Spec>
+void schema(IO& io, Spec& spec) {
+  io.choice("kind", spec.kind, kSpecKinds);
+  io.field("in", spec.in_pos, Need::kRequired);
+  io.field("in_neg", spec.in_neg);
+  io.field("out", spec.out_pos, Need::kRequired);
+  io.field("out_neg", spec.out_neg);
 }
 
-Status read_number(const Json& json, const char* key, double* out, const char* what) {
-  const Json* value = json.find(key);
-  if (value == nullptr) return Status();
-  if (!value->is_number()) {
-    return Status::error(StatusCode::kInvalidArgument,
-                         std::string(what) + ": \"" + key + "\" must be a number");
-  }
-  *out = value->as_number();
-  return Status();
+template <typename IO, Is<refgen::AdaptiveOptions> Options>
+void schema(IO& io, Options& options) {
+  io.field("sigma", options.sigma);
+  io.field("noise_decades", options.noise_decades);
+  io.field("tuning_r", options.tuning_r);
+  io.field("max_iterations", options.max_iterations);
+  io.field("use_deflation", options.use_deflation);
+  io.field("conjugate_symmetry", options.conjugate_symmetry);
+  io.field("simultaneous_scaling", options.simultaneous_scaling);
+  io.field("geometric_mean_heuristic", options.geometric_mean_heuristic);
+  io.field("initial_f", options.initial_f);
+  io.field("initial_g", options.initial_g);
+  io.field("no_progress_limit", options.no_progress_limit);
+  io.field("threads", options.threads);
+  io.ignored("kernel");  // the replay kernel is chosen automatically
 }
 
-/// read_number that treats an absent key as an error — for fields where a
-/// silent default would change the study (sweep ranges, nominals).
-Status read_required_number(const Json& json, const char* key, double* out,
-                            const char* what) {
-  if (json.find(key) == nullptr) {
-    return Status::error(StatusCode::kInvalidArgument,
-                         std::string(what) + ": missing required key \"" + key + "\"");
-  }
-  return read_number(json, key, out, what);
+/// refgen, poles_zeros and batch items.
+template <typename IO, typename Request>
+  requires Is<Request, RefgenRequest> || Is<Request, PolesZerosRequest>
+void schema(IO& io, Request& request) {
+  io.object("spec", request.spec, Need::kRequired);
+  io.object("options", request.options);
+  io.field("auto_linearize", request.auto_linearize);
 }
 
-Status read_int(const Json& json, const char* key, int* out, const char* what) {
-  double value = *out;
-  const Status status = read_number(json, key, &value, what);
+template <typename IO, Is<SweepRequest> Sweep>
+void schema(IO& io, Sweep& sweep) {
+  io.object("spec", sweep.spec, Need::kRequired);
+  io.field("f_start_hz", sweep.f_start_hz);
+  io.field("f_stop_hz", sweep.f_stop_hz);
+  io.field("points_per_decade", sweep.points_per_decade);
+  io.field("threads", sweep.threads);
+  io.field("auto_linearize", sweep.auto_linearize);
+  io.ignored("kernel");
+}
+
+template <typename IO, Is<OpRequest> Op>
+void schema(IO& io, Op& /*op*/) {
+  io.ignored("threads");  // op runs serially
+}
+
+template <typename IO, Is<TransientRequest> Transient>
+void schema(IO& io, Transient& transient) {
+  io.field("tstop", transient.tstop, Need::kRequired);
+  io.field("tstep", transient.tstep);
+  io.choice("method", transient.method, kMethods);
+  io.field("adaptive", transient.adaptive);
+  io.ignored("threads");  // transient runs serially
+}
+
+template <typename IO, Is<BatchRequest> Batch>
+void schema(IO& io, Batch& batch) {
+  io.objects("items", batch.items, "batch item", Need::kRequired);
+  io.field("threads", batch.threads);
+}
+
+template <typename IO, Is<SimplifyRequest> Simplify>
+void schema(IO& io, Simplify& simplify) {
+  auto& options = simplify.options;
+  io.object("spec", simplify.spec, Need::kRequired);
+  io.field("error_budget", options.error_budget);
+  io.field("f_start_hz", options.f_start_hz);
+  io.field("f_stop_hz", options.f_stop_hz);
+  io.field("band_points", options.band_points);
+  io.field("prune", options.prune);
+  io.field("prune_share", options.prune_share);
+  io.field("max_terms", options.max_terms_per_coefficient, Need::kPositive);
+  io.field("max_queue", options.max_queue, Need::kPositive);
+  io.field("skip_factor", options.coefficient_skip_factor);
+  io.object("options", options.engine);
+  io.field("auto_linearize", simplify.auto_linearize);
+}
+
+template <typename IO, Is<mna::ParamAxis> Axis>
+void schema(IO& io, Axis& axis) {
+  io.field("name", axis.name, Need::kRequired);
+  io.field("from", axis.from, Need::kRequired);
+  io.field("to", axis.to, Need::kRequired);
+  io.field("count", axis.count, Need::kRequired);
+  io.field("log", axis.log_scale);
+}
+
+template <typename IO, Is<mna::ParamDist> Dist>
+void schema(IO& io, Dist& dist) {
+  io.field("name", dist.name, Need::kRequired);
+  io.field("nominal", dist.nominal, Need::kRequired);
+  io.field("rel_sigma", dist.rel_sigma, Need::kRequired);
+  io.choice("dist", dist.kind, kDistKinds);
+}
+
+/// "mode" comes first: it selects grid axes or Monte-Carlo dimensions (with
+/// their "samples" and "seed") as the "params" entries.
+template <typename IO, Is<ParamSweepRequest> ParamSweep>
+void schema(IO& io, ParamSweep& sweep) {
+  io.object("spec", sweep.spec, Need::kRequired);
+  io.choice("mode", sweep.mode, kSweepModes);
+  if (sweep.mode == ParamSweepRequest::Mode::kGrid) {
+    io.objects("params", sweep.axes, "param axis", Need::kNonEmpty);
+  } else {
+    io.field("samples", sweep.samples);
+    io.field("seed", sweep.seed);
+    io.objects("params", sweep.dists, "param dist", Need::kNonEmpty);
+  }
+  io.field("f_start_hz", sweep.f_start_hz);
+  io.field("f_stop_hz", sweep.f_stop_hz);
+  io.field("points_per_decade", sweep.points_per_decade);
+  io.field("threads", sweep.threads);
+  io.field("auto_linearize", sweep.auto_linearize);
+  io.ignored("kernel");
+}
+
+template <typename IO, Is<AnyRequest> Any>
+void request_schema(IO& io, Any& request) {
+  io.choice("type", request.type, kRequestTypes, Need::kRequired);
+  switch (request.type) {
+    case AnyRequest::Type::kRefgen: return schema(io, request.refgen);
+    case AnyRequest::Type::kSweep: return schema(io, request.sweep);
+    case AnyRequest::Type::kPolesZeros: return schema(io, request.poles_zeros);
+    case AnyRequest::Type::kBatch: return schema(io, request.batch);
+    case AnyRequest::Type::kParamSweep: return schema(io, request.param_sweep);
+    case AnyRequest::Type::kSimplify: return schema(io, request.simplify);
+    case AnyRequest::Type::kOp: return schema(io, request.op);
+    case AnyRequest::Type::kTransient: return schema(io, request.transient);
+  }
+}
+
+void schema(Decoder& in, AnyRequest& request) { request_schema(in, request); }
+
+}  // namespace wire
+
+namespace {
+
+template <typename T>
+Result<T> decode(const Json& json, const char* what) {
+  T value;
+  wire::Decoder in(json, what);
+  schema(in, value);
+  Status status = in.finish();
   if (!status.ok()) return status;
-  // Reject rather than cast out-of-range doubles: the cast would be UB,
-  // and these fields come from untrusted request files.
-  if (!(value >= static_cast<double>(INT_MIN) && value <= static_cast<double>(INT_MAX)) ||
-      value != static_cast<double>(static_cast<int>(value))) {
-    return Status::error(StatusCode::kInvalidArgument,
-                         std::string(what) + ": \"" + key + "\" must be an integer");
-  }
-  *out = static_cast<int>(value);
-  return Status();
+  return value;
 }
 
-Status read_bool(const Json& json, const char* key, bool* out, const char* what) {
-  const Json* value = json.find(key);
-  if (value == nullptr) return Status();
-  if (!value->is_bool()) {
-    return Status::error(StatusCode::kInvalidArgument,
-                         std::string(what) + ": \"" + key + "\" must be a boolean");
-  }
-  *out = value->as_bool();
-  return Status();
-}
-
-/// Required "spec" member.
-Status read_spec(const Json& json, mna::TransferSpec* out, const char* what) {
-  const Json* spec = json.find("spec");
-  if (spec == nullptr) {
-    return Status::error(StatusCode::kInvalidArgument,
-                         std::string(what) + ": missing required key \"spec\"");
-  }
-  Result<mna::TransferSpec> parsed = spec_from_json(*spec);
-  if (!parsed.ok()) return parsed.status();
-  *out = parsed.take();
-  return Status();
-}
-
-/// Optional "options" member (engine defaults when absent).
-Status read_options(const Json& json, refgen::AdaptiveOptions* out) {
-  const Json* options = json.find("options");
-  if (options == nullptr) return Status();
-  Result<refgen::AdaptiveOptions> parsed = options_from_json(*options);
-  if (!parsed.ok()) return parsed.status();
-  *out = parsed.take();
-  return Status();
+/// One request type's members behind its "type" token.
+template <typename Request>
+Json encode_request(AnyRequest::Type type, const Request& request) {
+  wire::Encoder out;
+  out.choice("type", type, wire::kRequestTypes);
+  schema(out, request);
+  return out.take();
 }
 
 }  // namespace
@@ -192,33 +437,9 @@ Json to_json(const Status& status) {
   return out;
 }
 
-Json to_json(const mna::TransferSpec& spec) {
-  Json out = Json::object();
-  out.set("kind", spec.kind == mna::TransferSpec::Kind::VoltageGain ? "voltage_gain"
-                                                                    : "transimpedance");
-  out.set("in", spec.in_pos);
-  out.set("in_neg", spec.in_neg);
-  out.set("out", spec.out_pos);
-  out.set("out_neg", spec.out_neg);
-  return out;
-}
+Json to_json(const mna::TransferSpec& spec) { return wire::encode(spec); }
 
-Json to_json(const refgen::AdaptiveOptions& options) {
-  Json out = Json::object();
-  out.set("sigma", options.sigma);
-  out.set("noise_decades", options.noise_decades);
-  out.set("tuning_r", options.tuning_r);
-  out.set("max_iterations", options.max_iterations);
-  out.set("use_deflation", options.use_deflation);
-  out.set("conjugate_symmetry", options.conjugate_symmetry);
-  out.set("simultaneous_scaling", options.simultaneous_scaling);
-  out.set("geometric_mean_heuristic", options.geometric_mean_heuristic);
-  out.set("initial_f", options.initial_f);
-  out.set("initial_g", options.initial_g);
-  out.set("no_progress_limit", options.no_progress_limit);
-  out.set("threads", options.threads);
-  return out;
-}
+Json to_json(const refgen::AdaptiveOptions& options) { return wire::encode(options); }
 
 Json to_json(const refgen::NumericalReference& reference) {
   Json out = Json::object();
@@ -483,104 +704,21 @@ Json error_response(const char* type, const Status& status) {
 }
 
 Result<mna::TransferSpec> spec_from_json(const Json& json) {
-  constexpr const char* kWhat = "spec";
-  Status status = check_keys(json, {"kind", "in", "in_neg", "out", "out_neg"}, kWhat);
-  if (!status.ok()) return status;
-
-  mna::TransferSpec spec;
-  std::string kind = "voltage_gain";
-  if (!(status = read_string(json, "kind", false, &kind, kWhat)).ok()) return status;
-  if (kind == "voltage_gain") {
-    spec.kind = mna::TransferSpec::Kind::VoltageGain;
-  } else if (kind == "transimpedance") {
-    spec.kind = mna::TransferSpec::Kind::Transimpedance;
-  } else {
-    return Status::error(StatusCode::kInvalidArgument,
-                         "spec: unknown kind \"" + kind +
-                             "\" (expected voltage_gain or transimpedance)");
-  }
-  if (!(status = read_string(json, "in", true, &spec.in_pos, kWhat)).ok()) return status;
-  if (!(status = read_string(json, "out", true, &spec.out_pos, kWhat)).ok()) return status;
-  if (!(status = read_string(json, "in_neg", false, &spec.in_neg, kWhat)).ok()) return status;
-  if (!(status = read_string(json, "out_neg", false, &spec.out_neg, kWhat)).ok()) return status;
-  return spec;
+  return decode<mna::TransferSpec>(json, "spec");
 }
 
 Result<refgen::AdaptiveOptions> options_from_json(const Json& json) {
-  constexpr const char* kWhat = "options";
-  // "kernel" is legacy: accepted and ignored (see request_from_json).
-  Status status = check_keys(json,
-                             {"sigma", "noise_decades", "tuning_r", "max_iterations",
-                              "use_deflation", "conjugate_symmetry", "simultaneous_scaling",
-                              "geometric_mean_heuristic", "initial_f", "initial_g",
-                              "no_progress_limit", "threads", "kernel"},
-                             kWhat);
-  if (!status.ok()) return status;
-
-  refgen::AdaptiveOptions options;
-  if (!(status = read_int(json, "sigma", &options.sigma, kWhat)).ok()) return status;
-  if (!(status = read_number(json, "noise_decades", &options.noise_decades, kWhat)).ok()) {
-    return status;
-  }
-  if (!(status = read_number(json, "tuning_r", &options.tuning_r, kWhat)).ok()) return status;
-  if (!(status = read_int(json, "max_iterations", &options.max_iterations, kWhat)).ok()) {
-    return status;
-  }
-  if (!(status = read_bool(json, "use_deflation", &options.use_deflation, kWhat)).ok()) {
-    return status;
-  }
-  if (!(status = read_bool(json, "conjugate_symmetry", &options.conjugate_symmetry, kWhat))
-           .ok()) {
-    return status;
-  }
-  if (!(status = read_bool(json, "simultaneous_scaling", &options.simultaneous_scaling, kWhat))
-           .ok()) {
-    return status;
-  }
-  if (!(status = read_bool(json, "geometric_mean_heuristic",
-                           &options.geometric_mean_heuristic, kWhat))
-           .ok()) {
-    return status;
-  }
-  if (!(status = read_number(json, "initial_f", &options.initial_f, kWhat)).ok()) return status;
-  if (!(status = read_number(json, "initial_g", &options.initial_g, kWhat)).ok()) return status;
-  if (!(status = read_int(json, "no_progress_limit", &options.no_progress_limit, kWhat)).ok()) {
-    return status;
-  }
-  if (!(status = read_int(json, "threads", &options.threads, kWhat)).ok()) return status;
-  return options;
+  return decode<refgen::AdaptiveOptions>(json, "options");
 }
 
 const char* request_type_name(AnyRequest::Type type) noexcept {
-  switch (type) {
-    case AnyRequest::Type::kRefgen: return "refgen";
-    case AnyRequest::Type::kSweep: return "sweep";
-    case AnyRequest::Type::kPolesZeros: return "poles_zeros";
-    case AnyRequest::Type::kBatch: return "batch";
-    case AnyRequest::Type::kParamSweep: return "param_sweep";
-    case AnyRequest::Type::kSimplify: return "simplify";
-    case AnyRequest::Type::kOp: return "op";
-    case AnyRequest::Type::kTransient: return "transient";
+  for (const auto& token : wire::kRequestTypes) {
+    if (token.value == type) return token.name;
   }
   return "refgen";
 }
 
 namespace {
-
-Json typed(AnyRequest::Type type) {
-  Json out = Json::object();
-  out.set("type", request_type_name(type));
-  return out;
-}
-
-/// The members of a refgen-shaped request: refgen, poles_zeros, batch item.
-Json refgen_members(Json out, const mna::TransferSpec& spec,
-                    const refgen::AdaptiveOptions& options, bool auto_linearize) {
-  out.set("spec", to_json(spec));
-  out.set("options", to_json(options));
-  out.set("auto_linearize", auto_linearize);
-  return out;
-}
 
 /// Deep copy minus every "threads" member.
 Json strip_execution_knobs(const Json& value) {
@@ -607,398 +745,47 @@ Json strip_execution_knobs(const Json& value) {
 }  // namespace
 
 Json to_json(const RefgenRequest& request) {
-  return refgen_members(typed(AnyRequest::Type::kRefgen), request.spec, request.options,
-                        request.auto_linearize);
+  return encode_request(AnyRequest::Type::kRefgen, request);
 }
 
 Json to_json(const PolesZerosRequest& request) {
-  return refgen_members(typed(AnyRequest::Type::kPolesZeros), request.spec, request.options,
-                        request.auto_linearize);
+  return encode_request(AnyRequest::Type::kPolesZeros, request);
 }
 
-Json to_json(const OpRequest& /*request*/) { return typed(AnyRequest::Type::kOp); }
+Json to_json(const OpRequest& request) { return encode_request(AnyRequest::Type::kOp, request); }
 
 Json to_json(const TransientRequest& request) {
-  Json out = typed(AnyRequest::Type::kTransient);
-  out.set("tstop", request.tstop);
-  out.set("tstep", request.tstep);
-  out.set("method", transient::method_name(request.method));
-  out.set("adaptive", request.adaptive);
-  return out;
+  return encode_request(AnyRequest::Type::kTransient, request);
 }
 
 Json to_json(const SweepRequest& request) {
-  Json out = typed(AnyRequest::Type::kSweep);
-  out.set("spec", to_json(request.spec));
-  out.set("f_start_hz", request.f_start_hz);
-  out.set("f_stop_hz", request.f_stop_hz);
-  out.set("points_per_decade", request.points_per_decade);
-  out.set("threads", request.threads);
-  out.set("auto_linearize", request.auto_linearize);
-  return out;
+  return encode_request(AnyRequest::Type::kSweep, request);
 }
 
 Json to_json(const BatchRequest& request) {
-  Json out = typed(AnyRequest::Type::kBatch);
-  Json items = Json::array();
-  for (const RefgenRequest& item : request.items) {
-    items.push_back(refgen_members(Json::object(), item.spec, item.options, item.auto_linearize));
-  }
-  out.set("items", std::move(items));
-  out.set("threads", request.threads);
-  return out;
+  return encode_request(AnyRequest::Type::kBatch, request);
 }
 
 Json to_json(const SimplifyRequest& request) {
-  const refgen::SimplifyOptions& options = request.options;
-  Json out = typed(AnyRequest::Type::kSimplify);
-  out.set("spec", to_json(request.spec));
-  out.set("error_budget", options.error_budget);
-  out.set("f_start_hz", options.f_start_hz);
-  out.set("f_stop_hz", options.f_stop_hz);
-  out.set("band_points", options.band_points);
-  out.set("prune", options.prune);
-  out.set("prune_share", options.prune_share);
-  out.set("max_terms", static_cast<double>(options.max_terms_per_coefficient));
-  out.set("max_queue", static_cast<double>(options.max_queue));
-  out.set("skip_factor", options.coefficient_skip_factor);
-  out.set("options", to_json(options.engine));
-  out.set("auto_linearize", request.auto_linearize);
-  return out;
+  return encode_request(AnyRequest::Type::kSimplify, request);
 }
 
 Json to_json(const ParamSweepRequest& request) {
-  Json out = typed(AnyRequest::Type::kParamSweep);
-  out.set("spec", to_json(request.spec));
-  const bool grid = request.mode == ParamSweepRequest::Mode::kGrid;
-  out.set("mode", grid ? "grid" : "monte_carlo");
-  Json params = Json::array();
-  if (grid) {
-    for (const mna::ParamAxis& axis : request.axes) {
-      Json entry = Json::object();
-      entry.set("name", axis.name);
-      entry.set("from", axis.from);
-      entry.set("to", axis.to);
-      entry.set("count", axis.count);
-      entry.set("log", axis.log_scale);
-      params.push_back(std::move(entry));
-    }
-  } else {
-    for (const mna::ParamDist& dist : request.dists) {
-      Json entry = Json::object();
-      entry.set("name", dist.name);
-      entry.set("nominal", dist.nominal);
-      entry.set("rel_sigma", dist.rel_sigma);
-      entry.set("dist", dist.kind == mna::ParamDist::Kind::kGaussian ? "gaussian" : "uniform");
-      params.push_back(std::move(entry));
-    }
-    out.set("samples", request.samples);
-    out.set("seed", static_cast<double>(request.seed));
-  }
-  out.set("params", std::move(params));
-  out.set("f_start_hz", request.f_start_hz);
-  out.set("f_stop_hz", request.f_stop_hz);
-  out.set("points_per_decade", request.points_per_decade);
-  out.set("threads", request.threads);
-  out.set("auto_linearize", request.auto_linearize);
-  return out;
+  return encode_request(AnyRequest::Type::kParamSweep, request);
 }
 
 Json to_json(const AnyRequest& request) {
-  switch (request.type) {
-    case AnyRequest::Type::kRefgen: return to_json(request.refgen);
-    case AnyRequest::Type::kPolesZeros: return to_json(request.poles_zeros);
-    case AnyRequest::Type::kOp: return to_json(request.op);
-    case AnyRequest::Type::kTransient: return to_json(request.transient);
-    case AnyRequest::Type::kSweep: return to_json(request.sweep);
-    case AnyRequest::Type::kBatch: return to_json(request.batch);
-    case AnyRequest::Type::kSimplify: return to_json(request.simplify);
-    case AnyRequest::Type::kParamSweep: return to_json(request.param_sweep);
-  }
-  return Json::object();
+  wire::Encoder out;
+  wire::request_schema(out, request);
+  return out.take();
 }
 
 std::string request_key(const Json& encoded_request) {
   return strip_execution_knobs(encoded_request).dump();
 }
 
-namespace {
-
-/// The members of a refgen-shaped request: required "spec", optional
-/// "options" and "auto_linearize".
-Result<RefgenRequest> refgen_request_from_json(const Json& json, const char* what) {
-  RefgenRequest request;
-  Status status;
-  if (!(status = read_spec(json, &request.spec, what)).ok()) return status;
-  if (!(status = read_options(json, &request.options)).ok()) return status;
-  if (!(status = read_bool(json, "auto_linearize", &request.auto_linearize, what)).ok()) {
-    return status;
-  }
-  return request;
-}
-
-}  // namespace
-
 Result<AnyRequest> request_from_json(const Json& json) {
-  constexpr const char* kWhat = "request";
-  if (!json.is_object()) {
-    return Status::error(StatusCode::kInvalidArgument, "request: expected a JSON object");
-  }
-  std::string type;
-  Status status = read_string(json, "type", true, &type, kWhat);
-  if (!status.ok()) return status;
-
-  // Accepted-and-ignored members, kept so old request files still parse:
-  // "kernel" (the replay kernel is chosen automatically) and "threads" on op
-  // and transient (both run serially).
-  AnyRequest request;
-  if (type == "refgen" || type == "poles_zeros") {
-    status = check_keys(json, {"type", "spec", "options", "auto_linearize"}, kWhat);
-    if (!status.ok()) return status;
-    Result<RefgenRequest> parsed = refgen_request_from_json(json, kWhat);
-    if (!parsed.ok()) return parsed.status();
-    if (type == "refgen") {
-      request.type = AnyRequest::Type::kRefgen;
-      request.refgen = parsed.take();
-    } else {
-      RefgenRequest refgen = parsed.take();
-      request.type = AnyRequest::Type::kPolesZeros;
-      request.poles_zeros = {std::move(refgen.spec), std::move(refgen.options),
-                             refgen.auto_linearize};
-    }
-    return request;
-  }
-  if (type == "sweep") {
-    status = check_keys(
-        json,
-        {"type", "spec", "f_start_hz", "f_stop_hz", "points_per_decade", "threads", "kernel",
-         "auto_linearize"},
-        kWhat);
-    if (!status.ok()) return status;
-    request.type = AnyRequest::Type::kSweep;
-    SweepRequest& sweep = request.sweep;
-    if (!(status = read_spec(json, &sweep.spec, kWhat)).ok()) return status;
-    if (!(status = read_number(json, "f_start_hz", &sweep.f_start_hz, kWhat)).ok()) {
-      return status;
-    }
-    if (!(status = read_number(json, "f_stop_hz", &sweep.f_stop_hz, kWhat)).ok()) {
-      return status;
-    }
-    if (!(status = read_int(json, "points_per_decade", &sweep.points_per_decade, kWhat)).ok()) {
-      return status;
-    }
-    if (!(status = read_int(json, "threads", &sweep.threads, kWhat)).ok()) return status;
-    if (!(status = read_bool(json, "auto_linearize", &sweep.auto_linearize, kWhat)).ok()) {
-      return status;
-    }
-    return request;
-  }
-  if (type == "op") {
-    status = check_keys(json, {"type", "threads"}, kWhat);
-    if (!status.ok()) return status;
-    request.type = AnyRequest::Type::kOp;
-    return request;
-  }
-  if (type == "transient") {
-    status = check_keys(json, {"type", "tstop", "tstep", "method", "adaptive", "threads"},
-                        kWhat);
-    if (!status.ok()) return status;
-    request.type = AnyRequest::Type::kTransient;
-    TransientRequest& tran = request.transient;
-    if (!(status = read_required_number(json, "tstop", &tran.tstop, kWhat)).ok()) {
-      return status;
-    }
-    if (!(status = read_number(json, "tstep", &tran.tstep, kWhat)).ok()) return status;
-    std::string method;
-    if (!(status = read_string(json, "method", false, &method, kWhat)).ok()) return status;
-    if (!method.empty()) {
-      try {
-        tran.method = transient::method_from_name(method);
-      } catch (const std::invalid_argument& e) {
-        return Status::error(StatusCode::kInvalidArgument, std::string("request: ") + e.what());
-      }
-    }
-    if (!(status = read_bool(json, "adaptive", &tran.adaptive, kWhat)).ok()) return status;
-    return request;
-  }
-  if (type == "batch") {
-    status = check_keys(json, {"type", "items", "threads"}, kWhat);
-    if (!status.ok()) return status;
-    const Json* items = json.find("items");
-    if (items == nullptr || !items->is_array()) {
-      return Status::error(StatusCode::kInvalidArgument,
-                           "request: batch requires an \"items\" array");
-    }
-    request.type = AnyRequest::Type::kBatch;
-    for (const Json& item : items->items()) {
-      status = check_keys(item, {"spec", "options", "auto_linearize"}, "batch item");
-      if (!status.ok()) return status;
-      Result<RefgenRequest> parsed = refgen_request_from_json(item, "batch item");
-      if (!parsed.ok()) return parsed.status();
-      request.batch.items.push_back(parsed.take());
-    }
-    if (!(status = read_int(json, "threads", &request.batch.threads, kWhat)).ok()) {
-      return status;
-    }
-    return request;
-  }
-  if (type == "simplify") {
-    status = check_keys(json,
-                        {"type", "spec", "error_budget", "f_start_hz", "f_stop_hz",
-                         "band_points", "prune", "prune_share", "max_terms", "max_queue",
-                         "skip_factor", "options", "auto_linearize"},
-                        kWhat);
-    if (!status.ok()) return status;
-    request.type = AnyRequest::Type::kSimplify;
-    if (!(status = read_spec(json, &request.simplify.spec, kWhat)).ok()) return status;
-    refgen::SimplifyOptions& options = request.simplify.options;
-    if (!(status = read_number(json, "error_budget", &options.error_budget, kWhat)).ok()) {
-      return status;
-    }
-    if (!(status = read_number(json, "f_start_hz", &options.f_start_hz, kWhat)).ok()) {
-      return status;
-    }
-    if (!(status = read_number(json, "f_stop_hz", &options.f_stop_hz, kWhat)).ok()) {
-      return status;
-    }
-    if (!(status = read_int(json, "band_points", &options.band_points, kWhat)).ok()) {
-      return status;
-    }
-    if (!(status = read_bool(json, "prune", &options.prune, kWhat)).ok()) return status;
-    if (!(status = read_number(json, "prune_share", &options.prune_share, kWhat)).ok()) {
-      return status;
-    }
-    int max_terms = static_cast<int>(options.max_terms_per_coefficient);
-    int max_queue = static_cast<int>(options.max_queue);
-    if (!(status = read_int(json, "max_terms", &max_terms, kWhat)).ok()) return status;
-    if (!(status = read_int(json, "max_queue", &max_queue, kWhat)).ok()) return status;
-    if (max_terms <= 0 || max_queue <= 0) {
-      return Status::error(StatusCode::kInvalidArgument,
-                           "request: \"max_terms\"/\"max_queue\" must be positive");
-    }
-    options.max_terms_per_coefficient = static_cast<std::size_t>(max_terms);
-    options.max_queue = static_cast<std::size_t>(max_queue);
-    if (!(status = read_number(json, "skip_factor", &options.coefficient_skip_factor, kWhat))
-             .ok()) {
-      return status;
-    }
-    if (!(status = read_options(json, &options.engine)).ok()) return status;
-    if (!(status = read_bool(json, "auto_linearize", &request.simplify.auto_linearize, kWhat))
-             .ok()) {
-      return status;
-    }
-    return request;
-  }
-  if (type == "param_sweep") {
-    status = check_keys(json,
-                        {"type", "spec", "mode", "params", "samples", "seed", "f_start_hz",
-                         "f_stop_hz", "points_per_decade", "threads", "kernel",
-                         "auto_linearize"},
-                        kWhat);
-    if (!status.ok()) return status;
-    request.type = AnyRequest::Type::kParamSweep;
-    ParamSweepRequest& sweep = request.param_sweep;
-    if (!(status = read_spec(json, &sweep.spec, kWhat)).ok()) return status;
-
-    std::string mode = "grid";
-    if (!(status = read_string(json, "mode", false, &mode, kWhat)).ok()) return status;
-    const bool grid = mode == "grid";
-    if (!grid && mode != "monte_carlo") {
-      return Status::error(StatusCode::kInvalidArgument,
-                           "request: unknown param_sweep mode \"" + mode +
-                               "\" (expected grid or monte_carlo)");
-    }
-    sweep.mode = grid ? ParamSweepRequest::Mode::kGrid : ParamSweepRequest::Mode::kMonteCarlo;
-
-    const Json* params = json.find("params");
-    if (params == nullptr || !params->is_array() || params->items().empty()) {
-      return Status::error(StatusCode::kInvalidArgument,
-                           "request: param_sweep requires a non-empty \"params\" array");
-    }
-    for (const Json& entry : params->items()) {
-      if (grid) {
-        status = check_keys(entry, {"name", "from", "to", "count", "log"}, "param axis");
-        if (!status.ok()) return status;
-        mna::ParamAxis axis;
-        if (!(status = read_string(entry, "name", true, &axis.name, "param axis")).ok()) {
-          return status;
-        }
-        if (!(status = read_required_number(entry, "from", &axis.from, "param axis")).ok()) {
-          return status;
-        }
-        if (!(status = read_required_number(entry, "to", &axis.to, "param axis")).ok()) {
-          return status;
-        }
-        if (entry.find("count") == nullptr) {
-          return Status::error(StatusCode::kInvalidArgument,
-                               "param axis: missing required key \"count\"");
-        }
-        if (!(status = read_int(entry, "count", &axis.count, "param axis")).ok()) return status;
-        if (!(status = read_bool(entry, "log", &axis.log_scale, "param axis")).ok()) {
-          return status;
-        }
-        sweep.axes.push_back(std::move(axis));
-      } else {
-        status = check_keys(entry, {"name", "nominal", "rel_sigma", "dist"}, "param dist");
-        if (!status.ok()) return status;
-        mna::ParamDist dist;
-        if (!(status = read_string(entry, "name", true, &dist.name, "param dist")).ok()) {
-          return status;
-        }
-        if (!(status = read_required_number(entry, "nominal", &dist.nominal, "param dist"))
-                 .ok()) {
-          return status;
-        }
-        if (!(status =
-                  read_required_number(entry, "rel_sigma", &dist.rel_sigma, "param dist"))
-                 .ok()) {
-          return status;
-        }
-        std::string kind = "gaussian";
-        if (!(status = read_string(entry, "dist", false, &kind, "param dist")).ok()) {
-          return status;
-        }
-        if (kind == "gaussian") {
-          dist.kind = mna::ParamDist::Kind::kGaussian;
-        } else if (kind == "uniform") {
-          dist.kind = mna::ParamDist::Kind::kUniform;
-        } else {
-          return Status::error(StatusCode::kInvalidArgument,
-                               "param dist: unknown dist \"" + kind +
-                                   "\" (expected gaussian or uniform)");
-        }
-        sweep.dists.push_back(std::move(dist));
-      }
-    }
-    if (!(status = read_int(json, "samples", &sweep.samples, kWhat)).ok()) return status;
-    double seed = 0.0;
-    if (!(status = read_number(json, "seed", &seed, kWhat)).ok()) return status;
-    // Seeds ride a JSON number: integers up to 2^53 round-trip exactly.
-    if (!(seed >= 0.0) || seed != static_cast<double>(static_cast<std::uint64_t>(seed)) ||
-        seed > 9007199254740992.0) {
-      return Status::error(StatusCode::kInvalidArgument,
-                           "request: \"seed\" must be a non-negative integer <= 2^53");
-    }
-    sweep.seed = static_cast<std::uint64_t>(seed);
-    if (!(status = read_number(json, "f_start_hz", &sweep.f_start_hz, kWhat)).ok()) {
-      return status;
-    }
-    if (!(status = read_number(json, "f_stop_hz", &sweep.f_stop_hz, kWhat)).ok()) {
-      return status;
-    }
-    if (!(status = read_int(json, "points_per_decade", &sweep.points_per_decade, kWhat)).ok()) {
-      return status;
-    }
-    if (!(status = read_int(json, "threads", &sweep.threads, kWhat)).ok()) return status;
-    if (!(status = read_bool(json, "auto_linearize", &sweep.auto_linearize, kWhat)).ok()) {
-      return status;
-    }
-    return request;
-  }
-  return Status::error(StatusCode::kInvalidArgument,
-                       "request: unknown type \"" + type +
-                           "\" (expected refgen, sweep, poles_zeros, batch, param_sweep, "
-                           "simplify, op, or transient)");
+  return decode<AnyRequest>(json, "request");
 }
 
 Result<std::vector<AnyRequest>> requests_from_json(const Json& json) {

@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "interp/interpolator.h"
-#include "interp/order.h"
 #include "netlist/canonical.h"
 #include "numeric/stats.h"
 #include "refgen/naive.h"

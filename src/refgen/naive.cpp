@@ -1,7 +1,6 @@
 #include "refgen/naive.h"
 
 #include "interp/interpolator.h"
-#include "interp/order.h"
 
 namespace symref::refgen {
 

@@ -167,6 +167,61 @@ TEST(ProtocolSession, ErrorsComeBackStructured) {
   EXPECT_TRUE(compile.find("error")->find("line") != nullptr);
 }
 
+TEST(ProtocolSession, MistypedOrUnknownParamsFailAndCreateNoJob) {
+  ServerCore core;
+  const std::string request = R"("request":{"type":"refgen","spec":{"in":"in","out":"out"}})";
+  const std::string submit = R"("method":"submit","params":{"circuit_id":"c1",)" + request;
+  const std::vector<std::string> bad = {
+      // Each would once have been dropped silently (the job ran without
+      // its deadline, retry budget or progress stream).
+      submit + R"(,"deadline_ms":"1"})",
+      submit + R"(,"max_attempts":"3"})",
+      submit + R"(,"max_attempts":2.5})",
+      submit + R"(,"progress":"yes"})",
+      submit + R"(,"deadlin_ms":1})",
+      R"("method":"submit","params":{"circuit_id":7,)" + request + "}",
+      R"("method":"submit","params":{"circuit_id":"c1"})",
+      R"("method":"submit","params":{"circuit_id":"c1","request":{"type":"refgen"}})",
+      R"("method":"submit","params":[])",
+      R"("method":"compile","params":{"netlist":"R1 a 0 1k\n","name":5})",
+      R"("method":"poll","params":{"job_id":"j1","verbose":true})",
+      R"("method":"wait","params":{"job":"j1"})",
+      R"("method":"cancel","params":{"job_id":1})",
+      R"("method":"evict","params":{"circuit_id":"c1","force":true})",
+      R"("method":"stats","params":{})",
+      R"("method":"list","params":{"all":true})",
+      R"("method":"shutdown","params":{"now":true})",
+  };
+  std::string script = std::string(R"({"id":0,"method":"compile","params":{"netlist":)") +
+                       quote(kRcNetlist) + "}}\n";
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    script += "{\"id\":" + std::to_string(i + 1) + "," + bad[i] + "}\n";
+  }
+  script += "{\"id\":99," R"("method":"list"})" "\n";
+  const auto lines = run_session(core, script);
+
+  ASSERT_NE(find_reply(lines, 0).find("result"), nullptr);
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    SCOPED_TRACE(bad[i]);
+    const Json reply = find_reply(lines, static_cast<int>(i + 1));
+    ASSERT_NE(reply.find("error"), nullptr) << reply.dump();
+    EXPECT_EQ(reply.find("error")->find("code")->as_string(), "invalid_argument");
+  }
+  // Params failures name the params object; a bad request names the request.
+  EXPECT_EQ(find_reply(lines, 1).find("error")->find("message")->as_string(),
+            "params: \"deadline_ms\" must be a number");
+  EXPECT_EQ(find_reply(lines, 5).find("error")->find("message")->as_string(),
+            "params: unknown key \"deadlin_ms\"");
+  EXPECT_EQ(find_reply(lines, 8).find("error")->find("message")->as_string(),
+            "request: missing required key \"spec\"");
+  // None of the rejected submits created a job; the daemon is still serving.
+  const Json listed = find_reply(lines, 99);
+  ASSERT_NE(listed.find("result"), nullptr);
+  EXPECT_EQ(listed.find("result")->find("jobs")->size(), 0u);
+  EXPECT_EQ(listed.find("result")->find("circuits")->size(), 1u);
+  EXPECT_FALSE(core.shutdown_requested());
+}
+
 TEST(ProtocolSession, ShutdownStopsEverySession) {
   ServerCore core;
   const auto lines = run_session(core, R"({"id":1,"method":"shutdown"})"

@@ -3,11 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "api/service.h"
+#include "support/random.h"
 
 namespace symref::api {
 namespace {
@@ -440,6 +444,360 @@ TEST(RequestKey, ExecutionKnobsShareAKeyAndOneUlpMisses) {
   // A poles_zeros request is keyed as its own type.
   const PolesZerosRequest poles{refgen.spec, refgen.options, false};
   EXPECT_NE(request_key(to_json(refgen)), request_key(to_json(poles)));
+}
+
+// --- One schema per request type ----------------------------------------------
+
+/// A request document, the canonical encoding it decodes to, and that
+/// encoding's cache key. The encodings are the response-cache and
+/// reference-store keys of every deployed daemon: any drift here orphans
+/// stored references, so the bytes are pinned.
+struct PinnedEncoding {
+  const char* document;
+  const char* encoding;
+  const char* key;
+};
+
+const PinnedEncoding kPinnedEncodings[] = {
+    {R"({"type":"refgen","spec":{"kind":"transimpedance","in":"inp","in_neg":"inn","out":"vo","out_neg":"ref"},"options":{"sigma":9,"noise_decades":12.5,"tuning_r":-0.5,"max_iterations":40,"use_deflation":false,"conjugate_symmetry":false,"simultaneous_scaling":false,"geometric_mean_heuristic":true,"initial_f":2.5e9,"initial_g":1e-3,"no_progress_limit":5,"threads":4},"auto_linearize":true})",
+     R"({"type":"refgen","spec":{"kind":"transimpedance","in":"inp","in_neg":"inn","out":"vo","out_neg":"ref"},"options":{"sigma":9,"noise_decades":12.5,"tuning_r":-0.5,"max_iterations":4e+01,"use_deflation":false,"conjugate_symmetry":false,"simultaneous_scaling":false,"geometric_mean_heuristic":true,"initial_f":2.5e+09,"initial_g":0.001,"no_progress_limit":5,"threads":4},"auto_linearize":true})",
+     R"({"type":"refgen","spec":{"kind":"transimpedance","in":"inp","in_neg":"inn","out":"vo","out_neg":"ref"},"options":{"sigma":9,"noise_decades":12.5,"tuning_r":-0.5,"max_iterations":4e+01,"use_deflation":false,"conjugate_symmetry":false,"simultaneous_scaling":false,"geometric_mean_heuristic":true,"initial_f":2.5e+09,"initial_g":0.001,"no_progress_limit":5},"auto_linearize":true})"},
+    {R"({"type":"poles_zeros","spec":{"in":"a","out":"b"}})",
+     R"({"type":"poles_zeros","spec":{"kind":"voltage_gain","in":"a","in_neg":"0","out":"b","out_neg":"0"},"options":{"sigma":6,"noise_decades":13,"tuning_r":0,"max_iterations":64,"use_deflation":true,"conjugate_symmetry":true,"simultaneous_scaling":true,"geometric_mean_heuristic":false,"initial_f":0,"initial_g":0,"no_progress_limit":3,"threads":1},"auto_linearize":false})",
+     R"({"type":"poles_zeros","spec":{"kind":"voltage_gain","in":"a","in_neg":"0","out":"b","out_neg":"0"},"options":{"sigma":6,"noise_decades":13,"tuning_r":0,"max_iterations":64,"use_deflation":true,"conjugate_symmetry":true,"simultaneous_scaling":true,"geometric_mean_heuristic":false,"initial_f":0,"initial_g":0,"no_progress_limit":3},"auto_linearize":false})"},
+    {R"({"type":"sweep","spec":{"in":"inp","out":"vo"},"f_start_hz":10,"f_stop_hz":1e6,"points_per_decade":5,"threads":8,"auto_linearize":true})",
+     R"({"type":"sweep","spec":{"kind":"voltage_gain","in":"inp","in_neg":"0","out":"vo","out_neg":"0"},"f_start_hz":1e+01,"f_stop_hz":1e+06,"points_per_decade":5,"threads":8,"auto_linearize":true})",
+     R"({"type":"sweep","spec":{"kind":"voltage_gain","in":"inp","in_neg":"0","out":"vo","out_neg":"0"},"f_start_hz":1e+01,"f_stop_hz":1e+06,"points_per_decade":5,"auto_linearize":true})"},
+    {R"({"type":"batch","items":[{"spec":{"in":"in","out":"out"},"options":{"sigma":5},"auto_linearize":true},{"spec":{"in":"in","out":"mid"}}],"threads":3})",
+     R"({"type":"batch","items":[{"spec":{"kind":"voltage_gain","in":"in","in_neg":"0","out":"out","out_neg":"0"},"options":{"sigma":5,"noise_decades":13,"tuning_r":0,"max_iterations":64,"use_deflation":true,"conjugate_symmetry":true,"simultaneous_scaling":true,"geometric_mean_heuristic":false,"initial_f":0,"initial_g":0,"no_progress_limit":3,"threads":1},"auto_linearize":true},{"spec":{"kind":"voltage_gain","in":"in","in_neg":"0","out":"mid","out_neg":"0"},"options":{"sigma":6,"noise_decades":13,"tuning_r":0,"max_iterations":64,"use_deflation":true,"conjugate_symmetry":true,"simultaneous_scaling":true,"geometric_mean_heuristic":false,"initial_f":0,"initial_g":0,"no_progress_limit":3,"threads":1},"auto_linearize":false}],"threads":3})",
+     R"({"type":"batch","items":[{"spec":{"kind":"voltage_gain","in":"in","in_neg":"0","out":"out","out_neg":"0"},"options":{"sigma":5,"noise_decades":13,"tuning_r":0,"max_iterations":64,"use_deflation":true,"conjugate_symmetry":true,"simultaneous_scaling":true,"geometric_mean_heuristic":false,"initial_f":0,"initial_g":0,"no_progress_limit":3},"auto_linearize":true},{"spec":{"kind":"voltage_gain","in":"in","in_neg":"0","out":"mid","out_neg":"0"},"options":{"sigma":6,"noise_decades":13,"tuning_r":0,"max_iterations":64,"use_deflation":true,"conjugate_symmetry":true,"simultaneous_scaling":true,"geometric_mean_heuristic":false,"initial_f":0,"initial_g":0,"no_progress_limit":3},"auto_linearize":false}]})"},
+    {R"({"type":"param_sweep","spec":{"in":"vin","out":"vout"},"params":[{"name":"ccomp","from":1e-12,"to":4e-12,"count":4},{"name":"rload","from":1e3,"to":1e5,"count":3,"log":true}],"f_start_hz":1e3,"f_stop_hz":1e8,"points_per_decade":3,"threads":2})",
+     R"({"type":"param_sweep","spec":{"kind":"voltage_gain","in":"vin","in_neg":"0","out":"vout","out_neg":"0"},"mode":"grid","params":[{"name":"ccomp","from":1e-12,"to":4e-12,"count":4,"log":false},{"name":"rload","from":1e+03,"to":1e+05,"count":3,"log":true}],"f_start_hz":1e+03,"f_stop_hz":1e+08,"points_per_decade":3,"threads":2,"auto_linearize":false})",
+     R"({"type":"param_sweep","spec":{"kind":"voltage_gain","in":"vin","in_neg":"0","out":"vout","out_neg":"0"},"mode":"grid","params":[{"name":"ccomp","from":1e-12,"to":4e-12,"count":4,"log":false},{"name":"rload","from":1e+03,"to":1e+05,"count":3,"log":true}],"f_start_hz":1e+03,"f_stop_hz":1e+08,"points_per_decade":3,"auto_linearize":false})"},
+    {R"({"type":"param_sweep","spec":{"in":"inp","out":"vo"},"mode":"monte_carlo","params":[{"name":"ccomp","nominal":30e-12,"rel_sigma":0.1},{"name":"rload","nominal":2e3,"rel_sigma":0.05,"dist":"uniform"}],"samples":256,"seed":9007199254740992,"auto_linearize":true})",
+     R"({"type":"param_sweep","spec":{"kind":"voltage_gain","in":"inp","in_neg":"0","out":"vo","out_neg":"0"},"mode":"monte_carlo","samples":256,"seed":9007199254740992,"params":[{"name":"ccomp","nominal":3e-11,"rel_sigma":0.1,"dist":"gaussian"},{"name":"rload","nominal":2e+03,"rel_sigma":0.05,"dist":"uniform"}],"f_start_hz":1,"f_stop_hz":1e+09,"points_per_decade":1e+01,"threads":1,"auto_linearize":true})",
+     R"({"type":"param_sweep","spec":{"kind":"voltage_gain","in":"inp","in_neg":"0","out":"vo","out_neg":"0"},"mode":"monte_carlo","samples":256,"seed":9007199254740992,"params":[{"name":"ccomp","nominal":3e-11,"rel_sigma":0.1,"dist":"gaussian"},{"name":"rload","nominal":2e+03,"rel_sigma":0.05,"dist":"uniform"}],"f_start_hz":1,"f_stop_hz":1e+09,"points_per_decade":1e+01,"auto_linearize":true})"},
+    {R"({"type":"simplify","spec":{"in":"inp","out":"vo"},"error_budget":0.02,"f_start_hz":5,"f_stop_hz":5e4,"band_points":11,"prune":false,"prune_share":0.25,"max_terms":2147483647,"max_queue":1,"skip_factor":1e-4,"options":{"sigma":8,"threads":8},"auto_linearize":true})",
+     R"({"type":"simplify","spec":{"kind":"voltage_gain","in":"inp","in_neg":"0","out":"vo","out_neg":"0"},"error_budget":0.02,"f_start_hz":5,"f_stop_hz":5e+04,"band_points":11,"prune":false,"prune_share":0.25,"max_terms":2147483647,"max_queue":1,"skip_factor":0.0001,"options":{"sigma":8,"noise_decades":13,"tuning_r":0,"max_iterations":64,"use_deflation":true,"conjugate_symmetry":true,"simultaneous_scaling":true,"geometric_mean_heuristic":false,"initial_f":0,"initial_g":0,"no_progress_limit":3,"threads":8},"auto_linearize":true})",
+     R"({"type":"simplify","spec":{"kind":"voltage_gain","in":"inp","in_neg":"0","out":"vo","out_neg":"0"},"error_budget":0.02,"f_start_hz":5,"f_stop_hz":5e+04,"band_points":11,"prune":false,"prune_share":0.25,"max_terms":2147483647,"max_queue":1,"skip_factor":0.0001,"options":{"sigma":8,"noise_decades":13,"tuning_r":0,"max_iterations":64,"use_deflation":true,"conjugate_symmetry":true,"simultaneous_scaling":true,"geometric_mean_heuristic":false,"initial_f":0,"initial_g":0,"no_progress_limit":3},"auto_linearize":true})"},
+    {R"({"type":"op"})",
+     R"({"type":"op"})",
+     R"({"type":"op"})"},
+    {R"({"type":"transient","tstop":1e-3,"tstep":1e-6,"method":"bdf2","adaptive":false})",
+     R"({"type":"transient","tstop":0.001,"tstep":1e-06,"method":"bdf2","adaptive":false})",
+     R"({"type":"transient","tstop":0.001,"tstep":1e-06,"method":"bdf2","adaptive":false})"},
+    {R"({"type":"sweep","spec":{"in":"a","out":"b"},"kernel":"batched"})",
+     R"({"type":"sweep","spec":{"kind":"voltage_gain","in":"a","in_neg":"0","out":"b","out_neg":"0"},"f_start_hz":1,"f_stop_hz":1e+09,"points_per_decade":1e+01,"threads":1,"auto_linearize":false})",
+     R"({"type":"sweep","spec":{"kind":"voltage_gain","in":"a","in_neg":"0","out":"b","out_neg":"0"},"f_start_hz":1,"f_stop_hz":1e+09,"points_per_decade":1e+01,"auto_linearize":false})"},
+    {R"({"type":"refgen","spec":{"in":"a","out":"b"},"options":{"kernel":"scalar"}})",
+     R"({"type":"refgen","spec":{"kind":"voltage_gain","in":"a","in_neg":"0","out":"b","out_neg":"0"},"options":{"sigma":6,"noise_decades":13,"tuning_r":0,"max_iterations":64,"use_deflation":true,"conjugate_symmetry":true,"simultaneous_scaling":true,"geometric_mean_heuristic":false,"initial_f":0,"initial_g":0,"no_progress_limit":3,"threads":1},"auto_linearize":false})",
+     R"({"type":"refgen","spec":{"kind":"voltage_gain","in":"a","in_neg":"0","out":"b","out_neg":"0"},"options":{"sigma":6,"noise_decades":13,"tuning_r":0,"max_iterations":64,"use_deflation":true,"conjugate_symmetry":true,"simultaneous_scaling":true,"geometric_mean_heuristic":false,"initial_f":0,"initial_g":0,"no_progress_limit":3},"auto_linearize":false})"},
+    {R"({"type":"param_sweep","spec":{"in":"a","out":"b"},"kernel":"batched","params":[{"name":"r","from":1,"to":2,"count":2}]})",
+     R"({"type":"param_sweep","spec":{"kind":"voltage_gain","in":"a","in_neg":"0","out":"b","out_neg":"0"},"mode":"grid","params":[{"name":"r","from":1,"to":2,"count":2,"log":false}],"f_start_hz":1,"f_stop_hz":1e+09,"points_per_decade":1e+01,"threads":1,"auto_linearize":false})",
+     R"({"type":"param_sweep","spec":{"kind":"voltage_gain","in":"a","in_neg":"0","out":"b","out_neg":"0"},"mode":"grid","params":[{"name":"r","from":1,"to":2,"count":2,"log":false}],"f_start_hz":1,"f_stop_hz":1e+09,"points_per_decade":1e+01,"auto_linearize":false})"},
+    {R"({"type":"op","threads":4})",
+     R"({"type":"op"})",
+     R"({"type":"op"})"},
+    {R"({"type":"transient","tstop":2e-3,"threads":8,"method":"gear2"})",
+     R"({"type":"transient","tstop":0.002,"tstep":0,"method":"bdf2","adaptive":true})",
+     R"({"type":"transient","tstop":0.002,"tstep":0,"method":"bdf2","adaptive":true})"},
+    {R"({"type":"transient","tstop":1e-3,"method":"euler"})",
+     R"({"type":"transient","tstop":0.001,"tstep":0,"method":"bdf1","adaptive":true})",
+     R"({"type":"transient","tstop":0.001,"tstep":0,"method":"bdf1","adaptive":true})"},
+};
+
+TEST(SerializeSchema, CanonicalEncodingsAndKeysArePinned) {
+  for (const PinnedEncoding& pinned : kPinnedEncodings) {
+    SCOPED_TRACE(pinned.document);
+    const auto parsed = request_from_json(Json::parse(pinned.document).take());
+    ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
+    const Json encoded = to_json(parsed.value());
+    EXPECT_EQ(encoded.dump(), pinned.encoding);
+    EXPECT_EQ(request_key(encoded), pinned.key);
+    // The canonical form is a fixed point of decode + encode.
+    const auto again = request_from_json(encoded);
+    ASSERT_TRUE(again.ok()) << again.status().to_string();
+    EXPECT_EQ(to_json(again.value()).dump(), pinned.encoding);
+  }
+}
+
+/// Random requests of one type whose members hold only values a JSON
+/// document can carry: finite doubles across the whole exponent range,
+/// ints across theirs, seeds up to 2^53, caps in [1, INT_MAX], and names
+/// with quotes, escapes, control characters and multi-byte UTF-8.
+class RandomRequests {
+ public:
+  explicit RandomRequests(std::uint64_t seed) : rng_(seed) {}
+
+  AnyRequest next(AnyRequest::Type type) {
+    AnyRequest request;
+    request.type = type;
+    switch (type) {
+      case AnyRequest::Type::kRefgen: request.refgen = refgen(); break;
+      case AnyRequest::Type::kPolesZeros: {
+        const RefgenRequest shape = refgen();
+        request.poles_zeros = {shape.spec, shape.options, shape.auto_linearize};
+        break;
+      }
+      case AnyRequest::Type::kSweep:
+        request.sweep.spec = spec();
+        request.sweep.f_start_hz = real();
+        request.sweep.f_stop_hz = real();
+        request.sweep.points_per_decade = integer();
+        request.sweep.threads = integer();
+        request.sweep.auto_linearize = flag();
+        break;
+      case AnyRequest::Type::kBatch:
+        for (std::uint64_t n = rng_.uniform_index(4); n > 0; --n) {
+          request.batch.items.push_back(refgen());
+        }
+        request.batch.threads = integer();
+        break;
+      case AnyRequest::Type::kParamSweep: request.param_sweep = param_sweep(); break;
+      case AnyRequest::Type::kSimplify: request.simplify = simplify(); break;
+      case AnyRequest::Type::kOp: break;
+      case AnyRequest::Type::kTransient:
+        request.transient.tstop = real();
+        request.transient.tstep = real();
+        request.transient.method = pick({transient::Method::kTrapezoidal,
+                                         transient::Method::kBdf1, transient::Method::kBdf2});
+        request.transient.adaptive = flag();
+        break;
+    }
+    return request;
+  }
+
+ private:
+  template <typename T>
+  T pick(std::initializer_list<T> values) {
+    return values.begin()[rng_.uniform_index(values.size())];
+  }
+  bool flag() { return (rng_.next_u64() & 1u) != 0; }
+  double real() {
+    switch (rng_.uniform_index(5)) {
+      case 0: return pick({0.0, -0.0, std::numeric_limits<double>::max(),
+                           std::numeric_limits<double>::denorm_min(), 1e-12, 0.1});
+      case 1: return rng_.sign() * rng_.log_uniform(1e-300, 1e300);
+      case 2: return rng_.uniform(-10.0, 10.0);
+      default: return static_cast<double>(integer());
+    }
+  }
+  int integer() {
+    if (flag()) return static_cast<int>(rng_.uniform_index(100)) - 10;
+    return pick({INT_MIN, INT_MAX, 0, static_cast<int>(static_cast<std::uint32_t>(rng_.next_u64()))});
+  }
+  std::string name() {
+    std::string out;
+    for (std::uint64_t n = rng_.uniform_index(6); n > 0; --n) {
+      out += pick<const char*>({"a", "Z", "0", "_", " ", "\"", "\\", "/", "\n", "\t", "\x01",
+                                "\xc2\xb5", "\xe2\x86\x92"});
+    }
+    return out;
+  }
+  mna::TransferSpec spec() {
+    mna::TransferSpec spec;
+    spec.kind = pick({mna::TransferSpec::Kind::VoltageGain,
+                      mna::TransferSpec::Kind::Transimpedance});
+    spec.in_pos = name();
+    spec.in_neg = name();
+    spec.out_pos = name();
+    spec.out_neg = name();
+    return spec;
+  }
+  refgen::AdaptiveOptions options() {
+    refgen::AdaptiveOptions options;
+    options.sigma = integer();
+    options.noise_decades = real();
+    options.tuning_r = real();
+    options.max_iterations = integer();
+    options.use_deflation = flag();
+    options.conjugate_symmetry = flag();
+    options.simultaneous_scaling = flag();
+    options.geometric_mean_heuristic = flag();
+    options.initial_f = real();
+    options.initial_g = real();
+    options.no_progress_limit = integer();
+    options.threads = integer();
+    return options;
+  }
+  RefgenRequest refgen() { return {spec(), options(), flag()}; }
+  ParamSweepRequest param_sweep() {
+    ParamSweepRequest sweep;
+    sweep.spec = spec();
+    // Only the entries of the sweep's mode are on the wire.
+    sweep.mode = pick({ParamSweepRequest::Mode::kGrid, ParamSweepRequest::Mode::kMonteCarlo});
+    const bool grid = sweep.mode == ParamSweepRequest::Mode::kGrid;
+    for (std::uint64_t n = 1 + rng_.uniform_index(3); n > 0; --n) {
+      if (grid) {
+        sweep.axes.push_back({name(), real(), real(), integer(), flag()});
+      } else {
+        sweep.dists.push_back({name(), real(), real(),
+                               pick({mna::ParamDist::Kind::kGaussian,
+                                     mna::ParamDist::Kind::kUniform})});
+      }
+    }
+    if (!grid) {
+      sweep.samples = integer();
+      sweep.seed = flag() ? rng_.next_u64() >> 11 : std::uint64_t{1} << 53;
+    }
+    sweep.f_start_hz = real();
+    sweep.f_stop_hz = real();
+    sweep.points_per_decade = integer();
+    sweep.threads = integer();
+    sweep.auto_linearize = flag();
+    return sweep;
+  }
+  SimplifyRequest simplify() {
+    SimplifyRequest simplify;
+    simplify.spec = spec();
+    refgen::SimplifyOptions& options = simplify.options;
+    options.error_budget = real();
+    options.f_start_hz = real();
+    options.f_stop_hz = real();
+    options.band_points = integer();
+    options.prune = flag();
+    options.prune_share = real();
+    options.max_terms_per_coefficient = 1 + rng_.uniform_index(INT_MAX);
+    options.max_queue = pick<std::size_t>({1, INT_MAX, 1 + rng_.uniform_index(INT_MAX)});
+    options.coefficient_skip_factor = real();
+    options.engine = this->options();
+    simplify.auto_linearize = flag();
+    return simplify;
+  }
+
+  support::Rng rng_;
+};
+
+/// The per-type encoder of `request`'s member.
+Json to_json_by_type(const AnyRequest& request) {
+  switch (request.type) {
+    case AnyRequest::Type::kRefgen: return to_json(request.refgen);
+    case AnyRequest::Type::kSweep: return to_json(request.sweep);
+    case AnyRequest::Type::kPolesZeros: return to_json(request.poles_zeros);
+    case AnyRequest::Type::kBatch: return to_json(request.batch);
+    case AnyRequest::Type::kParamSweep: return to_json(request.param_sweep);
+    case AnyRequest::Type::kSimplify: return to_json(request.simplify);
+    case AnyRequest::Type::kOp: return to_json(request.op);
+    case AnyRequest::Type::kTransient: return to_json(request.transient);
+  }
+  return Json();
+}
+
+TEST(SerializeSchema, RandomRequestsOfEveryTypeRoundTripByteIdentically) {
+  RandomRequests random(0x5eed);
+  for (int i = 0; i < 2400; ++i) {
+    const AnyRequest request = random.next(static_cast<AnyRequest::Type>(i % 8));
+    const std::string encoded = to_json(request).dump();
+    ASSERT_EQ(to_json_by_type(request).dump(), encoded);
+    // Through the text form, as a request crosses the wire.
+    const auto document = Json::parse(encoded);
+    ASSERT_TRUE(document.ok()) << document.status().to_string() << "\n" << encoded;
+    const auto parsed = request_from_json(document.value());
+    ASSERT_TRUE(parsed.ok()) << parsed.status().to_string() << "\n" << encoded;
+    ASSERT_EQ(parsed.value().type, request.type);
+    ASSERT_EQ(to_json(parsed.value()).dump(), encoded);
+  }
+}
+
+Status decode_status(const char* text) {
+  const auto json = Json::parse(text);
+  EXPECT_TRUE(json.ok()) << text;
+  const auto parsed = request_from_json(json.value());
+  return parsed.ok() ? Status() : parsed.status();
+}
+
+TEST(SerializeSchema, GridSweepsCarryNoSamplesOrSeed) {
+  // Monte-Carlo members on a grid sweep are unknown keys, not ignored.
+  for (const char* member : {R"("samples":4)", R"("seed":7)", R"("samples":0)"}) {
+    const std::string text =
+        std::string(R"({"type":"param_sweep","spec":{"in":"a","out":"b"},"params":[)"
+                    R"({"name":"r","from":1,"to":2,"count":2}],)") +
+        member + "}";
+    SCOPED_TRACE(text);
+    const Status status = decode_status(text.c_str());
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find("unknown key"), std::string::npos) << status.message();
+  }
+  EXPECT_TRUE(decode_status(R"({"type":"param_sweep","spec":{"in":"a","out":"b"},
+      "mode":"monte_carlo","params":[{"name":"r","nominal":1,"rel_sigma":0.1}],
+      "samples":4,"seed":7})")
+                  .ok());
+}
+
+TEST(SerializeSchema, TransientMethodMustNameAMethod) {
+  const Status empty = decode_status(R"({"type":"transient","tstop":1e-3,"method":""})");
+  EXPECT_EQ(empty.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(empty.message(),
+            "request: unknown method \"\" (expected trap, trapezoidal, bdf1, be, euler, bdf2 "
+            "or gear2)");
+  // Every token transient::method_from_name accepts decodes to its method.
+  for (const char* name : {"trap", "trapezoidal", "bdf1", "be", "euler", "bdf2", "gear2"}) {
+    const std::string text =
+        std::string(R"({"type":"transient","tstop":1e-3,"method":")") + name + "\"}";
+    const auto parsed = request_from_json(Json::parse(text).take());
+    ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
+    EXPECT_EQ(parsed.value().transient.method, transient::method_from_name(name)) << name;
+  }
+}
+
+TEST(SerializeSchema, SimplifyCapsRangeOverOneToIntMax) {
+  for (const char* cap : {"max_terms", "max_queue"}) {
+    for (const char* value : {"1", "2147483647"}) {
+      const std::string text = std::string(R"({"type":"simplify","spec":{"in":"a","out":"b"},")") +
+                               cap + "\":" + value + "}";
+      const auto parsed = request_from_json(Json::parse(text).take());
+      ASSERT_TRUE(parsed.ok()) << text << ": " << parsed.status().to_string();
+      const refgen::SimplifyOptions& options = parsed.value().simplify.options;
+      EXPECT_EQ(std::string(cap) == "max_terms" ? options.max_terms_per_coefficient
+                                                : options.max_queue,
+                std::stoull(value));
+    }
+    for (const char* value : {"0", "-1", "2147483648", "1.5", "-0", "1e300", "\"5\"", "null"}) {
+      const std::string text = std::string(R"({"type":"simplify","spec":{"in":"a","out":"b"},")") +
+                               cap + "\":" + value + "}";
+      const Status status = decode_status(text.c_str());
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << text;
+      EXPECT_EQ(status.message(), std::string("request: \"") + cap +
+                                      "\" must be an integer in [1, 2147483647]")
+          << text;
+    }
+  }
+}
+
+TEST(SerializeSchema, FailuresNameTheObjectTheyAreIn) {
+  const struct {
+    const char* document;
+    const char* message;
+  } cases[] = {
+      {R"([1])", "request: expected a JSON object"},
+      {R"({"type":"bogus"})",
+       "request: unknown type \"bogus\" (expected refgen, sweep, poles_zeros, batch, "
+       "param_sweep, simplify, op or transient)"},
+      {R"({"type":"refgen","spec":{"in":"a"}})", "spec: missing required key \"out\""},
+      {R"({"type":"refgen","spec":{"in":"a","out":"b"},"options":{"sigma":6.5}})",
+       "options: \"sigma\" must be an integer in [-2147483648, 2147483647]"},
+      {R"({"type":"batch","items":[{"spec":{"in":"a","out":"b"},"bogus":1}]})",
+       "batch item: unknown key \"bogus\""},
+      {R"({"type":"batch"})", "request: missing required key \"items\""},
+      {R"({"type":"param_sweep","spec":{"in":"a","out":"b"},"params":[]})",
+       "request: \"params\" must be a non-empty array"},
+      {R"({"type":"param_sweep","spec":{"in":"a","out":"b"},
+          "params":[{"name":"r","from":1,"to":2,"count":"2"}]})",
+       "param axis: \"count\" must be an integer in [-2147483648, 2147483647]"},
+      {R"({"type":"param_sweep","spec":{"in":"a","out":"b"},"mode":"monte_carlo",
+          "params":[{"name":"r","nominal":1,"rel_sigma":0.1,"dist":"cauchy"}]})",
+       "param dist: unknown dist \"cauchy\" (expected gaussian or uniform)"},
+      {R"({"type":"param_sweep","spec":{"in":"a","out":"b"},"mode":"monte_carlo",
+          "params":[{"name":"r","nominal":1,"rel_sigma":0.1}],"seed":9007199254740994})",
+       "request: \"seed\" must be an integer in [0, 9007199254740992]"},
+      {R"({"type":"transient","tstep":1e-6})", "request: missing required key \"tstop\""},
+      {R"({"type":"op","spec":{"in":"a","out":"b"}})", "request: unknown key \"spec\""},
+  };
+  for (const auto& c : cases) {
+    const Status status = decode_status(c.document);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << c.document;
+    EXPECT_EQ(status.message(), c.message) << c.document;
+  }
 }
 
 TEST(SerializeRequest, AutoLinearizeRoundTripsOnAcFamilyRequests) {

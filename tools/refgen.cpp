@@ -131,10 +131,13 @@ int exit_code_for(StatusCode code) {
 class Watchdog {
  public:
   Watchdog(double seconds, symref::support::CancellationSource source)
-      : source_(std::move(source)), thread_([this, seconds] {
+      : deadline_(std::chrono::steady_clock::now() +
+                  std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                      std::chrono::duration<double>(seconds))),
+        source_(std::move(source)),
+        thread_([this] {
           std::unique_lock<std::mutex> lock(mutex_);
-          if (!cv_.wait_for(lock, std::chrono::duration<double>(seconds),
-                            [this] { return disarmed_; })) {
+          if (!cv_.wait_until(lock, deadline_, [this] { return disarmed_; })) {
             source_.cancel();
           }
         }) {}
@@ -147,7 +150,16 @@ class Watchdog {
     thread_.join();
   }
 
+  /// Trips the source if the deadline has passed. Called before each
+  /// request, so a budget that has run out cancels the next request even
+  /// when the thread has not been scheduled yet; the thread covers expiry
+  /// in the middle of a request.
+  void check() {
+    if (std::chrono::steady_clock::now() >= deadline_) source_.cancel();
+  }
+
  private:
+  const std::chrono::steady_clock::time_point deadline_;
   symref::support::CancellationSource source_;
   std::mutex mutex_;
   std::condition_variable cv_;
@@ -1017,6 +1029,7 @@ int main(int argc, char** argv) {
   FailureTracker failures;
   Json responses = Json::array();
   for (const AnyRequest& request : requests) {
+    if (watchdog) watchdog->check();
     Json payload;
     Status status;
     // One serving path for every request type: the typed payload or error
