@@ -8,9 +8,9 @@
 //               per query before the facade existed);
 //   warm      — second identical request on the same handle (response-cache
 //               hit: the idempotent-server path);
-//   warm-miss — different engine options on the same handle (response cache
-//               misses, but the compiled circuit and the spec's evaluator
-//               plan are reused — only the engine iterations re-run).
+//   warm-miss — different engine options on the same handle (the response
+//               cache misses; the compiled circuit is reused, and the engine
+//               runs in full on a fresh evaluator, as on a fresh handle).
 //
 // Acceptance row: api_refgen_warm_speedup (warm vs cold) must be >= 3.
 //
@@ -73,7 +73,7 @@ void measure_refgen() {
   const double warm_ms = warm_timer.millis();
 
   // Warm miss: same handle + spec, different sigma — the response cache
-  // misses but the handle's compiled circuit and evaluator plan are reused.
+  // misses; only the handle's compiled circuit is reused.
   symref::api::RefgenRequest miss = refgen_request();
   miss.options.sigma = 7;
   symref::support::Timer miss_timer;
@@ -84,7 +84,7 @@ void measure_refgen() {
   std::printf("cold (compile + request):      %8.3f ms\n", cold_ms);
   std::printf("warm (cache hit):              %8.3f ms  (%.0fx)\n", warm_ms,
               cold_ms / warm_ms);
-  std::printf("warm miss (plan reuse only):   %8.3f ms  (%.1fx)\n\n", miss_ms,
+  std::printf("warm miss (compiled circuit):  %8.3f ms  (%.1fx)\n\n", miss_ms,
               cold_ms / miss_ms);
   json_metrics["api_refgen_cold_ms"] = cold_ms;
   json_metrics["api_refgen_warm_ms"] = warm_ms;
@@ -114,8 +114,8 @@ void measure_sweep() {
   const auto warm = service.sweep(handle.value(), sweep_request());
   const double warm_ms = warm_timer.millis();
 
-  // Different grid on the same handle: response cache misses, but the
-  // spec's simulator replays its factorization plan per point.
+  // Different grid on the same handle: the response cache misses and a
+  // fresh simulator sweeps it, replaying one factorization plan per point.
   symref::api::SweepRequest other = sweep_request();
   other.points_per_decade = 19;
   symref::support::Timer replan_timer;
@@ -127,7 +127,7 @@ void measure_sweep() {
   std::printf("cold (compile + sweep):        %8.3f ms\n", cold_ms);
   std::printf("warm (cache hit):              %8.3f ms  (%.0fx)\n", warm_ms,
               cold_ms / warm_ms);
-  std::printf("new grid (plan replay):        %8.3f ms  (%.1fx)\n\n", replan_ms,
+  std::printf("new grid (cache miss):         %8.3f ms  (%.1fx)\n\n", replan_ms,
               cold_ms / replan_ms);
   json_metrics["api_sweep_cold_ms"] = cold_ms;
   json_metrics["api_sweep_warm_ms"] = warm_ms;

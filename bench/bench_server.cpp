@@ -4,8 +4,9 @@
 // -> done. This bench measures that loop on the µA741:
 //
 //   submit->done latency — one job end to end on an idle manager, cold
-//     (first request on the handle), warm-miss (plan reuse, distinct
-//     options), and warm (response-cache hit: the idempotent-server path);
+//     (first request on the handle), warm-miss (compiled circuit reused,
+//     distinct options), and warm (response-cache hit: the idempotent-server
+//     path);
 //   throughput — N distinct refgen jobs (response cache off, so every job
 //     runs the engine) at 1/2/8 workers, reported as jobs per second.
 //
@@ -74,7 +75,8 @@ void measure_latency() {
   symref::api::JobManager jobs(service, /*workers=*/1);
 
   const double cold_ms = submit_done_ms(jobs, compiled.value(), refgen_request(6));
-  // Same spec, different sigma: response cache misses, evaluator plan warm.
+  // Same spec, different sigma: the response cache misses, so the engine
+  // runs in full on the already compiled circuit.
   const double miss_ms = submit_done_ms(jobs, compiled.value(), refgen_request(7));
   // Identical request: response-cache hit through the whole job machinery.
   const double warm_ms = submit_done_ms(jobs, compiled.value(), refgen_request(6));
@@ -82,7 +84,7 @@ void measure_latency() {
 
   std::printf("=== JobManager µA741 refgen: submit -> done latency ===\n\n");
   std::printf("cold (first request):          %8.3f ms\n", cold_ms);
-  std::printf("warm miss (plan reuse only):   %8.3f ms  (%.1fx)\n", miss_ms,
+  std::printf("warm miss (compiled circuit):  %8.3f ms  (%.1fx)\n", miss_ms,
               cold_ms / miss_ms);
   std::printf("warm (response-cache hit):     %8.3f ms  (%.0fx)\n\n", warm_ms,
               cold_ms / warm_ms);

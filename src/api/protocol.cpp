@@ -351,7 +351,6 @@ Json Session::dispatch(const Json& request) {
                       static_cast<double>(engine.value().pivot_escalations));
       engine_json.set("degraded_responses",
                       static_cast<double>(engine.value().degraded_responses));
-      engine_json.set("supernodes", static_cast<double>(engine.value().supernodes));
       engine_json.set("batched_lanes", static_cast<double>(engine.value().batched_lanes));
       engine_json.set("simplify_term_evals",
                       static_cast<double>(engine.value().simplify_term_evals));

@@ -45,7 +45,7 @@ struct RefgenResponse {
 };
 
 /// AC sweep (Bode analysis) via direct per-point MNA solves — the
-/// "electrical simulator" path, sharing the handle's per-spec plan cache.
+/// "electrical simulator" path.
 struct SweepRequest {
   mna::TransferSpec spec;
   double f_start_hz = 1.0;
@@ -55,7 +55,7 @@ struct SweepRequest {
   /// every setting (not part of the response-cache key).
   int threads = 1;
   /// Cooperative cancellation checkpoint, polled per point. A cancelled
-  /// sweep fails with kCancelled; the handle's plan caches stay valid.
+  /// sweep fails with kCancelled and nothing partial is memoized.
   /// Like threads, not part of the response-cache key.
   support::CancellationToken cancel;
   /// Required `true` to serve this request on a handle whose netlist

@@ -45,9 +45,9 @@ constexpr const char* kEmptyHandleMessage = "empty CircuitHandle (compile a circ
 
 namespace internal {
 
-/// Mutable per-TransferSpec state of one compiled circuit. The mutex
-/// serializes use of the cached evaluator/simulator (both are
-/// deliberately non-reentrant plan caches) and guards the response caches.
+/// The response caches of one TransferSpec of a compiled circuit. The mutex
+/// guards the caches only: no engine state lives here, so every computed
+/// response depends on its request alone, never on earlier requests.
 struct SpecEntry {
   explicit SpecEntry(std::size_t cache_capacity)
       : refgen_cache(cache_capacity),
@@ -56,11 +56,6 @@ struct SpecEntry {
         simplify_cache(cache_capacity) {}
 
   std::mutex mutex;
-  /// Reference-generation plan cache: assembly pattern + symbolic LU plan
-  /// stay warm across engine runs on this spec.
-  std::unique_ptr<mna::CofactorEvaluator> evaluator;
-  /// Sweep plan cache: drive-augmented circuit, assembler, LU plan.
-  std::unique_ptr<mna::AcSimulator> simulator;
   /// Memoized responses (ServiceOptions::cache_responses), bounded by
   /// ServiceOptions::max_cached_responses with LRU eviction.
   support::LruCache<std::string, RefgenResponse> refgen_cache;
@@ -103,10 +98,14 @@ struct CompiledCircuit {
   std::atomic<std::uint64_t> cache_hits{0};
   std::atomic<std::uint64_t> cache_misses{0};
   std::atomic<std::uint64_t> cache_evictions{0};
-  /// Refgen responses that completed through the degradation ladder
-  /// (Service::engine_stats). Per-spec factorization counters live on the
-  /// cached evaluators; this one is response-level so cache hits of a
-  /// degraded result do not re-count.
+  /// Factorization telemetry (Service::engine_stats): the compile-time bias
+  /// solve plus every computed refgen, simplify and transient run. Cache
+  /// hits run nothing, so they do not re-count.
+  std::atomic<std::uint64_t> fresh_factorizations{0};
+  std::atomic<std::uint64_t> pivot_escalations{0};
+  std::atomic<std::uint64_t> batched_lanes{0};
+  /// Refgen and transient responses that completed through the degradation
+  /// ladder (Service::engine_stats), counted like the factorizations.
   std::atomic<std::uint64_t> degraded_responses{0};
   /// Simplify workload counters (Service::engine_stats). Response-level so
   /// cache hits do not re-count, like degraded_responses.
@@ -124,8 +123,6 @@ struct CompiledCircuit {
   /// only — cache hits do not re-count, like degraded_responses.
   std::atomic<std::uint64_t> transient_steps{0};
   std::atomic<std::uint64_t> lte_rejections{0};
-  std::atomic<std::uint64_t> transient_fresh_factorizations{0};
-  std::atomic<std::uint64_t> transient_pivot_escalations{0};
 
   /// Transient analyses have no TransferSpec, so their response cache lives
   /// on the circuit itself rather than in a SpecEntry.
@@ -146,7 +143,16 @@ struct CompiledCircuit {
       op_solves.store(1, std::memory_order_relaxed);
       newton_iterations.store(static_cast<std::uint64_t>(op.newton_iterations),
                               std::memory_order_relaxed);
+      fresh_factorizations.store(op.fresh_factorizations, std::memory_order_relaxed);
+      pivot_escalations.store(op.pivot_escalations, std::memory_order_relaxed);
     }
+  }
+
+  /// Adds one computed run's evaluator counters to the engine telemetry.
+  void count(const mna::CofactorEvaluator& evaluator) {
+    fresh_factorizations.fetch_add(evaluator.fresh_factor_count(), std::memory_order_relaxed);
+    pivot_escalations.fetch_add(evaluator.pivot_escalation_count(), std::memory_order_relaxed);
+    batched_lanes.fetch_add(evaluator.batched_lane_count(), std::memory_order_relaxed);
   }
 
   /// Every spec entry, collected under specs_mutex: callers then lock each
@@ -209,30 +215,22 @@ std::size_t cached_values(const TransientResponse& response) {
   return result.states.size() * (result.node_names.size() + result.branch_names.size());
 }
 
-/// How long cached_call holds the cache's mutex.
-enum class LockScope {
-  /// From the lookup through the insert: the compute step drives the
-  /// spec's evaluator or simulator, a non-reentrant plan cache whose pivot
-  /// history sets the last bits of the result.
-  kWholeCall,
-  /// Only around the lookup and around the insert: the compute step touches
-  /// no shared state, so a long run never blocks the spec. Two racing
-  /// identical misses both compute; their results are bit-identical.
-  kLookupAndInsert,
-};
-
 /// The one memoized request path: look the request up in `cache` (keyed by
-/// request_key), else run `compute` and insert its response. Counts hits,
-/// misses and evictions on the circuit, stamps `from_cache` and `seconds`,
-/// and memoizes nothing when caching is off or compute fails.
+/// request_key), else run `compute` and insert its response. `mutex` is
+/// held around the lookup and around the insert, never across `compute`:
+/// every compute step builds its own evaluator, simulator or solver, so a
+/// long run never blocks the spec, and two racing identical misses both
+/// compute the same bytes. Counts hits, misses and evictions on the
+/// circuit, stamps `from_cache` and `seconds`, and memoizes nothing when
+/// caching is off or compute fails.
 template <typename Response, typename Request, typename Compute>
 Result<Response> cached_call(CompiledCircuit& compiled, std::mutex& mutex,
-                             support::LruCache<std::string, Response>& cache, LockScope scope,
+                             support::LruCache<std::string, Response>& cache,
                              const Request& request, Compute compute) {
   support::Timer timer;
   const std::string key = compiled.cache_responses ? request_key(to_json(request)) : "";
-  std::unique_lock<std::mutex> lock(mutex);
   if (compiled.cache_responses) {
+    std::unique_lock<std::mutex> lock(mutex);
     if (const Response* hit = cache.find(key)) {
       Response response = *hit;
       lock.unlock();
@@ -243,16 +241,43 @@ Result<Response> cached_call(CompiledCircuit& compiled, std::mutex& mutex,
     }
     compiled.cache_misses.fetch_add(1, std::memory_order_relaxed);
   }
-  if (scope == LockScope::kLookupAndInsert) lock.unlock();
   Result<Response> computed = compute();
   if (!computed.ok()) return computed;
   computed.value().seconds = timer.seconds();
   if (compiled.cache_responses && cached_values(computed.value()) <= kMaxCachedValues) {
-    if (!lock.owns_lock()) lock.lock();
+    const std::lock_guard<std::mutex> lock(mutex);
     compiled.cache_evictions.fetch_add(cache.insert(key, computed.value()),
                                        std::memory_order_relaxed);
   }
   return computed;
+}
+
+/// The one refgen path, shared by Service::refgen, poles_zeros and every
+/// batch item: the request keys the spec's response cache, `options` is
+/// what the engine runs (batch items pin threads = 1; results are
+/// bit-identical at any thread count). Each computed run gets a fresh
+/// evaluator.
+Result<RefgenResponse> cached_refgen(CompiledCircuit& compiled, const RefgenRequest& request,
+                                     const refgen::AdaptiveOptions& options) {
+  if (const Status gate = check_auto_linearize(compiled, request.auto_linearize); !gate.ok()) {
+    return gate;
+  }
+  const std::shared_ptr<SpecEntry> entry = compiled.entry(request.spec);
+  return cached_call(
+      compiled, entry->mutex, entry->refgen_cache, request, [&]() -> Result<RefgenResponse> {
+        const mna::CofactorEvaluator evaluator(compiled.system, request.spec);
+        refgen::AdaptiveScalingEngine engine(compiled.system, request.spec, options, &evaluator);
+        RefgenResponse response;
+        response.result = engine.run();
+        compiled.count(evaluator);
+        if (const Status status = termination_status(response.result); !status.ok()) {
+          return status;
+        }
+        if (response.result.degraded) {
+          compiled.degraded_responses.fetch_add(1, std::memory_order_relaxed);
+        }
+        return response;
+      });
 }
 
 }  // namespace
@@ -320,33 +345,8 @@ Result<Response> Service::guarded(const CircuitHandle& handle, Body body) {
 
 Result<RefgenResponse> Service::refgen(const CircuitHandle& handle,
                                        const RefgenRequest& request) const {
-  return guarded<RefgenResponse>(handle, [&](CompiledCircuit& compiled) -> Result<RefgenResponse> {
-    if (const Status gate = check_auto_linearize(compiled, request.auto_linearize); !gate.ok()) {
-      return gate;
-    }
-    const std::shared_ptr<SpecEntry> entry = compiled.entry(request.spec);
-    return cached_call(
-        compiled, entry->mutex, entry->refgen_cache, LockScope::kWholeCall, request,
-        [&]() -> Result<RefgenResponse> {
-          // Warm path: the spec's evaluator keeps its assembly pattern and LU
-          // plan across runs, so a repeat request skips the pattern merge and
-          // the first Markowitz ordering (the engine replays the cached plan).
-          if (!entry->evaluator) {
-            entry->evaluator =
-                std::make_unique<mna::CofactorEvaluator>(compiled.system, request.spec);
-          }
-          refgen::AdaptiveScalingEngine engine(compiled.system, request.spec, request.options,
-                                               entry->evaluator.get());
-          RefgenResponse response;
-          response.result = engine.run();
-          if (const Status status = termination_status(response.result); !status.ok()) {
-            return status;
-          }
-          if (response.result.degraded) {
-            compiled.degraded_responses.fetch_add(1, std::memory_order_relaxed);
-          }
-          return response;
-        });
+  return guarded<RefgenResponse>(handle, [&](CompiledCircuit& compiled) {
+    return cached_refgen(compiled, request, request.options);
   });
 }
 
@@ -359,19 +359,12 @@ Result<SimplifyResponse> Service::simplify(const CircuitHandle& handle,
     }
     const std::shared_ptr<SpecEntry> entry = compiled.entry(request.spec);
     return cached_call(
-        compiled, entry->mutex, entry->simplify_cache, LockScope::kWholeCall, request,
-        [&]() -> Result<SimplifyResponse> {
-          // Warm path: the spec's evaluator serves the baseline band sweep
-          // with its cached assembly pattern and LU plan; the ranking lanes
-          // copy it (sharing the immutable symbolic plan) inside the engine.
-          if (!entry->evaluator) {
-            entry->evaluator =
-                std::make_unique<mna::CofactorEvaluator>(compiled.system, request.spec);
-          }
+        compiled, entry->mutex, entry->simplify_cache, request, [&]() -> Result<SimplifyResponse> {
+          const mna::CofactorEvaluator evaluator(compiled.system, request.spec);
           SimplifyResponse response;
           response.result = refgen::simplify_transfer(compiled.canonical, compiled.system,
-                                                      request.spec, request.options,
-                                                      entry->evaluator.get());
+                                                      request.spec, request.options, &evaluator);
+          compiled.count(evaluator);
           compiled.simplify_term_evals.fetch_add(response.result.term_evals,
                                                  std::memory_order_relaxed);
           compiled.simplify_terms_dropped.fetch_add(response.result.terms_dropped,
@@ -389,18 +382,11 @@ Result<SweepResponse> Service::sweep(const CircuitHandle& handle,
     }
     const std::shared_ptr<SpecEntry> entry = compiled.entry(request.spec);
     return cached_call(
-        compiled, entry->mutex, entry->sweep_cache, LockScope::kWholeCall, request,
-        [&]() -> Result<SweepResponse> {
-          // Warm path: the per-spec simulator caches the drive-augmented
-          // circuit, its assembler, and the factorization plan; later sweeps
-          // and later points replay instead of re-pivoting.
-          if (!entry->simulator) {
-            entry->simulator = std::make_unique<mna::AcSimulator>(compiled.linear);
-          }
+        compiled, entry->mutex, entry->sweep_cache, request, [&]() -> Result<SweepResponse> {
           SweepResponse response;
-          response.points = entry->simulator->bode(request.spec, request.f_start_hz,
-                                                   request.f_stop_hz, request.points_per_decade,
-                                                   request.threads, request.cancel);
+          response.points = mna::AcSimulator(compiled.linear)
+                                .bode(request.spec, request.f_start_hz, request.f_stop_hz,
+                                      request.points_per_decade, request.threads, request.cancel);
           return response;
         });
   });
@@ -435,7 +421,7 @@ Result<ParamSweepResponse> Service::param_sweep(const CircuitHandle& handle,
     }
     const std::shared_ptr<SpecEntry> entry = compiled.entry(request.spec);
     return cached_call(
-        compiled, entry->mutex, entry->param_sweep_cache, LockScope::kLookupAndInsert, request,
+        compiled, entry->mutex, entry->param_sweep_cache, request,
         [&]() -> Result<ParamSweepResponse> {
           // Resolve the sample plan, then run: every sample re-elaborates the
           // compiled template and replays the baseline factorization plan.
@@ -484,18 +470,14 @@ Result<TransientResponse> Service::transient(const CircuitHandle& handle,
   // linearizing first would be answering a different question.
   return guarded<TransientResponse>(handle, [&](CompiledCircuit& compiled) {
     return cached_call(
-        compiled, compiled.transient_mutex, compiled.transient_cache,
-        LockScope::kLookupAndInsert, request, [&]() -> Result<TransientResponse> {
+        compiled, compiled.transient_mutex, compiled.transient_cache, request,
+        [&]() -> Result<TransientResponse> {
           transient::TransientOptions options;
           options.method = request.method;
           options.tstop = request.tstop;
           options.tstep = request.tstep;
           options.adaptive = request.adaptive;
           options.cancel = request.cancel;
-          // A fresh solver per run: the step-bucket plans are shaped by the
-          // request's tstep, so they are not reusable across different
-          // requests anyway, and the runs stay shared-nothing (bit-identical
-          // at any concurrency, never serialized behind a per-handle solver).
           TransientResponse response;
           response.result = transient::TransientSolver(options).solve(compiled.original);
           const transient::TransientResult& result = response.result;
@@ -503,10 +485,10 @@ Result<TransientResponse> Service::transient(const CircuitHandle& handle,
                                              std::memory_order_relaxed);
           compiled.lte_rejections.fetch_add(static_cast<std::uint64_t>(result.lte_rejections),
                                             std::memory_order_relaxed);
-          compiled.transient_fresh_factorizations.fetch_add(result.fresh_factorizations,
-                                                            std::memory_order_relaxed);
-          compiled.transient_pivot_escalations.fetch_add(result.pivot_escalations,
-                                                         std::memory_order_relaxed);
+          compiled.fresh_factorizations.fetch_add(result.fresh_factorizations,
+                                                  std::memory_order_relaxed);
+          compiled.pivot_escalations.fetch_add(result.pivot_escalations,
+                                               std::memory_order_relaxed);
           compiled.newton_iterations.fetch_add(
               static_cast<std::uint64_t>(result.newton_iterations), std::memory_order_relaxed);
           if (result.degraded) {
@@ -545,22 +527,9 @@ Result<EngineStats> Service::engine_stats(const CircuitHandle& handle) const {
     stats.op_solves = compiled.op_solves.load(std::memory_order_relaxed);
     stats.transient_steps = compiled.transient_steps.load(std::memory_order_relaxed);
     stats.lte_rejections = compiled.lte_rejections.load(std::memory_order_relaxed);
-    // The compile-time bias solve and the transient runs contribute their
-    // factorization telemetry alongside the per-spec evaluators' counters.
-    stats.fresh_factorizations += compiled.op.fresh_factorizations;
-    stats.pivot_escalations += compiled.op.pivot_escalations;
-    stats.fresh_factorizations +=
-        compiled.transient_fresh_factorizations.load(std::memory_order_relaxed);
-    stats.pivot_escalations +=
-        compiled.transient_pivot_escalations.load(std::memory_order_relaxed);
-    for (const std::shared_ptr<SpecEntry>& entry : compiled.spec_entries()) {
-      const std::lock_guard<std::mutex> lock(entry->mutex);
-      if (!entry->evaluator) continue;
-      stats.fresh_factorizations += entry->evaluator->fresh_factor_count();
-      stats.pivot_escalations += entry->evaluator->pivot_escalation_count();
-      stats.supernodes += entry->evaluator->supernode_count();
-      stats.batched_lanes += entry->evaluator->batched_lane_count();
-    }
+    stats.fresh_factorizations = compiled.fresh_factorizations.load(std::memory_order_relaxed);
+    stats.pivot_escalations = compiled.pivot_escalations.load(std::memory_order_relaxed);
+    stats.batched_lanes = compiled.batched_lanes.load(std::memory_order_relaxed);
     return stats;
   });
 }
@@ -568,9 +537,10 @@ Result<EngineStats> Service::engine_stats(const CircuitHandle& handle) const {
 Result<PolesZerosResponse> Service::poles_zeros(const CircuitHandle& handle,
                                                 const PolesZerosRequest& request) const {
   support::Timer timer;
-  return guarded<PolesZerosResponse>(handle, [&](CompiledCircuit&) -> Result<PolesZerosResponse> {
-    Result<RefgenResponse> reference =
-        refgen(handle, {request.spec, request.options, request.auto_linearize});
+  return guarded<PolesZerosResponse>(handle, [&](CompiledCircuit& compiled)
+                                                 -> Result<PolesZerosResponse> {
+    Result<RefgenResponse> reference = cached_refgen(
+        compiled, {request.spec, request.options, request.auto_linearize}, request.options);
     if (!reference.ok()) return reference.status();
     const refgen::NumericalReference& ref = reference.value().result.reference;
     const numeric::RootResult zeros = numeric::find_roots(ref.numerator().polynomial());
@@ -593,10 +563,8 @@ Result<BatchResponse> Service::batch(const CircuitHandle& handle,
     BatchResponse response;
     response.items.resize(request.items.size());
     if (request.items.empty()) return response;
-    // Shared-nothing lanes: each item builds its own evaluator over the
-    // shared immutable system, so items never contend and results match
-    // running each request alone (at any thread count and lane schedule).
-    // Items share the per-spec refgen response cache.
+    // Items share refgen's compute path and response cache; the outer
+    // parallelism owns the lanes, so each item's engine runs serially.
     support::ThreadPool pool(request.threads);
     pool.parallel_for(request.items.size(), [&](std::size_t begin, std::size_t end,
                                                 int /*lane*/) {
@@ -604,25 +572,9 @@ Result<BatchResponse> Service::batch(const CircuitHandle& handle,
         const RefgenRequest& item = request.items[i];
         BatchItemResponse& out = response.items[i];
         try {
-          if (const Status gate = check_auto_linearize(compiled, item.auto_linearize);
-              !gate.ok()) {
-            out.status = gate;
-            continue;
-          }
-          const std::shared_ptr<SpecEntry> entry = compiled.entry(item.spec);
-          Result<RefgenResponse> result = cached_call(
-              compiled, entry->mutex, entry->refgen_cache, LockScope::kLookupAndInsert, item,
-              [&]() -> Result<RefgenResponse> {
-                refgen::AdaptiveOptions options = item.options;
-                options.threads = 1;  // outer parallelism owns the lanes
-                refgen::AdaptiveScalingEngine engine(compiled.system, item.spec, options);
-                RefgenResponse computed;
-                computed.result = engine.run();
-                if (const Status status = termination_status(computed.result); !status.ok()) {
-                  return status;
-                }
-                return computed;
-              });
+          refgen::AdaptiveOptions options = item.options;
+          options.threads = 1;
+          Result<RefgenResponse> result = cached_refgen(compiled, item, options);
           out.status = result.status();
           if (result.ok()) out.response = result.take();
         } catch (...) {

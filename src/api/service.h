@@ -12,23 +12,21 @@
 //   auto ref = service.refgen(handle.value(), {spec, options});   // many times
 //
 // A CircuitHandle is an immutable compiled circuit — the parsed netlist,
-// its canonical {G, C, VCCS} twin, and the NodalSystem — plus an internal
-// per-TransferSpec cache of the expensive mutable state: the
-// CofactorEvaluator (pattern-cached assembly + symbolic LU plan) for
-// reference generation, the AcSimulator spec cache for sweeps, and (when
+// its canonical {G, C, VCCS} twin, and the NodalSystem — plus (when
 // ServiceOptions::cache_responses) memoized responses for repeated
-// identical requests. Handles are cheap shared references; copying one
-// shares the compiled circuit and its caches.
+// identical requests. No engine state survives a request: every computed
+// response is a function of the circuit and the request alone, so a warm
+// handle answers exactly like a fresh one. Handles are cheap shared
+// references; copying one shares the compiled circuit and its caches.
 //
 // No exception escapes any Service entry point: every method returns
 // api::Result<T>, with failure classes mapped to distinct StatusCodes
 // (api/status.h; the taxonomy is documented in docs/api.md).
 //
 // Concurrency: Service methods are safe to call from multiple threads.
-// Requests against different handles (or different specs of one handle)
-// run concurrently; refgen, sweep and simplify requests sharing one
-// handle+spec serialize on that spec's cache entry, while param_sweep,
-// transient and batch() items run shared-nothing.
+// Every request runs shared-nothing; a response cache is locked only around
+// its lookup and its insert, so identical concurrent misses may both
+// compute (with identical results).
 #pragma once
 
 #include <cstddef>
@@ -75,21 +73,22 @@ struct CacheStats {
 };
 
 /// Numeric-robustness counters of one handle (all specs combined) since
-/// compile — the telemetry face of the degradation ladder. Monotonic.
+/// compile — the telemetry face of the degradation ladder. Every counter
+/// is monotonic and counts computed runs only (cache hits run nothing);
+/// batch() items count like the same refgen() requests sent alone.
 struct EngineStats {
-  /// Refused plan replays that fell back to a fresh factorization.
+  /// Fresh (non-replay) factorizations: each computed run's first one plus
+  /// refused plan replays that fell back (the compile-time bias solve and
+  /// refgen, simplify and transient runs).
   std::uint64_t fresh_factorizations = 0;
   /// Fresh factorizations that only succeeded after relaxing the pivot
   /// threshold (the corresponding samples are flagged `degraded`).
   std::uint64_t pivot_escalations = 0;
-  /// refgen() responses whose result carried the `degraded` flag.
+  /// refgen() and transient() responses whose result carried the
+  /// `degraded` flag.
   std::uint64_t degraded_responses = 0;
-  /// Supernodes detected across the handle's current factorization plans
-  /// (sum over the cached per-spec evaluators; see sparse/batched.h). A
-  /// plan property, so NOT monotonic — it reflects the plans resident now.
-  std::uint64_t supernodes = 0;
   /// Samples evaluated through the batched SoA replay kernel (all specs
-  /// combined). Stays 0 when every replay ran the scalar path. Monotonic.
+  /// combined). Stays 0 when every replay ran the scalar path.
   std::uint64_t batched_lanes = 0;
   /// Band-point evaluations the simplify() pruning/certification stages
   /// spent ranking candidates and trialing term drops. Monotonic.
@@ -113,7 +112,7 @@ struct EngineStats {
 };
 
 /// A compiled circuit: immutable shared state plus internally synchronized
-/// per-spec plan/response caches. Obtain from Service::compile*; a
+/// per-spec response caches. Obtain from Service::compile*; a
 /// default-constructed handle is empty (valid() == false) and every request
 /// against it fails with kInvalidArgument.
 class CircuitHandle {
@@ -170,16 +169,14 @@ class Service {
   [[nodiscard]] Result<CircuitHandle> compile(const netlist::Circuit& circuit,
                                               std::string name = {}) const;
 
-  /// The paper's algorithm for one transfer function of the handle.
-  /// Warm path: repeated requests on one handle reuse the spec's evaluator
-  /// (assembly pattern + LU plan) and, for identical requests, the memoized
-  /// response. Errors: kInvalidSpec, kSingularSystem, kIncomplete.
+  /// The paper's algorithm for one transfer function of the handle. An
+  /// identical repeated request is served from the memoized response.
+  /// Errors: kInvalidSpec, kSingularSystem, kIncomplete.
   [[nodiscard]] Result<RefgenResponse> refgen(const CircuitHandle& handle,
                                               const RefgenRequest& request) const;
 
-  /// Direct AC sweep. Warm path: the spec's cached simulator sweeps via
-  /// plan replay. Errors: kInvalidSpec, kInvalidArgument (bad grid),
-  /// kSingularSystem.
+  /// Direct AC sweep: one factorization plan replayed across the grid.
+  /// Errors: kInvalidSpec, kInvalidArgument (bad grid), kSingularSystem.
   [[nodiscard]] Result<SweepResponse> sweep(const CircuitHandle& handle,
                                             const SweepRequest& request) const;
 
@@ -199,8 +196,7 @@ class Service {
 
   /// Reference-driven symbolic simplification: prune the circuit, generate
   /// the reduced reference, enumerate terms under eq. (3) and drop them
-  /// greedily while the certificate stays inside the budget. Warm path: the
-  /// spec's cached evaluator serves the baseline band sweep; identical
+  /// greedily while the certificate stays inside the budget. Identical
   /// requests hit the per-spec response cache. Errors: kInvalidSpec,
   /// kIncomplete, kSingularSystem, kInvalidArgument, kCancelled.
   [[nodiscard]] Result<SimplifyResponse> simplify(const CircuitHandle& handle,
@@ -224,9 +220,10 @@ class Service {
   [[nodiscard]] Result<TransientResponse> transient(const CircuitHandle& handle,
                                                     const TransientRequest& request) const;
 
-  /// Many refgen items against one handle, shared-nothing in parallel.
-  /// The call itself only fails for an invalid handle; per-item failures
-  /// come back in BatchResponse::items[i].status.
+  /// Many refgen items against one handle, in parallel. Each item is
+  /// served exactly as refgen() serves it alone (same response cache, same
+  /// bytes, same engine_stats). The call itself only fails for an invalid
+  /// handle; per-item failures come back in BatchResponse::items[i].status.
   [[nodiscard]] Result<BatchResponse> batch(const CircuitHandle& handle,
                                             const BatchRequest& request) const;
 

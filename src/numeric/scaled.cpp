@@ -109,6 +109,8 @@ ScaledDouble ScaledDouble::pow(const ScaledDouble& base, std::int64_t n) {
 
 std::string ScaledDouble::to_string(int significant_digits) const {
   if (is_zero()) return "0";
+  // At least one digit, and no more than the 17 a double carries.
+  const int decimals = std::clamp(significant_digits, 1, 17) - 1;
   const double l10 = log10_abs();
   std::int64_t d = static_cast<std::int64_t>(std::floor(l10));
   double mant10 = std::pow(10.0, l10 - static_cast<double>(d));
@@ -121,11 +123,11 @@ std::string ScaledDouble::to_string(int significant_digits) const {
     --d;
   }
   char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.*f", significant_digits - 1, mant10);
+  std::snprintf(buffer, sizeof(buffer), "%.*f", decimals, mant10);
   // Rounding may print "10.000"; renormalize once more.
   if (buffer[0] == '1' && buffer[1] == '0') {
     ++d;
-    std::snprintf(buffer, sizeof(buffer), "%.*f", significant_digits - 1, 1.0);
+    std::snprintf(buffer, sizeof(buffer), "%.*f", decimals, 1.0);
   }
   char out[96];
   std::snprintf(out, sizeof(out), "%s%se%+lld", sign() < 0 ? "-" : "", buffer,

@@ -98,7 +98,8 @@ class ScaledDouble {
     return !(a == b);
   }
 
-  /// Scientific-notation string, e.g. "-1.12150e-522".
+  /// Scientific-notation string, e.g. "-1.12150e-522". `significant_digits`
+  /// is clamped to [1, 17].
   [[nodiscard]] std::string to_string(int significant_digits = 6) const;
 
  private:

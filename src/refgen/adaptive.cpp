@@ -158,8 +158,8 @@ AdaptiveResult AdaptiveScalingEngine::run() {
   support::Timer total_timer;
   AdaptiveResult result;
 
-  // A caller-provided evaluator keeps its assembly pattern and LU plan warm
-  // across runs (the api::Service handle cache); otherwise build a local one.
+  // The caller's evaluator when given (it reads the counters afterwards);
+  // otherwise a local one.
   std::optional<mna::CofactorEvaluator> local_evaluator;
   if (external_evaluator_ == nullptr) local_evaluator.emplace(system_, spec_);
   const mna::CofactorEvaluator& evaluator =

@@ -88,9 +88,8 @@ struct AdaptiveOptions {
   ProgressObserver on_iteration;
   /// Cooperative cancellation checkpoint, polled once per interpolation
   /// iteration. A cancelled run() returns promptly with whatever is known
-  /// so far and termination == "cancelled" (complete stays false); the
-  /// evaluator's caches remain valid for later runs. Like on_iteration,
-  /// not part of any request fingerprint.
+  /// so far and termination == "cancelled" (complete stays false). Like
+  /// on_iteration, not part of any request fingerprint.
   support::CancellationToken cancel;
 };
 
@@ -155,10 +154,10 @@ class AdaptiveScalingEngine {
   /// The system/spec must outlive the engine. One run() per engine.
   ///
   /// `evaluator` (optional) is a caller-owned CofactorEvaluator built over
-  /// the SAME system and spec: its cached assembly pattern and LU plan then
-  /// survive across engine runs — the warm-handle path of api::Service. The
-  /// evaluator is non-reentrant, so the caller must serialize runs that
-  /// share one. When null, run() builds its own throwaway evaluator.
+  /// the SAME system and spec, whose factorization counters the caller can
+  /// read after run(); api::Service passes a fresh one per run. A reused
+  /// evaluator carries its pivot history into the next run's result, and it
+  /// is non-reentrant. When null, run() builds its own throwaway evaluator.
   AdaptiveScalingEngine(const mna::NodalSystem& system, const mna::TransferSpec& spec,
                         AdaptiveOptions options = {},
                         const mna::CofactorEvaluator* evaluator = nullptr);

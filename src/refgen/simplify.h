@@ -142,11 +142,11 @@ struct SimplifyResult {
 /// Simplify `spec` on `canonical` (a canonicalized circuit) against the
 /// replayed response of `system` (built over the same circuit).
 ///
-/// `evaluator` (optional) is a caller-owned warm CofactorEvaluator over the
-/// same system/spec — api::Service passes its per-spec handle so the
-/// baseline reuses the cached LU plan. Non-reentrant like every evaluator
-/// user; callers serialize runs sharing one. When null, a throwaway
-/// evaluator is built.
+/// `evaluator` (optional) is a caller-owned CofactorEvaluator over the same
+/// system/spec that runs the baseline band sweep, so the caller can read
+/// its factorization counters afterwards (api::Service passes a fresh one
+/// per run). Non-reentrant like every evaluator user. When null, a
+/// throwaway evaluator is built.
 SimplifyResult simplify_transfer(const netlist::Circuit& canonical,
                                  const mna::NodalSystem& system,
                                  const mna::TransferSpec& spec,

@@ -107,8 +107,6 @@ TEST_F(KernelParityTest, RefgenResponseAndEngineStatsMatch) {
   EXPECT_EQ(scalar_stats.value().fresh_factorizations, stats.value().fresh_factorizations);
   EXPECT_EQ(scalar_stats.value().pivot_escalations, stats.value().pivot_escalations);
   EXPECT_EQ(scalar_stats.value().degraded_responses, stats.value().degraded_responses);
-  EXPECT_EQ(scalar_stats.value().supernodes, stats.value().supernodes);
-  EXPECT_GT(stats.value().supernodes, 0u);
   // The lane counter is the one legitimate difference: it counts points
   // actually routed through SoA lanes.
   EXPECT_EQ(scalar_stats.value().batched_lanes, 0u);

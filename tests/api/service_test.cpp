@@ -6,14 +6,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "api/serialize.h"
 #include "circuits/ladder.h"
 #include "circuits/ota.h"
 #include "circuits/ua741.h"
 #include "numeric/scaled.h"
 #include "refgen/adaptive.h"
+#include "support/random.h"
 
 namespace symref::api {
 namespace {
@@ -99,14 +103,12 @@ TEST(ServiceRefgen, WarmPlanReuseWithoutResponseCache) {
   ASSERT_TRUE(warm.ok());
   EXPECT_FALSE(warm.value().from_cache);
   EXPECT_TRUE(warm.value().result.complete);
-  // The warm run replays the cached factorization plan, so pivots may be
-  // adopted instead of re-searched: values agree to interpolation accuracy
-  // even if not bit-for-bit.
+  // No engine state survives a request: the repeat is bit-identical.
   const auto& a = cold.value().result.reference.denominator();
   const auto& b = warm.value().result.reference.denominator();
   ASSERT_EQ(a.order_bound(), b.order_bound());
   for (int i = 0; i <= a.order_bound(); ++i) {
-    EXPECT_LT(numeric::relative_difference(a.at(i).value, b.at(i).value), 1e-6) << i;
+    EXPECT_TRUE(a.at(i).value == b.at(i).value) << i;
   }
 }
 
@@ -153,9 +155,7 @@ TEST(ServiceSweep, WarmCacheAndPlanReuse) {
     EXPECT_EQ(cold.value().points[i].value, warm.value().points[i].value) << i;
   }
 
-  // A different grid misses the response cache but still reuses the
-  // simulator's factorization plan (no way to observe directly here beyond
-  // correctness; the api bench measures the speedup).
+  // A different grid misses the response cache and is computed afresh.
   SweepRequest other = request;
   other.points_per_decade = 3;
   const auto replan = service.sweep(handle, other);
@@ -469,6 +469,151 @@ TEST(ServiceSimplify, ErrorTaxonomy) {
   cancelled.spec = rc_spec();
   cancelled.options.engine.cancel = source.token();
   EXPECT_EQ(service.simplify(handle, cancelled).status().code(), StatusCode::kCancelled);
+}
+
+// --- History-free handles ------------------------------------------------
+
+/// Response JSON minus wall-clock fields: what "byte-identical" compares.
+Json strip_timing(const Json& value) {
+  if (value.is_object()) {
+    Json out = Json::object();
+    for (const auto& [key, member] : value.members()) {
+      if (key == "seconds" || key == "engine_seconds") continue;
+      out.set(key, strip_timing(member));
+    }
+    return out;
+  }
+  if (value.is_array()) {
+    Json out = Json::array();
+    for (const Json& item : value.items()) out.push_back(strip_timing(item));
+    return out;
+  }
+  return value;
+}
+
+template <typename Response>
+std::string scrubbed(const char* type, const Result<Response>& result) {
+  if (!result.ok()) return error_response(type, result.status()).dump();
+  return strip_timing(to_json(result.value())).dump();
+}
+
+/// One request of the mixed stream, answered by `service` on `handle`.
+std::string answer(const Service& service, const CircuitHandle& handle,
+                   const AnyRequest& request) {
+  switch (request.type) {
+    case AnyRequest::Type::kRefgen:
+      return scrubbed("refgen", service.refgen(handle, request.refgen));
+    case AnyRequest::Type::kPolesZeros:
+      return scrubbed("poles_zeros", service.poles_zeros(handle, request.poles_zeros));
+    case AnyRequest::Type::kSweep:
+      return scrubbed("sweep", service.sweep(handle, request.sweep));
+    case AnyRequest::Type::kSimplify:
+      return scrubbed("simplify", service.simplify(handle, request.simplify));
+    default:
+      ADD_FAILURE() << "request type outside the stream";
+      return {};
+  }
+}
+
+/// The same refgen request as the single item of a batch.
+std::string answer_as_batch_item(const Service& service, const CircuitHandle& handle,
+                                 const RefgenRequest& request) {
+  BatchRequest batch;
+  batch.items.push_back(request);
+  batch.threads = 1;
+  const auto response = service.batch(handle, batch);
+  if (!response.ok()) return error_response("batch", response.status()).dump();
+  const BatchItemResponse& item = response.value().items.front();
+  return item.status.ok() ? strip_timing(to_json(item.response)).dump()
+                          : error_response("refgen", item.status).dump();
+}
+
+std::vector<std::uint64_t> counters(const EngineStats& stats) {
+  return {stats.fresh_factorizations, stats.pivot_escalations,   stats.degraded_responses,
+          stats.batched_lanes,        stats.simplify_term_evals, stats.simplify_terms_dropped,
+          stats.newton_iterations,    stats.op_solves,           stats.transient_steps,
+          stats.lte_rejections};
+}
+
+// Every response is a function of the circuit and the request alone: a
+// seeded mixed stream on one warm µA741 handle (and a warm RC handle for
+// simplify) answers byte-for-byte like a fresh handle, every refgen also
+// like the same request sent as a batch item, and a batch counts in
+// engine_stats exactly like the same refgens sent alone.
+TEST(ServiceHistory, WarmHandleMatchesFreshHandleAndBatchItem) {
+  std::ifstream file(std::string(SYMREF_SOURCE_DIR) + "/tools/data/ua741.cir");
+  ASSERT_TRUE(file.good());
+  std::stringstream text;
+  text << file.rdbuf();
+  const std::string ua741 = text.str();
+  const mna::TransferSpec ua741_spec = mna::TransferSpec::voltage_gain("inp", "vo");
+
+  ServiceOptions options;
+  options.cache_responses = false;
+  const Service service(options);
+  const CircuitHandle warm_ua741 = service.compile_netlist(ua741).take();
+  const CircuitHandle warm_rc = service.compile_netlist(kRcNetlist).take();
+
+  constexpr double kTuning[] = {-0.5, 0.0, 0.5, 1.0, 2.0};
+  constexpr int kMaxIterations[] = {8, 16, 64};
+  support::Rng rng(2026);
+  std::vector<RefgenRequest> refgens;
+  for (int step = 0; step < 48; ++step) {
+    AnyRequest request;
+    refgen::AdaptiveOptions engine;
+    engine.sigma = 4 + static_cast<int>(rng.uniform_index(6));
+    engine.tuning_r = kTuning[rng.uniform_index(5)];
+    engine.max_iterations = kMaxIterations[rng.uniform_index(3)];
+    const std::uint64_t kind = rng.uniform_index(12);
+    if (kind < 6) {
+      request.type = AnyRequest::Type::kRefgen;
+      request.refgen = {ua741_spec, engine};
+      refgens.push_back(request.refgen);
+    } else if (kind < 7) {
+      request.type = AnyRequest::Type::kPolesZeros;
+      engine.max_iterations = 64;
+      request.poles_zeros = {ua741_spec, engine};
+    } else if (kind < 10) {
+      request.type = AnyRequest::Type::kSweep;
+      request.sweep.spec = ua741_spec;
+      request.sweep.f_start_hz = rng.log_uniform(0.1, 100.0);
+      request.sweep.f_stop_hz = 1e8;
+      request.sweep.points_per_decade = 2 + static_cast<int>(rng.uniform_index(19));
+    } else {
+      request.type = AnyRequest::Type::kSimplify;
+      request.simplify.spec = rc_spec();
+      request.simplify.options.error_budget = rng.uniform(0.005, 0.05);
+      request.simplify.options.f_start_hz = 10.0;
+      request.simplify.options.f_stop_hz = 1e5;
+      request.simplify.options.band_points = 5 + static_cast<int>(rng.uniform_index(5));
+    }
+    const bool on_rc = request.type == AnyRequest::Type::kSimplify;
+    const std::string what = "step " + std::to_string(step) + ": " + to_json(request).dump();
+
+    const std::string warm = answer(service, on_rc ? warm_rc : warm_ua741, request);
+    const CircuitHandle fresh = service.compile_netlist(on_rc ? kRcNetlist : ua741).take();
+    EXPECT_TRUE(warm == answer(service, fresh, request)) << what;
+    if (request.type == AnyRequest::Type::kRefgen) {
+      EXPECT_TRUE(warm == answer_as_batch_item(service, warm_ua741, request.refgen)) << what;
+    }
+  }
+  ASSERT_GE(refgens.size(), 10u);
+
+  // The stream's refgens as one parallel batch and as direct requests, each
+  // on a fresh handle: identical counters, and the counters did move.
+  const CircuitHandle batched = service.compile_netlist(ua741).take();
+  BatchRequest batch;
+  batch.items = refgens;
+  batch.threads = 3;
+  ASSERT_TRUE(service.batch(batched, batch).ok());
+  const CircuitHandle direct = service.compile_netlist(ua741).take();
+  for (const RefgenRequest& request : refgens) (void)service.refgen(direct, request);
+  const auto batched_stats = service.engine_stats(batched);
+  const auto direct_stats = service.engine_stats(direct);
+  ASSERT_TRUE(batched_stats.ok());
+  ASSERT_TRUE(direct_stats.ok());
+  EXPECT_EQ(counters(batched_stats.value()), counters(direct_stats.value()));
+  EXPECT_GE(direct_stats.value().fresh_factorizations, refgens.size());
 }
 
 // --- Nonlinear handles: .op and the auto_linearize gate --------------------

@@ -183,7 +183,7 @@ TEST(AcSimulator, UnknownNodeThrowsSpecError) {
   c.add_resistor("r1", "a", "0", 1.0);
   const AcSimulator sim(c);
   // The typed exception is what the api boundary maps to kInvalidSpec.
-  EXPECT_THROW(sim.transfer(TransferSpec::voltage_gain("a", "missing"), 1.0), SpecError);
+  EXPECT_THROW((void)sim.transfer(TransferSpec::voltage_gain("a", "missing"), 1.0), SpecError);
 }
 
 }  // namespace

@@ -145,7 +145,7 @@ TEST(Parser, SubcircuitPortArityChecked) {
 
 TEST(Parser, ErrorsCarryLineNumbers) {
   try {
-    parse_netlist("R1 a 0 1k\nC1 a 0 zzz\n");
+    (void)parse_netlist("R1 a 0 1k\nC1 a 0 zzz\n");
     FAIL() << "expected ParseError";
   } catch (const ParseError& e) {
     EXPECT_EQ(e.line(), 2);
@@ -155,7 +155,7 @@ TEST(Parser, ErrorsCarryLineNumbers) {
 
 TEST(Parser, ErrorsPointAtTheOffendingTokenColumn) {
   try {
-    parse_netlist("R1 a 0 1k\nC1 a 0   zzz\n");
+    (void)parse_netlist("R1 a 0 1k\nC1 a 0   zzz\n");
     FAIL() << "expected ParseError";
   } catch (const ParseError& e) {
     EXPECT_EQ(e.line(), 2);
@@ -167,7 +167,7 @@ TEST(Parser, ErrorsPointAtTheOffendingTokenColumn) {
 TEST(Parser, ContinuationTokensKeepTheirPhysicalLine) {
   // The bad value arrives on the continuation's physical line 3, column 5.
   try {
-    parse_netlist("R1 a 0 1k\nC1 a 0\n+   zzz\n");
+    (void)parse_netlist("R1 a 0 1k\nC1 a 0\n+   zzz\n");
     FAIL() << "expected ParseError";
   } catch (const ParseError& e) {
     EXPECT_EQ(e.line(), 3);
@@ -177,7 +177,7 @@ TEST(Parser, ContinuationTokensKeepTheirPhysicalLine) {
 
 TEST(Parser, ModelParameterErrorsPointAtTheParameter) {
   try {
-    parse_netlist(".model t1 bjt gm=1m oops beta=100\n");
+    (void)parse_netlist(".model t1 bjt gm=1m oops beta=100\n");
     FAIL() << "expected ParseError";
   } catch (const ParseError& e) {
     EXPECT_EQ(e.line(), 1);
@@ -294,7 +294,7 @@ Q1 c b 0 qn
 
 TEST(Parser, UndefinedParameterPointsIntoTheExpression) {
   try {
-    parse_netlist("R1 a 0 1k\nC1 a 0 {2*cx}\n");
+    (void)parse_netlist("R1 a 0 1k\nC1 a 0 {2*cx}\n");
     FAIL() << "expected ParseError";
   } catch (const ParseError& e) {
     EXPECT_EQ(e.line(), 2);
@@ -305,7 +305,7 @@ TEST(Parser, UndefinedParameterPointsIntoTheExpression) {
 
 TEST(Parser, DivisionByZeroPointsAtTheOperator) {
   try {
-    parse_netlist("R1 a 0 {1/0}\n");
+    (void)parse_netlist("R1 a 0 {1/0}\n");
     FAIL() << "expected ParseError";
   } catch (const ParseError& e) {
     EXPECT_EQ(e.line(), 1);
@@ -320,7 +320,7 @@ TEST(Parser, DivisionByZeroThroughParametersDiagnosed) {
 
 TEST(Parser, UnterminatedBraceRejected) {
   try {
-    parse_netlist("R1 a 0 {1 + 2\n");
+    (void)parse_netlist("R1 a 0 {1 + 2\n");
     FAIL() << "expected ParseError";
   } catch (const ParseError& e) {
     EXPECT_EQ(e.line(), 1);
@@ -414,7 +414,7 @@ X1 in out stage
 
 TEST(Parser, UnknownInstanceParameterRejected) {
   try {
-    parse_netlist(".subckt s a b r=1\nR1 a b {r}\n.ends\nX1 in out s q=2\n");
+    (void)parse_netlist(".subckt s a b r=1\nR1 a b {r}\n.ends\nX1 in out s q=2\n");
     FAIL() << "expected ParseError";
   } catch (const ParseError& e) {
     EXPECT_EQ(e.line(), 4);
@@ -475,7 +475,7 @@ Xl n2 leaf
 
 TEST(Parser, SelfRecursionDiagnosedCleanly) {
   try {
-    parse_netlist(".subckt loop a\nX1 a loop\n.ends\nXtop in loop\n");
+    (void)parse_netlist(".subckt loop a\nX1 a loop\n.ends\nXtop in loop\n");
     FAIL() << "expected ParseError";
   } catch (const ParseError& e) {
     EXPECT_EQ(e.line(), 2);  // the X card that closes the cycle
@@ -487,7 +487,7 @@ TEST(Parser, SelfRecursionDiagnosedCleanly) {
 
 TEST(Parser, MutualRecursionDiagnosedCleanly) {
   try {
-    parse_netlist(R"(
+    (void)parse_netlist(R"(
 .subckt a p
 X1 p b
 .ends

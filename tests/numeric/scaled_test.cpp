@@ -134,6 +134,20 @@ TEST(ScaledDouble, ToStringRoundingEdge) {
   EXPECT_EQ(value.to_string(3), "1.00e+1");
 }
 
+TEST(ScaledDouble, ToStringClampsSignificantDigits) {
+  // At least one digit is printed (printf ignores a negative precision) and
+  // at most the 17 a double carries (wider requests used to truncate).
+  const ScaledDouble value = ScaledDouble(-1.28095) * ScaledDouble::exp10i(124);
+  EXPECT_EQ(value.to_string(1), "-1e+124");
+  EXPECT_EQ(value.to_string(0), "-1e+124");
+  EXPECT_EQ(value.to_string(-4), "-1e+124");
+  EXPECT_EQ(ScaledDouble(9.7).to_string(0), "1e+1");
+  const std::string widest = value.to_string(17);
+  EXPECT_EQ(widest.find('e') - widest.find('.') - 1, 16u) << widest;
+  EXPECT_EQ(value.to_string(63), widest);
+  EXPECT_EQ(value.to_string(1000), widest);
+}
+
 TEST(ScaledDouble, RatioAndRelativeDifference) {
   const ScaledDouble a(3.0);
   const ScaledDouble b(-6.0);

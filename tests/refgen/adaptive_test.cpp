@@ -127,7 +127,9 @@ TEST(Adaptive, Ua741CompletesWithPaperLikeSchedule) {
 
   // Overlap re-computations agreed.
   for (const auto& it : result.iterations) {
-    if (it.max_overlap_mismatch > 0.0) EXPECT_LT(it.max_overlap_mismatch, 1e-3);
+    if (it.max_overlap_mismatch > 0.0) {
+      EXPECT_LT(it.max_overlap_mismatch, 1e-3);
+    }
   }
 
   // The reference reproduces the simulator's Bode plot (Fig. 2).

@@ -157,7 +157,7 @@ TEST(Timer, MeasuresElapsedTime) {
   Timer timer;
   // Busy-wait a tiny amount; just verify monotonic non-negative behaviour.
   volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  for (int i = 0; i < 100000; ++i) sink = sink + i;
   EXPECT_GE(timer.seconds(), 0.0);
   const double before = timer.seconds();
   timer.reset();

@@ -4,7 +4,8 @@
 // compile, submit, poll, wait, cancel, list, evict, stats, shutdown;
 // server-pushed progress/done events). Circuits compile once into a shared
 // registry; every analysis runs as an asynchronous job on a fixed worker
-// pool, so many clients (or one scripted session) share warm plan caches.
+// pool, so many clients (or one scripted session) share compiled circuits
+// and response caches.
 //
 //   $ refgend                          # one session on stdin/stdout
 //   $ refgend --listen=7171           # concurrent clients on 127.0.0.1:7171
