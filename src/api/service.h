@@ -78,8 +78,9 @@ struct CacheStats {
 /// batch() items count like the same refgen() requests sent alone.
 struct EngineStats {
   /// Fresh (non-replay) factorizations: each computed run's first one plus
-  /// refused plan replays that fell back (the compile-time bias solve and
-  /// refgen, simplify and transient runs).
+  /// every refused plan replay that fell back, on whichever pool lane it
+  /// ran (the compile-time bias solve and refgen, simplify and transient
+  /// runs).
   std::uint64_t fresh_factorizations = 0;
   /// Fresh factorizations that only succeeded after relaxing the pivot
   /// threshold (the corresponding samples are flagged `degraded`).

@@ -7,7 +7,6 @@
 #include "dc/newton.h"
 #include "mna/errors.h"
 #include "netlist/parser.h"
-#include "sparse/lu.h"
 #include "support/cancellation.h"
 #include "symbolic/errors.h"
 #include "transient/transient.h"
@@ -74,8 +73,6 @@ Status status_from_current_exception() noexcept {
     return Status::error(StatusCode::kInvalidSpec, e.what());
   } catch (const mna::SingularSystemError& e) {
     return Status::error(StatusCode::kSingularSystem, e.what());
-  } catch (const sparse::RefusedReplayError& e) {
-    return Status::error(StatusCode::kRefusedReplay, e.what());
   } catch (const dc::NoConvergenceError& e) {
     return Status::error(StatusCode::kNoConvergence, e.what());
   } catch (const transient::NoConvergenceError& e) {

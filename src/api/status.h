@@ -29,8 +29,9 @@ enum class StatusCode {
   /// The (scaled) system admitted no acceptable pivot — structurally or
   /// numerically singular at the request's operating point.
   kSingularSystem,
-  /// A strict plan replay was refused (pattern changed or pivots degraded)
-  /// where the caller required replay instead of a fresh factorization.
+  /// Reserved: no request raises it today (a refused plan replay always
+  /// falls back to a fresh factorization). The wire name and CLI exit code
+  /// stay assigned.
   kRefusedReplay,
   /// The engine terminated without a complete reference (max_iterations,
   /// no_valid_region, gap_unresolved).
@@ -124,8 +125,8 @@ class Status {
 ///
 /// netlist::ParseError -> kParseError (with line/column), mna::SpecError ->
 /// kInvalidSpec, mna::SingularSystemError -> kSingularSystem,
-/// sparse::RefusedReplayError -> kRefusedReplay, dc::NoConvergenceError ->
-/// kNoConvergence, support::CancelledError -> kCancelled,
+/// dc::NoConvergenceError -> kNoConvergence, support::CancelledError ->
+/// kCancelled,
 /// std::invalid_argument -> kInvalidArgument, std::bad_alloc ->
 /// kUnavailable (allocation pressure is transient — retryable), anything
 /// else -> kInternal.

@@ -36,7 +36,7 @@ OpResult OpSolver::solve(const Circuit& circuit) {
   std::vector<PatternStamp> stamps;
   std::vector<double> rhs(dim, 0.0);
   std::vector<std::complex<double>> solution;
-  FactorTally tally;
+  sparse::FactorTally tally;
   int iterations = 0;
   bool degraded = false;
   const NewtonControl control{options_.max_iterations, options_.reltol,  options_.abstol_v,
@@ -68,16 +68,15 @@ OpResult OpSolver::solve(const Circuit& circuit) {
         // New merged structure (first solve, or a different circuit): a
         // fresh pattern invalidates any recorded plan.
         assembly_ = sparse::PatternedMatrix(table.dim, stamps);
-        plan_.planned = false;
+        lu_ = sparse::SparseLu();
       }
-      const sparse::CompressedMatrix& matrix = assembly_.assemble(0.0);
-      if (!replay_or_factor(plan_, matrix, &tally)) {
+      if (!replay_or_factor(lu_, assembly_.assemble(0.0), &tally)) {
         throw mna::SingularSystemError(
             "dc: singular Jacobian (floating node or degenerate DC path?)");
       }
-      degraded = degraded || plan_.degraded;
+      degraded = degraded || lu_.degraded();
       solution.assign(rhs.begin(), rhs.end());
-      plan_.lu.solve(solution);
+      lu_.solve(solution);
       return solution;
     };
     return newton_solve(circuit, table, control, solve_at, x, state, &iterations);

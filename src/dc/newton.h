@@ -14,8 +14,8 @@
 //   SparseLu::refactor       (numeric replay of the one recorded plan)
 //
 // and a fresh Markowitz factorization happens exactly once per pattern — or
-// again only on the degradation ladder when a replay is refused (mirroring
-// CofactorEvaluator's escalation policy). An OpSolver instance keeps its
+// again, down the Newton pivot-threshold ladder (dc::replay_or_factor), only
+// when a replay is refused. An OpSolver instance keeps its
 // plan across solve() calls, and copies share it, so a parameter sweep
 // re-solving the bias point per sample (each on a copy of the nominal
 // solver) replays one plan for the whole sweep.
@@ -36,6 +36,7 @@
 
 #include "dc/stamps.h"
 #include "netlist/circuit.h"
+#include "sparse/lu.h"
 #include "sparse/matrix.h"
 #include "support/cancellation.h"
 
@@ -123,7 +124,8 @@ class OpSolver {
  private:
   OpOptions options_;
   sparse::PatternedMatrix assembly_;
-  Plan plan_;
+  /// The recorded Jacobian plan; reset whenever the merged structure changes.
+  sparse::SparseLu lu_;
   std::uint64_t fresh_factors_ = 0;
   std::uint64_t escalations_ = 0;
 };

@@ -18,32 +18,20 @@ using netlist::DeviceKind;
 using netlist::Element;
 using sparse::PatternStamp;
 
-bool factor_with_ladder(sparse::SparseLu& lu, const sparse::CompressedMatrix& matrix,
-                        bool* degraded) {
-  *degraded = false;
-  sparse::SparseLuOptions loose;
-  loose.pivot_threshold = 1e-6;
-  if (lu.factor(matrix, loose)) return true;
-  sparse::SparseLuOptions relaxed;
-  relaxed.pivot_threshold = 0.0;
-  relaxed.singularity_tolerance = 0.0;
-  if (lu.factor(matrix, relaxed)) {
-    *degraded = true;
-    return true;
-  }
-  return false;
-}
+namespace {
 
-bool replay_or_factor(Plan& plan, const sparse::CompressedMatrix& matrix, FactorTally* tally) {
-  if (plan.planned && plan.lu.has_plan() && !support::fault("newton_step") &&
-      plan.lu.refactor(matrix)) {
-    return true;
+/// Pivot thresholds of a Newton Jacobian's fresh factorization (see
+/// replay_or_factor in the header).
+constexpr double kNewtonLadder[] = {1e-6, 0.0};
+
+}  // namespace
+
+bool replay_or_factor(sparse::SparseLu& lu, const sparse::CompressedMatrix& matrix,
+                      sparse::FactorTally* tally) {
+  if (lu.has_plan() && support::fault("newton_step")) {
+    return lu.factor(matrix, kNewtonLadder, tally);
   }
-  plan.planned = factor_with_ladder(plan.lu, matrix, &plan.degraded);
-  if (!plan.planned) return false;
-  ++tally->fresh;
-  if (plan.degraded) ++tally->escalations;
-  return true;
+  return lu.replay_or_factor(matrix, kNewtonLadder, tally);
 }
 
 mna::StampTable solver_table(const Circuit& circuit) {

@@ -7,8 +7,8 @@
 // sparse::PatternedMatrix::rebind() — and with it the merged structure and
 // the recorded symbolic plan — is pinned across iterations. This header holds
 // what the two solvers share on top of that table: the device companion
-// stamps, junction limiting, the escalating-pivot factorization ladder, the
-// replay-or-fresh-factor step and the damped Newton loop.
+// stamps, junction limiting, the replay-or-fresh-factor step with its
+// pivot-threshold ladder, and the damped Newton loop.
 #pragma once
 
 #include <complex>
@@ -25,43 +25,25 @@
 
 namespace symref::dc {
 
-/// Escalating-pivot fresh factorization, mirroring CofactorEvaluator's
-/// ladder so DC, transient and AC degrade with the same policy.
+/// Replay `lu`'s recorded plan on `matrix`, or else factor fresh down the
+/// Newton ladder and keep the result as the new plan
+/// (SparseLu::replay_or_factor). Returns false when even the ladder finds
+/// the matrix singular. The "newton_step" fault site refuses a replay the
+/// plan could have served.
 ///
-/// The Newton Jacobian is a far harsher replay customer than an AC sweep: a
-/// junction conductance swings from ~1 S (forward bias) to gmin = 1e-12 S
-/// (cut off) between iterations, 12 decades, while an AC point moves values
-/// by fractions of a decade. Factoring at the default 1e-3 threshold would
-/// put the replay acceptance bar at 1e-8 relative
-/// (kReplayRelaxedThresholdScale) and the off-state transients of a
-/// realistic deck refuse it mid-flight, costing the one-plan guarantee. A
-/// 1e-6 factor threshold drops the bar to 1e-11: every transient still
-/// replays, mid-flight steps lose some accuracy Newton self-corrects anyway,
-/// and the converged iterate sits near the well-conditioned on-state the
-/// plan was recorded at.
-bool factor_with_ladder(sparse::SparseLu& lu, const sparse::CompressedMatrix& matrix,
-                        bool* degraded);
-
-/// One recorded factorization plan: `planned` once a fresh factorization
-/// has recorded it for the current pattern, `degraded` while that plan came
-/// from an escalated ladder level (its replays are flagged too).
-struct Plan {
-  sparse::SparseLu lu;
-  bool planned = false;
-  bool degraded = false;
-};
-
-/// Fresh factorizations and pivot escalations, accumulated across calls.
-struct FactorTally {
-  std::uint64_t fresh = 0;
-  std::uint64_t escalations = 0;
-};
-
-/// Replay `plan`'s recorded plan on `matrix`; when there is none, the
-/// replay is refused, or the newton_step fault site fires, factor fresh
-/// through factor_with_ladder instead (re-recording the plan). Returns false
-/// when even the ladder finds the matrix singular.
-bool replay_or_factor(Plan& plan, const sparse::CompressedMatrix& matrix, FactorTally* tally);
+/// The Newton ladder is {1e-6, 0}: a 1e-6 pivot threshold first, then 0,
+/// whose plans are flagged degraded. (The sample ladder of
+/// CofactorEvaluator is {1e-3, 1e-6, 0}; the AC sweep and the sensitivity
+/// solves use the default 1e-3 alone.) The Newton Jacobian is a far harsher
+/// replay customer than an AC sweep: a junction conductance swings from
+/// ~1 S (forward bias) to gmin = 1e-12 S (cut off) between iterations, 12
+/// decades, while an AC point moves values by fractions of a decade. The
+/// lower first threshold only widens the fresh factorization's pivot
+/// search; it does not lower the replay bar. refactor() runs with default
+/// options, so a replay is refused below kReplayRelaxedThresholdScale x
+/// 1e-3 = 1e-8 relative, whatever threshold recorded the plan.
+bool replay_or_factor(sparse::SparseLu& lu, const sparse::CompressedMatrix& matrix,
+                      sparse::FactorTally* tally);
 
 /// The circuit's stamp table, checked for the Newton solvers: throws
 /// std::invalid_argument for a CCCS/CCVS sensing a branchless element and

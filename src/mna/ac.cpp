@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
+#include <span>
 #include <stdexcept>
 
 #include "mna/errors.h"
-#include "sparse/batched.h"
 #include "support/thread_pool.h"
 
 namespace symref::mna {
@@ -13,6 +14,19 @@ namespace symref::mna {
 namespace {
 
 constexpr double kTwoPi = 6.283185307179586476925286766559;
+
+/// Pivot thresholds of a sweep point's fresh factorization: the default
+/// only (a point that fails it is singular).
+constexpr double kSweepLadder[] = {1e-3};
+
+constexpr const char* kSingular = "AcSimulator: singular MNA system";
+
+/// The output voltage between rows pos and neg (-1 = ground) at one solved
+/// point; throws SingularSystemError when the point was singular.
+std::complex<double> output_voltage(const sparse::ReplayedPoint& point, int pos, int neg) {
+  if (!point.ok()) throw SingularSystemError(kSingular);
+  return point.x(pos) - point.x(neg);
+}
 
 bool same_spec(const TransferSpec& a, const TransferSpec& b) {
   return a.kind == b.kind && a.in_pos == b.in_pos && a.in_neg == b.in_neg &&
@@ -52,12 +66,12 @@ AcSimulator::SpecCache& AcSimulator::prepare(const TransferSpec& spec) const {
   }
   cache->assembler = std::make_unique<MnaAssembler>(cache->work);
   if (voltage_drive) {
-    cache->drive_branch = *cache->assembler->branch_index("__drive");
+    cache->injections = {{*cache->assembler->branch_index("__drive"), 1.0}};
   } else {
     // Transimpedance convention: 1 A injected INTO in+ and drawn from in-
     // (matches CofactorEvaluator, so signs agree across both paths).
-    cache->in_pos_row = cache->assembler->node_index(spec.in_pos).value_or(-1);
-    cache->in_neg_row = cache->assembler->node_index(spec.in_neg).value_or(-1);
+    cache->injections = {{cache->assembler->node_index(spec.in_pos).value_or(-1), 1.0},
+                         {cache->assembler->node_index(spec.in_neg).value_or(-1), -1.0}};
   }
   // Resolve the output pair once; a row of -1 reads as 0 V (ground or a node
   // no element touches).
@@ -73,44 +87,19 @@ AcSimulator::SpecCache& AcSimulator::prepare(const TransferSpec& spec) const {
   return *cache_;
 }
 
-std::complex<double> AcSimulator::solve_point(const SpecCache& cache, MnaAssembler& assembler,
-                                              sparse::SparseLu& lu,
-                                              std::vector<std::complex<double>>& rhs,
-                                              bool persist_plan, std::complex<double> s) const {
-  rhs.assign(static_cast<std::size_t>(assembler.dim()), std::complex<double>());
-  if (cache.drive_branch >= 0) {
-    rhs[static_cast<std::size_t>(cache.drive_branch)] = 1.0;
-  } else {
-    if (cache.in_pos_row >= 0) rhs[static_cast<std::size_t>(cache.in_pos_row)] += 1.0;
-    if (cache.in_neg_row >= 0) rhs[static_cast<std::size_t>(cache.in_neg_row)] -= 1.0;
-  }
-
-  // Pattern-cached assembly, then the plan replay; a fresh Markowitz
-  // factorization only when there is no plan yet or the reused pivots
-  // degraded at this point.
-  const sparse::CompressedMatrix& matrix = assembler.assemble(s);
-  const sparse::SparseLu* solver = &lu;
-  sparse::SparseLu throwaway;
-  if (!lu.refactor(matrix)) {
-    sparse::SparseLu& fresh = persist_plan ? lu : throwaway;
-    if (!fresh.factor(matrix)) {
-      throw SingularSystemError("AcSimulator: singular MNA system");
-    }
-    solver = &fresh;
-  }
-  solver->solve(rhs);
-
-  auto voltage = [&](int row) -> std::complex<double> {
-    return row < 0 ? std::complex<double>(0.0, 0.0) : rhs[static_cast<std::size_t>(row)];
-  };
-  return voltage(cache.out_pos_row) - voltage(cache.out_neg_row);
-}
-
 std::complex<double> AcSimulator::transfer_s(const TransferSpec& spec,
                                              std::complex<double> s) const {
   SpecCache& cache = prepare(spec);
-  std::vector<std::complex<double>> rhs;
-  return solve_point(cache, *cache.assembler, cache.lu, rhs, /*persist_plan=*/true, s);
+  // Pattern-cached assembly, then the plan replay; a fresh factorization
+  // (kept as the new plan) only when there is no plan yet or the reused
+  // pivots degraded at this point.
+  if (!cache.lu.replay_or_factor(cache.assembler->assemble(s), kSweepLadder, nullptr)) {
+    throw SingularSystemError(kSingular);
+  }
+  std::vector<std::complex<double>> x;
+  sparse::solve_injected(cache.lu, cache.injections, x);
+  return output_voltage(sparse::ReplayedPoint(cache.lu, x), cache.out_pos_row,
+                        cache.out_neg_row);
 }
 
 std::complex<double> AcSimulator::transfer(const TransferSpec& spec, double frequency_hz) const {
@@ -137,130 +126,30 @@ std::vector<BodePoint> AcSimulator::bode(const TransferSpec& spec, double f_star
                                          int threads, support::CancellationToken cancel) const {
   const std::vector<double> grid = log_frequency_grid(f_start_hz, f_stop_hz, points_per_decade);
   SpecCache& cache = prepare(spec);
-  auto s_of = [](double f) { return std::complex<double>(0.0, kTwoPi * f); };
   if (cancel.cancelled()) throw support::CancelledError();
 
   // The first point runs on the caller with the cache's own state, creating
   // (or refreshing) the factorization plan every other point replays.
+  std::vector<std::complex<double>> s_points(grid.size());
+  for (std::size_t i = 0; i < grid.size(); ++i) s_points[i] = {0.0, kTwoPi * grid[i]};
   std::vector<std::complex<double>> values(grid.size());
-  std::vector<std::complex<double>> rhs;
-  values[0] = solve_point(cache, *cache.assembler, cache.lu, rhs, /*persist_plan=*/true,
-                          s_of(grid[0]));
+  values[0] = transfer_s(spec, s_points[0]);
 
-  if (grid.size() > 1) {
-    // Per-lane clones: pattern-cached assembler values + SparseLu numeric
-    // workspace, sharing the immutable symbolic plan. Non-persisting
-    // fallback keeps every point a pure function of (plan, frequency), so
-    // the sweep is bit-identical at any thread count — the single-lane path
-    // below is the same code with one clone.
-    struct Lane {
-      MnaAssembler assembler;
-      sparse::SparseLu lu;
-      std::vector<std::complex<double>> rhs;
-      // Batched-path state (unused on the scalar path): the SoA replay
-      // bound to the cache's plan, its solve buffer and the group's s values.
-      sparse::BatchedReplay replay;
-      std::vector<std::complex<double>> soa_rhs;
-      std::vector<std::complex<double>> s_values;
-    };
-    // <= 0 picks the hardware thread count (same convention as
-    // AdaptiveOptions::threads and ThreadPool); never more lanes than
-    // remaining points.
-    const int requested = threads <= 0 ? support::ThreadPool::hardware_threads() : threads;
-    const int lane_count =
-        static_cast<int>(std::min<std::size_t>(static_cast<std::size_t>(requested),
-                                               grid.size() - 1));
-    std::vector<Lane> lanes;
-    lanes.reserve(static_cast<std::size_t>(lane_count));
-    for (int i = 0; i < lane_count; ++i) {
-      lanes.push_back(Lane{*cache.assembler, cache.lu, {}, {}, {}, {}});
-    }
-    auto body = [&](std::size_t begin, std::size_t end, int lane) {
-      Lane& state = lanes[static_cast<std::size_t>(lane)];
-      for (std::size_t i = begin; i < end; ++i) {
-        // Cooperative checkpoint: the pool rethrows the first lane's
-        // CancelledError and abandons the remaining chunks.
-        if (cancel.cancelled()) throw support::CancelledError();
-        values[i + 1] = solve_point(cache, state.assembler, state.lu, state.rhs,
-                                    /*persist_plan=*/false, s_of(grid[i + 1]));
-      }
-    };
-
-    // Batched path: SoA groups against the first point's plan. Requires a
-    // structurally replayable plan — otherwise (first point singular or
-    // re-factored onto a different pattern, which cannot happen for a fixed
-    // assembler but costs nothing to check) the sweep runs the scalar body,
-    // which is bit-identical anyway.
-    const auto plan = cache.lu.plan();
-    const bool batched = sparse::use_batched_replay(plan.get(), cache.assembler->pattern());
-    const int width = static_cast<int>(std::min<std::size_t>(
-        static_cast<std::size_t>(sparse::kDefaultBatchWidth), grid.size() - 1));
-    auto batched_body = [&](std::size_t begin, std::size_t end, int lane) {
-      Lane& state = lanes[static_cast<std::size_t>(lane)];
-      state.replay.bind(plan, width);
-      const std::size_t stride = static_cast<std::size_t>(width);
-      const int dim = state.assembler.dim();
-      state.s_values.resize(stride);
-      for (std::size_t at = begin; at < end; at += stride) {
-        if (cancel.cancelled()) throw support::CancelledError();
-        const int count =
-            static_cast<int>(std::min<std::size_t>(stride, end - at));
-        for (int t = 0; t < count; ++t) {
-          state.s_values[static_cast<std::size_t>(t)] = s_of(grid[at + 1 + static_cast<std::size_t>(t)]);
-        }
-        state.replay.replay(count, state.assembler.lane_assembly(state.s_values.data()));
-
-        // Batched solves: the drive injection is the same in every lane.
-        state.soa_rhs.assign(static_cast<std::size_t>(dim) * stride, std::complex<double>());
-        for (int l = 0; l < count; ++l) {
-          if (cache.drive_branch >= 0) {
-            state.soa_rhs[static_cast<std::size_t>(cache.drive_branch) * stride +
-                          static_cast<std::size_t>(l)] = 1.0;
-          } else {
-            if (cache.in_pos_row >= 0) {
-              state.soa_rhs[static_cast<std::size_t>(cache.in_pos_row) * stride +
-                            static_cast<std::size_t>(l)] += 1.0;
-            }
-            if (cache.in_neg_row >= 0) {
-              state.soa_rhs[static_cast<std::size_t>(cache.in_neg_row) * stride +
-                            static_cast<std::size_t>(l)] -= 1.0;
-            }
-          }
-        }
-        state.replay.solve(state.soa_rhs, count);
-
-        for (int l = 0; l < count; ++l) {
-          if (state.replay.lane_ok(l)) {
-            auto voltage = [&](int row) -> std::complex<double> {
-              return row < 0 ? std::complex<double>(0.0, 0.0)
-                             : state.soa_rhs[static_cast<std::size_t>(row) * stride +
-                                             static_cast<std::size_t>(l)];
-            };
-            values[at + 1 + static_cast<std::size_t>(l)] =
-                voltage(cache.out_pos_row) - voltage(cache.out_neg_row);
-            continue;
-          }
-          // Refused lane: solve_point's refusal branch — a throwaway fresh
-          // factorization of this point alone. The planless LU makes
-          // solve_point skip a second replay attempt: the lane's refusal IS
-          // the refactor refusal.
-          sparse::SparseLu no_plan;
-          values[at + 1 + static_cast<std::size_t>(l)] =
-              solve_point(cache, state.assembler, no_plan, state.rhs, /*persist_plan=*/false,
-                          state.s_values[static_cast<std::size_t>(l)]);
-        }
-      }
-    };
-
-    auto run = batched ? std::function<void(std::size_t, std::size_t, int)>(batched_body)
-                       : std::function<void(std::size_t, std::size_t, int)>(body);
-    if (lane_count == 1) {
-      run(0, grid.size() - 1, 0);
-    } else {
-      support::ThreadPool pool(lane_count);
-      pool.parallel_for(grid.size() - 1, run);
-    }
-  }
+  // <= 0 picks the hardware thread count (same convention as
+  // AdaptiveOptions::threads and ThreadPool); never more lanes than
+  // remaining points.
+  const int requested = threads <= 0 ? support::ThreadPool::hardware_threads() : threads;
+  const int lanes = static_cast<int>(
+      std::min<std::size_t>(static_cast<std::size_t>(requested), grid.size() - 1));
+  std::optional<support::ThreadPool> pool;
+  if (lanes > 1) pool.emplace(lanes);
+  sparse::replay_points(cache.assembler->assembly(), cache.lu, std::span(s_points).subspan(1),
+                        1.0, 1.0, cache.injections, kSweepLadder, nullptr,
+                        pool ? &*pool : nullptr, sparse::kDefaultBatchWidth, cancel,
+                        [&](std::size_t i, const sparse::ReplayedPoint& point) {
+                          values[i + 1] =
+                              output_voltage(point, cache.out_pos_row, cache.out_neg_row);
+                        });
 
   // Ordered reduction on the caller: dB conversion and phase unwrapping walk
   // the values in frequency order regardless of which lane produced them.

@@ -12,6 +12,7 @@
 #include "mna/assembler.h"
 #include "mna/transfer.h"
 #include "netlist/circuit.h"
+#include "sparse/batched.h"
 #include "sparse/lu.h"
 #include "support/cancellation.h"
 
@@ -58,22 +59,16 @@ class AcSimulator {
   /// Sweep with log-spaced points; magnitude_db and unwrapped phase_deg are
   /// filled in. One factorization for the whole sweep (plus refactors).
   ///
-  /// `threads` > 1 distributes the per-point solves over a thread pool: the
-  /// first point establishes the factorization plan on the caller, then each
-  /// lane clones the pattern-cached assembler values and the SparseLu
-  /// numeric workspace (sharing the immutable plan) and sweeps its chunk. A
-  /// point whose replayed pivots degrade re-factors on a throwaway instance,
-  /// so per-point values depend only on (plan, frequency) — the sweep is
-  /// bit-identical at every thread count. Phase unwrapping runs afterwards
-  /// on the caller in frequency order (deterministic ordered reduction).
-  /// `threads` <= 0 picks the hardware thread count (the ThreadPool
-  /// convention); 1 is the serial path.
-  ///
-  /// When the first point's plan replays the assembly
-  /// (sparse::use_batched_replay), the remaining points sweep in SoA groups
-  /// through sparse::BatchedReplay, falling back per refused lane to the
-  /// scalar path; otherwise every point runs the scalar path. Values are
-  /// bit-identical either way, at every thread count.
+  /// The first point establishes the factorization plan on the caller, like
+  /// transfer(); sparse::replay_points() then solves every other point
+  /// against it — SoA groups through sparse::BatchedReplay when the plan
+  /// replays the assembly, scalar refactor()s otherwise — over `threads`
+  /// lanes. A point whose replay is refused re-factors on a throwaway
+  /// instance, so per-point values depend only on (plan, frequency) — the
+  /// sweep is bit-identical at every thread count and on either kernel.
+  /// Phase unwrapping runs afterwards on the caller in frequency order
+  /// (deterministic ordered reduction). `threads` <= 0 picks the hardware
+  /// thread count (the ThreadPool convention); 1 is the serial path.
   ///
   /// `cancel` is a cooperative checkpoint polled before every point solve
   /// (before every SoA group on the batched path); a tripped token makes
@@ -93,25 +88,14 @@ class AcSimulator {
     netlist::Circuit work;
     std::unique_ptr<MnaAssembler> assembler;  // references `work`
     sparse::SparseLu lu;
-    int drive_branch = -1;  // VoltageGain: row of the 1 V drive constraint
-    int in_pos_row = -1;    // Transimpedance: injection rows (-1 = ground)
-    int in_neg_row = -1;
+    /// The drive: 1 V on the drive constraint's branch row (VoltageGain), or
+    /// 1 A into in+ and out of in- (Transimpedance).
+    std::vector<sparse::Injection> injections;
     int out_pos_row = -1;   // output pair rows (-1 = ground)
     int out_neg_row = -1;
   };
 
   SpecCache& prepare(const TransferSpec& spec) const;
-
-  /// One point with an explicit assembler + LU (the cache's own, or a
-  /// per-lane clone). Refactors against the existing plan; on refusal either
-  /// persists a fresh factorization in `lu` (persist_plan — the serial
-  /// cache path) or keeps the plan and factors a throwaway instance (the
-  /// parallel lanes).
-  [[nodiscard]] std::complex<double> solve_point(const SpecCache& cache,
-                                                 MnaAssembler& assembler, sparse::SparseLu& lu,
-                                                 std::vector<std::complex<double>>& rhs,
-                                                 bool persist_plan,
-                                                 std::complex<double> s) const;
 
   const netlist::Circuit& circuit_;
   mutable std::unique_ptr<SpecCache> cache_;

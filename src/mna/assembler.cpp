@@ -205,12 +205,6 @@ const sparse::CompressedMatrix& MnaAssembler::assemble(std::complex<double> s) {
   return assembly_.assemble(s);
 }
 
-void MnaAssembler::assemble_batch(std::complex<double>* dest, std::size_t stride,
-                                  const std::complex<double>* s, int lanes) const {
-  require_stamps();
-  assembly_.assemble_batch(dest, stride, s, lanes);
-}
-
 std::vector<std::complex<double>> MnaAssembler::excitation() const {
   std::vector<std::complex<double>> rhs(static_cast<std::size_t>(table_.dim));
   for (const SourceRow& source : table_.sources) {

@@ -101,28 +101,10 @@ class MnaAssembler {
   /// reference stays valid and pattern-stable across calls.
   const sparse::CompressedMatrix& assemble(std::complex<double> s);
 
-  /// Batched SoA assembly into an external buffer (typically
-  /// sparse::BatchedReplay::values()): lane l of CSR position k at
-  /// dest[k * stride + l], each lane bit-identical to assemble(s[l]). Same
-  /// error behavior as assemble(); the cached matrix values are untouched.
-  void assemble_batch(std::complex<double>* dest, std::size_t stride,
-                      const std::complex<double>* s, int lanes) const;
-
-  /// Fused-assembly view for sparse::BatchedReplay: lane l of the view
-  /// assembles bit-identical to assemble(s[l]) without materializing the
-  /// value block (same error behavior as assemble_batch; the view borrows
-  /// this assembler's arrays).
-  [[nodiscard]] sparse::LaneAssembly lane_assembly(const std::complex<double>* s) const {
-    require_stamps();
-    return assembly_.lane_assembly(s);
-  }
-
-  /// Structural pattern of the cached assembly (values unspecified before
-  /// the first assemble()) — the fingerprint batched replays check plans
-  /// against.
-  [[nodiscard]] const sparse::CompressedMatrix& pattern() const noexcept {
-    return assembly_.matrix();
-  }
+  /// The pattern-cached matrix assemble() writes into: the base values and
+  /// structure the multi-point replay driver (sparse::replay_points) reads.
+  /// Empty when the table carries a stamp error.
+  [[nodiscard]] const sparse::PatternedMatrix& assembly() const noexcept { return assembly_; }
 
   /// Excitation vector from the independent sources (AC magnitudes).
   [[nodiscard]] std::vector<std::complex<double>> excitation() const;

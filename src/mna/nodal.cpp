@@ -2,17 +2,24 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
+#include <span>
 #include <stdexcept>
 
 #include "mna/assembler.h"
 #include "mna/errors.h"
 #include "netlist/canonical.h"
 #include "numeric/stats.h"
-#include "sparse/lu.h"
-#include "support/thread_pool.h"
 
 namespace symref::mna {
+
+namespace {
+
+/// Pivot thresholds of a sample's fresh factorization: the default first,
+/// then two escalations that trade pivot quality for factorability (their
+/// samples are flagged degraded instead of failing).
+constexpr double kSampleLadder[] = {1e-3, 1e-6, 0.0};
+
+}  // namespace
 
 using netlist::Element;
 using netlist::ElementKind;
@@ -106,6 +113,7 @@ void CofactorEvaluator::bind_system() {
   if (in_pos_ == in_neg_) {
     throw SpecError("CofactorEvaluator: input pair is degenerate");
   }
+  injections_ = {{{in_pos_, 1.0}, {in_neg_, -1.0}}};
   std::vector<PatternStamp> stamps = system_->stamps();
   if (spec_.kind == TransferSpec::Kind::VoltageGain) {
     // Drive admittance across the input pair (see header), merged into the
@@ -134,162 +142,16 @@ void CofactorEvaluator::rebind(const NodalSystem& system) {
 
 CofactorEvaluator::Sample CofactorEvaluator::evaluate(std::complex<double> s_hat,
                                                       double f_scale, double g_scale) const {
-  // Pattern-cached assembly (values rewritten in place), then static-pivot
-  // refactorization (same pattern across points); fall back to a full
-  // Markowitz factorization when the reused pivots degrade. The fallback
-  // persists its plan in lu_, so later points (and batches) replay it.
-  const sparse::CompressedMatrix& compressed = assembly_.assemble(s_hat, f_scale, g_scale);
-  if (!lu_.refactor(compressed)) {
-    ++fresh_factor_count_;
-    bool degraded = false;
-    if (!factor_with_ladder(lu_, compressed, &degraded)) {
-      return Sample{};  // singular at this point; caller will retry/adjust
-    }
-    if (degraded) ++pivot_escalation_count_;
-    // The persisted plan inherits the escalation: replays of a degraded
-    // plan are flagged too (plan_degraded_ clears when a default-threshold
-    // factorization re-establishes a healthy plan).
-    plan_degraded_ = degraded;
+  // Pattern-cached assembly (values rewritten in place), then the plan
+  // replay or a fresh factorization that persists in lu_, so later points
+  // (and batches) replay it.
+  if (!lu_.replay_or_factor(assembly_.assemble(s_hat, f_scale, g_scale), kSampleLadder,
+                            &tally_)) {
+    return Sample{};  // singular at this point; caller will retry/adjust
   }
   std::vector<std::complex<double>> rhs;
-  Sample sample = finish_sample(lu_, rhs);
-  sample.degraded = plan_degraded_;
-  return sample;
-}
-
-CofactorEvaluator::Sample CofactorEvaluator::evaluate_pinned(std::complex<double> s_hat,
-                                                             double f_scale,
-                                                             double g_scale) const {
-  const sparse::CompressedMatrix& compressed = assembly_.assemble(s_hat, f_scale, g_scale);
-  std::vector<std::complex<double>> rhs;
-  if (lu_.refactor(compressed)) {
-    Sample sample = finish_sample(lu_, rhs);
-    sample.degraded = plan_degraded_;
-    return sample;
-  }
-  // Refused replay: leave the member plan pinned for the next point/sample.
-  return fresh_sample(compressed, rhs, /*count=*/true);
-}
-
-CofactorEvaluator::Sample CofactorEvaluator::evaluate_in(EvalContext& context,
-                                                         std::complex<double> s_hat,
-                                                         double f_scale, double g_scale) const {
-  const sparse::CompressedMatrix& compressed =
-      context.assembly.assemble(s_hat, f_scale, g_scale);
-  if (context.lu.refactor(compressed)) {
-    // The context's lu shares the member's symbolic plan, so the member's
-    // degraded flag applies to this replay too (it is stable for the
-    // duration of a batch — only evaluate() on the caller thread writes it).
-    Sample sample = finish_sample(context.lu, context.rhs);
-    sample.degraded = plan_degraded_;
-    return sample;
-  }
-  // Degraded replay: the context's baseline plan stays untouched, so the
-  // next point in the chunk sees exactly what it would see in any other
-  // evaluation order. (No counter is bumped here — lanes share this const
-  // instance — but the sample still carries the degraded flag.)
-  return fresh_sample(compressed, context.rhs, /*count=*/false);
-}
-
-CofactorEvaluator::Sample CofactorEvaluator::fresh_sample(
-    const sparse::CompressedMatrix& matrix, std::vector<std::complex<double>>& rhs,
-    bool count) const {
-  if (count) ++fresh_factor_count_;
-  sparse::SparseLu fresh;
-  bool degraded = false;
-  if (!factor_with_ladder(fresh, matrix, &degraded)) return Sample{};
-  if (count && degraded) ++pivot_escalation_count_;
-  Sample sample = finish_sample(fresh, rhs);
-  sample.degraded = degraded;
-  return sample;
-}
-
-bool CofactorEvaluator::factor_with_ladder(sparse::SparseLu& lu,
-                                           const sparse::CompressedMatrix& matrix,
-                                           bool* degraded) {
-  *degraded = false;
-  if (lu.factor(matrix)) return true;
-  // Escalation: each level trades pivot quality for factorability. The
-  // levels are fixed (not adaptive), so a given matrix always lands on the
-  // same level — escalated results stay deterministic.
-  static constexpr double kEscalationThresholds[] = {1e-6, 0.0};
-  for (const double threshold : kEscalationThresholds) {
-    sparse::SparseLuOptions relaxed;
-    relaxed.pivot_threshold = threshold;
-    relaxed.singularity_tolerance = 0.0;
-    if (lu.factor(matrix, relaxed)) {
-      *degraded = true;
-      return true;
-    }
-  }
-  return false;  // no nonzero pivot at any threshold: truly singular
-}
-
-void CofactorEvaluator::evaluate_group_batched(BatchContext& context,
-                                               const std::complex<double>* s_hats, int count,
-                                               double f_scale, double g_scale,
-                                               bool count_fallbacks, Sample* out) const {
-  const int width = context.replay.width();
-  const std::size_t stride = static_cast<std::size_t>(width);
-  context.replay.replay(count, context.assembly.lane_assembly(s_hats, f_scale, g_scale));
-
-  // Batched cofactor solve: the unit injection at the input pair is the
-  // same for every lane.
-  const int n = system_->dim();
-  context.soa_rhs.assign(static_cast<std::size_t>(n) * stride, std::complex<double>());
-  for (int l = 0; l < count; ++l) {
-    if (in_pos_ >= 0) {
-      context.soa_rhs[static_cast<std::size_t>(in_pos_) * stride + static_cast<std::size_t>(l)] +=
-          1.0;
-    }
-    if (in_neg_ >= 0) {
-      context.soa_rhs[static_cast<std::size_t>(in_neg_) * stride + static_cast<std::size_t>(l)] -=
-          1.0;
-    }
-  }
-  context.replay.solve(context.soa_rhs, count);
-
-  // Per-lane solution reductions in lane-inner passes over the SoA
-  // solution: max |V_r|^2 (rooted once per lane — bitwise equal to the
-  // scalar max-of-replay_abs scan since sqrt is monotone) and the smallest
-  // pivot magnitude. Port voltages are direct SoA lookups; nothing is
-  // gathered into a per-lane scratch vector.
-  context.max_norm.assign(stride, 0.0);
-  for (int r = 0; r < n; ++r) {
-    const std::complex<double>* row = context.soa_rhs.data() + static_cast<std::size_t>(r) * stride;
-    for (int l = 0; l < count; ++l) {
-      const double re = row[static_cast<std::size_t>(l)].real();
-      const double im = row[static_cast<std::size_t>(l)].imag();
-      context.max_norm[static_cast<std::size_t>(l)] =
-          std::max(context.max_norm[static_cast<std::size_t>(l)], re * re + im * im);
-    }
-  }
-  context.min_pivots.resize(stride);
-  context.replay.min_abs_pivots(context.min_pivots.data(), count);
-  context.dets.resize(stride);
-  context.replay.determinants(context.dets.data(), count);
-  auto lane_voltage = [&](int row, int lane) -> std::complex<double> {
-    return row < 0 ? std::complex<double>(0.0, 0.0)
-                   : context.soa_rhs[static_cast<std::size_t>(row) * stride +
-                                     static_cast<std::size_t>(lane)];
-  };
-
-  for (int l = 0; l < count; ++l) {
-    if (context.replay.lane_ok(l)) {
-      const std::complex<double> v_out = lane_voltage(out_pos_, l) - lane_voltage(out_neg_, l);
-      const std::complex<double> v_in = lane_voltage(in_pos_, l) - lane_voltage(in_neg_, l);
-      out[l] = sample_from_ports(context.dets[static_cast<std::size_t>(l)],
-                                 context.min_pivots[static_cast<std::size_t>(l)],
-                                 context.replay.max_abs_entry(l), v_out, v_in,
-                                 std::sqrt(context.max_norm[static_cast<std::size_t>(l)]));
-      out[l].degraded = plan_degraded_;
-      continue;
-    }
-    // Refused lane: the batched mirror of the scalar replay-refusal branch,
-    // leaving the baseline plan (and the other lanes) untouched.
-    out[l] = fresh_sample(context.assembly.assemble(s_hats[l], f_scale, g_scale), context.rhs,
-                          count_fallbacks);
-  }
+  sparse::solve_injected(lu_, injections_, rhs);
+  return sample_from(sparse::ReplayedPoint(lu_, rhs));
 }
 
 std::vector<CofactorEvaluator::Sample> CofactorEvaluator::evaluate_batch(
@@ -302,67 +164,11 @@ std::vector<CofactorEvaluator::Sample> CofactorEvaluator::evaluate_batch(
   // to a serial evaluate() loop at iteration granularity (a degraded or
   // missing plan is refreshed here, once, for the whole batch).
   samples[0] = evaluate(s_hats[0], f_scale, g_scale);
-  if (s_hats.size() == 1) return samples;
-
-  const int lanes = pool != nullptr ? pool->size() : 1;
-
-  // The batched kernel needs a structurally replayable baseline plan; when
-  // point 0 left none (singular, or the pattern changed), the whole batch
-  // runs the scalar path below — which is bit-identical anyway.
-  if (sparse::use_batched_replay(lu_.plan().get(), assembly_.matrix())) {
-    const auto plan = lu_.plan();
-    const int width = static_cast<int>(
-        std::min<std::size_t>(static_cast<std::size_t>(batch_width), s_hats.size() - 1));
-    std::vector<std::unique_ptr<BatchContext>> contexts(static_cast<std::size_t>(lanes));
-    auto body = [&](std::size_t begin, std::size_t end, int lane) {
-      std::unique_ptr<BatchContext>& slot = contexts[static_cast<std::size_t>(lane)];
-      if (!slot) {
-        slot = std::make_unique<BatchContext>();
-        slot->assembly = assembly_;
-        slot->replay.bind(plan, width);
-      }
-      // SoA groups of at most `width` points. Each lane's per-point
-      // operation sequence is independent of the grouping, so the chunk
-      // boundaries (and hence the thread count) never change the results.
-      for (std::size_t at = begin; at < end; at += static_cast<std::size_t>(width)) {
-        const int count = static_cast<int>(
-            std::min<std::size_t>(static_cast<std::size_t>(width), end - at));
-        evaluate_group_batched(*slot, s_hats.data() + at + 1, count, f_scale, g_scale,
-                               /*count_fallbacks=*/false, samples.data() + at + 1);
-      }
-    };
-    if (pool != nullptr) {
-      pool->parallel_for(s_hats.size() - 1, body);
-    } else {
-      body(0, s_hats.size() - 1, 0);
-    }
-    batched_lane_count_ += s_hats.size() - 1;
-    return samples;
-  }
-
-  // One context slot per pool lane, cloned lazily on the lane's first chunk
-  // (a slot is only ever touched by its own lane): a wide pool driving a
-  // short batch does not pay for clones that never receive work. Each clone
-  // copies the value arrays and the numeric LU workspace; the symbolic plan
-  // inside lu_ is shared read-only across all lanes.
-  std::vector<std::unique_ptr<EvalContext>> contexts(static_cast<std::size_t>(lanes));
-
-  // Per-point contract even when point 0 was singular (no baseline plan):
-  // evaluate_in then skips the replay and runs a fresh throwaway
-  // factorization per point, which depends only on the point's values —
-  // still deterministic at any thread count, and healthy points succeed.
-  auto body = [&](std::size_t begin, std::size_t end, int lane) {
-    std::unique_ptr<EvalContext>& slot = contexts[static_cast<std::size_t>(lane)];
-    if (!slot) slot = std::make_unique<EvalContext>(EvalContext{assembly_, lu_, {}});
-    for (std::size_t i = begin; i < end; ++i) {
-      samples[i + 1] = evaluate_in(*slot, s_hats[i + 1], f_scale, g_scale);
-    }
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(s_hats.size() - 1, body);
-  } else {
-    body(0, s_hats.size() - 1, 0);
-  }
+  batched_lane_count_ += sparse::replay_points(
+      assembly_, lu_, std::span(s_hats).subspan(1), f_scale, g_scale, injections_, kSampleLadder,
+      &tally_, pool, batch_width, {}, [&](std::size_t i, const sparse::ReplayedPoint& point) {
+        samples[i + 1] = sample_from(point);
+      });
   return samples;
 }
 
@@ -370,65 +176,22 @@ std::vector<CofactorEvaluator::Sample> CofactorEvaluator::evaluate_pinned_batch(
     const std::vector<std::complex<double>>& s_hats, double f_scale, double g_scale,
     int batch_width) const {
   std::vector<Sample> samples(s_hats.size());
-  if (s_hats.empty()) return samples;
-
-  // The scalar loop doubles as the fallback when the pinned plan is missing
-  // or structurally stale: evaluate_pinned's refusal branch then reproduces
-  // the exact counter increments the batched path would have produced.
-  if (!sparse::use_batched_replay(lu_.plan().get(), assembly_.matrix())) {
-    for (std::size_t i = 0; i < s_hats.size(); ++i) {
-      samples[i] = evaluate_pinned(s_hats[i], f_scale, g_scale);
-    }
-    return samples;
-  }
-
-  BatchContext context;
-  context.assembly = assembly_;
-  const int width = static_cast<int>(
-      std::min<std::size_t>(static_cast<std::size_t>(batch_width), s_hats.size()));
-  context.replay.bind(lu_.plan(), width);
-  for (std::size_t at = 0; at < s_hats.size(); at += static_cast<std::size_t>(width)) {
-    const int count = static_cast<int>(
-        std::min<std::size_t>(static_cast<std::size_t>(width), s_hats.size() - at));
-    evaluate_group_batched(context, s_hats.data() + at, count, f_scale, g_scale,
-                           /*count_fallbacks=*/true, samples.data() + at);
-  }
-  batched_lane_count_ += s_hats.size();
+  batched_lane_count_ += sparse::replay_points(
+      assembly_, lu_, s_hats, f_scale, g_scale, injections_, kSampleLadder, &tally_, nullptr,
+      batch_width, {},
+      [&](std::size_t i, const sparse::ReplayedPoint& point) { samples[i] = sample_from(point); });
   return samples;
 }
 
-CofactorEvaluator::Sample CofactorEvaluator::finish_sample(
-    const sparse::SparseLu& lu, std::vector<std::complex<double>>& rhs) const {
-  rhs.assign(static_cast<std::size_t>(system_->dim()), std::complex<double>());
-  if (in_pos_ >= 0) rhs[static_cast<std::size_t>(in_pos_)] += 1.0;
-  if (in_neg_ >= 0) rhs[static_cast<std::size_t>(in_neg_)] -= 1.0;
-  lu.solve(rhs);
-  return sample_from_solution(lu.determinant(), lu.min_abs_pivot(), lu.max_abs_entry(), rhs);
-}
+CofactorEvaluator::Sample CofactorEvaluator::sample_from(const sparse::ReplayedPoint& point) const {
+  if (!point.ok()) return Sample{};
+  const std::complex<double> v_out = point.x(out_pos_) - point.x(out_neg_);
+  const std::complex<double> v_in = point.x(in_pos_) - point.x(in_neg_);
+  const double max_abs_v = point.max_abs_x();
+  const double min_pivot = point.min_abs_pivot();
+  const double max_entry = point.max_abs_entry();
+  const numeric::ScaledComplex det = point.determinant();
 
-CofactorEvaluator::Sample CofactorEvaluator::sample_from_solution(
-    const numeric::ScaledComplex& det, double min_pivot, double max_entry,
-    const std::vector<std::complex<double>>& rhs) const {
-  auto voltage = [&](int row) -> std::complex<double> {
-    return row < 0 ? std::complex<double>(0.0, 0.0) : rhs[static_cast<std::size_t>(row)];
-  };
-  const std::complex<double> v_out = voltage(out_pos_) - voltage(out_neg_);
-  const std::complex<double> v_in = voltage(in_pos_) - voltage(in_neg_);
-
-  // Scanning squared magnitudes and taking one sqrt at the end is bitwise
-  // equal to max over sparse::replay_abs (sqrt is monotone), and keeps the
-  // per-sample cost off the replay kernels' critical path.
-  double max_norm_v = 0.0;
-  for (const std::complex<double>& value : rhs) {
-    const double norm = value.real() * value.real() + value.imag() * value.imag();
-    max_norm_v = std::max(max_norm_v, norm);
-  }
-  return sample_from_ports(det, min_pivot, max_entry, v_out, v_in, std::sqrt(max_norm_v));
-}
-
-CofactorEvaluator::Sample CofactorEvaluator::sample_from_ports(
-    const numeric::ScaledComplex& det, double min_pivot, double max_entry,
-    std::complex<double> v_out, std::complex<double> v_in, double max_abs_v) const {
   Sample sample;
   constexpr double kMachineEpsilon = 2.220446049250313e-16;
   const double det_error =
@@ -454,6 +217,7 @@ CofactorEvaluator::Sample CofactorEvaluator::sample_from_ports(
                                  ? port_error(v_in)
                                  : det_error;
   sample.ok = true;
+  sample.degraded = point.degraded();
   return sample;
 }
 

@@ -21,6 +21,7 @@
 //   transimpedance: N(s) as above (degree M-1),      D(s) = det (degree M)
 #pragma once
 
+#include <array>
 #include <complex>
 #include <cstdint>
 #include <optional>
@@ -131,9 +132,10 @@ class CofactorEvaluator {
   ///
   /// Successive evaluations reuse the previous pivot order (static-pivot
   /// refactorization — the pattern is identical across interpolation
-  /// points), falling back to a fresh Markowitz factorization whenever the
-  /// reused pivots degrade. The cached factorization makes this method
-  /// non-reentrant: do not share one evaluator across threads.
+  /// points); when the replay is refused, a fresh factorization down the
+  /// sample ladder (pivot thresholds 1e-3, 1e-6, 0) becomes the new plan.
+  /// The cached factorization makes this method non-reentrant: do not share
+  /// one evaluator across threads.
   [[nodiscard]] Sample evaluate(std::complex<double> s_hat, double f_scale,
                                 double g_scale) const;
 
@@ -143,26 +145,19 @@ class CofactorEvaluator {
   /// The first point runs on the caller exactly like evaluate() (persisting
   /// a fresh factorization when the reused pivots degrade), establishing the
   /// shared baseline plan for the batch. Every remaining point is evaluated
-  /// independently against that immutable baseline: each pool lane clones
-  /// the PatternedMatrix value arrays and the SparseLu numeric workspace
-  /// (the symbolic plan is shared read-only), and a point whose replayed
-  /// pivots degrade falls back to a throwaway fresh factorization of that
-  /// point alone. Per-point results therefore depend only on (plan, point),
-  /// never on evaluation order — the returned samples are bit-identical at
-  /// every thread count, including the serial `pool == nullptr` path.
+  /// against that immutable baseline by sparse::replay_points() — SoA groups
+  /// of at most `batch_width` (>= 1) lanes when the plan replays the
+  /// assembly, scalar replays otherwise, spread over `pool` — and a point
+  /// whose replay is refused falls back to a throwaway fresh factorization
+  /// of that point alone (counted by fresh_factor_count()). Per-point
+  /// results therefore depend only on (plan, point), never on evaluation
+  /// order — the returned samples are bit-identical at every batch width
+  /// and thread count, including the serial `pool == nullptr` path.
   ///
   /// Results are returned in point order. A singular point yields a sample
   /// with ok == false; other points are unaffected (when the first point
   /// leaves no baseline plan, each remaining point runs its own fresh
   /// factorization — still a pure function of that point alone).
-  ///
-  /// When the baseline plan replays the assembly (sparse::use_batched_replay)
-  /// the remaining points run in SoA groups of at most `batch_width` (>= 1)
-  /// lanes, one sparse::BatchedReplay pass per group; a refused lane falls
-  /// back to the same throwaway fresh factorization the scalar path uses.
-  /// Otherwise every point runs the scalar path. Results are bit-identical
-  /// either way by the oracle contract (and hence across batch widths and
-  /// thread counts).
   [[nodiscard]] std::vector<Sample> evaluate_batch(
       const std::vector<std::complex<double>>& s_hats, double f_scale, double g_scale,
       support::ThreadPool* pool = nullptr,
@@ -179,44 +174,28 @@ class CofactorEvaluator {
   /// must outlive the evaluator (or the next rebind).
   void rebind(const NodalSystem& system);
 
-  /// One point against the PINNED member plan: replay it, and when the
-  /// replay refuses, run a throwaway fresh factorization of this point only
-  /// (counted by fresh_factor_count()) — the member plan is never replaced.
-  /// Unlike evaluate(), results therefore depend only on (plan, point,
-  /// values), never on evaluation history, which is what keeps parameter
-  /// sweeps bit-identical at every thread count. Requires a plan (any
-  /// successful evaluate() establishes one).
-  [[nodiscard]] Sample evaluate_pinned(std::complex<double> s_hat, double f_scale,
-                                       double g_scale) const;
-
-  /// evaluate_pinned() over a whole point list: when the pinned plan
-  /// replays the assembly the points run in SoA groups of at most
-  /// `batch_width` (>= 1) lanes, refused lanes falling back per point
-  /// exactly like evaluate_pinned (counted by fresh_factor_count(),
-  /// escalations included); otherwise this is a plain evaluate_pinned loop.
-  /// Results and counter increments are identical either way (the
-  /// differential suite's engine-stats contract). Single-threaded, like
-  /// every other method of one instance.
+  /// Every point against the PINNED member plan, on the caller's thread:
+  /// evaluate_batch() without the first-point refresh. The member plan is
+  /// never replaced (a refused point factors a throwaway instance, counted
+  /// by fresh_factor_count()), so results depend only on (plan, point,
+  /// values), never on evaluation history — which is what keeps parameter
+  /// sweeps bit-identical at every thread count. Results and counters are
+  /// identical on either replay kernel.
   [[nodiscard]] std::vector<Sample> evaluate_pinned_batch(
       const std::vector<std::complex<double>>& s_hats, double f_scale, double g_scale,
       int batch_width = sparse::kDefaultBatchWidth) const;
 
-  /// Fresh (non-replay) factorizations this instance has run — the plan
-  /// probe of parameter-sweep tests and benches. Counts evaluate()'s
-  /// fallback factorizations and evaluate_pinned()'s throwaway ones; the
-  /// per-lane contexts of evaluate_batch() are not counted (they are
-  /// throwaway clones shared across lanes). Single-threaded like the rest
-  /// of the instance.
-  [[nodiscard]] std::uint64_t fresh_factor_count() const noexcept {
-    return fresh_factor_count_;
-  }
+  /// Fresh (non-replay) factorizations this instance has run: evaluate()'s
+  /// plan refreshes and every refused point's throwaway factorization in
+  /// evaluate_batch() and evaluate_pinned_batch(), at any thread count. The
+  /// plan probe of parameter-sweep tests and benches.
+  [[nodiscard]] std::uint64_t fresh_factor_count() const noexcept { return tally_.fresh; }
 
-  /// Times the degradation ladder had to relax the pivot threshold beyond
-  /// the default to factor a point (evaluate()/evaluate_pinned() only, like
-  /// fresh_factor_count()). Every escalated point's Sample carries
+  /// Those fresh factorizations that only succeeded past the ladder's
+  /// first pivot threshold. Every escalated point's Sample carries
   /// degraded == true.
   [[nodiscard]] std::uint64_t pivot_escalation_count() const noexcept {
-    return pivot_escalation_count_;
+    return tally_.escalations;
   }
 
   /// Points this instance has evaluated through batched replay lanes
@@ -230,82 +209,9 @@ class CofactorEvaluator {
   [[nodiscard]] std::size_t supernode_count() const noexcept { return lu_.supernode_count(); }
 
  private:
-  /// Per-lane mutable state of a batch evaluation: pattern-cached assembly
-  /// values and the SparseLu numeric payload, both cloned from the members
-  /// (sharing the immutable symbolic plan), plus the solve vector.
-  struct EvalContext {
-    PatternedMatrix assembly;
-    sparse::SparseLu lu;
-    std::vector<std::complex<double>> rhs;
-  };
-
-  /// Per-lane mutable state of a BATCHED batch evaluation: cloned assembly
-  /// (base value arrays for assemble_batch and the scalar fallback), the
-  /// SoA replay bound to the shared baseline plan, the SoA solve buffer and
-  /// a per-lane gather vector.
-  struct BatchContext {
-    PatternedMatrix assembly;
-    sparse::BatchedReplay replay;
-    std::vector<std::complex<double>> soa_rhs;
-    std::vector<std::complex<double>> rhs;
-    std::vector<double> max_norm;       // per-lane max |V_r|^2 over the solution
-    std::vector<double> min_pivots;     // per-lane smallest |pivot|
-    std::vector<numeric::ScaledComplex> dets;  // per-lane determinants
-  };
-
-  /// One point against the context's baseline plan: refactor, with a
-  /// throwaway fresh factorization when the replay refuses (the context's
-  /// plan is never replaced, keeping later points history-independent).
-  [[nodiscard]] Sample evaluate_in(EvalContext& context, std::complex<double> s_hat,
-                                   double f_scale, double g_scale) const;
-
-  /// One SoA group of `count` points against the baseline plan bound into
-  /// context.replay: batched assembly, batched replay, batched cofactor
-  /// solve, then per-lane sample assembly. Refused lanes fall back to a
-  /// throwaway fresh factorization of that point alone;
-  /// `count_fallbacks` selects whether those bump fresh_factor_count() /
-  /// pivot_escalation_count() (true on the pinned caller-thread path,
-  /// false on pool lanes — matching the scalar paths' accounting).
-  void evaluate_group_batched(BatchContext& context, const std::complex<double>* s_hats,
-                              int count, double f_scale, double g_scale, bool count_fallbacks,
-                              Sample* out) const;
-
-  /// The replay-refusal fallback shared by every path: a throwaway fresh
-  /// factorization (through the degradation ladder) of this point alone,
-  /// leaving every plan untouched. `count` bumps fresh_factor_count() /
-  /// pivot_escalation_count() — caller thread only, never pool lanes.
-  [[nodiscard]] Sample fresh_sample(const sparse::CompressedMatrix& matrix,
-                                    std::vector<std::complex<double>>& rhs, bool count) const;
-
-  /// Shared tail of every evaluation path: determinant, cofactor solve and
-  /// the two error proxies from an already factored system.
-  [[nodiscard]] Sample finish_sample(const sparse::SparseLu& lu,
-                                     std::vector<std::complex<double>>& rhs) const;
-
-  /// Sample assembly from an already-solved system: determinant, error
-  /// proxies and port voltages from the solution vector. The arithmetic tail
-  /// shared verbatim by the scalar and batched paths (bit-identity).
-  [[nodiscard]] Sample sample_from_solution(const numeric::ScaledComplex& det,
-                                            double min_pivot, double max_entry,
-                                            const std::vector<std::complex<double>>& rhs) const;
-
-  /// Core of sample_from_solution with the solution-vector reductions
-  /// (port voltages, max |V|) already performed — the batched path computes
-  /// them in one lane-inner pass over the SoA solution instead of gathering
-  /// each lane into a scratch vector first. Arithmetic identical to the
-  /// scalar tail.
-  [[nodiscard]] Sample sample_from_ports(const numeric::ScaledComplex& det, double min_pivot,
-                                         double max_entry, std::complex<double> v_out,
-                                         std::complex<double> v_in, double max_abs_v) const;
-
-  /// The numeric degradation ladder: a fresh factorization at the default
-  /// options, then — instead of giving up — retries with progressively
-  /// relaxed pivot thresholds. Returns false only when even a thresholdless
-  /// factorization finds no nonzero pivot (truly singular); *degraded is
-  /// set when an escalated level produced the factorization.
-  [[nodiscard]] static bool factor_with_ladder(sparse::SparseLu& lu,
-                                               const sparse::CompressedMatrix& matrix,
-                                               bool* degraded);
+  /// N, D and the two error proxies of one solved point; the arithmetic is
+  /// the same whichever replay path solved it (bit-identity).
+  [[nodiscard]] Sample sample_from(const sparse::ReplayedPoint& point) const;
 
   /// Resolve the spec rows against *system_ and (re)build the pattern-cached
   /// assembly from its stamps plus the drive admittance.
@@ -317,13 +223,12 @@ class CofactorEvaluator {
   int in_neg_ = -1;
   int out_pos_ = -1;
   int out_neg_ = -1;
-  mutable std::uint64_t fresh_factor_count_ = 0;
-  mutable std::uint64_t pivot_escalation_count_ = 0;
-  /// Points evaluated through batched lanes; bumped on the caller thread
-  /// only (pool lanes never touch it), like the other counters.
+  /// The unit current injected at the input pair (the cofactor solve).
+  std::array<sparse::Injection, 2> injections_;
+  /// Fresh factorizations and escalations; like the lane count below,
+  /// written on the caller thread only (replay_points joins lane tallies).
+  mutable sparse::FactorTally tally_;
   mutable std::uint64_t batched_lane_count_ = 0;
-  /// True while lu_ holds a plan produced by an escalated ladder level.
-  mutable bool plan_degraded_ = false;
   // Pattern-cached assembly (system stamps + drive admittance, merged once)
   // and the cached factorization plan reused across evaluation points.
   mutable PatternedMatrix assembly_;

@@ -10,8 +10,8 @@
 //   -> canonicalize -> NodalSystem          — same topology, new values
 //   -> CofactorEvaluator::rebind()          — rewrite assembly values in
 //                                             place, keep pattern + LU plan
-//   -> evaluate_pinned() per probe point    — SparseLu::refactor() replay;
-//                                             a refused replay factors a
+//   -> evaluate_pinned_batch() over the     — SparseLu::refactor() replay;
+//      probe points                           a refused replay factors a
 //                                             throwaway instance for that
 //                                             point only (fresh_factor_count
 //                                             is the probe for "did the plan

@@ -17,6 +17,10 @@ namespace {
 using Complex = std::complex<double>;
 constexpr double kTwoPi = 6.283185307179586476925286766559;
 
+/// Pivot thresholds of a fresh factorization (direct or adjoint system):
+/// the default only (a point that fails it is singular).
+constexpr double kSensitivityLadder[] = {1e-3};
+
 int row_or_ground(const NodalSystem& system, const std::string& name) {
   const auto row = system.row_of_node(name);
   return row ? *row : -1;
@@ -82,12 +86,10 @@ class AdjointContext {
   std::vector<ElementSensitivity> at(double frequency_hz) {
     const Complex s(0.0, kTwoPi * frequency_hz);
 
-    const sparse::CompressedMatrix& matrix = direct_.assemble(s);
-    if (!lu_.refactor(matrix) && !lu_.factor(matrix)) {
+    if (!lu_.replay_or_factor(direct_.assemble(s), kSensitivityLadder, nullptr)) {
       throw std::runtime_error("ac_sensitivities: singular system");
     }
-    const sparse::CompressedMatrix& matrix_t = transposed_.assemble(s);
-    if (!lu_t_.refactor(matrix_t) && !lu_t_.factor(matrix_t)) {
+    if (!lu_t_.replay_or_factor(transposed_.assemble(s), kSensitivityLadder, nullptr)) {
       throw std::runtime_error("ac_sensitivities: singular transposed system");
     }
 

@@ -4,8 +4,10 @@
 #include <atomic>
 #include <cmath>
 #include <limits>
+#include <optional>
 
 #include "support/fault_injection.h"
+#include "support/thread_pool.h"
 
 namespace symref::sparse {
 
@@ -465,6 +467,212 @@ double BatchedReplay::min_abs_pivot(int lane) const {
     smallest_norm = std::min(smallest_norm, re * re + im * im);
   }
   return std::sqrt(smallest_norm);
+}
+
+void solve_injected(const SparseLu& lu, std::span<const Injection> injections,
+                    std::vector<Complex>& rhs) {
+  rhs.assign(static_cast<std::size_t>(lu.dim()), Complex());
+  for (const Injection& injection : injections) {
+    if (injection.row >= 0) rhs[static_cast<std::size_t>(injection.row)] += injection.value;
+  }
+  lu.solve(rhs);
+}
+
+/// The SoA state of one pool lane: the replay bound to the shared plan, the
+/// group's solutions (rhs[row * width + lane]) and its lazy reductions,
+/// each valid for the current group once its flag is set.
+struct ReplayedPoint::Group {
+  BatchedReplay replay;
+  std::vector<Complex> rhs;
+  int active = 0;
+  bool degraded = false;
+  std::vector<numeric::ScaledComplex> determinants;
+  std::vector<double> min_pivots;
+  std::vector<double> max_norms;  // largest |x_r|^2 per lane
+  bool have_determinants = false;
+  bool have_min_pivots = false;
+  bool have_max_norms = false;
+
+  /// Solve the group's `count` lanes (already replayed) for the injections
+  /// and drop the previous group's reductions.
+  void solve(std::span<const Injection> injections, int count) {
+    const std::size_t width = static_cast<std::size_t>(replay.width());
+    rhs.assign(static_cast<std::size_t>(replay.dim()) * width, Complex());
+    for (std::size_t l = 0; l < static_cast<std::size_t>(count); ++l) {
+      for (const Injection& injection : injections) {
+        if (injection.row >= 0) {
+          rhs[static_cast<std::size_t>(injection.row) * width + l] += injection.value;
+        }
+      }
+    }
+    replay.solve(rhs, count);
+    active = count;
+    have_determinants = have_min_pivots = have_max_norms = false;
+  }
+
+  ReplayedPoint point(int slot) { return ReplayedPoint(*this, slot); }
+};
+
+ReplayedPoint::ReplayedPoint(Group& group, int slot) noexcept
+    : group_(&group), slot_(slot), ok_(true), degraded_(group.degraded) {}
+
+Complex ReplayedPoint::x(int row) const {
+  if (row < 0) return {};
+  if (group_ == nullptr) return (*x_)[static_cast<std::size_t>(row)];
+  return group_->rhs[static_cast<std::size_t>(row) *
+                         static_cast<std::size_t>(group_->replay.width()) +
+                     static_cast<std::size_t>(slot_)];
+}
+
+double ReplayedPoint::max_abs_x() const {
+  // Squared magnitudes, one sqrt at the end: bitwise equal to the max over
+  // replay_abs (sqrt is monotone), and lane-inner over a group's rows.
+  if (group_ == nullptr) {
+    double max_norm = 0.0;
+    for (const Complex& value : *x_) {
+      max_norm = std::max(max_norm, value.real() * value.real() + value.imag() * value.imag());
+    }
+    return std::sqrt(max_norm);
+  }
+  Group& group = *group_;
+  if (!group.have_max_norms) {
+    const std::size_t width = static_cast<std::size_t>(group.replay.width());
+    const std::size_t active = static_cast<std::size_t>(group.active);
+    group.max_norms.assign(width, 0.0);
+    for (int r = 0; r < group.replay.dim(); ++r) {
+      const Complex* row = group.rhs.data() + static_cast<std::size_t>(r) * width;
+      for (std::size_t l = 0; l < active; ++l) {
+        group.max_norms[l] = std::max(
+            group.max_norms[l], row[l].real() * row[l].real() + row[l].imag() * row[l].imag());
+      }
+    }
+    group.have_max_norms = true;
+  }
+  return std::sqrt(group.max_norms[static_cast<std::size_t>(slot_)]);
+}
+
+numeric::ScaledComplex ReplayedPoint::determinant() const {
+  if (group_ == nullptr) return lu_->determinant();
+  Group& group = *group_;
+  if (!group.have_determinants) {
+    group.determinants.resize(static_cast<std::size_t>(group.replay.width()));
+    group.replay.determinants(group.determinants.data(), group.active);
+    group.have_determinants = true;
+  }
+  return group.determinants[static_cast<std::size_t>(slot_)];
+}
+
+double ReplayedPoint::min_abs_pivot() const {
+  if (group_ == nullptr) return lu_->min_abs_pivot();
+  Group& group = *group_;
+  if (!group.have_min_pivots) {
+    group.min_pivots.resize(static_cast<std::size_t>(group.replay.width()));
+    group.replay.min_abs_pivots(group.min_pivots.data(), group.active);
+    group.have_min_pivots = true;
+  }
+  return group.min_pivots[static_cast<std::size_t>(slot_)];
+}
+
+double ReplayedPoint::max_abs_entry() const {
+  return group_ == nullptr ? lu_->max_abs_entry() : group_->replay.max_abs_entry(slot_);
+}
+
+namespace {
+
+/// Everything one pool lane of replay_points() owns.
+struct ReplayLane {
+  std::optional<PatternedMatrix> assembly;  // clone of the base values
+  std::optional<SparseLu> lu;               // scalar path: clone of the planned LU
+  SparseLu fresh;                           // a refused point's throwaway factorization
+  std::vector<Complex> rhs;
+  ReplayedPoint::Group group;               // batched path
+  FactorTally tally;
+
+  PatternedMatrix& own_assembly(const PatternedMatrix& base) {
+    if (!assembly) assembly.emplace(base);
+    return *assembly;
+  }
+};
+
+}  // namespace
+
+std::size_t replay_points(const PatternedMatrix& base, const SparseLu& planned,
+                          std::span<const Complex> points, double f_scale, double g_scale,
+                          std::span<const Injection> injections, std::span<const double> ladder,
+                          FactorTally* tally, support::ThreadPool* pool, int width,
+                          const support::CancellationToken& cancel, const PointSink& emit) {
+  if (points.empty()) return 0;
+  assert(width >= 1);
+  const bool batched = use_batched_replay(planned.plan().get(), base.matrix());
+  const std::size_t group_width =
+      std::min<std::size_t>(static_cast<std::size_t>(width), points.size());
+  std::vector<std::unique_ptr<ReplayLane>> lanes(
+      static_cast<std::size_t>(pool != nullptr ? pool->size() : 1));
+
+  // A refused point: factor it alone, leaving `planned` (and with it every
+  // other point) untouched.
+  auto fall_back = [&](ReplayLane& lane, const CompressedMatrix& matrix, std::size_t index) {
+    if (!lane.fresh.factor(matrix, ladder, &lane.tally)) {
+      emit(index, ReplayedPoint());
+      return;
+    }
+    solve_injected(lane.fresh, injections, lane.rhs);
+    emit(index, ReplayedPoint(lane.fresh, lane.rhs));
+  };
+
+  auto body = [&](std::size_t begin, std::size_t end, int lane_index) {
+    std::unique_ptr<ReplayLane>& slot = lanes[static_cast<std::size_t>(lane_index)];
+    if (!slot) slot = std::make_unique<ReplayLane>();
+    ReplayLane& lane = *slot;
+    if (!batched) {
+      if (!lane.lu) lane.lu.emplace(planned);
+      for (std::size_t i = begin; i < end; ++i) {
+        if (cancel.cancelled()) throw support::CancelledError();
+        const CompressedMatrix& matrix =
+            lane.own_assembly(base).assemble(points[i], f_scale, g_scale);
+        if (!lane.lu->refactor(matrix)) {
+          fall_back(lane, matrix, i);
+          continue;
+        }
+        solve_injected(*lane.lu, injections, lane.rhs);
+        emit(i, ReplayedPoint(*lane.lu, lane.rhs));
+      }
+      return;
+    }
+    // SoA groups. A lane's per-point operation sequence never depends on the
+    // grouping, so chunk boundaries (and the thread count) change nothing.
+    ReplayedPoint::Group& group = lane.group;
+    group.replay.bind(planned.plan(), static_cast<int>(group_width));
+    group.degraded = planned.degraded();
+    for (std::size_t at = begin; at < end; at += group_width) {
+      if (cancel.cancelled()) throw support::CancelledError();
+      const int count = static_cast<int>(std::min(group_width, end - at));
+      group.replay.replay(count, base.lane_assembly(points.data() + at, f_scale, g_scale));
+      group.solve(injections, count);
+      for (int l = 0; l < count; ++l) {
+        const std::size_t i = at + static_cast<std::size_t>(l);
+        if (group.replay.lane_ok(l)) {
+          emit(i, group.point(l));
+        } else {
+          fall_back(lane, lane.own_assembly(base).assemble(points[i], f_scale, g_scale), i);
+        }
+      }
+    }
+  };
+  if (pool != nullptr) {
+    pool->parallel_for(points.size(), body);
+  } else {
+    body(0, points.size(), 0);
+  }
+
+  if (tally != nullptr) {
+    for (const std::unique_ptr<ReplayLane>& lane : lanes) {
+      if (!lane) continue;
+      tally->fresh += lane->tally.fresh;
+      tally->escalations += lane->tally.escalations;
+    }
+  }
+  return batched ? points.size() : 0;
 }
 
 }  // namespace symref::sparse

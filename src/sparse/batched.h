@@ -27,31 +27,36 @@
 // Failure model: the scalar path abandons a replay at the first refused
 // pivot; a batched lane instead records the refusal in lane_ok() and keeps
 // streaming (its remaining values are garbage, which keeps the hot loops
-// uniform). Callers fall back per refused lane exactly as they would after
-// a scalar refactor() returning false. The "lu_pivot" fault site is
-// consulted once per active lane (in lane order), mirroring the scalar
-// path's one draw per refactor() call, so fault-injection recovery tests
-// observe identical engine statistics under either kernel.
+// uniform). replay_points() falls back per refused lane exactly as after a
+// scalar refactor() returning false. The "lu_pivot" fault site is consulted
+// once per active lane (in lane order), mirroring the scalar path's one
+// draw per refactor() call, so fault-injection recovery tests observe
+// identical engine statistics under either kernel.
 #pragma once
 
 #include <cassert>
 #include <complex>
 #include <cstddef>
+#include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "numeric/scaled.h"
 #include "sparse/lu.h"
 #include "sparse/matrix.h"
+#include "support/cancellation.h"
+
+namespace symref::support {
+class ThreadPool;
+}
 
 namespace symref::sparse {
 
-/// The one replay-kernel choice, shared by every batch evaluation path
-/// (CofactorEvaluator::evaluate_batch / evaluate_pinned_batch and
-/// AcSimulator::bode): BatchedReplay lanes whenever `plan` can replay
-/// `pattern` structurally, the scalar SparseLu::refactor() path otherwise.
-/// Results are bit-identical either way (the oracle contract above), so the
-/// choice is never a request option.
+/// The one replay-kernel choice, made inside replay_points(): BatchedReplay
+/// lanes whenever `plan` can replay `pattern` structurally, the scalar
+/// SparseLu::refactor() path otherwise. Results are bit-identical either
+/// way (the oracle contract above), so the choice is never a request option.
 [[nodiscard]] bool use_batched_replay(const ReplayPlan* plan, const CompressedMatrix& pattern);
 
 namespace testing {
@@ -94,8 +99,8 @@ class BatchedReplay {
   [[nodiscard]] const std::shared_ptr<const ReplayPlan>& plan() const noexcept { return plan_; }
 
   /// SoA input values of A: CSR position k of lane l at
-  /// values()[k * width() + l]. Fill lanes [0, active) (e.g. via
-  /// PatternedMatrix::assemble_batch), then call replay(active).
+  /// values()[k * width() + l]. Fill lanes [0, active), then call
+  /// replay(active).
   [[nodiscard]] std::complex<double>* values() noexcept { return a_values_.data(); }
   [[nodiscard]] std::size_t pattern_nonzeros() const noexcept {
     return plan_ ? plan_->pattern_cols.size() : 0;
@@ -110,8 +115,9 @@ class BatchedReplay {
   /// scatter computes each lane value from the assembly view as it streams
   /// (and folds the max-|entry| scan into the same pass). Saves the full
   /// nnz-by-width value block round-trip per group. Bit-identical to
-  /// assemble_batch + replay(): the per-(k, lane) value expression is the
-  /// assemble_batch expression, and the entry maximum is order-independent.
+  /// writing PatternedMatrix::assemble(s[l], f, g) into values() and
+  /// calling replay(): the per-(k, lane) value expression is assemble()'s,
+  /// and the entry maximum is order-independent.
   void replay(int active, const LaneAssembly& assembly, const SparseLuOptions& options = {});
 
   /// Whether lane's last replay() accepted every pivot.
@@ -170,5 +176,90 @@ class BatchedReplay {
   template <bool Fused>
   void replay_impl(int active, const LaneAssembly* assembly, const SparseLuOptions& options);
 };
+
+/// One right-hand-side entry of the points replay_points() solves:
+/// rhs[row] += value, in list order; a row < 0 (ground) is skipped.
+struct Injection {
+  int row = -1;
+  double value = 0.0;
+};
+
+/// The scalar point solve: rhs = the injections (lu.dim() entries), then
+/// lu.solve(rhs). Requires lu.ok().
+void solve_injected(const SparseLu& lu, std::span<const Injection> injections,
+                    std::vector<std::complex<double>>& rhs);
+
+/// One solved point: a scalar factorization with its solution vector, or a
+/// lane of a replay_points() SoA group. A group point is valid only inside
+/// the callback it is handed to. Group summaries are lazy: the determinant,
+/// smallest pivot and largest |x| are lane-inner passes over the whole
+/// group, run on the first read in that group, so a caller that reads two
+/// solution entries pays for nothing else. Either form gives the same bits
+/// (the oracle contract).
+class ReplayedPoint {
+ public:
+  /// A point whose fresh factorization found the matrix singular.
+  ReplayedPoint() = default;
+  /// A scalar factorization (ok()) and its solution.
+  ReplayedPoint(const SparseLu& lu, const std::vector<std::complex<double>>& x) noexcept
+      : lu_(&lu), x_(&x), ok_(true), degraded_(lu.degraded()) {}
+
+  /// False when the matrix was singular; nothing else may be read then.
+  [[nodiscard]] bool ok() const noexcept { return ok_; }
+  /// The factorization's plan came from an escalated ladder level
+  /// (SparseLu::degraded()).
+  [[nodiscard]] bool degraded() const noexcept { return degraded_; }
+  /// Solution entry; row < 0 (ground) reads 0.
+  [[nodiscard]] std::complex<double> x(int row) const;
+  /// Largest |x_r| over the solution.
+  [[nodiscard]] double max_abs_x() const;
+  [[nodiscard]] numeric::ScaledComplex determinant() const;
+  [[nodiscard]] double min_abs_pivot() const;
+  /// Largest |entry| of the factored matrix.
+  [[nodiscard]] double max_abs_entry() const;
+
+  /// One pool lane's SoA group state inside replay_points(); defined and
+  /// used only in batched.cpp.
+  struct Group;
+
+ private:
+  ReplayedPoint(Group& group, int slot) noexcept;
+
+  const SparseLu* lu_ = nullptr;
+  const std::vector<std::complex<double>>* x_ = nullptr;
+  Group* group_ = nullptr;  // non-null for a group lane
+  int slot_ = 0;
+  bool ok_ = false;
+  bool degraded_ = false;
+};
+
+/// Receives point `index` (into replay_points' `points`) once it is solved.
+/// Called concurrently from pool lanes, never twice for one index.
+using PointSink = std::function<void(std::size_t index, const ReplayedPoint& point)>;
+
+/// The multi-point replay driver: solves
+/// (g*G + s*(f*C)) x = injections at each s of `points` against the plan
+/// recorded in `planned`, spread over `pool`'s lanes (nullptr: the caller's
+/// thread only), and hands each solved point to `emit`.
+///
+/// Per lane it runs SoA groups of at most `width` (>= 1) points through
+/// BatchedReplay when use_batched_replay() allows, scalar refactor()s of a
+/// clone of `planned` otherwise. A refused point falls back to a throwaway
+/// fresh factorization of that point alone down `ladder` (no second replay,
+/// so "lu_pivot" is drawn once per point on both kernels), and `planned` is
+/// never replaced: every point is a pure function of (plan, point), so
+/// results are bit-identical at every width and thread count. `base` holds
+/// the assembly values, cloned per lane only where a point must be
+/// assembled on its own; `planned` is never cloned on the batched path.
+/// Each lane tallies its fallbacks, added to `tally` (may be null) after
+/// the join. `cancel` is polled before every point (every group on the
+/// batched path); a tripped token throws support::CancelledError. Returns
+/// the number of points routed through batched lanes (0 on the scalar path).
+std::size_t replay_points(const PatternedMatrix& base, const SparseLu& planned,
+                          std::span<const std::complex<double>> points, double f_scale,
+                          double g_scale, std::span<const Injection> injections,
+                          std::span<const double> ladder, FactorTally* tally,
+                          support::ThreadPool* pool, int width,
+                          const support::CancellationToken& cancel, const PointSink& emit);
 
 }  // namespace symref::sparse

@@ -65,6 +65,7 @@ bool SparseLu::analyze_and_factor(const CompressedMatrix& matrix,
   const int n = matrix.dim;
   dim_ = n;
   ok_ = false;
+  degraded_ = false;
   max_abs_entry_ = 0.0;
   // A fresh plan per factor(): clones of this instance may still replay the
   // old one, so it is never mutated in place (copy-on-factor).
@@ -359,12 +360,22 @@ void SparseLu::detect_supernodes(ReplayPlan& plan) {
   }
 }
 
-void SparseLu::require_refactor(const CompressedMatrix& matrix, const SparseLuOptions& options) {
-  if (!plan_) throw RefusedReplayError("SparseLu: replay required but no plan recorded");
-  if (!refactor(matrix, options)) {
-    throw RefusedReplayError(
-        "SparseLu: plan replay refused (pattern changed or reused pivot degraded)");
+bool SparseLu::factor(const CompressedMatrix& matrix, std::span<const double> ladder,
+                      FactorTally* tally) {
+  if (tally != nullptr) ++tally->fresh;
+  for (std::size_t level = 0; level < ladder.size(); ++level) {
+    if (factor(matrix, SparseLuOptions{ladder[level], 0.0})) {
+      degraded_ = level > 0;
+      if (degraded_ && tally != nullptr) ++tally->escalations;
+      return true;
+    }
   }
+  return false;
+}
+
+bool SparseLu::replay_or_factor(const CompressedMatrix& matrix, std::span<const double> ladder,
+                                FactorTally* tally) {
+  return refactor(matrix) || factor(matrix, ladder, tally);
 }
 
 bool SparseLu::refactor(const CompressedMatrix& matrix, const SparseLuOptions& options) {

@@ -35,8 +35,9 @@
 #include <cmath>
 #include <complex>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
-#include <stdexcept>
+#include <span>
 #include <vector>
 
 #include "numeric/scaled.h"
@@ -44,15 +45,10 @@
 
 namespace symref::sparse {
 
-/// Thrown by require_refactor() when the plan replay is refused (structural
-/// pattern changed or a reused pivot degraded). Callers that can fall back
-/// use the bool-returning refactor() instead; callers that REQUIRE replay
-/// semantics (bit-stable repeated evaluation against a pinned plan, e.g. a
-/// server validating a warm handle) use the throwing form so the api layer
-/// can report the distinct kRefusedReplay status code.
-class RefusedReplayError : public std::runtime_error {
- public:
-  explicit RefusedReplayError(const std::string& message) : std::runtime_error(message) {}
+/// Fresh factorizations and pivot escalations, accumulated across calls.
+struct FactorTally {
+  std::uint64_t fresh = 0;
+  std::uint64_t escalations = 0;
 };
 
 struct SparseLuOptions {
@@ -195,12 +191,29 @@ class SparseLu {
   /// order (and hence thread count) irrelevant to the results.
   bool refactor(const CompressedMatrix& matrix, const SparseLuOptions& options = {});
 
-  /// refactor() that throws RefusedReplayError instead of returning false —
-  /// for callers whose contract is "replay the pinned plan or fail loudly".
-  void require_refactor(const CompressedMatrix& matrix, const SparseLuOptions& options = {});
+  /// Fresh factorization down a pivot-threshold ladder: factor() at each
+  /// threshold of `ladder` in turn until one succeeds. A plan recorded past
+  /// the first level is degraded() — numerically usable, but without the
+  /// pivot quality the first threshold guarantees. The levels are fixed, so
+  /// a given matrix always lands on the same one. `tally` (may be null)
+  /// counts the attempt as one fresh factorization, successful or not, and
+  /// an escalated success as one escalation. Returns false when no level
+  /// finds a nonzero pivot (singular; no plan is left).
+  bool factor(const CompressedMatrix& matrix, std::span<const double> ladder, FactorTally* tally);
+
+  /// The one rule every solver uses to choose between replay and fresh
+  /// factorization: refactor() the recorded plan, and when there is none or
+  /// the replay is refused, factor(matrix, ladder, tally) and keep the
+  /// result as the new plan.
+  bool replay_or_factor(const CompressedMatrix& matrix, std::span<const double> ladder,
+                        FactorTally* tally);
 
   [[nodiscard]] int dim() const noexcept { return dim_; }
   [[nodiscard]] bool ok() const noexcept { return ok_; }
+
+  /// True while the recorded plan came from a ladder level past the first
+  /// (see factor(matrix, ladder, tally)); replays of that plan inherit it.
+  [[nodiscard]] bool degraded() const noexcept { return degraded_; }
 
   /// True when a successful factor() has recorded a symbolic plan (possibly
   /// shared with clones of this instance). refactor() requires it.
@@ -250,6 +263,7 @@ class SparseLu {
 
   int dim_ = 0;
   bool ok_ = false;
+  bool degraded_ = false;
   double max_abs_entry_ = 0.0;
   std::shared_ptr<const ReplayPlan> plan_;
 

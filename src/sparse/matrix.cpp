@@ -135,22 +135,6 @@ const CompressedMatrix& PatternedMatrix::assemble(std::complex<double> s, double
   return matrix_;
 }
 
-void PatternedMatrix::assemble_batch(std::complex<double>* dest, std::size_t stride,
-                                     const std::complex<double>* s, int lanes, double f_scale,
-                                     double g_scale) const {
-  // k-major with an inner lane loop: the base conductance/capacitance loads
-  // and the f_scale product amortize across all lanes of the batch. The per
-  // (k, lane) expression matches assemble() exactly (bit-identity contract).
-  for (std::size_t k = 0; k < matrix_.values.size(); ++k) {
-    const double g = g_scale * conductance_[k];
-    const double c = f_scale * capacitance_[k];
-    std::complex<double>* lane_dest = dest + k * stride;
-    for (int l = 0; l < lanes; ++l) {
-      lane_dest[l] = g + s[l] * c;
-    }
-  }
-}
-
 void TripletMatrix::add(int row, int col, std::complex<double> value) {
   if (row < 0 || row >= dim_ || col < 0 || col >= dim_) {
     throw std::out_of_range("TripletMatrix::add: index outside matrix");

@@ -50,8 +50,8 @@ struct PatternStamp {
 /// On-the-fly lane assembly for BatchedReplay: the base value arrays plus
 /// the per-lane frequency points, letting the replay's scatter compute
 /// value(k, l) = g_scale * conductance[k] + s[l] * (f_scale * capacitance[k])
-/// as it streams — the exact assemble_batch expression without ever
-/// materializing the nnz-by-width value block.
+/// as it streams — PatternedMatrix::assemble()'s expression at s[l],
+/// without ever materializing the nnz-by-width value block.
 struct LaneAssembly {
   const double* conductance = nullptr;  // per CSR position
   const double* capacitance = nullptr;  // per CSR position
@@ -75,16 +75,6 @@ class PatternedMatrix {
   /// the assembled matrix (pattern stable across calls).
   const CompressedMatrix& assemble(std::complex<double> s, double f_scale = 1.0,
                                    double g_scale = 1.0);
-
-  /// Batched SoA assembly: for each lane l in [0, lanes), write
-  /// dest[k * stride + l] = g_scale * conductance[k] + s[l] * (f_scale *
-  /// capacitance[k]) for every CSR position k — the same expression as
-  /// assemble(s[l], f_scale, g_scale), so each lane is bit-identical to a
-  /// scalar assembly at its point. dest is typically
-  /// BatchedReplay::values() with stride == its width.
-  void assemble_batch(std::complex<double>* dest, std::size_t stride,
-                      const std::complex<double>* s, int lanes, double f_scale = 1.0,
-                      double g_scale = 1.0) const;
 
   /// Replace the base conductance/capacitance arrays from a NEW stamp list
   /// with the SAME merged structure — the per-sample path of parameter

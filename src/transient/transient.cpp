@@ -199,7 +199,7 @@ TransientResult TransientSolver::solve(const Circuit& circuit) {
   std::vector<double> x_new(dim, 0.0);
   std::vector<DeviceState> state_new(dev_state);
   std::set<int> buckets_used;
-  dc::FactorTally tally;
+  sparse::FactorTally tally;
   const dc::NewtonControl control{kMaxNewtonIterations, kNewtonReltol, kNewtonAbstolV,
                                   kNewtonAbstolI, dc::OpOptions{}.max_voltage_step,
                                   options_.cancel};
@@ -228,7 +228,7 @@ TransientResult TransientSolver::solve(const Circuit& circuit) {
     // Assemble G + a0·C at the given device states in the pinned order —
     // table stamps, device companions, .ic pin positions (nonzero only
     // during the initialization solve) — then replay the bucket's plan, or
-    // record it fresh on the first visit (escalation ladder on refusal).
+    // record it fresh on the first visit (dc::replay_or_factor).
     const dc::LinearSolve solve_at =
         [&](const std::vector<DeviceState>& at) -> const std::vector<std::complex<double>>& {
       stamps.assign(table.stamps.begin(), table.stamps.end());
@@ -252,18 +252,17 @@ TransientResult TransientSolver::solve(const Circuit& circuit) {
         assembly_ = sparse::PatternedMatrix(table.dim, stamps);
         buckets_.clear();
       }
-      const sparse::CompressedMatrix& matrix = assembly_.assemble(k.a0);
-      dc::Plan& plan = buckets_[key];
-      if (!dc::replay_or_factor(plan, matrix, &tally)) {
+      sparse::SparseLu& lu = buckets_[key];
+      if (!dc::replay_or_factor(lu, assembly_.assemble(k.a0), &tally)) {
         std::ostringstream os;
         os << "transient: singular system at t = " << t_new
            << " (floating node or degenerate companion network?)";
         throw mna::SingularSystemError(os.str());
       }
-      result.degraded = result.degraded || plan.degraded;
+      result.degraded = result.degraded || lu.degraded();
       solution.resize(dim);
       for (std::size_t i = 0; i < dim; ++i) solution[i] = rhs[i] + hist[i];
-      plan.lu.solve(solution);
+      lu.solve(solution);
       return solution;
     };
 

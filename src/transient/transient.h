@@ -27,7 +27,7 @@
 //
 // Device-bearing netlists run a damped Newton iteration per step — the same
 // dc::newton_solve the DC solver runs (fixed-pattern device companions,
-// pnjlim junction limiting, the escalating-pivot degradation ladder); the
+// pnjlim junction limiting, dc::replay_or_factor's Newton ladder); the
 // previous step's solution is the warm start, so a handful of iterations per
 // step suffice and every iterate replays the bucket's plan. Every assembly
 // appends its stamps in one pinned order: table stamps, device companions,
@@ -157,7 +157,7 @@ class TransientSolver {
   sparse::PatternedMatrix assembly_;
   /// One factorization plan per step-size bucket (key: halving count k, or
   /// one of the special keys in transient.cpp).
-  std::map<int, dc::Plan> buckets_;
+  std::map<int, sparse::SparseLu> buckets_;
 };
 
 /// One-shot convenience wrapper.

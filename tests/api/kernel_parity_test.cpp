@@ -7,6 +7,8 @@
 // must parse and change nothing.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <sstream>
 #include <string>
 
 #include "api/serialize.h"
@@ -20,16 +22,18 @@ namespace {
 /// RC ladder with enough stages that refgen runs real interpolation batches
 /// (the batched path's SoA groups actually fill).
 std::string ladder_netlist(int stages) {
-  std::string text = ".title rc ladder\n";
+  std::ostringstream text;
+  text << ".title rc ladder\n";
   std::string prev = "in";
   for (int i = 0; i < stages; ++i) {
-    const std::string node = "n" + std::to_string(i);
-    text += "R" + std::to_string(i) + " " + prev + " " + node + " 1k\n";
-    text += "C" + std::to_string(i) + " " + node + " 0 1n\n";
+    std::string node = "n";
+    node += std::to_string(i);
+    text << 'R' << i << ' ' << prev << ' ' << node << " 1k\n";
+    text << 'C' << i << ' ' << node << " 0 1n\n";
     prev = node;
   }
-  text += "Rload " + prev + " out 1k\nCload out 0 1n\n";
-  return text;
+  text << "Rload " << prev << " out 1k\nCload out 0 1n\n";
+  return text.str();
 }
 
 constexpr const char* kParamNetlist = R"(
@@ -191,6 +195,67 @@ TEST_F(KernelParityTest, InjectedLuPivotFaultsKeepPathsIdentical) {
   EXPECT_EQ(scalar_stats.value().fresh_factorizations, stats.value().fresh_factorizations);
   EXPECT_EQ(scalar_stats.value().pivot_escalations, stats.value().pivot_escalations);
   EXPECT_EQ(scalar_stats.value().degraded_responses, stats.value().degraded_responses);
+}
+
+TEST_F(KernelParityTest, EveryFallbackFactorizationIsCounted) {
+  // Under lu_pivot:1 every replay is refused, so every evaluated point —
+  // the first of each batch on the caller and every other point on a pool
+  // lane — runs exactly one fresh factorization, and engine_stats counts
+  // each of them at every thread count and on both kernels.
+  const std::string netlist = ladder_netlist(12);
+  for (const int threads : {1, 3}) {
+    for (const bool scalar : {true, false}) {
+      SCOPED_TRACE(::testing::Message() << "threads=" << threads << " scalar=" << scalar);
+      RefgenRequest request{ladder_spec(), {}};
+      request.options.threads = threads;
+      const Service service;
+      const CircuitHandle handle = compile(service, netlist);
+      ASSERT_TRUE(support::FaultInjector::instance().configure("lu_pivot:1"));
+      const auto response = scalar ? on_scalar_path([&] { return service.refgen(handle, request); })
+                                   : service.refgen(handle, request);
+      support::FaultInjector::instance().reset();
+      ASSERT_TRUE(response.ok()) << response.status().to_string();
+      const auto stats = service.engine_stats(handle);
+      ASSERT_TRUE(stats.ok());
+      EXPECT_EQ(stats.value().fresh_factorizations,
+                static_cast<std::uint64_t>(response.value().result.total_evaluations));
+      EXPECT_EQ(response.value().result.total_evaluations, 87);
+    }
+  }
+}
+
+TEST_F(KernelParityTest, InjectedLuPivotFaultsKeepSweepPathsIdentical) {
+  // Every sweep point but the first falls back on its pool lane. A faulted
+  // sweep may differ from a clean one (each point's fresh Markowitz pass
+  // may pick other pivots), so the two replay paths are compared with each
+  // other, both faulted.
+  const std::string netlist = ladder_netlist(10);
+  for (const int threads : {1, 3}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    SweepRequest request;
+    request.spec = ladder_spec();
+    request.f_start_hz = 10.0;
+    request.f_stop_hz = 1e8;
+    request.points_per_decade = 12;
+    request.threads = threads;
+
+    const Service scalar_service;
+    const CircuitHandle scalar_handle = compile(scalar_service, netlist);
+    ASSERT_TRUE(support::FaultInjector::instance().configure("lu_pivot:1"));
+    const auto scalar =
+        on_scalar_path([&] { return scalar_service.sweep(scalar_handle, request); });
+    support::FaultInjector::instance().reset();
+    ASSERT_TRUE(scalar.ok()) << scalar.status().to_string();
+
+    const Service service;
+    const CircuitHandle handle = compile(service, netlist);
+    ASSERT_TRUE(support::FaultInjector::instance().configure("lu_pivot:1"));
+    const auto automatic = service.sweep(handle, request);
+    support::FaultInjector::instance().reset();
+    ASSERT_TRUE(automatic.ok()) << automatic.status().to_string();
+    EXPECT_EQ(strip_timing(to_json(scalar.value())).dump(),
+              strip_timing(to_json(automatic.value())).dump());
+  }
 }
 
 TEST_F(KernelParityTest, LegacyKernelMemberParsesAndNamesTheSameEntry) {

@@ -8,7 +8,6 @@
 
 #include "mna/errors.h"
 #include "netlist/parser.h"
-#include "sparse/lu.h"
 
 namespace symref::api {
 namespace {
@@ -78,8 +77,6 @@ TEST(StatusFromException, DistinctCodesPerFailureClass) {
   EXPECT_EQ(map_exception(mna::SpecError("bad node")).code(), StatusCode::kInvalidSpec);
   EXPECT_EQ(map_exception(mna::SingularSystemError("singular")).code(),
             StatusCode::kSingularSystem);
-  EXPECT_EQ(map_exception(sparse::RefusedReplayError("refused")).code(),
-            StatusCode::kRefusedReplay);
   EXPECT_EQ(map_exception(std::invalid_argument("bad arg")).code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(map_exception(std::runtime_error("boom")).code(), StatusCode::kInternal);

@@ -253,21 +253,17 @@ TEST(SparseLu, RefactorWithoutPriorFactorFails) {
   EXPECT_FALSE(lu.refactor(m.compress()));
 }
 
-TEST(SparseLu, RequireRefactorThrowsTypedErrorOnRefusal) {
+TEST(SparseLu, PlanSurvivesRefusedReplayOfAnotherPattern) {
   support::Rng rng(558);
   const TripletMatrix a = random_matrix(rng, 10, 0.3);
   SparseLu lu;
-  // No plan yet: strict replay must fail loudly.
-  EXPECT_THROW(lu.require_refactor(a.compress()), RefusedReplayError);
-
   ASSERT_TRUE(lu.factor(a.compress()));
-  // Same pattern replays fine.
-  EXPECT_NO_THROW(lu.require_refactor(a.compress()));
-  // Different dimension: the pattern check refuses, strictly.
+  EXPECT_TRUE(lu.refactor(a.compress()));
+  // Different dimension: the pattern check refuses.
   const TripletMatrix b = random_matrix(rng, 12, 0.3);
-  EXPECT_THROW(lu.require_refactor(b.compress()), RefusedReplayError);
+  EXPECT_FALSE(lu.refactor(b.compress()));
   // The plan survives the refusal: the original pattern still replays.
-  EXPECT_NO_THROW(lu.require_refactor(a.compress()));
+  EXPECT_TRUE(lu.refactor(a.compress()));
 }
 
 TEST(SparseLu, RefactorDetectsDegradedPivot) {
@@ -291,6 +287,50 @@ TEST(SparseLu, RefactorDetectsDegradedPivot) {
   // consistently).
   SparseLu fresh;
   EXPECT_TRUE(fresh.factor(degraded));
+}
+
+TEST(SparseLu, ReplayOrFactorKeepsTheFreshPlanAndTalliesEachAttempt) {
+  // The one replay policy: a replay adds nothing to the tally; a refused
+  // replay factors fresh, keeps that plan and counts once; a singular
+  // matrix counts its attempt and leaves no plan.
+  constexpr double kLadder[] = {1e-3};
+  TripletMatrix healthy(3);
+  healthy.add(0, 0, {1.0, 0.0});
+  healthy.add(1, 1, {1.0, 0.0});
+  healthy.add(2, 2, {1.0, 0.0});
+  healthy.add(0, 1, {0.5, 0.0});
+  TripletMatrix degraded(3);
+  degraded.add(0, 0, {1.0, 0.0});
+  degraded.add(1, 1, {1e-30, 0.0});
+  degraded.add(2, 2, {1.0, 0.0});
+  degraded.add(0, 1, {1e20, 0.0});
+
+  SparseLu lu;
+  FactorTally tally;
+  ASSERT_TRUE(lu.replay_or_factor(healthy.compress(), kLadder, &tally));
+  EXPECT_EQ(tally.fresh, 1u);
+  const auto first_plan = lu.plan();
+  ASSERT_TRUE(lu.replay_or_factor(healthy.compress(), kLadder, &tally));
+  EXPECT_EQ(tally.fresh, 1u);
+  EXPECT_EQ(lu.plan(), first_plan);
+
+  ASSERT_TRUE(lu.replay_or_factor(degraded.compress(), kLadder, &tally));
+  EXPECT_EQ(tally.fresh, 2u);
+  EXPECT_NE(lu.plan(), first_plan);
+  ASSERT_TRUE(lu.replay_or_factor(degraded.compress(), kLadder, &tally));
+  EXPECT_EQ(tally.fresh, 2u);
+  EXPECT_FALSE(lu.degraded());
+  EXPECT_EQ(tally.escalations, 0u);
+
+  // [[1, 1], [1, 1]]: elimination leaves an explicit zero pivot.
+  TripletMatrix singular(2);
+  singular.add(0, 0, {1.0, 0.0});
+  singular.add(0, 1, {1.0, 0.0});
+  singular.add(1, 0, {1.0, 0.0});
+  singular.add(1, 1, {1.0, 0.0});
+  EXPECT_FALSE(lu.replay_or_factor(singular.compress(), kLadder, &tally));
+  EXPECT_EQ(tally.fresh, 3u);
+  EXPECT_FALSE(lu.has_plan());
 }
 
 TEST(SparseLu, RefactorOnSameValuesIsBitIdentical) {
