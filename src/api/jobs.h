@@ -1,9 +1,10 @@
 // Asynchronous job execution over api::Service — the core of the served
 // protocol.
 //
-// submit() turns any typed request (refgen / sweep / poles_zeros / batch)
-// into a job on a fixed-size worker pool (support::WorkQueue) and returns a
-// JobId immediately. The caller then polls, waits, or subscribes:
+// submit() turns any typed request (refgen / sweep / poles_zeros / batch /
+// param_sweep / simplify / op / transient) into a job on a fixed-size worker
+// pool (support::WorkQueue) and returns a JobId immediately. The caller then
+// polls, waits, or subscribes:
 //
 //   JobManager jobs(service, /*workers=*/4);
 //   JobId id = jobs.submit(handle, request, on_progress, on_done);
@@ -19,10 +20,10 @@
 // one request never poisons the next.
 //
 // Callback contract: on_progress fires on the worker thread running the job
-// (once per engine iteration, refgen/poles_zeros only); on_done fires
-// exactly once per job, on whichever thread completes it (a worker, or the
-// cancel() caller for still-queued jobs). Callbacks must be fast and must
-// not call back into wait() for their own job.
+// (once per engine iteration; refgen, poles_zeros and simplify only);
+// on_done fires exactly once per job, on whichever thread completes it (a
+// worker, or the cancel() caller for still-queued jobs). Callbacks must be
+// fast and must not call back into wait() for their own job.
 #pragma once
 
 #include <cstdint>

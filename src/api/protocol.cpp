@@ -238,13 +238,9 @@ Json Session::dispatch(const Json& request) {
         writer->write(event);
         // Persist after the client saw its event. Only clean computed
         // results are stored: not errors, not store replays (raw), not
-        // degraded references or transients (a later healthy run should
-        // replace them), not batches (they can embed per-item failures).
+        // batches (they can embed per-item failures).
         if (store != nullptr && !key.empty() && outcome.status.ok() &&
-            outcome.raw.is_null() && outcome.type != AnyRequest::Type::kBatch &&
-            !(outcome.type == AnyRequest::Type::kRefgen && outcome.refgen.result.degraded) &&
-            !(outcome.type == AnyRequest::Type::kTransient &&
-              outcome.transient.result.degraded)) {
+            outcome.raw.is_null() && outcome.type != AnyRequest::Type::kBatch) {
           store->put(key, to_json(outcome).dump());
         }
       };
@@ -347,10 +343,6 @@ Json Session::dispatch(const Json& request) {
       Json engine_json = Json::object();
       engine_json.set("fresh_factorizations",
                       static_cast<double>(engine.value().fresh_factorizations));
-      engine_json.set("pivot_escalations",
-                      static_cast<double>(engine.value().pivot_escalations));
-      engine_json.set("degraded_responses",
-                      static_cast<double>(engine.value().degraded_responses));
       engine_json.set("batched_lanes", static_cast<double>(engine.value().batched_lanes));
       engine_json.set("simplify_term_evals",
                       static_cast<double>(engine.value().simplify_term_evals));

@@ -459,8 +459,6 @@ Json to_json(const RefgenResponse& response) {
   out.set("engine_seconds", response.result.seconds);
   out.set("numerator_degree", response.result.numerator_degree);
   out.set("denominator_degree", response.result.denominator_degree);
-  out.set("degraded", response.result.degraded);
-  out.set("degraded_points", static_cast<double>(response.result.degraded_points));
   out.set("reference", to_json(response.result.reference));
   return out;
 }
@@ -505,8 +503,6 @@ Json to_json(const OpResponse& response) {
   out.set("gmin_steps", result.gmin_steps);
   out.set("source_steps", result.source_steps);
   out.set("fresh_factorizations", static_cast<double>(result.fresh_factorizations));
-  out.set("pivot_escalations", static_cast<double>(result.pivot_escalations));
-  out.set("degraded", result.degraded);
   out.set("max_residual", hex_double(result.max_residual));
   out.set("engine_seconds", result.seconds);
   return out;
@@ -611,8 +607,6 @@ Json to_json(const TransientResponse& response) {
   out.set("newton_iterations", result.newton_iterations);
   out.set("step_size_buckets", result.step_size_buckets);
   out.set("fresh_factorizations", static_cast<double>(result.fresh_factorizations));
-  out.set("pivot_escalations", static_cast<double>(result.pivot_escalations));
-  out.set("degraded", result.degraded);
   out.set("engine_seconds", result.seconds);
   Json nodes = Json::array();
   for (const std::string& name : result.node_names) nodes.push_back(name);

@@ -102,13 +102,9 @@ struct CompiledCircuit {
   /// solve plus every computed refgen, simplify and transient run. Cache
   /// hits run nothing, so they do not re-count.
   std::atomic<std::uint64_t> fresh_factorizations{0};
-  std::atomic<std::uint64_t> pivot_escalations{0};
   std::atomic<std::uint64_t> batched_lanes{0};
-  /// Refgen and transient responses that completed through the degradation
-  /// ladder (Service::engine_stats), counted like the factorizations.
-  std::atomic<std::uint64_t> degraded_responses{0};
   /// Simplify workload counters (Service::engine_stats). Response-level so
-  /// cache hits do not re-count, like degraded_responses.
+  /// cache hits do not re-count.
   std::atomic<std::uint64_t> simplify_term_evals{0};
   std::atomic<std::uint64_t> simplify_terms_dropped{0};
   /// Newton workload counters (Service::engine_stats): the compile-time
@@ -120,7 +116,7 @@ struct CompiledCircuit {
   /// flips true on the second and later calls).
   std::atomic<bool> op_served{false};
   /// Transient workload counters (Service::engine_stats). Computed runs
-  /// only — cache hits do not re-count, like degraded_responses.
+  /// only — cache hits do not re-count.
   std::atomic<std::uint64_t> transient_steps{0};
   std::atomic<std::uint64_t> lte_rejections{0};
 
@@ -144,14 +140,12 @@ struct CompiledCircuit {
       newton_iterations.store(static_cast<std::uint64_t>(op.newton_iterations),
                               std::memory_order_relaxed);
       fresh_factorizations.store(op.fresh_factorizations, std::memory_order_relaxed);
-      pivot_escalations.store(op.pivot_escalations, std::memory_order_relaxed);
     }
   }
 
   /// Adds one computed run's evaluator counters to the engine telemetry.
   void count(const mna::CofactorEvaluator& evaluator) {
     fresh_factorizations.fetch_add(evaluator.fresh_factor_count(), std::memory_order_relaxed);
-    pivot_escalations.fetch_add(evaluator.pivot_escalation_count(), std::memory_order_relaxed);
     batched_lanes.fetch_add(evaluator.batched_lane_count(), std::memory_order_relaxed);
   }
 
@@ -272,9 +266,6 @@ Result<RefgenResponse> cached_refgen(CompiledCircuit& compiled, const RefgenRequ
         compiled.count(evaluator);
         if (const Status status = termination_status(response.result); !status.ok()) {
           return status;
-        }
-        if (response.result.degraded) {
-          compiled.degraded_responses.fetch_add(1, std::memory_order_relaxed);
         }
         return response;
       });
@@ -487,13 +478,8 @@ Result<TransientResponse> Service::transient(const CircuitHandle& handle,
                                             std::memory_order_relaxed);
           compiled.fresh_factorizations.fetch_add(result.fresh_factorizations,
                                                   std::memory_order_relaxed);
-          compiled.pivot_escalations.fetch_add(result.pivot_escalations,
-                                               std::memory_order_relaxed);
           compiled.newton_iterations.fetch_add(
               static_cast<std::uint64_t>(result.newton_iterations), std::memory_order_relaxed);
-          if (result.degraded) {
-            compiled.degraded_responses.fetch_add(1, std::memory_order_relaxed);
-          }
           return response;
         });
   });
@@ -519,7 +505,6 @@ Result<CacheStats> Service::cache_stats(const CircuitHandle& handle) const {
 Result<EngineStats> Service::engine_stats(const CircuitHandle& handle) const {
   return guarded<EngineStats>(handle, [](CompiledCircuit& compiled) -> Result<EngineStats> {
     EngineStats stats;
-    stats.degraded_responses = compiled.degraded_responses.load(std::memory_order_relaxed);
     stats.simplify_term_evals = compiled.simplify_term_evals.load(std::memory_order_relaxed);
     stats.simplify_terms_dropped =
         compiled.simplify_terms_dropped.load(std::memory_order_relaxed);
@@ -528,7 +513,6 @@ Result<EngineStats> Service::engine_stats(const CircuitHandle& handle) const {
     stats.transient_steps = compiled.transient_steps.load(std::memory_order_relaxed);
     stats.lte_rejections = compiled.lte_rejections.load(std::memory_order_relaxed);
     stats.fresh_factorizations = compiled.fresh_factorizations.load(std::memory_order_relaxed);
-    stats.pivot_escalations = compiled.pivot_escalations.load(std::memory_order_relaxed);
     stats.batched_lanes = compiled.batched_lanes.load(std::memory_order_relaxed);
     return stats;
   });

@@ -72,22 +72,15 @@ struct CacheStats {
   std::size_t entries = 0;
 };
 
-/// Numeric-robustness counters of one handle (all specs combined) since
-/// compile — the telemetry face of the degradation ladder. Every counter
-/// is monotonic and counts computed runs only (cache hits run nothing);
-/// batch() items count like the same refgen() requests sent alone.
+/// Engine counters of one handle (all specs combined) since compile. Every
+/// counter is monotonic and counts computed runs only (cache hits run
+/// nothing); batch() items count like the same refgen() requests sent alone.
 struct EngineStats {
   /// Fresh (non-replay) factorizations: each computed run's first one plus
   /// every refused plan replay that fell back, on whichever pool lane it
   /// ran (the compile-time bias solve and refgen, simplify and transient
   /// runs).
   std::uint64_t fresh_factorizations = 0;
-  /// Fresh factorizations that only succeeded after relaxing the pivot
-  /// threshold (the corresponding samples are flagged `degraded`).
-  std::uint64_t pivot_escalations = 0;
-  /// refgen() and transient() responses whose result carried the
-  /// `degraded` flag.
-  std::uint64_t degraded_responses = 0;
   /// Samples evaluated through the batched SoA replay kernel (all specs
   /// combined). Stays 0 when every replay ran the scalar path.
   std::uint64_t batched_lanes = 0;
@@ -232,8 +225,8 @@ class Service {
   /// resident entries). Cheap; safe to call concurrently with requests.
   [[nodiscard]] Result<CacheStats> cache_stats(const CircuitHandle& handle) const;
 
-  /// Numeric-robustness counters of the handle (fresh factorizations, pivot
-  /// escalations, degraded responses). Cheap; safe to call concurrently
+  /// Engine counters of the handle (fresh factorizations, batched lanes,
+  /// simplify, Newton and transient work). Cheap; safe to call concurrently
   /// with requests.
   [[nodiscard]] Result<EngineStats> engine_stats(const CircuitHandle& handle) const;
 

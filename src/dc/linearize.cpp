@@ -164,8 +164,8 @@ Circuit linearize_at(const Circuit& circuit, const OpResult& op) {
   return out;
 }
 
-Circuit linearize(const Circuit& circuit, const OpOptions& options) {
-  return linearize_at(circuit, solve_op(circuit, options));
+Circuit linearize(const Circuit& circuit, support::CancellationToken cancel) {
+  return linearize_at(circuit, solve_op(circuit, std::move(cancel)));
 }
 
 }  // namespace symref::dc

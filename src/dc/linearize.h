@@ -33,6 +33,6 @@ namespace symref::dc {
 
 /// Convenience: solve the operating point, then linearize at it.
 [[nodiscard]] netlist::Circuit linearize(const netlist::Circuit& circuit,
-                                         const OpOptions& options = {});
+                                         support::CancellationToken cancel = {});
 
 }  // namespace symref::dc

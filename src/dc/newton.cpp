@@ -16,7 +16,7 @@ using netlist::Device;
 using netlist::DeviceKind;
 using sparse::PatternStamp;
 
-OpSolver::OpSolver(OpOptions options) : options_(std::move(options)) {}
+OpSolver::OpSolver(support::CancellationToken cancel) : cancel_(std::move(cancel)) {}
 
 OpResult OpSolver::solve(const Circuit& circuit) {
   const support::Timer timer;
@@ -36,12 +36,10 @@ OpResult OpSolver::solve(const Circuit& circuit) {
   std::vector<PatternStamp> stamps;
   std::vector<double> rhs(dim, 0.0);
   std::vector<std::complex<double>> solution;
-  sparse::FactorTally tally;
+  std::uint64_t fresh = 0;
   int iterations = 0;
-  bool degraded = false;
-  const NewtonControl control{options_.max_iterations, options_.reltol,  options_.abstol_v,
-                              options_.abstol_i,       options_.max_voltage_step,
-                              options_.cancel};
+  const NewtonControl control{kMaxNewtonIterations, kNewtonReltol, kNewtonAbstolV,
+                              kNewtonAbstolI, cancel_};
 
   auto reset_start = [&] {
     std::fill(x.begin(), x.end(), 0.0);
@@ -70,11 +68,10 @@ OpResult OpSolver::solve(const Circuit& circuit) {
         assembly_ = sparse::PatternedMatrix(table.dim, stamps);
         lu_ = sparse::SparseLu();
       }
-      if (!replay_or_factor(lu_, assembly_.assemble(0.0), &tally)) {
+      if (!replay_or_factor(lu_, assembly_.assemble(0.0), &fresh)) {
         throw mna::SingularSystemError(
             "dc: singular Jacobian (floating node or degenerate DC path?)");
       }
-      degraded = degraded || lu_.degraded();
       solution.assign(rhs.begin(), rhs.end());
       lu_.solve(solution);
       return solution;
@@ -86,32 +83,31 @@ OpResult OpSolver::solve(const Circuit& circuit) {
   int gmin_steps = 0;
   int source_steps = 0;
   reset_start();
-  bool converged = newton_stage(options_.gmin, 1.0);
+  bool converged = newton_stage(kGmin, 1.0);
 
   if (!converged) {
     // gmin stepping: walk the junction shunt down geometrically; the stamp
     // pattern (and hence the plan) is identical at every rung.
     reset_start();
     bool ladder_ok = true;
-    for (double g = options_.gmin_start; ladder_ok && g > options_.gmin * 0.999; g *= 0.1) {
+    for (double g = kGminStart; ladder_ok && g > kGmin * 0.999; g *= 0.1) {
       ++gmin_steps;
       ladder_ok = newton_stage(g, 1.0);
     }
     if (ladder_ok) {
       ++gmin_steps;
-      converged = newton_stage(options_.gmin, 1.0);
+      converged = newton_stage(kGmin, 1.0);
     }
   }
 
-  if (!converged && options_.source_steps > 0) {
+  if (!converged) {
     // Source stepping: ramp every DC source from zero (where x = 0 solves
     // the system exactly) up to full scale.
     reset_start();
     bool ramp_ok = true;
-    for (int k = 1; ramp_ok && k <= options_.source_steps; ++k) {
+    for (int k = 1; ramp_ok && k <= kSourceSteps; ++k) {
       ++source_steps;
-      ramp_ok = newton_stage(options_.gmin, static_cast<double>(k) /
-                                                static_cast<double>(options_.source_steps));
+      ramp_ok = newton_stage(kGmin, static_cast<double>(k) / static_cast<double>(kSourceSteps));
     }
     converged = ramp_ok;
   }
@@ -119,11 +115,8 @@ OpResult OpSolver::solve(const Circuit& circuit) {
   result.newton_iterations = iterations;
   result.gmin_steps = gmin_steps;
   result.source_steps = source_steps;
-  fresh_factors_ += tally.fresh;
-  escalations_ += tally.escalations;
-  result.fresh_factorizations = tally.fresh;
-  result.pivot_escalations = tally.escalations;
-  result.degraded = degraded;
+  fresh_factors_ += fresh;
+  result.fresh_factorizations = fresh;
 
   if (!converged) {
     std::ostringstream os;
@@ -209,8 +202,8 @@ double OpResult::voltage_of(std::string_view node) const {
   throw std::invalid_argument("OpResult: unknown node '" + std::string(node) + "'");
 }
 
-OpResult solve_op(const Circuit& circuit, const OpOptions& options) {
-  OpSolver solver(options);
+OpResult solve_op(const Circuit& circuit, support::CancellationToken cancel) {
+  OpSolver solver(std::move(cancel));
   return solver.solve(circuit);
 }
 

@@ -14,8 +14,8 @@
 //   SparseLu::refactor       (numeric replay of the one recorded plan)
 //
 // and a fresh Markowitz factorization happens exactly once per pattern — or
-// again, down the Newton pivot-threshold ladder (dc::replay_or_factor), only
-// when a replay is refused. An OpSolver instance keeps its
+// again, at the Newton pivot threshold (dc::replay_or_factor), only when a
+// replay is refused. An OpSolver instance keeps its
 // plan across solve() calls, and copies share it, so a parameter sweep
 // re-solving the bias point per sample (each on a copy of the nominal
 // solver) replays one plan for the whole sweep.
@@ -48,25 +48,27 @@ class NoConvergenceError : public std::runtime_error {
   explicit NoConvergenceError(const std::string& message) : std::runtime_error(message) {}
 };
 
-struct OpOptions {
-  int max_iterations = 200;  // Newton cap per homotopy stage
-  // Convergence tolerances, SPICE-flavored: the accepted step must satisfy
-  // |dx| <= abstol + reltol*|x| per unknown. Tighter settings than these
-  // run into linear-solve roundoff on realistic (30 V rail, mA current)
-  // circuits — near-ground nodes jitter by nanovolts, so a 1e-12 vntol can
-  // never be met even though the iterate has fully converged. The achieved
-  // accuracy is far better than the tolerance (Newton is quadratic near the
-  // solution; the last accepted step overshoots the true error by orders of
-  // magnitude).
-  double reltol = 1e-6;    // per-unknown relative tolerance
-  double abstol_v = 1e-6;  // node-voltage absolute tolerance [V] (SPICE vntol)
-  double abstol_i = 1e-12;  // branch-current absolute tolerance [A] (SPICE abstol)
-  double gmin = 1e-12;         // permanent junction shunt [S]
-  double gmin_start = 1e-2;    // gmin-stepping ladder entry [S]
-  int source_steps = 10;       // source-stepping ramp stages
-  double max_voltage_step = 10.0;  // global Newton damping clamp [V]
-  support::CancellationToken cancel;
-};
+/// Fixed settings of the operating-point solve.
+/// Newton cap per homotopy stage.
+inline constexpr int kMaxNewtonIterations = 200;
+/// Convergence tolerances, SPICE-flavored: the accepted step must satisfy
+/// |dx| <= abstol + reltol*|x| per unknown, with kNewtonAbstolV (SPICE
+/// vntol) on node rows and kNewtonAbstolI (SPICE abstol) on branch rows.
+/// Tighter settings than these run into linear-solve roundoff on realistic
+/// (30 V rail, mA current) circuits — near-ground nodes jitter by
+/// nanovolts, so a 1e-12 vntol can never be met even though the iterate has
+/// fully converged. The achieved accuracy is far better than the tolerance
+/// (Newton is quadratic near the solution; the last accepted step
+/// overshoots the true error by orders of magnitude).
+inline constexpr double kNewtonReltol = 1e-6;
+inline constexpr double kNewtonAbstolV = 1e-6;   // [V]
+inline constexpr double kNewtonAbstolI = 1e-12;  // [A]
+/// Permanent junction shunt [S].
+inline constexpr double kGmin = 1e-12;
+/// gmin-stepping ladder entry [S].
+inline constexpr double kGminStart = 1e-2;
+/// Source-stepping ramp stages.
+inline constexpr int kSourceSteps = 10;
 
 /// Named operating-point quantities for one device (junction voltages,
 /// terminal currents, small-signal parameters) in a fixed per-kind order.
@@ -92,8 +94,6 @@ struct OpResult {
   int gmin_steps = 0;         // gmin-stepping stages actually run
   int source_steps = 0;       // source-stepping stages actually run
   std::uint64_t fresh_factorizations = 0;
-  std::uint64_t pivot_escalations = 0;
-  bool degraded = false;      // any escalated-pivot factorization involved
   double max_residual = 0.0;  // final KCL residual, infinity norm [A]
   double seconds = 0.0;
 
@@ -108,29 +108,27 @@ struct OpResult {
 /// recorded plan through rebind + refactor.
 class OpSolver {
  public:
-  explicit OpSolver(OpOptions options = {});
+  /// `cancel` is polled at every Newton iterate.
+  explicit OpSolver(support::CancellationToken cancel = {});
 
   /// Solve the DC operating point. Throws NoConvergenceError when the
   /// homotopy ladder is exhausted, mna::SingularSystemError when the DC
-  /// system is structurally singular, support::CancelledError on
-  /// cancellation.
+  /// system is singular, support::CancelledError on cancellation.
   OpResult solve(const netlist::Circuit& circuit);
 
   /// Fresh Markowitz factorizations performed over this solver's lifetime
   /// (the probe the one-shared-plan tests assert on).
   [[nodiscard]] std::uint64_t fresh_factor_count() const noexcept { return fresh_factors_; }
-  [[nodiscard]] std::uint64_t pivot_escalation_count() const noexcept { return escalations_; }
 
  private:
-  OpOptions options_;
+  support::CancellationToken cancel_;
   sparse::PatternedMatrix assembly_;
   /// The recorded Jacobian plan; reset whenever the merged structure changes.
   sparse::SparseLu lu_;
   std::uint64_t fresh_factors_ = 0;
-  std::uint64_t escalations_ = 0;
 };
 
 /// One-shot convenience wrapper around OpSolver.
-OpResult solve_op(const netlist::Circuit& circuit, const OpOptions& options = {});
+OpResult solve_op(const netlist::Circuit& circuit, support::CancellationToken cancel = {});
 
 }  // namespace symref::dc

@@ -20,18 +20,16 @@ using sparse::PatternStamp;
 
 namespace {
 
-/// Pivot thresholds of a Newton Jacobian's fresh factorization (see
+/// Pivot threshold of a Newton Jacobian's fresh factorization (see
 /// replay_or_factor in the header).
-constexpr double kNewtonLadder[] = {1e-6, 0.0};
+constexpr double kNewtonPivotThreshold = 1e-6;
 
 }  // namespace
 
 bool replay_or_factor(sparse::SparseLu& lu, const sparse::CompressedMatrix& matrix,
-                      sparse::FactorTally* tally) {
-  if (lu.has_plan() && support::fault("newton_step")) {
-    return lu.factor(matrix, kNewtonLadder, tally);
-  }
-  return lu.replay_or_factor(matrix, kNewtonLadder, tally);
+                      std::uint64_t* fresh) {
+  if (lu.has_plan() && support::fault("newton_step")) lu = sparse::SparseLu();
+  return lu.replay_or_factor(matrix, fresh, kNewtonPivotThreshold);
 }
 
 mna::StampTable solver_table(const Circuit& circuit) {
@@ -194,8 +192,8 @@ bool newton_solve(const Circuit& circuit, const mna::StampTable& table,
     double max_rel = 0.0;
     for (std::size_t i = 0; i < x.size(); ++i) {
       double delta = next[i].real() - x[i];
-      if (i < node_rows && std::fabs(delta) > control.max_voltage_step) {
-        delta = delta > 0 ? control.max_voltage_step : -control.max_voltage_step;
+      if (i < node_rows && std::fabs(delta) > kMaxVoltageStep) {
+        delta = delta > 0 ? kMaxVoltageStep : -kMaxVoltageStep;
         clamped = true;
       }
       const double accepted = x[i] + delta;

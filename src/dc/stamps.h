@@ -8,7 +8,7 @@
 // the recorded symbolic plan — is pinned across iterations. This header holds
 // what the two solvers share on top of that table: the device companion
 // stamps, junction limiting, the replay-or-fresh-factor step with its
-// pivot-threshold ladder, and the damped Newton loop.
+// pivot threshold, and the damped Newton loop.
 #pragma once
 
 #include <complex>
@@ -25,25 +25,23 @@
 
 namespace symref::dc {
 
-/// Replay `lu`'s recorded plan on `matrix`, or else factor fresh down the
-/// Newton ladder and keep the result as the new plan
-/// (SparseLu::replay_or_factor). Returns false when even the ladder finds
-/// the matrix singular. The "newton_step" fault site refuses a replay the
-/// plan could have served.
+/// Replay `lu`'s recorded plan on `matrix`, or else factor fresh once at the
+/// Newton pivot threshold and keep the result as the new plan
+/// (SparseLu::replay_or_factor; `fresh` counts the fresh attempt). Returns
+/// false when the matrix is singular. The "newton_step" fault site drops a
+/// plan the replay could have served, forcing that fresh factorization.
 ///
-/// The Newton ladder is {1e-6, 0}: a 1e-6 pivot threshold first, then 0,
-/// whose plans are flagged degraded. (The sample ladder of
-/// CofactorEvaluator is {1e-3, 1e-6, 0}; the AC sweep and the sensitivity
-/// solves use the default 1e-3 alone.) The Newton Jacobian is a far harsher
+/// The Newton threshold is 1e-6, below the sparse::kPivotThreshold = 1e-3
+/// every other solver factors at. The Newton Jacobian is a far harsher
 /// replay customer than an AC sweep: a junction conductance swings from
 /// ~1 S (forward bias) to gmin = 1e-12 S (cut off) between iterations, 12
 /// decades, while an AC point moves values by fractions of a decade. The
-/// lower first threshold only widens the fresh factorization's pivot
-/// search; it does not lower the replay bar. refactor() runs with default
-/// options, so a replay is refused below kReplayRelaxedThresholdScale x
-/// 1e-3 = 1e-8 relative, whatever threshold recorded the plan.
+/// lower threshold only widens the fresh factorization's pivot search; it
+/// does not lower the replay bar: refactor() refuses a replay below
+/// kReplayRelaxedThresholdScale x kPivotThreshold = 1e-8 relative, whatever
+/// threshold recorded the plan.
 bool replay_or_factor(sparse::SparseLu& lu, const sparse::CompressedMatrix& matrix,
-                      sparse::FactorTally* tally);
+                      std::uint64_t* fresh);
 
 /// The circuit's stamp table, checked for the Newton solvers: throws
 /// std::invalid_argument for a CCCS/CCVS sensing a branchless element and
@@ -87,6 +85,9 @@ DeviceState initial_state(const netlist::Device& d);
 DeviceState limit_state(const netlist::Device& d, const DeviceState& proposed,
                         const DeviceState& old, bool* limited);
 
+/// Global Newton damping clamp on node-voltage steps [V], per iterate.
+inline constexpr double kMaxVoltageStep = 10.0;
+
 /// Per-solver settings of one damped Newton solve.
 struct NewtonControl {
   int max_iterations = 0;
@@ -95,7 +96,6 @@ struct NewtonControl {
   double reltol = 0.0;
   double abstol_v = 0.0;
   double abstol_i = 0.0;
-  double max_voltage_step = 0.0;  // per-iterate clamp on node-voltage steps [V]
   support::CancellationToken cancel;
 };
 
@@ -106,7 +106,7 @@ using LinearSolve =
 
 /// The damped Newton loop of both solvers, from the iterate x / state: per
 /// iterate, poll the cancel token, bump *iterations, solve, clamp node steps
-/// to max_voltage_step, test every unknown against its tolerance, pnjlim the
+/// to kMaxVoltageStep, test every unknown against its tolerance, pnjlim the
 /// junctions, and stop once nothing was clamped or limited after the first
 /// iterate. Returns true on convergence; x / state hold the last iterate
 /// either way.

@@ -15,10 +15,6 @@ namespace {
 
 constexpr double kTwoPi = 6.283185307179586476925286766559;
 
-/// Pivot thresholds of a sweep point's fresh factorization: the default
-/// only (a point that fails it is singular).
-constexpr double kSweepLadder[] = {1e-3};
-
 constexpr const char* kSingular = "AcSimulator: singular MNA system";
 
 /// The output voltage between rows pos and neg (-1 = ground) at one solved
@@ -91,9 +87,9 @@ std::complex<double> AcSimulator::transfer_s(const TransferSpec& spec,
                                              std::complex<double> s) const {
   SpecCache& cache = prepare(spec);
   // Pattern-cached assembly, then the plan replay; a fresh factorization
-  // (kept as the new plan) only when there is no plan yet or the reused
-  // pivots degraded at this point.
-  if (!cache.lu.replay_or_factor(cache.assembler->assemble(s), kSweepLadder, nullptr)) {
+  // (kept as the new plan) only when there is no plan yet or the replay is
+  // refused at this point.
+  if (!cache.lu.replay_or_factor(cache.assembler->assemble(s), nullptr)) {
     throw SingularSystemError(kSingular);
   }
   std::vector<std::complex<double>> x;
@@ -144,8 +140,8 @@ std::vector<BodePoint> AcSimulator::bode(const TransferSpec& spec, double f_star
   std::optional<support::ThreadPool> pool;
   if (lanes > 1) pool.emplace(lanes);
   sparse::replay_points(cache.assembler->assembly(), cache.lu, std::span(s_points).subspan(1),
-                        1.0, 1.0, cache.injections, kSweepLadder, nullptr,
-                        pool ? &*pool : nullptr, sparse::kDefaultBatchWidth, cancel,
+                        1.0, 1.0, cache.injections, nullptr, pool ? &*pool : nullptr,
+                        sparse::kDefaultBatchWidth, cancel,
                         [&](std::size_t i, const sparse::ReplayedPoint& point) {
                           values[i + 1] =
                               output_voltage(point, cache.out_pos_row, cache.out_neg_row);

@@ -12,15 +12,6 @@
 
 namespace symref::mna {
 
-namespace {
-
-/// Pivot thresholds of a sample's fresh factorization: the default first,
-/// then two escalations that trade pivot quality for factorability (their
-/// samples are flagged degraded instead of failing).
-constexpr double kSampleLadder[] = {1e-3, 1e-6, 0.0};
-
-}  // namespace
-
 using netlist::Element;
 using netlist::ElementKind;
 
@@ -145,8 +136,7 @@ CofactorEvaluator::Sample CofactorEvaluator::evaluate(std::complex<double> s_hat
   // Pattern-cached assembly (values rewritten in place), then the plan
   // replay or a fresh factorization that persists in lu_, so later points
   // (and batches) replay it.
-  if (!lu_.replay_or_factor(assembly_.assemble(s_hat, f_scale, g_scale), kSampleLadder,
-                            &tally_)) {
+  if (!lu_.replay_or_factor(assembly_.assemble(s_hat, f_scale, g_scale), &fresh_factors_)) {
     return Sample{};  // singular at this point; caller will retry/adjust
   }
   std::vector<std::complex<double>> rhs;
@@ -161,12 +151,13 @@ std::vector<CofactorEvaluator::Sample> CofactorEvaluator::evaluate_batch(
   if (s_hats.empty()) return samples;
 
   // Point 0 on the caller, with the member state: identical plan evolution
-  // to a serial evaluate() loop at iteration granularity (a degraded or
+  // to a serial evaluate() loop at iteration granularity (a refused or
   // missing plan is refreshed here, once, for the whole batch).
   samples[0] = evaluate(s_hats[0], f_scale, g_scale);
   batched_lane_count_ += sparse::replay_points(
-      assembly_, lu_, std::span(s_hats).subspan(1), f_scale, g_scale, injections_, kSampleLadder,
-      &tally_, pool, batch_width, {}, [&](std::size_t i, const sparse::ReplayedPoint& point) {
+      assembly_, lu_, std::span(s_hats).subspan(1), f_scale, g_scale, injections_,
+      &fresh_factors_, pool, batch_width, {},
+      [&](std::size_t i, const sparse::ReplayedPoint& point) {
         samples[i + 1] = sample_from(point);
       });
   return samples;
@@ -177,7 +168,7 @@ std::vector<CofactorEvaluator::Sample> CofactorEvaluator::evaluate_pinned_batch(
     int batch_width) const {
   std::vector<Sample> samples(s_hats.size());
   batched_lane_count_ += sparse::replay_points(
-      assembly_, lu_, s_hats, f_scale, g_scale, injections_, kSampleLadder, &tally_, nullptr,
+      assembly_, lu_, s_hats, f_scale, g_scale, injections_, &fresh_factors_, nullptr,
       batch_width, {},
       [&](std::size_t i, const sparse::ReplayedPoint& point) { samples[i] = sample_from(point); });
   return samples;
@@ -217,7 +208,6 @@ CofactorEvaluator::Sample CofactorEvaluator::sample_from(const sparse::ReplayedP
                                  ? port_error(v_in)
                                  : det_error;
   sample.ok = true;
-  sample.degraded = point.degraded();
   return sample;
 }
 

@@ -121,19 +121,14 @@ class CofactorEvaluator {
     double numerator_error = 0.0;
     double denominator_error = 0.0;
     bool ok = false;
-    /// True when the value came from the degradation ladder's escalated
-    /// pivot thresholds (see evaluate()): numerically usable, but the pivot
-    /// quality guarantee of the default threshold no longer holds. Callers
-    /// surface this (AdaptiveResult::degraded) instead of failing hard.
-    bool degraded = false;
   };
 
   /// Evaluate N and D at one scaled frequency point.
   ///
   /// Successive evaluations reuse the previous pivot order (static-pivot
   /// refactorization — the pattern is identical across interpolation
-  /// points); when the replay is refused, a fresh factorization down the
-  /// sample ladder (pivot thresholds 1e-3, 1e-6, 0) becomes the new plan.
+  /// points); when the replay is refused, one fresh factorization at
+  /// sparse::kPivotThreshold becomes the new plan.
   /// The cached factorization makes this method non-reentrant: do not share
   /// one evaluator across threads.
   [[nodiscard]] Sample evaluate(std::complex<double> s_hat, double f_scale,
@@ -143,7 +138,7 @@ class CofactorEvaluator {
   /// of one interpolation iteration, and the unit of parallelism.
   ///
   /// The first point runs on the caller exactly like evaluate() (persisting
-  /// a fresh factorization when the reused pivots degrade), establishing the
+  /// a fresh factorization when the replay is refused), establishing the
   /// shared baseline plan for the batch. Every remaining point is evaluated
   /// against that immutable baseline by sparse::replay_points() — SoA groups
   /// of at most `batch_width` (>= 1) lanes when the plan replays the
@@ -189,14 +184,7 @@ class CofactorEvaluator {
   /// plan refreshes and every refused point's throwaway factorization in
   /// evaluate_batch() and evaluate_pinned_batch(), at any thread count. The
   /// plan probe of parameter-sweep tests and benches.
-  [[nodiscard]] std::uint64_t fresh_factor_count() const noexcept { return tally_.fresh; }
-
-  /// Those fresh factorizations that only succeeded past the ladder's
-  /// first pivot threshold. Every escalated point's Sample carries
-  /// degraded == true.
-  [[nodiscard]] std::uint64_t pivot_escalation_count() const noexcept {
-    return tally_.escalations;
-  }
+  [[nodiscard]] std::uint64_t fresh_factor_count() const noexcept { return fresh_factors_; }
 
   /// Points this instance has evaluated through batched replay lanes
   /// (evaluate_batch / evaluate_pinned_batch on a replayable plan; points
@@ -225,9 +213,9 @@ class CofactorEvaluator {
   int out_neg_ = -1;
   /// The unit current injected at the input pair (the cofactor solve).
   std::array<sparse::Injection, 2> injections_;
-  /// Fresh factorizations and escalations; like the lane count below,
-  /// written on the caller thread only (replay_points joins lane tallies).
-  mutable sparse::FactorTally tally_;
+  /// Fresh factorizations; like the lane count below, written on the
+  /// caller thread only (replay_points joins lane counts).
+  mutable std::uint64_t fresh_factors_ = 0;
   mutable std::uint64_t batched_lane_count_ = 0;
   // Pattern-cached assembly (system stamps + drive admittance, merged once)
   // and the cached factorization plan reused across evaluation points.

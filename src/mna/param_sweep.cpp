@@ -185,7 +185,7 @@ ParamSweepResult run_param_sweep(const netlist::NetlistTemplate& netlist,
   // evaluator's, and depends only on (plan, sample).
   const netlist::Circuit base_circuit = netlist.elaborate();
   const bool has_devices = base_circuit.has_devices();
-  dc::OpSolver base_op_solver(dc::OpOptions{.cancel = options.cancel});
+  dc::OpSolver base_op_solver(options.cancel);
   netlist::Circuit base_linear = base_circuit;
   if (has_devices) {
     const dc::OpResult base_op = base_op_solver.solve(base_circuit);

@@ -17,10 +17,6 @@ namespace {
 using Complex = std::complex<double>;
 constexpr double kTwoPi = 6.283185307179586476925286766559;
 
-/// Pivot thresholds of a fresh factorization (direct or adjoint system):
-/// the default only (a point that fails it is singular).
-constexpr double kSensitivityLadder[] = {1e-3};
-
 int row_or_ground(const NodalSystem& system, const std::string& name) {
   const auto row = system.row_of_node(name);
   return row ? *row : -1;
@@ -86,10 +82,10 @@ class AdjointContext {
   std::vector<ElementSensitivity> at(double frequency_hz) {
     const Complex s(0.0, kTwoPi * frequency_hz);
 
-    if (!lu_.replay_or_factor(direct_.assemble(s), kSensitivityLadder, nullptr)) {
+    if (!lu_.replay_or_factor(direct_.assemble(s), nullptr)) {
       throw std::runtime_error("ac_sensitivities: singular system");
     }
-    if (!lu_t_.replay_or_factor(transposed_.assemble(s), kSensitivityLadder, nullptr)) {
+    if (!lu_t_.replay_or_factor(transposed_.assemble(s), nullptr)) {
       throw std::runtime_error("ac_sensitivities: singular transposed system");
     }
 

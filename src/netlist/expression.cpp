@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cmath>
+#include <string>
 
 #include "numeric/units.h"
 
@@ -90,9 +91,17 @@ class Evaluator {
   }
 
   double unary() {
-    if (consume('-')) return -unary();
-    if (consume('+')) return unary();
-    return power();
+    // Every nested construct (parentheses, function arguments, unary signs,
+    // '^' exponents) recurses through here, so this one bound keeps a
+    // hostile expression from overflowing the stack.
+    skip_spaces();
+    if (++depth_ > kMaxDepth) {
+      throw ExprError(at_, "expression nested deeper than " + std::to_string(kMaxDepth) +
+                               " levels");
+    }
+    const double value = consume('-') ? -unary() : consume('+') ? unary() : power();
+    --depth_;
+    return value;
   }
 
   double power() {
@@ -240,9 +249,13 @@ class Evaluator {
     return value;
   }
 
+  /// Nesting limit of unary(), as in Json::parse.
+  static constexpr int kMaxDepth = 128;
+
   std::string_view text_;
   const ParamEnv& env_;
   std::size_t at_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -16,10 +16,10 @@
 // max(a,b), pow(a,b).
 //
 // Failures (syntax, undefined parameter, division by zero, domain errors,
-// non-finite results) throw ExprError carrying the 0-based character offset
-// of the offending construct, which the parser converts into an exact
-// line/column ParseError — diagnostics point INTO the expression, not just
-// at the card.
+// non-finite results, nesting deeper than 128 levels) throw ExprError
+// carrying the 0-based character offset of the offending construct, which
+// the parser converts into an exact line/column ParseError — diagnostics
+// point INTO the expression, not just at the card.
 #pragma once
 
 #include <stdexcept>

@@ -243,7 +243,6 @@ AdaptiveResult AdaptiveScalingEngine::run() {
     ScaledDouble den_eval_noise(0.0);
     int points = base_points;
     bool singular = false;
-    std::uint64_t attempt_degraded = 0;
     constexpr int kMaxPointRetries = 3;
     constexpr double kSampleErrorRetryThreshold = 1e-6;
     for (int attempt = 0; attempt <= kMaxPointRetries; ++attempt) {
@@ -254,7 +253,6 @@ AdaptiveResult AdaptiveScalingEngine::run() {
       num_eval_noise = ScaledDouble(0.0);
       den_eval_noise = ScaledDouble(0.0);
       singular = false;
-      attempt_degraded = 0;
       double worst_proxy = 0.0;
       // The whole point batch evaluates in parallel (independent replays of
       // one shared plan, bit-identical at any thread count); the noise and
@@ -268,11 +266,6 @@ AdaptiveResult AdaptiveScalingEngine::run() {
           singular = true;
           break;
         }
-        // Degradation-ladder samples are accepted (their error proxies
-        // already reflect the worse pivots) but tallied per attempt so the
-        // response can carry the `degraded` flag instead of failing hard
-        // (only the accepted attempt's tally lands in the result).
-        if (sample.degraded) ++attempt_degraded;
         num_unique.push_back(sample.numerator);
         den_unique.push_back(sample.denominator);
         // Absolute evaluation error of this sample; the IDFT averages
@@ -293,10 +286,6 @@ AdaptiveResult AdaptiveScalingEngine::run() {
       if (attempt == kMaxPointRetries) break;  // keep the last attempt
     }
     record.points = points;
-    if (!singular && attempt_degraded > 0) {
-      result.degraded_points += attempt_degraded;
-      result.degraded = true;
-    }
     record.deflated = deflate && base_points < std::max(num.bound(), den.bound()) + 1;
     record.num_evaluation_noise = num_eval_noise;
     record.den_evaluation_noise = den_eval_noise;

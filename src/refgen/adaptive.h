@@ -23,7 +23,6 @@
 // is driven by the denominator until it completes, then by the numerator.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <string>
 #include <utility>
@@ -141,12 +140,6 @@ struct AdaptiveResult {
   /// Homogeneity degrees used for (de)normalization (eq. (11) exponents).
   int numerator_degree = 0;
   int denominator_degree = 0;
-  /// Degradation-ladder accounting (see CofactorEvaluator::Sample): the
-  /// run finished, but `degraded_points` of its accepted samples required
-  /// an escalated pivot threshold. `degraded` is the caller-facing summary
-  /// flag — a usable result whose pivot-quality guarantee is weakened.
-  std::uint64_t degraded_points = 0;
-  bool degraded = false;
 };
 
 class AdaptiveScalingEngine {

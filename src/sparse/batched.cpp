@@ -100,17 +100,14 @@ void BatchedReplay::bind(std::shared_ptr<const ReplayPlan> plan, int width) {
   max_abs_entry_.assign(w, 0.0);
 }
 
-void BatchedReplay::replay(int active, const SparseLuOptions& options) {
-  replay_impl<false>(active, nullptr, options);
-}
+void BatchedReplay::replay(int active) { replay_impl<false>(active, nullptr); }
 
-void BatchedReplay::replay(int active, const LaneAssembly& assembly, const SparseLuOptions& options) {
-  replay_impl<true>(active, &assembly, options);
+void BatchedReplay::replay(int active, const LaneAssembly& assembly) {
+  replay_impl<true>(active, &assembly);
 }
 
 template <bool Fused>
-void BatchedReplay::replay_impl(int active, const LaneAssembly* assembly,
-                                const SparseLuOptions& options) {
+void BatchedReplay::replay_impl(int active, const LaneAssembly* assembly) {
   assert(plan_ != nullptr);
   assert(active >= 0 && active <= width_);
   const ReplayPlan& plan = *plan_;
@@ -296,8 +293,8 @@ void BatchedReplay::replay_impl(int active, const LaneAssembly* assembly,
         const double pivot_magnitude =
             std::sqrt(wre[iw + l] * wre[iw + l] + wim[iw + l] * wim[iw + l]);
         const double row_max = std::sqrt(row_norm[l]);
-        if (pivot_magnitude <= options.singularity_tolerance ||
-            pivot_magnitude < kReplayRelaxedThresholdScale * options.pivot_threshold * row_max) {
+        if (pivot_magnitude == 0.0 ||
+            pivot_magnitude < kReplayRelaxedThresholdScale * kPivotThreshold * row_max) {
           lane_ok_[l] = 0;
         }
         pre[iw + l] = wre[iw + l];
@@ -485,7 +482,6 @@ struct ReplayedPoint::Group {
   BatchedReplay replay;
   std::vector<Complex> rhs;
   int active = 0;
-  bool degraded = false;
   std::vector<numeric::ScaledComplex> determinants;
   std::vector<double> min_pivots;
   std::vector<double> max_norms;  // largest |x_r|^2 per lane
@@ -514,7 +510,7 @@ struct ReplayedPoint::Group {
 };
 
 ReplayedPoint::ReplayedPoint(Group& group, int slot) noexcept
-    : group_(&group), slot_(slot), ok_(true), degraded_(group.degraded) {}
+    : group_(&group), slot_(slot), ok_(true) {}
 
 Complex ReplayedPoint::x(int row) const {
   if (row < 0) return {};
@@ -586,7 +582,7 @@ struct ReplayLane {
   SparseLu fresh;                           // a refused point's throwaway factorization
   std::vector<Complex> rhs;
   ReplayedPoint::Group group;               // batched path
-  FactorTally tally;
+  std::uint64_t fresh_count = 0;            // fallback factorizations
 
   PatternedMatrix& own_assembly(const PatternedMatrix& base) {
     if (!assembly) assembly.emplace(base);
@@ -598,8 +594,8 @@ struct ReplayLane {
 
 std::size_t replay_points(const PatternedMatrix& base, const SparseLu& planned,
                           std::span<const Complex> points, double f_scale, double g_scale,
-                          std::span<const Injection> injections, std::span<const double> ladder,
-                          FactorTally* tally, support::ThreadPool* pool, int width,
+                          std::span<const Injection> injections, std::uint64_t* fresh,
+                          support::ThreadPool* pool, int width,
                           const support::CancellationToken& cancel, const PointSink& emit) {
   if (points.empty()) return 0;
   assert(width >= 1);
@@ -612,7 +608,8 @@ std::size_t replay_points(const PatternedMatrix& base, const SparseLu& planned,
   // A refused point: factor it alone, leaving `planned` (and with it every
   // other point) untouched.
   auto fall_back = [&](ReplayLane& lane, const CompressedMatrix& matrix, std::size_t index) {
-    if (!lane.fresh.factor(matrix, ladder, &lane.tally)) {
+    ++lane.fresh_count;
+    if (!lane.fresh.factor(matrix)) {
       emit(index, ReplayedPoint());
       return;
     }
@@ -643,7 +640,6 @@ std::size_t replay_points(const PatternedMatrix& base, const SparseLu& planned,
     // grouping, so chunk boundaries (and the thread count) change nothing.
     ReplayedPoint::Group& group = lane.group;
     group.replay.bind(planned.plan(), static_cast<int>(group_width));
-    group.degraded = planned.degraded();
     for (std::size_t at = begin; at < end; at += group_width) {
       if (cancel.cancelled()) throw support::CancelledError();
       const int count = static_cast<int>(std::min(group_width, end - at));
@@ -665,11 +661,9 @@ std::size_t replay_points(const PatternedMatrix& base, const SparseLu& planned,
     body(0, points.size(), 0);
   }
 
-  if (tally != nullptr) {
+  if (fresh != nullptr) {
     for (const std::unique_ptr<ReplayLane>& lane : lanes) {
-      if (!lane) continue;
-      tally->fresh += lane->tally.fresh;
-      tally->escalations += lane->tally.escalations;
+      if (lane) *fresh += lane->fresh_count;
     }
   }
   return batched ? points.size() : 0;

@@ -37,6 +37,7 @@
 #include <cassert>
 #include <complex>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
@@ -109,7 +110,7 @@ class BatchedReplay {
   /// Replay lanes [0, active) through the plan in one pass. Per-lane
   /// success is reported by lane_ok(); a refused lane's factors are
   /// garbage and must not be consumed. Requires bound().
-  void replay(int active, const SparseLuOptions& options = {});
+  void replay(int active);
 
   /// Fused-assembly replay: instead of reading pre-assembled values(), the
   /// scatter computes each lane value from the assembly view as it streams
@@ -118,7 +119,7 @@ class BatchedReplay {
   /// writing PatternedMatrix::assemble(s[l], f, g) into values() and
   /// calling replay(): the per-(k, lane) value expression is assemble()'s,
   /// and the entry maximum is order-independent.
-  void replay(int active, const LaneAssembly& assembly, const SparseLuOptions& options = {});
+  void replay(int active, const LaneAssembly& assembly);
 
   /// Whether lane's last replay() accepted every pivot.
   [[nodiscard]] bool lane_ok(int lane) const {
@@ -174,7 +175,7 @@ class BatchedReplay {
   std::vector<double> max_abs_entry_;
 
   template <bool Fused>
-  void replay_impl(int active, const LaneAssembly* assembly, const SparseLuOptions& options);
+  void replay_impl(int active, const LaneAssembly* assembly);
 };
 
 /// One right-hand-side entry of the points replay_points() solves:
@@ -202,13 +203,10 @@ class ReplayedPoint {
   ReplayedPoint() = default;
   /// A scalar factorization (ok()) and its solution.
   ReplayedPoint(const SparseLu& lu, const std::vector<std::complex<double>>& x) noexcept
-      : lu_(&lu), x_(&x), ok_(true), degraded_(lu.degraded()) {}
+      : lu_(&lu), x_(&x), ok_(true) {}
 
   /// False when the matrix was singular; nothing else may be read then.
   [[nodiscard]] bool ok() const noexcept { return ok_; }
-  /// The factorization's plan came from an escalated ladder level
-  /// (SparseLu::degraded()).
-  [[nodiscard]] bool degraded() const noexcept { return degraded_; }
   /// Solution entry; row < 0 (ground) reads 0.
   [[nodiscard]] std::complex<double> x(int row) const;
   /// Largest |x_r| over the solution.
@@ -230,7 +228,6 @@ class ReplayedPoint {
   Group* group_ = nullptr;  // non-null for a group lane
   int slot_ = 0;
   bool ok_ = false;
-  bool degraded_ = false;
 };
 
 /// Receives point `index` (into replay_points' `points`) once it is solved.
@@ -245,21 +242,20 @@ using PointSink = std::function<void(std::size_t index, const ReplayedPoint& poi
 /// Per lane it runs SoA groups of at most `width` (>= 1) points through
 /// BatchedReplay when use_batched_replay() allows, scalar refactor()s of a
 /// clone of `planned` otherwise. A refused point falls back to a throwaway
-/// fresh factorization of that point alone down `ladder` (no second replay,
-/// so "lu_pivot" is drawn once per point on both kernels), and `planned` is
-/// never replaced: every point is a pure function of (plan, point), so
-/// results are bit-identical at every width and thread count. `base` holds
-/// the assembly values, cloned per lane only where a point must be
-/// assembled on its own; `planned` is never cloned on the batched path.
-/// Each lane tallies its fallbacks, added to `tally` (may be null) after
-/// the join. `cancel` is polled before every point (every group on the
+/// fresh factorization of that point alone at kPivotThreshold (no second
+/// replay, so "lu_pivot" is drawn once per point on both kernels), and
+/// `planned` is never replaced: every point is a pure function of (plan,
+/// point), so results are bit-identical at every width and thread count.
+/// `base` holds the assembly values, cloned per lane only where a point must
+/// be assembled on its own; `planned` is never cloned on the batched path.
+/// Each lane counts its fallbacks, added to `fresh` (may be null) after the
+/// join. `cancel` is polled before every point (every group on the
 /// batched path); a tripped token throws support::CancelledError. Returns
 /// the number of points routed through batched lanes (0 on the scalar path).
 std::size_t replay_points(const PatternedMatrix& base, const SparseLu& planned,
                           std::span<const std::complex<double>> points, double f_scale,
                           double g_scale, std::span<const Injection> injections,
-                          std::span<const double> ladder, FactorTally* tally,
-                          support::ThreadPool* pool, int width,
+                          std::uint64_t* fresh, support::ThreadPool* pool, int width,
                           const support::CancellationToken& cancel, const PointSink& emit);
 
 }  // namespace symref::sparse

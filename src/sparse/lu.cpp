@@ -48,16 +48,11 @@ int permutation_sign(const std::vector<int>& order) {
   return sign;
 }
 
-bool SparseLu::factor(const TripletMatrix& matrix, const SparseLuOptions& options) {
-  return factor(matrix.compress(), options);
+bool SparseLu::factor(const TripletMatrix& matrix, double pivot_threshold) {
+  return factor(matrix.compress(), pivot_threshold);
 }
 
-bool SparseLu::factor(const CompressedMatrix& matrix, const SparseLuOptions& options) {
-  return analyze_and_factor(matrix, options);
-}
-
-bool SparseLu::analyze_and_factor(const CompressedMatrix& matrix,
-                                  const SparseLuOptions& options) {
+bool SparseLu::factor(const CompressedMatrix& matrix, double pivot_threshold) {
   // Fault site "lu_alloc": the symbolic analysis is the allocation-heavy
   // path (plan vectors sized by fill-in); an injected bad_alloc exercises
   // the facade's kUnavailable mapping and the JobManager retry path.
@@ -65,7 +60,6 @@ bool SparseLu::analyze_and_factor(const CompressedMatrix& matrix,
   const int n = matrix.dim;
   dim_ = n;
   ok_ = false;
-  degraded_ = false;
   max_abs_entry_ = 0.0;
   // A fresh plan per factor(): clones of this instance may still replay the
   // old one, so it is never mutated in place (copy-on-factor).
@@ -136,8 +130,7 @@ bool SparseLu::analyze_and_factor(const CompressedMatrix& matrix,
           if (entry.col == c) value = entry.value;
         }
         const double magnitude = std::abs(value);
-        if (magnitude <= options.singularity_tolerance ||
-            magnitude < options.pivot_threshold * row_max) {
+        if (magnitude == 0.0 || magnitude < pivot_threshold * row_max) {
           continue;
         }
         const std::uint64_t cost = (row.size() - 1) * (count - 1);
@@ -360,30 +353,19 @@ void SparseLu::detect_supernodes(ReplayPlan& plan) {
   }
 }
 
-bool SparseLu::factor(const CompressedMatrix& matrix, std::span<const double> ladder,
-                      FactorTally* tally) {
-  if (tally != nullptr) ++tally->fresh;
-  for (std::size_t level = 0; level < ladder.size(); ++level) {
-    if (factor(matrix, SparseLuOptions{ladder[level], 0.0})) {
-      degraded_ = level > 0;
-      if (degraded_ && tally != nullptr) ++tally->escalations;
-      return true;
-    }
-  }
-  return false;
+bool SparseLu::replay_or_factor(const CompressedMatrix& matrix, std::uint64_t* fresh,
+                                double pivot_threshold) {
+  if (refactor(matrix)) return true;
+  if (fresh != nullptr) ++*fresh;
+  return factor(matrix, pivot_threshold);
 }
 
-bool SparseLu::replay_or_factor(const CompressedMatrix& matrix, std::span<const double> ladder,
-                                FactorTally* tally) {
-  return refactor(matrix) || factor(matrix, ladder, tally);
-}
-
-bool SparseLu::refactor(const CompressedMatrix& matrix, const SparseLuOptions& options) {
+bool SparseLu::refactor(const CompressedMatrix& matrix) {
   if (!plan_ || !plan_->matches(matrix)) {
     return false;  // no plan or pattern changed: need a full factor()
   }
-  // Fault site "lu_pivot": pretend a reused pivot degraded. The caller's
-  // fallback (fresh factor through the degradation ladder) re-selects the
+  // Fault site "lu_pivot": pretend a reused pivot fell below the replay bar.
+  // The caller's fallback (one fresh factor at its threshold) re-selects the
   // same pivots on a healthy matrix, so results stay bit-identical — which
   // is exactly what the recovery tests assert.
   if (support::fault("lu_pivot")) return false;
@@ -401,8 +383,8 @@ bool SparseLu::refactor(const CompressedMatrix& matrix, const SparseLuOptions& o
   // Up-looking replay: each row-step clears its pattern slots in the dense
   // workspace, scatters the row of A, applies the recorded updates of the
   // earlier steps in order, and gathers the surviving values back into the
-  // flat U storage. The operation sequence matches analyze_and_factor()
-  // exactly, so the numeric results agree bit-for-bit. Everything read from
+  // flat U storage. The operation sequence matches factor() exactly, so
+  // the numeric results agree bit-for-bit. Everything read from
   // the plan is const — a replay touches only this instance's numeric
   // payload, which is what lets clones sharing one plan run in parallel.
   work_.resize(static_cast<std::size_t>(n));
@@ -442,8 +424,8 @@ bool SparseLu::refactor(const CompressedMatrix& matrix, const SparseLuOptions& o
       row_max = std::max(
           row_max, replay_abs(work_[static_cast<std::size_t>(plan.u_steps[static_cast<std::size_t>(k)])]));
     }
-    if (pivot_magnitude <= options.singularity_tolerance ||
-        pivot_magnitude < kReplayRelaxedThresholdScale * options.pivot_threshold * row_max) {
+    if (pivot_magnitude == 0.0 ||
+        pivot_magnitude < kReplayRelaxedThresholdScale * kPivotThreshold * row_max) {
       ok_ = false;
       return false;
     }

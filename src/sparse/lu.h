@@ -37,7 +37,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "numeric/scaled.h"
@@ -45,24 +44,18 @@
 
 namespace symref::sparse {
 
-/// Fresh factorizations and pivot escalations, accumulated across calls.
-struct FactorTally {
-  std::uint64_t fresh = 0;
-  std::uint64_t escalations = 0;
-};
-
-struct SparseLuOptions {
-  /// Threshold partial pivoting: a candidate pivot must satisfy
-  /// |a_ij| >= pivot_threshold * max_j' |a_ij'| within its active row.
-  double pivot_threshold = 1e-3;
-  /// A pivot with magnitude <= this is rejected as numerically zero.
-  double singularity_tolerance = 0.0;
-};
+/// Threshold partial pivoting of a fresh factorization: a candidate pivot
+/// must satisfy |a_ij| >= threshold * max_j' |a_ij'| within its active row.
+/// Samples, sweeps, sensitivities and the replay driver's fallbacks factor
+/// at this threshold; the Newton Jacobian alone uses a lower one
+/// (dc::replay_or_factor).
+inline constexpr double kPivotThreshold = 1e-3;
 
 /// Pivots reused by a plan replay (scalar refactor() or a BatchedReplay
 /// lane) were not re-searched, so they are accepted with a threshold this
-/// much more permissive than the factor() one; a pivot degraded beyond it
-/// refuses the replay and signals the caller to re-run the full factor().
+/// much more permissive than kPivotThreshold, whatever threshold recorded
+/// the plan; a pivot that falls below it refuses the replay and signals the
+/// caller to re-run the full factor().
 /// Both replay paths MUST share this constant — the refusal decision is part
 /// of the bit-identity contract between them.
 inline constexpr double kReplayRelaxedThresholdScale = 1e-5;
@@ -97,7 +90,7 @@ inline std::complex<double> replay_mul(const std::complex<double>& a,
 /// operator/. The denominator |b|^2 stays in double range for any divisor
 /// magnitude in ~(1e-150, 1e150) — comfortably true for pivots of scaled
 /// admittance matrices (a pivot tiny enough to underflow here would long
-/// since have been refused or escalated). Every elimination and solve MUST
+/// since have been refused). Every elimination and solve MUST
 /// divide through this one function: factor() and refactor() are bit-equal
 /// because they execute identical arithmetic, and scalar/batched replays
 /// likewise.
@@ -171,49 +164,38 @@ struct ReplayPlan {
 
 class SparseLu {
  public:
-  /// Factor the matrix; returns false when singular (no acceptable pivot).
-  /// Also records the symbolic plan (pivot order + fill pattern) consumed by
-  /// refactor().
-  bool factor(const TripletMatrix& matrix, const SparseLuOptions& options = {});
-  bool factor(const CompressedMatrix& matrix, const SparseLuOptions& options = {});
+  /// Factor the matrix at `pivot_threshold`; returns false when singular
+  /// (no active row holds a nonzero pivot). Also records the symbolic plan
+  /// (pivot order + fill pattern) consumed by refactor().
+  bool factor(const TripletMatrix& matrix, double pivot_threshold = kPivotThreshold);
+  bool factor(const CompressedMatrix& matrix, double pivot_threshold = kPivotThreshold);
 
   /// Re-factor a matrix with the SAME sparsity pattern using the plan of the
   /// last successful factor() — no Markowitz search, no new fill, just a
   /// flat numeric replay of the elimination (the classic create/factor split
   /// of SPICE and the analyze/factor split of KLU). Returns false when a
-  /// reused pivot is numerically unacceptable (caller should fall back to a
-  /// fresh factor()) or when the structural pattern differs; the pattern
-  /// check is exact (row/column structure, not just the nonzero count).
+  /// reused pivot falls below kReplayRelaxedThresholdScale x kPivotThreshold
+  /// of its row (caller should fall back to a fresh factor()) or when the
+  /// structural pattern differs; the pattern check is exact (row/column
+  /// structure, not just the nonzero count).
   /// The plan survives a refused refactor(), so another refactor() with
   /// acceptable values may follow without an intervening factor() — each
   /// replay depends only on (plan, input values), never on previous numeric
   /// state. That history independence is what makes per-point evaluation
   /// order (and hence thread count) irrelevant to the results.
-  bool refactor(const CompressedMatrix& matrix, const SparseLuOptions& options = {});
-
-  /// Fresh factorization down a pivot-threshold ladder: factor() at each
-  /// threshold of `ladder` in turn until one succeeds. A plan recorded past
-  /// the first level is degraded() — numerically usable, but without the
-  /// pivot quality the first threshold guarantees. The levels are fixed, so
-  /// a given matrix always lands on the same one. `tally` (may be null)
-  /// counts the attempt as one fresh factorization, successful or not, and
-  /// an escalated success as one escalation. Returns false when no level
-  /// finds a nonzero pivot (singular; no plan is left).
-  bool factor(const CompressedMatrix& matrix, std::span<const double> ladder, FactorTally* tally);
+  bool refactor(const CompressedMatrix& matrix);
 
   /// The one rule every solver uses to choose between replay and fresh
   /// factorization: refactor() the recorded plan, and when there is none or
-  /// the replay is refused, factor(matrix, ladder, tally) and keep the
-  /// result as the new plan.
-  bool replay_or_factor(const CompressedMatrix& matrix, std::span<const double> ladder,
-                        FactorTally* tally);
+  /// the replay is refused, factor(matrix, pivot_threshold) once and keep
+  /// the result as the new plan. `fresh` (may be null) counts that fresh
+  /// attempt, successful or not. Returns false when the matrix is singular
+  /// (no plan is left).
+  bool replay_or_factor(const CompressedMatrix& matrix, std::uint64_t* fresh,
+                        double pivot_threshold = kPivotThreshold);
 
   [[nodiscard]] int dim() const noexcept { return dim_; }
   [[nodiscard]] bool ok() const noexcept { return ok_; }
-
-  /// True while the recorded plan came from a ladder level past the first
-  /// (see factor(matrix, ladder, tally)); replays of that plan inherit it.
-  [[nodiscard]] bool degraded() const noexcept { return degraded_; }
 
   /// True when a successful factor() has recorded a symbolic plan (possibly
   /// shared with clones of this instance). refactor() requires it.
@@ -254,8 +236,6 @@ class SparseLu {
   [[nodiscard]] numeric::ScaledComplex determinant() const;
 
  private:
-  bool analyze_and_factor(const CompressedMatrix& matrix, const SparseLuOptions& options);
-
   /// Partition the plan's steps into supernodes (see ReplayPlan). Pure
   /// structure analysis over the harvested L/U patterns; greedy maximal
   /// runs, O(total block area).
@@ -263,7 +243,6 @@ class SparseLu {
 
   int dim_ = 0;
   bool ok_ = false;
-  bool degraded_ = false;
   double max_abs_entry_ = 0.0;
   std::shared_ptr<const ReplayPlan> plan_;
 

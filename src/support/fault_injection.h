@@ -17,9 +17,9 @@
 //
 //   lu_alloc    SparseLu symbolic analysis throws std::bad_alloc
 //   lu_pivot    SparseLu::refactor refuses the replay (pattern-ok path)
-//   newton_step dc::OpSolver treats one Newton iterate's plan replay as
-//               refused, forcing a fresh factorization through the
-//               degradation ladder (the .op analogue of lu_pivot)
+//   newton_step dc::replay_or_factor drops the Newton Jacobian plan before
+//               one iterate's replay (.op and transient), forcing one fresh
+//               factorization (the Newton analogue of lu_pivot)
 //   json_parse  api::Json::parse fails with kParseError
 //   work_queue  JobManager::run fails the attempt with kUnavailable
 //   socket_io   daemon/tool socket send fails as if the peer vanished;

@@ -145,10 +145,8 @@ TransientResult TransientSolver::solve(const Circuit& circuit) {
         mutable_e->waveform = netlist::Waveform{};
       }
     }
-    const dc::OpResult bias = dc::solve_op(bias_circuit, dc::OpOptions{.cancel = options_.cancel});
+    const dc::OpResult bias = dc::solve_op(bias_circuit, options_.cancel);
     result.fresh_factorizations += bias.fresh_factorizations;
-    result.pivot_escalations += bias.pivot_escalations;
-    result.degraded = result.degraded || bias.degraded;
     std::copy(bias.node_voltages.begin(), bias.node_voltages.end(), x.begin());
     std::copy(bias.branch_currents.begin(), bias.branch_currents.end(),
               x.begin() + table.node_rows);
@@ -199,10 +197,8 @@ TransientResult TransientSolver::solve(const Circuit& circuit) {
   std::vector<double> x_new(dim, 0.0);
   std::vector<DeviceState> state_new(dev_state);
   std::set<int> buckets_used;
-  sparse::FactorTally tally;
   const dc::NewtonControl control{kMaxNewtonIterations, kNewtonReltol, kNewtonAbstolV,
-                                  kNewtonAbstolI, dc::OpOptions{}.max_voltage_step,
-                                  options_.cancel};
+                                  kNewtonAbstolI, options_.cancel};
   bool pin_ic = false;
 
   // One step candidate t -> t_new = t + h against bucket `key`. Fills x_new /
@@ -253,13 +249,12 @@ TransientResult TransientSolver::solve(const Circuit& circuit) {
         buckets_.clear();
       }
       sparse::SparseLu& lu = buckets_[key];
-      if (!dc::replay_or_factor(lu, assembly_.assemble(k.a0), &tally)) {
+      if (!dc::replay_or_factor(lu, assembly_.assemble(k.a0), &result.fresh_factorizations)) {
         std::ostringstream os;
         os << "transient: singular system at t = " << t_new
            << " (floating node or degenerate companion network?)";
         throw mna::SingularSystemError(os.str());
       }
-      result.degraded = result.degraded || lu.degraded();
       solution.resize(dim);
       for (std::size_t i = 0; i < dim; ++i) solution[i] = rhs[i] + hist[i];
       lu.solve(solution);
@@ -443,8 +438,6 @@ TransientResult TransientSolver::solve(const Circuit& circuit) {
   }
 
   result.step_size_buckets = static_cast<int>(buckets_used.size());
-  result.fresh_factorizations += tally.fresh;
-  result.pivot_escalations += tally.escalations;
   result.seconds = timer.seconds();
   return result;
 }

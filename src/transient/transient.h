@@ -27,7 +27,7 @@
 //
 // Device-bearing netlists run a damped Newton iteration per step — the same
 // dc::newton_solve the DC solver runs (fixed-pattern device companions,
-// pnjlim junction limiting, dc::replay_or_factor's Newton ladder); the
+// pnjlim junction limiting, dc::replay_or_factor's Newton threshold); the
 // previous step's solution is the warm start, so a handful of iterations per
 // step suffice and every iterate replays the bucket's plan. Every assembly
 // appends its stamps in one pinned order: table stamps, device companions,
@@ -121,11 +121,9 @@ struct TransientResult {
   /// Fresh factorizations, including the t = 0 bias solve's and the
   /// consistent-initialization solve's. The plan-replay contract for a
   /// linear reactive circuit: step_size_buckets + 2 (one bias factor, one
-  /// initialization factor) under healthy replay; faults/degradation only
-  /// add to it.
+  /// initialization factor) under healthy replay; refused replays only add
+  /// to it.
   std::uint64_t fresh_factorizations = 0;
-  std::uint64_t pivot_escalations = 0;
-  bool degraded = false;
 
   double seconds = 0.0;
 

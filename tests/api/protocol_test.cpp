@@ -122,6 +122,14 @@ TEST(ProtocolSession, CompileSubmitWaitLifecycle) {
   const Json stats = find_reply(lines, 5);
   ASSERT_TRUE(stats.find("result") != nullptr);
   EXPECT_TRUE(stats.find("result")->find("hits") != nullptr);
+  const Json* engine = stats.find("result")->find("engine");
+  ASSERT_TRUE(engine != nullptr);
+  std::vector<std::string> counters;
+  for (const auto& member : engine->members()) counters.push_back(member.first);
+  EXPECT_EQ(counters, (std::vector<std::string>{
+                          "fresh_factorizations", "batched_lanes", "simplify_term_evals",
+                          "simplify_terms_dropped", "newton_iterations", "op_solves",
+                          "transient_steps", "lte_rejections"}));
 
   const Json listed = find_reply(lines, 6);
   ASSERT_TRUE(listed.find("result") != nullptr);

@@ -223,6 +223,9 @@ TEST(SerializeResponse, RefgenPayloadShape) {
   EXPECT_EQ(c0.find("value")->find("mantissa")->as_string().substr(0, 2), "0x");
   EXPECT_TRUE(c0.find("value")->find("exp2")->is_number());
   EXPECT_EQ(c0.find("status")->as_string(), "interpolated");
+  EXPECT_EQ(payload.find("degraded"), nullptr);
+  EXPECT_EQ(payload.find("degraded_points"), nullptr);
+  EXPECT_EQ(payload.find("pivot_escalations"), nullptr);
 
   // The document survives a dump/parse cycle unchanged.
   const auto reparsed = Json::parse(payload.dump(2));
@@ -839,6 +842,9 @@ TEST(SerializeResponse, OpPayloadShape) {
   EXPECT_TRUE(v.rfind("0x", 0) == 0 || v.rfind("-0x", 0) == 0) << v;
   ASSERT_EQ(payload.find("devices")->size(), 1u);
   EXPECT_EQ(payload.find("devices")->items()[0].find("kind")->as_string(), "diode");
+  EXPECT_EQ(payload.find("degraded"), nullptr);
+  EXPECT_EQ(payload.find("degraded_points"), nullptr);
+  EXPECT_EQ(payload.find("pivot_escalations"), nullptr);
 
   const auto reparsed = Json::parse(payload.dump(2));
   ASSERT_TRUE(reparsed.ok());

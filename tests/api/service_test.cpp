@@ -54,6 +54,16 @@ TEST(ServiceCompile, MalformedNetlistMapsToParseErrorWithPosition) {
   EXPECT_EQ(compiled.status().location().line, 3);
   EXPECT_EQ(compiled.status().location().column, 10);
   EXPECT_NE(compiled.status().message().find("bogus"), std::string::npos);
+
+  // A 50 000-deep {expr} fails at the first '(' past the nesting limit
+  // (expression offset 128) instead of overflowing the stack.
+  const std::string deep =
+      "R1 in 0 {" + std::string(50000, '(') + "1k" + std::string(50000, ')') + "}\n";
+  const auto nested = service.compile_netlist(deep);
+  ASSERT_FALSE(nested.ok());
+  EXPECT_EQ(nested.status().code(), StatusCode::kParseError);
+  EXPECT_EQ(nested.status().location().line, 1);
+  EXPECT_EQ(nested.status().location().column, 10 + 128);
 }
 
 TEST(ServiceCompile, EmptyHandleIsInvalidArgumentEverywhere) {
@@ -529,10 +539,9 @@ std::string answer_as_batch_item(const Service& service, const CircuitHandle& ha
 }
 
 std::vector<std::uint64_t> counters(const EngineStats& stats) {
-  return {stats.fresh_factorizations, stats.pivot_escalations,   stats.degraded_responses,
-          stats.batched_lanes,        stats.simplify_term_evals, stats.simplify_terms_dropped,
-          stats.newton_iterations,    stats.op_solves,           stats.transient_steps,
-          stats.lte_rejections};
+  return {stats.fresh_factorizations,   stats.batched_lanes,     stats.simplify_term_evals,
+          stats.simplify_terms_dropped, stats.newton_iterations, stats.op_solves,
+          stats.transient_steps,        stats.lte_rejections};
 }
 
 // Every response is a function of the circuit and the request alone: a

@@ -75,7 +75,6 @@ TEST(Ua741Deck, NewtonReplaysOneSharedPlan) {
   // the single symbolic factorization recorded on iteration one.
   EXPECT_EQ(solver.fresh_factor_count(), 1u);
   EXPECT_EQ(first.fresh_factorizations, 1u);
-  EXPECT_FALSE(first.degraded);
 
   // A second solve (a parameter-sweep sample) replays the same plan too.
   const OpResult second = solver.solve(deck);

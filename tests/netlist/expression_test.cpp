@@ -147,5 +147,18 @@ TEST(Expression, DomainAndOverflowErrorsRejected) {
   EXPECT_THROW(eval("1e308 * 1e308"), ExprError);  // non-finite result
 }
 
+TEST(Expression, DeepNestingFailsTypedInsteadOfOverflowingTheStack) {
+  constexpr std::size_t kDepth = 100000;
+  try {
+    eval(std::string(kDepth, '(') + "1k" + std::string(kDepth, ')'));
+    FAIL() << "expected ExprError";
+  } catch (const ExprError& e) {
+    EXPECT_EQ(e.offset(), 128u);  // the first '(' past the nesting limit
+    EXPECT_NE(std::string(e.what()).find("nested"), std::string::npos);
+  }
+  EXPECT_THROW(eval(std::string(kDepth, '-') + "1"), ExprError);
+  EXPECT_DOUBLE_EQ(eval(std::string(100, '(') + "2" + std::string(100, ')')), 2.0);
+}
+
 }  // namespace
 }  // namespace symref::netlist

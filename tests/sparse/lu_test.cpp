@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <complex>
+#include <cstdint>
 
 #include "circuits/ladder.h"
 #include "circuits/ua741.h"
@@ -290,10 +291,9 @@ TEST(SparseLu, RefactorDetectsDegradedPivot) {
 }
 
 TEST(SparseLu, ReplayOrFactorKeepsTheFreshPlanAndTalliesEachAttempt) {
-  // The one replay policy: a replay adds nothing to the tally; a refused
-  // replay factors fresh, keeps that plan and counts once; a singular
-  // matrix counts its attempt and leaves no plan.
-  constexpr double kLadder[] = {1e-3};
+  // The one replay policy: a replay adds nothing to the fresh count; a
+  // refused replay factors fresh once, keeps that plan and counts once; a
+  // singular matrix counts its one attempt and leaves no plan.
   TripletMatrix healthy(3);
   healthy.add(0, 0, {1.0, 0.0});
   healthy.add(1, 1, {1.0, 0.0});
@@ -306,21 +306,19 @@ TEST(SparseLu, ReplayOrFactorKeepsTheFreshPlanAndTalliesEachAttempt) {
   degraded.add(0, 1, {1e20, 0.0});
 
   SparseLu lu;
-  FactorTally tally;
-  ASSERT_TRUE(lu.replay_or_factor(healthy.compress(), kLadder, &tally));
-  EXPECT_EQ(tally.fresh, 1u);
+  std::uint64_t fresh = 0;
+  ASSERT_TRUE(lu.replay_or_factor(healthy.compress(), &fresh));
+  EXPECT_EQ(fresh, 1u);
   const auto first_plan = lu.plan();
-  ASSERT_TRUE(lu.replay_or_factor(healthy.compress(), kLadder, &tally));
-  EXPECT_EQ(tally.fresh, 1u);
+  ASSERT_TRUE(lu.replay_or_factor(healthy.compress(), &fresh));
+  EXPECT_EQ(fresh, 1u);
   EXPECT_EQ(lu.plan(), first_plan);
 
-  ASSERT_TRUE(lu.replay_or_factor(degraded.compress(), kLadder, &tally));
-  EXPECT_EQ(tally.fresh, 2u);
+  ASSERT_TRUE(lu.replay_or_factor(degraded.compress(), &fresh));
+  EXPECT_EQ(fresh, 2u);
   EXPECT_NE(lu.plan(), first_plan);
-  ASSERT_TRUE(lu.replay_or_factor(degraded.compress(), kLadder, &tally));
-  EXPECT_EQ(tally.fresh, 2u);
-  EXPECT_FALSE(lu.degraded());
-  EXPECT_EQ(tally.escalations, 0u);
+  ASSERT_TRUE(lu.replay_or_factor(degraded.compress(), &fresh));
+  EXPECT_EQ(fresh, 2u);
 
   // [[1, 1], [1, 1]]: elimination leaves an explicit zero pivot.
   TripletMatrix singular(2);
@@ -328,8 +326,25 @@ TEST(SparseLu, ReplayOrFactorKeepsTheFreshPlanAndTalliesEachAttempt) {
   singular.add(0, 1, {1.0, 0.0});
   singular.add(1, 0, {1.0, 0.0});
   singular.add(1, 1, {1.0, 0.0});
-  EXPECT_FALSE(lu.replay_or_factor(singular.compress(), kLadder, &tally));
-  EXPECT_EQ(tally.fresh, 3u);
+  EXPECT_FALSE(lu.replay_or_factor(singular.compress(), &fresh));
+  EXPECT_EQ(fresh, 3u);
+  EXPECT_FALSE(lu.has_plan());
+
+  // Singular to working precision: row 2 is 30 * row 0 + row 1 rounded in
+  // double. At 1e-3 the elimination ends on an exact zero; a lower
+  // threshold would reorder it onto a ~4e-20 pivot of rounding residue, so
+  // none is tried and the matrix is singular.
+  const double r0[] = {1e-4, 7e-5, 0.0};
+  const double r1[] = {-1.0, 0.0, -3e-4};
+  TripletMatrix rounded(3);
+  for (int c = 0; c < 3; ++c) {
+    const double r2 = 30.0 * r0[c] + r1[c];
+    if (r0[c] != 0.0) rounded.add(0, c, {r0[c], 0.0});
+    if (r1[c] != 0.0) rounded.add(1, c, {r1[c], 0.0});
+    if (r2 != 0.0) rounded.add(2, c, {r2, 0.0});
+  }
+  EXPECT_FALSE(lu.replay_or_factor(rounded.compress(), &fresh));
+  EXPECT_EQ(fresh, 4u);
   EXPECT_FALSE(lu.has_plan());
 }
 

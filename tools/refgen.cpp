@@ -430,13 +430,12 @@ void print_transient_text(const symref::api::TransientResponse& response) {
   const auto& result = response.result;
   std::fprintf(stderr,
                "transient: %d steps (%d LTE rejections), %d step bucket%s, "
-               "%llu fresh factorization%s, %d Newton iterations, %.1f ms%s%s\n",
+               "%llu fresh factorization%s, %d Newton iterations, %.1f ms%s\n",
                result.steps, result.lte_rejections, result.step_size_buckets,
                result.step_size_buckets == 1 ? "" : "s",
                static_cast<unsigned long long>(result.fresh_factorizations),
                result.fresh_factorizations == 1 ? "" : "s", result.newton_iterations,
-               result.seconds * 1e3, result.degraded ? " (degraded)" : "",
-               response.from_cache ? " (cached)" : "");
+               result.seconds * 1e3, response.from_cache ? " (cached)" : "");
   const std::size_t columns =
       result.node_names.size() < 6 ? result.node_names.size() : std::size_t{6};
   std::printf("\n%-12s", "t[s]");
