@@ -1,5 +1,6 @@
 #include "api/jobs.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -8,8 +9,8 @@
 #include <thread>
 #include <utility>
 
-#include "support/cancellation.h"
 #include "support/fault_injection.h"
+#include "support/random.h"
 #include "support/timer.h"
 
 namespace symref::api {
@@ -18,23 +19,16 @@ namespace {
 
 using MonotonicClock = std::chrono::steady_clock;
 
-/// splitmix64 (same construction as support::FaultInjector) — deterministic
-/// retry jitter.
-std::uint64_t mix64(std::uint64_t x) noexcept {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
-/// Backoff before attempt `attempts + 1`, given `attempts` completed ones.
-double backoff_delay_ms(const RetryPolicy& policy, int attempts, JobId id) noexcept {
-  double base = policy.initial_backoff_ms;
-  for (int k = 1; k < attempts; ++k) base *= policy.backoff_multiplier;
-  base = std::min(base, policy.max_backoff_ms);
-  if (base < 0.0) base = 0.0;
-  const std::uint64_t draw =
-      mix64(mix64(policy.jitter_seed) ^ mix64(id) ^ static_cast<std::uint64_t>(attempts));
+/// Backoff before attempt `attempts + 1`, given `attempts` completed ones:
+/// 25 ms doubling per attempt, capped at 1 s, times a jitter factor hashed
+/// from (job id, attempts).
+double backoff_delay_ms(int attempts, JobId id) noexcept {
+  double base = 25.0;
+  for (int k = 1; k < attempts && base < 1000.0; ++k) base *= 2.0;
+  base = std::min(base, 1000.0);
+  constexpr std::uint64_t kJitterStream = support::mix64(0);
+  const std::uint64_t draw = support::mix64(kJitterStream ^ support::mix64(id) ^
+                                            static_cast<std::uint64_t>(attempts));
   const double unit = static_cast<double>(draw >> 11) * 0x1.0p-53;  // [0, 1)
   return base * (0.5 + unit);                                       // [0.5x, 1.5x)
 }
@@ -70,6 +64,70 @@ Json to_json(const JobOutcome& outcome) {
   return error_response("refgen", Status::error(StatusCode::kInternal, "bad outcome type"));
 }
 
+JobOutcome execute(const Service& service, const CircuitHandle& handle, AnyRequest request,
+                   const support::CancellationToken& cancel,
+                   const refgen::ProgressObserver& on_iteration) {
+  // The engine options of refgen, poles_zeros and simplify take the token
+  // and chain the caller's observer after the request's own.
+  const auto wire = [&](refgen::AdaptiveOptions& options) {
+    options.cancel = cancel;
+    if (!on_iteration) return;
+    options.on_iteration = [inner = std::move(options.on_iteration),
+                            on_iteration](const refgen::IterationRecord& record) {
+      if (inner) inner(record);
+      on_iteration(record);
+    };
+  };
+  JobOutcome outcome;
+  outcome.type = request.type;
+  // One capture path for every request type: the status, and the response
+  // in the outcome's slot for that type.
+  const auto keep = [&outcome](auto response, auto& slot) {
+    outcome.status = response.status();
+    if (response.ok()) slot = response.take();
+  };
+  switch (request.type) {
+    case AnyRequest::Type::kRefgen:
+      wire(request.refgen.options);
+      keep(service.refgen(handle, request.refgen), outcome.refgen);
+      break;
+    case AnyRequest::Type::kSweep:
+      request.sweep.cancel = cancel;
+      keep(service.sweep(handle, request.sweep), outcome.sweep);
+      break;
+    case AnyRequest::Type::kPolesZeros:
+      wire(request.poles_zeros.options);
+      keep(service.poles_zeros(handle, request.poles_zeros), outcome.poles_zeros);
+      break;
+    case AnyRequest::Type::kBatch:
+      for (RefgenRequest& item : request.batch.items) item.options.cancel = cancel;
+      keep(service.batch(handle, request.batch), outcome.batch);
+      break;
+    case AnyRequest::Type::kParamSweep:
+      request.param_sweep.cancel = cancel;
+      keep(service.param_sweep(handle, request.param_sweep), outcome.param_sweep);
+      break;
+    case AnyRequest::Type::kSimplify:
+      // The simplify engine re-runs the reference internally; its observer
+      // hook feeds the same progress stream as a refgen request.
+      wire(request.simplify.options.engine);
+      keep(service.simplify(handle, request.simplify), outcome.simplify);
+      break;
+    case AnyRequest::Type::kOp:
+      // The bias was solved at compile: the serve is a lock-free copy of the
+      // stored solution, with nothing to cancel.
+      keep(service.op(handle, request.op), outcome.op);
+      break;
+    case AnyRequest::Type::kTransient:
+      // The token trips the integrator's per-step (and per-Newton-iterate)
+      // checkpoints, so cancellation lands mid-run, not only at the end.
+      request.transient.cancel = cancel;
+      keep(service.transient(handle, request.transient), outcome.transient);
+      break;
+  }
+  return outcome;
+}
+
 /// All mutable job state. The per-job mutex guards state/outcome; the
 /// fields set once at submit (request, handle, callbacks) are immutable
 /// afterwards and safe to read from the worker without it.
@@ -81,7 +139,7 @@ struct JobManager::Job {
   JobDoneFn on_done;
   support::CancellationSource cancel_source;
   support::Timer timer;  // started at submit
-  RetryPolicy retry;     // immutable after submit
+  int max_attempts = 1;  // immutable after submit
   double deadline_ms = 0.0;
   MonotonicClock::time_point deadline_at;  // meaningful when deadline_ms > 0
 
@@ -208,22 +266,13 @@ void JobManager::register_job(const std::shared_ptr<Job>& job) {
 }
 
 JobId JobManager::submit(const CircuitHandle& handle, AnyRequest request,
-                         JobProgressFn on_progress, JobDoneFn on_done) {
-  SubmitOptions options;
-  options.on_progress = std::move(on_progress);
-  options.on_done = std::move(on_done);
-  return submit(handle, std::move(request), std::move(options));
-}
-
-JobId JobManager::submit(const CircuitHandle& handle, AnyRequest request,
                          SubmitOptions options) {
   auto job = std::make_shared<Job>();
   job->handle = handle;
   job->request = std::move(request);
   job->on_progress = std::move(options.on_progress);
   job->on_done = std::move(options.on_done);
-  job->retry = options.retry;
-  if (job->retry.max_attempts < 1) job->retry.max_attempts = 1;
+  job->max_attempts = std::max(options.max_attempts, 1);
   register_job(job);
   if (options.deadline_ms > 0.0) {
     job->deadline_ms = options.deadline_ms;
@@ -318,89 +367,22 @@ void JobManager::run(const std::shared_ptr<Job>& job) {
     job->state = JobState::kRunning;
     ++job->attempts;
   }
-  const support::CancellationToken token = job->cancel_source.token();
-  // Wire the job's cancellation token and progress stream into the request's
-  // engine options (chaining any observer the request already carried).
-  auto wire = [&](refgen::AdaptiveOptions& options) {
-    options.cancel = token;
-    const refgen::ProgressObserver inner = options.on_iteration;
-    Job* raw = job.get();  // the posted task keeps the job alive
-    options.on_iteration = [raw, inner](const refgen::IterationRecord& record) {
-      if (inner) inner(record);
-      raw->iterations.fetch_add(1, std::memory_order_relaxed);
-      if (raw->on_progress) {
-        JobProgress progress;
-        progress.id = raw->id;
-        progress.iteration = record.index;
-        progress.purpose = refgen::purpose_name(record.purpose);
-        progress.points = record.points;
-        progress.evaluations = record.evaluations;
-        progress.num_new_coefficients = record.num_new_coefficients;
-        progress.den_new_coefficients = record.den_new_coefficients;
-        progress.f_scale = record.f_scale;
-        progress.g_scale = record.g_scale;
-        raw->on_progress(progress);
-      }
-    };
-  };
-
-  AnyRequest& request = job->request;
-  JobOutcome outcome;
-  outcome.type = request.type;
   // Fault site "work_queue": the attempt fails with a transient status
-  // before touching the engine — the cheapest way to drive the RetryPolicy
+  // before touching the engine — the cheapest way to drive the retry
   // machinery below through real backoff/re-post cycles.
   if (support::fault("work_queue")) {
+    JobOutcome outcome;
+    outcome.type = job->request.type;
     outcome.status =
         Status::error(StatusCode::kUnavailable, "injected fault at site work_queue");
     maybe_retry_or_finish(job, std::move(outcome));
     return;
   }
-  // One capture path for every request type: the status, and the response
-  // in the outcome's slot for that type.
-  const auto keep = [&outcome](auto response, auto& slot) {
-    outcome.status = response.status();
-    if (response.ok()) slot = response.take();
-  };
-  switch (request.type) {
-    case AnyRequest::Type::kRefgen:
-      wire(request.refgen.options);
-      keep(service_.refgen(job->handle, request.refgen), outcome.refgen);
-      break;
-    case AnyRequest::Type::kSweep:
-      request.sweep.cancel = token;
-      keep(service_.sweep(job->handle, request.sweep), outcome.sweep);
-      break;
-    case AnyRequest::Type::kPolesZeros:
-      wire(request.poles_zeros.options);
-      keep(service_.poles_zeros(job->handle, request.poles_zeros), outcome.poles_zeros);
-      break;
-    case AnyRequest::Type::kBatch:
-      for (RefgenRequest& item : request.batch.items) item.options.cancel = token;
-      keep(service_.batch(job->handle, request.batch), outcome.batch);
-      break;
-    case AnyRequest::Type::kParamSweep:
-      request.param_sweep.cancel = token;
-      keep(service_.param_sweep(job->handle, request.param_sweep), outcome.param_sweep);
-      break;
-    case AnyRequest::Type::kSimplify:
-      // The simplify engine re-runs the reference internally; its observer
-      // hook feeds the same progress stream as a refgen job.
-      wire(request.simplify.options.engine);
-      keep(service_.simplify(job->handle, request.simplify), outcome.simplify);
-      break;
-    case AnyRequest::Type::kOp:
-      // The bias was solved at compile: the serve is a lock-free copy of the
-      // stored solution, with nothing to cancel.
-      keep(service_.op(job->handle, request.op), outcome.op);
-      break;
-    case AnyRequest::Type::kTransient:
-      // The token trips the integrator's per-step (and per-Newton-iterate)
-      // checkpoints, so cancel/deadline land mid-run, not only at the end.
-      request.transient.cancel = token;
-      keep(service_.transient(job->handle, request.transient), outcome.transient);
-      break;
-  }
+  JobOutcome outcome = execute(service_, job->handle, job->request, job->cancel_source.token(),
+                               [&job](const refgen::IterationRecord& record) {
+                                 job->iterations.fetch_add(1, std::memory_order_relaxed);
+                                 if (job->on_progress) job->on_progress(job->id, record);
+                               });
   maybe_retry_or_finish(job, std::move(outcome));
 }
 
@@ -420,8 +402,8 @@ void JobManager::maybe_retry_or_finish(const std::shared_ptr<Job>& job, JobOutco
     }
     if (job->state == JobState::kRunning && status_is_transient(outcome.status.code()) &&
         !job->cancel_requested && !job->deadline_hit &&
-        job->attempts < job->retry.max_attempts) {
-      delay_ms = backoff_delay_ms(job->retry, job->attempts, job->id);
+        job->attempts < job->max_attempts) {
+      delay_ms = backoff_delay_ms(job->attempts, job->id);
       const auto fire_at = now + std::chrono::duration_cast<MonotonicClock::duration>(
                                      std::chrono::duration<double, std::milli>(delay_ms));
       // Never schedule a retry that cannot complete before the deadline.

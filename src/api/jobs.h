@@ -1,13 +1,16 @@
-// Asynchronous job execution over api::Service — the core of the served
-// protocol.
+// Request execution over api::Service — the core of the served protocol.
 //
-// submit() turns any typed request (refgen / sweep / poles_zeros / batch /
-// param_sweep / simplify / op / transient) into a job on a fixed-size worker
-// pool (support::WorkQueue) and returns a JobId immediately. The caller then
-// polls, waits, or subscribes:
+// execute() is the one map from a typed request (refgen / sweep /
+// poles_zeros / batch / param_sweep / simplify / op / transient) to its
+// Service method. JobManager runs it on a fixed-size worker pool
+// (support::WorkQueue) and adds queueing, retries and deadlines: submit()
+// returns a JobId immediately, and the caller then polls, waits, or
+// subscribes:
 //
 //   JobManager jobs(service, /*workers=*/4);
-//   JobId id = jobs.submit(handle, request, on_progress, on_done);
+//   SubmitOptions options;  // on_progress, on_done, deadline_ms, max_attempts
+//   options.on_progress = [](JobId id, const refgen::IterationRecord& record) {...};
+//   JobId id = jobs.submit(handle, request, std::move(options));
 //   ... jobs.poll(id) -> JobInfo{state, iterations so far, ...}
 //   ... jobs.wait(id) -> JobOutcome{status, typed response}
 //   ... jobs.cancel(id)
@@ -20,10 +23,11 @@
 // one request never poisons the next.
 //
 // Callback contract: on_progress fires on the worker thread running the job
-// (once per engine iteration; refgen, poles_zeros and simplify only);
-// on_done fires exactly once per job, on whichever thread completes it (a
-// worker, or the cancel() caller for still-queued jobs). Callbacks must be
-// fast and must not call back into wait() for their own job.
+// with the engine's own IterationRecord (once per engine iteration; refgen,
+// poles_zeros and simplify only); on_done fires exactly once per job, on
+// whichever thread completes it (a worker, or the cancel() caller for
+// still-queued jobs). Callbacks must be fast and must not call back into
+// wait() for their own job.
 #pragma once
 
 #include <cstdint>
@@ -35,6 +39,7 @@
 
 #include "api/serialize.h"
 #include "api/service.h"
+#include "support/cancellation.h"
 #include "support/thread_pool.h"
 
 namespace symref::api {
@@ -46,19 +51,6 @@ enum class JobState { kQueued, kRunning, kDone };
 
 /// Stable snake_case token ("queued", "running", "done") — the wire value.
 const char* job_state_name(JobState state) noexcept;
-
-/// One engine iteration of a running job, streamed to on_progress.
-struct JobProgress {
-  JobId id = 0;
-  int iteration = 0;
-  const char* purpose = "";
-  int points = 0;
-  int evaluations = 0;
-  int num_new_coefficients = 0;
-  int den_new_coefficients = 0;
-  double f_scale = 1.0;
-  double g_scale = 1.0;
-};
 
 /// Terminal result of a job: the job-level status plus the response of the
 /// request's type (only the matching member is meaningful, and only when
@@ -85,6 +77,17 @@ struct JobOutcome {
 /// uniform {"type", "status"} error payload otherwise.
 Json to_json(const JobOutcome& outcome);
 
+/// Runs one request against `handle`: the only map from a request type to
+/// its Service method. `cancel` replaces the token of every cancellable
+/// slot — the engine options of refgen, poles_zeros, simplify and each batch
+/// item, and sweep, param_sweep and transient. `on_iteration` runs after
+/// any observer the request already carries, for refgen, poles_zeros and
+/// simplify. The request is taken by value, so the caller's copy is never
+/// wired.
+JobOutcome execute(const Service& service, const CircuitHandle& handle, AnyRequest request,
+                   const support::CancellationToken& cancel,
+                   const refgen::ProgressObserver& on_iteration);
+
 /// Point-in-time job snapshot (poll / list).
 struct JobInfo {
   JobId id = 0;
@@ -92,7 +95,8 @@ struct JobInfo {
   AnyRequest::Type type = AnyRequest::Type::kRefgen;
   /// Label of the compiled circuit the job runs against.
   std::string circuit;
-  /// Engine iterations completed so far (refgen/poles_zeros jobs).
+  /// Engine iterations completed so far, over every attempt (refgen,
+  /// poles_zeros and simplify jobs).
   int iterations = 0;
   bool cancel_requested = false;
   /// Since submit while live; total lifetime once done.
@@ -101,22 +105,8 @@ struct JobInfo {
   int attempts = 0;
 };
 
-using JobProgressFn = std::function<void(const JobProgress&)>;
+using JobProgressFn = std::function<void(JobId, const refgen::IterationRecord&)>;
 using JobDoneFn = std::function<void(JobId, const JobOutcome&)>;
-
-/// Exponential backoff with deterministic jitter for transient-classified
-/// failures (status_is_transient: kUnavailable / kOverloaded / kIoError).
-/// max_attempts counts executions, so 1 means "no retry". Delay before
-/// attempt k+1 is min(initial * multiplier^(k-1), max) * U where U is a
-/// jitter factor in [0.5, 1.5) drawn from a splitmix64 stream seeded by
-/// (jitter_seed, job id, k) — reproducible, but decorrelated across jobs.
-struct RetryPolicy {
-  int max_attempts = 1;
-  double initial_backoff_ms = 25.0;
-  double backoff_multiplier = 2.0;
-  double max_backoff_ms = 1000.0;
-  std::uint64_t jitter_seed = 0;
-};
 
 /// Per-submit knobs beyond the request payload itself.
 struct SubmitOptions {
@@ -127,7 +117,12 @@ struct SubmitOptions {
   /// checkpoints; an expired job completes with kDeadlineExceeded. A job
   /// still queued at expiry completes immediately without running.
   double deadline_ms = 0.0;
-  RetryPolicy retry;
+  /// Executions allowed for transient-classified failures
+  /// (status_is_transient: kUnavailable / kOverloaded / kIoError); 1 means
+  /// "no retry". The delay before attempt k+1 is 25 ms doubling per attempt,
+  /// capped at 1 s, times a jitter factor in [0.5, 1.5) hashed from (job id,
+  /// k) — reproducible, but decorrelated across jobs.
+  int max_attempts = 1;
 };
 
 class JobManager {
@@ -150,11 +145,7 @@ class JobManager {
   /// Enqueue a request against a compiled handle. Never blocks on the job
   /// itself. An invalid handle still produces a job; it completes with
   /// kInvalidArgument (uniform error reporting for remote callers).
-  JobId submit(const CircuitHandle& handle, AnyRequest request,
-               JobProgressFn on_progress = {}, JobDoneFn on_done = {});
-
-  /// submit() with deadline and retry policy.
-  JobId submit(const CircuitHandle& handle, AnyRequest request, SubmitOptions options);
+  JobId submit(const CircuitHandle& handle, AnyRequest request, SubmitOptions options = {});
 
   /// Register an already-materialized result (a reference-store hit) as an
   /// immediately-done job: same id space, same on_done/wait/poll lifecycle

@@ -15,6 +15,9 @@ namespace {
 
 using wire::Need;
 
+/// Attempt budget of submits that do not specify "max_attempts".
+constexpr int kDefaultMaxAttempts = 3;
+
 /// The params of a method that takes one required string member (strict,
 /// like every method's params).
 Status one_string(const Json& params, const char* key, std::string* out) {
@@ -191,13 +194,13 @@ Json Session::dispatch(const Json& request) {
       AnyRequest any_request;
       bool progress_events = false;
       SubmitOptions options;
-      options.retry = core_.options().default_retry;
+      options.max_attempts = kDefaultMaxAttempts;
       wire::Decoder in(params, "params");
       in.field("circuit_id", circuit_id, Need::kRequired);
       in.object("request", any_request, Need::kRequired);
       in.field("progress", progress_events);
       in.field("deadline_ms", options.deadline_ms);
-      in.field("max_attempts", options.retry.max_attempts);
+      in.field("max_attempts", options.max_attempts);
       if (!(status = in.finish()).ok()) return status;
       Result<CircuitHandle> handle_result = core_.registry().get(circuit_id);
       if (!handle_result.ok()) return handle_result.status();
@@ -205,18 +208,18 @@ Json Session::dispatch(const Json& request) {
 
       const std::shared_ptr<Writer> writer = writer_;
       if (progress_events) {
-        options.on_progress = [writer](const JobProgress& progress) {
+        options.on_progress = [writer](JobId job, const refgen::IterationRecord& record) {
           Json event = Json::object();
           event.set("event", "progress");
-          event.set("job_id", job_id_token(progress.id));
-          event.set("iteration", progress.iteration);
-          event.set("purpose", progress.purpose);
-          event.set("points", progress.points);
-          event.set("evaluations", progress.evaluations);
-          event.set("num_new_coefficients", progress.num_new_coefficients);
-          event.set("den_new_coefficients", progress.den_new_coefficients);
-          event.set("f_scale", progress.f_scale);
-          event.set("g_scale", progress.g_scale);
+          event.set("job_id", job_id_token(job));
+          event.set("iteration", record.index);
+          event.set("purpose", refgen::purpose_name(record.purpose));
+          event.set("points", record.points);
+          event.set("evaluations", record.evaluations);
+          event.set("num_new_coefficients", record.num_new_coefficients);
+          event.set("den_new_coefficients", record.den_new_coefficients);
+          event.set("f_scale", record.f_scale);
+          event.set("g_scale", record.g_scale);
           writer->write(event);
         };
       }

@@ -56,8 +56,6 @@ struct ServerOptions {
   /// by a previous daemon process — replays the stored response
   /// byte-identically instead of recomputing.
   std::string store_dir;
-  /// Retry policy applied to submits that do not specify "max_attempts".
-  RetryPolicy default_retry{/*max_attempts=*/3};
 };
 
 /// Shared state of one daemon: every session compiles into, submits to, and

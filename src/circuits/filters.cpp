@@ -35,10 +35,6 @@ mna::TransferSpec tow_thomas_lowpass_spec() {
   return mna::TransferSpec::voltage_gain("in", "lp");
 }
 
-mna::TransferSpec tow_thomas_bandpass_spec() {
-  return mna::TransferSpec::voltage_gain("in", "bp");
-}
-
 netlist::Circuit sallen_key(double r1, double r2, double c1, double c2) {
   netlist::Circuit ckt;
   ckt.title = "sallen-key lowpass";

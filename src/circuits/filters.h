@@ -14,7 +14,6 @@ namespace symref::circuits {
 netlist::Circuit tow_thomas(double f0_hz = 10e3, double quality = 2.0, double gain = 1.0);
 
 mna::TransferSpec tow_thomas_lowpass_spec();
-mna::TransferSpec tow_thomas_bandpass_spec();
 
 /// Unity-gain Sallen-Key lowpass (VCVS buffer):
 ///   H(s) = 1 / (1 + s*C2*(R1+R2) + s^2*R1*R2*C1*C2).

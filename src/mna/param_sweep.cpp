@@ -9,6 +9,7 @@
 #include "dc/linearize.h"
 #include "mna/ac.h"
 #include "mna/nodal.h"
+#include "support/random.h"
 #include "support/thread_pool.h"
 #include "support/timer.h"
 
@@ -33,15 +34,6 @@ void check_names(const std::vector<std::string>& names, const char* what) {
       }
     }
   }
-}
-
-/// splitmix64 finalizer — the counter-based hash behind the Monte-Carlo
-/// draws (every (seed, sample, parameter) triple names one fixed value).
-std::uint64_t mix(std::uint64_t x) noexcept {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
 }
 
 /// Uniform double in (0, 1] — never 0, so log() below stays finite.
@@ -121,11 +113,11 @@ ParamSamplePlan monte_carlo_samples(const std::vector<ParamDist>& dists, int sam
   for (int i = 0; i < samples; ++i) {
     for (std::size_t j = 0; j < dists.size(); ++j) {
       const ParamDist& dist = dists[j];
-      std::uint64_t h = mix(seed + 0x51'7C'C1'B7'27'22'0A'95ull);
-      h = mix(h ^ (static_cast<std::uint64_t>(i) * 0xC2B2AE3D27D4EB4Full));
-      h = mix(h ^ ((j + 1) * 0x165667B19E3779F9ull));
+      std::uint64_t h = support::mix64(seed + 0x51'7C'C1'B7'27'22'0A'95ull);
+      h = support::mix64(h ^ (static_cast<std::uint64_t>(i) * 0xC2B2AE3D27D4EB4Full));
+      h = support::mix64(h ^ ((j + 1) * 0x165667B19E3779F9ull));
       const double u1 = to_unit(h);
-      const double u2 = to_unit(mix(h ^ 0xD6E8FEB86659FD93ull));
+      const double u2 = to_unit(support::mix64(h ^ 0xD6E8FEB86659FD93ull));
       double draw = 0.0;
       if (dist.kind == ParamDist::Kind::kGaussian) {
         draw = std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * kPi * u2);

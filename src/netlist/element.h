@@ -91,10 +91,6 @@ struct Element {
     return waveform.value_at(t, dc_value);
   }
 
-  [[nodiscard]] bool is_controlled() const noexcept {
-    return kind == ElementKind::Vccs || kind == ElementKind::Vcvs ||
-           kind == ElementKind::Cccs || kind == ElementKind::Ccvs;
-  }
   [[nodiscard]] bool is_source() const noexcept {
     return kind == ElementKind::VoltageSource || kind == ElementKind::CurrentSource;
   }

@@ -158,12 +158,6 @@ class AdaptiveScalingEngine {
   /// First-interpolation scale factors (heuristic or overrides).
   [[nodiscard]] std::pair<double, double> initial_scales() const;
 
-  /// Observer invoked after every iteration (see ProgressObserver). May be
-  /// set once before run(); replaces any observer carried in the options.
-  void set_progress_observer(ProgressObserver observer) {
-    options_.on_iteration = std::move(observer);
-  }
-
   AdaptiveResult run();
 
  private:

@@ -31,8 +31,6 @@ class CancellationToken {
   [[nodiscard]] bool cancelled() const noexcept {
     return flag_ != nullptr && flag_->load(std::memory_order_relaxed);
   }
-  /// True when connected to a source (even if not yet cancelled).
-  [[nodiscard]] bool connected() const noexcept { return flag_ != nullptr; }
 
  private:
   friend class CancellationSource;

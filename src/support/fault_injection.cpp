@@ -5,17 +5,11 @@
 #include <mutex>
 #include <stdexcept>
 
+#include "support/random.h"
+
 namespace symref::support {
 
 namespace {
-
-/// splitmix64 — tiny, full-period, and statistically fine for coin flips.
-std::uint64_t mix64(std::uint64_t x) noexcept {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
 
 /// Uniform double in [0, 1) from the top 53 bits.
 double unit_draw(std::uint64_t seed, std::uint64_t counter) noexcept {

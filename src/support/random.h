@@ -11,16 +11,23 @@
 
 namespace symref::support {
 
+/// One splitmix64 step: advance `x` by the golden-ratio increment and
+/// finalize. The hash behind Rng seeding, counter-based Monte-Carlo draws,
+/// fault-injection streams and retry jitter.
+constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
+  x += 0x9E3779B97F4A7C15ull;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  return x ^ (x >> 31);
+}
+
 class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ull) noexcept {
     // splitmix64 seeding, as recommended by the xoshiro authors.
     for (auto& word : state_) {
+      word = mix64(seed);
       seed += 0x9E3779B97F4A7C15ull;
-      std::uint64_t z = seed;
-      z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-      z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-      word = z ^ (z >> 31);
     }
   }
 

@@ -98,14 +98,6 @@ std::vector<double> TransientResult::waveform_of(std::string_view node) const {
   throw std::invalid_argument("TransientResult: unknown node '" + std::string(node) + "'");
 }
 
-double TransientResult::voltage_at(std::string_view node, std::size_t k) const {
-  if (node == "0" || node == "gnd" || node == "GND" || node == "Gnd") return 0.0;
-  for (std::size_t i = 0; i < node_names.size(); ++i) {
-    if (node_names[i] == node) return states.at(k)[i];
-  }
-  throw std::invalid_argument("TransientResult: unknown node '" + std::string(node) + "'");
-}
-
 TransientSolver::TransientSolver(TransientOptions options) : options_(std::move(options)) {}
 
 TransientResult TransientSolver::solve(const Circuit& circuit) {

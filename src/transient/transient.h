@@ -130,9 +130,6 @@ struct TransientResult {
   /// Waveform of one node ("0"/"gnd" = all-zero ground) across times.
   /// Throws std::invalid_argument for an unknown node.
   [[nodiscard]] std::vector<double> waveform_of(std::string_view node) const;
-
-  /// One node's voltage at point index k.
-  [[nodiscard]] double voltage_at(std::string_view node, std::size_t k) const;
 };
 
 class NoConvergenceError : public std::runtime_error {

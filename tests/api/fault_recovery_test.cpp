@@ -6,7 +6,9 @@
 #include <chrono>
 #include <cmath>
 #include <filesystem>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -49,16 +51,18 @@ CircuitHandle compile(const Service& service, const std::string& netlist) {
 /// milliseconds — deadline tests need a job that reliably outlives a
 /// tens-of-milliseconds budget on any machine.
 std::string ladder_netlist(int stages) {
-  std::string text = ".title rc ladder\n";
+  std::ostringstream text;
+  text << ".title rc ladder\n";
   std::string prev = "in";
   for (int i = 0; i < stages; ++i) {
-    const std::string node = "n" + std::to_string(i);
-    text += "R" + std::to_string(i) + " " + prev + " " + node + " 1k\n";
-    text += "C" + std::to_string(i) + " " + node + " 0 1n\n";
+    std::string node = "n";
+    node += std::to_string(i);
+    text << 'R' << i << ' ' << prev << ' ' << node << " 1k\n";
+    text << 'C' << i << ' ' << node << " 0 1n\n";
     prev = node;
   }
-  text += "Rload " + prev + " out 1k\nCload out 0 1n\n";
-  return text;
+  text << "Rload " << prev << " out 1k\nCload out 0 1n\n";
+  return text.str();
 }
 
 /// Response JSON with wall-clock fields removed — everything else must be
@@ -212,8 +216,7 @@ TEST_F(FaultRecoveryTest, WorkQueueFaultExhaustsRetriesWithTypedUnavailable) {
   ASSERT_TRUE(support::FaultInjector::instance().configure("work_queue:1"));
 
   SubmitOptions options;
-  options.retry.max_attempts = 3;
-  options.retry.initial_backoff_ms = 1.0;
+  options.max_attempts = 3;
   const JobId id = jobs.submit(handle, rc_refgen(), std::move(options));
   auto outcome = jobs.wait(id);
   ASSERT_TRUE(outcome.ok());
@@ -238,14 +241,47 @@ TEST_F(FaultRecoveryTest, RetryRidesOutIntermittentWorkQueueFaults) {
   // attempts the fault cannot survive the retry budget.
   ASSERT_TRUE(support::FaultInjector::instance().configure("work_queue:0.5:11"));
   SubmitOptions options;
-  options.retry.max_attempts = 20;
-  options.retry.initial_backoff_ms = 1.0;
-  options.retry.max_backoff_ms = 4.0;
+  options.max_attempts = 20;
   const JobId id = jobs.submit(handle, rc_refgen(), std::move(options));
   auto outcome = jobs.wait(id);
   ASSERT_TRUE(outcome.ok());
   ASSERT_TRUE(outcome.value().status.ok()) << outcome.value().status.to_string();
   EXPECT_TRUE(outcome.value().refgen.result.complete);
+}
+
+// A retried job reports each iteration it ran once: every attempt runs a
+// fresh copy of the request, so no attempt inherits the previous attempt's
+// progress observer. Half the LU symbolic analyses fail (fixed seed), so the
+// first attempt dies before its first iteration and the job is retried.
+TEST_F(FaultRecoveryTest, RetriedJobReportsEachIterationOnce) {
+  ServiceOptions service_options;
+  service_options.cache_responses = false;
+  const Service service(service_options);
+  const CircuitHandle handle = compile(service, ladder_netlist(3));
+  JobManager jobs(service, 1);
+  ASSERT_TRUE(support::FaultInjector::instance().configure("lu_alloc:0.5:8"));
+
+  std::mutex mutex;
+  std::map<int, int> reports;  // iteration index -> progress callbacks
+  SubmitOptions options;
+  options.max_attempts = 5;
+  options.on_progress = [&](JobId, const refgen::IterationRecord& record) {
+    const std::lock_guard<std::mutex> lock(mutex);
+    ++reports[record.index];
+  };
+  const JobId id = jobs.submit(handle, rc_refgen(), std::move(options));
+  auto outcome = jobs.wait(id);
+  ASSERT_TRUE(outcome.ok());
+  ASSERT_TRUE(outcome.value().status.ok()) << outcome.value().status.to_string();
+  auto info = jobs.poll(id);
+  ASSERT_TRUE(info.ok());
+  EXPECT_GE(info.value().attempts, 2);
+
+  const int iterations = static_cast<int>(outcome.value().refgen.result.iterations.size());
+  EXPECT_EQ(info.value().iterations, iterations);
+  const std::lock_guard<std::mutex> lock(mutex);
+  EXPECT_EQ(static_cast<int>(reports.size()), iterations);
+  for (const auto& [index, count] : reports) EXPECT_EQ(count, 1) << "iteration " << index;
 }
 
 TEST_F(FaultRecoveryTest, QueuedJobDeadlineExpiresTyped) {

@@ -5,11 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/service.h"
@@ -90,17 +93,17 @@ TEST(JobManager, ProgressAndDoneCallbacksFire) {
   std::atomic<int> progress_events{0};
   std::atomic<int> done_events{0};
   JobId done_id = 0;
-  const JobId id = jobs.submit(
-      handle, rc_refgen(),
-      [&](const JobProgress& progress) {
-        EXPECT_GT(progress.points, 0);
-        progress_events.fetch_add(1);
-      },
-      [&](JobId job, const JobOutcome& outcome) {
-        done_id = job;
-        EXPECT_TRUE(outcome.status.ok());
-        done_events.fetch_add(1);
-      });
+  SubmitOptions options;
+  options.on_progress = [&](JobId, const refgen::IterationRecord& record) {
+    EXPECT_GT(record.points, 0);
+    progress_events.fetch_add(1);
+  };
+  options.on_done = [&](JobId job, const JobOutcome& outcome) {
+    done_id = job;
+    EXPECT_TRUE(outcome.status.ok());
+    done_events.fetch_add(1);
+  };
+  const JobId id = jobs.submit(handle, rc_refgen(), std::move(options));
   const auto outcome = jobs.wait(id);
   ASSERT_TRUE(outcome.ok());
   // wait() releases only after on_done returned — no race to tolerate.
@@ -196,16 +199,18 @@ TEST(JobManager, CancelMidIterationStopsPromptlyAndKeepsCachesUsable) {
   std::condition_variable cv;
   JobId self = 0;
   bool have_id = false;
-  const JobId id = jobs.submit(handle, request, [&](const JobProgress& progress) {
+  SubmitOptions options;
+  options.on_progress = [&](JobId, const refgen::IterationRecord& record) {
     iterations_seen.fetch_add(1);
-    if (progress.iteration == 1) {
+    if (record.index == 1) {
       std::unique_lock<std::mutex> lock(mutex);
       cv.wait(lock, [&] { return have_id; });
       const JobId target = self;
       lock.unlock();
       manager->cancel(target);
     }
-  });
+  };
+  const JobId id = jobs.submit(handle, request, std::move(options));
   {
     const std::lock_guard<std::mutex> lock(mutex);
     self = id;
@@ -266,8 +271,9 @@ TEST(JobManager, ListShowsSubmitOrderAndDestructorCancelsQueuedJobs) {
     for (int i = 0; i < 5; ++i) {
       AnyRequest request = rc_refgen();
       request.refgen.options.sigma = 5 + i;  // distinct work per job
-      ids.push_back(jobs.submit(handle, request, {},
-                                [&](JobId, const JobOutcome&) { done_count.fetch_add(1); }));
+      SubmitOptions options;
+      options.on_done = [&](JobId, const JobOutcome&) { done_count.fetch_add(1); };
+      ids.push_back(jobs.submit(handle, request, std::move(options)));
     }
     const auto listed = jobs.list();
     ASSERT_EQ(listed.size(), 5u);
@@ -277,6 +283,110 @@ TEST(JobManager, ListShowsSubmitOrderAndDestructorCancelsQueuedJobs) {
   }  // ~JobManager: cancels queued jobs, joins workers
   // Every job completed exactly once — naturally or as cancelled.
   EXPECT_EQ(done_count.load(), 5);
+}
+
+// execute() is the one map from a request to Service: every request type's
+// cancellable slot receives the token, and the observer reaches exactly the
+// types whose engine iterates, after any observer the request carries. The
+// response cache is off, so every request runs its engine.
+TEST(Execute, EveryRequestTypeGetsTheTokenAndTheObserver) {
+  ServiceOptions service_options;
+  service_options.cache_responses = false;
+  const Service service(service_options);
+  const CircuitHandle rc = compile(service, R"(
+.title two-pole rc with a sweepable resistor
+.param r2v=10k
+R1 in  n1 1k
+C1 n1  0  100n
+R2 n1  out {r2v}
+C2 out 0  10n
+)");
+  const CircuitHandle diode = compile(service, R"(
+.title forward-biased diode
+.model nd d is=1e-14
+V1 in 0 dc 5
+R1 in d 1k
+D1 d 0 nd
+C1 d 0 1n
+)");
+  const mna::TransferSpec spec = mna::TransferSpec::voltage_gain("in", "out");
+
+  std::vector<std::pair<CircuitHandle, AnyRequest>> runs(8);
+  for (auto& [handle, request] : runs) handle = rc;
+  runs[0].second.type = AnyRequest::Type::kRefgen;
+  runs[0].second.refgen.spec = spec;
+  runs[1].second.type = AnyRequest::Type::kSweep;
+  runs[1].second.sweep.spec = spec;
+  runs[1].second.sweep.f_stop_hz = 1e6;
+  runs[1].second.sweep.points_per_decade = 4;
+  runs[2].second.type = AnyRequest::Type::kPolesZeros;
+  runs[2].second.poles_zeros.spec = spec;
+  runs[3].second.type = AnyRequest::Type::kParamSweep;
+  runs[3].second.param_sweep.spec = spec;
+  runs[3].second.param_sweep.axes = {{"r2v", 5e3, 20e3, 3}};
+  runs[3].second.param_sweep.f_stop_hz = 1e6;
+  runs[4].second.type = AnyRequest::Type::kSimplify;
+  runs[4].second.simplify.spec = spec;
+  runs[4].second.simplify.options.f_stop_hz = 1e5;
+  runs[4].second.simplify.options.band_points = 5;
+  runs[5].second.type = AnyRequest::Type::kBatch;
+  runs[5].second.batch.items = {{spec, {}}, {spec, {}}};
+  runs[5].second.batch.items[1].options.sigma = 8;
+  runs[6] = {diode, {}};
+  runs[6].second.type = AnyRequest::Type::kOp;
+  runs[7] = {diode, {}};
+  runs[7].second.type = AnyRequest::Type::kTransient;
+  runs[7].second.transient.tstop = 1e-6;
+
+  support::CancellationSource tripped;
+  tripped.cancel();
+  for (const auto& [handle, request] : runs) {
+    SCOPED_TRACE(request_type_name(request.type));
+    int observed = 0;
+    const JobOutcome cancelled =
+        execute(service, handle, request, tripped.token(),
+                [&](const refgen::IterationRecord&) { ++observed; });
+    EXPECT_EQ(cancelled.type, request.type);
+    if (request.type == AnyRequest::Type::kOp) {
+      EXPECT_TRUE(cancelled.status.ok()) << cancelled.status.to_string();
+    } else if (request.type == AnyRequest::Type::kBatch) {
+      ASSERT_TRUE(cancelled.status.ok()) << cancelled.status.to_string();
+      ASSERT_EQ(cancelled.batch.items.size(), 2u);
+      for (const BatchItemResponse& item : cancelled.batch.items) {
+        EXPECT_EQ(item.status.code(), StatusCode::kCancelled);
+      }
+    } else {
+      EXPECT_EQ(cancelled.status.code(), StatusCode::kCancelled);
+    }
+  }
+
+  const support::CancellationSource live;
+  for (auto& [handle, request] : runs) {
+    SCOPED_TRACE(request_type_name(request.type));
+    std::string order;
+    if (request.type == AnyRequest::Type::kRefgen) {
+      request.refgen.options.on_iteration = [&](const refgen::IterationRecord&) {
+        order += 'r';
+      };
+    }
+    const JobOutcome outcome = execute(service, handle, request, live.token(),
+                                       [&](const refgen::IterationRecord&) { order += 'e'; });
+    ASSERT_TRUE(outcome.status.ok()) << outcome.status.to_string();
+    const auto observed = static_cast<std::size_t>(std::count(order.begin(), order.end(), 'e'));
+    switch (request.type) {
+      case AnyRequest::Type::kRefgen: {
+        const std::size_t iterations = outcome.refgen.result.iterations.size();
+        EXPECT_EQ(observed, iterations);
+        std::string expected;
+        for (std::size_t i = 0; i < iterations; ++i) expected += "re";
+        EXPECT_EQ(order, expected);  // the request's own observer runs first
+        break;
+      }
+      case AnyRequest::Type::kPolesZeros:
+      case AnyRequest::Type::kSimplify: EXPECT_GE(observed, 1u); break;
+      default: EXPECT_EQ(observed, 0u);
+    }
+  }
 }
 
 }  // namespace

@@ -77,6 +77,7 @@
 // 6 singular_system, 7 refused_replay, 8 incomplete, 9 cancelled (e.g.
 // --timeout), 10 not_found, 11 io_error, 12 internal, 13 deadline_exceeded,
 // 14 overloaded, 15 unavailable, 16 no_convergence.
+#include <charconv>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -89,8 +90,7 @@
 #include <thread>
 #include <vector>
 
-#include "api/serialize.h"
-#include "api/service.h"
+#include "api/jobs.h"
 #include "numeric/units.h"
 #include "refgen/io.h"
 #include "support/cancellation.h"
@@ -100,6 +100,7 @@
 namespace {
 
 using symref::api::AnyRequest;
+using symref::api::JobOutcome;
 using symref::api::Json;
 using symref::api::Status;
 using symref::api::StatusCode;
@@ -182,25 +183,6 @@ bool read_file(const std::string& path, std::string* out) {
   return true;
 }
 
-/// "1:1e8" or "1:1e8:20" -> sweep parameters.
-bool parse_sweep_range(const std::string& text, symref::api::SweepRequest* sweep) {
-  std::vector<std::string> parts;
-  std::string part;
-  std::istringstream stream(text);
-  while (std::getline(stream, part, ':')) parts.push_back(part);
-  if (parts.size() != 2 && parts.size() != 3) return false;
-  char* end = nullptr;
-  sweep->f_start_hz = std::strtod(parts[0].c_str(), &end);
-  if (end == parts[0].c_str()) return false;
-  sweep->f_stop_hz = std::strtod(parts[1].c_str(), &end);
-  if (end == parts[1].c_str()) return false;
-  if (parts.size() == 3) {
-    sweep->points_per_decade = std::atoi(parts[2].c_str());
-    if (sweep->points_per_decade <= 0) return false;
-  }
-  return true;
-}
-
 /// "1m", "1m:5u", "1m:5u:bdf2" or "1m:5u:trap:fixed" -> transient request.
 bool parse_tran(const std::string& text, symref::api::TransientRequest* tran) {
   std::vector<std::string> parts;
@@ -233,25 +215,6 @@ bool parse_tran(const std::string& text, symref::api::TransientRequest* tran) {
   return true;
 }
 
-/// "10:1e3" or "10:1e3:9" -> simplify band (third field = total points).
-bool parse_band(const std::string& text, symref::api::SimplifyRequest* simplify) {
-  std::vector<std::string> parts;
-  std::string part;
-  std::istringstream stream(text);
-  while (std::getline(stream, part, ':')) parts.push_back(part);
-  if (parts.size() != 2 && parts.size() != 3) return false;
-  char* end = nullptr;
-  simplify->options.f_start_hz = std::strtod(parts[0].c_str(), &end);
-  if (end == parts[0].c_str()) return false;
-  simplify->options.f_stop_hz = std::strtod(parts[1].c_str(), &end);
-  if (end == parts[1].c_str()) return false;
-  if (parts.size() == 3) {
-    simplify->options.band_points = std::atoi(parts[2].c_str());
-    if (simplify->options.band_points < 2) return false;
-  }
-  return true;
-}
-
 /// Split on `sep`, keeping empty fields.
 std::vector<std::string> split(const std::string& text, char sep) {
   std::vector<std::string> parts;
@@ -266,6 +229,20 @@ bool parse_value_token(const std::string& text, double* out) {
   const auto value = symref::numeric::parse_engineering(text);
   if (!value) return false;
   *out = *value;
+  return true;
+}
+
+/// "f0:f1" or "f0:f1:n" -> a frequency range (engineering notation) and a
+/// whole count n >= min_count; `count` keeps its value when n is omitted.
+bool parse_range(const std::string& text, int min_count, double* f0, double* f1, int* count) {
+  const std::vector<std::string> parts = split(text, ':');
+  if (parts.size() != 2 && parts.size() != 3) return false;
+  if (!parse_value_token(parts[0], f0) || !parse_value_token(parts[1], f1)) return false;
+  if (parts.size() == 3) {
+    const char* end = parts[2].data() + parts[2].size();
+    const auto [stop, error] = std::from_chars(parts[2].data(), end, *count);
+    if (error != std::errc() || stop != end || *count < min_count) return false;
+  }
   return true;
 }
 
@@ -507,6 +484,28 @@ void print_batch_text(const symref::api::BatchResponse& response) {
   }
 }
 
+/// Human-readable rendering of a successful outcome.
+void print_text(const JobOutcome& outcome, bool emit_reference) {
+  switch (outcome.type) {
+    case AnyRequest::Type::kRefgen: print_refgen_text(outcome.refgen, emit_reference); break;
+    case AnyRequest::Type::kSweep: print_sweep_text(outcome.sweep); break;
+    case AnyRequest::Type::kPolesZeros: print_poles_zeros_text(outcome.poles_zeros); break;
+    case AnyRequest::Type::kBatch: print_batch_text(outcome.batch); break;
+    case AnyRequest::Type::kParamSweep: print_param_sweep_text(outcome.param_sweep); break;
+    case AnyRequest::Type::kSimplify: print_simplify_text(outcome.simplify); break;
+    case AnyRequest::Type::kOp: print_op_text(outcome.op); break;
+    case AnyRequest::Type::kTransient: print_transient_text(outcome.transient); break;
+  }
+}
+
+/// The --progress line of one engine iteration, run locally or reported by
+/// a daemon's progress event.
+void print_iteration(int index, const char* purpose, double f_scale, double g_scale, int points,
+                     int den_new, int num_new) {
+  std::fprintf(stderr, "  iter %d (%s): f=%.3g g=%.3g points=%d den+%d num+%d\n", index,
+               purpose, f_scale, g_scale, points, den_new, num_new);
+}
+
 /// Track the first failed status of the session (drives the exit code).
 struct FailureTracker {
   Status first;
@@ -521,8 +520,9 @@ struct FailureTracker {
 // --- Remote execution against a refgend daemon (--connect) -----------------
 
 /// One blocking RPC: write the request line, then read lines until our
-/// reply arrives. Event lines encountered on the way are streamed to stderr
-/// (progress) or ignored (done — the session uses "wait" replies instead).
+/// reply arrives. Event lines encountered on the way are printed like local
+/// --progress (progress) or ignored (done — the session uses "wait" replies
+/// instead).
 Status remote_call(symref::tools::FdTransport& transport, int* next_id,
                    const std::string& method, Json params, bool progress, Json* result) {
   Json request = Json::object();
@@ -540,19 +540,14 @@ Status remote_call(symref::tools::FdTransport& transport, int* next_id,
     const Json& message = parsed.value();
     if (const Json* event = message.find("event"); event != nullptr) {
       if (progress && event->as_string() == "progress") {
-        std::fprintf(stderr, "  %s iter %d (%s): points=%d den+%d num+%d\n",
-                     message.find("job_id") ? message.find("job_id")->as_string().c_str()
-                                            : "?",
-                     message.find("iteration") ? message.find("iteration")->as_int() : 0,
-                     message.find("purpose") ? message.find("purpose")->as_string().c_str()
-                                             : "?",
-                     message.find("points") ? message.find("points")->as_int() : 0,
-                     message.find("den_new_coefficients")
-                         ? message.find("den_new_coefficients")->as_int()
-                         : 0,
-                     message.find("num_new_coefficients")
-                         ? message.find("num_new_coefficients")->as_int()
-                         : 0);
+        const auto field = [&message](const char* key) {
+          const Json* value = message.find(key);
+          return value != nullptr ? *value : Json();
+        };
+        print_iteration(field("iteration").as_int(), field("purpose").as_string().c_str(),
+                        field("f_scale").as_number(), field("g_scale").as_number(),
+                        field("points").as_int(), field("den_new_coefficients").as_int(),
+                        field("num_new_coefficients").as_int());
       }
       continue;
     }
@@ -835,7 +830,8 @@ int main(int argc, char** argv) {
         request.type = AnyRequest::Type::kSweep;
         request.sweep.spec = spec;
         request.sweep.threads = options.threads;
-        if (!parse_sweep_range(args.get("sweep"), &request.sweep)) {
+        if (!parse_range(args.get("sweep"), 1, &request.sweep.f_start_hz,
+                         &request.sweep.f_stop_hz, &request.sweep.points_per_decade)) {
           std::fprintf(stderr, "error: bad --sweep range '%s' (want f_start:f_stop[:ppd])\n",
                        args.get("sweep").c_str());
           return 2;
@@ -879,16 +875,11 @@ int main(int argc, char** argv) {
           }
           sweep.seed = static_cast<std::uint64_t>(seed);
         }
-        if (args.has("probe")) {
-          symref::api::SweepRequest probe;
-          if (!parse_sweep_range(args.get("probe"), &probe)) {
-            std::fprintf(stderr, "error: bad --probe range '%s' (want f_start:f_stop[:ppd])\n",
-                         args.get("probe").c_str());
-            return 2;
-          }
-          sweep.f_start_hz = probe.f_start_hz;
-          sweep.f_stop_hz = probe.f_stop_hz;
-          sweep.points_per_decade = probe.points_per_decade;
+        if (args.has("probe") && !parse_range(args.get("probe"), 1, &sweep.f_start_hz,
+                                              &sweep.f_stop_hz, &sweep.points_per_decade)) {
+          std::fprintf(stderr, "error: bad --probe range '%s' (want f_start:f_stop[:ppd])\n",
+                       args.get("probe").c_str());
+          return 2;
         }
         requests.push_back(std::move(request));
       }
@@ -896,21 +887,23 @@ int main(int argc, char** argv) {
         AnyRequest request;
         request.type = AnyRequest::Type::kSimplify;
         request.simplify.spec = spec;
-        request.simplify.options.engine = options;
-        request.simplify.options.error_budget = args.get_double("error-budget", 0.01);
-        if (request.simplify.options.error_budget <= 0.0) {
+        symref::refgen::SimplifyOptions& simplify = request.simplify.options;
+        simplify.engine = options;
+        simplify.error_budget = args.get_double("error-budget", 0.01);
+        if (simplify.error_budget <= 0.0) {
           std::fprintf(stderr, "error: bad --error-budget '%s' (want a value > 0)\n",
                        args.get("error-budget").c_str());
           return 2;
         }
-        if (args.has("band") && !parse_band(args.get("band"), &request.simplify)) {
+        if (args.has("band") && !parse_range(args.get("band"), 2, &simplify.f_start_hz,
+                                             &simplify.f_stop_hz, &simplify.band_points)) {
           std::fprintf(stderr,
                        "error: bad --band '%s' (want f_start:f_stop[:points], points >= 2)\n",
                        args.get("band").c_str());
           return 2;
         }
         requests.push_back(std::move(request));
-    }
+      }
     }
   }
   // --auto-linearize marks every AC-family request of the session (including
@@ -936,23 +929,6 @@ int main(int argc, char** argv) {
         case AnyRequest::Type::kOp: break;  // op serves the bias itself
         case AnyRequest::Type::kTransient:
           break;  // transient always runs the large-signal netlist
-      }
-    }
-  }
-  if (progress) {
-    for (AnyRequest& request : requests) {
-      auto observer = [](const symref::refgen::IterationRecord& record) {
-        std::fprintf(stderr, "  iter %d (%s): f=%.3g g=%.3g points=%d den+%d num+%d\n",
-                     record.index, symref::refgen::purpose_name(record.purpose),
-                     record.f_scale, record.g_scale, record.points,
-                     record.den_new_coefficients, record.num_new_coefficients);
-      };
-      if (request.type == AnyRequest::Type::kRefgen) {
-        request.refgen.options.on_iteration = observer;
-      } else if (request.type == AnyRequest::Type::kPolesZeros) {
-        request.poles_zeros.options.on_iteration = observer;
-      } else if (request.type == AnyRequest::Type::kSimplify) {
-        request.simplify.options.engine.on_iteration = observer;
       }
     }
   }
@@ -983,25 +959,6 @@ int main(int argc, char** argv) {
                    args.get("timeout").c_str());
       return 2;
     }
-    const auto token = timeout_source.token();
-    for (AnyRequest& request : requests) {
-      switch (request.type) {
-        case AnyRequest::Type::kRefgen: request.refgen.options.cancel = token; break;
-        case AnyRequest::Type::kSweep: request.sweep.cancel = token; break;
-        case AnyRequest::Type::kPolesZeros:
-          request.poles_zeros.options.cancel = token;
-          break;
-        case AnyRequest::Type::kBatch:
-          for (auto& item : request.batch.items) item.options.cancel = token;
-          break;
-        case AnyRequest::Type::kParamSweep: request.param_sweep.cancel = token; break;
-        case AnyRequest::Type::kSimplify:
-          request.simplify.options.engine.cancel = token;
-          break;
-        case AnyRequest::Type::kOp: break;  // serves the stored bias
-        case AnyRequest::Type::kTransient: request.transient.cancel = token; break;
-      }
-    }
     watchdog = std::make_unique<Watchdog>(seconds, timeout_source);
   }
 
@@ -1025,65 +982,32 @@ int main(int argc, char** argv) {
   const symref::api::CircuitHandle handle = compiled.take();
   if (!json_mode) std::fprintf(stderr, "%s\n", handle.summary().c_str());
 
+  symref::refgen::ProgressObserver printer;
+  if (progress) {
+    printer = [](const symref::refgen::IterationRecord& record) {
+      print_iteration(record.index, symref::refgen::purpose_name(record.purpose), record.f_scale,
+                      record.g_scale, record.points, record.den_new_coefficients,
+                      record.num_new_coefficients);
+    };
+  }
   FailureTracker failures;
   Json responses = Json::array();
-  for (const AnyRequest& request : requests) {
+  for (AnyRequest& request : requests) {
     if (watchdog) watchdog->check();
-    Json payload;
-    Status status;
-    // One serving path for every request type: the typed payload or error
-    // envelope, plus the text rendering in human mode.
-    const auto serve = [&](const auto& response, const auto& print_text) {
-      status = response.status();
-      if (!response.ok()) {
-        payload = symref::api::error_response(symref::api::request_type_name(request.type),
-                                              status);
-        return;
-      }
-      payload = symref::api::to_json(response.value());
-      if (!json_mode) print_text(response.value());
-    };
-    switch (request.type) {
-      case AnyRequest::Type::kRefgen:
-        serve(service.refgen(handle, request.refgen),
-              [&](const symref::api::RefgenResponse& response) {
-                print_refgen_text(response, args.has("emit-reference"));
-              });
-        break;
-      case AnyRequest::Type::kSweep:
-        serve(service.sweep(handle, request.sweep), print_sweep_text);
-        break;
-      case AnyRequest::Type::kPolesZeros:
-        serve(service.poles_zeros(handle, request.poles_zeros), print_poles_zeros_text);
-        break;
-      case AnyRequest::Type::kBatch: {
-        const auto response = service.batch(handle, request.batch);
-        // A batch call succeeds as a whole; surface the first item failure
-        // for the exit code.
-        if (response.ok()) {
-          for (const auto& item : response.value().items) failures.record(item.status);
-        }
-        serve(response, print_batch_text);
-        break;
-      }
-      case AnyRequest::Type::kParamSweep:
-        serve(service.param_sweep(handle, request.param_sweep), print_param_sweep_text);
-        break;
-      case AnyRequest::Type::kSimplify:
-        serve(service.simplify(handle, request.simplify), print_simplify_text);
-        break;
-      case AnyRequest::Type::kOp:
-        serve(service.op(handle, request.op), print_op_text);
-        break;
-      case AnyRequest::Type::kTransient:
-        serve(service.transient(handle, request.transient), print_transient_text);
-        break;
+    const JobOutcome outcome = symref::api::execute(service, handle, std::move(request),
+                                                    timeout_source.token(), printer);
+    // A batch call succeeds as a whole; surface the first item failure for
+    // the exit code.
+    if (outcome.status.ok() && outcome.type == AnyRequest::Type::kBatch) {
+      for (const auto& item : outcome.batch.items) failures.record(item.status);
     }
-    failures.record(status);
-    if (!status.ok()) {
-      std::fprintf(stderr, "error: %s\n", status.to_string().c_str());
+    failures.record(outcome.status);
+    if (!outcome.status.ok()) {
+      std::fprintf(stderr, "error: %s\n", outcome.status.to_string().c_str());
+    } else if (!json_mode) {
+      print_text(outcome, args.has("emit-reference"));
     }
-    responses.push_back(std::move(payload));
+    responses.push_back(symref::api::to_json(outcome));
   }
 
   if (json_mode) {

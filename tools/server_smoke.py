@@ -34,7 +34,10 @@ time-varying sources):
      store entry must be quarantined (<key>.corrupt) and recomputed.
   8. refgen --connect against a TCP daemon (--listen=0) with --json=PATH:
      the envelope lands in PATH, nothing is printed on stdout, and the
-     reference is byte-identical to the direct run.
+     reference is byte-identical to the direct run. A --refgen --poles
+     --sweep --progress session run with --connect matches the same
+     session run locally: byte-identical scrubbed responses and identical
+     stderr "iter" lines.
 
 Set REFGEN_CHAOS=1 to additionally run every store-scenario daemon plus a
 retry session under low-probability injected faults (REFGEN_FAULT): results
@@ -465,6 +468,39 @@ def main():
         assert got == expected_reference, "--connect reference differs from the direct run"
         print("connect OK: --json=PATH written by the remote session, stdout "
               "empty, reference byte-identical to the direct run")
+
+        # One request runner: the daemon and the local CLI answer the same
+        # session with the same responses and the same --progress lines.
+        session = [refgen, netlist_path, "--in=inp", "--in-neg=inn", "--out=vo",
+                   "--refgen", "--poles", "--sweep=1:1e8:10", "--progress", "--json=-"]
+        local = subprocess.run(session, capture_output=True, text=True, timeout=120)
+        remote = subprocess.run([*session, "--connect=" + target],
+                                capture_output=True, text=True, timeout=120)
+        assert local.returncode == 0, local.stderr
+        assert remote.returncode == 0, remote.stderr
+
+        def scrub(node):
+            if isinstance(node, dict):
+                return {k: scrub(v) for k, v in node.items()
+                        if k not in ("seconds", "engine_seconds")}
+            if isinstance(node, list):
+                return [scrub(v) for v in node]
+            return node
+
+        def responses(run):
+            return json.dumps(scrub(json.loads(run.stdout)["responses"]), sort_keys=True)
+
+        def iter_lines(run):
+            return [line for line in run.stderr.splitlines()
+                    if line.lstrip().startswith("iter ")]
+
+        assert responses(remote) == responses(local), \
+            "--connect session responses differ from the local run"
+        assert iter_lines(local), "local --progress printed no iter lines"
+        assert iter_lines(remote) == iter_lines(local), \
+            "--connect --progress lines differ from the local run"
+        print(f"connect --progress OK: 3 responses byte-identical to the local "
+              f"run, {len(iter_lines(local))} identical iter lines")
     finally:
         listener.terminate()
         listener.wait(timeout=30)
