@@ -106,8 +106,8 @@ void measure_throughput() {
     const auto compiled = service.compile_netlist(ua741_netlist());
     if (!compiled.ok()) return;
     symref::api::JobManager jobs(service, workers);
-    // Warm the handle's spec entry once so the measured jobs compare plan
-    // replays, not one cold outlier.
+    // Warm the handle once so the measured jobs compare warm runs, not one
+    // cold outlier.
     (void)jobs.wait(jobs.submit(compiled.value(), refgen_request(6)));
 
     symref::support::Timer timer;

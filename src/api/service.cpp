@@ -1,7 +1,6 @@
 #include "api/service.h"
 
 #include <atomic>
-#include <map>
 #include <mutex>
 #include <utility>
 #include <vector>
@@ -11,6 +10,7 @@
 #include "dc/newton.h"
 #include "mna/ac.h"
 #include "mna/nodal.h"
+#include "netlist/canonical.h"
 #include "netlist/parser.h"
 #include "numeric/roots.h"
 #include "refgen/adaptive.h"
@@ -45,25 +45,6 @@ constexpr const char* kEmptyHandleMessage = "empty CircuitHandle (compile a circ
 
 namespace internal {
 
-/// The response caches of one TransferSpec of a compiled circuit. The mutex
-/// guards the caches only: no engine state lives here, so every computed
-/// response depends on its request alone, never on earlier requests.
-struct SpecEntry {
-  explicit SpecEntry(std::size_t cache_capacity)
-      : refgen_cache(cache_capacity),
-        sweep_cache(cache_capacity),
-        param_sweep_cache(cache_capacity),
-        simplify_cache(cache_capacity) {}
-
-  std::mutex mutex;
-  /// Memoized responses (ServiceOptions::cache_responses), bounded by
-  /// ServiceOptions::max_cached_responses with LRU eviction.
-  support::LruCache<std::string, RefgenResponse> refgen_cache;
-  support::LruCache<std::string, SweepResponse> sweep_cache;
-  support::LruCache<std::string, ParamSweepResponse> param_sweep_cache;
-  support::LruCache<std::string, SimplifyResponse> simplify_cache;
-};
-
 struct CompiledCircuit {
   // Declaration order is construction order: op is solved on original (when
   // it carries devices), linear is the linearization at that bias (or a
@@ -80,24 +61,29 @@ struct CompiledCircuit {
   netlist::Circuit canonical;
   mna::NodalSystem system;
   std::string name;
-  /// ServiceOptions::cache_responses / max_cached_responses at compile.
-  bool cache_responses = true;
-  std::size_t cache_capacity = 0;
   /// The parsed-but-unexpanded netlist (compile_netlist only) — what
   /// param_sweep() re-elaborates per sample. Invalid for programmatic
   /// compile() handles.
   netlist::NetlistTemplate netlist_template;
-  netlist::CanonicalOptions canonical_options;
 
-  std::mutex specs_mutex;
-  std::map<std::string, std::shared_ptr<SpecEntry>> specs;
+  /// Memoized responses (ServiceOptions::cache_responses): one LRU per
+  /// request type, keyed by request_key (which carries the spec), each
+  /// bounded by ServiceOptions::max_cached_responses. refgen_cache also
+  /// serves poles_zeros and batch items. `cache_mutex` guards the five
+  /// caches and their counters. No engine state lives here, so every
+  /// computed response depends on its request alone, never on earlier
+  /// requests.
+  bool cache_responses = true;
+  std::mutex cache_mutex;
+  support::LruCache<std::string, RefgenResponse> refgen_cache;
+  support::LruCache<std::string, SweepResponse> sweep_cache;
+  support::LruCache<std::string, ParamSweepResponse> param_sweep_cache;
+  support::LruCache<std::string, SimplifyResponse> simplify_cache;
+  support::LruCache<std::string, TransientResponse> transient_cache;
+  std::uint64_t cache_hits = 0;
+  std::uint64_t cache_misses = 0;
+  std::uint64_t cache_evictions = 0;
 
-  // Response-cache counters (Service::cache_stats). Atomics so the batch
-  // lanes and concurrent requests can bump them without extending any
-  // critical section.
-  std::atomic<std::uint64_t> cache_hits{0};
-  std::atomic<std::uint64_t> cache_misses{0};
-  std::atomic<std::uint64_t> cache_evictions{0};
   /// Factorization telemetry (Service::engine_stats): the compile-time bias
   /// solve plus every computed refgen, simplify and transient run. Cache
   /// hits run nothing, so they do not re-count.
@@ -120,20 +106,17 @@ struct CompiledCircuit {
   std::atomic<std::uint64_t> transient_steps{0};
   std::atomic<std::uint64_t> lte_rejections{0};
 
-  /// Transient analyses have no TransferSpec, so their response cache lives
-  /// on the circuit itself rather than in a SpecEntry.
-  std::mutex transient_mutex;
-  support::LruCache<std::string, TransientResponse> transient_cache;
-
   CompiledCircuit(netlist::Circuit circuit, const ServiceOptions& options)
       : original(std::move(circuit)),
         op(original.has_devices() ? dc::solve_op(original) : dc::OpResult{}),
         linear(original.has_devices() ? dc::linearize_at(original, op) : original),
-        canonical(netlist::canonicalize(linear, options.canonical)),
+        canonical(netlist::canonicalize(linear)),
         system(canonical),
         cache_responses(options.cache_responses),
-        cache_capacity(options.max_cached_responses),
-        canonical_options(options.canonical),
+        refgen_cache(options.max_cached_responses),
+        sweep_cache(options.max_cached_responses),
+        param_sweep_cache(options.max_cached_responses),
+        simplify_cache(options.max_cached_responses),
         transient_cache(options.max_cached_responses) {
     if (original.has_devices()) {
       op_solves.store(1, std::memory_order_relaxed);
@@ -148,29 +131,11 @@ struct CompiledCircuit {
     fresh_factorizations.fetch_add(evaluator.fresh_factor_count(), std::memory_order_relaxed);
     batched_lanes.fetch_add(evaluator.batched_lane_count(), std::memory_order_relaxed);
   }
-
-  /// Every spec entry, collected under specs_mutex: callers then lock each
-  /// entry briefly, never specs_mutex and an entry mutex together.
-  std::vector<std::shared_ptr<SpecEntry>> spec_entries() {
-    const std::lock_guard<std::mutex> lock(specs_mutex);
-    std::vector<std::shared_ptr<SpecEntry>> entries;
-    for (const auto& [key, entry] : specs) entries.push_back(entry);
-    return entries;
-  }
-
-  std::shared_ptr<SpecEntry> entry(const mna::TransferSpec& spec) {
-    const std::string key = to_json(spec).dump();
-    const std::lock_guard<std::mutex> lock(specs_mutex);
-    std::shared_ptr<SpecEntry>& slot = specs[key];
-    if (!slot) slot = std::make_shared<SpecEntry>(cache_capacity);
-    return slot;
-  }
 };
 
 }  // namespace internal
 
 using internal::CompiledCircuit;
-using internal::SpecEntry;
 
 namespace {
 
@@ -209,45 +174,44 @@ std::size_t cached_values(const TransientResponse& response) {
   return result.states.size() * (result.node_names.size() + result.branch_names.size());
 }
 
-/// The one memoized request path: look the request up in `cache` (keyed by
-/// request_key), else run `compute` and insert its response. `mutex` is
-/// held around the lookup and around the insert, never across `compute`:
-/// every compute step builds its own evaluator, simulator or solver, so a
-/// long run never blocks the spec, and two racing identical misses both
-/// compute the same bytes. Counts hits, misses and evictions on the
-/// circuit, stamps `from_cache` and `seconds`, and memoizes nothing when
-/// caching is off or compute fails.
+/// The one memoized request path: look the request up in `cache` (one of
+/// the circuit's LRUs, keyed by request_key), else run `compute` and insert
+/// its response. The circuit's cache_mutex is held around the lookup and
+/// around the insert, never across `compute`: every compute step builds its
+/// own evaluator, simulator or solver, so a long run never blocks the
+/// handle, and two racing identical misses both compute the same bytes.
+/// Counts hits, misses and evictions, stamps `from_cache` and `seconds`, and
+/// memoizes nothing when caching is off or compute fails.
 template <typename Response, typename Request, typename Compute>
-Result<Response> cached_call(CompiledCircuit& compiled, std::mutex& mutex,
+Result<Response> cached_call(CompiledCircuit& compiled,
                              support::LruCache<std::string, Response>& cache,
                              const Request& request, Compute compute) {
   support::Timer timer;
   const std::string key = compiled.cache_responses ? request_key(to_json(request)) : "";
   if (compiled.cache_responses) {
-    std::unique_lock<std::mutex> lock(mutex);
+    std::unique_lock<std::mutex> lock(compiled.cache_mutex);
     if (const Response* hit = cache.find(key)) {
+      ++compiled.cache_hits;
       Response response = *hit;
       lock.unlock();
-      compiled.cache_hits.fetch_add(1, std::memory_order_relaxed);
       response.from_cache = true;
       response.seconds = timer.seconds();
       return response;
     }
-    compiled.cache_misses.fetch_add(1, std::memory_order_relaxed);
+    ++compiled.cache_misses;
   }
   Result<Response> computed = compute();
   if (!computed.ok()) return computed;
   computed.value().seconds = timer.seconds();
   if (compiled.cache_responses && cached_values(computed.value()) <= kMaxCachedValues) {
-    const std::lock_guard<std::mutex> lock(mutex);
-    compiled.cache_evictions.fetch_add(cache.insert(key, computed.value()),
-                                       std::memory_order_relaxed);
+    const std::lock_guard<std::mutex> lock(compiled.cache_mutex);
+    compiled.cache_evictions += cache.insert(key, computed.value());
   }
   return computed;
 }
 
 /// The one refgen path, shared by Service::refgen, poles_zeros and every
-/// batch item: the request keys the spec's response cache, `options` is
+/// batch item: the request keys the circuit's refgen cache, `options` is
 /// what the engine runs (batch items pin threads = 1; results are
 /// bit-identical at any thread count). Each computed run gets a fresh
 /// evaluator.
@@ -256,9 +220,8 @@ Result<RefgenResponse> cached_refgen(CompiledCircuit& compiled, const RefgenRequ
   if (const Status gate = check_auto_linearize(compiled, request.auto_linearize); !gate.ok()) {
     return gate;
   }
-  const std::shared_ptr<SpecEntry> entry = compiled.entry(request.spec);
   return cached_call(
-      compiled, entry->mutex, entry->refgen_cache, request, [&]() -> Result<RefgenResponse> {
+      compiled, compiled.refgen_cache, request, [&]() -> Result<RefgenResponse> {
         const mna::CofactorEvaluator evaluator(compiled.system, request.spec);
         refgen::AdaptiveScalingEngine engine(compiled.system, request.spec, options, &evaluator);
         RefgenResponse response;
@@ -348,9 +311,8 @@ Result<SimplifyResponse> Service::simplify(const CircuitHandle& handle,
     if (const Status gate = check_auto_linearize(compiled, request.auto_linearize); !gate.ok()) {
       return gate;
     }
-    const std::shared_ptr<SpecEntry> entry = compiled.entry(request.spec);
     return cached_call(
-        compiled, entry->mutex, entry->simplify_cache, request, [&]() -> Result<SimplifyResponse> {
+        compiled, compiled.simplify_cache, request, [&]() -> Result<SimplifyResponse> {
           const mna::CofactorEvaluator evaluator(compiled.system, request.spec);
           SimplifyResponse response;
           response.result = refgen::simplify_transfer(compiled.canonical, compiled.system,
@@ -371,9 +333,8 @@ Result<SweepResponse> Service::sweep(const CircuitHandle& handle,
     if (const Status gate = check_auto_linearize(compiled, request.auto_linearize); !gate.ok()) {
       return gate;
     }
-    const std::shared_ptr<SpecEntry> entry = compiled.entry(request.spec);
     return cached_call(
-        compiled, entry->mutex, entry->sweep_cache, request, [&]() -> Result<SweepResponse> {
+        compiled, compiled.sweep_cache, request, [&]() -> Result<SweepResponse> {
           SweepResponse response;
           response.points = mna::AcSimulator(compiled.linear)
                                 .bode(request.spec, request.f_start_hz, request.f_stop_hz,
@@ -410,10 +371,8 @@ Result<ParamSweepResponse> Service::param_sweep(const CircuitHandle& handle,
     if (request.seed > (std::uint64_t{1} << 53)) {
       return Status::error(StatusCode::kInvalidArgument, "param_sweep: seed must be <= 2^53");
     }
-    const std::shared_ptr<SpecEntry> entry = compiled.entry(request.spec);
     return cached_call(
-        compiled, entry->mutex, entry->param_sweep_cache, request,
-        [&]() -> Result<ParamSweepResponse> {
+        compiled, compiled.param_sweep_cache, request, [&]() -> Result<ParamSweepResponse> {
           // Resolve the sample plan, then run: every sample re-elaborates the
           // compiled template and replays the baseline factorization plan.
           const mna::ParamSamplePlan plan =
@@ -426,7 +385,6 @@ Result<ParamSweepResponse> Service::param_sweep(const CircuitHandle& handle,
           options.points_per_decade = request.points_per_decade;
           options.threads = request.threads;
           options.cancel = request.cancel;
-          options.canonical = compiled.canonical_options;
           ParamSweepResponse response;
           response.result = mna::run_param_sweep(compiled.netlist_template, plan, options);
           // Newton telemetry (device-bearing sweeps re-bias per sample).
@@ -461,8 +419,7 @@ Result<TransientResponse> Service::transient(const CircuitHandle& handle,
   // linearizing first would be answering a different question.
   return guarded<TransientResponse>(handle, [&](CompiledCircuit& compiled) {
     return cached_call(
-        compiled, compiled.transient_mutex, compiled.transient_cache, request,
-        [&]() -> Result<TransientResponse> {
+        compiled, compiled.transient_cache, request, [&]() -> Result<TransientResponse> {
           transient::TransientOptions options;
           options.method = request.method;
           options.tstop = request.tstop;
@@ -487,17 +444,14 @@ Result<TransientResponse> Service::transient(const CircuitHandle& handle,
 
 Result<CacheStats> Service::cache_stats(const CircuitHandle& handle) const {
   return guarded<CacheStats>(handle, [](CompiledCircuit& compiled) -> Result<CacheStats> {
+    const std::lock_guard<std::mutex> lock(compiled.cache_mutex);
     CacheStats stats;
-    stats.hits = compiled.cache_hits.load(std::memory_order_relaxed);
-    stats.misses = compiled.cache_misses.load(std::memory_order_relaxed);
-    stats.evictions = compiled.cache_evictions.load(std::memory_order_relaxed);
-    for (const std::shared_ptr<SpecEntry>& entry : compiled.spec_entries()) {
-      const std::lock_guard<std::mutex> lock(entry->mutex);
-      stats.entries += entry->refgen_cache.size() + entry->sweep_cache.size() +
-                       entry->param_sweep_cache.size() + entry->simplify_cache.size();
-    }
-    const std::lock_guard<std::mutex> lock(compiled.transient_mutex);
-    stats.entries += compiled.transient_cache.size();
+    stats.hits = compiled.cache_hits;
+    stats.misses = compiled.cache_misses;
+    stats.evictions = compiled.cache_evictions;
+    stats.entries = compiled.refgen_cache.size() + compiled.sweep_cache.size() +
+                    compiled.param_sweep_cache.size() + compiled.simplify_cache.size() +
+                    compiled.transient_cache.size();
     return stats;
   });
 }
@@ -547,8 +501,8 @@ Result<BatchResponse> Service::batch(const CircuitHandle& handle,
     BatchResponse response;
     response.items.resize(request.items.size());
     if (request.items.empty()) return response;
-    // Items share refgen's compute path and response cache; the outer
-    // parallelism owns the lanes, so each item's engine runs serially.
+    // Items share refgen's compute path and the handle's refgen cache; the
+    // outer parallelism owns the lanes, so each item's engine runs serially.
     support::ThreadPool pool(request.threads);
     pool.parallel_for(request.items.size(), [&](std::size_t begin, std::size_t end,
                                                 int /*lane*/) {

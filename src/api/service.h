@@ -24,9 +24,9 @@
 // (api/status.h; the taxonomy is documented in docs/api.md).
 //
 // Concurrency: Service methods are safe to call from multiple threads.
-// Every request runs shared-nothing; a response cache is locked only around
-// its lookup and its insert, so identical concurrent misses may both
-// compute (with identical results).
+// Every request runs shared-nothing; a handle's response caches share one
+// mutex, held only around a lookup or an insert, so identical concurrent
+// misses may both compute (with identical results).
 #pragma once
 
 #include <cstddef>
@@ -37,7 +37,6 @@
 
 #include "api/requests.h"
 #include "api/status.h"
-#include "netlist/canonical.h"
 #include "netlist/circuit.h"
 #include "netlist/parser.h"
 
@@ -48,27 +47,27 @@ struct CompiledCircuit;
 }
 
 struct ServiceOptions {
-  /// Canonicalization applied at compile() (gyrator/VCVS conductances...).
-  netlist::CanonicalOptions canonical;
   /// Memoize responses per handle, keyed by api::request_key (the exact
   /// request minus thread counts — results are bit-identical at any count).
   /// Identical repeated requests then cost a map lookup, the way an
   /// idempotent server endpoint would serve them.
   bool cache_responses = true;
-  /// Bound on each response cache — one per (spec, request type) plus the
-  /// per-circuit transient cache — with least-recently-used eviction.
-  /// 0 = unbounded — the pre-LRU behavior, unsafe for a long-lived server
-  /// under adversarial option churn.
+  /// Bound on each of a handle's response caches — one per request type
+  /// (refgen, also serving poles_zeros and batch items; sweep; param_sweep;
+  /// simplify; transient), shared by all of its specs — with
+  /// least-recently-used eviction. 0 = unbounded — the pre-LRU behavior,
+  /// unsafe for a long-lived server under adversarial option or spec churn.
   std::size_t max_cached_responses = 64;
 };
 
-/// Aggregate response-cache counters of one handle (all specs, refgen +
-/// sweep caches combined) since compile. Monotonic except `entries`.
+/// Response-cache counters of one handle (its five request-type caches
+/// combined) since compile, read as one snapshot. Monotonic except
+/// `entries`.
 struct CacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t evictions = 0;
-  /// Responses currently resident across the handle's spec caches.
+  /// Responses currently resident across the handle's five caches.
   std::size_t entries = 0;
 };
 
@@ -106,7 +105,7 @@ struct EngineStats {
 };
 
 /// A compiled circuit: immutable shared state plus internally synchronized
-/// per-spec response caches. Obtain from Service::compile*; a
+/// response caches, one per request type. Obtain from Service::compile*; a
 /// default-constructed handle is empty (valid() == false) and every request
 /// against it fails with kInvalidArgument.
 class CircuitHandle {
@@ -191,7 +190,7 @@ class Service {
   /// Reference-driven symbolic simplification: prune the circuit, generate
   /// the reduced reference, enumerate terms under eq. (3) and drop them
   /// greedily while the certificate stays inside the budget. Identical
-  /// requests hit the per-spec response cache. Errors: kInvalidSpec,
+  /// requests hit the handle's simplify response cache. Errors: kInvalidSpec,
   /// kIncomplete, kSingularSystem, kInvalidArgument, kCancelled.
   [[nodiscard]] Result<SimplifyResponse> simplify(const CircuitHandle& handle,
                                                   const SimplifyRequest& request) const;

@@ -9,7 +9,6 @@
 #include "netlist/parser.h"
 #include "support/cancellation.h"
 #include "symbolic/errors.h"
-#include "transient/transient.h"
 
 namespace symref::api {
 
@@ -74,8 +73,6 @@ Status status_from_current_exception() noexcept {
   } catch (const mna::SingularSystemError& e) {
     return Status::error(StatusCode::kSingularSystem, e.what());
   } catch (const dc::NoConvergenceError& e) {
-    return Status::error(StatusCode::kNoConvergence, e.what());
-  } catch (const transient::NoConvergenceError& e) {
     return Status::error(StatusCode::kNoConvergence, e.what());
   } catch (const support::CancelledError& e) {
     return Status::error(StatusCode::kCancelled, e.what());

@@ -195,7 +195,7 @@ double OpDeviceInfo::value(std::string_view key) const {
 }
 
 double OpResult::voltage_of(std::string_view node) const {
-  if (node == "0" || node == "gnd" || node == "GND" || node == "Gnd") return 0.0;
+  if (netlist::is_ground_name(node)) return 0.0;
   for (std::size_t i = 0; i < node_names.size(); ++i) {
     if (node_names[i] == node) return node_voltages[i];
   }

@@ -42,7 +42,8 @@
 
 namespace symref::dc {
 
-/// The circuit refused to converge through the whole homotopy ladder.
+/// A Newton solve refused to converge: the .op solve through its whole
+/// homotopy ladder, or a transient::TransientSolver time step.
 class NoConvergenceError : public std::runtime_error {
  public:
   explicit NoConvergenceError(const std::string& message) : std::runtime_error(message) {}

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <sstream>
-#include <vector>
 
 namespace symref::interp {
 
@@ -61,17 +60,6 @@ ValidRegion find_valid_region(std::span<const numeric::ScaledDouble> magnitudes,
   region.begin = begin;
   region.end = end;
   return region;
-}
-
-std::vector<int> indices_above_floor(std::span<const numeric::ScaledDouble> magnitudes,
-                                     const RegionOptions& options) {
-  const ValidRegion region = find_valid_region(magnitudes, options);
-  std::vector<int> indices;
-  if (region.max_index < 0 || region.max_value.is_zero()) return indices;
-  for (std::size_t i = 0; i < magnitudes.size(); ++i) {
-    if (magnitudes[i] >= region.error_floor) indices.push_back(static_cast<int>(i));
-  }
-  return indices;
 }
 
 }  // namespace symref::interp

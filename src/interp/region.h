@@ -14,7 +14,6 @@
 
 #include <span>
 #include <string>
-#include <vector>
 
 #include "numeric/scaled.h"
 
@@ -52,10 +51,5 @@ struct ValidRegion {
 /// Find the contiguous valid region around the peak magnitude.
 ValidRegion find_valid_region(std::span<const numeric::ScaledDouble> magnitudes,
                               const RegionOptions& options = {});
-
-/// All indices above the floor, contiguity ignored — used by diagnostics and
-/// the Table 1 baseline, which reports scattered valid coefficients.
-std::vector<int> indices_above_floor(std::span<const numeric::ScaledDouble> magnitudes,
-                                     const RegionOptions& options = {});
 
 }  // namespace symref::interp

@@ -9,6 +9,7 @@
 #include "dc/linearize.h"
 #include "mna/ac.h"
 #include "mna/nodal.h"
+#include "netlist/canonical.h"
 #include "support/random.h"
 #include "support/thread_pool.h"
 #include "support/timer.h"
@@ -185,7 +186,7 @@ ParamSweepResult run_param_sweep(const netlist::NetlistTemplate& netlist,
     result.newton_iterations = static_cast<std::uint64_t>(base_op.newton_iterations);
     base_linear = dc::linearize_at(base_circuit, base_op);
   }
-  const netlist::Circuit base_canonical = netlist::canonicalize(base_linear, options.canonical);
+  const netlist::Circuit base_canonical = netlist::canonicalize(base_linear);
   const NodalSystem base_system(base_canonical);
   CofactorEvaluator baseline(base_system, options.spec);
   const std::complex<double> s0(0.0, 2.0 * kPi * result.frequencies_hz.front());
@@ -240,7 +241,7 @@ ParamSweepResult run_param_sweep(const netlist::NetlistTemplate& netlist,
         linear_storage = dc::linearize_at(circuit, op);
         linear = &linear_storage;
       }
-      const netlist::Circuit canonical = netlist::canonicalize(*linear, options.canonical);
+      const netlist::Circuit canonical = netlist::canonicalize(*linear);
       const NodalSystem system(canonical);
       slot->eval.rebind(system);
       std::uint8_t all_ok = 1;

@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "mna/transfer.h"
-#include "netlist/canonical.h"
 #include "netlist/parser.h"
 #include "support/cancellation.h"
 
@@ -100,7 +99,6 @@ struct ParamSweepOptions {
   int threads = 1;
   /// Cooperative checkpoint, polled once per sample on every lane.
   support::CancellationToken cancel;
-  netlist::CanonicalOptions canonical;
 };
 
 struct ParamSweepResult {

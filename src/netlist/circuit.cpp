@@ -34,11 +34,9 @@ const char* device_kind_name(DeviceKind kind) noexcept {
   return "?";
 }
 
-namespace {
 bool is_ground_name(std::string_view name) noexcept {
   return name == "0" || name == "gnd" || name == "GND" || name == "Gnd";
 }
-}  // namespace
 
 double Waveform::value_at(double t, double dc) const noexcept {
   switch (kind) {

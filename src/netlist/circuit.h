@@ -1,6 +1,6 @@
 // In-memory circuit: a named-node graph of elements.
 //
-// Node index 0 is always ground ("0"; "gnd" is an alias). Elements keep node
+// Node index 0 is always ground ("0" or an alias). Elements keep node
 // indices; the Circuit owns the name <-> index mapping. The class also
 // provides the element-value statistics the adaptive engine's first-scale
 // heuristic needs (§3.2 of the paper) and the short/remove editing
@@ -18,6 +18,10 @@
 
 namespace symref::netlist {
 
+/// The ground aliases "0", "gnd", "GND" and "Gnd": node index 0 in every
+/// circuit, global inside subcircuit bodies.
+[[nodiscard]] bool is_ground_name(std::string_view name) noexcept;
+
 class Circuit {
  public:
   Circuit();
@@ -27,7 +31,7 @@ class Circuit {
 
   // --- Nodes ---------------------------------------------------------------
 
-  /// Index for `name`, creating the node if new. "0", "gnd", "GND" map to 0.
+  /// Index for `name`, creating the node if new. Ground aliases map to 0.
   /// Nodes merged by short_element() resolve to their surviving alias.
   int node(std::string_view name);
 

@@ -336,7 +336,7 @@ class Elaborator {
   std::string resolve_node(const std::string& token,
                            const std::map<std::string, std::string>& port_map,
                            const std::string& prefix) const {
-    if (token == "0" || token == "gnd" || token == "GND") return "0";
+    if (is_ground_name(token)) return "0";
     const auto it = port_map.find(token);
     if (it != port_map.end()) return it->second;
     return prefix.empty() ? token : prefix + token;

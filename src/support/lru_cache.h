@@ -1,11 +1,11 @@
 // Bounded least-recently-used map for response memoization.
 //
-// The service facade memoizes whole responses per (spec, options) key; a
+// The service facade memoizes whole responses keyed by request; a
 // long-lived server must not let those maps grow without bound under
 // heavy traffic. This is the smallest useful LRU: a recency list plus a
 // key index, O(log n) lookup, O(1) touch/evict. NOT internally
-// synchronized — callers (api::Service spec entries) already serialize
-// cache access under their own mutex.
+// synchronized — callers (api::Service's per-handle caches) already
+// serialize cache access under their own mutex.
 #pragma once
 
 #include <cstddef>

@@ -85,7 +85,7 @@ Method method_from_name(std::string_view name) {
 }
 
 std::vector<double> TransientResult::waveform_of(std::string_view node) const {
-  if (node == "0" || node == "gnd" || node == "GND" || node == "Gnd") {
+  if (netlist::is_ground_name(node)) {
     return std::vector<double>(times.size(), 0.0);
   }
   for (std::size_t i = 0; i < node_names.size(); ++i) {
@@ -343,7 +343,7 @@ TransientResult TransientSolver::solve(const Circuit& circuit) {
     const bool init_ok = step_once(Method::kBdf1, 0.0, h_init, kInitBucket);
     pin_ic = false;
     if (!init_ok) {
-      throw NoConvergenceError(
+      throw dc::NoConvergenceError(
           "transient: Newton failed to converge on the t = 0 initialization solve");
     }
     take_step();
@@ -360,7 +360,7 @@ TransientResult TransientSolver::solve(const Circuit& circuit) {
       os << "transient: step budget exhausted (" << kMaxSteps << " attempts, "
          << result.steps << " accepted, t = " << result.times.back() << " of "
          << options_.tstop << ")";
-      throw NoConvergenceError(os.str());
+      throw dc::NoConvergenceError(os.str());
     }
   };
 
@@ -376,7 +376,7 @@ TransientResult TransientSolver::solve(const Circuit& circuit) {
         std::ostringstream os;
         os << "transient: Newton failed to converge at t = " << t_new
            << " with fixed step " << fixed_h << " (try a smaller tstep or adaptive control)";
-        throw NoConvergenceError(os.str());
+        throw dc::NoConvergenceError(os.str());
       }
       accept_step(t_new, fixed_h);
     }
@@ -404,7 +404,7 @@ TransientResult TransientSolver::solve(const Circuit& circuit) {
             std::ostringstream os;
             os << "transient: Newton failed to converge at t = " << t_new
                << " with the minimum step " << h;
-            throw NoConvergenceError(os.str());
+            throw dc::NoConvergenceError(os.str());
           }
           // LTE floor: the grid cannot be refined further — accept the best
           // available step rather than spinning (SPICE's trtol escape).

@@ -43,7 +43,6 @@
 
 #include <cstdint>
 #include <map>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -127,14 +126,9 @@ struct TransientResult {
 
   double seconds = 0.0;
 
-  /// Waveform of one node ("0"/"gnd" = all-zero ground) across times.
+  /// Waveform of one node (a ground alias reads all zeros) across times.
   /// Throws std::invalid_argument for an unknown node.
   [[nodiscard]] std::vector<double> waveform_of(std::string_view node) const;
-};
-
-class NoConvergenceError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
 };
 
 class TransientSolver {
@@ -143,7 +137,7 @@ class TransientSolver {
 
   /// Integrate `circuit` over [0, tstop]. The circuit must outlive the call.
   /// Throws mna::SingularSystemError (degenerate system),
-  /// transient::NoConvergenceError (Newton or step-control breakdown),
+  /// dc::NoConvergenceError (Newton or step-control breakdown),
   /// support::CancelledError, std::invalid_argument (bad options).
   [[nodiscard]] TransientResult solve(const netlist::Circuit& circuit);
 

@@ -226,7 +226,7 @@ TEST(JobManager, CancelMidIterationStopsPromptlyAndKeepsCachesUsable) {
   EXPECT_LE(iterations_seen.load(), 3);
 
   // The handle still serves: the same request (fresh, uncancelled) runs to
-  // completion on the warm spec entry, and so does a sweep.
+  // completion on the warm handle, and so does a sweep.
   const auto direct = service.refgen(handle, {circuits::ua741_gain_spec(), {}});
   ASSERT_TRUE(direct.ok()) << direct.status().to_string();
   EXPECT_TRUE(direct.value().result.complete);

@@ -216,9 +216,9 @@ TEST(ServiceStress, MixedSweepAndRefgenOnOneHandle) {
   EXPECT_EQ(failures.load(), 0);
 }
 
-// The LRU satellite: max_cached_responses bounds each per-spec response
-// cache, evicting least-recently-used entries, with the counters exposed
-// through CacheStats.
+// max_cached_responses bounds each of the handle's per-type response caches,
+// evicting least-recently-used entries, with the counters exposed through
+// CacheStats.
 TEST(ServiceCacheBound, LruEvictionAndCounters) {
   ServiceOptions options;
   options.max_cached_responses = 2;
@@ -276,8 +276,8 @@ TEST(ServiceCacheBound, LruEvictionAndCounters) {
 }
 
 // The one key rule (request_key) over an overflowing sequence: one LRU per
-// (spec, request type) plus the per-circuit transient LRU, execution knobs
-// outside the key, one ulp inside it.
+// request type per handle, execution knobs outside the key, one ulp inside
+// it.
 TEST(ServiceCacheBound, KeyRuleAndPerTypeLruOrder) {
   ServiceOptions options;
   options.max_cached_responses = 2;
@@ -331,6 +331,37 @@ TEST(ServiceCacheBound, KeyRuleAndPerTypeLruOrder) {
   EXPECT_EQ(stats.value().hits, 5u);
   EXPECT_EQ(stats.value().evictions, 4u);
   EXPECT_EQ(stats.value().entries, 4u);  // 1 refgen + 2 sweeps + 1 transient
+}
+
+// The bound is per handle, not per spec: refgens on distinct specs share
+// the one refgen LRU, so spec churn cannot grow a handle, and a request
+// that fails (unknown output node) leaves no cache state behind.
+TEST(ServiceCacheBound, DistinctSpecsShareTheTypeBound) {
+  ServiceOptions options;
+  options.max_cached_responses = 4;
+  const Service service(options);
+  const auto compiled = service.compile(circuits::rc_ladder(8));
+  ASSERT_TRUE(compiled.ok());
+  const CircuitHandle handle = compiled.value();
+
+  auto refgen_to = [&](std::string out, int index) {
+    out += std::to_string(index);
+    return service.refgen(handle, {mna::TransferSpec::voltage_gain("in", out), {}});
+  };
+  for (int k = 1; k <= 8; ++k) {
+    const auto response = refgen_to("n", k);
+    ASSERT_TRUE(response.ok()) << k << ": " << response.status().to_string();
+  }
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(refgen_to("nowhere", i).status().code(), StatusCode::kInvalidSpec) << i;
+  }
+
+  const auto stats = service.cache_stats(handle);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats.value().entries, 4u);
+  EXPECT_EQ(stats.value().evictions, 4u);
+  EXPECT_EQ(stats.value().misses, 108u);
+  EXPECT_EQ(stats.value().hits, 0u);
 }
 
 }  // namespace

@@ -95,15 +95,6 @@ TEST(Region, ToStringReadable) {
   EXPECT_EQ(find_valid_region({}).to_string(), "[empty]");
 }
 
-TEST(Region, IndicesAboveFloorIgnoresContiguity) {
-  const auto magnitudes = profile_from_decades({10, 9, -20, 8});
-  const auto indices = indices_above_floor(magnitudes, {6, 13.0, {}});
-  ASSERT_EQ(indices.size(), 3u);
-  EXPECT_EQ(indices[0], 0);
-  EXPECT_EQ(indices[1], 1);
-  EXPECT_EQ(indices[2], 3);
-}
-
 TEST(Region, PaperExampleFloorArithmetic) {
   // §3.2: max 1.28095e+124 with 6 digits -> floor 1.28095e+117.
   std::vector<ScaledDouble> magnitudes = {

@@ -206,14 +206,13 @@ TEST(Parser, ContinuationWithoutPreviousLineRejected) {
 }
 
 TEST(Parser, GroundVariantsInsideSubckt) {
-  const Circuit c = parse_netlist(R"(
-.subckt g1 a
-R1 a gnd 1k
-.ends
-X1 in g1
-)");
-  const Element* r = c.find_element("X1.R1");
-  EXPECT_EQ(r->node_neg, 0);  // gnd is global, never prefixed
+  for (const std::string ground : {"0", "gnd", "GND", "Gnd"}) {
+    const Circuit c = parse_netlist(".subckt g1 a\nR1 a " + ground + " 1k\n.ends\nX1 in g1\n");
+    const Element* r = c.find_element("X1.R1");
+    ASSERT_NE(r, nullptr) << ground;
+    EXPECT_EQ(r->node_neg, 0) << ground;  // every alias is global, never prefixed
+    EXPECT_FALSE(c.find_node("X1." + ground).has_value()) << ground;
+  }
 }
 
 TEST(Parser, LowercaseCardsAndNumericNodes) {

@@ -232,18 +232,20 @@ bool parse_value_token(const std::string& text, double* out) {
   return true;
 }
 
+/// A whole number n >= min_count and nothing else ("1e3" and "3x" fail).
+bool parse_count(const std::string& text, int min_count, int* count) {
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, *count);
+  return error == std::errc() && stop == end && *count >= min_count;
+}
+
 /// "f0:f1" or "f0:f1:n" -> a frequency range (engineering notation) and a
 /// whole count n >= min_count; `count` keeps its value when n is omitted.
 bool parse_range(const std::string& text, int min_count, double* f0, double* f1, int* count) {
   const std::vector<std::string> parts = split(text, ':');
   if (parts.size() != 2 && parts.size() != 3) return false;
   if (!parse_value_token(parts[0], f0) || !parse_value_token(parts[1], f1)) return false;
-  if (parts.size() == 3) {
-    const char* end = parts[2].data() + parts[2].size();
-    const auto [stop, error] = std::from_chars(parts[2].data(), end, *count);
-    if (error != std::errc() || stop != end || *count < min_count) return false;
-  }
-  return true;
+  return parts.size() == 2 || parse_count(parts[2], min_count, count);
 }
 
 /// "r1:1k:10k:5[:log],c1:..." -> grid axes.
@@ -256,8 +258,7 @@ bool parse_grid_axes(const std::string& text, std::vector<symref::mna::ParamAxis
     if (axis.name.empty()) return false;
     if (!parse_value_token(fields[1], &axis.from)) return false;
     if (!parse_value_token(fields[2], &axis.to)) return false;
-    axis.count = std::atoi(fields[3].c_str());
-    if (axis.count < 1) return false;
+    if (!parse_count(fields[3], 1, &axis.count)) return false;
     if (fields.size() == 5) {
       if (fields[4] != "log" && fields[4] != "lin") return false;
       axis.log_scale = fields[4] == "log";

@@ -15,7 +15,7 @@
 //   --workers=N     job worker lanes (default: hardware threads)
 //   --listen=PORT   serve TCP on 127.0.0.1:PORT instead of stdio;
 //                   prints "refgend: listening on 127.0.0.1:<port>" first
-//   --max-cached=N  per-spec response-cache bound (default 64)
+//   --max-cached=N  response-cache bound per request type per circuit (default 64)
 //   --max-queue=N   bound on jobs waiting for a worker (default unbounded);
 //                   a submit that finds the queue full fails kOverloaded
 //   --store=DIR     crash-safe reference store: completed responses persist

@@ -3,9 +3,9 @@
 
 Usage: server_smoke.py <refgend> <refgen> <netlist>
 
-Eight scenarios, all against the bundled netlist (the transient scenario
-builds its own small nonlinear deck — the bundled models have no
-time-varying sources):
+Nine scenarios, all against the bundled netlist (the transient and
+cache-bound scenarios build their own small decks — the bundled models
+have no time-varying sources):
   1. Four CONCURRENT stdio-scripted sessions (one refgend process each):
      compile + submit(progress) + wait + shutdown. Validates the JSON
      event-stream shape and that every session's reference payload is
@@ -38,6 +38,10 @@ time-varying sources):
      --sweep --progress session run with --connect matches the same
      session run locally: byte-identical scrubbed responses and identical
      stderr "iter" lines.
+  9. Spec churn cannot grow a handle: on a --max-cached=4 daemon, refgen
+     jobs for the 8 output nodes of an RC ladder and 20 unknown output
+     nodes (each failing invalid_spec) leave exactly 4 resident responses
+     and 4 evictions in the circuit's stats.
 
 Set REFGEN_CHAOS=1 to additionally run every store-scenario daemon plus a
 retry session under low-probability injected faults (REFGEN_FAULT): results
@@ -505,6 +509,30 @@ def main():
         listener.terminate()
         listener.wait(timeout=30)
         shutil.rmtree(out_dir, ignore_errors=True)
+
+    # --- 9. Spec churn: the cache bound holds per request type per handle --
+    nodes = ["in"] + [f"n{k}" for k in range(1, 9)]
+    ladder = "".join(f"R{k} {nodes[k - 1]} {nodes[k]} 1k\nC{k} {nodes[k]} 0 1n\n"
+                     for k in range(1, 9))
+    outputs = nodes[1:] + [f"nowhere{i}" for i in range(20)]
+    churn_script = [{"id": 1, "method": "compile", "params": {"netlist": ladder}}]
+    for i, out in enumerate(outputs):
+        churn_script += [
+            {"id": 100 + i, "method": "submit",
+             "params": {"circuit_id": "c1",
+                        "request": {"type": "refgen", "spec": {"in": "in", "out": out}}}},
+            {"id": 200 + i, "method": "wait", "params": {"job_id": f"j{i + 1}"}},
+        ]
+    churn_script += [{"id": 2, "method": "stats", "params": {"circuit_id": "c1"}},
+                     {"id": 3, "method": "shutdown"}]
+    messages = run_session(daemon, churn_script, args=["--max-cached=4"])
+    codes = [reply(messages, 200 + i)["result"]["status"]["code"]
+             for i in range(len(outputs))]
+    assert codes == ["ok"] * 8 + ["invalid_spec"] * 20, codes
+    stats = reply(messages, 2)
+    assert stats["entries"] == 4 and stats["evictions"] == 4, stats
+    print(f"cache bound OK: {len(outputs)} specs on a --max-cached=4 handle left "
+          f"{stats['entries']} entries after {stats['evictions']} evictions")
 
 
 if __name__ == "__main__":
