@@ -8,10 +8,13 @@
 // Fig. 2-style validation against a direct AC analysis. Runs through the
 // api::Service facade; --live streams the schedule via the facade's
 // iteration-progress observer while the engine works instead of after it.
+// --no-deflation is an engine-only ablation switch that no request takes,
+// so that run calls refgen::generate_reference directly.
 #include <cstdio>
 
 #include "api/service.h"
 #include "circuits/ua741.h"
+#include "refgen/adaptive.h"
 #include "refgen/validate.h"
 #include "support/cli.h"
 #include "support/log.h"
@@ -43,12 +46,17 @@ int main(int argc, char** argv) {
     };
   }
 
-  const auto response = service.refgen(handle, {spec, options});
-  if (!response.ok()) {
-    std::fprintf(stderr, "refgen failed: %s\n", response.status().to_string().c_str());
-    return 1;
+  symref::refgen::AdaptiveResult result;
+  if (options.use_deflation) {
+    auto response = service.refgen(handle, {spec, options});
+    if (!response.ok()) {
+      std::fprintf(stderr, "refgen failed: %s\n", response.status().to_string().c_str());
+      return 1;
+    }
+    result = response.take().result;
+  } else {
+    result = symref::refgen::generate_reference(handle.circuit(), spec, options);
   }
-  const auto& result = response.value().result;
   std::printf("termination: %s, %.1f ms, %d matrix factorizations\n\n",
               result.termination.c_str(), result.seconds * 1e3,
               result.total_evaluations);

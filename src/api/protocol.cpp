@@ -58,7 +58,7 @@ Json job_info_json(const JobInfo& info) {
 
 }  // namespace
 
-std::string job_id_token(JobId id) { return "j" + std::to_string(id); }
+std::string job_id_token(JobId id) { return std::string("j").append(std::to_string(id)); }
 
 Result<JobId> parse_job_id(const std::string& token) {
   // "j<decimal>", at most 19 digits (fits uint64 for every id we assign).

@@ -8,7 +8,7 @@ namespace symref::api {
 std::string Registry::add(CircuitHandle handle, std::string content_key) {
   if (!handle.valid()) return {};
   const std::lock_guard<std::mutex> lock(mutex_);
-  std::string id = "c" + std::to_string(++next_);
+  std::string id = std::string("c").append(std::to_string(++next_));
   entries_.push_back(Entry{id, std::move(handle), std::move(content_key)});
   return id;
 }

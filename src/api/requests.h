@@ -142,7 +142,8 @@ struct ParamSweepResponse {
 /// drive every stage; results are bit-identical at any thread count, so
 /// neither is part of the response-cache key. Errors: kInvalidSpec (spec the
 /// generators cannot represent), kIncomplete (budget not certifiable within
-/// the enumeration caps), kSingularSystem, kCancelled.
+/// the enumeration caps), kSingularSystem, kCancelled, kInvalidArgument (an
+/// ablation switch of `options.engine` off its default, as for refgen).
 struct SimplifyRequest {
   mna::TransferSpec spec;
   refgen::SimplifyOptions options;

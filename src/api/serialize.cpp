@@ -275,18 +275,16 @@ void schema(IO& io, Spec& spec) {
 template <typename IO, Is<refgen::AdaptiveOptions> Options>
 void schema(IO& io, Options& options) {
   io.field("sigma", options.sigma);
-  io.field("noise_decades", options.noise_decades);
   io.field("tuning_r", options.tuning_r);
   io.field("max_iterations", options.max_iterations);
-  io.field("use_deflation", options.use_deflation);
-  io.field("conjugate_symmetry", options.conjugate_symmetry);
-  io.field("simultaneous_scaling", options.simultaneous_scaling);
-  io.field("geometric_mean_heuristic", options.geometric_mean_heuristic);
-  io.field("initial_f", options.initial_f);
-  io.field("initial_g", options.initial_g);
-  io.field("no_progress_limit", options.no_progress_limit);
   io.field("threads", options.threads);
-  io.ignored("kernel");  // the replay kernel is chosen automatically
+  // Legacy: engine constants and engine-only switches, and the replay
+  // kernel, which is chosen automatically.
+  for (const char* key : {"noise_decades", "use_deflation", "conjugate_symmetry",
+                          "simultaneous_scaling", "geometric_mean_heuristic", "initial_f",
+                          "initial_g", "no_progress_limit", "kernel"}) {
+    io.ignored(key);
+  }
 }
 
 /// refgen, poles_zeros and batch items.
@@ -337,13 +335,12 @@ void schema(IO& io, Simplify& simplify) {
   io.field("f_start_hz", options.f_start_hz);
   io.field("f_stop_hz", options.f_stop_hz);
   io.field("band_points", options.band_points);
-  io.field("prune", options.prune);
-  io.field("prune_share", options.prune_share);
   io.field("max_terms", options.max_terms_per_coefficient, Need::kPositive);
-  io.field("max_queue", options.max_queue, Need::kPositive);
-  io.field("skip_factor", options.coefficient_skip_factor);
   io.object("options", options.engine);
   io.field("auto_linearize", simplify.auto_linearize);
+  // Legacy: pruning always runs; its share and the SDG queue and skip knobs
+  // are constants.
+  for (const char* key : {"prune", "prune_share", "max_queue", "skip_factor"}) io.ignored(key);
 }
 
 template <typename IO, Is<mna::ParamAxis> Axis>
@@ -438,8 +435,6 @@ Json to_json(const Status& status) {
 }
 
 Json to_json(const mna::TransferSpec& spec) { return wire::encode(spec); }
-
-Json to_json(const refgen::AdaptiveOptions& options) { return wire::encode(options); }
 
 Json to_json(const refgen::NumericalReference& reference) {
   Json out = Json::object();
@@ -699,10 +694,6 @@ Json error_response(const char* type, const Status& status) {
 
 Result<mna::TransferSpec> spec_from_json(const Json& json) {
   return decode<mna::TransferSpec>(json, "spec");
-}
-
-Result<refgen::AdaptiveOptions> options_from_json(const Json& json) {
-  return decode<refgen::AdaptiveOptions>(json, "options");
 }
 
 const char* request_type_name(AnyRequest::Type type) noexcept {

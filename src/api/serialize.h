@@ -27,7 +27,6 @@ namespace symref::api {
 Json to_json(const Status& status);
 
 Json to_json(const mna::TransferSpec& spec);
-Json to_json(const refgen::AdaptiveOptions& options);
 Json to_json(const refgen::NumericalReference& reference);
 
 /// Response payloads. Every response object carries "type" and "status";
@@ -58,7 +57,6 @@ Json error_response(const char* type, const Status& status);
 // --- Decoding ---------------------------------------------------------------
 
 Result<mna::TransferSpec> spec_from_json(const Json& json);
-Result<refgen::AdaptiveOptions> options_from_json(const Json& json);
 
 /// A request of any type, as parsed from a JSON payload.
 struct AnyRequest {
@@ -119,13 +117,17 @@ std::string request_key(const Json& encoded_request);
 /// "rel_sigma", "dist"} plus "samples"/"seed". A transient request carries
 /// "tstop" plus optional "tstep", "method" ("trap"|"bdf1"|"bdf2") and
 /// "adaptive". A simplify request carries "error_budget", the band
-/// ("f_start_hz"/"f_stop_hz"/"band_points") and optional tuning knobs
-/// ("prune", "prune_share", "max_terms", "max_queue", "skip_factor") plus
-/// the nested reference-engine "options". An op request carries nothing
+/// ("f_start_hz"/"f_stop_hz"/"band_points"), optional "max_terms", and
+/// the nested reference-engine "options" ("sigma",
+/// "tuning_r", "max_iterations", "threads"). An op request carries nothing
 /// else. Every AC-family request and batch item accepts an optional boolean
 /// "auto_linearize" (required true on device-bearing handles). Legacy
-/// members are accepted and ignored: "kernel" on sweep, param_sweep and
-/// engine "options", and "threads" on op and transient.
+/// members are accepted with any value and ignored: "kernel" on sweep,
+/// param_sweep and engine "options"; "noise_decades", "use_deflation",
+/// "conjugate_symmetry", "simultaneous_scaling", "geometric_mean_heuristic",
+/// "initial_f", "initial_g" and "no_progress_limit" on engine "options";
+/// "prune", "prune_share", "max_queue" and "skip_factor" on simplify; and
+/// "threads" on op and transient.
 Result<AnyRequest> request_from_json(const Json& json);
 
 /// Parse a request *session*: either one request object or an array of

@@ -155,19 +155,46 @@ Status check_auto_linearize(const CompiledCircuit& compiled, bool auto_linearize
   return Status();
 }
 
+/// The engine's ablation switches (all on by default) are in no request_key,
+/// so a request that turns one off fails instead of sharing a cache entry
+/// with the paper's run. Ablations run on refgen::generate_reference.
+Status check_engine_switches(const refgen::AdaptiveOptions& options) {
+  if (options.use_deflation && options.conjugate_symmetry && options.simultaneous_scaling) {
+    return Status();
+  }
+  return Status::error(StatusCode::kInvalidArgument,
+                       "use_deflation, conjugate_symmetry and simultaneous_scaling are "
+                       "engine-only ablation switches; a request keeps them on");
+}
+
 /// Values a memoized response pins. The LRU bound counts entries, not
-/// bytes, and one Monte-Carlo study or long transient can reach gigabytes —
-/// a long-lived daemon must not pin that behind a 64-entry cache. Only
-/// responses of at most kMaxCachedValues values are memoized; recomputing
-/// the others is bit-identical, so a miss costs only time.
+/// bytes, and one Monte-Carlo study, long transient or large simplification
+/// can reach gigabytes — a long-lived daemon must not pin that behind a
+/// 64-entry cache. Only responses of at most kMaxCachedValues values are
+/// memoized; recomputing the others is bit-identical, so a miss costs only
+/// time. Every memoized response type states what it pins.
 constexpr std::size_t kMaxCachedValues = std::size_t{1} << 16;
 
-template <typename Response>
-std::size_t cached_values(const Response& /*response*/) {
-  return 0;
+/// The reference coefficients plus the iteration records' normalized ones.
+std::size_t cached_values(const RefgenResponse& response) {
+  const refgen::NumericalReference& reference = response.result.reference;
+  std::size_t values = reference.numerator().order_bound() + reference.denominator().order_bound();
+  for (const refgen::IterationRecord& record : response.result.iterations) {
+    values += record.num_normalized.size() + record.den_normalized.size();
+  }
+  return values + 2;
 }
+std::size_t cached_values(const SweepResponse& response) { return response.points.size(); }
 std::size_t cached_values(const ParamSweepResponse& response) {
   return response.result.response.size();
+}
+/// One value per term plus one per symbol name it carries.
+std::size_t cached_values(const SimplifyResponse& response) {
+  std::size_t values = 0;
+  for (const auto* terms : {&response.result.numerator_terms, &response.result.denominator_terms}) {
+    for (const refgen::SimplifiedTerm& term : *terms) values += 1 + term.symbols.size();
+  }
+  return values;
 }
 std::size_t cached_values(const TransientResponse& response) {
   const transient::TransientResult& result = response.result;
@@ -217,6 +244,7 @@ Result<Response> cached_call(CompiledCircuit& compiled,
 /// evaluator.
 Result<RefgenResponse> cached_refgen(CompiledCircuit& compiled, const RefgenRequest& request,
                                      const refgen::AdaptiveOptions& options) {
+  if (const Status gate = check_engine_switches(options); !gate.ok()) return gate;
   if (const Status gate = check_auto_linearize(compiled, request.auto_linearize); !gate.ok()) {
     return gate;
   }
@@ -308,6 +336,9 @@ Result<SimplifyResponse> Service::simplify(const CircuitHandle& handle,
                                            const SimplifyRequest& request) const {
   return guarded<SimplifyResponse>(handle, [&](CompiledCircuit& compiled)
                                                -> Result<SimplifyResponse> {
+    if (const Status gate = check_engine_switches(request.options.engine); !gate.ok()) {
+      return gate;
+    }
     if (const Status gate = check_auto_linearize(compiled, request.auto_linearize); !gate.ok()) {
       return gate;
     }

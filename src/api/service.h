@@ -164,7 +164,8 @@ class Service {
 
   /// The paper's algorithm for one transfer function of the handle. An
   /// identical repeated request is served from the memoized response.
-  /// Errors: kInvalidSpec, kSingularSystem, kIncomplete.
+  /// Errors: kInvalidSpec, kSingularSystem, kIncomplete, kInvalidArgument
+  /// (an engine-only ablation switch set off its default, docs/options.md).
   [[nodiscard]] Result<RefgenResponse> refgen(const CircuitHandle& handle,
                                               const RefgenRequest& request) const;
 

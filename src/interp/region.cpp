@@ -32,7 +32,7 @@ ValidRegion find_valid_region(std::span<const numeric::ScaledDouble> magnitudes,
     region.end = -1;
     return region;
   }
-  const double floor_exponent = -options.noise_decades + static_cast<double>(options.sigma);
+  const double floor_exponent = -kNoiseDecades + static_cast<double>(options.sigma);
   region.error_floor =
       region.max_value * numeric::ScaledDouble(std::pow(10.0, floor_exponent));
   if (!options.external_noise.is_zero()) {

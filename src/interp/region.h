@@ -3,9 +3,9 @@
 // After one interpolation, a normalized coefficient is trustworthy only when
 // it stands above the round-off floor of the transform:
 //
-//   |p_i|  >=  10^(-noise_decades + sigma) * max_j |p_j|
+//   |p_i|  >=  10^(-kNoiseDecades + sigma) * max_j |p_j|
 //
-// with noise_decades ~= 13 for 16-digit arithmetic (paper §2.2) and sigma
+// with kNoiseDecades = 13 for 16-digit arithmetic (paper §2.2) and sigma
 // the number of significant digits demanded of each coefficient. The valid
 // region is the maximal contiguous index span around the peak that clears
 // the floor — contiguity matters because the adaptive scaling update (eqs.
@@ -19,16 +19,17 @@
 
 namespace symref::interp {
 
+/// Decimal digits of working precision: 16-digit arithmetic keeps ~13
+/// clean digits through the DFT (paper §2.2).
+inline constexpr double kNoiseDecades = 13.0;
+
 struct RegionOptions {
   /// Significant decimal digits demanded of accepted coefficients.
   int sigma = 6;
-  /// Decimal digits of working precision (16-digit arithmetic keeps ~13
-  /// clean digits through the DFT; see paper §2.2).
-  double noise_decades = 13.0;
   /// Absolute noise already present in the analyzed values beyond the
   /// transform's own round-off — e.g. the subtraction error of known
   /// coefficients in a deflated interpolation (eq. (17)). The acceptance
-  /// floor becomes max(peak * 10^(sigma - noise_decades),
+  /// floor becomes max(peak * 10^(sigma - kNoiseDecades),
   ///                   external_noise * 10^sigma).
   numeric::ScaledDouble external_noise{};
 };

@@ -108,7 +108,11 @@ std::vector<double> log_frequency_grid(double f_start_hz, double f_stop_hz,
     throw std::invalid_argument("log_frequency_grid: bad range");
   }
   const double decades = std::log10(f_stop_hz / f_start_hz);
-  const int count = std::max(2, static_cast<int>(std::ceil(decades * points_per_decade)) + 1);
+  const double steps = std::ceil(decades * points_per_decade);  // may overflow int
+  if (!(steps < kMaxGridPoints)) {
+    throw std::invalid_argument("log_frequency_grid: more than 2^20 points");
+  }
+  const int count = std::max(2, static_cast<int>(steps) + 1);
   std::vector<double> grid(static_cast<std::size_t>(count));
   for (int i = 0; i < count; ++i) {
     grid[static_cast<std::size_t>(i)] =

@@ -101,7 +101,12 @@ class AcSimulator {
   mutable std::unique_ptr<SpecCache> cache_;
 };
 
-/// Log-spaced frequency grid [f_start, f_stop], >= 2 points.
+/// Bound on the points of a frequency grid, a simplify band, a param-sweep
+/// sample plan and a param-sweep response (samples x frequencies); counts
+/// come from requests, so a larger one fails before it is allocated.
+inline constexpr int kMaxGridPoints = 1 << 20;
+
+/// Log-spaced frequency grid [f_start, f_stop], 2 to kMaxGridPoints points.
 std::vector<double> log_frequency_grid(double f_start_hz, double f_stop_hz,
                                        int points_per_decade);
 

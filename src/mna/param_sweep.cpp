@@ -62,7 +62,7 @@ ParamSamplePlan grid_samples(const std::vector<ParamAxis>& axes) {
       throw std::invalid_argument("grid_samples: '" + axis.name + "': non-finite range");
     }
     total *= static_cast<std::size_t>(axis.count);
-    if (total > (1u << 20)) {
+    if (total > kMaxGridPoints) {
       throw std::invalid_argument("grid_samples: more than 2^20 grid points");
     }
   }
@@ -99,7 +99,7 @@ ParamSamplePlan monte_carlo_samples(const std::vector<ParamDist>& dists, int sam
   if (samples < 1) {
     throw std::invalid_argument("monte_carlo_samples: samples must be >= 1");
   }
-  if (static_cast<std::size_t>(samples) > (1u << 20)) {
+  if (samples > kMaxGridPoints) {
     throw std::invalid_argument("monte_carlo_samples: more than 2^20 samples");
   }
   for (const ParamDist& dist : dists) {
@@ -158,6 +158,9 @@ ParamSweepResult run_param_sweep(const netlist::NetlistTemplate& netlist,
 
   const std::size_t samples = plan.sample_count();
   const std::size_t points = result.frequencies_hz.size();
+  if (samples > kMaxGridPoints / points) {
+    throw std::invalid_argument("run_param_sweep: more than 2^20 response values");
+  }
   result.response.assign(samples * points,
                          std::complex<double>(std::numeric_limits<double>::quiet_NaN(),
                                               std::numeric_limits<double>::quiet_NaN()));

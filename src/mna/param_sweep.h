@@ -131,7 +131,8 @@ struct ParamSweepResult {
   double seconds = 0.0;
 };
 
-/// Run the sweep. Throws std::invalid_argument for plan/grid problems or
+/// Run the sweep. Throws std::invalid_argument for plan/grid problems (a
+/// response over kMaxGridPoints samples x frequencies among them) or
 /// parameters the template does not define, netlist::ParseError when a
 /// sample's elaboration fails (e.g. an override drives an expression into a
 /// division by zero), dc::NoConvergenceError when a sample's bias solve

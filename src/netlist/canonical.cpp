@@ -39,30 +39,19 @@ void emit_forced_vcvs(Circuit& out, const std::string& name, const std::string& 
 
 }  // namespace
 
-Circuit canonicalize(const Circuit& circuit, const CanonicalOptions& options) {
+Circuit canonicalize(const Circuit& circuit) {
   if (circuit.has_devices()) {
     throw std::invalid_argument(
         "canonicalize: circuit contains nonlinear devices; solve a DC operating point and "
         "linearize (dc::linearize_at) first");
   }
   const std::vector<double> conductances = circuit.conductance_values();
-  double gyrator_g = options.gyrator_conductance;
-  if (gyrator_g <= 0.0) {
-    gyrator_g = numeric::geometric_mean(conductances);
-    if (gyrator_g <= 0.0) gyrator_g = 1e-3;
-  }
-  double big_g = options.vcvs_conductance;
-  if (big_g <= 0.0) {
-    const double peak = numeric::max_abs(conductances);
-    big_g = peak > 0.0 ? 1e6 * peak : 1.0;
-  }
-  double sense_g = options.sense_conductance;
-  if (sense_g <= 0.0) sense_g = big_g;
-  double opamp_gm = options.opamp_transconductance;
-  if (opamp_gm <= 0.0) {
-    const double peak = numeric::max_abs(conductances);
-    opamp_gm = peak > 0.0 ? 1e4 * peak : 1.0;
-  }
+  const double mean_g = numeric::geometric_mean(conductances);
+  const double gyrator_g = mean_g > 0.0 ? mean_g : 1e-3;
+  const double peak = numeric::max_abs(conductances);
+  // VCVS outputs and current senses share one big G.
+  const double big_g = peak > 0.0 ? 1e6 * peak : 1.0;
+  const double opamp_gm = peak > 0.0 ? 1e4 * peak : 1.0;
 
   Circuit out;
   out.title = circuit.title;
@@ -88,7 +77,7 @@ Circuit canonicalize(const Circuit& circuit, const CanonicalOptions& options) {
     if (senses.find(e.ctrl_branch) == senses.end()) {
       const std::string p = circuit.node_name(branch->node_pos);
       const std::string n = circuit.node_name(branch->node_neg);
-      out.add_conductance(e.ctrl_branch + ".gs", p, n, sense_g);
+      out.add_conductance(e.ctrl_branch + ".gs", p, n, big_g);
       senses[e.ctrl_branch] = {p, n};
     }
   }
@@ -136,21 +125,16 @@ Circuit canonicalize(const Circuit& circuit, const CanonicalOptions& options) {
       case ElementKind::Cccs: {
         const SenseInfo& sense = senses.at(e.ctrl_branch);
         // Sense current = Gs * (Vp - Vq); replicate gain * that current.
-        out.add_vccs(e.name, np, nn, sense.pos, sense.neg, e.value * sense_g);
+        out.add_vccs(e.name, np, nn, sense.pos, sense.neg, e.value * big_g);
         break;
       }
       case ElementKind::Ccvs: {
         const SenseInfo& sense = senses.at(e.ctrl_branch);
-        emit_forced_vcvs(out, e.name, np, nn, sense.pos, sense.neg, e.value * sense_g,
-                         big_g);
+        emit_forced_vcvs(out, e.name, np, nn, sense.pos, sense.neg, e.value * big_g, big_g);
         break;
       }
       case ElementKind::VoltageSource:
       case ElementKind::CurrentSource:
-        if (!options.drop_independent_sources) {
-          throw std::invalid_argument("canonicalize: independent source '" + e.name +
-                                      "' present and drop_independent_sources=false");
-        }
         SYMREF_DEBUG("canonicalize: dropping independent source '" << e.name << "'");
         break;
     }

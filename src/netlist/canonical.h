@@ -6,16 +6,23 @@
 // transconductances. This pass rewrites a general circuit into that class:
 //
 //   R            -> G = 1/R
-//   L            -> gyrator (two VCCS) + grounded capacitor C = L*gg^2
+//   L            -> gyrator (two VCCS of conductance gg) + grounded
+//                   capacitor C = L*gg^2
 //   VCVS (E)     -> output conductance Gbig + VCCS gm = gain*Gbig
-//                   (error O(Gext/Gbig); Gbig defaults to 1e6 * max G)
+//                   (error O(Gext/Gbig))
 //   ideal opamp  -> one grounded VCCS driving the output with a large
-//                   transconductance (virtual-short error O(G/gm_A))
+//                   transconductance gm_A (virtual-short error O(G/gm_A))
 //   CCCS (F)     -> controlling V-source replaced by sense conductance Gs,
 //                   plus VCCS gm = gain*Gs across the sense nodes
 //   CCVS (H)     -> sense conductance + VCVS-style big-G output
 //   V/I sources  -> dropped (transfer-function ports are specified
 //                   separately; see mna::TransferSpec)
+//
+// The introduced conductances follow from the circuit's own conductances G:
+//
+//   gg    = geometric mean of G (1e-3 S when there is none)
+//   Gbig  = Gs = 1e6 * max |G| (1 S when there is none)
+//   gm_A  = 1e4 * max |G|      (1 S when there is none)
 //
 // Each introduced element gets a derived name ("l1.gy1", "e2.go", ...), so
 // simplification and symbolic output stay traceable to the original element.
@@ -25,30 +32,11 @@
 
 namespace symref::netlist {
 
-struct CanonicalOptions {
-  /// Gyration conductance for inductor transformation; 0 = geometric mean
-  /// of the circuit's conductances (fallback 1e-3 S).
-  double gyrator_conductance = 0.0;
-  /// Output conductance modeling VCVS outputs; 0 = 1e6 * max G
-  /// (approximation error O(G_load / vcvs_conductance)).
-  double vcvs_conductance = 0.0;
-  /// Sense conductance replacing current-sensing V sources; 0 = same as
-  /// vcvs_conductance.
-  double sense_conductance = 0.0;
-  /// Ideal opamps become a single grounded VCCS driving the output with
-  /// this transconductance; 0 = 1e4 * max G. The virtual-short error is
-  /// O(G_node / opamp_transconductance).
-  double opamp_transconductance = 0.0;
-  /// Drop independent V/I sources (ports are defined via TransferSpec).
-  /// When false, an independent source raises std::invalid_argument.
-  bool drop_independent_sources = true;
-};
-
 /// True when the circuit contains only {Conductance, Capacitor, Vccs}.
 [[nodiscard]] bool is_canonical(const Circuit& circuit) noexcept;
 
 /// Rewrite into the homogeneous admittance class. Node names and indices of
 /// the input are preserved; new internal nodes are appended.
-[[nodiscard]] Circuit canonicalize(const Circuit& circuit, const CanonicalOptions& options = {});
+[[nodiscard]] Circuit canonicalize(const Circuit& circuit);
 
 }  // namespace symref::netlist

@@ -53,7 +53,7 @@ std::vector<Complex> initial_guesses(const std::vector<ScaledDouble>& coeffs) {
   return z;
 }
 
-RootResult aberth(const std::vector<ScaledDouble>& coeffs, const RootFinderOptions& options) {
+RootResult aberth(const std::vector<ScaledDouble>& coeffs) {
   RootResult result;
   const std::size_t degree = coeffs.size() - 1;
   if (degree == 0) {
@@ -63,7 +63,7 @@ RootResult aberth(const std::vector<ScaledDouble>& coeffs, const RootFinderOptio
 
   std::vector<Complex> z = initial_guesses(coeffs);
 
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
+  for (int iter = 0; iter < kMaxRootIterations; ++iter) {
     double worst = 0.0;
     for (std::size_t i = 0; i < degree; ++i) {
       const auto [p, dp] = eval_with_derivative(coeffs, z[i]);
@@ -86,7 +86,7 @@ RootResult aberth(const std::vector<ScaledDouble>& coeffs, const RootFinderOptio
       worst = std::max(worst, std::abs(correction) / scale);
     }
     result.iterations = iter + 1;
-    if (worst < options.tolerance) {
+    if (worst < kRootTolerance) {
       result.converged = true;
       break;
     }
@@ -97,7 +97,7 @@ RootResult aberth(const std::vector<ScaledDouble>& coeffs, const RootFinderOptio
 
 }  // namespace
 
-RootResult find_roots(const Polynomial<ScaledDouble>& poly, const RootFinderOptions& options) {
+RootResult find_roots(const Polynomial<ScaledDouble>& poly) {
   RootResult result;
   if (poly.degree() < 1) {
     result.converged = true;
@@ -117,7 +117,7 @@ RootResult find_roots(const Polynomial<ScaledDouble>& poly, const RootFinderOpti
     return result;
   }
 
-  result = aberth(coeffs, options);
+  result = aberth(coeffs);
   result.roots.insert(result.roots.end(), first_nonzero, Complex(0.0, 0.0));
   std::sort(result.roots.begin(), result.roots.end(), [](const Complex& a, const Complex& b) {
     return std::abs(a) < std::abs(b);
@@ -125,8 +125,8 @@ RootResult find_roots(const Polynomial<ScaledDouble>& poly, const RootFinderOpti
   return result;
 }
 
-RootResult find_roots(const Polynomial<double>& poly, const RootFinderOptions& options) {
-  return find_roots(to_scaled(poly), options);
+RootResult find_roots(const Polynomial<double>& poly) {
+  return find_roots(to_scaled(poly));
 }
 
 }  // namespace symref::numeric

@@ -18,13 +18,12 @@
 
 namespace symref::numeric {
 
-struct RootFinderOptions {
-  int max_iterations = 500;
-  /// Convergence threshold on the worst Aberth correction relative to its
-  /// root. High-degree clusters (30+ poles) settle to ~1e-11; individual
-  /// well-separated roots converge much further.
-  double tolerance = 1e-11;
-};
+/// Aberth sweeps before find_roots gives up (converged stays false).
+inline constexpr int kMaxRootIterations = 500;
+/// Convergence threshold on the worst Aberth correction relative to its
+/// root. High-degree clusters (30+ poles) settle to ~1e-11; individual
+/// well-separated roots converge much further.
+inline constexpr double kRootTolerance = 1e-11;
 
 struct RootResult {
   std::vector<std::complex<double>> roots;
@@ -34,10 +33,9 @@ struct RootResult {
 
 /// Roots of a polynomial with extended-range coefficients. Roots at the
 /// origin (leading zero coefficients) are returned exactly as 0.
-RootResult find_roots(const Polynomial<ScaledDouble>& poly,
-                      const RootFinderOptions& options = {});
+RootResult find_roots(const Polynomial<ScaledDouble>& poly);
 
 /// Convenience overload for plain double coefficients.
-RootResult find_roots(const Polynomial<double>& poly, const RootFinderOptions& options = {});
+RootResult find_roots(const Polynomial<double>& poly);
 
 }  // namespace symref::numeric

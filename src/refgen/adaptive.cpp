@@ -136,22 +136,9 @@ AdaptiveScalingEngine::AdaptiveScalingEngine(const mna::NodalSystem& system,
     : system_(system), spec_(spec), options_(std::move(options)), external_evaluator_(evaluator) {}
 
 std::pair<double, double> AdaptiveScalingEngine::initial_scales() const {
-  double f = options_.initial_f;
-  double g = options_.initial_g;
-  if (f <= 0.0) {
-    const std::vector<double> caps = system_.circuit().capacitor_values();
-    const double typical = options_.geometric_mean_heuristic ? numeric::geometric_mean(caps)
-                                                             : numeric::mean(caps);
-    f = typical > 0.0 ? 1.0 / typical : 1.0;
-  }
-  if (g <= 0.0) {
-    const std::vector<double> conds = system_.circuit().conductance_values();
-    const double typical = options_.geometric_mean_heuristic
-                               ? numeric::geometric_mean(conds)
-                               : numeric::mean(conds);
-    g = typical > 0.0 ? 1.0 / typical : 1.0;
-  }
-  return {f, g};
+  const double mean_c = numeric::mean(system_.circuit().capacitor_values());
+  const double mean_g = numeric::mean(system_.circuit().conductance_values());
+  return {mean_c > 0.0 ? 1.0 / mean_c : 1.0, mean_g > 0.0 ? 1.0 / mean_g : 1.0};
 }
 
 AdaptiveResult AdaptiveScalingEngine::run() {
@@ -185,7 +172,7 @@ AdaptiveResult AdaptiveScalingEngine::run() {
   IterationPurpose purpose = IterationPurpose::Initial;
   double pending_q = 1.0;
   // Consecutive failed attempts per direction; each failure escalates the
-  // next tilt, `no_progress_limit` failures declare the span negligible.
+  // next tilt, kNoProgressLimit failures declare the span negligible.
   int fails_up = 0;
   int fails_down = 0;
   // Gap-repair state: successive attempts walk the binary fractions of the
@@ -340,9 +327,6 @@ AdaptiveResult AdaptiveScalingEngine::run() {
           interp::coefficients_from_samples(sampler.expand(samples));
       normalized_out = coeffs;
       const std::vector<ScaledDouble> magnitudes = interp::real_magnitudes(coeffs);
-      interp::RegionOptions region_options;
-      region_options.sigma = options_.sigma;
-      region_options.noise_decades = options_.noise_decades;
       // The acceptance floor must clear two noise sources beyond the IDFT's
       // own round-off: the eq. (17) subtraction error (full sigma margin)
       // and the matrix-evaluation error (2-decade margin; demanding sigma
@@ -350,8 +334,8 @@ AdaptiveResult AdaptiveScalingEngine::run() {
       // criterion accepts).
       const ScaledDouble eval_floor_contribution =
           eval_noise * ScaledDouble(std::pow(10.0, 2.0 - options_.sigma));
-      region_options.external_noise = std::max(noise, eval_floor_contribution);
-      const ValidRegion region = interp::find_valid_region(magnitudes, region_options);
+      const ValidRegion region = interp::find_valid_region(
+          magnitudes, {options_.sigma, std::max(noise, eval_floor_contribution)});
       region_out = region;
 
       if (region.max_value.is_zero()) {
@@ -365,7 +349,7 @@ AdaptiveResult AdaptiveScalingEngine::run() {
       // Absolute error of every recovered coefficient: transform round-off
       // plus subtraction noise plus evaluation noise.
       const ScaledDouble absolute_error =
-          region.max_value * ScaledDouble(std::pow(10.0, -options_.noise_decades)) +
+          region.max_value * ScaledDouble(std::pow(10.0, -interp::kNoiseDecades)) +
           noise + eval_noise;
       for (int i = region.begin; i <= region.end; ++i) {
         const int index = i + shift;
@@ -433,11 +417,11 @@ AdaptiveResult AdaptiveScalingEngine::run() {
     } else if (last.purpose == IterationPurpose::Upward) {
       fails_up = driver_new == 0 ? fails_up + 1 : 0;
     }
-    if (fails_down >= options_.no_progress_limit) {
+    if (fails_down >= kNoProgressLimit) {
       driver.mark_zero_tail(0, driver.lowest_interpolated() - 1);
       fails_down = 0;
     }
-    if (fails_up >= options_.no_progress_limit) {
+    if (fails_up >= kNoProgressLimit) {
       driver.mark_zero_tail(driver.highest_interpolated() + 1, driver.bound());
       fails_up = 0;
     }
@@ -524,7 +508,7 @@ AdaptiveResult AdaptiveScalingEngine::run() {
     const std::vector<ScaledComplex>& anchor_normalized =
         driver_is_den ? anchor.den_normalized : anchor.num_normalized;
 
-    const double decades = options_.noise_decades + options_.tuning_r;
+    const double decades = interp::kNoiseDecades + options_.tuning_r;
     double q = tilt_factor(anchor_region, anchor_normalized, go_up, decades);
     // Escalate past windows that produced nothing (noise-buried residuals).
     const int fails = go_up ? fails_up : fails_down;

@@ -1,8 +1,8 @@
 // The paper's contribution: adaptive-scaling polynomial interpolation.
 //
 // A single (f, g) scaling exposes only the coefficients within
-// ~(noise_decades - sigma) decades of the scaled profile's peak (its "valid
-// region", eq. (12)). The engine chains interpolations:
+// ~(interp::kNoiseDecades - sigma) decades of the scaled profile's peak (its
+// "valid region", eq. (12)). The engine chains interpolations:
 //
 //   1. First scaling from element-value means: f = 1/mean(C), g = 1/mean(G)
 //      (§3.2) — heuristically the widest region.
@@ -46,15 +46,21 @@ struct IterationRecord;
 /// sees no iterations on a cache hit.
 using ProgressObserver = std::function<void(const IterationRecord&)>;
 
+/// Consecutive no-progress iterations in one direction before the remaining
+/// coefficients there are declared zero. Each failure escalates the tilt, so
+/// they sit beyond 3 full validity windows of every observable region —
+/// indistinguishable from zero at working precision (§3.1, §3.3).
+inline constexpr int kNoProgressLimit = 3;
+
 struct AdaptiveOptions {
   /// Significant digits demanded of each coefficient (eq. (12) floor).
   int sigma = 6;
-  /// Working-precision decades (~13 for IEEE double through a DFT).
-  double noise_decades = 13.0;
   /// Tuning factor r of eqs. (14)/(15). 0 = adjacent regions just touch;
   /// negative values increase overlap (safer), positive speed up coverage.
   double tuning_r = 0.0;
   int max_iterations = 64;
+  // Ablation switches, engine-only: not on the request wire and in no request
+  // key, so api::Service rejects any other value; ablate on the engine.
   /// Apply eq. (17) deflation from the second interpolation on.
   bool use_deflation = true;
   /// Halve evaluations using P(conj s) = conj P(s).
@@ -63,19 +69,6 @@ struct AdaptiveOptions {
   /// goes into f (single-factor scaling — the §3.2 ablation; factors can
   /// then exceed 1e18 and lose accuracy).
   bool simultaneous_scaling = true;
-  /// Use geometric instead of arithmetic means in the first-scale heuristic.
-  bool geometric_mean_heuristic = false;
-  /// Override the first scale factors (0 = use the heuristic).
-  double initial_f = 0.0;
-  double initial_g = 0.0;
-  /// Consecutive no-progress iterations in one direction before the
-  /// remaining coefficients there are declared negligible/zero. Each failed
-  /// attempt escalates the tilt, so `limit` failures mean the coefficients
-  /// sit more than `limit` full validity windows beyond every observable
-  /// region — at working precision they are indistinguishable from zero
-  /// (§3.1: such coefficients "would not be possible to calculate
-  /// correctly"; §3.3 neglects them).
-  int no_progress_limit = 3;
   /// Worker lanes for the per-iteration sample batch (the LU evaluations —
   /// the dominant cost). 1 = serial; <= 0 picks the hardware thread count.
   /// Results are bit-identical at every setting: samples are independent
@@ -155,7 +148,8 @@ class AdaptiveScalingEngine {
                         AdaptiveOptions options = {},
                         const mna::CofactorEvaluator* evaluator = nullptr);
 
-  /// First-interpolation scale factors (heuristic or overrides).
+  /// First-interpolation scale factors: f = 1/mean(C), g = 1/mean(G)
+  /// (§3.2), each 1 when the circuit has no such element.
   [[nodiscard]] std::pair<double, double> initial_scales() const;
 
   AdaptiveResult run();

@@ -51,7 +51,7 @@ BaselineResult fixed_scale_interpolation(const mna::NodalSystem& system,
   result.denominator_normalized =
       interp::coefficients_from_samples(sampler.expand(den_unique));
 
-  const interp::RegionOptions region_options{options.sigma, options.noise_decades};
+  const interp::RegionOptions region_options{options.sigma};
   const auto num_magnitudes = interp::real_magnitudes(result.numerator_normalized);
   const auto den_magnitudes = interp::real_magnitudes(result.denominator_normalized);
   result.numerator_region = interp::find_valid_region(num_magnitudes, region_options);

@@ -26,7 +26,6 @@ struct BaselineOptions {
   int points = 0;
   /// Significant digits for the validity floor (eq. (12)).
   int sigma = 6;
-  double noise_decades = 13.0;
   /// Halve the evaluations using P(conj s) = conj P(s).
   bool conjugate_symmetry = true;
 };

@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "mna/ac.h"
 #include "mna/errors.h"
 #include "netlist/canonical.h"
 #include "support/cancellation.h"
@@ -35,6 +36,14 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// keeping the stamp pattern (and hence the replayable LU plan) intact.
 constexpr double kShortSurrogate = 1e12;
 
+/// Share of the error budget the pruning stage may spend; the rest is
+/// enumeration headroom, which is where the epsilons come from.
+constexpr double kPruneShare = 0.35;
+
+/// Coefficients whose band weight is below this share of the budget are
+/// dropped wholesale; their cost lands in the certificate.
+constexpr double kCoefficientSkipFactor = 1e-3;
+
 void check_cancel(const support::CancellationToken& cancel) {
   if (cancel.cancelled()) throw support::CancelledError();
 }
@@ -45,8 +54,8 @@ std::vector<double> band_grid(const SimplifyOptions& options) {
     throw std::invalid_argument(
         "simplify_transfer: band must satisfy 0 < f_start <= f_stop (finite)");
   }
-  if (options.band_points < 1) {
-    throw std::invalid_argument("simplify_transfer: band needs at least one point");
+  if (options.band_points < 1 || options.band_points > mna::kMaxGridPoints) {
+    throw std::invalid_argument("simplify_transfer: band needs 1 to 2^20 points");
   }
   std::vector<double> freqs;
   freqs.reserve(static_cast<std::size_t>(options.band_points));
@@ -240,9 +249,6 @@ SimplifyResult simplify_transfer(const netlist::Circuit& canonical,
   if (!(options.error_budget > 0.0) || !std::isfinite(options.error_budget)) {
     throw std::invalid_argument("simplify_transfer: error_budget must be positive");
   }
-  if (!(options.prune_share > 0.0) || options.prune_share >= 1.0) {
-    throw std::invalid_argument("simplify_transfer: prune_share must be in (0, 1)");
-  }
   const std::vector<double> freqs = band_grid(options);
   const std::vector<Complex> s_points = to_s_points(freqs);
   const std::size_t points = freqs.size();
@@ -279,61 +285,54 @@ SimplifyResult simplify_transfer(const netlist::Circuit& canonical,
   // ---- 2. Replay-ranked pruning (the SBG stage).
   const std::uint64_t plan_baseline_count = evaluator->fresh_factor_count();
   std::vector<SimplifyPruneAction> accepted;
-  const double prune_budget = options.prune_share * options.error_budget;
-  if (options.prune) {
-    std::vector<PruneCandidate> candidates =
-        make_candidates(canonical, protected_nodes(canonical, spec));
-    {
-      std::vector<mna::CofactorEvaluator> lanes(
-          static_cast<std::size_t>(pool.size()), *evaluator);
-      pool.parallel_for(candidates.size(), [&](std::size_t begin, std::size_t end, int lane) {
-        for (std::size_t i = begin; i < end; ++i) {
-          if (cancel.cancelled()) return;
-          candidates[i].error =
-              surrogate_error(canonical, candidates[i], lanes[static_cast<std::size_t>(lane)],
-                              s_points, baseline);
-        }
-      });
-      for (const auto& lane : lanes) {
-        result.ranking_fresh_factorizations +=
-            lane.fresh_factor_count() - plan_baseline_count;
+  const double prune_budget = kPruneShare * options.error_budget;
+  std::vector<PruneCandidate> candidates =
+      make_candidates(canonical, protected_nodes(canonical, spec));
+  {
+    std::vector<mna::CofactorEvaluator> lanes(static_cast<std::size_t>(pool.size()), *evaluator);
+    pool.parallel_for(candidates.size(), [&](std::size_t begin, std::size_t end, int lane) {
+      for (std::size_t i = begin; i < end; ++i) {
+        if (cancel.cancelled()) return;
+        candidates[i].error =
+            surrogate_error(canonical, candidates[i], lanes[static_cast<std::size_t>(lane)],
+                            s_points, baseline);
       }
+    });
+    for (const auto& lane : lanes) {
+      result.ranking_fresh_factorizations += lane.fresh_factor_count() - plan_baseline_count;
     }
-    check_cancel(cancel);
-    result.term_evals += candidates.size() * points;
-
-    // Greedy cumulative walk, cheapest candidate first. Ties break on the
-    // (element, op) key so the walk order never depends on sort internals.
-    std::sort(candidates.begin(), candidates.end(),
-              [](const PruneCandidate& a, const PruneCandidate& b) {
-                if (a.error != b.error) return a.error < b.error;
-                if (a.element != b.element) return a.element < b.element;
-                return a.open < b.open;
-              });
-    netlist::Circuit cumulative = canonical;
-    mna::CofactorEvaluator walk(*evaluator);
-    std::set<std::string> actioned;
-    for (const PruneCandidate& candidate : candidates) {
-      if (candidate.error > prune_budget) break;  // sorted: nothing later fits alone
-      if (actioned.count(candidate.element)) continue;
-      check_cancel(cancel);
-      netlist::Circuit trial = cumulative;
-      trial.set_element_value(candidate.element,
-                              candidate.open ? 0.0 : candidate.surrogate);
-      const mna::NodalSystem trial_system(trial);
-      walk.rebind(trial_system);
-      const double error =
-          band_error(walk.evaluate_pinned_batch(s_points, 1.0, 1.0), baseline);
-      result.term_evals += points;
-      if (error <= prune_budget) {
-        cumulative = std::move(trial);
-        actioned.insert(candidate.element);
-        accepted.push_back({candidate.element, candidate.open ? "open" : "short", error});
-      }
-    }
-    result.ranking_fresh_factorizations +=
-        walk.fresh_factor_count() - plan_baseline_count;
   }
+  check_cancel(cancel);
+  result.term_evals += candidates.size() * points;
+
+  // Greedy cumulative walk, cheapest candidate first. Ties break on the
+  // (element, op) key so the walk order never depends on sort internals.
+  std::sort(candidates.begin(), candidates.end(),
+            [](const PruneCandidate& a, const PruneCandidate& b) {
+              if (a.error != b.error) return a.error < b.error;
+              if (a.element != b.element) return a.element < b.element;
+              return a.open < b.open;
+            });
+  netlist::Circuit cumulative = canonical;
+  mna::CofactorEvaluator walk(*evaluator);
+  std::set<std::string> actioned;
+  for (const PruneCandidate& candidate : candidates) {
+    if (candidate.error > prune_budget) break;  // sorted: nothing later fits alone
+    if (actioned.count(candidate.element)) continue;
+    check_cancel(cancel);
+    netlist::Circuit trial = cumulative;
+    trial.set_element_value(candidate.element, candidate.open ? 0.0 : candidate.surrogate);
+    const mna::NodalSystem trial_system(trial);
+    walk.rebind(trial_system);
+    const double error = band_error(walk.evaluate_pinned_batch(s_points, 1.0, 1.0), baseline);
+    result.term_evals += points;
+    if (error <= prune_budget) {
+      cumulative = std::move(trial);
+      actioned.insert(candidate.element);
+      accepted.push_back({candidate.element, candidate.open ? "open" : "short", error});
+    }
+  }
+  result.ranking_fresh_factorizations += walk.fresh_factor_count() - plan_baseline_count;
 
   // Apply the accepted actions for real and measure the EXACT prune error;
   // the surrogate walk can underestimate (a true short merges nodes, the
@@ -411,7 +410,7 @@ SimplifyResult simplify_transfer(const netlist::Circuit& canonical,
     }
     const std::vector<double> weights =
         coefficient_weights(*s.reference, known, side_values, freqs, powers);
-    const double skip_below = options.coefficient_skip_factor * options.error_budget;
+    const double skip_below = kCoefficientSkipFactor * options.error_budget;
     for (std::size_t j = 0; j < known.size(); ++j) {
       if (weights[j] < skip_below) continue;  // negligible on this band
       s.retained.push_back(known[j]);
@@ -457,7 +456,6 @@ SimplifyResult simplify_transfer(const netlist::Circuit& canonical,
       symbolic::SdgOptions sdg;
       sdg.epsilon = epsilons[j];
       sdg.max_terms = options.max_terms_per_coefficient;
-      sdg.max_queue = options.max_queue;
       const symbolic::SdgResult generated = symbolic::generate_transfer_terms(
           matrix, spec, s.side, k, s.reference->at(k).value, sdg);
       result.enumerated_terms += generated.generated();

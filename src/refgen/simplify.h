@@ -62,20 +62,8 @@ struct SimplifyOptions {
   double f_start_hz = 10.0;
   double f_stop_hz = 1e3;
   int band_points = 9;
-  /// Run the replay-ranked circuit pruning stage (SBG) before enumeration.
-  bool prune = true;
-  /// Fraction of the error budget the pruning stage may consume; the rest
-  /// stays as enumeration headroom (tight pruning buys little once the
-  /// matrix is enumerable, while enumeration epsilons scale with what is
-  /// left, so the split favors the generators).
-  double prune_share = 0.35;
-  /// Per-coefficient SDG caps (see SdgOptions).
+  /// Per-coefficient SDG term cap (see SdgOptions::max_terms).
   std::size_t max_terms_per_coefficient = 200000;
-  std::size_t max_queue = 2000000;
-  /// Coefficients whose band weight is below `skip * error_budget` are
-  /// dropped wholesale (their cost lands in the certificate like any other
-  /// model error).
-  double coefficient_skip_factor = 1e-3;
   /// Reference generation on the reduced circuit; `engine.threads` and
   /// `engine.cancel` also drive the replay trials of the
   /// pruning/certification stages. As everywhere else, threads never

@@ -11,6 +11,7 @@ int ThreadPool::hardware_threads() noexcept {
 
 ThreadPool::ThreadPool(int threads) {
   if (threads <= 0) threads = hardware_threads();
+  threads = std::min(threads, kMaxLanes);
   workers_.reserve(static_cast<std::size_t>(threads - 1));
   for (int lane = 1; lane < threads; ++lane) {
     workers_.emplace_back([this, lane] { worker_loop(lane); });

@@ -35,10 +35,14 @@ namespace symref::support {
 
 class ThreadPool {
  public:
-  /// `threads` <= 0 picks hardware_threads(). The pool keeps `threads - 1`
-  /// persistent workers (the caller is the remaining lane), so repeated
-  /// parallel_for calls — one per interpolation iteration, say — pay no
-  /// thread spawn cost.
+  /// Lane bound: counts come from requests, and results are bit-identical
+  /// at any count, so the clamp changes only speed.
+  static constexpr int kMaxLanes = 64;
+
+  /// `threads` <= 0 picks hardware_threads(); at most kMaxLanes run. The
+  /// pool keeps `threads - 1` persistent workers (the caller is the
+  /// remaining lane), so repeated parallel_for calls — one per
+  /// interpolation iteration, say — pay no thread spawn cost.
   explicit ThreadPool(int threads = 0);
   ~ThreadPool();
 

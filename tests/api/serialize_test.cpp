@@ -49,21 +49,23 @@ TEST(SerializeSpec, StrictDecoding) {
 }
 
 TEST(SerializeOptions, RoundTripNonDefaults) {
-  refgen::AdaptiveOptions options;
+  RefgenRequest request;
+  request.spec = mna::TransferSpec::voltage_gain("a", "b");
+  refgen::AdaptiveOptions& options = request.options;
   options.sigma = 9;
   options.tuning_r = -0.5;
+  options.max_iterations = 40;
   options.use_deflation = false;
-  options.initial_f = 2.5e9;
   options.threads = 4;
-  const auto parsed = options_from_json(to_json(options));
+  const auto parsed = request_from_json(to_json(request));
   ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
-  EXPECT_EQ(parsed.value().sigma, 9);
-  EXPECT_EQ(parsed.value().tuning_r, -0.5);
-  EXPECT_FALSE(parsed.value().use_deflation);
-  EXPECT_EQ(parsed.value().initial_f, 2.5e9);
-  EXPECT_EQ(parsed.value().threads, 4);
-  // Untouched fields keep their defaults.
-  EXPECT_EQ(parsed.value().no_progress_limit, 3);
+  const refgen::AdaptiveOptions& decoded = parsed.value().refgen.options;
+  EXPECT_EQ(decoded.sigma, 9);
+  EXPECT_EQ(decoded.tuning_r, -0.5);
+  EXPECT_EQ(decoded.max_iterations, 40);
+  EXPECT_EQ(decoded.threads, 4);
+  // The ablation switches are engine-only: they do not cross the wire.
+  EXPECT_TRUE(decoded.use_deflation);
 }
 
 TEST(SerializeRequest, ParsesEveryType) {
@@ -117,11 +119,7 @@ TEST(SerializeRequest, SimplifyRoundTrip) {
   request.simplify.options.f_start_hz = 5.0;
   request.simplify.options.f_stop_hz = 5e4;
   request.simplify.options.band_points = 11;
-  request.simplify.options.prune = false;
-  request.simplify.options.prune_share = 0.25;
   request.simplify.options.max_terms_per_coefficient = 1234;
-  request.simplify.options.max_queue = 9999;
-  request.simplify.options.coefficient_skip_factor = 1e-4;
   request.simplify.options.engine.sigma = 8;
 
   const auto parsed = request_from_json(to_json(request));
@@ -132,11 +130,7 @@ TEST(SerializeRequest, SimplifyRoundTrip) {
   EXPECT_EQ(options.f_start_hz, 5.0);
   EXPECT_EQ(options.f_stop_hz, 5e4);
   EXPECT_EQ(options.band_points, 11);
-  EXPECT_FALSE(options.prune);
-  EXPECT_EQ(options.prune_share, 0.25);
   EXPECT_EQ(options.max_terms_per_coefficient, 1234u);
-  EXPECT_EQ(options.max_queue, 9999u);
-  EXPECT_EQ(options.coefficient_skip_factor, 1e-4);
   EXPECT_EQ(options.engine.sigma, 8);
   EXPECT_EQ(parsed.value().simplify.spec.out_pos, "out");
 }
@@ -463,17 +457,17 @@ struct PinnedEncoding {
 
 const PinnedEncoding kPinnedEncodings[] = {
     {R"({"type":"refgen","spec":{"kind":"transimpedance","in":"inp","in_neg":"inn","out":"vo","out_neg":"ref"},"options":{"sigma":9,"noise_decades":12.5,"tuning_r":-0.5,"max_iterations":40,"use_deflation":false,"conjugate_symmetry":false,"simultaneous_scaling":false,"geometric_mean_heuristic":true,"initial_f":2.5e9,"initial_g":1e-3,"no_progress_limit":5,"threads":4},"auto_linearize":true})",
-     R"({"type":"refgen","spec":{"kind":"transimpedance","in":"inp","in_neg":"inn","out":"vo","out_neg":"ref"},"options":{"sigma":9,"noise_decades":12.5,"tuning_r":-0.5,"max_iterations":4e+01,"use_deflation":false,"conjugate_symmetry":false,"simultaneous_scaling":false,"geometric_mean_heuristic":true,"initial_f":2.5e+09,"initial_g":0.001,"no_progress_limit":5,"threads":4},"auto_linearize":true})",
-     R"({"type":"refgen","spec":{"kind":"transimpedance","in":"inp","in_neg":"inn","out":"vo","out_neg":"ref"},"options":{"sigma":9,"noise_decades":12.5,"tuning_r":-0.5,"max_iterations":4e+01,"use_deflation":false,"conjugate_symmetry":false,"simultaneous_scaling":false,"geometric_mean_heuristic":true,"initial_f":2.5e+09,"initial_g":0.001,"no_progress_limit":5},"auto_linearize":true})"},
+     R"({"type":"refgen","spec":{"kind":"transimpedance","in":"inp","in_neg":"inn","out":"vo","out_neg":"ref"},"options":{"sigma":9,"tuning_r":-0.5,"max_iterations":4e+01,"threads":4},"auto_linearize":true})",
+     R"({"type":"refgen","spec":{"kind":"transimpedance","in":"inp","in_neg":"inn","out":"vo","out_neg":"ref"},"options":{"sigma":9,"tuning_r":-0.5,"max_iterations":4e+01},"auto_linearize":true})"},
     {R"({"type":"poles_zeros","spec":{"in":"a","out":"b"}})",
-     R"({"type":"poles_zeros","spec":{"kind":"voltage_gain","in":"a","in_neg":"0","out":"b","out_neg":"0"},"options":{"sigma":6,"noise_decades":13,"tuning_r":0,"max_iterations":64,"use_deflation":true,"conjugate_symmetry":true,"simultaneous_scaling":true,"geometric_mean_heuristic":false,"initial_f":0,"initial_g":0,"no_progress_limit":3,"threads":1},"auto_linearize":false})",
-     R"({"type":"poles_zeros","spec":{"kind":"voltage_gain","in":"a","in_neg":"0","out":"b","out_neg":"0"},"options":{"sigma":6,"noise_decades":13,"tuning_r":0,"max_iterations":64,"use_deflation":true,"conjugate_symmetry":true,"simultaneous_scaling":true,"geometric_mean_heuristic":false,"initial_f":0,"initial_g":0,"no_progress_limit":3},"auto_linearize":false})"},
+     R"({"type":"poles_zeros","spec":{"kind":"voltage_gain","in":"a","in_neg":"0","out":"b","out_neg":"0"},"options":{"sigma":6,"tuning_r":0,"max_iterations":64,"threads":1},"auto_linearize":false})",
+     R"({"type":"poles_zeros","spec":{"kind":"voltage_gain","in":"a","in_neg":"0","out":"b","out_neg":"0"},"options":{"sigma":6,"tuning_r":0,"max_iterations":64},"auto_linearize":false})"},
     {R"({"type":"sweep","spec":{"in":"inp","out":"vo"},"f_start_hz":10,"f_stop_hz":1e6,"points_per_decade":5,"threads":8,"auto_linearize":true})",
      R"({"type":"sweep","spec":{"kind":"voltage_gain","in":"inp","in_neg":"0","out":"vo","out_neg":"0"},"f_start_hz":1e+01,"f_stop_hz":1e+06,"points_per_decade":5,"threads":8,"auto_linearize":true})",
      R"({"type":"sweep","spec":{"kind":"voltage_gain","in":"inp","in_neg":"0","out":"vo","out_neg":"0"},"f_start_hz":1e+01,"f_stop_hz":1e+06,"points_per_decade":5,"auto_linearize":true})"},
     {R"({"type":"batch","items":[{"spec":{"in":"in","out":"out"},"options":{"sigma":5},"auto_linearize":true},{"spec":{"in":"in","out":"mid"}}],"threads":3})",
-     R"({"type":"batch","items":[{"spec":{"kind":"voltage_gain","in":"in","in_neg":"0","out":"out","out_neg":"0"},"options":{"sigma":5,"noise_decades":13,"tuning_r":0,"max_iterations":64,"use_deflation":true,"conjugate_symmetry":true,"simultaneous_scaling":true,"geometric_mean_heuristic":false,"initial_f":0,"initial_g":0,"no_progress_limit":3,"threads":1},"auto_linearize":true},{"spec":{"kind":"voltage_gain","in":"in","in_neg":"0","out":"mid","out_neg":"0"},"options":{"sigma":6,"noise_decades":13,"tuning_r":0,"max_iterations":64,"use_deflation":true,"conjugate_symmetry":true,"simultaneous_scaling":true,"geometric_mean_heuristic":false,"initial_f":0,"initial_g":0,"no_progress_limit":3,"threads":1},"auto_linearize":false}],"threads":3})",
-     R"({"type":"batch","items":[{"spec":{"kind":"voltage_gain","in":"in","in_neg":"0","out":"out","out_neg":"0"},"options":{"sigma":5,"noise_decades":13,"tuning_r":0,"max_iterations":64,"use_deflation":true,"conjugate_symmetry":true,"simultaneous_scaling":true,"geometric_mean_heuristic":false,"initial_f":0,"initial_g":0,"no_progress_limit":3},"auto_linearize":true},{"spec":{"kind":"voltage_gain","in":"in","in_neg":"0","out":"mid","out_neg":"0"},"options":{"sigma":6,"noise_decades":13,"tuning_r":0,"max_iterations":64,"use_deflation":true,"conjugate_symmetry":true,"simultaneous_scaling":true,"geometric_mean_heuristic":false,"initial_f":0,"initial_g":0,"no_progress_limit":3},"auto_linearize":false}]})"},
+     R"({"type":"batch","items":[{"spec":{"kind":"voltage_gain","in":"in","in_neg":"0","out":"out","out_neg":"0"},"options":{"sigma":5,"tuning_r":0,"max_iterations":64,"threads":1},"auto_linearize":true},{"spec":{"kind":"voltage_gain","in":"in","in_neg":"0","out":"mid","out_neg":"0"},"options":{"sigma":6,"tuning_r":0,"max_iterations":64,"threads":1},"auto_linearize":false}],"threads":3})",
+     R"({"type":"batch","items":[{"spec":{"kind":"voltage_gain","in":"in","in_neg":"0","out":"out","out_neg":"0"},"options":{"sigma":5,"tuning_r":0,"max_iterations":64},"auto_linearize":true},{"spec":{"kind":"voltage_gain","in":"in","in_neg":"0","out":"mid","out_neg":"0"},"options":{"sigma":6,"tuning_r":0,"max_iterations":64},"auto_linearize":false}]})"},
     {R"({"type":"param_sweep","spec":{"in":"vin","out":"vout"},"params":[{"name":"ccomp","from":1e-12,"to":4e-12,"count":4},{"name":"rload","from":1e3,"to":1e5,"count":3,"log":true}],"f_start_hz":1e3,"f_stop_hz":1e8,"points_per_decade":3,"threads":2})",
      R"({"type":"param_sweep","spec":{"kind":"voltage_gain","in":"vin","in_neg":"0","out":"vout","out_neg":"0"},"mode":"grid","params":[{"name":"ccomp","from":1e-12,"to":4e-12,"count":4,"log":false},{"name":"rload","from":1e+03,"to":1e+05,"count":3,"log":true}],"f_start_hz":1e+03,"f_stop_hz":1e+08,"points_per_decade":3,"threads":2,"auto_linearize":false})",
      R"({"type":"param_sweep","spec":{"kind":"voltage_gain","in":"vin","in_neg":"0","out":"vout","out_neg":"0"},"mode":"grid","params":[{"name":"ccomp","from":1e-12,"to":4e-12,"count":4,"log":false},{"name":"rload","from":1e+03,"to":1e+05,"count":3,"log":true}],"f_start_hz":1e+03,"f_stop_hz":1e+08,"points_per_decade":3,"auto_linearize":false})"},
@@ -481,8 +475,8 @@ const PinnedEncoding kPinnedEncodings[] = {
      R"({"type":"param_sweep","spec":{"kind":"voltage_gain","in":"inp","in_neg":"0","out":"vo","out_neg":"0"},"mode":"monte_carlo","samples":256,"seed":9007199254740992,"params":[{"name":"ccomp","nominal":3e-11,"rel_sigma":0.1,"dist":"gaussian"},{"name":"rload","nominal":2e+03,"rel_sigma":0.05,"dist":"uniform"}],"f_start_hz":1,"f_stop_hz":1e+09,"points_per_decade":1e+01,"threads":1,"auto_linearize":true})",
      R"({"type":"param_sweep","spec":{"kind":"voltage_gain","in":"inp","in_neg":"0","out":"vo","out_neg":"0"},"mode":"monte_carlo","samples":256,"seed":9007199254740992,"params":[{"name":"ccomp","nominal":3e-11,"rel_sigma":0.1,"dist":"gaussian"},{"name":"rload","nominal":2e+03,"rel_sigma":0.05,"dist":"uniform"}],"f_start_hz":1,"f_stop_hz":1e+09,"points_per_decade":1e+01,"auto_linearize":true})"},
     {R"({"type":"simplify","spec":{"in":"inp","out":"vo"},"error_budget":0.02,"f_start_hz":5,"f_stop_hz":5e4,"band_points":11,"prune":false,"prune_share":0.25,"max_terms":2147483647,"max_queue":1,"skip_factor":1e-4,"options":{"sigma":8,"threads":8},"auto_linearize":true})",
-     R"({"type":"simplify","spec":{"kind":"voltage_gain","in":"inp","in_neg":"0","out":"vo","out_neg":"0"},"error_budget":0.02,"f_start_hz":5,"f_stop_hz":5e+04,"band_points":11,"prune":false,"prune_share":0.25,"max_terms":2147483647,"max_queue":1,"skip_factor":0.0001,"options":{"sigma":8,"noise_decades":13,"tuning_r":0,"max_iterations":64,"use_deflation":true,"conjugate_symmetry":true,"simultaneous_scaling":true,"geometric_mean_heuristic":false,"initial_f":0,"initial_g":0,"no_progress_limit":3,"threads":8},"auto_linearize":true})",
-     R"({"type":"simplify","spec":{"kind":"voltage_gain","in":"inp","in_neg":"0","out":"vo","out_neg":"0"},"error_budget":0.02,"f_start_hz":5,"f_stop_hz":5e+04,"band_points":11,"prune":false,"prune_share":0.25,"max_terms":2147483647,"max_queue":1,"skip_factor":0.0001,"options":{"sigma":8,"noise_decades":13,"tuning_r":0,"max_iterations":64,"use_deflation":true,"conjugate_symmetry":true,"simultaneous_scaling":true,"geometric_mean_heuristic":false,"initial_f":0,"initial_g":0,"no_progress_limit":3},"auto_linearize":true})"},
+     R"({"type":"simplify","spec":{"kind":"voltage_gain","in":"inp","in_neg":"0","out":"vo","out_neg":"0"},"error_budget":0.02,"f_start_hz":5,"f_stop_hz":5e+04,"band_points":11,"max_terms":2147483647,"options":{"sigma":8,"tuning_r":0,"max_iterations":64,"threads":8},"auto_linearize":true})",
+     R"({"type":"simplify","spec":{"kind":"voltage_gain","in":"inp","in_neg":"0","out":"vo","out_neg":"0"},"error_budget":0.02,"f_start_hz":5,"f_stop_hz":5e+04,"band_points":11,"max_terms":2147483647,"options":{"sigma":8,"tuning_r":0,"max_iterations":64},"auto_linearize":true})"},
     {R"({"type":"op"})",
      R"({"type":"op"})",
      R"({"type":"op"})"},
@@ -493,8 +487,8 @@ const PinnedEncoding kPinnedEncodings[] = {
      R"({"type":"sweep","spec":{"kind":"voltage_gain","in":"a","in_neg":"0","out":"b","out_neg":"0"},"f_start_hz":1,"f_stop_hz":1e+09,"points_per_decade":1e+01,"threads":1,"auto_linearize":false})",
      R"({"type":"sweep","spec":{"kind":"voltage_gain","in":"a","in_neg":"0","out":"b","out_neg":"0"},"f_start_hz":1,"f_stop_hz":1e+09,"points_per_decade":1e+01,"auto_linearize":false})"},
     {R"({"type":"refgen","spec":{"in":"a","out":"b"},"options":{"kernel":"scalar"}})",
-     R"({"type":"refgen","spec":{"kind":"voltage_gain","in":"a","in_neg":"0","out":"b","out_neg":"0"},"options":{"sigma":6,"noise_decades":13,"tuning_r":0,"max_iterations":64,"use_deflation":true,"conjugate_symmetry":true,"simultaneous_scaling":true,"geometric_mean_heuristic":false,"initial_f":0,"initial_g":0,"no_progress_limit":3,"threads":1},"auto_linearize":false})",
-     R"({"type":"refgen","spec":{"kind":"voltage_gain","in":"a","in_neg":"0","out":"b","out_neg":"0"},"options":{"sigma":6,"noise_decades":13,"tuning_r":0,"max_iterations":64,"use_deflation":true,"conjugate_symmetry":true,"simultaneous_scaling":true,"geometric_mean_heuristic":false,"initial_f":0,"initial_g":0,"no_progress_limit":3},"auto_linearize":false})"},
+     R"({"type":"refgen","spec":{"kind":"voltage_gain","in":"a","in_neg":"0","out":"b","out_neg":"0"},"options":{"sigma":6,"tuning_r":0,"max_iterations":64,"threads":1},"auto_linearize":false})",
+     R"({"type":"refgen","spec":{"kind":"voltage_gain","in":"a","in_neg":"0","out":"b","out_neg":"0"},"options":{"sigma":6,"tuning_r":0,"max_iterations":64},"auto_linearize":false})"},
     {R"({"type":"param_sweep","spec":{"in":"a","out":"b"},"kernel":"batched","params":[{"name":"r","from":1,"to":2,"count":2}]})",
      R"({"type":"param_sweep","spec":{"kind":"voltage_gain","in":"a","in_neg":"0","out":"b","out_neg":"0"},"mode":"grid","params":[{"name":"r","from":1,"to":2,"count":2,"log":false}],"f_start_hz":1,"f_stop_hz":1e+09,"points_per_decade":1e+01,"threads":1,"auto_linearize":false})",
      R"({"type":"param_sweep","spec":{"kind":"voltage_gain","in":"a","in_neg":"0","out":"b","out_neg":"0"},"mode":"grid","params":[{"name":"r","from":1,"to":2,"count":2,"log":false}],"f_start_hz":1,"f_stop_hz":1e+09,"points_per_decade":1e+01,"auto_linearize":false})"},
@@ -610,16 +604,8 @@ class RandomRequests {
   refgen::AdaptiveOptions options() {
     refgen::AdaptiveOptions options;
     options.sigma = integer();
-    options.noise_decades = real();
     options.tuning_r = real();
     options.max_iterations = integer();
-    options.use_deflation = flag();
-    options.conjugate_symmetry = flag();
-    options.simultaneous_scaling = flag();
-    options.geometric_mean_heuristic = flag();
-    options.initial_f = real();
-    options.initial_g = real();
-    options.no_progress_limit = integer();
     options.threads = integer();
     return options;
   }
@@ -658,11 +644,7 @@ class RandomRequests {
     options.f_start_hz = real();
     options.f_stop_hz = real();
     options.band_points = integer();
-    options.prune = flag();
-    options.prune_share = real();
     options.max_terms_per_coefficient = 1 + rng_.uniform_index(INT_MAX);
-    options.max_queue = pick<std::size_t>({1, INT_MAX, 1 + rng_.uniform_index(INT_MAX)});
-    options.coefficient_skip_factor = real();
     options.engine = this->options();
     simplify.auto_linearize = flag();
     return simplify;
@@ -743,27 +725,54 @@ TEST(SerializeSchema, TransientMethodMustNameAMethod) {
   }
 }
 
-TEST(SerializeSchema, SimplifyCapsRangeOverOneToIntMax) {
-  for (const char* cap : {"max_terms", "max_queue"}) {
-    for (const char* value : {"1", "2147483647"}) {
-      const std::string text = std::string(R"({"type":"simplify","spec":{"in":"a","out":"b"},")") +
-                               cap + "\":" + value + "}";
-      const auto parsed = request_from_json(Json::parse(text).take());
-      ASSERT_TRUE(parsed.ok()) << text << ": " << parsed.status().to_string();
-      const refgen::SimplifyOptions& options = parsed.value().simplify.options;
-      EXPECT_EQ(std::string(cap) == "max_terms" ? options.max_terms_per_coefficient
-                                                : options.max_queue,
-                std::stoull(value));
-    }
-    for (const char* value : {"0", "-1", "2147483648", "1.5", "-0", "1e300", "\"5\"", "null"}) {
-      const std::string text = std::string(R"({"type":"simplify","spec":{"in":"a","out":"b"},")") +
-                               cap + "\":" + value + "}";
-      const Status status = decode_status(text.c_str());
-      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << text;
-      EXPECT_EQ(status.message(), std::string("request: \"") + cap +
-                                      "\" must be an integer in [1, 2147483647]")
-          << text;
-    }
+TEST(SerializeSchema, SimplifyTermCapRangesOverOneToIntMax) {
+  const std::string prefix = R"({"type":"simplify","spec":{"in":"a","out":"b"},"max_terms":)";
+  for (const char* value : {"1", "2147483647"}) {
+    const auto parsed = request_from_json(Json::parse(prefix + value + "}").take());
+    ASSERT_TRUE(parsed.ok()) << value << ": " << parsed.status().to_string();
+    EXPECT_EQ(parsed.value().simplify.options.max_terms_per_coefficient, std::stoull(value));
+  }
+  for (const char* value : {"0", "-1", "2147483648", "1.5", "-0", "1e300", "\"5\"", "null"}) {
+    const Status status = decode_status((prefix + value + "}").c_str());
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << value;
+    EXPECT_EQ(status.message(), "request: \"max_terms\" must be an integer in [1, 2147483647]")
+        << value;
+  }
+}
+
+TEST(SerializeSchema, LegacyMembersChangeNeitherEncodingNorKey) {
+  // The 12 members that left the wire, each at a non-default value: every
+  // document must encode, and key, exactly as it does without them.
+  const std::string legacy_options =
+      R"("noise_decades":10,"use_deflation":false,"conjugate_symmetry":false,)"
+      R"("simultaneous_scaling":false,"geometric_mean_heuristic":true,"initial_f":2.5e9,)"
+      R"("initial_g":1e-3,"no_progress_limit":5)";
+  const std::string legacy_simplify =
+      R"("prune":false,"prune_share":0.9,"max_queue":1,"skip_factor":1e-4)";
+  const struct {
+    std::string with_legacy;
+    std::string without;
+  } cases[] = {
+      {R"({"type":"refgen","spec":{"in":"a","out":"b"},"options":{"sigma":7,)" + legacy_options +
+           "}}",
+       R"({"type":"refgen","spec":{"in":"a","out":"b"},"options":{"sigma":7}})"},
+      {R"({"type":"poles_zeros","spec":{"in":"a","out":"b"},"options":{)" + legacy_options + "}}",
+       R"({"type":"poles_zeros","spec":{"in":"a","out":"b"}})"},
+      {R"({"type":"batch","items":[{"spec":{"in":"a","out":"b"},"options":{)" + legacy_options +
+           "}}]}",
+       R"({"type":"batch","items":[{"spec":{"in":"a","out":"b"}}]})"},
+      {R"({"type":"simplify","spec":{"in":"a","out":"b"},)" + legacy_simplify +
+           R"(,"options":{)" + legacy_options + "}}",
+       R"({"type":"simplify","spec":{"in":"a","out":"b"}})"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.with_legacy);
+    const auto legacy = request_from_json(Json::parse(c.with_legacy).take());
+    ASSERT_TRUE(legacy.ok()) << legacy.status().to_string();
+    const auto plain = request_from_json(Json::parse(c.without).take());
+    ASSERT_TRUE(plain.ok()) << plain.status().to_string();
+    EXPECT_EQ(to_json(legacy.value()).dump(), to_json(plain.value()).dump());
+    EXPECT_EQ(request_key(to_json(legacy.value())), request_key(to_json(plain.value())));
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cmath>
 #include <fstream>
 #include <sstream>
@@ -15,6 +16,7 @@
 #include "circuits/ladder.h"
 #include "circuits/ota.h"
 #include "circuits/ua741.h"
+#include "mna/ac.h"
 #include "numeric/scaled.h"
 #include "refgen/adaptive.h"
 #include "support/random.h"
@@ -143,6 +145,38 @@ TEST(ServiceRefgen, SingularSystemMapsToSingularStatus) {
   EXPECT_EQ(response.status().code(), StatusCode::kSingularSystem);
 }
 
+TEST(ServiceRefgen, AblationSwitchesAreRejectedNotServedFromCache) {
+  // The ablation switches are in no request_key: after a default refgen,
+  // an ablated request on the same handle must fail instead of coming back
+  // as the cached default response.
+  const Service service;
+  const CircuitHandle handle = service.compile_netlist(kRcNetlist).take();
+  ASSERT_TRUE(service.refgen(handle, {rc_spec(), {}}).ok());
+  for (int off = 0; off < 3; ++off) {
+    refgen::AdaptiveOptions ablated;
+    ablated.use_deflation = off != 0;
+    ablated.conjugate_symmetry = off != 1;
+    ablated.simultaneous_scaling = off != 2;
+    const auto refgen = service.refgen(handle, {rc_spec(), ablated});
+    ASSERT_FALSE(refgen.ok()) << off;
+    EXPECT_EQ(refgen.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(service.poles_zeros(handle, {rc_spec(), ablated}).status().code(),
+              StatusCode::kInvalidArgument);
+    BatchRequest batch;
+    batch.items.push_back({rc_spec(), ablated});
+    const auto batched = service.batch(handle, batch);
+    ASSERT_TRUE(batched.ok());
+    EXPECT_EQ(batched.value().items[0].status.code(), StatusCode::kInvalidArgument);
+    SimplifyRequest simplify;
+    simplify.spec = rc_spec();
+    simplify.options.engine = ablated;
+    EXPECT_EQ(service.simplify(handle, simplify).status().code(), StatusCode::kInvalidArgument);
+  }
+  const auto stats = service.cache_stats(handle);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats.value().hits, 0u);
+}
+
 TEST(ServiceSweep, WarmCacheAndPlanReuse) {
   const Service service;
   const CircuitHandle handle = service.compile_netlist(kRcNetlist).take();
@@ -185,6 +219,13 @@ TEST(ServiceSweep, ErrorsMapToDistinctCodes) {
   bad_grid.spec = rc_spec();
   bad_grid.f_start_hz = -1.0;
   EXPECT_EQ(service.sweep(handle, bad_grid).status().code(), StatusCode::kInvalidArgument);
+
+  // More than 2^20 points fails before anything is allocated; at INT_MAX
+  // points per decade the count used to overflow into a two-point sweep.
+  SweepRequest huge_grid;
+  huge_grid.spec = rc_spec();
+  huge_grid.points_per_decade = INT_MAX;
+  EXPECT_EQ(service.sweep(handle, huge_grid).status().code(), StatusCode::kInvalidArgument);
 
   const auto singular = service.compile_netlist("R1 in 0 1k\nR2 x y 1k\n");
   ASSERT_TRUE(singular.ok());
@@ -438,6 +479,31 @@ TEST(ServiceSimplify, WarmCacheHitAndEngineCounters) {
   EXPECT_FALSE(other.value().from_cache);
 }
 
+TEST(ServiceSimplify, ResponsesOverTheValueBoundAreNotMemoized) {
+  // A 9-stage ladder at a 1e-9 budget keeps about 17 000 terms, well over
+  // 2^16 values once their symbol names count: computed every time, never
+  // pinned in the handle's cache.
+  const Service service;
+  const CircuitHandle handle = service.compile(circuits::rc_ladder(9)).take();
+  SimplifyRequest request;
+  request.spec = circuits::rc_ladder_spec(9);
+  request.options.error_budget = 1e-9;
+  for (int run = 0; run < 2; ++run) {
+    const auto response = service.simplify(handle, request);
+    ASSERT_TRUE(response.ok()) << response.status().to_string();
+    EXPECT_FALSE(response.value().from_cache) << run;
+    std::size_t values = 0;
+    for (const auto* terms :
+         {&response.value().result.numerator_terms, &response.value().result.denominator_terms}) {
+      for (const refgen::SimplifiedTerm& term : *terms) values += 1 + term.symbols.size();
+    }
+    EXPECT_GT(values, std::size_t{1} << 16);
+    const auto stats = service.cache_stats(handle);
+    ASSERT_TRUE(stats.ok());
+    EXPECT_EQ(stats.value().entries, 0u);
+  }
+}
+
 TEST(ServiceSimplify, ErrorTaxonomy) {
   const Service service;
   const CircuitHandle handle = service.compile_netlist(kRcNetlist).take();
@@ -445,6 +511,12 @@ TEST(ServiceSimplify, ErrorTaxonomy) {
   // Empty handle.
   EXPECT_EQ(service.simplify(CircuitHandle(), {rc_spec(), {}}).status().code(),
             StatusCode::kInvalidArgument);
+
+  // A band over 2^20 points fails before anything is allocated.
+  SimplifyRequest huge_band;
+  huge_band.spec = rc_spec();
+  huge_band.options.band_points = mna::kMaxGridPoints + 1;
+  EXPECT_EQ(service.simplify(handle, huge_band).status().code(), StatusCode::kInvalidArgument);
 
   // Unknown node -> kInvalidSpec.
   SimplifyRequest bad_node;
@@ -468,7 +540,6 @@ TEST(ServiceSimplify, ErrorTaxonomy) {
   starved.options.f_start_hz = 10.0;
   starved.options.f_stop_hz = 1e5;
   starved.options.band_points = 5;
-  starved.options.prune = false;
   starved.options.max_terms_per_coefficient = 1;
   EXPECT_EQ(service.simplify(handle, starved).status().code(), StatusCode::kIncomplete);
 

@@ -24,7 +24,7 @@ TEST(Region, PeakAndContiguousSpan) {
   // decades below the peak (floor 10^-4): indices 0..4 qualify around the
   // peak; index 5 at -9 stops the span.
   const auto magnitudes = profile_from_decades({0, -2, -4, 3, -1, -9, -20});
-  const ValidRegion region = find_valid_region(magnitudes, {6, 13.0, {}});
+  const ValidRegion region = find_valid_region(magnitudes, {6, {}});
   EXPECT_EQ(region.max_index, 3);
   EXPECT_NEAR(region.max_value.log10_abs(), 3.0, 1e-9);
   EXPECT_NEAR(region.error_floor.log10_abs(), 3.0 - 7.0, 1e-9);
@@ -39,7 +39,7 @@ TEST(Region, ContiguityStopsAtGapEvenIfLaterValuesQualify) {
   // index 2 dips below the floor; index 3 is loud again but outside the
   // contiguous span.
   const auto magnitudes = profile_from_decades({10, 9, -20, 8});
-  const ValidRegion region = find_valid_region(magnitudes, {6, 13.0, {}});
+  const ValidRegion region = find_valid_region(magnitudes, {6, {}});
   EXPECT_EQ(region.max_index, 0);
   EXPECT_EQ(region.begin, 0);
   EXPECT_EQ(region.end, 1);
@@ -48,11 +48,11 @@ TEST(Region, ContiguityStopsAtGapEvenIfLaterValuesQualify) {
 TEST(Region, SigmaControlsWindowWidth) {
   const auto magnitudes = profile_from_decades({0, -3, -6, -9, -12});
   // sigma=6: floor = -7 -> indices 0,1,2.
-  EXPECT_EQ(find_valid_region(magnitudes, {6, 13.0, {}}).end, 2);
+  EXPECT_EQ(find_valid_region(magnitudes, {6, {}}).end, 2);
   // sigma=3: floor = -10 -> indices 0..3.
-  EXPECT_EQ(find_valid_region(magnitudes, {3, 13.0, {}}).end, 3);
+  EXPECT_EQ(find_valid_region(magnitudes, {3, {}}).end, 3);
   // sigma=12: floor = -1 -> only the peak.
-  EXPECT_EQ(find_valid_region(magnitudes, {12, 13.0, {}}).width(), 1);
+  EXPECT_EQ(find_valid_region(magnitudes, {12, {}}).width(), 1);
 }
 
 TEST(Region, AllZeroProfile) {
@@ -102,7 +102,7 @@ TEST(Region, PaperExampleFloorArithmetic) {
       ScaledDouble(2.13624) * ScaledDouble::exp10i(118),
       ScaledDouble(8.7689) * ScaledDouble::exp10i(116),
   };
-  const ValidRegion region = find_valid_region(magnitudes, {6, 13.0, {}});
+  const ValidRegion region = find_valid_region(magnitudes, {6, {}});
   EXPECT_NEAR(region.error_floor.log10_abs(), 124.0 + std::log10(1.28095) - 7.0, 1e-9);
   EXPECT_TRUE(region.contains(1));   // 2.1e118 above 1.3e117
   EXPECT_FALSE(region.contains(2));  // 8.8e116 below

@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cmath>
 #include <complex>
+#include <limits>
 
 #include "circuits/filters.h"
 #include "circuits/ladder.h"
@@ -82,6 +84,18 @@ TEST(AcSimulator, LogFrequencyGrid) {
   for (std::size_t i = 1; i < grid.size(); ++i) EXPECT_GT(grid[i], grid[i - 1]);
   EXPECT_THROW(log_frequency_grid(0.0, 1e3, 2), std::invalid_argument);
   EXPECT_THROW(log_frequency_grid(1e3, 1e2, 2), std::invalid_argument);
+}
+
+TEST(AcSimulator, FrequencyGridIsBounded) {
+  // One decade at N points per decade has N + 1 points.
+  EXPECT_EQ(log_frequency_grid(1.0, 10.0, kMaxGridPoints - 1).size(),
+            static_cast<std::size_t>(kMaxGridPoints));
+  EXPECT_THROW(log_frequency_grid(1.0, 10.0, kMaxGridPoints), std::invalid_argument);
+  // Nine decades at INT_MAX points per decade used to overflow the point
+  // count and return two points.
+  EXPECT_THROW(log_frequency_grid(1.0, 1e9, INT_MAX), std::invalid_argument);
+  EXPECT_THROW(log_frequency_grid(1.0, std::numeric_limits<double>::infinity(), 1),
+               std::invalid_argument);
 }
 
 TEST(AcSimulator, BodePhaseUnwrapped) {

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "circuits/ua741.h"
+#include "mna/ac.h"
 #include "netlist/writer.h"
 #include "support/cancellation.h"
 
@@ -55,6 +56,13 @@ TEST(ParamSamplePlan, GridValidation) {
                std::invalid_argument);
   EXPECT_THROW((void)grid_samples({{"a", 1, 2, 2000, false}, {"b", 1, 2, 2000, false}}),
                std::invalid_argument);  // > 2^20 points
+  EXPECT_EQ(grid_samples({{"a", 1, 2, kMaxGridPoints, false}}).sample_count(),
+            static_cast<std::size_t>(kMaxGridPoints));
+  EXPECT_THROW((void)grid_samples({{"a", 1, 2, kMaxGridPoints + 1, false}}),
+               std::invalid_argument);
+  EXPECT_THROW((void)monte_carlo_samples({{"g", 1.0, 0.1, ParamDist::Kind::kGaussian}},
+                                         kMaxGridPoints + 1, 1),
+               std::invalid_argument);
 }
 
 TEST(ParamSamplePlan, MonteCarloIsDeterministicInSeedAlone) {
@@ -155,6 +163,20 @@ TEST(ParamSweep, UnknownParameterRejected) {
   EXPECT_THROW(
       (void)run_param_sweep(tpl, grid_samples({{"nope", 1, 2, 2, false}}), options),
       std::invalid_argument);
+}
+
+TEST(ParamSweep, ResponseOverTheGridBoundRejected) {
+  // 2^11 samples and 2^10 frequencies are each in bound; their 2^21
+  // response values are not, and fail before the response is allocated.
+  const netlist::NetlistTemplate tpl = netlist::parse_netlist_template(kRcNetlist);
+  ParamSweepOptions options;
+  options.spec = rc_spec();
+  options.f_start_hz = 1.0;
+  options.f_stop_hz = 10.0;
+  options.points_per_decade = 1023;
+  ASSERT_EQ(log_frequency_grid(1.0, 10.0, 1023).size(), 1024u);
+  const ParamSamplePlan plan = grid_samples({{"r", 1e3, 2e3, 1 << 11, false}});
+  EXPECT_THROW((void)run_param_sweep(tpl, plan, options), std::invalid_argument);
 }
 
 TEST(ParamSweep, SampleElaborationFailuresSurfaceAsParseErrors) {

@@ -82,14 +82,9 @@ TEST(Canonical, VcvsBigGApproximation) {
   const Circuit canonical = canonicalize(c);
   ASSERT_TRUE(is_canonical(canonical));
   const auto spec = mna::TransferSpec::voltage_gain("in", "out");
-  // Error is O(Gload/Gbig) ~ 1e-4 with the default Gbig = 1e4 * maxG.
-  EXPECT_LT(transfer_mismatch(c, canonical, spec, 1e3), 1e-3);
-
-  // A tighter Gbig tightens the match.
-  CanonicalOptions options;
-  options.vcvs_conductance = 1e6;
-  const Circuit tight = canonicalize(c, options);
-  EXPECT_LT(transfer_mismatch(c, tight, spec, 1e3), 1e-6);
+  // Error is O(Gload/Gbig) ~ 1e-6 with Gbig = 1e6 * max G.
+  EXPECT_LT(transfer_mismatch(c, canonical, spec, 1e3), 1e-5);
+  EXPECT_DOUBLE_EQ(canonical.find_element("e1.go")->value, 1e6 * 1e-3);
 }
 
 TEST(Canonical, IdealOpampFollower) {
@@ -146,10 +141,6 @@ TEST(Canonical, IndependentSourcesDroppedByDefault) {
   EXPECT_EQ(canonical.find_element("v1"), nullptr);
   EXPECT_EQ(canonical.find_element("i1"), nullptr);
   EXPECT_NE(canonical.find_element("r1"), nullptr);
-
-  CanonicalOptions strict;
-  strict.drop_independent_sources = false;
-  EXPECT_THROW(canonicalize(c, strict), std::invalid_argument);
 }
 
 TEST(Canonical, IdempotentOnCanonicalCircuits) {
@@ -167,16 +158,15 @@ TEST(Canonical, IdempotentOnCanonicalCircuits) {
   }
 }
 
-TEST(Canonical, GyratorConductanceOverride) {
+TEST(Canonical, GyratorConductanceIsGeometricMeanG) {
   Circuit rl;
   rl.add_resistor("r1", "in", "out", 100.0);
+  rl.add_resistor("r2", "out", "0", 1e4);
   rl.add_inductor("l1", "out", "0", 1e-3);
-  CanonicalOptions options;
-  options.gyrator_conductance = 0.5;
-  const Circuit canonical = canonicalize(rl, options);
-  // C = L * gg^2 = 1e-3 * 0.25.
-  EXPECT_DOUBLE_EQ(canonical.find_element("l1.cx")->value, 1e-3 * 0.25);
-  EXPECT_DOUBLE_EQ(canonical.find_element("l1.gy1")->value, 0.5);
+  const Circuit canonical = canonicalize(rl);
+  // gg = sqrt(1e-2 * 1e-4) = 1e-3; C = L * gg^2 = 1e-3 * 1e-6.
+  EXPECT_NEAR(canonical.find_element("l1.gy1")->value, 1e-3, 1e-18);
+  EXPECT_NEAR(canonical.find_element("l1.cx")->value, 1e-9, 1e-24);
 }
 
 TEST(Canonical, RandomRcEquivalenceSweep) {

@@ -270,7 +270,6 @@ TEST(Simplify, UncertifiableCapsThrowTermEnumeration) {
   options.f_start_hz = 1e3;
   options.f_stop_hz = 1e6;
   options.band_points = 5;
-  options.prune = false;
   options.max_terms_per_coefficient = 1;
   EXPECT_THROW(simplify_transfer(ladder, circuits::rc_ladder_spec(4), options),
                symbolic::TermEnumerationError);

@@ -21,6 +21,13 @@ TEST(ThreadPool, SizeIncludesCaller) {
   EXPECT_GE(ThreadPool::hardware_threads(), 1);
 }
 
+TEST(ThreadPool, LanesAreClampedToTheBound) {
+  // Lane counts come from requests. One over the bound keeps this test at
+  // 64 threads even against a pool without the clamp.
+  ThreadPool pool(ThreadPool::kMaxLanes + 1);
+  EXPECT_EQ(pool.size(), ThreadPool::kMaxLanes);
+}
+
 TEST(ThreadPool, CoversRangeExactlyOnce) {
   for (const int threads : {1, 2, 3, 8}) {
     ThreadPool pool(threads);

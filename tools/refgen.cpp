@@ -567,7 +567,10 @@ Status remote_call(symref::tools::FdTransport& transport, int* next_id,
   return Status::error(StatusCode::kIoError, "connection closed before " + method + " reply");
 }
 
-/// Status embedded in a response payload ({"status": {"code": ...}}).
+/// The first failure a response payload ({"status": {"code": ...}})
+/// reports: its own status, else the first failed item of a batch, which
+/// succeeds as a whole. Drives the exit code of local and --connect
+/// sessions alike.
 Status embedded_status(const Json& payload) {
   const Json* status = payload.find("status");
   const Json* code = status != nullptr ? status->find("code") : nullptr;
@@ -575,9 +578,16 @@ Status embedded_status(const Json& payload) {
     return Status::error(StatusCode::kInternal, "response without a status");
   }
   const StatusCode parsed = symref::api::status_code_from_name(code->as_string());
-  if (parsed == StatusCode::kOk) return Status();
-  const Json* message = status->find("message");
-  return Status::error(parsed, message != nullptr ? message->as_string() : "remote failure");
+  if (parsed != StatusCode::kOk) {
+    const Json* message = status->find("message");
+    return Status::error(parsed, message != nullptr ? message->as_string() : "remote failure");
+  }
+  if (const Json* items = payload.find("items"); items != nullptr) {
+    for (const Json& item : items->items()) {
+      if (Status failed = embedded_status(item); !failed.ok()) return failed;
+    }
+  }
+  return Status();
 }
 
 /// Backoff before retry attempt `k` (0-based): 100ms doubling, capped at
@@ -670,33 +680,25 @@ int run_connected(const symref::support::CliArgs& args, const std::string& netli
       submit_params.set("max_attempts", args.get_int("retry", 0) + 1);
     }
     Json submitted;
+    Json waited;
     status = remote_call(transport, &next_id, "submit", std::move(submit_params), progress,
                          &submitted);
-    if (!status.ok()) {
-      std::fprintf(stderr, "error: %s\n", status.to_string().c_str());
-      failures.record(status);
-      responses.push_back(
-          symref::api::error_response(symref::api::request_type_name(request.type), status));
-      continue;
-    }
     const Json* job_id = submitted.find("job_id");
-    Json wait_params = Json::object();
-    wait_params.set("job_id", job_id != nullptr ? job_id->as_string() : "");
-    Json waited;
-    status = remote_call(transport, &next_id, "wait", std::move(wait_params), progress,
-                         &waited);
-    if (!status.ok()) {
-      std::fprintf(stderr, "error: %s\n", status.to_string().c_str());
-      failures.record(status);
-      responses.push_back(
-          symref::api::error_response(symref::api::request_type_name(request.type), status));
-      continue;
+    if (status.ok()) {
+      Json wait_params = Json::object();
+      wait_params.set("job_id", job_id != nullptr ? job_id->as_string() : "");
+      status = remote_call(transport, &next_id, "wait", std::move(wait_params), progress,
+                           &waited);
     }
     const Json* payload = waited.find("result");
     Json response = payload != nullptr ? *payload : Json::object();
+    if (!status.ok()) {
+      std::fprintf(stderr, "error: %s\n", status.to_string().c_str());
+      response = symref::api::error_response(symref::api::request_type_name(request.type), status);
+    }
     const Status job_status = embedded_status(response);
     failures.record(job_status);
-    if (!json_mode) {
+    if (status.ok() && !json_mode) {
       std::fprintf(stderr, "%s %s: %s\n",
                    job_id != nullptr ? job_id->as_string().c_str() : "?",
                    symref::api::request_type_name(request.type),
@@ -997,18 +999,14 @@ int main(int argc, char** argv) {
     if (watchdog) watchdog->check();
     const JobOutcome outcome = symref::api::execute(service, handle, std::move(request),
                                                     timeout_source.token(), printer);
-    // A batch call succeeds as a whole; surface the first item failure for
-    // the exit code.
-    if (outcome.status.ok() && outcome.type == AnyRequest::Type::kBatch) {
-      for (const auto& item : outcome.batch.items) failures.record(item.status);
-    }
-    failures.record(outcome.status);
+    Json response = symref::api::to_json(outcome);
+    failures.record(embedded_status(response));
     if (!outcome.status.ok()) {
       std::fprintf(stderr, "error: %s\n", outcome.status.to_string().c_str());
     } else if (!json_mode) {
       print_text(outcome, args.has("emit-reference"));
     }
-    responses.push_back(symref::api::to_json(outcome));
+    responses.push_back(std::move(response));
   }
 
   if (json_mode) {

@@ -38,10 +38,10 @@
 #include <cstring>
 #include <chrono>
 #include <iostream>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <vector>
 
 #include "api/protocol.h"
 #include "support/cli.h"
@@ -113,10 +113,21 @@ int serve_tcp(ServerCore& core, int port) {
   std::printf("refgend: listening on 127.0.0.1:%d\n", bound_port);
   std::fflush(stdout);
 
+  // Sessions as (fd, thread). A finishing session sets its fd to -1 under
+  // the mutex, while its transport still owns the fd, and never takes the
+  // mutex again; the accept loop then joins it, so a finished session keeps
+  // neither a thread stack nor a stale fd number. Only this thread links or
+  // unlinks list nodes.
   std::mutex clients_mutex;
-  std::vector<int> client_fds;
-  std::vector<std::thread> sessions;
+  std::list<std::pair<int, std::thread>> clients;
   while (!core.shutdown_requested() && g_signal_received == 0) {
+    {
+      const std::lock_guard<std::mutex> lock(clients_mutex);
+      clients.remove_if([](std::pair<int, std::thread>& client) {
+        if (client.first < 0) client.second.join();
+        return client.first < 0;
+      });
+    }
     int accept_errno = 0;
     const int fd =
         symref::tools::accept_client(listen_fd, /*timeout_ms=*/200, &accept_errno);
@@ -136,15 +147,14 @@ int serve_tcp(ServerCore& core, int port) {
       ::close(fd);
       continue;
     }
-    {
-      const std::lock_guard<std::mutex> lock(clients_mutex);
-      client_fds.push_back(fd);
-    }
-    sessions.emplace_back([&core, fd] {
+    auto& client = clients.emplace_back(fd, std::thread());
+    client.second = std::thread([&core, &clients_mutex, &client, fd] {
       // The transport owns (and eventually closes) fd; the daemon only ever
-      // shutdown(2)s it to break the read loop.
+      // shutdown(2)s it to break the read loop of a live session.
       Session session(core, std::make_shared<symref::tools::FdTransport>(fd));
       session.serve();
+      const std::lock_guard<std::mutex> lock(clients_mutex);
+      client.first = -1;
     });
   }
   ::close(listen_fd);
@@ -155,12 +165,14 @@ int serve_tcp(ServerCore& core, int port) {
     drain_jobs(core, /*timeout_ms=*/30000);
     core.request_shutdown();
   }
-  // Unblock sessions parked in read_line so their threads can finish.
+  // Unblock live sessions parked in read_line so their threads can finish.
   {
     const std::lock_guard<std::mutex> lock(clients_mutex);
-    for (const int fd : client_fds) ::shutdown(fd, SHUT_RDWR);
+    for (const auto& [client_fd, thread] : clients) {
+      if (client_fd >= 0) ::shutdown(client_fd, SHUT_RDWR);
+    }
   }
-  for (std::thread& session : sessions) session.join();
+  for (auto& client : clients) client.second.join();
   return 0;
 }
 

@@ -3,7 +3,7 @@
 
 Usage: server_smoke.py <refgend> <refgen> <netlist>
 
-Nine scenarios, all against the bundled netlist (the transient and
+Ten scenarios, all against the bundled netlist (the transient and
 cache-bound scenarios build their own small decks — the bundled models
 have no time-varying sources):
   1. Four CONCURRENT stdio-scripted sessions (one refgend process each):
@@ -37,11 +37,17 @@ have no time-varying sources):
      reference is byte-identical to the direct run. A --refgen --poles
      --sweep --progress session run with --connect matches the same
      session run locally: byte-identical scrubbed responses and identical
-     stderr "iter" lines.
+     stderr "iter" lines. A batch session whose second item names an
+     unknown node exits 4 (invalid_spec) both locally and with --connect,
+     with byte-identical scrubbed responses.
   9. Spec churn cannot grow a handle: on a --max-cached=4 daemon, refgen
      jobs for the 8 output nodes of an RC ladder and 20 unknown output
      nodes (each failing invalid_spec) leave exactly 4 resident responses
      and 4 evictions in the circuit's stats.
+ 10. A TCP daemon serves 200 sequential connections that each send one
+     "list": it joins every finished session, so its VmSize grows by less
+     than 64 MB (a daemon that kept every session thread until shutdown
+     grew by ~8 MB of thread stack per connection).
 
 Set REFGEN_CHAOS=1 to additionally run every store-scenario daemon plus a
 retry session under low-probability injected faults (REFGEN_FAULT): results
@@ -51,6 +57,7 @@ import json
 import os
 import shutil
 import signal
+import socket
 import subprocess
 import sys
 import tempfile
@@ -505,6 +512,25 @@ def main():
             "--connect --progress lines differ from the local run"
         print(f"connect --progress OK: 3 responses byte-identical to the local "
               f"run, {len(iter_lines(local))} identical iter lines")
+
+        # A batch whose second item fails: the session exits 4 (invalid_spec)
+        # with the same responses whether it runs locally or on the daemon.
+        batch_path = os.path.join(out_dir, "batch.json")
+        with open(batch_path, "w") as handle:
+            json.dump({"type": "batch", "items": [{"spec": {"in": "inp", "out": "vo"}},
+                                                  {"spec": {"in": "inp", "out": "nowhere"}}]},
+                      handle)
+        session = [refgen, netlist_path, "--requests=" + batch_path, "--json=-"]
+        local = subprocess.run(session, capture_output=True, text=True, timeout=120)
+        remote = subprocess.run([*session, "--connect=" + target],
+                                capture_output=True, text=True, timeout=120)
+        assert local.returncode == 4, (local.returncode, local.stderr)
+        assert remote.returncode == 4, (remote.returncode, remote.stderr)
+        assert json.loads(remote.stdout)["ok"] is False
+        assert responses(remote) == responses(local), \
+            "--connect batch responses differ from the local run"
+        print("connect batch OK: a failed item exits 4 locally and with --connect, "
+              "responses byte-identical")
     finally:
         listener.terminate()
         listener.wait(timeout=30)
@@ -533,6 +559,52 @@ def main():
     assert stats["entries"] == 4 and stats["evictions"] == 4, stats
     print(f"cache bound OK: {len(outputs)} specs on a --max-cached=4 handle left "
           f"{stats['entries']} entries after {stats['evictions']} evictions")
+
+    # --- 10. Finished TCP sessions are reaped ------------------------------
+    listener = subprocess.Popen([daemon, "--listen=0", "--workers=1"],
+                                stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    try:
+        banner = listener.stdout.readline()
+        assert banner.startswith("refgend: listening on "), banner
+        port = int(banner.rsplit(":", 1)[1])
+
+        def list_on(conn):
+            conn.sendall(b'{"id": 1, "method": "list"}\n')
+            assert "result" in json.loads(conn.makefile("r").readline())
+
+        def list_once():
+            with socket.create_connection(("127.0.0.1", port), timeout=30) as conn:
+                list_on(conn)
+
+        def vm_size_kb():
+            time.sleep(0.5)  # the accept loop reaps within its 200 ms poll
+            with open(f"/proc/{listener.pid}/status") as handle:
+                for line in handle:
+                    if line.startswith("VmSize:"):
+                        return int(line.split()[1])
+            raise AssertionError("no VmSize line")
+
+        # Warm up: concurrent session threads make the allocator map its
+        # per-thread arenas (64 MB of address space each), and freed thread
+        # stacks are cached; sequential sessions reuse both.
+        held = [socket.create_connection(("127.0.0.1", port), timeout=30)
+                for _ in range(4)]
+        for conn in held:
+            list_on(conn)
+        for conn in held:
+            conn.close()
+        for _ in range(20):
+            list_once()
+        before = vm_size_kb()
+        for _ in range(200):
+            list_once()
+        growth_mb = (vm_size_kb() - before) / 1024.0
+        assert growth_mb < 64.0, f"VmSize grew {growth_mb:.0f} MB over 200 sessions"
+        print(f"session reaping OK: 200 finished TCP sessions grew VmSize by "
+              f"{growth_mb:.1f} MB")
+    finally:
+        listener.terminate()
+        listener.wait(timeout=30)
 
 
 if __name__ == "__main__":
