@@ -19,6 +19,14 @@ namespace {
 
 using MonotonicClock = std::chrono::steady_clock;
 
+/// The outcome of a job of `type` that ends with `status` and no response.
+JobOutcome failure(AnyRequest::Type type, Status status) {
+  JobOutcome outcome;
+  outcome.type = type;
+  outcome.status = std::move(status);
+  return outcome;
+}
+
 /// Backoff before attempt `attempts + 1`, given `attempts` completed ones:
 /// 25 ms doubling per attempt, capped at 1 s, times a jitter factor hashed
 /// from (job id, attempts).
@@ -128,12 +136,15 @@ JobOutcome execute(const Service& service, const CircuitHandle& handle, AnyReque
   return outcome;
 }
 
-/// All mutable job state. The per-job mutex guards state/outcome; the
-/// fields set once at submit (request, handle, callbacks) are immutable
-/// afterwards and safe to read from the worker without it.
+/// All mutable job state. The per-job mutex guards state/outcome and the
+/// handle; the other fields set once at submit (request, circuit, callbacks)
+/// are immutable afterwards and safe to read from the worker without it.
 struct JobManager::Job {
   JobId id = 0;
+  /// The circuit the job runs against, released when the job finishes so a
+  /// retained job never pins an evicted circuit and its caches.
   CircuitHandle handle;
+  std::string circuit;  // the handle's name, kept for poll() and list()
   AnyRequest request;
   JobProgressFn on_progress;
   JobDoneFn on_done;
@@ -269,32 +280,35 @@ JobId JobManager::submit(const CircuitHandle& handle, AnyRequest request,
                          SubmitOptions options) {
   auto job = std::make_shared<Job>();
   job->handle = handle;
+  job->circuit = handle.valid() ? handle.name() : std::string();
   job->request = std::move(request);
   job->on_progress = std::move(options.on_progress);
   job->on_done = std::move(options.on_done);
   job->max_attempts = std::max(options.max_attempts, 1);
   register_job(job);
   if (options.deadline_ms > 0.0) {
+    const auto deadline_at = support::deadline_after_ms(options.deadline_ms);
+    if (!deadline_at) {
+      finish(job, failure(job->request.type,
+                          Status::error(StatusCode::kInvalidArgument,
+                                        "deadline_ms " + std::to_string(options.deadline_ms) +
+                                            " is beyond the clock's range")));
+      return job->id;
+    }
     job->deadline_ms = options.deadline_ms;
-    job->deadline_at = MonotonicClock::now() +
-                       std::chrono::duration_cast<MonotonicClock::duration>(
-                           std::chrono::duration<double, std::milli>(options.deadline_ms));
+    job->deadline_at = *deadline_at;
     monitor().schedule(job->deadline_at, [this, job] { expire_deadline(job); });
   }
   const auto posted = queue_.try_post([this, job] { run(job); });
   if (posted == support::WorkQueue::PostResult::kFull) {
-    JobOutcome outcome;
-    outcome.type = job->request.type;
-    outcome.status = Status::error(
-        StatusCode::kOverloaded, "work queue full (" + std::to_string(queue_.pending()) + "/" +
-                                     std::to_string(queue_.max_pending()) +
-                                     " pending); retry after backoff");
-    finish(job, std::move(outcome));
+    finish(job, failure(job->request.type,
+                        Status::error(StatusCode::kOverloaded,
+                                      "work queue full (" + std::to_string(queue_.pending()) +
+                                          "/" + std::to_string(queue_.max_pending()) +
+                                          " pending); retry after backoff")));
   } else if (posted == support::WorkQueue::PostResult::kStopped) {
-    JobOutcome outcome;
-    outcome.type = job->request.type;
-    outcome.status = Status::error(StatusCode::kCancelled, "job manager is shutting down");
-    finish(job, std::move(outcome));
+    finish(job, failure(job->request.type,
+                        Status::error(StatusCode::kCancelled, "job manager is shutting down")));
   }
   return job->id;
 }
@@ -302,7 +316,7 @@ JobId JobManager::submit(const CircuitHandle& handle, AnyRequest request,
 JobId JobManager::submit_stored(const CircuitHandle& handle, AnyRequest request, Json stored,
                                 JobDoneFn on_done) {
   auto job = std::make_shared<Job>();
-  job->handle = handle;
+  job->circuit = handle.valid() ? handle.name() : std::string();
   job->request = std::move(request);
   job->on_done = std::move(on_done);
   register_job(job);
@@ -326,12 +340,10 @@ void JobManager::expire_deadline(const std::shared_ptr<Job>& job) {
     was_queued = job->state == JobState::kQueued;
   }
   if (was_queued) {
-    JobOutcome outcome;
-    outcome.type = job->request.type;
-    outcome.status = Status::error(
-        StatusCode::kDeadlineExceeded,
-        "deadline of " + std::to_string(job->deadline_ms) + " ms expired before the job ran");
-    finish(job, std::move(outcome));
+    finish(job, failure(job->request.type,
+                        Status::error(StatusCode::kDeadlineExceeded,
+                                      "deadline of " + std::to_string(job->deadline_ms) +
+                                          " ms expired before the job ran")));
   }
 }
 
@@ -342,12 +354,14 @@ std::shared_ptr<JobManager::Job> JobManager::find(JobId id) const {
 }
 
 void JobManager::finish(const std::shared_ptr<Job>& job, JobOutcome outcome) {
+  CircuitHandle released;  // dropped after the lock: it may free the circuit
   {
     const std::lock_guard<std::mutex> lock(job->mutex);
     if (job->state == JobState::kDone) return;  // lost the race to cancel()
     job->state = JobState::kDone;
     job->total_seconds = job->timer.seconds();
     job->outcome = std::move(outcome);
+    released = std::move(job->handle);
   }
   // outcome/on_done are immutable once done; calling outside the lock keeps
   // callbacks free to poll() without deadlocking (they must not wait() on
@@ -361,24 +375,26 @@ void JobManager::finish(const std::shared_ptr<Job>& job, JobOutcome outcome) {
 }
 
 void JobManager::run(const std::shared_ptr<Job>& job) {
+  // The attempt's own reference: a concurrent finish() (a cancel or deadline
+  // that raced this start) may release the job's handle meanwhile.
+  CircuitHandle handle;
   {
     const std::lock_guard<std::mutex> lock(job->mutex);
     if (job->state != JobState::kQueued) return;  // cancelled while queued
     job->state = JobState::kRunning;
     ++job->attempts;
+    handle = job->handle;
   }
   // Fault site "work_queue": the attempt fails with a transient status
   // before touching the engine — the cheapest way to drive the retry
   // machinery below through real backoff/re-post cycles.
   if (support::fault("work_queue")) {
-    JobOutcome outcome;
-    outcome.type = job->request.type;
-    outcome.status =
-        Status::error(StatusCode::kUnavailable, "injected fault at site work_queue");
-    maybe_retry_or_finish(job, std::move(outcome));
+    maybe_retry_or_finish(job, failure(job->request.type,
+                                       Status::error(StatusCode::kUnavailable,
+                                                     "injected fault at site work_queue")));
     return;
   }
-  JobOutcome outcome = execute(service_, job->handle, job->request, job->cancel_source.token(),
+  JobOutcome outcome = execute(service_, handle, job->request, job->cancel_source.token(),
                                [&job](const refgen::IterationRecord& record) {
                                  job->iterations.fetch_add(1, std::memory_order_relaxed);
                                  if (job->on_progress) job->on_progress(job->id, record);
@@ -426,11 +442,9 @@ void JobManager::maybe_retry_or_finish(const std::shared_ptr<Job>& job, JobOutco
     }
     if (queue_.try_post([this, job] { run(job); }) !=
         support::WorkQueue::PostResult::kAccepted) {
-      JobOutcome dropped;
-      dropped.type = job->request.type;
-      dropped.status =
-          Status::error(StatusCode::kCancelled, "worker queue unavailable during retry");
-      finish(job, std::move(dropped));
+      finish(job, failure(job->request.type,
+                          Status::error(StatusCode::kCancelled,
+                                        "worker queue unavailable during retry")));
     }
   });
 }
@@ -441,7 +455,7 @@ JobInfo JobManager::snapshot(const Job& job) {
   info.id = job.id;
   info.state = job.state;
   info.type = job.request.type;
-  info.circuit = job.handle.valid() ? job.handle.name() : std::string();
+  info.circuit = job.circuit;
   info.iterations = job.iterations.load(std::memory_order_relaxed);
   info.cancel_requested = job.cancel_requested;
   info.seconds = job.state == JobState::kDone ? job.total_seconds : job.timer.seconds();
@@ -484,11 +498,8 @@ bool JobManager::cancel(JobId id) {
     // non-queued state and skips. (If the worker wins the race instead, the
     // tripped token stops the engine at its first checkpoint and the
     // worker's kCancelled outcome lands — either way exactly one finish.)
-    JobOutcome outcome;
-    outcome.type = job->request.type;
-    outcome.status =
-        Status::error(StatusCode::kCancelled, "job cancelled before it started");
-    finish(job, std::move(outcome));
+    finish(job, failure(job->request.type,
+                        Status::error(StatusCode::kCancelled, "job cancelled before it started")));
   }
   return true;
 }

@@ -20,7 +20,9 @@
 // cancellation token trips the engine's per-iteration / per-point
 // checkpoints and the job completes with kCancelled shortly after. The
 // handle's plan and response caches remain valid either way — cancelling
-// one request never poisons the next.
+// one request never poisons the next. A job holds its handle only until it
+// finishes: a retained job keeps its outcome and circuit label, never the
+// compiled circuit, so evicting a circuit frees it whatever the job history.
 //
 // Callback contract: on_progress fires on the worker thread running the job
 // with the engine's own IterationRecord (once per engine iteration; refgen,
@@ -93,7 +95,7 @@ struct JobInfo {
   JobId id = 0;
   JobState state = JobState::kQueued;
   AnyRequest::Type type = AnyRequest::Type::kRefgen;
-  /// Label of the compiled circuit the job runs against.
+  /// Label of the compiled circuit the job runs against, taken at submit.
   std::string circuit;
   /// Engine iterations completed so far, over every attempt (refgen,
   /// poles_zeros and simplify jobs).
@@ -115,7 +117,9 @@ struct SubmitOptions {
   /// Wall-clock budget from submit, in milliseconds (0 = none). Enforced
   /// through the job's CancellationToken at the engine's cooperative
   /// checkpoints; an expired job completes with kDeadlineExceeded. A job
-  /// still queued at expiry completes immediately without running.
+  /// still queued at expiry completes immediately without running. A budget
+  /// the clock cannot hold (support::deadline_after_ms) completes the job
+  /// at once with kInvalidArgument.
   double deadline_ms = 0.0;
   /// Executions allowed for transient-classified failures
   /// (status_is_transient: kUnavailable / kOverloaded / kIoError); 1 means

@@ -1,6 +1,7 @@
 #include "api/protocol.h"
 
 #include <cctype>
+#include <cmath>
 #include <istream>
 #include <mutex>
 #include <optional>
@@ -8,6 +9,7 @@
 #include <utility>
 
 #include "api/wire.h"
+#include "support/timer.h"
 
 namespace symref::api::protocol {
 
@@ -202,6 +204,12 @@ Json Session::dispatch(const Json& request) {
       in.field("deadline_ms", options.deadline_ms);
       in.field("max_attempts", options.max_attempts);
       if (!(status = in.finish()).ok()) return status;
+      if (!std::isfinite(options.deadline_ms) ||
+          (options.deadline_ms > 0.0 && !support::deadline_after_ms(options.deadline_ms))) {
+        return Status::error(StatusCode::kInvalidArgument,
+                             "params: \"deadline_ms\" must be a finite number of milliseconds "
+                             "the clock can hold (below about 9.2e12)");
+      }
       Result<CircuitHandle> handle_result = core_.registry().get(circuit_id);
       if (!handle_result.ok()) return handle_result.status();
       CircuitHandle handle = handle_result.take();

@@ -6,6 +6,7 @@
 #include <span>
 #include <stdexcept>
 
+#include "mna/assembler.h"
 #include "mna/errors.h"
 #include "support/thread_pool.h"
 
@@ -24,11 +25,6 @@ std::complex<double> output_voltage(const sparse::ReplayedPoint& point, int pos,
   return point.x(pos) - point.x(neg);
 }
 
-bool same_spec(const TransferSpec& a, const TransferSpec& b) {
-  return a.kind == b.kind && a.in_pos == b.in_pos && a.in_neg == b.in_neg &&
-         a.out_pos == b.out_pos && a.out_neg == b.out_neg;
-}
-
 }  // namespace
 
 double magnitude_db(std::complex<double> value) noexcept {
@@ -44,41 +40,36 @@ double phase_deg(std::complex<double> value) noexcept {
 AcSimulator::AcSimulator(const netlist::Circuit& circuit) : circuit_(circuit) {}
 
 AcSimulator::SpecCache& AcSimulator::prepare(const TransferSpec& spec) const {
-  if (cache_ && same_spec(cache_->spec, spec)) return *cache_;
+  if (cache_ && cache_->spec == spec) return *cache_;
   cache_.reset();
 
-  // Work on a copy with the drive attached. Existing independent V sources
-  // stay as 0 V constraints (their magnitudes live only in the excitation,
-  // which we rebuild per point), existing I sources are simply not excited —
-  // i.e. standard superposition with only the drive active.
+  // The circuit's stamps plus the drive. Existing independent V sources stay
+  // as 0 V constraints and existing I sources are simply not excited: the
+  // right-hand side is the drive alone, i.e. standard superposition with
+  // only the drive active.
+  StampTable table = build_stamp_table(circuit_);
+  const SpecRows rows = resolve_spec(circuit_, table.node_to_row, spec, "AcSimulator");
+  if (!table.error.empty()) throw std::invalid_argument(table.error);
   auto cache = std::make_unique<SpecCache>();
   cache->spec = spec;
-  cache->work = circuit_;
-  const bool voltage_drive = spec.kind == TransferSpec::Kind::VoltageGain;
-  if (voltage_drive) {
-    cache->work.add_vsource("__drive", spec.in_pos, spec.in_neg, 1.0);
-  } else {
-    cache->work.add_isource("__drive", spec.in_pos, spec.in_neg, 1.0);
-  }
-  cache->assembler = std::make_unique<MnaAssembler>(cache->work);
-  if (voltage_drive) {
-    cache->injections = {{*cache->assembler->branch_index("__drive"), 1.0}};
+  int dim = table.dim;
+  if (spec.kind == TransferSpec::Kind::VoltageGain) {
+    // An ideal 1 V source across the input pair on a branch row after every
+    // other, stamped as build_stamp_table stamps a voltage source.
+    const int branch = dim++;
+    stamp_entry(table.stamps, rows.in_pos, branch, 1.0);
+    stamp_entry(table.stamps, rows.in_neg, branch, -1.0);
+    stamp_entry(table.stamps, branch, rows.in_pos, 1.0);
+    stamp_entry(table.stamps, branch, rows.in_neg, -1.0);
+    cache->injections = {{branch, 1.0}};
   } else {
     // Transimpedance convention: 1 A injected INTO in+ and drawn from in-
     // (matches CofactorEvaluator, so signs agree across both paths).
-    cache->injections = {{cache->assembler->node_index(spec.in_pos).value_or(-1), 1.0},
-                         {cache->assembler->node_index(spec.in_neg).value_or(-1), -1.0}};
+    cache->injections = {{rows.in_pos, 1.0}, {rows.in_neg, -1.0}};
   }
-  // Resolve the output pair once; a row of -1 reads as 0 V (ground or a node
-  // no element touches).
-  auto out_row = [&](const std::string& name) -> int {
-    if (cache->work.find_node(name) == std::nullopt) {
-      throw SpecError("AcSimulator: unknown node '" + name + "'");
-    }
-    return cache->assembler->node_index(name).value_or(-1);
-  };
-  cache->out_pos_row = out_row(spec.out_pos);
-  cache->out_neg_row = out_row(spec.out_neg);
+  cache->assembly = sparse::PatternedMatrix(dim, std::move(table.stamps));
+  cache->out_pos_row = rows.out_pos;
+  cache->out_neg_row = rows.out_neg;
   cache_ = std::move(cache);
   return *cache_;
 }
@@ -89,7 +80,7 @@ std::complex<double> AcSimulator::transfer_s(const TransferSpec& spec,
   // Pattern-cached assembly, then the plan replay; a fresh factorization
   // (kept as the new plan) only when there is no plan yet or the replay is
   // refused at this point.
-  if (!cache.lu.replay_or_factor(cache.assembler->assemble(s), nullptr)) {
+  if (!cache.lu.replay_or_factor(cache.assembly.assemble(s), nullptr)) {
     throw SingularSystemError(kSingular);
   }
   std::vector<std::complex<double>> x;
@@ -143,7 +134,7 @@ std::vector<BodePoint> AcSimulator::bode(const TransferSpec& spec, double f_star
       std::min<std::size_t>(static_cast<std::size_t>(requested), grid.size() - 1));
   std::optional<support::ThreadPool> pool;
   if (lanes > 1) pool.emplace(lanes);
-  sparse::replay_points(cache.assembler->assembly(), cache.lu, std::span(s_points).subspan(1),
+  sparse::replay_points(cache.assembly, cache.lu, std::span(s_points).subspan(1),
                         1.0, 1.0, cache.injections, nullptr, pool ? &*pool : nullptr,
                         sparse::kDefaultBatchWidth, cancel,
                         [&](std::size_t i, const sparse::ReplayedPoint& point) {

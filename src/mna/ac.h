@@ -9,7 +9,6 @@
 #include <memory>
 #include <vector>
 
-#include "mna/assembler.h"
 #include "mna/transfer.h"
 #include "netlist/circuit.h"
 #include "sparse/batched.h"
@@ -40,15 +39,18 @@ class AcSimulator {
   /// Complex transfer value at a frequency. A VoltageGain spec drives the
   /// input pair with an ideal 1 V source; Transimpedance injects 1 A.
   /// Throws mna::SingularSystemError when the MNA system is singular and
-  /// mna::SpecError when the spec names unknown nodes (see mna/errors.h).
+  /// mna::SpecError when the spec names unknown or floating nodes or a
+  /// degenerate input pair (mna::resolve_spec, the rules the interpolation
+  /// engine applies too; see mna/errors.h).
   ///
-  /// The driven circuit and its assembler are built once per TransferSpec
-  /// and cached; subsequent points of the same spec reuse the structural
-  /// pattern and sweep via SparseLu::refactor() instead of re-assembling
-  /// and re-pivoting. The cache makes the simulator non-reentrant (do not
-  /// share one instance across threads) and snapshots the circuit at the
-  /// first query per spec: mutate the circuit only through a fresh
-  /// simulator, or results keep reflecting the old values.
+  /// The circuit's stamp table plus the drive is merged into a
+  /// pattern-cached matrix once per TransferSpec and cached; subsequent
+  /// points of the same spec reuse the structural pattern and sweep via
+  /// SparseLu::refactor() instead of re-assembling and re-pivoting. The
+  /// cache makes the simulator non-reentrant (do not share one instance
+  /// across threads) and snapshots the circuit at the first query per spec:
+  /// mutate the circuit only through a fresh simulator, or results keep
+  /// reflecting the old values.
   [[nodiscard]] std::complex<double> transfer(const TransferSpec& spec, double frequency_hz) const;
 
   /// Transfer at a complex frequency s (rad/s), for cross-checks against
@@ -61,7 +63,7 @@ class AcSimulator {
   ///
   /// The first point establishes the factorization plan on the caller, like
   /// transfer(); sparse::replay_points() then solves every other point
-  /// against it — SoA groups through sparse::BatchedReplay when the plan
+  /// against it — SoA groups through its batched kernel when the plan
   /// replays the assembly, scalar refactor()s otherwise — over `threads`
   /// lanes. A point whose replay is refused re-factors on a throwaway
   /// instance, so per-point values depend only on (plan, frequency) — the
@@ -81,12 +83,11 @@ class AcSimulator {
                                             support::CancellationToken cancel = {}) const;
 
  private:
-  /// Per-spec sweep state: the drive-augmented circuit copy, its assembler
-  /// (pattern-cached) and the reusable factorization plan.
+  /// Per-spec sweep state: the drive-augmented pattern-cached matrix and the
+  /// reusable factorization plan.
   struct SpecCache {
     TransferSpec spec;
-    netlist::Circuit work;
-    std::unique_ptr<MnaAssembler> assembler;  // references `work`
+    sparse::PatternedMatrix assembly;
     sparse::SparseLu lu;
     /// The drive: 1 V on the drive constraint's branch row (VoltageGain), or
     /// 1 A into in+ and out of in- (Transimpedance).

@@ -1,7 +1,6 @@
 #include "mna/assembler.h"
 
-#include <stdexcept>
-#include <utility>
+#include "mna/errors.h"
 
 namespace symref::mna {
 
@@ -148,70 +147,29 @@ StampTable build_stamp_table(const netlist::Circuit& circuit) {
   return table;
 }
 
-MnaAssembler::MnaAssembler(const netlist::Circuit& circuit)
-    : circuit_(circuit), table_(build_stamp_table(circuit)) {
-  // Name -> row cache for the sweep loops (find_node resolves aliases from
-  // short_element merges, so go through it once per name here).
-  for (int n = 0; n < circuit.node_count(); ++n) {
-    const auto resolved = circuit.find_node(circuit.node_name(n));
-    const int row = resolved ? table_.row_of(*resolved) : -1;
-    node_rows_by_name_.emplace(circuit.node_name(n), row);
+SpecRows resolve_spec(const netlist::Circuit& circuit, const std::vector<int>& node_to_row,
+                      const TransferSpec& spec, std::string_view who) {
+  auto resolve = [&](const std::string& name, const char* what) -> int {
+    const auto node = circuit.find_node(name);
+    if (!node) {
+      throw SpecError(std::string(who) + ": unknown " + what + " node '" + name + "'");
+    }
+    if (*node == 0) return -1;
+    const int row = node_to_row[static_cast<std::size_t>(*node)];
+    if (row < 0) {
+      throw SpecError(std::string(who) + ": " + what + " node '" + name + "' is floating");
+    }
+    return row;
+  };
+  SpecRows rows;
+  rows.in_pos = resolve(spec.in_pos, "input+");
+  rows.in_neg = resolve(spec.in_neg, "input-");
+  rows.out_pos = resolve(spec.out_pos, "output+");
+  rows.out_neg = resolve(spec.out_neg, "output-");
+  if (rows.in_pos == rows.in_neg) {
+    throw SpecError(std::string(who) + ": input pair is degenerate");
   }
-  if (table_.error.empty()) {
-    assembly_ = sparse::PatternedMatrix(table_.dim, table_.stamps);
-  }
-}
-
-std::optional<int> MnaAssembler::node_index(int node) const {
-  if (node < 0 || node >= static_cast<int>(table_.node_to_row.size())) return std::nullopt;
-  const int row = table_.row_of(node);
-  return row < 0 ? std::nullopt : std::optional<int>(row);
-}
-
-std::optional<int> MnaAssembler::node_index(std::string_view name) const {
-  const auto it = node_rows_by_name_.find(name);
-  if (it != node_rows_by_name_.end()) {
-    return it->second < 0 ? std::nullopt : std::optional<int>(it->second);
-  }
-  // Ground aliases ("gnd", "GND") and merged-node aliases are not circuit
-  // node names; resolve the slow way.
-  const auto node = circuit_.find_node(name);
-  if (!node) return std::nullopt;
-  return node_index(*node);
-}
-
-std::optional<int> MnaAssembler::branch_index(std::string_view element_name) const {
-  const auto it = table_.branch_rows.find(element_name);
-  if (it == table_.branch_rows.end()) return std::nullopt;
-  return it->second;
-}
-
-void MnaAssembler::require_stamps() const {
-  if (!table_.error.empty()) throw std::invalid_argument(table_.error);
-}
-
-sparse::TripletMatrix MnaAssembler::matrix(std::complex<double> s) const {
-  require_stamps();
-  sparse::TripletMatrix mat(table_.dim);
-  for (const sparse::PatternStamp& stamp : table_.stamps) {
-    const std::complex<double> value = stamp.conductance + s * stamp.capacitance;
-    if (value != std::complex<double>()) mat.add(stamp.row, stamp.col, value);
-  }
-  return mat;
-}
-
-const sparse::CompressedMatrix& MnaAssembler::assemble(std::complex<double> s) {
-  require_stamps();
-  return assembly_.assemble(s);
-}
-
-std::vector<std::complex<double>> MnaAssembler::excitation() const {
-  std::vector<std::complex<double>> rhs(static_cast<std::size_t>(table_.dim));
-  for (const SourceRow& source : table_.sources) {
-    const Element& e = circuit_.elements()[static_cast<std::size_t>(source.element)];
-    rhs[static_cast<std::size_t>(source.row)] += source.sign * e.value;
-  }
-  return rhs;
+  return rows;
 }
 
 }  // namespace symref::mna

@@ -12,17 +12,18 @@
 // solver assembles it at s = 0 plus device companions, and the transient
 // integrator at the real point s = a0 (the step's G + a0·C) plus devices.
 // build_stamp_table() is the only code that turns elements into matrix
-// entries; MnaAssembler merges the table into a fixed structural layout once
-// and assemble() rewrites only the value array per frequency point — the
-// pattern stability that lets the AC simulator sweep via SparseLu::refactor().
+// entries; every analysis merges its table (plus its own extra stamps) into
+// a sparse::PatternedMatrix once, and each point rewrites only the value
+// array — the pattern stability that lets every solver replay one
+// SparseLu plan.
 #pragma once
 
-#include <complex>
 #include <map>
-#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "mna/transfer.h"
 #include "netlist/circuit.h"
 #include "sparse/matrix.h"
 
@@ -75,50 +76,21 @@ struct StampTable {
 
 [[nodiscard]] StampTable build_stamp_table(const netlist::Circuit& circuit);
 
-class MnaAssembler {
- public:
-  explicit MnaAssembler(const netlist::Circuit& circuit);
-
-  /// System dimension: active nodes + auxiliary branch currents.
-  [[nodiscard]] int dim() const noexcept { return table_.dim; }
-
-  /// Row/column of a node's voltage unknown; nullopt for ground or a node no
-  /// element touches. The name overload resolves through a prebuilt
-  /// name -> row map (no circuit scan).
-  [[nodiscard]] std::optional<int> node_index(int node) const;
-  [[nodiscard]] std::optional<int> node_index(std::string_view name) const;
-
-  /// Row/column of an element's auxiliary branch current, when it has one.
-  /// O(log #branches) through a prebuilt name -> row map.
-  [[nodiscard]] std::optional<int> branch_index(std::string_view element_name) const;
-
-  /// Assemble Y_MNA(s) as fresh triplets (compatibility path; throws
-  /// std::invalid_argument when a CCCS/CCVS names a branchless element).
-  [[nodiscard]] sparse::TripletMatrix matrix(std::complex<double> s) const;
-
-  /// Pattern-cached assembly: rewrites only the value array of the cached
-  /// CompressedMatrix (same error behavior as matrix()). The returned
-  /// reference stays valid and pattern-stable across calls.
-  const sparse::CompressedMatrix& assemble(std::complex<double> s);
-
-  /// The pattern-cached matrix assemble() writes into: the base values and
-  /// structure the multi-point replay driver (sparse::replay_points) reads.
-  /// Empty when the table carries a stamp error.
-  [[nodiscard]] const sparse::PatternedMatrix& assembly() const noexcept { return assembly_; }
-
-  /// Excitation vector from the independent sources (AC magnitudes).
-  [[nodiscard]] std::vector<std::complex<double>> excitation() const;
-
- private:
-  void require_stamps() const;
-
-  const netlist::Circuit& circuit_;
-  /// The circuit's stamp table and the pattern-cached matrix it assembles
-  /// into (left empty when the table carries a stamp error: construction
-  /// succeeds, matrix()/assemble() throw).
-  StampTable table_;
-  sparse::PatternedMatrix assembly_;
-  std::map<std::string, int, std::less<>> node_rows_by_name_;
+/// Rows of a TransferSpec's port nodes; -1 is ground.
+struct SpecRows {
+  int in_pos = -1;
+  int in_neg = -1;
+  int out_pos = -1;
+  int out_neg = -1;
 };
+
+/// Resolve `spec` on `circuit` through its row map (node -> row, -1 for
+/// ground and for nodes no element touches), by the rules every analysis
+/// shares: an unknown node, a floating node or a degenerate input pair (both
+/// inputs on one row, ground included) throws SpecError, whose message
+/// starts with `who`.
+[[nodiscard]] SpecRows resolve_spec(const netlist::Circuit& circuit,
+                                    const std::vector<int>& node_to_row,
+                                    const TransferSpec& spec, std::string_view who);
 
 }  // namespace symref::mna

@@ -29,8 +29,8 @@ NodalSystem::NodalSystem(const netlist::Circuit& circuit) : circuit_(circuit) {
     if (e.kind == ElementKind::Capacitor && e.node_pos != e.node_neg) ++capacitor_count_;
   }
 
-  // Merge the table's stamps position-wise so matrix() is a flat scan:
-  // sorted by (row, col), each position summed in emission order from +0.0.
+  // Merge the table's stamps position-wise: sorted by (row, col), each
+  // position summed in emission order from +0.0.
   StampTable table = build_stamp_table(circuit);
   dim_ = table.dim;
   node_to_row_ = std::move(table.node_to_row);
@@ -55,17 +55,6 @@ std::optional<int> NodalSystem::row_of_node(std::string_view name) const {
   return row < 0 ? std::nullopt : std::optional<int>(row);
 }
 
-sparse::TripletMatrix NodalSystem::matrix(std::complex<double> s_hat, double f_scale,
-                                          double g_scale) const {
-  sparse::TripletMatrix mat(dim_);
-  for (const PatternStamp& entry : entries_) {
-    const std::complex<double> value =
-        g_scale * entry.conductance + s_hat * (f_scale * entry.capacitance);
-    if (value != std::complex<double>()) mat.add(entry.row, entry.col, value);
-  }
-  return mat;
-}
-
 CofactorEvaluator::CofactorEvaluator(const NodalSystem& system, const TransferSpec& spec)
     : system_(&system), spec_(spec) {
   if (spec_.kind == TransferSpec::Kind::VoltageGain) {
@@ -83,27 +72,12 @@ CofactorEvaluator::CofactorEvaluator(const NodalSystem& system, const TransferSp
 }
 
 void CofactorEvaluator::bind_system() {
-  auto resolve = [&](const std::string& name, const char* what) -> int {
-    const auto node = system_->circuit().find_node(name);
-    if (!node) {
-      throw SpecError("CofactorEvaluator: unknown " + std::string(what) + " node '" + name +
-                      "'");
-    }
-    if (*node == 0) return -1;
-    const auto row = system_->row_of_node(name);
-    if (!row) {
-      throw SpecError("CofactorEvaluator: " + std::string(what) + " node '" + name +
-                      "' is floating");
-    }
-    return *row;
-  };
-  in_pos_ = resolve(spec_.in_pos, "input+");
-  in_neg_ = resolve(spec_.in_neg, "input-");
-  out_pos_ = resolve(spec_.out_pos, "output+");
-  out_neg_ = resolve(spec_.out_neg, "output-");
-  if (in_pos_ == in_neg_) {
-    throw SpecError("CofactorEvaluator: input pair is degenerate");
-  }
+  const SpecRows rows =
+      resolve_spec(system_->circuit(), system_->node_to_row(), spec_, "CofactorEvaluator");
+  in_pos_ = rows.in_pos;
+  in_neg_ = rows.in_neg;
+  out_pos_ = rows.out_pos;
+  out_neg_ = rows.out_neg;
   injections_ = {{{in_pos_, 1.0}, {in_neg_, -1.0}}};
   std::vector<PatternStamp> stamps = system_->stamps();
   if (spec_.kind == TransferSpec::Kind::VoltageGain) {

@@ -41,8 +41,7 @@ class ThreadPool;
 
 namespace symref::mna {
 
-/// Structural stamp and pattern-cached assembly shared with the full MNA
-/// assembler (see sparse/matrix.h).
+/// Structural stamp and pattern-cached assembly (see sparse/matrix.h).
 using sparse::PatternStamp;
 using sparse::PatternedMatrix;
 
@@ -66,14 +65,15 @@ class NodalSystem {
   /// Row of a node's unknown; nullopt for ground ("0") and unknown names.
   [[nodiscard]] std::optional<int> row_of_node(std::string_view name) const;
 
-  /// Y(s_hat) with element scaling applied: every conductance multiplied by
-  /// g_scale, every capacitance by f_scale.
-  [[nodiscard]] sparse::TripletMatrix matrix(std::complex<double> s_hat, double f_scale,
-                                             double g_scale) const;
+  /// Row of each circuit node: -1 for ground and for nodes no element
+  /// touches (StampTable::node_to_row).
+  [[nodiscard]] const std::vector<int>& node_to_row() const noexcept { return node_to_row_; }
 
   /// The merged structural stamps (sorted by row, then column). Callers may
   /// append extra stamps (e.g. a drive admittance) and feed the list to a
-  /// PatternedMatrix for allocation-free per-sample assembly.
+  /// PatternedMatrix for allocation-free per-sample assembly: Y(s_hat) with
+  /// every conductance scaled by g_scale and every capacitance by f_scale
+  /// is PatternedMatrix(dim(), stamps()).assemble(s_hat, f_scale, g_scale).
   [[nodiscard]] const std::vector<PatternStamp>& stamps() const noexcept { return entries_; }
 
   [[nodiscard]] const netlist::Circuit& circuit() const noexcept { return circuit_; }

@@ -24,6 +24,8 @@ struct TransferSpec {
   std::string out_pos;
   std::string out_neg = "0";
 
+  bool operator==(const TransferSpec&) const = default;
+
   static TransferSpec voltage_gain(std::string in_pos, std::string out_pos,
                                    std::string in_neg = "0", std::string out_neg = "0") {
     TransferSpec spec;

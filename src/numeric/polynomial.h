@@ -135,8 +135,11 @@ class Polynomial {
   }
 
  private:
+  /// Drop trailing zero coefficients: one resize to the kept length.
   void trim() {
-    while (!coeffs_.empty() && detail::coeff_is_zero(coeffs_.back())) coeffs_.pop_back();
+    std::size_t kept = coeffs_.size();
+    while (kept > 0 && detail::coeff_is_zero(coeffs_[kept - 1])) --kept;
+    coeffs_.resize(kept);
   }
 
   std::vector<T> coeffs_;

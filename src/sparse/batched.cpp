@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <optional>
 
 #include "support/fault_injection.h"
@@ -60,20 +62,77 @@ inline void lane_sub_mul(double* __restrict sr, double* __restrict si,
 
 /// Live testing::ScopedScalarReplay instances.
 std::atomic<int> scalar_replay_scopes{0};
-}  // namespace
 
-bool use_batched_replay(const ReplayPlan* plan, const CompressedMatrix& pattern) {
-  return plan != nullptr && plan->matches(pattern) &&
-         scalar_replay_scopes.load(std::memory_order_relaxed) == 0;
-}
+/// The batched kernel of replay_points(): one ReplayPlan replayed across up
+/// to width() points at once, structure-of-arrays (position k of lane l at
+/// k * width() + l), supernodes as dense rank-k blocks. Per lane the
+/// operation sequence is the scalar one (the oracle contract in batched.h).
+class BatchedReplay {
+ public:
+  /// Bind to a plan with a fixed SoA lane width (>= 1), sizing the numeric
+  /// payload. Rebinding to the same plan and width is a cheap no-op, so the
+  /// per-batch path stays allocation-free.
+  void bind(std::shared_ptr<const ReplayPlan> plan, int width);
 
-testing::ScopedScalarReplay::ScopedScalarReplay() {
-  scalar_replay_scopes.fetch_add(1, std::memory_order_relaxed);
-}
+  [[nodiscard]] int width() const noexcept { return width_; }
+  [[nodiscard]] int dim() const noexcept { return plan_->dim; }
 
-testing::ScopedScalarReplay::~ScopedScalarReplay() {
-  scalar_replay_scopes.fetch_sub(1, std::memory_order_relaxed);
-}
+  /// Replay lanes [0, active) through the plan in one pass. The scatter
+  /// assembles each lane value as it streams (and folds the max-|entry|
+  /// scan into the same pass), so the nnz-by-width value block is never
+  /// materialized: lane l gets the bits of base.assemble(s[l], f_scale,
+  /// g_scale). Per-lane success is reported by lane_ok(); a refused lane's
+  /// factors are garbage and must not be consumed.
+  void replay(int active, const PatternedMatrix& base, const Complex* s, double f_scale,
+              double g_scale);
+
+  /// Whether lane's last replay() accepted every pivot.
+  [[nodiscard]] bool lane_ok(int lane) const {
+    return lane_ok_[static_cast<std::size_t>(lane)] != 0;
+  }
+
+  /// Batched triangular solves: rhs holds dim() SoA rows
+  /// (rhs[r * width() + l]), overwritten with the solutions of lanes
+  /// [0, active). Refused lanes produce garbage; skip them via lane_ok().
+  void solve(std::vector<Complex>& rhs, int active) const;
+
+  /// Smallest |pivot| of lanes [0, active) in one lane-inner pass over the
+  /// pivot planes; valid for lanes with lane_ok().
+  void min_abs_pivots(double* out, int active) const;
+
+  /// Determinants (extended-range pivot products) of lanes [0, active) in
+  /// one lane-inner pass. Per lane this replays numeric::scaled_pivot_product
+  /// exactly — the window tests that decide when to renormalize depend only
+  /// on the lane's own accumulator and factors, so the fold schedule (and
+  /// therefore every rounding) is identical to the scalar call; a lane that
+  /// ever meets an out-of-window factor is simply recomputed through the
+  /// scalar routine.
+  void determinants(numeric::ScaledComplex* out, int active) const;
+
+  /// Largest |entry| of the lane's assembled values.
+  [[nodiscard]] double max_abs_entry(int lane) const {
+    return max_abs_entry_[static_cast<std::size_t>(lane)];
+  }
+
+ private:
+  std::shared_ptr<const ReplayPlan> plan_;
+  int width_ = 0;
+
+  // --- SoA numeric payload (stride == width_, rewritten per replay) ---------
+  // The factors and workspace are split into real/imaginary planes so the
+  // lane loops are pure unit-stride double arithmetic — no shuffles,
+  // straight packed mul/add/div/sqrt. The per-lane expression sequence is
+  // unchanged, so the split is invisible to the oracle contract.
+  std::vector<double> l_re_, l_im_;
+  std::vector<double> u_re_, u_im_;
+  std::vector<double> pivot_re_, pivot_im_;
+  mutable std::vector<double> work_re_, work_im_;
+  std::vector<double> row_norm_;    // per-lane |entry|^2 scratch for pivot tests
+  std::vector<double> entry_norm_;  // per-lane max |a_kl|^2 scratch
+  std::vector<double> s_re_, s_im_;  // deinterleaved lane frequencies
+  std::vector<char> lane_ok_;
+  std::vector<double> max_abs_entry_;
+};
 
 void BatchedReplay::bind(std::shared_ptr<const ReplayPlan> plan, int width) {
   assert(plan != nullptr);
@@ -83,7 +142,6 @@ void BatchedReplay::bind(std::shared_ptr<const ReplayPlan> plan, int width) {
   width_ = width;
   const std::size_t w = static_cast<std::size_t>(width);
   const std::size_t dim = static_cast<std::size_t>(plan_->dim);
-  a_values_.assign(plan_->pattern_cols.size() * w, Complex{});
   l_re_.assign(plan_->l_steps.size() * w, 0.0);
   l_im_.assign(plan_->l_steps.size() * w, 0.0);
   u_re_.assign(plan_->u_steps.size() * w, 0.0);
@@ -100,14 +158,8 @@ void BatchedReplay::bind(std::shared_ptr<const ReplayPlan> plan, int width) {
   max_abs_entry_.assign(w, 0.0);
 }
 
-void BatchedReplay::replay(int active) { replay_impl<false>(active, nullptr); }
-
-void BatchedReplay::replay(int active, const LaneAssembly& assembly) {
-  replay_impl<true>(active, &assembly);
-}
-
-template <bool Fused>
-void BatchedReplay::replay_impl(int active, const LaneAssembly* assembly) {
+void BatchedReplay::replay(int active, const PatternedMatrix& base, const Complex* s,
+                           double f_scale, double g_scale) {
   assert(plan_ != nullptr);
   assert(active >= 0 && active <= width_);
   const ReplayPlan& plan = *plan_;
@@ -122,30 +174,20 @@ void BatchedReplay::replay_impl(int active, const LaneAssembly* assembly) {
     lane_ok_[l] = support::fault("lu_pivot") ? 0 : 1;
   }
 
-  // Largest |entry| per lane over the input values. Tracking the squared
-  // magnitude and rooting once per lane equals the scalar max-of-replay_abs
-  // scan bit for bit: a correctly rounded sqrt is monotone, so
-  // max(sqrt(x_k)) == sqrt(max(x_k)). The fused path folds this scan into
-  // the scatter below (every CSR position is scattered exactly once, and
-  // max does not care about the visit order).
+  // Largest |entry| per lane over the assembled values, folded into the
+  // scatter below (every CSR position is scattered exactly once, and max
+  // does not care about the visit order). Tracking the squared magnitude
+  // and rooting once per lane equals the scalar max-of-replay_abs scan bit
+  // for bit: a correctly rounded sqrt is monotone, so
+  // max(sqrt(x_k)) == sqrt(max(x_k)).
   double* const entry_norm = entry_norm_.data();
   std::fill(entry_norm_.begin(), entry_norm_.begin() + active, 0.0);
-  if constexpr (!Fused) {
-    const std::size_t nnz = plan.pattern_cols.size();
-    for (std::size_t k = 0; k < nnz; ++k) {
-      const Complex* lane_values = a_values_.data() + k * W;
-      for (std::size_t l = 0; l < A; ++l) {
-        const double re = lane_values[l].real();
-        const double im = lane_values[l].imag();
-        entry_norm[l] = std::max(entry_norm[l], re * re + im * im);
-      }
-    }
-  } else {
-    for (std::size_t l = 0; l < A; ++l) {
-      s_re_[l] = assembly->s[l].real();
-      s_im_[l] = assembly->s[l].imag();
-    }
+  for (std::size_t l = 0; l < A; ++l) {
+    s_re_[l] = s[l].real();
+    s_im_[l] = s[l].imag();
   }
+  const double* const conductance = base.conductance().data();
+  const double* const capacitance = base.capacitance().data();
 
   double* const wre = work_re_.data();
   double* const wim = work_im_.data();
@@ -156,7 +198,6 @@ void BatchedReplay::replay_impl(int active, const LaneAssembly* assembly) {
   double* const pre = pivot_re_.data();
   double* const pim = pivot_im_.data();
   double* const row_norm = row_norm_.data();
-  const Complex* const avalues = a_values_.data();
 
   // Up-looking replay, supernode by supernode. Per lane this executes the
   // EXACT operation sequence of SparseLu::refactor(): clear the row's
@@ -208,31 +249,22 @@ void BatchedReplay::replay_impl(int active, const LaneAssembly* assembly) {
         }
       }
 
-      // Scatter the row of A (deinterleave into the planes). The fused path
-      // assembles each lane value right here instead of reading values().
+      // Scatter the row of A, assembling each lane value as it streams.
       const int r = plan.row_order[static_cast<std::size_t>(i)];
       for (int k = plan.pattern_row_start[static_cast<std::size_t>(r)];
            k < plan.pattern_row_start[static_cast<std::size_t>(r) + 1]; ++k) {
         const std::size_t off =
             static_cast<std::size_t>(plan.a_dest[static_cast<std::size_t>(k)]) * W;
-        if constexpr (Fused) {
-          const double g = assembly->g_scale * assembly->conductance[static_cast<std::size_t>(k)];
-          const double c = assembly->f_scale * assembly->capacitance[static_cast<std::size_t>(k)];
-          const double* const sre = s_re_.data();
-          const double* const sim = s_im_.data();
-          for (std::size_t l = 0; l < A; ++l) {
-            const double vre = g + sre[l] * c;
-            const double vim = sim[l] * c;
-            wre[off + l] = vre;
-            wim[off + l] = vim;
-            entry_norm[l] = std::max(entry_norm[l], vre * vre + vim * vim);
-          }
-        } else {
-          const Complex* src = avalues + static_cast<std::size_t>(k) * W;
-          for (std::size_t l = 0; l < A; ++l) {
-            wre[off + l] = src[l].real();
-            wim[off + l] = src[l].imag();
-          }
+        const double g = g_scale * conductance[static_cast<std::size_t>(k)];
+        const double c = f_scale * capacitance[static_cast<std::size_t>(k)];
+        const double* const sre = s_re_.data();
+        const double* const sim = s_im_.data();
+        for (std::size_t l = 0; l < A; ++l) {
+          const double vre = g + sre[l] * c;
+          const double vim = sim[l] * c;
+          wre[off + l] = vre;
+          wim[off + l] = vim;
+          entry_norm[l] = std::max(entry_norm[l], vre * vre + vim * vim);
         }
       }
 
@@ -373,15 +405,6 @@ void BatchedReplay::solve(std::vector<Complex>& rhs, int active) const {
   }
 }
 
-numeric::ScaledComplex BatchedReplay::determinant(int lane) const {
-  assert(plan_ != nullptr);
-  assert(lane >= 0 && lane < width_);
-  const std::size_t W = static_cast<std::size_t>(width_);
-  return numeric::scaled_pivot_product(pivot_re_.data() + lane, pivot_im_.data() + lane,
-                                       static_cast<std::size_t>(plan_->dim), W,
-                                       static_cast<double>(plan_->permutation_sign));
-}
-
 void BatchedReplay::min_abs_pivots(double* out, int active) const {
   assert(plan_ != nullptr);
   assert(active >= 0 && active <= width_);
@@ -451,19 +474,19 @@ void BatchedReplay::determinants(numeric::ScaledComplex* out, int active) const 
   }
 }
 
-double BatchedReplay::min_abs_pivot(int lane) const {
-  assert(plan_ != nullptr);
-  assert(lane >= 0 && lane < width_);
-  const std::size_t W = static_cast<std::size_t>(width_);
-  const std::size_t off = static_cast<std::size_t>(lane);
-  // min over replay_abs == sqrt(min over |pivot|^2): sqrt is monotone.
-  double smallest_norm = std::numeric_limits<double>::infinity();
-  for (int i = 0; i < plan_->dim; ++i) {
-    const double re = pivot_re_[static_cast<std::size_t>(i) * W + off];
-    const double im = pivot_im_[static_cast<std::size_t>(i) * W + off];
-    smallest_norm = std::min(smallest_norm, re * re + im * im);
-  }
-  return std::sqrt(smallest_norm);
+}  // namespace
+
+bool use_batched_replay(const ReplayPlan* plan, const CompressedMatrix& pattern) {
+  return plan != nullptr && plan->matches(pattern) &&
+         scalar_replay_scopes.load(std::memory_order_relaxed) == 0;
+}
+
+testing::ScopedScalarReplay::ScopedScalarReplay() {
+  scalar_replay_scopes.fetch_add(1, std::memory_order_relaxed);
+}
+
+testing::ScopedScalarReplay::~ScopedScalarReplay() {
+  scalar_replay_scopes.fetch_sub(1, std::memory_order_relaxed);
 }
 
 void solve_injected(const SparseLu& lu, std::span<const Injection> injections,
@@ -643,7 +666,7 @@ std::size_t replay_points(const PatternedMatrix& base, const SparseLu& planned,
     for (std::size_t at = begin; at < end; at += group_width) {
       if (cancel.cancelled()) throw support::CancelledError();
       const int count = static_cast<int>(std::min(group_width, end - at));
-      group.replay.replay(count, base.lane_assembly(points.data() + at, f_scale, g_scale));
+      group.replay.replay(count, base, points.data() + at, f_scale, g_scale);
       group.solve(injections, count);
       for (int l = 0; l < count; ++l) {
         const std::size_t i = at + static_cast<std::size_t>(l);

@@ -1,45 +1,44 @@
-// Batched supernodal replay of a recorded SparseLu plan.
+// The multi-point replay driver: one recorded SparseLu plan solved at many
+// points of the same pattern.
 //
 // The reference generator's inner loop is "evaluate the SAME circuit at N
 // nearby points": N frequency samples of one interpolation batch, N points
-// of an AC sweep, N probe frequencies of one Monte-Carlo sample. The scalar
-// path walks the plan once per point — per tiny update it pays the full
-// index-load and loop overhead. BatchedReplay restores the arithmetic
-// density: every numeric array is stored structure-of-arrays (position k of
-// lane l lives at values[k * width + l]), so one pass through the plan's
-// index structure drives `width` independent eliminations whose inner loops
-// are contiguous, branch-free and SIMD-friendly.
+// of an AC sweep, N probe frequencies of one Monte-Carlo sample.
+// replay_points() is the one driver every such caller uses. It runs the
+// points either through scalar SparseLu::refactor()/solve() calls or through
+// its batched kernel, which stores every numeric array structure-of-arrays
+// (position k of lane l at values[k * width + l]) so that one pass through
+// the plan's index structure drives `width` independent eliminations whose
+// inner loops are contiguous, branch-free and SIMD-friendly. Supernodes (see
+// ReplayPlan::supernode_start) run as small dense rank-k blocks. The kernel
+// is private to batched.cpp.
 //
-// Supernodes (see ReplayPlan::supernode_start) are executed as small dense
-// rank-k blocks: in-block updates use unit-stride workspace rows and the
-// block's single shared tail index list instead of per-entry index loads.
-//
-// THE ORACLE CONTRACT. Per lane, the floating-point operation sequence is
-// exactly the scalar SparseLu::refactor()/solve() sequence: same expression
-// shapes, same per-slot accumulation order, same relaxed pivot-acceptance
-// test. Results are therefore bit-identical to the scalar path — and, since
-// each lane's sequence never depends on the lane count, the active count or
-// any other lane's values, bit-identical across batch widths, batch
-// groupings and thread counts. tests/sparse/replay_differential_test holds
-// this contract against randomized circuits; any deviation is a bug here,
-// not tolerance noise.
+// THE ORACLE CONTRACT. Per lane, the floating-point operation sequence of
+// the batched kernel is exactly the scalar SparseLu::refactor()/solve()
+// sequence: same expression shapes, same per-slot accumulation order, same
+// relaxed pivot-acceptance test. Results are therefore bit-identical to the
+// scalar path — and, since each lane's sequence never depends on the lane
+// count, the active count or any other lane's values, bit-identical across
+// batch widths, batch groupings and thread counts.
+// tests/sparse/replay_differential_test holds this contract against
+// randomized matrices and circuits by running replay_points() on both
+// kernels (testing::ScopedScalarReplay forces the scalar one); any deviation
+// is a bug here, not tolerance noise.
 //
 // Failure model: the scalar path abandons a replay at the first refused
-// pivot; a batched lane instead records the refusal in lane_ok() and keeps
-// streaming (its remaining values are garbage, which keeps the hot loops
-// uniform). replay_points() falls back per refused lane exactly as after a
-// scalar refactor() returning false. The "lu_pivot" fault site is consulted
-// once per active lane (in lane order), mirroring the scalar path's one
-// draw per refactor() call, so fault-injection recovery tests observe
-// identical engine statistics under either kernel.
+// pivot; a batched lane instead records the refusal and keeps streaming (its
+// remaining values are garbage, which keeps the hot loops uniform).
+// replay_points() falls back per refused point identically on both kernels.
+// The "lu_pivot" fault site is consulted once per point (in point order
+// within a batched group), mirroring the scalar path's one draw per
+// refactor() call, so fault-injection recovery tests observe identical
+// engine statistics under either kernel.
 #pragma once
 
-#include <cassert>
 #include <complex>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -54,7 +53,7 @@ class ThreadPool;
 
 namespace symref::sparse {
 
-/// The one replay-kernel choice, made inside replay_points(): BatchedReplay
+/// The one replay-kernel choice, made inside replay_points(): batched-kernel
 /// lanes whenever `plan` can replay `pattern` structurally, the scalar
 /// SparseLu::refactor() path otherwise. Results are bit-identical either
 /// way (the oracle contract above), so the choice is never a request option.
@@ -84,99 +83,6 @@ class ScopedScalarReplay {
 /// (index traffic not yet amortized) and 32 (workspace falls out of L2).
 /// Results never depend on it (see the oracle contract above).
 inline constexpr int kDefaultBatchWidth = 16;
-
-class BatchedReplay {
- public:
-  BatchedReplay() = default;
-
-  /// Bind to a plan with a fixed SoA lane width (>= 1), sizing the numeric
-  /// payload. Rebinding to the same plan and width is a cheap no-op, so the
-  /// per-batch path stays allocation-free.
-  void bind(std::shared_ptr<const ReplayPlan> plan, int width);
-
-  [[nodiscard]] bool bound() const noexcept { return plan_ != nullptr; }
-  [[nodiscard]] int width() const noexcept { return width_; }
-  [[nodiscard]] int dim() const noexcept { return plan_ ? plan_->dim : 0; }
-  [[nodiscard]] const std::shared_ptr<const ReplayPlan>& plan() const noexcept { return plan_; }
-
-  /// SoA input values of A: CSR position k of lane l at
-  /// values()[k * width() + l]. Fill lanes [0, active), then call
-  /// replay(active).
-  [[nodiscard]] std::complex<double>* values() noexcept { return a_values_.data(); }
-  [[nodiscard]] std::size_t pattern_nonzeros() const noexcept {
-    return plan_ ? plan_->pattern_cols.size() : 0;
-  }
-
-  /// Replay lanes [0, active) through the plan in one pass. Per-lane
-  /// success is reported by lane_ok(); a refused lane's factors are
-  /// garbage and must not be consumed. Requires bound().
-  void replay(int active);
-
-  /// Fused-assembly replay: instead of reading pre-assembled values(), the
-  /// scatter computes each lane value from the assembly view as it streams
-  /// (and folds the max-|entry| scan into the same pass). Saves the full
-  /// nnz-by-width value block round-trip per group. Bit-identical to
-  /// writing PatternedMatrix::assemble(s[l], f, g) into values() and
-  /// calling replay(): the per-(k, lane) value expression is assemble()'s,
-  /// and the entry maximum is order-independent.
-  void replay(int active, const LaneAssembly& assembly);
-
-  /// Whether lane's last replay() accepted every pivot.
-  [[nodiscard]] bool lane_ok(int lane) const {
-    return lane_ok_[static_cast<std::size_t>(lane)] != 0;
-  }
-
-  /// Batched triangular solves: rhs holds dim() SoA rows
-  /// (rhs[r * width() + l]), overwritten with the solutions of lanes
-  /// [0, active). Refused lanes produce garbage; skip them via lane_ok().
-  void solve(std::vector<std::complex<double>>& rhs, int active) const;
-
-  /// Per-lane factorization summaries, valid for lanes with lane_ok():
-  /// determinant (extended-range pivot product, same accumulation order as
-  /// SparseLu::determinant()), smallest |pivot|, and largest |entry| of the
-  /// lane's input values.
-  [[nodiscard]] numeric::ScaledComplex determinant(int lane) const;
-  [[nodiscard]] double min_abs_pivot(int lane) const;
-
-  /// min_abs_pivot for lanes [0, active) in one lane-inner pass over the
-  /// pivot planes (same per-lane result, packed instead of strided).
-  void min_abs_pivots(double* out, int active) const;
-
-  /// determinant for lanes [0, active) in one lane-inner pass. Per lane this
-  /// replays numeric::scaled_pivot_product exactly — the window tests that
-  /// decide when to renormalize depend only on the lane's own accumulator
-  /// and factors, so the fold schedule (and therefore every rounding) is
-  /// identical to the scalar call; a lane that ever meets an out-of-window
-  /// factor is simply recomputed through the scalar routine.
-  void determinants(numeric::ScaledComplex* out, int active) const;
-  [[nodiscard]] double max_abs_entry(int lane) const {
-    return max_abs_entry_[static_cast<std::size_t>(lane)];
-  }
-
- private:
-  std::shared_ptr<const ReplayPlan> plan_;
-  int width_ = 0;
-
-  // --- SoA numeric payload (stride == width_, rewritten per replay) ---------
-  // Input values stay interleaved complex (the assemble interface); the
-  // factors and workspace are split into real/imaginary planes so the lane
-  // loops are pure unit-stride double arithmetic — no shuffles, straight
-  // packed mul/add/div/sqrt. The per-lane expression sequence is unchanged,
-  // so the split is invisible to the oracle contract.
-  std::vector<std::complex<double>> a_values_;
-  std::vector<double> l_re_, l_im_;
-  std::vector<double> u_re_, u_im_;
-  std::vector<double> pivot_re_, pivot_im_;
-  mutable std::vector<double> work_re_, work_im_;
-  std::vector<double> row_norm_;  // per-lane |entry|^2 scratch for pivot tests
-  std::vector<double> entry_norm_;    // per-lane max |a_kl|^2 scratch (fused assembly)
-  std::vector<double> s_re_, s_im_;   // deinterleaved lane frequencies (fused assembly)
-  std::vector<char> lane_ok_;
-  std::vector<double> max_abs_entry_;
-
-  template <bool Fused>
-  void replay_impl(int active, const LaneAssembly* assembly);
-};
 
 /// One right-hand-side entry of the points replay_points() solves:
 /// rhs[row] += value, in list order; a row < 0 (ground) is skipped.
@@ -239,8 +145,8 @@ using PointSink = std::function<void(std::size_t index, const ReplayedPoint& poi
 /// recorded in `planned`, spread over `pool`'s lanes (nullptr: the caller's
 /// thread only), and hands each solved point to `emit`.
 ///
-/// Per lane it runs SoA groups of at most `width` (>= 1) points through
-/// BatchedReplay when use_batched_replay() allows, scalar refactor()s of a
+/// Per lane it runs SoA groups of at most `width` (>= 1) points through the
+/// batched kernel when use_batched_replay() allows, scalar refactor()s of a
 /// clone of `planned` otherwise. A refused point falls back to a throwaway
 /// fresh factorization of that point alone at kPivotThreshold (no second
 /// replay, so "lu_pivot" is drawn once per point on both kernels), and

@@ -52,15 +52,16 @@ bool DenseLu::factor(std::vector<std::complex<double>> matrix, int dim) {
   return true;
 }
 
-bool DenseLu::factor(const TripletMatrix& matrix) {
-  const int dim = matrix.dim();
-  std::vector<std::complex<double>> dense(static_cast<std::size_t>(dim) *
-                                          static_cast<std::size_t>(dim));
-  for (const Triplet& t : matrix.triplets()) {
-    dense[static_cast<std::size_t>(t.row) * static_cast<std::size_t>(dim) +
-          static_cast<std::size_t>(t.col)] += t.value;
+bool DenseLu::factor(const CompressedMatrix& matrix) {
+  const std::size_t dim = static_cast<std::size_t>(matrix.dim);
+  std::vector<std::complex<double>> dense(dim * dim);
+  for (std::size_t r = 0; r < dim; ++r) {
+    for (int k = matrix.row_start[r]; k < matrix.row_start[r + 1]; ++k) {
+      const std::size_t at = static_cast<std::size_t>(k);
+      dense[r * dim + static_cast<std::size_t>(matrix.cols[at])] = matrix.values[at];
+    }
   }
-  return factor(std::move(dense), dim);
+  return factor(std::move(dense), matrix.dim);
 }
 
 void DenseLu::solve(std::vector<std::complex<double>>& rhs) const {

@@ -18,8 +18,8 @@ class DenseLu {
   /// column is exactly zero (structurally or numerically singular).
   bool factor(std::vector<std::complex<double>> matrix, int dim);
 
-  /// Factor from triplet assembly.
-  bool factor(const TripletMatrix& matrix);
+  /// Factor an assembled sparse matrix (scattered into dense storage).
+  bool factor(const CompressedMatrix& matrix);
 
   [[nodiscard]] int dim() const noexcept { return dim_; }
   [[nodiscard]] bool ok() const noexcept { return ok_; }

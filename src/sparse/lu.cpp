@@ -48,10 +48,6 @@ int permutation_sign(const std::vector<int>& order) {
   return sign;
 }
 
-bool SparseLu::factor(const TripletMatrix& matrix, double pivot_threshold) {
-  return factor(matrix.compress(), pivot_threshold);
-}
-
 bool SparseLu::factor(const CompressedMatrix& matrix, double pivot_threshold) {
   // Fault site "lu_alloc": the symbolic analysis is the allocation-heavy
   // path (plan vectors sized by fill-in); an injected bad_alloc exercises

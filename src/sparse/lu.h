@@ -51,7 +51,7 @@ namespace symref::sparse {
 /// (dc::replay_or_factor).
 inline constexpr double kPivotThreshold = 1e-3;
 
-/// Pivots reused by a plan replay (scalar refactor() or a BatchedReplay
+/// Pivots reused by a plan replay (scalar refactor() or a batched-kernel
 /// lane) were not re-searched, so they are accepted with a threshold this
 /// much more permissive than kPivotThreshold, whatever threshold recorded
 /// the plan; a pivot that falls below it refuses the replay and signals the
@@ -65,7 +65,7 @@ inline constexpr double kReplayRelaxedThresholdScale = 1e-5;
 /// the matrices this library factors are scaled admittance matrices whose
 /// entries sit far inside the |z| < ~1e150 range where the squared form is
 /// exact enough (it can differ from std::abs by an ulp, never overflow).
-/// Scalar refactor() and BatchedReplay MUST share this function — pivot
+/// Scalar refactor() and the batched kernel MUST share this function — pivot
 /// refusal decisions and the min/max magnitude statistics are part of the
 /// bit-identity contract between them.
 inline double replay_abs(const std::complex<double>& z) noexcept {
@@ -104,7 +104,7 @@ inline std::complex<double> replay_div(const std::complex<double>& a,
 /// The one-time symbolic work of SparseLu::factor(): pivot order, fill-in
 /// pattern, scatter plan and supernode partition. Immutable once recorded
 /// and shared read-only (shared_ptr) between a SparseLu, its clones and any
-/// BatchedReplay bound to it — every replay consumer walks the same flat
+/// batched replay bound to it — every replay consumer walks the same flat
 /// arrays, which is what makes scalar and batched replays bit-identical by
 /// construction (identical per-slot operation sequences).
 ///
@@ -167,7 +167,6 @@ class SparseLu {
   /// Factor the matrix at `pivot_threshold`; returns false when singular
   /// (no active row holds a nonzero pivot). Also records the symbolic plan
   /// (pivot order + fill pattern) consumed by refactor().
-  bool factor(const TripletMatrix& matrix, double pivot_threshold = kPivotThreshold);
   bool factor(const CompressedMatrix& matrix, double pivot_threshold = kPivotThreshold);
 
   /// Re-factor a matrix with the SAME sparsity pattern using the plan of the
@@ -202,7 +201,8 @@ class SparseLu {
   [[nodiscard]] bool has_plan() const noexcept { return plan_ != nullptr; }
 
   /// The recorded symbolic plan (nullptr before the first successful
-  /// factor()). Shared read-only — the handle a BatchedReplay binds to.
+  /// factor()). Shared read-only — the handle the batched kernel of
+  /// replay_points() binds to.
   [[nodiscard]] std::shared_ptr<const ReplayPlan> plan() const noexcept { return plan_; }
 
   /// Fill-in created by elimination (entries in L+U beyond those of A).

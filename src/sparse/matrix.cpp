@@ -135,42 +135,4 @@ const CompressedMatrix& PatternedMatrix::assemble(std::complex<double> s, double
   return matrix_;
 }
 
-void TripletMatrix::add(int row, int col, std::complex<double> value) {
-  if (row < 0 || row >= dim_ || col < 0 || col >= dim_) {
-    throw std::out_of_range("TripletMatrix::add: index outside matrix");
-  }
-  if (value == std::complex<double>()) return;
-  triplets_.push_back({row, col, value});
-}
-
-CompressedMatrix TripletMatrix::compress() const {
-  CompressedMatrix out;
-  out.dim = dim_;
-  std::vector<Triplet> sorted = triplets_;
-  std::sort(sorted.begin(), sorted.end(), [](const Triplet& a, const Triplet& b) {
-    return a.row != b.row ? a.row < b.row : a.col < b.col;
-  });
-
-  out.row_start.assign(static_cast<std::size_t>(dim_) + 1, 0);
-  std::size_t i = 0;
-  while (i < sorted.size()) {
-    std::size_t j = i + 1;
-    std::complex<double> sum = sorted[i].value;
-    while (j < sorted.size() && sorted[j].row == sorted[i].row && sorted[j].col == sorted[i].col) {
-      sum += sorted[j].value;
-      ++j;
-    }
-    if (sum != std::complex<double>()) {
-      out.cols.push_back(sorted[i].col);
-      out.values.push_back(sum);
-      ++out.row_start[static_cast<std::size_t>(sorted[i].row) + 1];
-    }
-    i = j;
-  }
-  for (int r = 0; r < dim_; ++r) {
-    out.row_start[static_cast<std::size_t>(r) + 1] += out.row_start[static_cast<std::size_t>(r)];
-  }
-  return out;
-}
-
 }  // namespace symref::sparse

@@ -1,8 +1,9 @@
-// Triplet (COO) assembly matrix for MNA stamping.
+// Pattern-cached assembly of stamp lists into compressed rows.
 //
-// Element stamps accumulate duplicate (row, col) contributions; compress()
-// merges them into a deterministic column-sorted row structure consumed by
-// the LU factorizations.
+// Every sparse matrix the library factors is a PatternedMatrix: element
+// stamps merge once into a deterministic column-sorted row structure, and
+// each evaluation point rewrites only the values the LU factorizations
+// consume.
 #pragma once
 
 #include <complex>
@@ -11,13 +12,7 @@
 
 namespace symref::sparse {
 
-struct Triplet {
-  int row = 0;
-  int col = 0;
-  std::complex<double> value;
-};
-
-/// Row-compressed view produced by TripletMatrix::compress().
+/// Row-compressed matrix, as PatternedMatrix assembles it.
 struct CompressedMatrix {
   int dim = 0;
   /// row_start[i]..row_start[i+1] index into cols/values; cols sorted per row.
@@ -47,23 +42,10 @@ struct PatternStamp {
   double capacitance = 0.0;
 };
 
-/// On-the-fly lane assembly for BatchedReplay: the base value arrays plus
-/// the per-lane frequency points, letting the replay's scatter compute
-/// value(k, l) = g_scale * conductance[k] + s[l] * (f_scale * capacitance[k])
-/// as it streams — PatternedMatrix::assemble()'s expression at s[l],
-/// without ever materializing the nnz-by-width value block.
-struct LaneAssembly {
-  const double* conductance = nullptr;  // per CSR position
-  const double* capacitance = nullptr;  // per CSR position
-  const std::complex<double>* s = nullptr;  // per lane
-  double f_scale = 1.0;
-  double g_scale = 1.0;
-};
-
 /// Pattern-cached assembly: the structural nonzero layout is computed once
 /// from a stamp list (duplicates merged, rows sorted), and every assemble()
 /// call rewrites only the value array of the cached CompressedMatrix — no
-/// triplet allocation, sorting or compression on the per-sample path. The
+/// allocation, sorting or merging on the per-sample path. The
 /// fixed layout is what keeps SparseLu::refactor() applicable across an
 /// entire frequency sweep or interpolation run.
 class PatternedMatrix {
@@ -88,39 +70,16 @@ class PatternedMatrix {
 
   [[nodiscard]] const CompressedMatrix& matrix() const noexcept { return matrix_; }
 
-  /// View for BatchedReplay's fused-assembly replay: lane l of CSR position
-  /// k assembles to the same bits as assemble(s[l], f_scale, g_scale). The
-  /// view borrows this matrix's arrays — keep it alive while in use.
-  [[nodiscard]] LaneAssembly lane_assembly(const std::complex<double>* s, double f_scale = 1.0,
-                                           double g_scale = 1.0) const noexcept {
-    return {conductance_.data(), capacitance_.data(), s, f_scale, g_scale};
-  }
+  /// The merged G and C parts, aligned with matrix().values: assemble()
+  /// writes g_scale * conductance()[k] + s * (f_scale * capacitance()[k]),
+  /// the expression the batched replay kernel fuses into its scatter.
+  [[nodiscard]] const std::vector<double>& conductance() const noexcept { return conductance_; }
+  [[nodiscard]] const std::vector<double>& capacitance() const noexcept { return capacitance_; }
 
  private:
   CompressedMatrix matrix_;
   std::vector<double> conductance_;  // aligned with matrix_.values
   std::vector<double> capacitance_;
-};
-
-class TripletMatrix {
- public:
-  explicit TripletMatrix(int dim) : dim_(dim) {}
-
-  [[nodiscard]] int dim() const noexcept { return dim_; }
-  [[nodiscard]] std::size_t entries() const noexcept { return triplets_.size(); }
-  [[nodiscard]] const std::vector<Triplet>& triplets() const noexcept { return triplets_; }
-
-  /// Accumulate value at (row, col); indices must be within [0, dim).
-  void add(int row, int col, std::complex<double> value);
-
-  void clear() noexcept { triplets_.clear(); }
-
-  /// Merge duplicates and sort columns within each row.
-  [[nodiscard]] CompressedMatrix compress() const;
-
- private:
-  int dim_;
-  std::vector<Triplet> triplets_;
 };
 
 }  // namespace symref::sparse

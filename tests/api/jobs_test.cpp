@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -58,6 +59,7 @@ TEST(JobManager, SubmitWaitDeliversTheResponse) {
   const auto info = jobs.poll(id);
   ASSERT_TRUE(info.ok());
   EXPECT_EQ(info.value().state, JobState::kDone);
+  EXPECT_EQ(info.value().circuit, "two-pole rc");  // kept after the job released its handle
   EXPECT_GT(info.value().iterations, 0);
   EXPECT_FALSE(info.value().cancel_requested);
 }
@@ -283,6 +285,24 @@ TEST(JobManager, ListShowsSubmitOrderAndDestructorCancelsQueuedJobs) {
   }  // ~JobManager: cancels queued jobs, joins workers
   // Every job completed exactly once — naturally or as cancelled.
   EXPECT_EQ(done_count.load(), 5);
+}
+
+TEST(JobManager, DeadlineTheClockCannotHoldFailsAtOnce) {
+  const Service service;
+  const CircuitHandle handle = compile(service, kRcNetlist);
+  JobManager jobs(service, 1);
+  for (const double deadline_ms : {1e16, std::numeric_limits<double>::infinity()}) {
+    SubmitOptions options;
+    options.deadline_ms = deadline_ms;
+    const auto outcome = jobs.wait(jobs.submit(handle, rc_refgen(), std::move(options)));
+    ASSERT_TRUE(outcome.ok());
+    EXPECT_EQ(outcome.value().status.code(), StatusCode::kInvalidArgument) << deadline_ms;
+  }
+  SubmitOptions options;
+  options.deadline_ms = 1e12;  // about 31 years: the clock holds it
+  const auto outcome = jobs.wait(jobs.submit(handle, rc_refgen(), std::move(options)));
+  ASSERT_TRUE(outcome.ok());
+  EXPECT_TRUE(outcome.value().status.ok()) << outcome.value().status.to_string();
 }
 
 // execute() is the one map from a request to Service: every request type's

@@ -230,6 +230,39 @@ TEST(ProtocolSession, MistypedOrUnknownParamsFailAndCreateNoJob) {
   EXPECT_FALSE(core.shutdown_requested());
 }
 
+TEST(ProtocolSession, DeadlinesTheClockCannotHoldAreRejected) {
+  // 1e16 ms is past the steady clock's range and 1e400 parses to infinity:
+  // both used to overflow into a deadline in the past. 1e12 ms still works.
+  ServerCore core;
+  std::string script = std::string(R"({"id":0,"method":"compile","params":{"netlist":)") +
+                       quote(kRcNetlist) + "}}\n";
+  const char* const budgets[] = {"1e16", "1e400", "1e12"};
+  for (int id = 1; id <= 3; ++id) {
+    script += "{\"id\":";
+    script += std::to_string(id);
+    script += R"(,"method":"submit","params":{"circuit_id":"c1","request":{"type":"refgen",)"
+              R"("spec":{"in":"in","out":"out"}},"deadline_ms":)";
+    script += budgets[id - 1];
+    script += "}}\n";
+  }
+  script += R"({"id":4,"method":"wait","params":{"job_id":"j1"}})"
+            "\n"
+            R"({"id":5,"method":"list"})"
+            "\n";
+  const auto lines = run_session(core, script);
+  for (const int id : {1, 2}) {
+    const Json reply = find_reply(lines, id);
+    ASSERT_NE(reply.find("error"), nullptr) << reply.dump();
+    EXPECT_EQ(reply.find("error")->find("code")->as_string(), "invalid_argument");
+  }
+  ASSERT_NE(find_reply(lines, 3).find("result"), nullptr) << find_reply(lines, 3).dump();
+  const Json waited = find_reply(lines, 4);
+  ASSERT_NE(waited.find("result"), nullptr) << waited.dump();
+  EXPECT_EQ(waited.find("result")->find("result")->find("status")->find("code")->as_string(),
+            "ok");
+  EXPECT_EQ(find_reply(lines, 5).find("result")->find("jobs")->size(), 1u);
+}
+
 TEST(ProtocolSession, ShutdownStopsEverySession) {
   ServerCore core;
   const auto lines = run_session(core, R"({"id":1,"method":"shutdown"})"

@@ -211,9 +211,22 @@ TEST(ServiceSweep, ErrorsMapToDistinctCodes) {
   const Service service;
   const CircuitHandle handle = service.compile_netlist(kRcNetlist).take();
 
-  SweepRequest bad_spec;
-  bad_spec.spec = mna::TransferSpec::voltage_gain("in", "nowhere");
-  EXPECT_EQ(service.sweep(handle, bad_spec).status().code(), StatusCode::kInvalidSpec);
+  // Refgen's spec rules: unknown nodes on either side, a degenerate input
+  // pair (ground included) and a degenerate transimpedance drive.
+  for (const mna::TransferSpec& spec :
+       {mna::TransferSpec::voltage_gain("in", "nowhere"),
+        mna::TransferSpec::voltage_gain("nowhere", "out"),
+        mna::TransferSpec::voltage_gain("in", "out", "in"),
+        mna::TransferSpec::voltage_gain("0", "out"),
+        mna::TransferSpec::transimpedance("in", "out", "in")}) {
+    SweepRequest bad_spec;
+    bad_spec.spec = spec;
+    bad_spec.f_stop_hz = 1e3;
+    EXPECT_EQ(service.sweep(handle, bad_spec).status().code(), StatusCode::kInvalidSpec)
+        << spec.in_pos << "," << spec.in_neg << " -> " << spec.out_pos;
+    EXPECT_EQ(service.refgen(handle, {spec, {}}).status().code(), StatusCode::kInvalidSpec)
+        << spec.in_pos << "," << spec.in_neg << " -> " << spec.out_pos;
+  }
 
   SweepRequest bad_grid;
   bad_grid.spec = rc_spec();

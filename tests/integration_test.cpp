@@ -206,15 +206,15 @@ TEST(Integration, MonteCarloElementSpread) {
     const int stages = 2 + static_cast<int>(rng.uniform_index(3));
     std::string previous = "in";
     for (int i = 1; i <= stages; ++i) {
-      const std::string node = "n" + std::to_string(i);
-      c.add_resistor("r" + std::to_string(i), previous, node,
+      const std::string node = std::string("n").append(std::to_string(i));
+      c.add_resistor(std::string("r").append(std::to_string(i)), previous, node,
                      rng.log_uniform(1e1, 1e7));
-      c.add_capacitor("c" + std::to_string(i), node, "0",
+      c.add_capacitor(std::string("c").append(std::to_string(i)), node, "0",
                       rng.log_uniform(1e-15, 1e-7));
       previous = node;
     }
     const auto spec = mna::TransferSpec::voltage_gain(
-        "in", "n" + std::to_string(stages));
+        "in", std::string("n").append(std::to_string(stages)));
     const refgen::AdaptiveResult result = refgen::generate_reference(c, spec);
     if (!result.complete) continue;
     ++completed;

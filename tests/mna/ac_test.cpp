@@ -195,9 +195,22 @@ TEST(AcSimulator, MagnitudeDbSaturatesAtZero) {
 TEST(AcSimulator, UnknownNodeThrowsSpecError) {
   netlist::Circuit c;
   c.add_resistor("r1", "a", "0", 1.0);
+  c.node("floating");  // no element touches it
   const AcSimulator sim(c);
-  // The typed exception is what the api boundary maps to kInvalidSpec.
-  EXPECT_THROW((void)sim.transfer(TransferSpec::voltage_gain("a", "missing"), 1.0), SpecError);
+  // The typed exception is what the api boundary maps to kInvalidSpec. The
+  // rules are the interpolation engine's: unknown or floating nodes and a
+  // degenerate input pair, whichever side names them.
+  for (const TransferSpec& spec :
+       {TransferSpec::voltage_gain("a", "missing"), TransferSpec::voltage_gain("missing", "a"),
+        TransferSpec::voltage_gain("a", "floating"), TransferSpec::voltage_gain("floating", "a"),
+        TransferSpec::voltage_gain("a", "a", "a"), TransferSpec::voltage_gain("0", "a"),
+        TransferSpec::transimpedance("a", "a", "a")}) {
+    EXPECT_THROW((void)sim.transfer(spec, 1.0), SpecError)
+        << spec.in_pos << "," << spec.in_neg << " -> " << spec.out_pos;
+    EXPECT_THROW((void)sim.bode(spec, 1.0, 1e3, 1), SpecError) << spec.in_pos;
+  }
+  // A valid spec still works on the same simulator afterwards.
+  EXPECT_NEAR(std::abs(sim.transfer(TransferSpec::transimpedance("a", "a"), 1.0)), 1.0, 1e-12);
 }
 
 }  // namespace

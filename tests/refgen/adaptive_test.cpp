@@ -31,7 +31,7 @@ TEST(Adaptive, LadderCoefficientsMatchSymbolicOracle) {
     const netlist::Circuit ladder = circuits::rc_ladder(n);
     const netlist::Circuit canonical = netlist::canonicalize(ladder);
     const auto spec =
-        mna::TransferSpec::transimpedance("in", "n" + std::to_string(n));
+        mna::TransferSpec::transimpedance("in", std::string("n").append(std::to_string(n)));
     const AdaptiveResult result = generate_reference(ladder, spec);
     ASSERT_TRUE(result.complete) << "n=" << n << " " << result.termination;
 

@@ -13,28 +13,15 @@
 #include "netlist/canonical.h"
 #include "sparse/dense.h"
 #include "support/random.h"
+#include "test_matrices.h"
 
 namespace symref::sparse {
 namespace {
 
 using Complex = std::complex<double>;
-
-TripletMatrix random_matrix(support::Rng& rng, int n, double density) {
-  TripletMatrix m(n);
-  // Guarantee structural nonsingularity via a strong diagonal.
-  for (int i = 0; i < n; ++i) {
-    m.add(i, i, {rng.uniform(1.0, 2.0) * rng.sign(), rng.uniform(-0.5, 0.5)});
-  }
-  for (int r = 0; r < n; ++r) {
-    for (int c = 0; c < n; ++c) {
-      if (r == c) continue;
-      if (rng.next_double() < density) {
-        m.add(r, c, {rng.uniform(-1, 1), rng.uniform(-1, 1)});
-      }
-    }
-  }
-  return m;
-}
+using test::at_i;
+using test::entry;
+using test::random_matrix;
 
 std::vector<Complex> random_vector(support::Rng& rng, int n) {
   std::vector<Complex> v(static_cast<std::size_t>(n));
@@ -49,6 +36,19 @@ double residual_norm(const CompressedMatrix& a, const std::vector<Complex>& x,
   double worst = 0.0;
   for (std::size_t i = 0; i < b.size(); ++i) worst = std::max(worst, std::abs(ax[i] - b[i]));
   return worst;
+}
+
+/// diag(1, 1, 1) plus 0.5 at (0, 1).
+CompressedMatrix healthy_3x3() {
+  return at_i(3, {entry(0, 0, {1.0, 0.0}), entry(1, 1, {1.0, 0.0}), entry(2, 2, {1.0, 0.0}),
+                  entry(0, 1, {0.5, 0.0})});
+}
+
+/// healthy_3x3()'s pattern with the (1, 1) pivot collapsed to 1e-30 and the
+/// (0, 1) entry exploded to 1e20: a replay of the healthy plan must refuse.
+CompressedMatrix degraded_3x3() {
+  return at_i(3, {entry(0, 0, {1.0, 0.0}), entry(1, 1, {1e-30, 0.0}), entry(2, 2, {1.0, 0.0}),
+                  entry(0, 1, {1e20, 0.0})});
 }
 
 TEST(PermutationSign, CyclesAndIdentity) {
@@ -86,7 +86,7 @@ TEST(DenseLu, SingularDetected) {
 TEST(SparseLu, MatchesDenseOnRandomMatrices) {
   support::Rng rng(1234);
   for (const int n : {1, 2, 3, 5, 8, 13, 21, 34}) {
-    const TripletMatrix m = random_matrix(rng, n, 0.3);
+    const CompressedMatrix m = random_matrix(rng, n, 0.3);
     SparseLu sparse;
     DenseLu dense;
     ASSERT_TRUE(sparse.factor(m)) << n;
@@ -113,10 +113,9 @@ TEST(SparseLu, MatchesDenseOnRandomMatrices) {
 
 TEST(SparseLu, ResidualSmall) {
   support::Rng rng(99);
-  const TripletMatrix m = random_matrix(rng, 40, 0.15);
-  const CompressedMatrix c = m.compress();
+  const CompressedMatrix c = random_matrix(rng, 40, 0.15);
   SparseLu lu;
-  ASSERT_TRUE(lu.factor(m));
+  ASSERT_TRUE(lu.factor(c));
   const auto b = random_vector(rng, 40);
   std::vector<Complex> x = b;
   lu.solve(x);
@@ -124,11 +123,11 @@ TEST(SparseLu, ResidualSmall) {
 }
 
 TEST(SparseLu, DeterminantOfDiagonal) {
-  TripletMatrix m(4);
   const Complex d[4] = {{2, 0}, {0, 3}, {-1, 0}, {0, -2}};
-  for (int i = 0; i < 4; ++i) m.add(i, i, d[i]);
+  std::vector<PatternStamp> m;
+  for (int i = 0; i < 4; ++i) m.push_back(entry(i, i, d[i]));
   SparseLu lu;
-  ASSERT_TRUE(lu.factor(m));
+  ASSERT_TRUE(lu.factor(at_i(4, m)));
   const Complex expected = d[0] * d[1] * d[2] * d[3];
   EXPECT_LT(std::abs(lu.determinant().to_complex() - expected), 1e-12);
 }
@@ -137,60 +136,55 @@ TEST(SparseLu, DeterminantBeyondDoubleRange) {
   // 100 diagonal entries of 1e-8: det = 1e-800, unrepresentable in double
   // but exact in the scaled domain.
   const int n = 100;
-  TripletMatrix m(n);
-  for (int i = 0; i < n; ++i) m.add(i, i, {1e-8, 0.0});
+  std::vector<PatternStamp> m;
+  for (int i = 0; i < n; ++i) m.push_back(entry(i, i, {1e-8, 0.0}));
   SparseLu lu;
-  ASSERT_TRUE(lu.factor(m));
+  ASSERT_TRUE(lu.factor(at_i(n, m)));
   EXPECT_NEAR(lu.determinant().abs().log10_abs(), -800.0, 1e-6);
 }
 
 TEST(SparseLu, SingularMatrixRejected) {
-  TripletMatrix m(3);
-  m.add(0, 0, {1.0, 0.0});
-  m.add(1, 1, {1.0, 0.0});
   // row 2 empty -> structurally singular
+  const CompressedMatrix m = at_i(3, {entry(0, 0, {1.0, 0.0}), entry(1, 1, {1.0, 0.0})});
   SparseLu lu;
   EXPECT_FALSE(lu.factor(m));
   EXPECT_FALSE(lu.ok());
 }
 
 TEST(SparseLu, NumericallySingularRejected) {
-  TripletMatrix m(2);
-  m.add(0, 0, {1.0, 0.0});
-  m.add(0, 1, {2.0, 0.0});
-  m.add(1, 0, {2.0, 0.0});
-  m.add(1, 1, {4.0, 0.0});
+  const CompressedMatrix m = at_i(2, {entry(0, 0, {1.0, 0.0}), entry(0, 1, {2.0, 0.0}),
+                                      entry(1, 0, {2.0, 0.0}), entry(1, 1, {4.0, 0.0})});
   SparseLu lu;
   EXPECT_FALSE(lu.factor(m));
 }
 
 TEST(SparseLu, PermutedIdentityTracksSign) {
   // Anti-diagonal identity of size 4: det = +1 (two transpositions).
-  TripletMatrix m(4);
-  for (int i = 0; i < 4; ++i) m.add(i, 3 - i, {1.0, 0.0});
+  std::vector<PatternStamp> m;
+  for (int i = 0; i < 4; ++i) m.push_back(entry(i, 3 - i, {1.0, 0.0}));
   SparseLu lu;
-  ASSERT_TRUE(lu.factor(m));
+  ASSERT_TRUE(lu.factor(at_i(4, m)));
   EXPECT_NEAR(lu.determinant().real().to_double(), 1.0, 1e-15);
 
-  TripletMatrix m3(3);
-  for (int i = 0; i < 3; ++i) m3.add(i, 2 - i, {1.0, 0.0});
+  std::vector<PatternStamp> m3;
+  for (int i = 0; i < 3; ++i) m3.push_back(entry(i, 2 - i, {1.0, 0.0}));
   SparseLu lu3;
-  ASSERT_TRUE(lu3.factor(m3));
+  ASSERT_TRUE(lu3.factor(at_i(3, m3)));
   EXPECT_NEAR(lu3.determinant().real().to_double(), -1.0, 1e-15);
 }
 
 TEST(SparseLu, TridiagonalFillInStaysLow) {
   const int n = 50;
-  TripletMatrix m(n);
+  std::vector<PatternStamp> m;
   for (int i = 0; i < n; ++i) {
-    m.add(i, i, {4.0, 0.0});
+    m.push_back(entry(i, i, {4.0, 0.0}));
     if (i > 0) {
-      m.add(i, i - 1, {-1.0, 0.0});
-      m.add(i - 1, i, {-1.0, 0.0});
+      m.push_back(entry(i, i - 1, {-1.0, 0.0}));
+      m.push_back(entry(i - 1, i, {-1.0, 0.0}));
     }
   }
   SparseLu lu;
-  ASSERT_TRUE(lu.factor(m));
+  ASSERT_TRUE(lu.factor(at_i(n, m)));
   // Markowitz on a tridiagonal matrix should produce (near-)zero fill.
   EXPECT_LE(lu.fill_in(), 5u);
 }
@@ -199,8 +193,8 @@ TEST(SparseLu, TridiagonalFillInStaysLow) {
 TEST(SparseLu, RefactorMatchesFullFactor) {
   support::Rng rng(555);
   const int n = 30;
-  const TripletMatrix base = random_matrix(rng, n, 0.2);
-  const CompressedMatrix pattern = base.compress();
+  const std::vector<PatternStamp> base = test::random_entries(rng, n, 0.2);
+  const CompressedMatrix pattern = at_i(n, base);
 
   SparseLu lu;
   ASSERT_TRUE(lu.factor(pattern));
@@ -208,11 +202,12 @@ TEST(SparseLu, RefactorMatchesFullFactor) {
 
   // Same pattern, perturbed values (same positions!): refactor must succeed
   // and match a from-scratch factorization.
-  TripletMatrix perturbed(n);
-  for (const Triplet& t : base.triplets()) {
-    perturbed.add(t.row, t.col, t.value * Complex(1.1, -0.05));
+  std::vector<PatternStamp> perturbed;
+  for (const PatternStamp& stamp : base) {
+    perturbed.push_back(entry(stamp.row, stamp.col,
+                              Complex(stamp.conductance, stamp.capacitance) * Complex(1.1, -0.05)));
   }
-  const CompressedMatrix perturbed_c = perturbed.compress();
+  const CompressedMatrix perturbed_c = at_i(n, perturbed);
   ASSERT_EQ(perturbed_c.nonzeros(), pattern.nonzeros());
   ASSERT_TRUE(lu.refactor(perturbed_c));
 
@@ -236,54 +231,45 @@ TEST(SparseLu, RefactorMatchesFullFactor) {
 
 TEST(SparseLu, RefactorRejectsPatternChange) {
   support::Rng rng(556);
-  const TripletMatrix a = random_matrix(rng, 10, 0.3);
+  const CompressedMatrix a = random_matrix(rng, 10, 0.3);
   SparseLu lu;
   ASSERT_TRUE(lu.factor(a));
-  const TripletMatrix b = random_matrix(rng, 10, 0.5);  // different pattern
-  if (b.compress().nonzeros() != a.compress().nonzeros()) {
-    EXPECT_FALSE(lu.refactor(b.compress()));
+  const CompressedMatrix b = random_matrix(rng, 10, 0.5);  // different pattern
+  if (b.nonzeros() != a.nonzeros()) {
+    EXPECT_FALSE(lu.refactor(b));
   }
-  const TripletMatrix c = random_matrix(rng, 12, 0.3);  // different dim
-  EXPECT_FALSE(lu.refactor(c.compress()));
+  const CompressedMatrix c = random_matrix(rng, 12, 0.3);  // different dim
+  EXPECT_FALSE(lu.refactor(c));
 }
 
 TEST(SparseLu, RefactorWithoutPriorFactorFails) {
   support::Rng rng(557);
-  const TripletMatrix m = random_matrix(rng, 8, 0.3);
+  const CompressedMatrix m = random_matrix(rng, 8, 0.3);
   SparseLu lu;
-  EXPECT_FALSE(lu.refactor(m.compress()));
+  EXPECT_FALSE(lu.refactor(m));
 }
 
 TEST(SparseLu, PlanSurvivesRefusedReplayOfAnotherPattern) {
   support::Rng rng(558);
-  const TripletMatrix a = random_matrix(rng, 10, 0.3);
+  const CompressedMatrix a = random_matrix(rng, 10, 0.3);
   SparseLu lu;
-  ASSERT_TRUE(lu.factor(a.compress()));
-  EXPECT_TRUE(lu.refactor(a.compress()));
+  ASSERT_TRUE(lu.factor(a));
+  EXPECT_TRUE(lu.refactor(a));
   // Different dimension: the pattern check refuses.
-  const TripletMatrix b = random_matrix(rng, 12, 0.3);
-  EXPECT_FALSE(lu.refactor(b.compress()));
+  const CompressedMatrix b = random_matrix(rng, 12, 0.3);
+  EXPECT_FALSE(lu.refactor(b));
   // The plan survives the refusal: the original pattern still replays.
-  EXPECT_TRUE(lu.refactor(a.compress()));
+  EXPECT_TRUE(lu.refactor(a));
 }
 
 TEST(SparseLu, RefactorDetectsDegradedPivot) {
   // Diagonal matrix; zero out one diagonal value while keeping the pattern
   // impossible — instead make it numerically tiny: refactor must refuse.
-  TripletMatrix m(3);
-  m.add(0, 0, {1.0, 0.0});
-  m.add(1, 1, {1.0, 0.0});
-  m.add(2, 2, {1.0, 0.0});
-  m.add(0, 1, {0.5, 0.0});
   SparseLu lu;
-  ASSERT_TRUE(lu.factor(m));
+  ASSERT_TRUE(lu.factor(healthy_3x3()));
 
-  TripletMatrix degraded(3);
-  degraded.add(0, 0, {1.0, 0.0});
-  degraded.add(1, 1, {1e-30, 0.0});  // pivot collapses
-  degraded.add(2, 2, {1.0, 0.0});
-  degraded.add(0, 1, {1e20, 0.0});   // row max explodes
-  EXPECT_FALSE(lu.refactor(degraded.compress()));
+  const CompressedMatrix degraded = degraded_3x3();
+  EXPECT_FALSE(lu.refactor(degraded));
   // Full factor still handles it (picks a better pivot or reports singular
   // consistently).
   SparseLu fresh;
@@ -294,39 +280,29 @@ TEST(SparseLu, ReplayOrFactorKeepsTheFreshPlanAndTalliesEachAttempt) {
   // The one replay policy: a replay adds nothing to the fresh count; a
   // refused replay factors fresh once, keeps that plan and counts once; a
   // singular matrix counts its one attempt and leaves no plan.
-  TripletMatrix healthy(3);
-  healthy.add(0, 0, {1.0, 0.0});
-  healthy.add(1, 1, {1.0, 0.0});
-  healthy.add(2, 2, {1.0, 0.0});
-  healthy.add(0, 1, {0.5, 0.0});
-  TripletMatrix degraded(3);
-  degraded.add(0, 0, {1.0, 0.0});
-  degraded.add(1, 1, {1e-30, 0.0});
-  degraded.add(2, 2, {1.0, 0.0});
-  degraded.add(0, 1, {1e20, 0.0});
+  const CompressedMatrix healthy = healthy_3x3();
+  const CompressedMatrix degraded = degraded_3x3();
 
   SparseLu lu;
   std::uint64_t fresh = 0;
-  ASSERT_TRUE(lu.replay_or_factor(healthy.compress(), &fresh));
+  ASSERT_TRUE(lu.replay_or_factor(healthy, &fresh));
   EXPECT_EQ(fresh, 1u);
   const auto first_plan = lu.plan();
-  ASSERT_TRUE(lu.replay_or_factor(healthy.compress(), &fresh));
+  ASSERT_TRUE(lu.replay_or_factor(healthy, &fresh));
   EXPECT_EQ(fresh, 1u);
   EXPECT_EQ(lu.plan(), first_plan);
 
-  ASSERT_TRUE(lu.replay_or_factor(degraded.compress(), &fresh));
+  ASSERT_TRUE(lu.replay_or_factor(degraded, &fresh));
   EXPECT_EQ(fresh, 2u);
   EXPECT_NE(lu.plan(), first_plan);
-  ASSERT_TRUE(lu.replay_or_factor(degraded.compress(), &fresh));
+  ASSERT_TRUE(lu.replay_or_factor(degraded, &fresh));
   EXPECT_EQ(fresh, 2u);
 
   // [[1, 1], [1, 1]]: elimination leaves an explicit zero pivot.
-  TripletMatrix singular(2);
-  singular.add(0, 0, {1.0, 0.0});
-  singular.add(0, 1, {1.0, 0.0});
-  singular.add(1, 0, {1.0, 0.0});
-  singular.add(1, 1, {1.0, 0.0});
-  EXPECT_FALSE(lu.replay_or_factor(singular.compress(), &fresh));
+  const CompressedMatrix singular =
+      at_i(2, {entry(0, 0, {1.0, 0.0}), entry(0, 1, {1.0, 0.0}), entry(1, 0, {1.0, 0.0}),
+               entry(1, 1, {1.0, 0.0})});
+  EXPECT_FALSE(lu.replay_or_factor(singular, &fresh));
   EXPECT_EQ(fresh, 3u);
   EXPECT_FALSE(lu.has_plan());
 
@@ -336,14 +312,14 @@ TEST(SparseLu, ReplayOrFactorKeepsTheFreshPlanAndTalliesEachAttempt) {
   // none is tried and the matrix is singular.
   const double r0[] = {1e-4, 7e-5, 0.0};
   const double r1[] = {-1.0, 0.0, -3e-4};
-  TripletMatrix rounded(3);
+  std::vector<PatternStamp> rounded;
   for (int c = 0; c < 3; ++c) {
     const double r2 = 30.0 * r0[c] + r1[c];
-    if (r0[c] != 0.0) rounded.add(0, c, {r0[c], 0.0});
-    if (r1[c] != 0.0) rounded.add(1, c, {r1[c], 0.0});
-    if (r2 != 0.0) rounded.add(2, c, {r2, 0.0});
+    if (r0[c] != 0.0) rounded.push_back(entry(0, c, {r0[c], 0.0}));
+    if (r1[c] != 0.0) rounded.push_back(entry(1, c, {r1[c], 0.0}));
+    if (r2 != 0.0) rounded.push_back(entry(2, c, {r2, 0.0}));
   }
-  EXPECT_FALSE(lu.replay_or_factor(rounded.compress(), &fresh));
+  EXPECT_FALSE(lu.replay_or_factor(at_i(3, rounded), &fresh));
   EXPECT_EQ(fresh, 4u);
   EXPECT_FALSE(lu.has_plan());
 }
@@ -353,8 +329,7 @@ TEST(SparseLu, RefactorOnSameValuesIsBitIdentical) {
   // factorization, so re-factoring the SAME values must reproduce every
   // result bit-for-bit (this is what makes cached sweeps regression-free).
   support::Rng rng(321);
-  const TripletMatrix m = random_matrix(rng, 25, 0.25);
-  const CompressedMatrix c = m.compress();
+  const CompressedMatrix c = random_matrix(rng, 25, 0.25);
   SparseLu lu;
   ASSERT_TRUE(lu.factor(c));
   const Complex det_factor = lu.determinant().to_complex();
@@ -391,9 +366,10 @@ void expect_plan_reuse_agreement(const netlist::Circuit& circuit, const char* la
   const Complex s1(0.30901699437494745, 0.9510565162951535);
   const Complex s2(-0.80901699437494745, 0.5877852522924731);
 
+  PatternedMatrix assembly(system.dim(), system.stamps());
   SparseLu lu;
-  ASSERT_TRUE(lu.factor(system.matrix(s1, f, g))) << label;
-  const CompressedMatrix a2 = system.matrix(s2, f, g).compress();
+  ASSERT_TRUE(lu.factor(assembly.assemble(s1, f, g))) << label;
+  const CompressedMatrix a2 = assembly.assemble(s2, f, g);
   ASSERT_TRUE(lu.refactor(a2)) << label;
 
   SparseLu fresh;
@@ -428,20 +404,10 @@ TEST(SparseLu, PlanReuseAgreesOnUa741Matrix) {
 TEST(SparseLu, DegradedPivotFallsBackToFullFactor) {
   // The caller contract: when refactor() refuses (pivot degraded), a fresh
   // factor() must recover, and the NEW plan must support further refactors.
-  TripletMatrix base(3);
-  base.add(0, 0, {1.0, 0.0});
-  base.add(1, 1, {1.0, 0.0});
-  base.add(2, 2, {1.0, 0.0});
-  base.add(0, 1, {0.5, 0.0});
   SparseLu lu;
-  ASSERT_TRUE(lu.factor(base));
+  ASSERT_TRUE(lu.factor(healthy_3x3()));
 
-  TripletMatrix degraded(3);
-  degraded.add(0, 0, {1.0, 0.0});
-  degraded.add(1, 1, {1e-30, 0.0});  // pivot collapses
-  degraded.add(2, 2, {1.0, 0.0});
-  degraded.add(0, 1, {1e20, 0.0});   // row max explodes
-  const CompressedMatrix degraded_c = degraded.compress();
+  const CompressedMatrix degraded_c = degraded_3x3();
   EXPECT_FALSE(lu.refactor(degraded_c));
   EXPECT_FALSE(lu.ok());
   ASSERT_TRUE(lu.factor(degraded_c));
@@ -452,16 +418,12 @@ TEST(SparseLu, DegradedPivotFallsBackToFullFactor) {
 
 TEST(SparseLu, MinAbsPivotMeaningful) {
   // dim 0: the empty pivot product has no smallest factor -> +infinity.
-  TripletMatrix empty(0);
   SparseLu lu;
-  ASSERT_TRUE(lu.factor(empty));
+  ASSERT_TRUE(lu.factor(at_i(0, {})));
   EXPECT_TRUE(std::isinf(lu.min_abs_pivot()));
 
-  TripletMatrix m(2);
-  m.add(0, 0, {3.0, 0.0});
-  m.add(1, 1, {0.25, 0.0});
   SparseLu lu2;
-  ASSERT_TRUE(lu2.factor(m));
+  ASSERT_TRUE(lu2.factor(at_i(2, {entry(0, 0, {3.0, 0.0}), entry(1, 1, {0.25, 0.0})})));
   EXPECT_NEAR(lu2.min_abs_pivot(), 0.25, 1e-15);
 }
 
@@ -472,8 +434,7 @@ TEST(SparseLu, ClonesShareThePlanAndReplayIndependently) {
   // hence its determinant and solves — untouched. This is the per-thread
   // EvalContext contract of the batch evaluators.
   support::Rng rng(2026);
-  const TripletMatrix m = random_matrix(rng, 20, 0.25);
-  const CompressedMatrix c = m.compress();
+  const CompressedMatrix c = random_matrix(rng, 20, 0.25);
   SparseLu original;
   ASSERT_TRUE(original.factor(c));
   ASSERT_TRUE(original.has_plan());
@@ -504,25 +465,16 @@ TEST(SparseLu, RefactorAfterRefusedRefactorNeedsNoFactor) {
   // A refused replay (degraded pivot) keeps the plan: a later refactor with
   // healthy values must succeed and depend only on (plan, values) — the
   // history independence that makes per-point evaluation order irrelevant.
-  TripletMatrix m(3);
-  m.add(0, 0, {1.0, 0.0});
-  m.add(1, 1, {1.0, 0.0});
-  m.add(2, 2, {1.0, 0.0});
-  m.add(0, 1, {0.5, 0.0});
+  const CompressedMatrix m = healthy_3x3();
   SparseLu lu;
   ASSERT_TRUE(lu.factor(m));
   const Complex det_healthy = lu.determinant().to_complex();
 
-  TripletMatrix degraded(3);
-  degraded.add(0, 0, {1.0, 0.0});
-  degraded.add(1, 1, {1e-30, 0.0});
-  degraded.add(2, 2, {1.0, 0.0});
-  degraded.add(0, 1, {1e20, 0.0});
-  EXPECT_FALSE(lu.refactor(degraded.compress()));
+  EXPECT_FALSE(lu.refactor(degraded_3x3()));
   EXPECT_FALSE(lu.ok());
   EXPECT_TRUE(lu.has_plan());
 
-  ASSERT_TRUE(lu.refactor(m.compress()));
+  ASSERT_TRUE(lu.refactor(m));
   EXPECT_TRUE(lu.ok());
   EXPECT_EQ(lu.determinant().to_complex(), det_healthy);
 }
@@ -534,10 +486,9 @@ class SparseLuSweep : public ::testing::TestWithParam<int> {};
 TEST_P(SparseLuSweep, SolveAndDeterminantConsistent) {
   const int n = GetParam();
   support::Rng rng(static_cast<std::uint64_t>(n) * 7919);
-  const TripletMatrix m = random_matrix(rng, n, 4.0 / n);
-  const CompressedMatrix c = m.compress();
+  const CompressedMatrix c = random_matrix(rng, n, 4.0 / n);
   SparseLu lu;
-  ASSERT_TRUE(lu.factor(m));
+  ASSERT_TRUE(lu.factor(c));
   const auto b = random_vector(rng, n);
   std::vector<Complex> x = b;
   lu.solve(x);

@@ -1,4 +1,4 @@
-// Triplet assembly and compressed storage.
+// Pattern-cached assembly and compressed storage.
 #include "sparse/matrix.h"
 
 #include <gtest/gtest.h>
@@ -11,56 +11,21 @@ namespace {
 
 using Complex = std::complex<double>;
 
-TEST(TripletMatrix, AccumulatesDuplicates) {
-  TripletMatrix m(3);
-  m.add(0, 0, {1.0, 0.0});
-  m.add(0, 0, {2.0, 1.0});
-  m.add(1, 2, {-1.0, 0.0});
-  const CompressedMatrix c = m.compress();
-  EXPECT_EQ(c.nonzeros(), 2u);
-  EXPECT_EQ(c.at(0, 0), Complex(3.0, 1.0));
-  EXPECT_EQ(c.at(1, 2), Complex(-1.0, 0.0));
-  EXPECT_EQ(c.at(2, 2), Complex(0.0, 0.0));
-}
-
-TEST(TripletMatrix, ExactCancellationDropsEntry) {
-  TripletMatrix m(2);
-  m.add(0, 1, {5.0, 0.0});
-  m.add(0, 1, {-5.0, 0.0});
-  const CompressedMatrix c = m.compress();
-  EXPECT_EQ(c.nonzeros(), 0u);
-}
-
-TEST(TripletMatrix, ZeroValueIgnored) {
-  TripletMatrix m(2);
-  m.add(0, 0, {0.0, 0.0});
-  EXPECT_EQ(m.entries(), 0u);
-}
-
-TEST(TripletMatrix, OutOfRangeThrows) {
-  TripletMatrix m(2);
-  EXPECT_THROW(m.add(2, 0, {1.0, 0.0}), std::out_of_range);
-  EXPECT_THROW(m.add(0, -1, {1.0, 0.0}), std::out_of_range);
-}
-
 TEST(CompressedMatrix, RowsSortedByColumn) {
-  TripletMatrix m(3);
-  m.add(1, 2, {3.0, 0.0});
-  m.add(1, 0, {1.0, 0.0});
-  m.add(1, 1, {2.0, 0.0});
-  const CompressedMatrix c = m.compress();
+  PatternedMatrix m(3, {{1, 2, 3.0, 0.0}, {1, 0, 1.0, 0.0}, {1, 1, 2.0, 0.0}});
+  const CompressedMatrix& c = m.assemble(Complex(0.0, 0.0));
   ASSERT_EQ(c.row_start[1 + 1] - c.row_start[1], 3);
   EXPECT_EQ(c.cols[static_cast<std::size_t>(c.row_start[1])], 0);
   EXPECT_EQ(c.cols[static_cast<std::size_t>(c.row_start[1]) + 1], 1);
   EXPECT_EQ(c.cols[static_cast<std::size_t>(c.row_start[1]) + 2], 2);
+  EXPECT_EQ(c.at(1, 2), Complex(3.0, 0.0));
+  EXPECT_EQ(c.at(2, 2), Complex(0.0, 0.0));  // not stored
 }
 
 TEST(CompressedMatrix, MultiplyMatchesDense) {
-  TripletMatrix m(3);
-  m.add(0, 0, {2.0, 0.0});
-  m.add(0, 2, {0.0, 1.0});
-  m.add(2, 1, {-1.0, 0.0});
-  const CompressedMatrix c = m.compress();
+  // Entry a + ib is the stamp {a, b} assembled at s = i.
+  PatternedMatrix m(3, {{0, 0, 2.0, 0.0}, {0, 2, 0.0, 1.0}, {2, 1, -1.0, 0.0}});
+  const CompressedMatrix& c = m.assemble(Complex(0.0, 1.0));
   const std::vector<Complex> x{{1.0, 0.0}, {2.0, 0.0}, {0.0, 3.0}};
   std::vector<Complex> y;
   c.multiply(x, y);
@@ -71,7 +36,7 @@ TEST(CompressedMatrix, MultiplyMatchesDense) {
 }
 
 TEST(PatternedMatrix, MergesDuplicatesIntoSortedPattern) {
-  // Two stamps at (0,0) merge; rows come out column-sorted like compress().
+  // Two stamps at (0,0) merge; rows come out column-sorted.
   PatternedMatrix pattern(2, {{0, 0, 1.0, 0.0},
                               {0, 0, 2.0, 3.0},
                               {1, 1, 0.5, 0.0},

@@ -13,18 +13,19 @@
 #include <cmath>
 #include <complex>
 #include <limits>
+#include <vector>
+
+#include "test_matrices.h"
 
 namespace symref::sparse {
 namespace {
 
-using Complex = std::complex<double>;
-
-TripletMatrix diagonal(const std::vector<double>& values) {
-  TripletMatrix m(static_cast<int>(values.size()));
+CompressedMatrix diagonal(const std::vector<double>& values) {
+  std::vector<PatternStamp> entries;
   for (std::size_t i = 0; i < values.size(); ++i) {
-    m.add(static_cast<int>(i), static_cast<int>(i), Complex(values[i], 0.0));
+    entries.push_back(test::entry(static_cast<int>(i), static_cast<int>(i), {values[i], 0.0}));
   }
-  return m;
+  return test::at_i(static_cast<int>(values.size()), entries);
 }
 
 TEST(PivotWindow, DimensionOneFactorAndRefactor) {
@@ -35,14 +36,14 @@ TEST(PivotWindow, DimensionOneFactorAndRefactor) {
   EXPECT_EQ(lu.determinant().imag().to_double(), 0.0);
 
   // A replay with a new value recomputes both from the replayed pivot.
-  ASSERT_TRUE(lu.refactor(diagonal({-0.25}).compress()));
+  ASSERT_TRUE(lu.refactor(diagonal({-0.25})));
   EXPECT_EQ(lu.min_abs_pivot(), 0.25);
   EXPECT_EQ(lu.determinant().real().to_double(), -0.25);
 }
 
 TEST(PivotWindow, DimensionZeroIsTheEmptyProduct) {
   SparseLu lu;
-  ASSERT_TRUE(lu.factor(TripletMatrix(0)));
+  ASSERT_TRUE(lu.factor(diagonal({})));
   // No pivots: the smallest-|pivot| query has no candidate (+infinity), and
   // the empty pivot product is exactly 1.
   EXPECT_EQ(lu.min_abs_pivot(), std::numeric_limits<double>::infinity());
@@ -100,7 +101,7 @@ TEST(PivotWindow, RefactorRecomputesAcrossTheWindowBoundary) {
 
   const double big = std::ldexp(1.0, 300);
   const double tiny = std::ldexp(1.0, -300);
-  ASSERT_TRUE(lu.refactor(diagonal({big, tiny, 4.0}).compress()));
+  ASSERT_TRUE(lu.refactor(diagonal({big, tiny, 4.0})));
   EXPECT_EQ(lu.min_abs_pivot(), tiny);
   EXPECT_EQ(lu.determinant().real().to_double(), 4.0);
 }

@@ -1,9 +1,13 @@
-// Differential oracle suite for the batched supernodal replay kernel.
+// Differential oracle suite for the multi-point replay driver.
 //
-// The scalar SparseLu::refactor()/solve() path is the oracle; BatchedReplay
-// (and every batch evaluation path, which picks it automatically) must
-// reproduce its results BIT FOR BIT — no tolerances anywhere in this file.
-// testing::ScopedScalarReplay forces the oracle path for the comparisons.
+// replay_points() with its scalar SparseLu::refactor()/solve() kernel is the
+// oracle; the batched kernel it picks automatically (and every batch
+// evaluation path built on it) must reproduce its results BIT FOR BIT — no
+// tolerances anywhere in this file. testing::ScopedScalarReplay forces the
+// oracle kernel for the comparisons. Matrices are PatternedMatrix
+// assemblies g*G + s*(f*C), evaluated at many points s exactly as sweeps and
+// interpolation batches evaluate them, so the fused-assembly replay, the
+// lazy group reductions and the refused-point fallback are all on the path.
 // Randomized matrices and circuits are generated deterministically from a
 // seed alone (support::Rng is splitmix64-seeded xoshiro256**, bit-stable
 // across platforms), so every failure here is replayable from the test name.
@@ -11,9 +15,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <complex>
 #include <cstdint>
-#include <memory>
+#include <span>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -24,43 +30,57 @@
 #include "support/fault_injection.h"
 #include "support/random.h"
 #include "support/thread_pool.h"
+#include "test_matrices.h"
 
 namespace symref::sparse {
 namespace {
 
 using Complex = std::complex<double>;
 
-/// Sparse circuit-like matrix (strong diagonal, ~4 off-diagonal entries per
-/// row), deterministic in (rng state, n) alone.
-TripletMatrix random_matrix(support::Rng& rng, int n, double density) {
-  TripletMatrix m(n);
-  for (int i = 0; i < n; ++i) {
-    m.add(i, i, {rng.uniform(1.0, 2.0) * rng.sign(), rng.uniform(-0.5, 0.5)});
-  }
-  for (int r = 0; r < n; ++r) {
-    for (int c = 0; c < n; ++c) {
-      if (r == c) continue;
-      if (rng.next_double() < density) {
-        m.add(r, c, {rng.uniform(-1, 1), rng.uniform(-1, 1)});
-      }
-    }
-  }
-  return m;
-}
+/// Everything replay_points() hands out for one point, copied out of the
+/// callback (a group point is valid only inside it).
+struct SolvedPoint {
+  bool ok = false;
+  std::vector<Complex> x;
+  numeric::ScaledComplex determinant;
+  double min_pivot = 0.0;
+  double max_entry = 0.0;
+  double max_x = 0.0;
+};
 
-std::vector<Complex> random_vector(support::Rng& rng, int n) {
-  std::vector<Complex> v(static_cast<std::size_t>(n));
-  for (auto& x : v) x = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
-  return v;
-}
+struct Replayed {
+  std::vector<SolvedPoint> points;
+  std::uint64_t fresh = 0;
+  std::size_t batched = 0;  // replay_points' return value
+};
 
-/// Same pattern, independently perturbed values — one replay "lane".
-CompressedMatrix perturb_values(support::Rng& rng, const CompressedMatrix& base) {
-  CompressedMatrix out = base;
-  for (auto& value : out.values) {
-    value *= Complex(rng.uniform(0.9, 1.1), rng.uniform(-0.05, 0.05));
-  }
+/// One serial replay_points() run, reading every statistic of every point.
+Replayed replay(const PatternedMatrix& base, const SparseLu& planned,
+                std::span<const Complex> points, double f_scale, double g_scale,
+                std::span<const Injection> injections, int width) {
+  Replayed out;
+  out.points.resize(points.size());
+  out.batched = replay_points(
+      base, planned, points, f_scale, g_scale, injections, &out.fresh, nullptr, width, {},
+      [&](std::size_t i, const ReplayedPoint& point) {
+        SolvedPoint& solved = out.points[i];
+        solved.ok = point.ok();
+        if (!solved.ok) return;
+        for (int r = 0; r < base.matrix().dim; ++r) solved.x.push_back(point.x(r));
+        solved.determinant = point.determinant();
+        solved.min_pivot = point.min_abs_pivot();
+        solved.max_entry = point.max_abs_entry();
+        solved.max_x = point.max_abs_x();
+      });
   return out;
+}
+
+/// replay() on the scalar oracle kernel.
+Replayed replay_scalar(const PatternedMatrix& base, const SparseLu& planned,
+                       std::span<const Complex> points, double f_scale, double g_scale,
+                       std::span<const Injection> injections, int width) {
+  const testing::ScopedScalarReplay scalar;
+  return replay(base, planned, points, f_scale, g_scale, injections, width);
 }
 
 void expect_bitwise_equal(const numeric::ScaledComplex& a, const numeric::ScaledComplex& b) {
@@ -68,79 +88,63 @@ void expect_bitwise_equal(const numeric::ScaledComplex& a, const numeric::Scaled
   EXPECT_EQ(a.exponent2(), b.exponent2());
 }
 
-/// The core differential check: `width` perturbed value sets of one pattern,
-/// replayed scalar (the oracle) and batched, must agree bit for bit on
-/// acceptance, determinant, min-pivot, max-entry and every solve component.
+/// Acceptance, solution, determinant, smallest pivot, largest entry, largest
+/// |x| and the fallback count, bit for bit.
+void expect_same_points(const Replayed& expected, const Replayed& actual) {
+  ASSERT_EQ(expected.points.size(), actual.points.size());
+  EXPECT_EQ(expected.fresh, actual.fresh);
+  for (std::size_t i = 0; i < expected.points.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "point=" << i);
+    const SolvedPoint& a = expected.points[i];
+    const SolvedPoint& b = actual.points[i];
+    ASSERT_EQ(a.ok, b.ok);
+    if (!a.ok) continue;
+    expect_bitwise_equal(a.determinant, b.determinant);
+    EXPECT_EQ(a.min_pivot, b.min_pivot);
+    EXPECT_EQ(a.max_entry, b.max_entry);
+    EXPECT_EQ(a.max_x, b.max_x);
+    ASSERT_EQ(a.x.size(), b.x.size());
+    for (std::size_t r = 0; r < a.x.size(); ++r) EXPECT_EQ(a.x[r], b.x[r]) << "r=" << r;
+  }
+}
+
+/// A random real injection into every row, plus one into ground (skipped).
+std::vector<Injection> random_injections(support::Rng& rng, int n) {
+  std::vector<Injection> injections{{-1, 5.0}};
+  for (int r = 0; r < n; ++r) injections.push_back({r, rng.uniform(-1, 1)});
+  return injections;
+}
+
+/// Points near s = i, where test::random_entries() reads as its complex
+/// entries: the replays of a plan factored there stay acceptable.
+std::vector<Complex> points_near_i(support::Rng& rng, std::size_t count) {
+  std::vector<Complex> points;
+  for (std::size_t k = 0; k < count; ++k) {
+    points.emplace_back(rng.uniform(-0.1, 0.1), rng.uniform(0.8, 1.2));
+  }
+  return points;
+}
+
+/// The core differential check: a full group of `width` points and a
+/// partial one, replayed on both kernels against a plan factored at s = i.
 void run_matrix_differential(std::uint64_t seed, int n, int width) {
   SCOPED_TRACE(::testing::Message() << "seed=" << seed << " n=" << n << " width=" << width);
   support::Rng rng(seed);
-  const TripletMatrix base = random_matrix(rng, n, 4.0 / n);
-  const CompressedMatrix pattern = base.compress();
-  SparseLu lu;
-  ASSERT_TRUE(lu.factor(pattern));
-  const std::shared_ptr<const ReplayPlan> plan = lu.plan();
-  ASSERT_NE(plan, nullptr);
+  PatternedMatrix base(n, test::random_entries(rng, n, 4.0 / n));
+  SparseLu planned;
+  ASSERT_TRUE(planned.factor(PatternedMatrix(base).assemble(test::kI)));
+  const std::vector<Complex> points =
+      points_near_i(rng, static_cast<std::size_t>(width + width / 2 + 1));
+  const std::vector<Injection> injections = random_injections(rng, n);
+  const double f_scale = 1.25;
+  const double g_scale = 0.75;
 
-  std::vector<CompressedMatrix> lanes;
-  for (int l = 0; l < width; ++l) lanes.push_back(perturb_values(rng, pattern));
-  const std::vector<Complex> b = random_vector(rng, n);
-
-  // Scalar oracle, one lane at a time on a clone sharing the plan.
-  struct Oracle {
-    bool ok = false;
-    numeric::ScaledComplex det;
-    double min_pivot = 0.0;
-    double max_entry = 0.0;
-    std::vector<Complex> x;
-  };
-  std::vector<Oracle> oracle(static_cast<std::size_t>(width));
-  for (int l = 0; l < width; ++l) {
-    SparseLu clone = lu;
-    Oracle& out = oracle[static_cast<std::size_t>(l)];
-    out.ok = clone.refactor(lanes[static_cast<std::size_t>(l)]);
-    if (!out.ok) continue;
-    out.det = clone.determinant();
-    out.min_pivot = clone.min_abs_pivot();
-    out.max_entry = clone.max_abs_entry();
-    out.x = b;
-    clone.solve(out.x);
-  }
-
-  BatchedReplay replay;
-  replay.bind(plan, width);
-  ASSERT_TRUE(replay.plan()->matches(lanes.front()));
-  ASSERT_EQ(replay.pattern_nonzeros(), pattern.values.size());
-  for (std::size_t k = 0; k < pattern.values.size(); ++k) {
-    for (int l = 0; l < width; ++l) {
-      replay.values()[k * static_cast<std::size_t>(width) + static_cast<std::size_t>(l)] =
-          lanes[static_cast<std::size_t>(l)].values[k];
-    }
-  }
-  replay.replay(width);
-  std::vector<Complex> rhs(static_cast<std::size_t>(n) * static_cast<std::size_t>(width));
-  for (int r = 0; r < n; ++r) {
-    for (int l = 0; l < width; ++l) {
-      rhs[static_cast<std::size_t>(r) * static_cast<std::size_t>(width) +
-          static_cast<std::size_t>(l)] = b[static_cast<std::size_t>(r)];
-    }
-  }
-  replay.solve(rhs, width);
-
-  for (int l = 0; l < width; ++l) {
-    SCOPED_TRACE(::testing::Message() << "lane=" << l);
-    const Oracle& expected = oracle[static_cast<std::size_t>(l)];
-    ASSERT_EQ(replay.lane_ok(l), expected.ok);
-    if (!expected.ok) continue;
-    expect_bitwise_equal(replay.determinant(l), expected.det);
-    EXPECT_EQ(replay.min_abs_pivot(l), expected.min_pivot);
-    EXPECT_EQ(replay.max_abs_entry(l), expected.max_entry);
-    for (int r = 0; r < n; ++r) {
-      EXPECT_EQ(rhs[static_cast<std::size_t>(r) * static_cast<std::size_t>(width) +
-                    static_cast<std::size_t>(l)],
-                expected.x[static_cast<std::size_t>(r)])
-          << "r=" << r;
-    }
-  }
+  const Replayed oracle =
+      replay_scalar(base, planned, points, f_scale, g_scale, injections, width);
+  const Replayed batched = replay(base, planned, points, f_scale, g_scale, injections, width);
+  EXPECT_EQ(oracle.batched, 0u);
+  EXPECT_EQ(batched.batched, points.size());
+  expect_same_points(oracle, batched);
 }
 
 class ReplayDifferential : public ::testing::TestWithParam<std::tuple<int, int>> {};
@@ -162,99 +166,103 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(8, 16, 33, 64, 128, 512),
                        ::testing::Values(1, 3, 8, 33)),
     [](const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
-      return "n" + std::to_string(std::get<0>(info.param)) + "_w" +
-             std::to_string(std::get<1>(info.param));
+      std::string name = "n";
+      name += std::to_string(std::get<0>(info.param));
+      name += "_w";
+      name += std::to_string(std::get<1>(info.param));
+      return name;
     });
 
-TEST(BatchedReplay, PartialGroupMatchesFullWidthLanes) {
-  // active < width: only the filled lanes run; their bits must not depend on
-  // the bound width or on how many lanes are active.
+TEST(ReplayPoints, PartialGroupsMatchAtEveryWidth) {
+  // 11 points: width 8 runs a full group and a partial group of 3, width 2
+  // five pairs and a single, width 1 eleven singles. A point's bits must not
+  // depend on the group width or on how many lanes of its group are active.
   support::Rng rng(777);
   const int n = 40;
-  const TripletMatrix base = random_matrix(rng, n, 0.12);
-  const CompressedMatrix pattern = base.compress();
-  SparseLu lu;
-  ASSERT_TRUE(lu.factor(pattern));
+  PatternedMatrix base(n, test::random_entries(rng, n, 0.12));
+  SparseLu planned;
+  ASSERT_TRUE(planned.factor(PatternedMatrix(base).assemble(test::kI)));
+  const std::vector<Complex> points = points_near_i(rng, 11);
+  const std::vector<Injection> injections = random_injections(rng, n);
 
-  const CompressedMatrix lane0 = perturb_values(rng, pattern);
-  const CompressedMatrix lane1 = perturb_values(rng, pattern);
-  const std::vector<Complex> b = random_vector(rng, n);
-
-  auto run = [&](int width, int active) {
-    BatchedReplay replay;
-    replay.bind(lu.plan(), width);
-    const CompressedMatrix* mats[2] = {&lane0, &lane1};
-    for (std::size_t k = 0; k < pattern.values.size(); ++k) {
-      for (int l = 0; l < active; ++l) {
-        replay.values()[k * static_cast<std::size_t>(width) + static_cast<std::size_t>(l)] =
-            mats[l]->values[k];
-      }
-    }
-    replay.replay(active);
-    std::vector<Complex> rhs(static_cast<std::size_t>(n) * static_cast<std::size_t>(width));
-    for (int r = 0; r < n; ++r) {
-      for (int l = 0; l < active; ++l) {
-        rhs[static_cast<std::size_t>(r) * static_cast<std::size_t>(width) +
-            static_cast<std::size_t>(l)] = b[static_cast<std::size_t>(r)];
-      }
-    }
-    replay.solve(rhs, active);
-    std::vector<Complex> lane0_solution(static_cast<std::size_t>(n));
-    for (int r = 0; r < n; ++r) {
-      lane0_solution[static_cast<std::size_t>(r)] =
-          rhs[static_cast<std::size_t>(r) * static_cast<std::size_t>(width)];
-    }
-    EXPECT_TRUE(replay.lane_ok(0));
-    return std::make_pair(replay.determinant(0), lane0_solution);
-  };
-
-  const auto [det_wide, x_wide] = run(8, 2);    // partial group, wide lanes
-  const auto [det_tight, x_tight] = run(2, 2);  // exact-width group
-  const auto [det_solo, x_solo] = run(1, 1);    // degenerate single lane
-  expect_bitwise_equal(det_wide, det_tight);
-  expect_bitwise_equal(det_wide, det_solo);
-  EXPECT_EQ(x_wide, x_tight);
-  EXPECT_EQ(x_wide, x_solo);
+  const Replayed solo = replay(base, planned, points, 1.0, 1.0, injections, 1);
+  EXPECT_EQ(solo.batched, points.size());
+  for (const int width : {8, 2}) {
+    SCOPED_TRACE(::testing::Message() << "width=" << width);
+    expect_same_points(solo, replay(base, planned, points, 1.0, 1.0, injections, width));
+  }
+  expect_same_points(solo, replay_scalar(base, planned, points, 1.0, 1.0, injections, 8));
 }
 
-TEST(BatchedReplay, RefusedLaneMatchesScalarRefusalAndOthersSurvive) {
-  // One lane's pivot collapses (the lu_test degradation pattern scaled up):
-  // that lane must refuse exactly where the scalar replay refuses, while
-  // every healthy lane's bits are unaffected by its garbage neighbor.
+TEST(ReplayPoints, RefusedPointFallsBackIdenticallyAndOthersSurvive) {
+  // The plan's first pivot entry is stamped {a, -a}, so at the poisoned
+  // point s = 1 it assembles to exactly zero: both kernels must refuse that
+  // replay and factor the point afresh, while every healthy point in the
+  // same batched group keeps its bits.
   support::Rng rng(4242);
   const int n = 24;
-  const TripletMatrix base = random_matrix(rng, n, 0.15);
-  const CompressedMatrix pattern = base.compress();
-  SparseLu lu;
-  ASSERT_TRUE(lu.factor(pattern));
-
-  CompressedMatrix healthy = perturb_values(rng, pattern);
-  CompressedMatrix poisoned = healthy;
-  // Collapse every value of one row-ish stretch towards zero while blowing
-  // up another entry: the relaxed replay threshold must trip.
-  for (std::size_t k = 0; k < poisoned.values.size(); ++k) {
-    poisoned.values[k] *= (k % 7 == 0) ? Complex(1e30, 0.0) : Complex(1e-30, 0.0);
+  std::vector<PatternStamp> entries = test::random_entries(rng, n, 0.15);
+  SparseLu planned;
+  ASSERT_TRUE(planned.factor(test::at_i(n, entries)));
+  const int pivot_row = planned.plan()->row_order[0];
+  const int pivot_col = planned.plan()->col_order[0];
+  for (PatternStamp& stamp : entries) {
+    if (stamp.row == pivot_row && stamp.col == pivot_col) stamp.capacitance = -stamp.conductance;
   }
+  const PatternedMatrix base(n, entries);
+  ASSERT_TRUE(planned.plan()->matches(base.matrix()));
 
-  SparseLu scalar_healthy = lu;
-  ASSERT_TRUE(scalar_healthy.refactor(healthy));
-  SparseLu scalar_poisoned = lu;
-  const bool poisoned_accepted = scalar_poisoned.refactor(poisoned);
+  std::vector<Complex> points = points_near_i(rng, 5);
+  points.insert(points.begin() + 2, Complex(1.0, 0.0));
+  const std::vector<Injection> injections = random_injections(rng, n);
 
-  const int width = 3;
-  BatchedReplay replay;
-  replay.bind(lu.plan(), width);
-  for (std::size_t k = 0; k < pattern.values.size(); ++k) {
-    replay.values()[k * width + 0] = healthy.values[k];
-    replay.values()[k * width + 1] = poisoned.values[k];
-    replay.values()[k * width + 2] = healthy.values[k];
+  SparseLu scalar = planned;
+  ASSERT_FALSE(scalar.refactor(PatternedMatrix(base).assemble(Complex(1.0, 0.0))));
+
+  const Replayed oracle = replay_scalar(base, planned, points, 1.0, 1.0, injections, 3);
+  const Replayed batched = replay(base, planned, points, 1.0, 1.0, injections, 3);
+  EXPECT_EQ(oracle.fresh, 1u);
+  EXPECT_TRUE(oracle.points[2].ok);  // the fallback factored it
+  expect_same_points(oracle, batched);
+}
+
+TEST(ReplayPoints, DeterminantsOutsideTheFoldWindowMatch) {
+  // The batched determinant accumulates in double and folds into the
+  // extended range whenever it leaves the (2^-256, 2^256) window. Rows
+  // scaled by 10^-90 .. 10^90 put single pivots outside the window (such a
+  // lane is recomputed through numeric::scaled_pivot_product); rows all
+  // scaled by 1e-12 keep every pivot inside it but drive the running
+  // product out of it every few steps. Both must match the scalar
+  // determinant bit for bit.
+  const int n = 33;
+  for (const bool spread_rows : {true, false}) {
+    SCOPED_TRACE(spread_rows ? "spread rows" : "uniform rows");
+    support::Rng rng(9090);
+    std::vector<PatternStamp> entries = test::random_entries(rng, n, 4.0 / n);
+    for (PatternStamp& stamp : entries) {
+      const double scale =
+          spread_rows ? std::pow(10.0, -90.0 + 180.0 * stamp.row / (n - 1)) : 1e-12;
+      stamp.conductance *= scale;
+      stamp.capacitance *= scale;
+    }
+    const PatternedMatrix base(n, entries);
+    SparseLu planned;
+    ASSERT_TRUE(planned.factor(PatternedMatrix(base).assemble(test::kI)));
+    const std::vector<Complex> points = points_near_i(rng, 12);
+    const std::vector<Injection> injections = random_injections(rng, n);
+
+    const Replayed oracle = replay_scalar(base, planned, points, 1.0, 1.0, injections, 8);
+    const Replayed batched = replay(base, planned, points, 1.0, 1.0, injections, 8);
+    for (const SolvedPoint& point : oracle.points) {
+      ASSERT_TRUE(point.ok);
+      if (spread_rows) {
+        EXPECT_LT(point.min_pivot, 0x1p-256);  // a pivot below the window: recomputed
+      } else {
+        EXPECT_LT(point.determinant.exponent2(), -1000);  // the running product folded
+      }
+    }
+    expect_same_points(oracle, batched);
   }
-  replay.replay(width);
-  EXPECT_TRUE(replay.lane_ok(0));
-  EXPECT_EQ(replay.lane_ok(1), poisoned_accepted);
-  EXPECT_TRUE(replay.lane_ok(2));
-  expect_bitwise_equal(replay.determinant(0), scalar_healthy.determinant());
-  expect_bitwise_equal(replay.determinant(2), scalar_healthy.determinant());
 }
 
 // --- Evaluator-level differential: replay paths, widths and thread counts ---
@@ -391,7 +399,7 @@ TEST_F(ReplayFaultParity, InjectedPivotFaultsDrawIdenticallyOnBothPaths) {
 
     expect_samples_bitwise_equal(scalar_samples, batched_samples);
     EXPECT_EQ(scalar_eval.fresh_factor_count(), batched_eval.fresh_factor_count());
-      EXPECT_GT(batched_eval.fresh_factor_count(), 0u);  // faults actually fired
+    EXPECT_GT(batched_eval.fresh_factor_count(), 0u);  // faults actually fired
   }
 }
 

@@ -2,7 +2,7 @@
 //
 // detect_supernodes() must produce a partition (every elimination step
 // covered exactly once, in order) whose blocks satisfy the two structural
-// invariants BatchedReplay's dense rank-k kernel relies on:
+// invariants the batched replay kernel's dense rank-k blocks rely on:
 //   * U chain:  urow(i) == [i+1] ++ urow(i+1) for interior steps, so every
 //     row's in-block targets are the contiguous steps after it and the
 //     off-block tail indices are shared by the whole block;
@@ -23,26 +23,15 @@
 #include "mna/nodal.h"
 #include "netlist/canonical.h"
 #include "support/random.h"
+#include "test_matrices.h"
 
 namespace symref::sparse {
 namespace {
 
 using Complex = std::complex<double>;
-
-TripletMatrix random_matrix(support::Rng& rng, int n, double density) {
-  TripletMatrix m(n);
-  for (int i = 0; i < n; ++i) {
-    m.add(i, i, {rng.uniform(1.0, 2.0) * rng.sign(), rng.uniform(-0.5, 0.5)});
-  }
-  for (int r = 0; r < n; ++r) {
-    for (int c = 0; c < n; ++c) {
-      if (r != c && rng.next_double() < density) {
-        m.add(r, c, {rng.uniform(-1, 1), rng.uniform(-1, 1)});
-      }
-    }
-  }
-  return m;
-}
+using test::at_i;
+using test::entry;
+using test::random_matrix;
 
 /// U row of step i as an ascending step-target list.
 std::vector<int> u_row(const ReplayPlan& plan, int i) {
@@ -150,10 +139,10 @@ void expect_all_properties(const SparseLu& lu) {
 TEST(Supernodes, DiagonalMatrixIsAllSingletons) {
   // No off-diagonal structure: the U chain never links two steps.
   const int n = 12;
-  TripletMatrix m(n);
-  for (int i = 0; i < n; ++i) m.add(i, i, {1.0 + i, 0.0});
+  std::vector<PatternStamp> m;
+  for (int i = 0; i < n; ++i) m.push_back(entry(i, i, {1.0 + i, 0.0}));
   SparseLu lu;
-  ASSERT_TRUE(lu.factor(m));
+  ASSERT_TRUE(lu.factor(at_i(n, m)));
   EXPECT_EQ(lu.supernode_count(), static_cast<std::size_t>(n));
   expect_all_properties(lu);
 }
@@ -161,15 +150,15 @@ TEST(Supernodes, DiagonalMatrixIsAllSingletons) {
 TEST(Supernodes, DenseMatrixIsOneBlock) {
   support::Rng rng(7);
   const int n = 10;
-  TripletMatrix m(n);
+  std::vector<PatternStamp> m;
   for (int r = 0; r < n; ++r) {
     for (int c = 0; c < n; ++c) {
       const double diag = r == c ? 4.0 : 0.0;
-      m.add(r, c, {diag + rng.uniform(-1, 1), rng.uniform(-1, 1)});
+      m.push_back(entry(r, c, {diag + rng.uniform(-1, 1), rng.uniform(-1, 1)}));
     }
   }
   SparseLu lu;
-  ASSERT_TRUE(lu.factor(m));
+  ASSERT_TRUE(lu.factor(at_i(n, m)));
   EXPECT_EQ(lu.supernode_count(), 1u);
   expect_all_properties(lu);
 }
@@ -179,30 +168,27 @@ TEST(Supernodes, TridiagonalMergesOnlyTheTrailingCorner) {
   // urow(i+1) = {i+2} only at the very end, where the final 2x2 corner IS
   // dense — so exactly the last two steps merge: n-1 supernodes.
   const int n = 20;
-  TripletMatrix m(n);
+  std::vector<PatternStamp> m;
   for (int i = 0; i < n; ++i) {
-    m.add(i, i, {4.0, 0.0});
+    m.push_back(entry(i, i, {4.0, 0.0}));
     if (i > 0) {
-      m.add(i, i - 1, {-1.0, 0.0});
-      m.add(i - 1, i, {-1.0, 0.0});
+      m.push_back(entry(i, i - 1, {-1.0, 0.0}));
+      m.push_back(entry(i - 1, i, {-1.0, 0.0}));
     }
   }
   SparseLu lu;
-  ASSERT_TRUE(lu.factor(m));
+  ASSERT_TRUE(lu.factor(at_i(n, m)));
   EXPECT_EQ(lu.supernode_count(), static_cast<std::size_t>(n - 1));
   expect_all_properties(lu);
 }
 
 TEST(Supernodes, TrivialDimensions) {
-  TripletMatrix empty(0);
   SparseLu lu0;
-  ASSERT_TRUE(lu0.factor(empty));
+  ASSERT_TRUE(lu0.factor(at_i(0, {})));
   EXPECT_EQ(lu0.supernode_count(), 0u);
 
-  TripletMatrix one(1);
-  one.add(0, 0, {2.0, 0.0});
   SparseLu lu1;
-  ASSERT_TRUE(lu1.factor(one));
+  ASSERT_TRUE(lu1.factor(at_i(1, {entry(0, 0, {2.0, 0.0})})));
   EXPECT_EQ(lu1.supernode_count(), 1u);
   expect_all_properties(lu1);
 }
@@ -213,14 +199,14 @@ TEST(Supernodes, ArrowheadMatrixFormsTrailingBlock) {
   // partition must stay valid and the invariants must hold whatever the
   // pivot order chose.
   const int n = 14;
-  TripletMatrix m(n);
-  for (int i = 0; i < n; ++i) m.add(i, i, {3.0 + i, 0.0});
+  std::vector<PatternStamp> m;
+  for (int i = 0; i < n; ++i) m.push_back(entry(i, i, {3.0 + i, 0.0}));
   for (int i = 0; i + 1 < n; ++i) {
-    m.add(n - 1, i, {0.5, 0.1});
-    m.add(i, n - 1, {0.5, -0.1});
+    m.push_back(entry(n - 1, i, {0.5, 0.1}));
+    m.push_back(entry(i, n - 1, {0.5, -0.1}));
   }
   SparseLu lu;
-  ASSERT_TRUE(lu.factor(m));
+  ASSERT_TRUE(lu.factor(at_i(n, m)));
   expect_all_properties(lu);
   EXPECT_LE(lu.supernode_count(), static_cast<std::size_t>(n));
 }
@@ -230,7 +216,7 @@ TEST(Supernodes, RandomMatricesSatisfyAllInvariants) {
     for (const int n : {8, 17, 33, 64, 120}) {
       SCOPED_TRACE(::testing::Message() << "seed=" << seed << " n=" << n);
       support::Rng rng(seed * 7919u + static_cast<std::uint64_t>(n));
-      const TripletMatrix m = random_matrix(rng, n, 6.0 / n);
+      const CompressedMatrix m = random_matrix(rng, n, 6.0 / n);
       SparseLu lu;
       ASSERT_TRUE(lu.factor(m));
       expect_all_properties(lu);
@@ -244,14 +230,16 @@ TEST(Supernodes, CircuitMatricesSatisfyAllInvariants) {
     const netlist::Circuit circuit = circuits::rc_ladder(stages);
     const netlist::Circuit canonical = netlist::canonicalize(circuit);
     const mna::NodalSystem system(canonical);
+    PatternedMatrix assembly(system.dim(), system.stamps());
     SparseLu lu;
-    ASSERT_TRUE(lu.factor(system.matrix({0.3, 0.95}, 1e9, 1e-3)));
+    ASSERT_TRUE(lu.factor(assembly.assemble({0.3, 0.95}, 1e9, 1e-3)));
     expect_all_properties(lu);
   }
   const netlist::Circuit ua741 = netlist::canonicalize(circuits::ua741());
   const mna::NodalSystem system(ua741);
+  PatternedMatrix assembly(system.dim(), system.stamps());
   SparseLu lu;
-  ASSERT_TRUE(lu.factor(system.matrix({0.3, 0.95}, 1.0, 1.0)));
+  ASSERT_TRUE(lu.factor(assembly.assemble({0.3, 0.95}, 1.0, 1.0)));
   expect_all_properties(lu);
 }
 
@@ -260,8 +248,7 @@ TEST(Supernodes, PartitionRoundTripsThroughReplay) {
   // one-block (dense), and a mixed random pattern — refactor on the same
   // values is bit-identical to factor, whatever the partition looks like.
   support::Rng rng(31337);
-  const auto check_roundtrip = [](const TripletMatrix& m) {
-    const CompressedMatrix c = m.compress();
+  const auto check_roundtrip = [](const CompressedMatrix& c) {
     SparseLu lu;
     ASSERT_TRUE(lu.factor(c));
     const std::complex<double> det = lu.determinant().to_complex();
@@ -269,17 +256,18 @@ TEST(Supernodes, PartitionRoundTripsThroughReplay) {
     EXPECT_EQ(lu.determinant().to_complex(), det);
   };
 
-  TripletMatrix diagonal(9);
-  for (int i = 0; i < 9; ++i) diagonal.add(i, i, {1.5 + i, -0.25});
-  check_roundtrip(diagonal);
+  std::vector<PatternStamp> diagonal;
+  for (int i = 0; i < 9; ++i) diagonal.push_back(entry(i, i, {1.5 + i, -0.25}));
+  check_roundtrip(at_i(9, diagonal));
 
-  TripletMatrix dense(7);
+  std::vector<PatternStamp> dense;
   for (int r = 0; r < 7; ++r) {
     for (int c = 0; c < 7; ++c) {
-      dense.add(r, c, {(r == c ? 5.0 : 0.0) + rng.uniform(-1, 1), rng.uniform(-1, 1)});
+      const double diag = r == c ? 5.0 : 0.0;
+      dense.push_back(entry(r, c, {diag + rng.uniform(-1, 1), rng.uniform(-1, 1)}));
     }
   }
-  check_roundtrip(dense);
+  check_roundtrip(at_i(7, dense));
 
   check_roundtrip(random_matrix(rng, 40, 0.15));
 }

@@ -119,7 +119,7 @@ TEST_F(BlobStoreTest, GarbageHeaderIsQuarantined) {
 TEST_F(BlobStoreTest, NoStrayTempFilesAfterWrites) {
   BlobStore store(dir_.string());
   for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(store.put("k" + std::to_string(i), std::string(1000, 'x')));
+    ASSERT_TRUE(store.put(std::string("k").append(std::to_string(i)), std::string(1000, 'x')));
   }
   for (const auto& entry : fs::directory_iterator(dir_)) {
     EXPECT_EQ(entry.path().filename().string().rfind(".tmp", 0), std::string::npos)

@@ -61,11 +61,12 @@ TEST(SymbolicDet, MatchesNumericDeterminantAtRandomPoints) {
     const netlist::Circuit ladder = netlist::canonicalize(circuits::rc_ladder(n));
     const SymbolicNodalMatrix matrix(ladder);
     const mna::NodalSystem system(ladder);
+    sparse::PatternedMatrix assembly(system.dim(), system.stamps());
     const Expression det = symbolic_determinant(matrix);
     for (int trial = 0; trial < 3; ++trial) {
       const Complex s(rng.uniform(-1e6, 1e6), rng.uniform(1e5, 1e7));
       sparse::DenseLu lu;
-      ASSERT_TRUE(lu.factor(system.matrix(s, 1.0, 1.0)));
+      ASSERT_TRUE(lu.factor(assembly.assemble(s)));
       const Complex expected = lu.determinant().to_complex();
       const Complex actual = det.evaluate(matrix.symbols(), s).to_complex();
       EXPECT_LT(std::abs(actual - expected), 1e-9 * std::abs(expected))
@@ -80,8 +81,9 @@ TEST(SymbolicDet, OtaDeterminantMatchesNumeric) {
   const mna::NodalSystem system(ota);
   const Expression det = symbolic_determinant(matrix);
   const Complex s(1e5, 2e6);
+  sparse::PatternedMatrix assembly(system.dim(), system.stamps());
   sparse::DenseLu lu;
-  ASSERT_TRUE(lu.factor(system.matrix(s, 1.0, 1.0)));
+  ASSERT_TRUE(lu.factor(assembly.assemble(s)));
   const Complex expected = lu.determinant().to_complex();
   const Complex actual = det.evaluate(matrix.symbols(), s).to_complex();
   EXPECT_LT(std::abs(actual - expected), 1e-8 * std::abs(expected));
@@ -95,7 +97,8 @@ TEST(SymbolicDet, CofactorMatchesDeletedMinor) {
   const Complex s(0.5, 1.5);
   const Expression cof = symbolic_cofactor(matrix, 0, 1);
   // Build the dense matrix, delete row 0 / col 1, factor.
-  const auto full = system.matrix(s, 1.0, 1.0).compress();
+  sparse::PatternedMatrix assembly(system.dim(), system.stamps());
+  const sparse::CompressedMatrix& full = assembly.assemble(s);
   const int n = system.dim();
   std::vector<Complex> minor;
   for (int r = 1; r < n; ++r) {
@@ -151,7 +154,8 @@ TEST(SymbolicDet, TooLargeMatrixRejected) {
   // Construction admits up to the SDG generators' 64-column mask...
   netlist::Circuit big;
   for (int i = 0; i < 70; ++i) {
-    big.add_conductance("g" + std::to_string(i), "n" + std::to_string(i), "0", 1.0);
+    big.add_conductance(std::string("g").append(std::to_string(i)),
+                        std::string("n").append(std::to_string(i)), "0", 1.0);
   }
   EXPECT_THROW(SymbolicNodalMatrix{big}, NonAdmissibleError);
 }
@@ -160,7 +164,8 @@ TEST(SymbolicDet, FullExpansionRejectsLargeMatrices) {
   // ...but the exponential full expansion keeps its own ~20-node cap.
   netlist::Circuit mid;
   for (int i = 0; i < 25; ++i) {
-    mid.add_conductance("g" + std::to_string(i), "n" + std::to_string(i), "0", 1.0);
+    mid.add_conductance(std::string("g").append(std::to_string(i)),
+                        std::string("n").append(std::to_string(i)), "0", 1.0);
   }
   const SymbolicNodalMatrix matrix(mid);
   EXPECT_EQ(matrix.dim(), 25);

@@ -56,7 +56,10 @@
 //   --sigma= --max-iterations= --threads=  engine options for flag-built
 //                                          requests
 //   --timeout=<seconds>                    cancel outstanding work after the
-//                                          budget (exit code 9, local runs)
+//                                          budget (exit code 9, local runs);
+//                                          a budget that is not positive or
+//                                          that the clock cannot hold (about
+//                                          9.2e9 s and up) exits 2
 //   --connect=[host:]port                  run the session on a refgend
 //                                          daemon instead of in-process
 //   --retry=N                              with --connect: retry the dial
@@ -95,6 +98,7 @@
 #include "refgen/io.h"
 #include "support/cancellation.h"
 #include "support/cli.h"
+#include "support/timer.h"
 #include "transport_posix.h"
 
 namespace {
@@ -131,10 +135,9 @@ int exit_code_for(StatusCode code) {
 /// destructor releases the watchdog thread early on normal completion.
 class Watchdog {
  public:
-  Watchdog(double seconds, symref::support::CancellationSource source)
-      : deadline_(std::chrono::steady_clock::now() +
-                  std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                      std::chrono::duration<double>(seconds))),
+  Watchdog(std::chrono::steady_clock::time_point deadline,
+           symref::support::CancellationSource source)
+      : deadline_(deadline),
         source_(std::move(source)),
         thread_([this] {
           std::unique_lock<std::mutex> lock(mutex_);
@@ -956,13 +959,16 @@ int main(int argc, char** argv) {
   symref::support::CancellationSource timeout_source;
   std::unique_ptr<Watchdog> watchdog;
   if (args.has("timeout")) {
-    const double seconds = args.get_double("timeout", 0.0);
-    if (seconds <= 0.0) {
-      std::fprintf(stderr, "error: bad --timeout '%s' (want seconds > 0)\n",
+    const auto deadline =
+        symref::support::deadline_after_ms(args.get_double("timeout", 0.0) * 1e3);
+    if (!deadline) {
+      std::fprintf(stderr,
+                   "error: bad --timeout '%s' (want seconds > 0 the clock can hold, "
+                   "below about 9.2e9)\n",
                    args.get("timeout").c_str());
       return 2;
     }
-    watchdog = std::make_unique<Watchdog>(seconds, timeout_source);
+    watchdog = std::make_unique<Watchdog>(*deadline, timeout_source);
   }
 
   // --- Compile once, serve the session --------------------------------------

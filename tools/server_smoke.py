@@ -3,7 +3,7 @@
 
 Usage: server_smoke.py <refgend> <refgen> <netlist>
 
-Ten scenarios, all against the bundled netlist (the transient and
+Eleven scenarios, all against the bundled netlist (the transient and
 cache-bound scenarios build their own small decks — the bundled models
 have no time-varying sources):
   1. Four CONCURRENT stdio-scripted sessions (one refgend process each):
@@ -48,6 +48,11 @@ have no time-varying sources):
      "list": it joins every finished session, so its VmSize grows by less
      than 64 MB (a daemon that kept every session thread until shutdown
      grew by ~8 MB of thread stack per connection).
+ 11. Evicted circuits are freed: a 1-worker stdio daemon runs 200 cycles of
+     compile (100-stage RC ladder) -> 91-point sweep -> wait -> evict. Its
+     VmRSS grows by less than 8 MB between cycle 5 and cycle 200 (a daemon
+     whose retained jobs held their circuits grew by ~40 MB), and "list"
+     still names each retained job's circuit.
 
 Set REFGEN_CHAOS=1 to additionally run every store-scenario daemon plus a
 retry session under low-probability injected faults (REFGEN_FAULT): results
@@ -605,6 +610,70 @@ def main():
     finally:
         listener.terminate()
         listener.wait(timeout=30)
+
+    # --- 11. Evicted circuits are freed ------------------------------------
+    # One interactive stdio session; each rpc reads up to its own reply.
+    stages = 100
+    ladder = "".join(f"R{k} n{k - 1} n{k} 1k\nC{k} n{k} 0 1n\n" for k in range(1, stages + 1))
+    proc = subprocess.Popen([daemon, "--workers=1"], stdin=subprocess.PIPE,
+                            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+                            env=chaos_env)
+    try:
+        next_id = [0]
+
+        def rpc(method, params=None):
+            next_id[0] += 1
+            message = {"id": next_id[0], "method": method}
+            if params is not None:
+                message["params"] = params
+            proc.stdin.write(json.dumps(message) + "\n")
+            proc.stdin.flush()
+            while True:
+                line = proc.stdout.readline()
+                assert line, f"refgend closed stdout during {method}"
+                answer = json.loads(line)
+                if answer.get("id") == next_id[0]:
+                    assert "result" in answer, f"{method} failed: {answer}"
+                    return answer["result"]
+
+        def vm_rss_kb():
+            with open(f"/proc/{proc.pid}/status") as handle:
+                for line in handle:
+                    if line.startswith("VmRSS:"):
+                        return int(line.split()[1])
+            raise AssertionError("no VmRSS line")
+
+        # Under chaos an injected work_queue fault can exhaust a job's
+        # retries; the cycle still has to release its circuit.
+        allowed = {"ok", "unavailable"} if chaos else {"ok"}
+        sweep = {"type": "sweep", "spec": {"in": "n0", "out": f"n{stages}"},
+                 "f_start_hz": 1, "f_stop_hz": 1e9, "points_per_decade": 10}
+        before = 0
+        for cycle in range(1, 201):
+            circuit = rpc("compile", {"netlist": ladder, "name": f"ladder{cycle}"})["circuit_id"]
+            job = rpc("submit", {"circuit_id": circuit, "request": sweep})["job_id"]
+            result = rpc("wait", {"job_id": job})["result"]
+            assert result["status"]["code"] in allowed, result["status"]
+            if result["status"]["code"] == "ok":
+                assert len(result["points"]) == 91, len(result["points"])
+            assert rpc("evict", {"circuit_id": circuit})["evicted"] is True
+            if cycle == 5:
+                before = vm_rss_kb()
+        growth_mb = (vm_rss_kb() - before) / 1024.0
+        listed = rpc("list")
+        assert listed["circuits"] == [], listed["circuits"]
+        assert [j["circuit"] for j in listed["jobs"]] == \
+            [f"ladder{cycle}" for cycle in range(1, 201)], "retained jobs lost their circuit"
+        assert growth_mb < 8.0, f"VmRSS grew {growth_mb:.1f} MB over 195 evicted circuits"
+        rpc("shutdown")
+        proc.stdin.close()
+        assert proc.wait(timeout=60) == 0
+        print(f"eviction OK: 200 compile/sweep/evict cycles grew VmRSS by {growth_mb:.1f} MB; "
+              f"retained jobs still name their circuits")
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=30)
 
 
 if __name__ == "__main__":
