@@ -13,9 +13,9 @@
 //
 // A second section benchmarks the replay paths themselves (the scalar
 // oracle, forced through sparse::testing::ScopedScalarReplay, vs the
-// automatic batched SoA path, see sparse/batched.h) on the large-size axis — ladder-1024,
-// ladder-4096 and RC grid meshes (genuine fill-in, multi-step supernodes) —
-// and records the samples_per_sec_per_core headline metric plus the
+// automatic batched SoA path, see sparse/batched.h) on the large-size axis —
+// ladder-1024, ladder-4096 and RC grid meshes (genuine fill-in) — and
+// records the samples_per_sec_per_core headline metric plus the
 // batched-over-scalar speedup per circuit.
 #include <benchmark/benchmark.h>
 
@@ -84,8 +84,7 @@ void print_kernel_throughput(std::map<std::string, double>& json_metrics) {
                   symref::circuits::grid_mesh_spec(32, 32), 128});
 
   symref::support::TextTable table;
-  table.set_header(
-      {"circuit", "dim", "supernodes", "scalar [samp/s]", "batched [samp/s]", "speedup"});
+  table.set_header({"circuit", "dim", "scalar [samp/s]", "batched [samp/s]", "speedup"});
   for (Row& row : rows) {
     const auto canonical = symref::netlist::canonicalize(row.circuit);
     const symref::mna::NodalSystem system(canonical);
@@ -101,9 +100,8 @@ void print_kernel_throughput(std::map<std::string, double>& json_metrics) {
     const double scalar = replay_samples_per_sec(evaluator, points, f_scale, true);
     const double batched = replay_samples_per_sec(evaluator, points, f_scale, false);
     const double speedup = scalar > 0.0 ? batched / scalar : 0.0;
-    table.add_row({row.tag, std::to_string(system.dim()),
-                   std::to_string(evaluator.supernode_count()),
-                   symref::support::format_sci(scalar, 3), symref::support::format_sci(batched, 3),
+    table.add_row({row.tag, std::to_string(system.dim()), symref::support::format_sci(scalar, 3),
+                   symref::support::format_sci(batched, 3),
                    symref::support::format_sci(speedup, 3)});
     const std::string prefix = std::string(row.tag) + "_";
     json_metrics[prefix + "scalar_samples_per_sec_per_core"] = scalar;

@@ -97,11 +97,11 @@ void measure_throughput() {
   constexpr int kJobs = 24;
   std::printf("=== JobManager µA741 refgen: jobs/sec at 1/2/8 workers ===\n\n");
   for (const int workers : {1, 2, 8}) {
-    // Response caching off: every job runs the engine (the sustained-load
+    // No response cache: every job runs the engine (the sustained-load
     // case, not the memoized one). Distinct sigmas defeat any replay of
     // identical work while keeping per-job cost comparable.
     symref::api::ServiceOptions options;
-    options.cache_responses = false;
+    options.max_cached_responses = 0;
     const symref::api::Service service(options);
     const auto compiled = service.compile_netlist(ua741_netlist());
     if (!compiled.ok()) return;

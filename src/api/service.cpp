@@ -66,14 +66,13 @@ struct CompiledCircuit {
   /// compile() handles.
   netlist::NetlistTemplate netlist_template;
 
-  /// Memoized responses (ServiceOptions::cache_responses): one LRU per
-  /// request type, keyed by request_key (which carries the spec), each
-  /// bounded by ServiceOptions::max_cached_responses. refgen_cache also
-  /// serves poles_zeros and batch items. `cache_mutex` guards the five
-  /// caches and their counters. No engine state lives here, so every
-  /// computed response depends on its request alone, never on earlier
-  /// requests.
-  bool cache_responses = true;
+  /// Memoized responses: one LRU per request type, keyed by request_key
+  /// (which carries the spec), each bounded by
+  /// ServiceOptions::max_cached_responses (0: none memoized).
+  /// refgen_cache also serves poles_zeros and batch items. `cache_mutex`
+  /// guards the five caches and their counters. No engine state lives here,
+  /// so every computed response depends on its request alone, never on
+  /// earlier requests.
   std::mutex cache_mutex;
   support::LruCache<std::string, RefgenResponse> refgen_cache;
   support::LruCache<std::string, SweepResponse> sweep_cache;
@@ -112,7 +111,6 @@ struct CompiledCircuit {
         linear(original.has_devices() ? dc::linearize_at(original, op) : original),
         canonical(netlist::canonicalize(linear)),
         system(canonical),
-        cache_responses(options.cache_responses),
         refgen_cache(options.max_cached_responses),
         sweep_cache(options.max_cached_responses),
         param_sweep_cache(options.max_cached_responses),
@@ -208,14 +206,16 @@ std::size_t cached_values(const TransientResponse& response) {
 /// own evaluator, simulator or solver, so a long run never blocks the
 /// handle, and two racing identical misses both compute the same bytes.
 /// Counts hits, misses and evictions, stamps `from_cache` and `seconds`, and
-/// memoizes nothing when caching is off or compute fails.
+/// memoizes nothing when compute fails. A cache bounded at 0 is skipped:
+/// nothing is looked up, counted or inserted.
 template <typename Response, typename Request, typename Compute>
 Result<Response> cached_call(CompiledCircuit& compiled,
                              support::LruCache<std::string, Response>& cache,
                              const Request& request, Compute compute) {
   support::Timer timer;
-  const std::string key = compiled.cache_responses ? request_key(to_json(request)) : "";
-  if (compiled.cache_responses) {
+  const bool memoize = cache.capacity() != 0;
+  const std::string key = memoize ? request_key(to_json(request)) : "";
+  if (memoize) {
     std::unique_lock<std::mutex> lock(compiled.cache_mutex);
     if (const Response* hit = cache.find(key)) {
       ++compiled.cache_hits;
@@ -230,7 +230,7 @@ Result<Response> cached_call(CompiledCircuit& compiled,
   Result<Response> computed = compute();
   if (!computed.ok()) return computed;
   computed.value().seconds = timer.seconds();
-  if (compiled.cache_responses && cached_values(computed.value()) <= kMaxCachedValues) {
+  if (memoize && cached_values(computed.value()) <= kMaxCachedValues) {
     const std::lock_guard<std::mutex> lock(compiled.cache_mutex);
     compiled.cache_evictions += cache.insert(key, computed.value());
   }

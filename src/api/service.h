@@ -12,8 +12,8 @@
 //   auto ref = service.refgen(handle.value(), {spec, options});   // many times
 //
 // A CircuitHandle is an immutable compiled circuit — the parsed netlist,
-// its canonical {G, C, VCCS} twin, and the NodalSystem — plus (when
-// ServiceOptions::cache_responses) memoized responses for repeated
+// its canonical {G, C, VCCS} twin, and the NodalSystem — plus (unless
+// ServiceOptions::max_cached_responses is 0) memoized responses for repeated
 // identical requests. No engine state survives a request: every computed
 // response is a function of the circuit and the request alone, so a warm
 // handle answers exactly like a fresh one. Handles are cheap shared
@@ -47,16 +47,14 @@ struct CompiledCircuit;
 }
 
 struct ServiceOptions {
-  /// Memoize responses per handle, keyed by api::request_key (the exact
-  /// request minus thread counts — results are bit-identical at any count).
-  /// Identical repeated requests then cost a map lookup, the way an
-  /// idempotent server endpoint would serve them.
-  bool cache_responses = true;
   /// Bound on each of a handle's response caches — one per request type
   /// (refgen, also serving poles_zeros and batch items; sweep; param_sweep;
   /// simplify; transient), shared by all of its specs — with
-  /// least-recently-used eviction. 0 = unbounded — the pre-LRU behavior,
-  /// unsafe for a long-lived server under adversarial option or spec churn.
+  /// least-recently-used eviction. Responses are keyed by api::request_key
+  /// (the exact request minus thread counts — results are bit-identical at
+  /// any count), so an identical repeated request costs a map lookup, the
+  /// way an idempotent server endpoint would serve it. 0 memoizes nothing
+  /// and counts no hit or miss.
   std::size_t max_cached_responses = 64;
 };
 

@@ -37,6 +37,25 @@ double phase_deg(std::complex<double> value) noexcept {
   return std::arg(value) * 180.0 / M_PI;
 }
 
+std::vector<BodePoint> bode_points(std::span<const double> frequencies_hz,
+                                   std::span<const std::complex<double>> values) {
+  std::vector<BodePoint> points(frequencies_hz.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    BodePoint& p = points[i];
+    p.frequency_hz = frequencies_hz[i];
+    p.value = values[i];
+    p.magnitude_db = magnitude_db(p.value);
+    double phase = phase_deg(p.value);
+    if (i > 0) {
+      const double previous_phase = points[i - 1].phase_deg;
+      while (phase - previous_phase > 180.0) phase -= 360.0;
+      while (phase - previous_phase < -180.0) phase += 360.0;
+    }
+    p.phase_deg = phase;
+  }
+  return points;
+}
+
 AcSimulator::AcSimulator(const netlist::Circuit& circuit) : circuit_(circuit) {}
 
 AcSimulator::SpecCache& AcSimulator::prepare(const TransferSpec& spec) const {
@@ -135,35 +154,14 @@ std::vector<BodePoint> AcSimulator::bode(const TransferSpec& spec, double f_star
   std::optional<support::ThreadPool> pool;
   if (lanes > 1) pool.emplace(lanes);
   sparse::replay_points(cache.assembly, cache.lu, std::span(s_points).subspan(1),
-                        1.0, 1.0, cache.injections, nullptr, pool ? &*pool : nullptr,
-                        sparse::kDefaultBatchWidth, cancel,
+                        1.0, 1.0, cache.injections, nullptr, pool ? &*pool : nullptr, cancel,
                         [&](std::size_t i, const sparse::ReplayedPoint& point) {
                           values[i + 1] =
                               output_voltage(point, cache.out_pos_row, cache.out_neg_row);
                         });
 
-  // Ordered reduction on the caller: dB conversion and phase unwrapping walk
-  // the values in frequency order regardless of which lane produced them.
-  std::vector<BodePoint> points;
-  points.reserve(grid.size());
-  double previous_phase = 0.0;
-  bool first = true;
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    BodePoint p;
-    p.frequency_hz = grid[i];
-    p.value = values[i];
-    p.magnitude_db = magnitude_db(p.value);
-    double phase = phase_deg(p.value);
-    if (!first) {
-      while (phase - previous_phase > 180.0) phase -= 360.0;
-      while (phase - previous_phase < -180.0) phase += 360.0;
-    }
-    p.phase_deg = phase;
-    previous_phase = phase;
-    first = false;
-    points.push_back(p);
-  }
-  return points;
+  // Ordered reduction on the caller, whichever lane produced each value.
+  return bode_points(grid, values);
 }
 
 }  // namespace symref::mna

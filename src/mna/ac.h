@@ -7,6 +7,7 @@
 
 #include <complex>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "mna/transfer.h"
@@ -30,6 +31,13 @@ double magnitude_db(std::complex<double> value) noexcept;
 
 /// Principal phase in degrees, (-180, 180].
 double phase_deg(std::complex<double> value) noexcept;
+
+/// The ordered Bode reduction of a sweep: point i is (frequencies_hz[i],
+/// values[i]) with magnitude_db and a phase unwrapped against point i - 1,
+/// walked in grid order. AcSimulator::bode and NumericalReference::bode
+/// both reduce through it.
+std::vector<BodePoint> bode_points(std::span<const double> frequencies_hz,
+                                   std::span<const std::complex<double>> values);
 
 class AcSimulator {
  public:

@@ -120,7 +120,7 @@ CofactorEvaluator::Sample CofactorEvaluator::evaluate(std::complex<double> s_hat
 
 std::vector<CofactorEvaluator::Sample> CofactorEvaluator::evaluate_batch(
     const std::vector<std::complex<double>>& s_hats, double f_scale, double g_scale,
-    support::ThreadPool* pool, int batch_width) const {
+    support::ThreadPool* pool) const {
   std::vector<Sample> samples(s_hats.size());
   if (s_hats.empty()) return samples;
 
@@ -130,7 +130,7 @@ std::vector<CofactorEvaluator::Sample> CofactorEvaluator::evaluate_batch(
   samples[0] = evaluate(s_hats[0], f_scale, g_scale);
   batched_lane_count_ += sparse::replay_points(
       assembly_, lu_, std::span(s_hats).subspan(1), f_scale, g_scale, injections_,
-      &fresh_factors_, pool, batch_width, {},
+      &fresh_factors_, pool, {},
       [&](std::size_t i, const sparse::ReplayedPoint& point) {
         samples[i + 1] = sample_from(point);
       });
@@ -138,12 +138,10 @@ std::vector<CofactorEvaluator::Sample> CofactorEvaluator::evaluate_batch(
 }
 
 std::vector<CofactorEvaluator::Sample> CofactorEvaluator::evaluate_pinned_batch(
-    const std::vector<std::complex<double>>& s_hats, double f_scale, double g_scale,
-    int batch_width) const {
+    const std::vector<std::complex<double>>& s_hats, double f_scale, double g_scale) const {
   std::vector<Sample> samples(s_hats.size());
   batched_lane_count_ += sparse::replay_points(
-      assembly_, lu_, s_hats, f_scale, g_scale, injections_, &fresh_factors_, nullptr,
-      batch_width, {},
+      assembly_, lu_, s_hats, f_scale, g_scale, injections_, &fresh_factors_, nullptr, {},
       [&](std::size_t i, const sparse::ReplayedPoint& point) { samples[i] = sample_from(point); });
   return samples;
 }

@@ -141,13 +141,13 @@ class CofactorEvaluator {
   /// a fresh factorization when the replay is refused), establishing the
   /// shared baseline plan for the batch. Every remaining point is evaluated
   /// against that immutable baseline by sparse::replay_points() — SoA groups
-  /// of at most `batch_width` (>= 1) lanes when the plan replays the
-  /// assembly, scalar replays otherwise, spread over `pool` — and a point
-  /// whose replay is refused falls back to a throwaway fresh factorization
-  /// of that point alone (counted by fresh_factor_count()). Per-point
+  /// through its batched kernel when the plan replays the assembly, scalar
+  /// replays otherwise, spread over `pool` — and a point whose replay is
+  /// refused falls back to a throwaway fresh factorization of that point
+  /// alone (counted by fresh_factor_count()). Per-point
   /// results therefore depend only on (plan, point), never on evaluation
-  /// order — the returned samples are bit-identical at every batch width
-  /// and thread count, including the serial `pool == nullptr` path.
+  /// order — the returned samples are bit-identical at every thread count,
+  /// including the serial `pool == nullptr` path.
   ///
   /// Results are returned in point order. A singular point yields a sample
   /// with ok == false; other points are unaffected (when the first point
@@ -155,8 +155,7 @@ class CofactorEvaluator {
   /// factorization — still a pure function of that point alone).
   [[nodiscard]] std::vector<Sample> evaluate_batch(
       const std::vector<std::complex<double>>& s_hats, double f_scale, double g_scale,
-      support::ThreadPool* pool = nullptr,
-      int batch_width = sparse::kDefaultBatchWidth) const;
+      support::ThreadPool* pool = nullptr) const;
 
   /// Point the evaluator at a NEW NodalSystem with the same structure but
   /// different element values — the per-sample step of a parameter sweep.
@@ -177,8 +176,7 @@ class CofactorEvaluator {
   /// sweeps bit-identical at every thread count. Results and counters are
   /// identical on either replay kernel.
   [[nodiscard]] std::vector<Sample> evaluate_pinned_batch(
-      const std::vector<std::complex<double>>& s_hats, double f_scale, double g_scale,
-      int batch_width = sparse::kDefaultBatchWidth) const;
+      const std::vector<std::complex<double>>& s_hats, double f_scale, double g_scale) const;
 
   /// Fresh (non-replay) factorizations this instance has run: evaluate()'s
   /// plan refreshes and every refused point's throwaway factorization in
@@ -191,10 +189,6 @@ class CofactorEvaluator {
   /// that ran the scalar path are not counted).
   /// Purely observational — feeds Service::engine_stats, never results.
   [[nodiscard]] std::uint64_t batched_lane_count() const noexcept { return batched_lane_count_; }
-
-  /// Supernodes of the cached factorization plan (0 before the first
-  /// successful evaluation).
-  [[nodiscard]] std::size_t supernode_count() const noexcept { return lu_.supernode_count(); }
 
  private:
   /// N, D and the two error proxies of one solved point; the arithmetic is

@@ -64,26 +64,9 @@ std::vector<mna::BodePoint> NumericalReference::bode(double f_start_hz, double f
                                                      int points_per_decade) const {
   const std::vector<double> grid =
       mna::log_frequency_grid(f_start_hz, f_stop_hz, points_per_decade);
-  std::vector<mna::BodePoint> points;
-  points.reserve(grid.size());
-  double previous_phase = 0.0;
-  bool first = true;
-  for (const double f : grid) {
-    mna::BodePoint p;
-    p.frequency_hz = f;
-    p.value = transfer_at_hz(f);
-    p.magnitude_db = mna::magnitude_db(p.value);
-    double phase = mna::phase_deg(p.value);
-    if (!first) {
-      while (phase - previous_phase > 180.0) phase -= 360.0;
-      while (phase - previous_phase < -180.0) phase += 360.0;
-    }
-    p.phase_deg = phase;
-    previous_phase = phase;
-    first = false;
-    points.push_back(p);
-  }
-  return points;
+  std::vector<std::complex<double>> values(grid.size());
+  for (std::size_t i = 0; i < grid.size(); ++i) values[i] = transfer_at_hz(grid[i]);
+  return mna::bode_points(grid, values);
 }
 
 namespace {

@@ -63,10 +63,22 @@ inline void lane_sub_mul(double* __restrict sr, double* __restrict si,
 /// Live testing::ScopedScalarReplay instances.
 std::atomic<int> scalar_replay_scopes{0};
 
+/// The one replay-kernel choice: batched lanes whenever `plan` can replay
+/// `pattern` structurally and no ScopedScalarReplay is alive.
+bool use_batched_replay(const ReplayPlan* plan, const CompressedMatrix& pattern) {
+  return plan != nullptr && plan->matches(pattern) &&
+         scalar_replay_scopes.load(std::memory_order_relaxed) == 0;
+}
+
+/// SoA lanes per batched group: on ladder-1024/4096 and 32x32 meshes, 16
+/// beats 8 (index traffic not amortized) and 32 (the SoA workspace falls
+/// out of L2). Results never depend on it (the oracle contract).
+constexpr std::size_t kGroupWidth = 16;
+
 /// The batched kernel of replay_points(): one ReplayPlan replayed across up
 /// to width() points at once, structure-of-arrays (position k of lane l at
-/// k * width() + l), supernodes as dense rank-k blocks. Per lane the
-/// operation sequence is the scalar one (the oracle contract in batched.h).
+/// k * width() + l). Per lane the operation sequence is the scalar one (the
+/// oracle contract in batched.h).
 class BatchedReplay {
  public:
   /// Bind to a plan with a fixed SoA lane width (>= 1), sizing the numeric
@@ -199,147 +211,93 @@ void BatchedReplay::replay(int active, const PatternedMatrix& base, const Comple
   double* const pim = pivot_im_.data();
   double* const row_norm = row_norm_.data();
 
-  // Up-looking replay, supernode by supernode. Per lane this executes the
-  // EXACT operation sequence of SparseLu::refactor(): clear the row's
-  // pattern slots, scatter the row of A, apply the earlier steps' updates in
-  // ascending dep order, test the pivot, gather the surviving U row. The
-  // supernode split only changes WHERE the indices come from (unit-stride
-  // block targets + one shared tail list instead of per-entry loads), never
-  // the per-slot arithmetic order — that is the whole bit-identity argument.
-  const std::size_t blocks = plan.supernode_count();
-  for (std::size_t s = 0; s < blocks; ++s) {
-    const int block_begin = plan.supernode_start[s];
-    const int block_end = plan.supernode_start[s + 1];
-    // Shared U tail of the block: every block row's off-block targets.
-    const int tail_begin = plan.u_start[static_cast<std::size_t>(block_end - 1)];
-    const int tail_len = plan.u_start[static_cast<std::size_t>(block_end)] - tail_begin;
-    const int* const tail_steps = plan.u_steps.data() + tail_begin;
+  // Up-looking replay, the step loop of SparseLu::refactor() with a lane
+  // loop inside each statement: clear the row's pattern slots, scatter the
+  // row of A, apply the earlier steps' updates in ascending dep order, test
+  // the pivot, gather the surviving U row. Per lane that is the scalar
+  // operation sequence exactly — the whole bit-identity argument.
+  const double* const sre = s_re_.data();
+  const double* const sim = s_im_.data();
+  for (int i = 0; i < plan.dim; ++i) {
+    const int l_begin = plan.l_start[static_cast<std::size_t>(i)];
+    const int l_end = plan.l_start[static_cast<std::size_t>(i) + 1];
+    const int u_begin = plan.u_start[static_cast<std::size_t>(i)];
+    const int u_end = plan.u_start[static_cast<std::size_t>(i) + 1];
 
-    for (int i = block_begin; i < block_end; ++i) {
-      const int l_begin = plan.l_start[static_cast<std::size_t>(i)];
-      const int l_end = plan.l_start[static_cast<std::size_t>(i) + 1];
-      const int u_begin = plan.u_start[static_cast<std::size_t>(i)];
-      const int u_end = plan.u_start[static_cast<std::size_t>(i) + 1];
-      // The dep list is ascending, so the in-block deps [block_begin .. i-1]
-      // are exactly its suffix (supernode invariant).
-      const int out_end = l_end - (i - block_begin);
+    // Clear the row's pattern slots.
+    const auto clear = [&](int step) {
+      const std::size_t off = static_cast<std::size_t>(step) * W;
+      std::fill(wre + off, wre + off + A, 0.0);
+      std::fill(wim + off, wim + off + A, 0.0);
+    };
+    for (int k = l_begin; k < l_end; ++k) clear(plan.l_steps[static_cast<std::size_t>(k)]);
+    for (int k = u_begin; k < u_end; ++k) clear(plan.u_steps[static_cast<std::size_t>(k)]);
+    clear(i);
+    const std::size_t iw = static_cast<std::size_t>(i) * W;
 
-      // Clear the row's pattern slots.
-      for (int k = l_begin; k < l_end; ++k) {
-        const std::size_t off =
-            static_cast<std::size_t>(plan.l_steps[static_cast<std::size_t>(k)]) * W;
-        for (std::size_t l = 0; l < A; ++l) {
-          wre[off + l] = 0.0;
-          wim[off + l] = 0.0;
-        }
-      }
-      for (int k = u_begin; k < u_end; ++k) {
-        const std::size_t off =
-            static_cast<std::size_t>(plan.u_steps[static_cast<std::size_t>(k)]) * W;
-        for (std::size_t l = 0; l < A; ++l) {
-          wre[off + l] = 0.0;
-          wim[off + l] = 0.0;
-        }
-      }
-      {
-        const std::size_t off = static_cast<std::size_t>(i) * W;
-        for (std::size_t l = 0; l < A; ++l) {
-          wre[off + l] = 0.0;
-          wim[off + l] = 0.0;
-        }
-      }
-
-      // Scatter the row of A, assembling each lane value as it streams.
-      const int r = plan.row_order[static_cast<std::size_t>(i)];
-      for (int k = plan.pattern_row_start[static_cast<std::size_t>(r)];
-           k < plan.pattern_row_start[static_cast<std::size_t>(r) + 1]; ++k) {
-        const std::size_t off =
-            static_cast<std::size_t>(plan.a_dest[static_cast<std::size_t>(k)]) * W;
-        const double g = g_scale * conductance[static_cast<std::size_t>(k)];
-        const double c = f_scale * capacitance[static_cast<std::size_t>(k)];
-        const double* const sre = s_re_.data();
-        const double* const sim = s_im_.data();
-        for (std::size_t l = 0; l < A; ++l) {
-          const double vre = g + sre[l] * c;
-          const double vim = sim[l] * c;
-          wre[off + l] = vre;
-          wim[off + l] = vim;
-          entry_norm[l] = std::max(entry_norm[l], vre * vre + vim * vim);
-        }
-      }
-
-      // Off-block updates: generic indexed walk.
-      for (int k = l_begin; k < out_end; ++k) {
-        const std::size_t j = static_cast<std::size_t>(plan.l_steps[static_cast<std::size_t>(k)]);
-        const std::size_t mk = static_cast<std::size_t>(k) * W;
-        lane_div(lre + mk, lim + mk, wre + j * W, wim + j * W, pre + j * W, pim + j * W, A);
-        for (int t = plan.u_start[j]; t < plan.u_start[j + 1]; ++t) {
-          const std::size_t off =
-              static_cast<std::size_t>(plan.u_steps[static_cast<std::size_t>(t)]) * W;
-          const std::size_t uk = static_cast<std::size_t>(t) * W;
-          lane_sub_mul(wre + off, wim + off, lre + mk, lim + mk, ure + uk, uim + uk, A);
-        }
-      }
-
-      // In-block updates: the dense rank-k micro-kernel. Dep j's U row is
-      // [j+1 .. block_end-1] ++ tail in storage order — unit-stride targets
-      // for the block part, one shared index list for the tail.
-      for (int j = block_begin; j < i; ++j) {
-        const int k = out_end + (j - block_begin);
-        const std::size_t jw = static_cast<std::size_t>(j) * W;
-        const std::size_t mk = static_cast<std::size_t>(k) * W;
-        lane_div(lre + mk, lim + mk, wre + jw, wim + jw, pre + jw, pim + jw, A);
-        const std::size_t urow = static_cast<std::size_t>(plan.u_start[static_cast<std::size_t>(j)]) * W;
-        const int block_targets = block_end - 1 - j;
-        const std::size_t first_target = static_cast<std::size_t>(j + 1) * W;
-        for (int t = 0; t < block_targets; ++t) {
-          const std::size_t off = first_target + static_cast<std::size_t>(t) * W;
-          const std::size_t uk = urow + static_cast<std::size_t>(t) * W;
-          lane_sub_mul(wre + off, wim + off, lre + mk, lim + mk, ure + uk, uim + uk, A);
-        }
-        const std::size_t tail_vals = urow + static_cast<std::size_t>(block_targets) * W;
-        for (int t = 0; t < tail_len; ++t) {
-          const std::size_t off = static_cast<std::size_t>(tail_steps[t]) * W;
-          const std::size_t uk = tail_vals + static_cast<std::size_t>(t) * W;
-          lane_sub_mul(wre + off, wim + off, lre + mk, lim + mk, ure + uk, uim + uk, A);
-        }
-      }
-
-      // Pivot acceptance per lane: same relaxed replay threshold as the
-      // scalar path. The row maximum is accumulated over squared magnitudes
-      // (one packed multiply-add per entry) and rooted once per lane — equal
-      // to the scalar max-of-replay_abs scan because sqrt is monotone.
-      const std::size_t iw = static_cast<std::size_t>(i) * W;
+    // Scatter the row of A, assembling each lane value as it streams.
+    const int r = plan.row_order[static_cast<std::size_t>(i)];
+    for (int k = plan.pattern_row_start[static_cast<std::size_t>(r)];
+         k < plan.pattern_row_start[static_cast<std::size_t>(r) + 1]; ++k) {
+      const std::size_t off =
+          static_cast<std::size_t>(plan.a_dest[static_cast<std::size_t>(k)]) * W;
+      const double g = g_scale * conductance[static_cast<std::size_t>(k)];
+      const double c = f_scale * capacitance[static_cast<std::size_t>(k)];
       for (std::size_t l = 0; l < A; ++l) {
-        row_norm[l] = wre[iw + l] * wre[iw + l] + wim[iw + l] * wim[iw + l];
+        const double vre = g + sre[l] * c;
+        const double vim = sim[l] * c;
+        wre[off + l] = vre;
+        wim[off + l] = vim;
+        entry_norm[l] = std::max(entry_norm[l], vre * vre + vim * vim);
       }
-      for (int k = u_begin; k < u_end; ++k) {
+    }
+
+    // Every earlier step's update, in ascending dep order.
+    for (int k = l_begin; k < l_end; ++k) {
+      const std::size_t j = static_cast<std::size_t>(plan.l_steps[static_cast<std::size_t>(k)]);
+      const std::size_t mk = static_cast<std::size_t>(k) * W;
+      lane_div(lre + mk, lim + mk, wre + j * W, wim + j * W, pre + j * W, pim + j * W, A);
+      for (int t = plan.u_start[j]; t < plan.u_start[j + 1]; ++t) {
         const std::size_t off =
-            static_cast<std::size_t>(plan.u_steps[static_cast<std::size_t>(k)]) * W;
-        for (std::size_t l = 0; l < A; ++l) {
-          const double norm = wre[off + l] * wre[off + l] + wim[off + l] * wim[off + l];
-          row_norm[l] = std::max(row_norm[l], norm);
-        }
+            static_cast<std::size_t>(plan.u_steps[static_cast<std::size_t>(t)]) * W;
+        const std::size_t uk = static_cast<std::size_t>(t) * W;
+        lane_sub_mul(wre + off, wim + off, lre + mk, lim + mk, ure + uk, uim + uk, A);
       }
+    }
+
+    // Pivot acceptance per lane: same relaxed replay threshold as the
+    // scalar path. The row maximum is accumulated over squared magnitudes
+    // (one packed multiply-add per entry) and rooted once per lane — equal
+    // to the scalar max-of-replay_abs scan because sqrt is monotone.
+    for (std::size_t l = 0; l < A; ++l) {
+      row_norm[l] = wre[iw + l] * wre[iw + l] + wim[iw + l] * wim[iw + l];
+    }
+    for (int k = u_begin; k < u_end; ++k) {
+      const std::size_t off =
+          static_cast<std::size_t>(plan.u_steps[static_cast<std::size_t>(k)]) * W;
       for (std::size_t l = 0; l < A; ++l) {
-        const double pivot_magnitude =
-            std::sqrt(wre[iw + l] * wre[iw + l] + wim[iw + l] * wim[iw + l]);
-        const double row_max = std::sqrt(row_norm[l]);
-        if (pivot_magnitude == 0.0 ||
-            pivot_magnitude < kReplayRelaxedThresholdScale * kPivotThreshold * row_max) {
-          lane_ok_[l] = 0;
-        }
-        pre[iw + l] = wre[iw + l];
-        pim[iw + l] = wim[iw + l];
+        const double norm = wre[off + l] * wre[off + l] + wim[off + l] * wim[off + l];
+        row_norm[l] = std::max(row_norm[l], norm);
       }
-      for (int k = u_begin; k < u_end; ++k) {
-        const std::size_t off =
-            static_cast<std::size_t>(plan.u_steps[static_cast<std::size_t>(k)]) * W;
-        const std::size_t uk = static_cast<std::size_t>(k) * W;
-        for (std::size_t l = 0; l < A; ++l) {
-          ure[uk + l] = wre[off + l];
-          uim[uk + l] = wim[off + l];
-        }
+    }
+    for (std::size_t l = 0; l < A; ++l) {
+      const double pivot_magnitude =
+          std::sqrt(wre[iw + l] * wre[iw + l] + wim[iw + l] * wim[iw + l]);
+      const double row_max = std::sqrt(row_norm[l]);
+      if (pivot_magnitude == 0.0 ||
+          pivot_magnitude < kReplayRelaxedThresholdScale * kPivotThreshold * row_max) {
+        lane_ok_[l] = 0;
+      }
+      pre[iw + l] = wre[iw + l];
+      pim[iw + l] = wim[iw + l];
+    }
+    for (int k = u_begin; k < u_end; ++k) {
+      const std::size_t off =
+          static_cast<std::size_t>(plan.u_steps[static_cast<std::size_t>(k)]) * W;
+      const std::size_t uk = static_cast<std::size_t>(k) * W;
+      for (std::size_t l = 0; l < A; ++l) {
+        ure[uk + l] = wre[off + l];
+        uim[uk + l] = wim[off + l];
       }
     }
   }
@@ -475,11 +433,6 @@ void BatchedReplay::determinants(numeric::ScaledComplex* out, int active) const 
 }
 
 }  // namespace
-
-bool use_batched_replay(const ReplayPlan* plan, const CompressedMatrix& pattern) {
-  return plan != nullptr && plan->matches(pattern) &&
-         scalar_replay_scopes.load(std::memory_order_relaxed) == 0;
-}
 
 testing::ScopedScalarReplay::ScopedScalarReplay() {
   scalar_replay_scopes.fetch_add(1, std::memory_order_relaxed);
@@ -618,13 +571,11 @@ struct ReplayLane {
 std::size_t replay_points(const PatternedMatrix& base, const SparseLu& planned,
                           std::span<const Complex> points, double f_scale, double g_scale,
                           std::span<const Injection> injections, std::uint64_t* fresh,
-                          support::ThreadPool* pool, int width,
-                          const support::CancellationToken& cancel, const PointSink& emit) {
+                          support::ThreadPool* pool, const support::CancellationToken& cancel,
+                          const PointSink& emit) {
   if (points.empty()) return 0;
-  assert(width >= 1);
   const bool batched = use_batched_replay(planned.plan().get(), base.matrix());
-  const std::size_t group_width =
-      std::min<std::size_t>(static_cast<std::size_t>(width), points.size());
+  const std::size_t group_width = std::min(kGroupWidth, points.size());
   std::vector<std::unique_ptr<ReplayLane>> lanes(
       static_cast<std::size_t>(pool != nullptr ? pool->size() : 1));
 

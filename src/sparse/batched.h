@@ -7,11 +7,11 @@
 // replay_points() is the one driver every such caller uses. It runs the
 // points either through scalar SparseLu::refactor()/solve() calls or through
 // its batched kernel, which stores every numeric array structure-of-arrays
-// (position k of lane l at values[k * width + l]) so that one pass through
-// the plan's index structure drives `width` independent eliminations whose
-// inner loops are contiguous, branch-free and SIMD-friendly. Supernodes (see
-// ReplayPlan::supernode_start) run as small dense rank-k blocks. The kernel
-// is private to batched.cpp.
+// (position k of lane l at values[k * width + l], groups of up to 16 lanes)
+// and walks the plan's steps exactly as refactor() does, with a lane loop
+// inside each statement: one pass through the plan's index structure drives
+// up to 16 independent eliminations whose inner loops are contiguous,
+// branch-free and SIMD-friendly. The kernel is private to batched.cpp.
 //
 // THE ORACLE CONTRACT. Per lane, the floating-point operation sequence of
 // the batched kernel is exactly the scalar SparseLu::refactor()/solve()
@@ -19,7 +19,7 @@
 // relaxed pivot-acceptance test. Results are therefore bit-identical to the
 // scalar path — and, since each lane's sequence never depends on the lane
 // count, the active count or any other lane's values, bit-identical across
-// batch widths, batch groupings and thread counts.
+// group fills, batch groupings and thread counts.
 // tests/sparse/replay_differential_test holds this contract against
 // randomized matrices and circuits by running replay_points() on both
 // kernels (testing::ScopedScalarReplay forces the scalar one); any deviation
@@ -53,16 +53,10 @@ class ThreadPool;
 
 namespace symref::sparse {
 
-/// The one replay-kernel choice, made inside replay_points(): batched-kernel
-/// lanes whenever `plan` can replay `pattern` structurally, the scalar
-/// SparseLu::refactor() path otherwise. Results are bit-identical either
-/// way (the oracle contract above), so the choice is never a request option.
-[[nodiscard]] bool use_batched_replay(const ReplayPlan* plan, const CompressedMatrix& pattern);
-
 namespace testing {
 
-/// Test-only oracle switch: while an instance is alive, use_batched_replay()
-/// answers false in the whole process, so every batch path runs the scalar
+/// Test-only oracle switch: while an instance is alive, replay_points() runs
+/// its scalar kernel in the whole process, so every batch path runs the
 /// oracle the batched kernel is compared against. No request, option, flag
 /// or environment variable reaches it.
 class ScopedScalarReplay {
@@ -74,15 +68,6 @@ class ScopedScalarReplay {
 };
 
 }  // namespace testing
-
-/// Default SoA lane width for the batched consumers. Wide enough to amortize
-/// the plan's index traffic across many points, small enough that the SoA
-/// workspace (~ nnz * width * 16 bytes of values plus dim * width solve
-/// slots) stays cache-resident for the circuit sizes the engine sweeps:
-/// measured on ladder-1024/4096 and 32x32 grid meshes, width 16 beats both 8
-/// (index traffic not yet amortized) and 32 (workspace falls out of L2).
-/// Results never depend on it (see the oracle contract above).
-inline constexpr int kDefaultBatchWidth = 16;
 
 /// One right-hand-side entry of the points replay_points() solves:
 /// rhs[row] += value, in list order; a row < 0 (ground) is skipped.
@@ -145,13 +130,15 @@ using PointSink = std::function<void(std::size_t index, const ReplayedPoint& poi
 /// recorded in `planned`, spread over `pool`'s lanes (nullptr: the caller's
 /// thread only), and hands each solved point to `emit`.
 ///
-/// Per lane it runs SoA groups of at most `width` (>= 1) points through the
-/// batched kernel when use_batched_replay() allows, scalar refactor()s of a
-/// clone of `planned` otherwise. A refused point falls back to a throwaway
-/// fresh factorization of that point alone at kPivotThreshold (no second
-/// replay, so "lu_pivot" is drawn once per point on both kernels), and
-/// `planned` is never replaced: every point is a pure function of (plan,
-/// point), so results are bit-identical at every width and thread count.
+/// Per lane it runs SoA groups of up to 16 points through the batched
+/// kernel whenever the plan replays `base` structurally, scalar refactor()s
+/// of a clone of `planned` otherwise; results are bit-identical either way,
+/// so the choice is never a request option. A refused point falls back to a
+/// throwaway fresh factorization of that point alone at kPivotThreshold (no
+/// second replay, so "lu_pivot" is drawn once per point on both kernels),
+/// and `planned` is never replaced: every point is a pure function of
+/// (plan, point), so results are bit-identical at every group fill and
+/// thread count.
 /// `base` holds the assembly values, cloned per lane only where a point must
 /// be assembled on its own; `planned` is never cloned on the batched path.
 /// Each lane counts its fallbacks, added to `fresh` (may be null) after the
@@ -161,7 +148,7 @@ using PointSink = std::function<void(std::size_t index, const ReplayedPoint& poi
 std::size_t replay_points(const PatternedMatrix& base, const SparseLu& planned,
                           std::span<const std::complex<double>> points, double f_scale,
                           double g_scale, std::span<const Injection> injections,
-                          std::uint64_t* fresh, support::ThreadPool* pool, int width,
+                          std::uint64_t* fresh, support::ThreadPool* pool,
                           const support::CancellationToken& cancel, const PointSink& emit);
 
 }  // namespace symref::sparse

@@ -269,9 +269,7 @@ bool SparseLu::factor(const CompressedMatrix& matrix, double pivot_threshold) {
   // every replay update targets a DISTINCT workspace slot, so reordering a
   // row permutes independent operations and every per-slot accumulation
   // sequence — hence every computed value — is unchanged. The normalization
-  // buys two things: the triangular solves get a fixed deterministic
-  // accumulation order, and supernode detection below reduces to prefix
-  // comparisons on sorted rows.
+  // gives the triangular solves a fixed deterministic accumulation order.
   plan->u_start.assign(static_cast<std::size_t>(n) + 1, 0);
   for (int step = 0; step < n; ++step) {
     plan->u_start[static_cast<std::size_t>(step) + 1] =
@@ -296,57 +294,9 @@ bool SparseLu::factor(const CompressedMatrix& matrix, double pivot_threshold) {
     }
   }
 
-  detect_supernodes(*plan);
-
   plan_ = std::move(plan);
   ok_ = true;
   return true;
-}
-
-void SparseLu::detect_supernodes(ReplayPlan& plan) {
-  const int n = plan.dim;
-  plan.supernode_start.clear();
-  plan.supernode_start.push_back(0);
-  if (n == 0) return;
-
-  // urow(i) == [i+1] ++ urow(i+1), element-wise on the ascending-step rows.
-  auto u_chains = [&](int i) {
-    const int begin_i = plan.u_start[static_cast<std::size_t>(i)];
-    const int len_i = plan.u_start[static_cast<std::size_t>(i) + 1] - begin_i;
-    const int begin_next = plan.u_start[static_cast<std::size_t>(i) + 1];
-    const int len_next = plan.u_start[static_cast<std::size_t>(i) + 2] - begin_next;
-    if (len_i != len_next + 1) return false;
-    if (plan.u_steps[static_cast<std::size_t>(begin_i)] != i + 1) return false;
-    for (int t = 0; t < len_next; ++t) {
-      if (plan.u_steps[static_cast<std::size_t>(begin_i + 1 + t)] !=
-          plan.u_steps[static_cast<std::size_t>(begin_next + t)]) {
-        return false;
-      }
-    }
-    return true;
-  };
-
-  // ldeps(r) ends with [b .. r-1] (the dep list is ascending by
-  // construction, so the block deps — if all present — are its suffix).
-  auto l_has_block_suffix = [&](int r, int b) {
-    const int count = r - b;
-    const int begin = plan.l_start[static_cast<std::size_t>(r)];
-    const int len = plan.l_start[static_cast<std::size_t>(r) + 1] - begin;
-    if (len < count) return false;
-    for (int t = 0; t < count; ++t) {
-      if (plan.l_steps[static_cast<std::size_t>(begin + len - count + t)] != b + t) return false;
-    }
-    return true;
-  };
-
-  int block_begin = 0;
-  for (int i = 0; i < n; ++i) {
-    const bool extend = i + 1 < n && u_chains(i) && l_has_block_suffix(i + 1, block_begin);
-    if (!extend) {
-      plan.supernode_start.push_back(i + 1);
-      block_begin = i + 1;
-    }
-  }
 }
 
 bool SparseLu::replay_or_factor(const CompressedMatrix& matrix, std::uint64_t* fresh,

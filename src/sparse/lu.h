@@ -102,11 +102,11 @@ inline std::complex<double> replay_div(const std::complex<double>& a,
 }
 
 /// The one-time symbolic work of SparseLu::factor(): pivot order, fill-in
-/// pattern, scatter plan and supernode partition. Immutable once recorded
-/// and shared read-only (shared_ptr) between a SparseLu, its clones and any
-/// batched replay bound to it — every replay consumer walks the same flat
-/// arrays, which is what makes scalar and batched replays bit-identical by
-/// construction (identical per-slot operation sequences).
+/// pattern and scatter plan. Immutable once recorded and shared read-only
+/// (shared_ptr) between a SparseLu, its clones and any batched replay bound
+/// to it — every replay consumer walks the same flat arrays in the same
+/// step order, which is what makes scalar and batched replays bit-identical
+/// by construction (identical per-slot operation sequences).
 ///
 /// Everything is expressed in STEP space (elimination order), not original
 /// row/column indices: step i eliminates original row row_order[i] and
@@ -133,26 +133,6 @@ struct ReplayPlan {
   std::vector<int> l_steps;
   std::vector<int> u_start;
   std::vector<int> u_steps;
-  /// Supernode partition of the step range: supernode s covers steps
-  /// [supernode_start[s], supernode_start[s+1]). A supernode is a maximal
-  /// run of steps whose fill-in forms a dense diagonal block with a shared
-  /// off-block row structure:
-  ///   * U chain: urow(i) == [i+1] ++ urow(i+1) for every interior step, so
-  ///     urow(j) == [j+1 .. e-1] ++ urow(e-1) — the in-block targets are the
-  ///     contiguous steps after j and the tail indices are shared by every
-  ///     row of the block;
-  ///   * L fill: ldeps(r) ends with [b .. r-1] — every block row depends on
-  ///     ALL earlier block steps.
-  /// Batched replay executes such a block as a small dense rank-k kernel
-  /// (unit-stride targets, one shared tail index list) with the exact scalar
-  /// operation order. Degenerate cases: a diagonal pattern yields dim
-  /// singleton supernodes and a dense matrix one; a tridiagonal yields
-  /// dim - 1 (only its trailing 2x2 corner — genuinely dense — merges).
-  std::vector<int> supernode_start;
-
-  [[nodiscard]] std::size_t supernode_count() const noexcept {
-    return supernode_start.empty() ? 0 : supernode_start.size() - 1;
-  }
 
   /// True when `matrix` has exactly the structure this plan was recorded
   /// on — the structural half of every replay's acceptance test.
@@ -208,12 +188,6 @@ class SparseLu {
   /// Fill-in created by elimination (entries in L+U beyond those of A).
   [[nodiscard]] std::size_t fill_in() const noexcept { return plan_ ? plan_->fill_in : 0; }
 
-  /// Supernodes of the recorded plan (0 before the first factor()). Every
-  /// step belongs to exactly one supernode; see ReplayPlan::supernode_start.
-  [[nodiscard]] std::size_t supernode_count() const noexcept {
-    return plan_ ? plan_->supernode_count() : 0;
-  }
-
   /// Largest |entry| of the factored matrix and smallest |pivot| of U.
   /// Their ratio is a cheap proxy for the determinant's relative
   /// evaluation error (~eps * max_entry / min_pivot): perturbing one entry
@@ -236,11 +210,6 @@ class SparseLu {
   [[nodiscard]] numeric::ScaledComplex determinant() const;
 
  private:
-  /// Partition the plan's steps into supernodes (see ReplayPlan). Pure
-  /// structure analysis over the harvested L/U patterns; greedy maximal
-  /// runs, O(total block area).
-  static void detect_supernodes(ReplayPlan& plan);
-
   int dim_ = 0;
   bool ok_ = false;
   double max_abs_entry_ = 0.0;

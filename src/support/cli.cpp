@@ -1,6 +1,7 @@
 #include "support/cli.h"
 
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
 #include <set>
 
 namespace symref::support {
@@ -36,21 +37,35 @@ bool CliArgs::has(const std::string& name) const { return flags_.count(name) != 
 
 std::string CliArgs::get(const std::string& name, const std::string& fallback) const {
   // A value-less flag (`--json` with the path forgotten) falls back like an
-  // absent one, mirroring get_double()'s unparsable-value behavior.
+  // absent one.
   const auto it = flags_.find(name);
   return it == flags_.end() || it->second.empty() ? fallback : it->second;
 }
 
+namespace {
+
+/// Parses all of `text` as T, or throws FlagError naming `--name`.
+template <typename T>
+T parse_whole(const std::string& name, const std::string& text, const char* want) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || stop != end || !std::isfinite(static_cast<double>(value))) {
+    throw FlagError("bad --" + name + " '" + text + "' (want " + want + ")");
+  }
+  return value;
+}
+
+}  // namespace
+
 double CliArgs::get_double(const std::string& name, double fallback) const {
   const auto it = flags_.find(name);
-  if (it == flags_.end() || it->second.empty()) return fallback;
-  char* end = nullptr;
-  const double value = std::strtod(it->second.c_str(), &end);
-  return end == it->second.c_str() ? fallback : value;
+  return it == flags_.end() ? fallback : parse_whole<double>(name, it->second, "a number");
 }
 
 int CliArgs::get_int(const std::string& name, int fallback) const {
-  return static_cast<int>(get_double(name, fallback));
+  const auto it = flags_.find(name);
+  return it == flags_.end() ? fallback : parse_whole<int>(name, it->second, "a whole number");
 }
 
 }  // namespace symref::support

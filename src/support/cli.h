@@ -1,14 +1,23 @@
-// Tiny flag parser shared by examples and benches: `--key=value` / `--flag`,
-// plus space-separated values (`--key value`) for flags the caller declares
-// as value-taking. Anything fancier belongs to the user.
+// Tiny flag parser shared by the tools, examples and benches:
+// `--key=value` / `--flag`, plus space-separated values (`--key value`) for
+// flags the caller declares as value-taking. Anything fancier belongs to
+// the user.
 #pragma once
 
 #include <initializer_list>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace symref::support {
+
+/// A numeric flag whose value does not parse whole or does not fit the
+/// requested type; what() names the flag and the value.
+class FlagError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
 
 class CliArgs {
  public:
@@ -25,7 +34,11 @@ class CliArgs {
   /// String value of `--name=value`, or `fallback` when absent or empty.
   [[nodiscard]] std::string get(const std::string& name, const std::string& fallback = "") const;
 
-  /// Numeric value of `--name=value`, or `fallback` when absent/unparsable.
+  /// Numeric value of `--name=value`, or `fallback` when the flag is absent.
+  /// A present value is read only when all of it parses and fits the type:
+  /// a finite double for get_double(), a whole number in int's range for
+  /// get_int() ("1e3" and "3.5" are not). Anything else, an empty value
+  /// included, throws FlagError.
   [[nodiscard]] double get_double(const std::string& name, double fallback) const;
   [[nodiscard]] int get_int(const std::string& name, int fallback) const;
 

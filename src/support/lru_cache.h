@@ -18,9 +18,8 @@ namespace symref::support {
 template <typename Key, typename Value>
 class LruCache {
  public:
-  /// `capacity` 0 means unbounded (the pre-LRU behavior, kept for
-  /// benchmarking the difference).
-  explicit LruCache(std::size_t capacity = 0) : capacity_(capacity) {}
+  /// At most `capacity` entries; 0 holds none.
+  explicit LruCache(std::size_t capacity) : capacity_(capacity) {}
 
   /// Value for `key`, or nullptr. A hit becomes the most recently used
   /// entry. The pointer is invalidated by the next insert().
@@ -32,15 +31,17 @@ class LruCache {
   }
 
   /// Insert or overwrite; the entry becomes most recently used. Returns the
-  /// number of entries evicted to respect the capacity (0 or 1).
+  /// number of entries evicted to respect the capacity (0 or 1). With
+  /// capacity 0 nothing is stored and nothing evicted.
   std::size_t insert(Key key, Value value) {
+    if (capacity_ == 0) return 0;
     if (Value* existing = find(key)) {
       *existing = std::move(value);
       return 0;
     }
     items_.emplace_front(std::move(key), std::move(value));
     index_.emplace(items_.front().first, items_.begin());
-    if (capacity_ == 0 || items_.size() <= capacity_) return 0;
+    if (items_.size() <= capacity_) return 0;
     index_.erase(items_.back().first);
     items_.pop_back();
     return 1;

@@ -255,7 +255,7 @@ TEST_F(FaultRecoveryTest, RetryRidesOutIntermittentWorkQueueFaults) {
 // first attempt dies before its first iteration and the job is retried.
 TEST_F(FaultRecoveryTest, RetriedJobReportsEachIterationOnce) {
   ServiceOptions service_options;
-  service_options.cache_responses = false;
+  service_options.max_cached_responses = 0;
   const Service service(service_options);
   const CircuitHandle handle = compile(service, ladder_netlist(3));
   JobManager jobs(service, 1);

@@ -311,7 +311,7 @@ TEST(JobManager, DeadlineTheClockCannotHoldFailsAtOnce) {
 // response cache is off, so every request runs its engine.
 TEST(Execute, EveryRequestTypeGetsTheTokenAndTheObserver) {
   ServiceOptions service_options;
-  service_options.cache_responses = false;
+  service_options.max_cached_responses = 0;
   const Service service(service_options);
   const CircuitHandle rc = compile(service, R"(
 .title two-pole rc with a sweepable resistor

@@ -259,20 +259,39 @@ TEST(ServiceCacheBound, LruEvictionAndCounters) {
   EXPECT_EQ(stats.value().hits, 1u);
   EXPECT_EQ(stats.value().evictions, 2u);
   EXPECT_EQ(stats.value().entries, 2u);
+}
 
-  // Unbounded mode (0) never evicts — the pre-LRU behavior stays available.
-  ServiceOptions unbounded;
-  unbounded.max_cached_responses = 0;
-  const Service open_service(unbounded);
-  const auto open_handle = open_service.compile(stress_circuit());
-  ASSERT_TRUE(open_handle.ok());
-  for (int sigma = 4; sigma < 10; ++sigma) {
-    ASSERT_TRUE(open_service.refgen(open_handle.value(), request_with_sigma(sigma)).ok());
+// A bound of 0 memoizes nothing: every repeat of every request type is
+// computed again, and the handle counts no hit, miss or eviction and holds
+// no entry.
+TEST(ServiceCacheBound, ZeroBoundMemoizesNothing) {
+  ServiceOptions options;
+  options.max_cached_responses = 0;
+  const Service service(options);
+  const auto compiled = service.compile(stress_circuit());
+  ASSERT_TRUE(compiled.ok());
+  const CircuitHandle handle = compiled.value();
+
+  SweepRequest sweep;
+  sweep.spec = spec_full();
+  sweep.f_start_hz = 1e2;
+  sweep.f_stop_hz = 1e6;
+  sweep.points_per_decade = 2;
+  for (int repeat = 0; repeat < 3; ++repeat) {
+    SCOPED_TRACE(::testing::Message() << "repeat=" << repeat);
+    const auto refgen = service.refgen(handle, {spec_full(), {}});
+    ASSERT_TRUE(refgen.ok()) << refgen.status().to_string();
+    EXPECT_FALSE(refgen.value().from_cache);
+    const auto swept = service.sweep(handle, sweep);
+    ASSERT_TRUE(swept.ok()) << swept.status().to_string();
+    EXPECT_FALSE(swept.value().from_cache);
   }
-  const auto open_stats = open_service.cache_stats(open_handle.value());
-  ASSERT_TRUE(open_stats.ok());
-  EXPECT_EQ(open_stats.value().evictions, 0u);
-  EXPECT_EQ(open_stats.value().entries, 6u);
+  const auto stats = service.cache_stats(handle);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats.value().hits, 0u);
+  EXPECT_EQ(stats.value().misses, 0u);
+  EXPECT_EQ(stats.value().evictions, 0u);
+  EXPECT_EQ(stats.value().entries, 0u);
 }
 
 // The one key rule (request_key) over an overflowing sequence: one LRU per

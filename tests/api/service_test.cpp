@@ -105,7 +105,7 @@ TEST(ServiceRefgen, CompleteReferenceAndWarmCacheHit) {
 
 TEST(ServiceRefgen, WarmPlanReuseWithoutResponseCache) {
   ServiceOptions options;
-  options.cache_responses = false;
+  options.max_cached_responses = 0;
   const Service service(options);
   const CircuitHandle handle = service.compile_netlist(kRcNetlist).take();
 
@@ -642,7 +642,7 @@ TEST(ServiceHistory, WarmHandleMatchesFreshHandleAndBatchItem) {
   const mna::TransferSpec ua741_spec = mna::TransferSpec::voltage_gain("inp", "vo");
 
   ServiceOptions options;
-  options.cache_responses = false;
+  options.max_cached_responses = 0;
   const Service service(options);
   const CircuitHandle warm_ua741 = service.compile_netlist(ua741).take();
   const CircuitHandle warm_rc = service.compile_netlist(kRcNetlist).take();

@@ -327,23 +327,39 @@ TEST(SparseLu, ReplayOrFactorKeepsTheFreshPlanAndTalliesEachAttempt) {
 TEST(SparseLu, RefactorOnSameValuesIsBitIdentical) {
   // The numeric replay executes the exact operation sequence of the full
   // factorization, so re-factoring the SAME values must reproduce every
-  // result bit-for-bit (this is what makes cached sweeps regression-free).
+  // result bit-for-bit (this is what makes cached sweeps regression-free) —
+  // on a random pattern and on the extremes: a diagonal with no update at
+  // all and a dense matrix where every step updates every later one.
   support::Rng rng(321);
-  const CompressedMatrix c = random_matrix(rng, 25, 0.25);
-  SparseLu lu;
-  ASSERT_TRUE(lu.factor(c));
-  const Complex det_factor = lu.determinant().to_complex();
-  const auto b = random_vector(rng, 25);
-  std::vector<Complex> x_factor = b;
-  lu.solve(x_factor);
+  const auto check_roundtrip = [&rng](const CompressedMatrix& c) {
+    SparseLu lu;
+    ASSERT_TRUE(lu.factor(c));
+    const Complex det_factor = lu.determinant().to_complex();
+    const auto b = random_vector(rng, c.dim);
+    std::vector<Complex> x_factor = b;
+    lu.solve(x_factor);
 
-  ASSERT_TRUE(lu.refactor(c));
-  EXPECT_EQ(lu.determinant().to_complex(), det_factor);
-  std::vector<Complex> x_refactor = b;
-  lu.solve(x_refactor);
-  for (int i = 0; i < 25; ++i) {
-    EXPECT_EQ(x_refactor[static_cast<std::size_t>(i)], x_factor[static_cast<std::size_t>(i)]);
+    ASSERT_TRUE(lu.refactor(c));
+    EXPECT_EQ(lu.determinant().to_complex(), det_factor);
+    std::vector<Complex> x_refactor = b;
+    lu.solve(x_refactor);
+    EXPECT_EQ(x_refactor, x_factor);
+  };
+
+  check_roundtrip(random_matrix(rng, 25, 0.25));
+
+  std::vector<PatternStamp> diagonal;
+  for (int i = 0; i < 9; ++i) diagonal.push_back(entry(i, i, {1.5 + i, -0.25}));
+  check_roundtrip(at_i(9, diagonal));
+
+  std::vector<PatternStamp> dense;
+  for (int r = 0; r < 7; ++r) {
+    for (int c = 0; c < 7; ++c) {
+      const double diag = r == c ? 5.0 : 0.0;
+      dense.push_back(entry(r, c, {diag + rng.uniform(-1, 1), rng.uniform(-1, 1)}));
+    }
   }
+  check_roundtrip(at_i(7, dense));
 }
 
 // Plan reuse on the paper's actual matrices: evaluating the same circuit at

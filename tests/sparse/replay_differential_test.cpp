@@ -8,6 +8,10 @@
 // assemblies g*G + s*(f*C), evaluated at many points s exactly as sweeps and
 // interpolation batches evaluate them, so the fused-assembly replay, the
 // lazy group reductions and the refused-point fallback are all on the path.
+// Point counts from 1 to 40 leave the 16-lane groups partly filled, full
+// and spilling into the next group, and the structured shapes (diagonal,
+// dense, tridiagonal, arrowhead, circuit matrices) give the elimination its
+// extreme fill patterns.
 // Randomized matrices and circuits are generated deterministically from a
 // seed alone (support::Rng is splitmix64-seeded xoshiro256**, bit-stable
 // across platforms), so every failure here is replayable from the test name.
@@ -24,6 +28,7 @@
 #include <vector>
 
 #include "circuits/ladder.h"
+#include "circuits/ua741.h"
 #include "mna/nodal.h"
 #include "netlist/canonical.h"
 #include "sparse/lu.h"
@@ -57,11 +62,11 @@ struct Replayed {
 /// One serial replay_points() run, reading every statistic of every point.
 Replayed replay(const PatternedMatrix& base, const SparseLu& planned,
                 std::span<const Complex> points, double f_scale, double g_scale,
-                std::span<const Injection> injections, int width) {
+                std::span<const Injection> injections) {
   Replayed out;
   out.points.resize(points.size());
   out.batched = replay_points(
-      base, planned, points, f_scale, g_scale, injections, &out.fresh, nullptr, width, {},
+      base, planned, points, f_scale, g_scale, injections, &out.fresh, nullptr, {},
       [&](std::size_t i, const ReplayedPoint& point) {
         SolvedPoint& solved = out.points[i];
         solved.ok = point.ok();
@@ -78,9 +83,9 @@ Replayed replay(const PatternedMatrix& base, const SparseLu& planned,
 /// replay() on the scalar oracle kernel.
 Replayed replay_scalar(const PatternedMatrix& base, const SparseLu& planned,
                        std::span<const Complex> points, double f_scale, double g_scale,
-                       std::span<const Injection> injections, int width) {
+                       std::span<const Injection> injections) {
   const testing::ScopedScalarReplay scalar;
-  return replay(base, planned, points, f_scale, g_scale, injections, width);
+  return replay(base, planned, points, f_scale, g_scale, injections);
 }
 
 void expect_bitwise_equal(const numeric::ScaledComplex& a, const numeric::ScaledComplex& b) {
@@ -125,58 +130,153 @@ std::vector<Complex> points_near_i(support::Rng& rng, std::size_t count) {
   return points;
 }
 
-/// The core differential check: a full group of `width` points and a
-/// partial one, replayed on both kernels against a plan factored at s = i.
-void run_matrix_differential(std::uint64_t seed, int n, int width) {
-  SCOPED_TRACE(::testing::Message() << "seed=" << seed << " n=" << n << " width=" << width);
-  support::Rng rng(seed);
-  PatternedMatrix base(n, test::random_entries(rng, n, 4.0 / n));
+/// The core differential check: `points` replayed on both kernels against
+/// the plan of `base` factored at `plan_point`, with every point and its
+/// statistics compared bit for bit.
+void expect_kernels_agree(const PatternedMatrix& base, Complex plan_point,
+                          const std::vector<Complex>& points, double f_scale, double g_scale,
+                          support::Rng& rng) {
   SparseLu planned;
-  ASSERT_TRUE(planned.factor(PatternedMatrix(base).assemble(test::kI)));
-  const std::vector<Complex> points =
-      points_near_i(rng, static_cast<std::size_t>(width + width / 2 + 1));
-  const std::vector<Injection> injections = random_injections(rng, n);
-  const double f_scale = 1.25;
-  const double g_scale = 0.75;
-
-  const Replayed oracle =
-      replay_scalar(base, planned, points, f_scale, g_scale, injections, width);
-  const Replayed batched = replay(base, planned, points, f_scale, g_scale, injections, width);
+  ASSERT_TRUE(planned.factor(PatternedMatrix(base).assemble(plan_point, f_scale, g_scale)));
+  const std::vector<Injection> injections = random_injections(rng, base.matrix().dim);
+  const Replayed oracle = replay_scalar(base, planned, points, f_scale, g_scale, injections);
+  const Replayed batched = replay(base, planned, points, f_scale, g_scale, injections);
   EXPECT_EQ(oracle.batched, 0u);
   EXPECT_EQ(batched.batched, points.size());
   expect_same_points(oracle, batched);
 }
 
+void run_matrix_differential(std::uint64_t seed, int n, int count) {
+  SCOPED_TRACE(::testing::Message() << "seed=" << seed << " n=" << n << " points=" << count);
+  support::Rng rng(seed);
+  const PatternedMatrix base(n, test::random_entries(rng, n, 4.0 / n));
+  const std::vector<Complex> points = points_near_i(rng, static_cast<std::size_t>(count));
+  expect_kernels_agree(base, test::kI, points, 1.25, 0.75, rng);
+}
+
 class ReplayDifferential : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 TEST_P(ReplayDifferential, BatchedMatchesScalarBitForBit) {
-  const auto [n, width] = GetParam();
+  const auto [n, count] = GetParam();
   // Two independent seeds per configuration; the seed derivation keeps every
-  // (n, width) cell on its own reproducible stream.
+  // (n, count) cell on its own reproducible stream.
   run_matrix_differential(0x5eedu + static_cast<std::uint64_t>(n) * 131u +
-                              static_cast<std::uint64_t>(width),
-                          n, width);
+                              static_cast<std::uint64_t>(count),
+                          n, count);
   run_matrix_differential(0xc0ffeeu + static_cast<std::uint64_t>(n) * 131u +
-                              static_cast<std::uint64_t>(width),
-                          n, width);
+                              static_cast<std::uint64_t>(count),
+                          n, count);
 }
 
+// Point counts cover one lane, a partial group, a full 16-lane group, one
+// lane past it, and two or three groups with partial tails.
 INSTANTIATE_TEST_SUITE_P(
-    SizesAndWidths, ReplayDifferential,
+    SizesAndPointCounts, ReplayDifferential,
     ::testing::Combine(::testing::Values(8, 16, 33, 64, 128, 512),
-                       ::testing::Values(1, 3, 8, 33)),
+                       ::testing::Values(1, 3, 15, 16, 17, 33, 40)),
     [](const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
       std::string name = "n";
       name += std::to_string(std::get<0>(info.param));
-      name += "_w";
+      name += "_p";
       name += std::to_string(std::get<1>(info.param));
       return name;
     });
 
-TEST(ReplayPoints, PartialGroupsMatchAtEveryWidth) {
-  // 11 points: width 8 runs a full group and a partial group of 3, width 2
-  // five pairs and a single, width 1 eleven singles. A point's bits must not
-  // depend on the group width or on how many lanes of its group are active.
+/// A structured shape: n x n stamps whose complex entries a + ib read back
+/// at s = i (test::entry).
+struct Shape {
+  std::string name;
+  int n = 0;
+  std::vector<PatternStamp> entries;
+};
+
+std::vector<Shape> structured_shapes() {
+  std::vector<Shape> shapes;
+  // Diagonal: no elimination update at all.
+  Shape diagonal{"diagonal", 12, {}};
+  for (int i = 0; i < diagonal.n; ++i) {
+    diagonal.entries.push_back(test::entry(i, i, {1.5 + i, -0.25}));
+  }
+  shapes.push_back(std::move(diagonal));
+  // Dense 10x10: every step updates every later one.
+  support::Rng rng(7);
+  Shape dense{"dense", 10, {}};
+  for (int r = 0; r < dense.n; ++r) {
+    for (int c = 0; c < dense.n; ++c) {
+      const double diag = r == c ? 4.0 : 0.0;
+      dense.entries.push_back(test::entry(r, c, {diag + rng.uniform(-1, 1), rng.uniform(-1, 1)}));
+    }
+  }
+  shapes.push_back(std::move(dense));
+  // Tridiagonal: Markowitz keeps it fill-free.
+  Shape tridiagonal{"tridiagonal", 20, {}};
+  for (int i = 0; i < tridiagonal.n; ++i) {
+    tridiagonal.entries.push_back(test::entry(i, i, {4.0, 0.5}));
+    if (i > 0) {
+      tridiagonal.entries.push_back(test::entry(i, i - 1, {-1.0, 0.1}));
+      tridiagonal.entries.push_back(test::entry(i - 1, i, {-1.0, -0.1}));
+    }
+  }
+  shapes.push_back(std::move(tridiagonal));
+  // Arrowhead: a dense last row and column on a diagonal.
+  Shape arrowhead{"arrowhead", 14, {}};
+  for (int i = 0; i < arrowhead.n; ++i) {
+    arrowhead.entries.push_back(test::entry(i, i, {3.0 + i, 0.0}));
+  }
+  for (int i = 0; i + 1 < arrowhead.n; ++i) {
+    arrowhead.entries.push_back(test::entry(arrowhead.n - 1, i, {0.5, 0.1}));
+    arrowhead.entries.push_back(test::entry(i, arrowhead.n - 1, {0.5, -0.1}));
+  }
+  shapes.push_back(std::move(arrowhead));
+  // 1x1: a plan of one step.
+  shapes.push_back({"single", 1, {test::entry(0, 0, {2.0, 0.5})}});
+  // Random patterns of growing size and fill.
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u}) {
+    for (const int n : {8, 17, 33, 64, 120}) {
+      support::Rng random(seed * 7919u + static_cast<std::uint64_t>(n));
+      shapes.push_back({"random seed=" + std::to_string(seed) + " n=" + std::to_string(n), n,
+                        test::random_entries(random, n, 6.0 / n)});
+    }
+  }
+  return shapes;
+}
+
+TEST(ReplayShapes, BatchedMatchesScalarOnStructuredShapes) {
+  support::Rng rng(2024);
+  for (const Shape& shape : structured_shapes()) {
+    SCOPED_TRACE(shape.name);
+    const PatternedMatrix base(shape.n, shape.entries);
+    expect_kernels_agree(base, test::kI, points_near_i(rng, 19), 1.0, 1.0, rng);
+  }
+}
+
+TEST(ReplayShapes, BatchedMatchesScalarOnCircuitMatrices) {
+  // RC ladders (fill-free chains) and the uA741 (genuine fill-in), assembled
+  // from their stamp tables at the scaled points the engine samples.
+  support::Rng rng(741);
+  const auto check = [&](const netlist::Circuit& circuit, double f_scale, double g_scale) {
+    const netlist::Circuit canonical = netlist::canonicalize(circuit);
+    const mna::NodalSystem system(canonical);
+    const PatternedMatrix base(system.dim(), system.stamps());
+    std::vector<Complex> points;
+    for (int k = 0; k < 21; ++k) {
+      const double angle = 0.1 + 2.9 * k / 21.0;
+      points.emplace_back(std::cos(angle), std::sin(angle));
+    }
+    expect_kernels_agree(base, {0.3, 0.95}, points, f_scale, g_scale, rng);
+  };
+  for (const int stages : {8, 32, 96}) {
+    SCOPED_TRACE(::testing::Message() << "ladder stages=" << stages);
+    check(circuits::rc_ladder(stages), 1e9, 1e-3);
+  }
+  SCOPED_TRACE("ua741");
+  check(circuits::ua741(), 1.0, 1.0);
+}
+
+TEST(ReplayPoints, LanesAreIndependentOfTheirGroup) {
+  // 11 points replayed in one call share one batched group; replayed one per
+  // call, each runs alone. A point's bits must not depend on how many lanes
+  // of its group are active or on what the other lanes hold.
   support::Rng rng(777);
   const int n = 40;
   PatternedMatrix base(n, test::random_entries(rng, n, 0.12));
@@ -185,13 +285,17 @@ TEST(ReplayPoints, PartialGroupsMatchAtEveryWidth) {
   const std::vector<Complex> points = points_near_i(rng, 11);
   const std::vector<Injection> injections = random_injections(rng, n);
 
-  const Replayed solo = replay(base, planned, points, 1.0, 1.0, injections, 1);
-  EXPECT_EQ(solo.batched, points.size());
-  for (const int width : {8, 2}) {
-    SCOPED_TRACE(::testing::Message() << "width=" << width);
-    expect_same_points(solo, replay(base, planned, points, 1.0, 1.0, injections, width));
+  const Replayed grouped = replay(base, planned, points, 1.0, 1.0, injections);
+  EXPECT_EQ(grouped.batched, points.size());
+  Replayed alone;
+  for (const Complex& point : points) {
+    const Replayed one = replay(base, planned, std::span(&point, 1), 1.0, 1.0, injections);
+    EXPECT_EQ(one.batched, 1u);
+    alone.points.push_back(one.points.front());
+    alone.fresh += one.fresh;
   }
-  expect_same_points(solo, replay_scalar(base, planned, points, 1.0, 1.0, injections, 8));
+  expect_same_points(grouped, alone);
+  expect_same_points(grouped, replay_scalar(base, planned, points, 1.0, 1.0, injections));
 }
 
 TEST(ReplayPoints, RefusedPointFallsBackIdenticallyAndOthersSurvive) {
@@ -219,8 +323,8 @@ TEST(ReplayPoints, RefusedPointFallsBackIdenticallyAndOthersSurvive) {
   SparseLu scalar = planned;
   ASSERT_FALSE(scalar.refactor(PatternedMatrix(base).assemble(Complex(1.0, 0.0))));
 
-  const Replayed oracle = replay_scalar(base, planned, points, 1.0, 1.0, injections, 3);
-  const Replayed batched = replay(base, planned, points, 1.0, 1.0, injections, 3);
+  const Replayed oracle = replay_scalar(base, planned, points, 1.0, 1.0, injections);
+  const Replayed batched = replay(base, planned, points, 1.0, 1.0, injections);
   EXPECT_EQ(oracle.fresh, 1u);
   EXPECT_TRUE(oracle.points[2].ok);  // the fallback factored it
   expect_same_points(oracle, batched);
@@ -251,8 +355,8 @@ TEST(ReplayPoints, DeterminantsOutsideTheFoldWindowMatch) {
     const std::vector<Complex> points = points_near_i(rng, 12);
     const std::vector<Injection> injections = random_injections(rng, n);
 
-    const Replayed oracle = replay_scalar(base, planned, points, 1.0, 1.0, injections, 8);
-    const Replayed batched = replay(base, planned, points, 1.0, 1.0, injections, 8);
+    const Replayed oracle = replay_scalar(base, planned, points, 1.0, 1.0, injections);
+    const Replayed batched = replay(base, planned, points, 1.0, 1.0, injections);
     for (const SolvedPoint& point : oracle.points) {
       ASSERT_TRUE(point.ok);
       if (spread_rows) {
@@ -265,7 +369,7 @@ TEST(ReplayPoints, DeterminantsOutsideTheFoldWindowMatch) {
   }
 }
 
-// --- Evaluator-level differential: replay paths, widths and thread counts ---
+// --- Evaluator-level differential: replay paths and thread counts ----------
 
 using mna::CofactorEvaluator;
 
@@ -295,7 +399,7 @@ std::vector<Complex> probe_grid(int points) {
   return s;
 }
 
-TEST(EvaluatorDifferential, BatchMatchesScalarAcrossWidthsAndThreads) {
+TEST(EvaluatorDifferential, BatchMatchesScalarAcrossThreads) {
   for (const std::uint64_t seed : {11u, 22u, 33u}) {
     SCOPED_TRACE(::testing::Message() << "seed=" << seed);
     support::Rng rng(seed);
@@ -321,14 +425,11 @@ TEST(EvaluatorDifferential, BatchMatchesScalarAcrossWidthsAndThreads) {
     }
     EXPECT_EQ(evaluator.batched_lane_count(), 0u);
 
+    expect_samples_bitwise_equal(oracle, evaluator.evaluate_batch(points, 1.0, 1.0));
     for (const int threads : {1, 2, 8}) {
+      SCOPED_TRACE(::testing::Message() << "threads=" << threads);
       support::ThreadPool pool(threads);
-      for (const int width : {1, 3, 8, 33}) {
-        SCOPED_TRACE(::testing::Message() << "threads=" << threads << " width=" << width);
-        const std::vector<CofactorEvaluator::Sample> batched =
-            evaluator.evaluate_batch(points, 1.0, 1.0, &pool, width);
-        expect_samples_bitwise_equal(oracle, batched);
-      }
+      expect_samples_bitwise_equal(oracle, evaluator.evaluate_batch(points, 1.0, 1.0, &pool));
     }
     EXPECT_GT(evaluator.batched_lane_count(), 0u);
   }
@@ -352,12 +453,11 @@ TEST(EvaluatorDifferential, PinnedBatchMatchesScalarWithEqualCounters) {
     const testing::ScopedScalarReplay scalar;
     scalar_samples = scalar_eval.evaluate_pinned_batch(points, 1.0, 1.0);
   }
-  const auto batched_samples = batched_eval.evaluate_pinned_batch(points, 1.0, 1.0, 8);
+  const auto batched_samples = batched_eval.evaluate_pinned_batch(points, 1.0, 1.0);
   expect_samples_bitwise_equal(scalar_samples, batched_samples);
   EXPECT_EQ(scalar_eval.fresh_factor_count(), batched_eval.fresh_factor_count());
   EXPECT_EQ(scalar_eval.batched_lane_count(), 0u);
   EXPECT_EQ(batched_eval.batched_lane_count(), points.size());
-  EXPECT_GT(batched_eval.supernode_count(), 0u);
 }
 
 /// Process-global fault injector: start and end disarmed.
@@ -394,7 +494,7 @@ TEST_F(ReplayFaultParity, InjectedPivotFaultsDrawIdenticallyOnBothPaths) {
     }
 
     ASSERT_TRUE(support::FaultInjector::instance().configure(config));
-    const auto batched_samples = batched_eval.evaluate_pinned_batch(points, 1.0, 1.0, 8);
+    const auto batched_samples = batched_eval.evaluate_pinned_batch(points, 1.0, 1.0);
     support::FaultInjector::instance().reset();
 
     expect_samples_bitwise_equal(scalar_samples, batched_samples);

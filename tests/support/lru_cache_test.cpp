@@ -1,4 +1,4 @@
-// support::LruCache: recency order, eviction accounting, unbounded mode.
+// support::LruCache: recency order, eviction accounting, capacity 0.
 #include "support/lru_cache.h"
 
 #include <gtest/gtest.h>
@@ -42,11 +42,11 @@ TEST(LruCache, OverwriteDoesNotEvict) {
   EXPECT_EQ(cache.find("b"), nullptr);
 }
 
-TEST(LruCache, ZeroCapacityIsUnbounded) {
+TEST(LruCache, ZeroCapacityHoldsNothing) {
   LruCache<int, int> cache(0);
-  for (int i = 0; i < 1000; ++i) EXPECT_EQ(cache.insert(i, i), 0u);
-  EXPECT_EQ(cache.size(), 1000u);
-  EXPECT_NE(cache.find(0), nullptr);
+  for (int i = 0; i < 10; ++i) EXPECT_EQ(cache.insert(i, i), 0u);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.find(0), nullptr);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "support/cli.h"
 #include "support/log.h"
@@ -59,15 +60,36 @@ TEST(CliArgs, FlagsAndPositional) {
   EXPECT_DOUBLE_EQ(args.get_double("alpha", 0.0), 3.5);
   EXPECT_EQ(args.get("name"), "x");
   EXPECT_EQ(args.get("missing", "dflt"), "dflt");
-  EXPECT_EQ(args.get_int("alpha", 0), 3);
+  EXPECT_EQ(args.get_int("missing", 4), 4);
+  EXPECT_DOUBLE_EQ(args.get_double("missing", 0.5), 0.5);
   ASSERT_EQ(args.positional().size(), 1u);
   EXPECT_EQ(args.positional()[0], "file.cir");
 }
 
-TEST(CliArgs, BadNumberFallsBack) {
-  const char* argv[] = {"prog", "--x=abc"};
-  const CliArgs args(2, argv);
-  EXPECT_DOUBLE_EQ(args.get_double("x", 7.0), 7.0);
+TEST(CliArgs, NumberMustParseWholeAndFit) {
+  const char* argv[] = {"prog",      "--word=abc",  "--tail=7x",      "--fraction=3.5",
+                        "--exp=1e3", "--huge=1e10", "--overflow=1e999", "--nan=nan",
+                        "--empty=",  "--neg=-12",   "--bare"};
+  const CliArgs args(11, argv);
+  // Doubles: all of the value, finite.
+  EXPECT_DOUBLE_EQ(args.get_double("fraction", 0.0), 3.5);
+  EXPECT_DOUBLE_EQ(args.get_double("exp", 0.0), 1e3);
+  EXPECT_DOUBLE_EQ(args.get_double("neg", 0.0), -12.0);
+  for (const char* bad : {"word", "tail", "overflow", "nan", "empty", "bare"}) {
+    EXPECT_THROW((void)args.get_double(bad, 7.0), FlagError) << bad;
+  }
+  // Ints: a whole number in int's range, digits only.
+  EXPECT_EQ(args.get_int("neg", 0), -12);
+  for (const char* bad : {"word", "tail", "fraction", "exp", "huge", "empty", "bare"}) {
+    EXPECT_THROW((void)args.get_int(bad, 7), FlagError) << bad;
+  }
+  // The error names the flag and its value.
+  try {
+    (void)args.get_int("tail", 0);
+    ADD_FAILURE() << "no FlagError";
+  } catch (const FlagError& error) {
+    EXPECT_NE(std::string(error.what()).find("--tail '7x'"), std::string::npos) << error.what();
+  }
 }
 
 TEST(CliArgs, DeclaredValueFlagConsumesNextArgument) {

@@ -75,6 +75,9 @@
 //   --progress                             iteration progress on stderr
 //   --name=label                           handle label in the output
 //
+// A numeric flag is read only when all of its value parses and fits its
+// type (a whole number for the counts); anything else exits 2 naming it.
+//
 // Exit status: 0 all requests ok; 2 usage/input error; otherwise the class
 // of the first failure: 3 parse_error, 4 invalid_spec, 5 invalid_argument,
 // 6 singular_system, 7 refused_replay, 8 incomplete, 9 cancelled (e.g.
@@ -558,9 +561,12 @@ Status remote_call(symref::tools::FdTransport& transport, int* next_id,
     if (const Json* error = message.find("error"); error != nullptr) {
       const Json* code = error->find("code");
       const Json* text = error->find("message");
+      const Json* line = error->find("line");
+      const Json* column = error->find("column");
       return Status::error(
           symref::api::status_code_from_name(code ? code->as_string() : "internal"),
-          method + ": " + (text ? text->as_string() : "remote error"));
+          method + ": " + (text ? text->as_string() : "remote error"),
+          {line ? line->as_int() : 0, column ? column->as_int() : 0});
     }
     if (const Json* payload = message.find("result"); payload != nullptr) {
       *result = *payload;
@@ -635,10 +641,30 @@ int write_envelope(const symref::support::CliArgs& args, const Json& envelope) {
   return 0;
 }
 
+/// Report a session whose netlist did not compile, local or remote: the
+/// --json envelope keeps `status`, `ok: false` and `responses: []` (no
+/// `circuit`), then the error goes to stderr. Returns the exit code.
+int fail_compile(const symref::support::CliArgs& args, bool json_mode, const Status& status) {
+  if (json_mode) {
+    Json output = Json::object();
+    output.set("tool", "refgen");
+    output.set("status", symref::api::to_json(status));
+    output.set("ok", false);
+    output.set("responses", Json::array());
+    if (const int written = write_envelope(args, output); written != 0) return written;
+  }
+  std::fprintf(stderr, "error: %s\n", status.to_string().c_str());
+  return exit_code_for(status.code());
+}
+
 int run_connected(const symref::support::CliArgs& args, const std::string& netlist_text,
                   const std::vector<AnyRequest>& requests, bool json_mode, bool progress) {
+  // Numeric flags are read before dialing, so a bad one leaves no circuit
+  // compiled on the daemon.
+  const int retries = args.get_int("retry", 0);
+  const double deadline_ms = args.get_double("deadline-ms", 0.0);
   std::string error;
-  const int fd = dial_with_retry(args.get("connect"), args.get_int("retry", 0), &error);
+  const int fd = dial_with_retry(args.get("connect"), retries, &error);
   if (fd < 0) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return 2;
@@ -652,14 +678,12 @@ int run_connected(const symref::support::CliArgs& args, const std::string& netli
   Json circuit;
   Status status = remote_call(transport, &next_id, "compile", std::move(compile_params),
                               progress, &circuit);
-  if (!status.ok()) {
-    std::fprintf(stderr, "error: %s\n", status.to_string().c_str());
-    return exit_code_for(status.code());
-  }
+  if (!status.ok()) return fail_compile(args, json_mode, status);
   const Json* circuit_id = circuit.find("circuit_id");
   if (circuit_id == nullptr || !circuit_id->is_string()) {
-    std::fprintf(stderr, "error: daemon compile reply without circuit_id\n");
-    return exit_code_for(StatusCode::kInternal);
+    return fail_compile(
+        args, json_mode,
+        Status::error(StatusCode::kInternal, "daemon compile reply without circuit_id"));
   }
   if (!json_mode) {
     std::fprintf(stderr, "compiled on daemon: %s (dim %d)\n",
@@ -674,13 +698,11 @@ int run_connected(const symref::support::CliArgs& args, const std::string& netli
     submit_params.set("circuit_id", circuit_id->as_string());
     submit_params.set("request", symref::api::to_json(request));
     if (progress) submit_params.set("progress", true);
-    if (args.has("deadline-ms")) {
-      submit_params.set("deadline_ms", args.get_double("deadline-ms", 0.0));
-    }
+    if (args.has("deadline-ms")) submit_params.set("deadline_ms", deadline_ms);
     if (args.has("retry")) {
       // Server-side retry of transient failures mirrors the client dial
       // retries: N extra attempts = N+1 total.
-      submit_params.set("max_attempts", args.get_int("retry", 0) + 1);
+      submit_params.set("max_attempts", retries + 1);
     }
     Json submitted;
     Json waited;
@@ -731,14 +753,9 @@ int run_connected(const symref::support::CliArgs& args, const std::string& netli
   return failures.exit_code();
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const symref::support::CliArgs args(
-      argc, argv,
-      {"in", "out", "in-neg", "out-neg", "sigma", "max-iterations", "threads", "sweep",
-       "sweep-param", "mc-param", "mc-samples", "seed", "probe", "requests", "json", "name",
-       "timeout", "connect", "retry", "deadline-ms", "error-budget", "band", "tran"});
+/// The whole session; a numeric flag that does not parse throws
+/// support::FlagError, which main() turns into exit 2.
+int run(const symref::support::CliArgs& args) {
   if (args.positional().empty()) {
     print_usage();
     return 2;
@@ -974,20 +991,7 @@ int main(int argc, char** argv) {
   // --- Compile once, serve the session --------------------------------------
   const symref::api::Service service;
   auto compiled = service.compile_netlist(netlist_text, args.get("name"));
-  if (!compiled.ok()) {
-    if (json_mode) {
-      // Keep the documented envelope shape even on compile failure
-      // ("circuit" is only present when compilation succeeded).
-      Json output = Json::object();
-      output.set("tool", "refgen");
-      output.set("status", symref::api::to_json(compiled.status()));
-      output.set("ok", false);
-      output.set("responses", Json::array());
-      if (const int written = write_envelope(args, output); written != 0) return written;
-    }
-    std::fprintf(stderr, "error: %s\n", compiled.status().to_string().c_str());
-    return exit_code_for(compiled.status().code());
-  }
+  if (!compiled.ok()) return fail_compile(args, json_mode, compiled.status());
   const symref::api::CircuitHandle handle = compiled.take();
   if (!json_mode) std::fprintf(stderr, "%s\n", handle.summary().c_str());
 
@@ -1033,4 +1037,20 @@ int main(int argc, char** argv) {
     if (const int written = write_envelope(args, output); written != 0) return written;
   }
   return failures.exit_code();
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const symref::support::CliArgs args(
+      argc, argv,
+      {"in", "out", "in-neg", "out-neg", "sigma", "max-iterations", "threads", "sweep",
+       "sweep-param", "mc-param", "mc-samples", "seed", "probe", "requests", "json", "name",
+       "timeout", "connect", "retry", "deadline-ms", "error-budget", "band", "tran"});
+  try {
+    return run(args);
+  } catch (const symref::support::FlagError& error) {
+    std::fprintf(stderr, "error: %s\n", error.what());
+    return 2;
+  }
 }

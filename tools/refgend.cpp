@@ -13,14 +13,18 @@
 //
 // Flags:
 //   --workers=N     job worker lanes (default: hardware threads)
-//   --listen=PORT   serve TCP on 127.0.0.1:PORT instead of stdio;
-//                   prints "refgend: listening on 127.0.0.1:<port>" first
-//   --max-cached=N  response-cache bound per request type per circuit (default 64)
+//   --listen=PORT   serve TCP on 127.0.0.1:PORT (0 to 65535; 0 picks an
+//                   ephemeral port) instead of stdio; prints
+//                   "refgend: listening on 127.0.0.1:<port>" first
+//   --max-cached=N  response-cache bound per request type per circuit
+//                   (default 64; 0 memoizes nothing)
 //   --max-queue=N   bound on jobs waiting for a worker (default unbounded);
 //                   a submit that finds the queue full fails kOverloaded
 //   --store=DIR     crash-safe reference store: completed responses persist
 //                   to DIR and are replayed byte-identically across
 //                   restarts (docs/api.md "Reference store")
+//
+// A numeric flag that does not parse whole, or is out of range, exits 2.
 //
 // stdio mode serves exactly one session and exits at EOF or shutdown. TCP
 // mode serves until any client sends shutdown or the process receives
@@ -41,6 +45,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 
 #include "api/protocol.h"
@@ -176,6 +181,27 @@ int serve_tcp(ServerCore& core, int port) {
   return 0;
 }
 
+/// Reads the daemon's numeric flags into `options` and `port`; a value that
+/// does not parse or is out of range throws support::FlagError.
+void read_flags(const symref::support::CliArgs& args, ServerOptions* options, int* port) {
+  const auto bound = [&args](const std::string& name, int fallback) {
+    const int value = args.get_int(name, fallback);
+    if (value < 0) {
+      throw symref::support::FlagError("bad --" + name + " '" + args.get(name) +
+                                       "' (want a whole number >= 0)");
+    }
+    return static_cast<std::size_t>(value);
+  };
+  options->workers = args.get_int("workers", 0);
+  options->service.max_cached_responses = bound("max-cached", 64);
+  options->max_queue_depth = bound("max-queue", 0);
+  *port = args.get_int("listen", 0);
+  if (*port < 0 || *port > 65535) {
+    throw symref::support::FlagError("bad --listen '" + args.get("listen") +
+                                     "' (want a port from 0 to 65535)");
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -188,12 +214,13 @@ int main(int argc, char** argv) {
     return 2;
   }
   ServerOptions options;
-  options.workers = args.get_int("workers", 0);
-  const int max_cached = args.get_int("max-cached", 64);
-  options.service.max_cached_responses =
-      max_cached < 0 ? 0 : static_cast<std::size_t>(max_cached);
-  const int max_queue = args.get_int("max-queue", 0);
-  options.max_queue_depth = max_queue < 0 ? 0 : static_cast<std::size_t>(max_queue);
+  int port = 0;
+  try {
+    read_flags(args, &options, &port);
+  } catch (const symref::support::FlagError& error) {
+    std::fprintf(stderr, "refgend: %s\n", error.what());
+    return 2;
+  }
   options.store_dir = args.get("store");
   ServerCore core(options);
   if (symref::support::BlobStore* store = core.store();
@@ -201,6 +228,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "refgend: store disabled: %s\n", store->error().c_str());
   }
   install_signal_handlers();
-  if (args.has("listen")) return serve_tcp(core, args.get_int("listen", 0));
+  if (args.has("listen")) return serve_tcp(core, port);
   return serve_stdio(core);
 }

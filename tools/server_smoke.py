@@ -3,7 +3,7 @@
 
 Usage: server_smoke.py <refgend> <refgen> <netlist>
 
-Eleven scenarios, all against the bundled netlist (the transient and
+Twelve scenarios, all against the bundled netlist (the transient and
 cache-bound scenarios build their own small decks — the bundled models
 have no time-varying sources):
   1. Four CONCURRENT stdio-scripted sessions (one refgend process each):
@@ -39,7 +39,9 @@ have no time-varying sources):
      session run locally: byte-identical scrubbed responses and identical
      stderr "iter" lines. A batch session whose second item names an
      unknown node exits 4 (invalid_spec) both locally and with --connect,
-     with byte-identical scrubbed responses.
+     with byte-identical scrubbed responses. A netlist that does not compile
+     writes the same --json envelope both ways: ok false, no responses, and
+     the local run's status code, line and column.
   9. Spec churn cannot grow a handle: on a --max-cached=4 daemon, refgen
      jobs for the 8 output nodes of an RC ladder and 20 unknown output
      nodes (each failing invalid_spec) leave exactly 4 resident responses
@@ -53,6 +55,9 @@ have no time-varying sources):
      VmRSS grows by less than 8 MB between cycle 5 and cycle 200 (a daemon
      whose retained jobs held their circuits grew by ~40 MB), and "list"
      still names each retained job's circuit.
+ 12. Numeric daemon flags are strict: a --listen port that does not parse
+     or is out of range, a --workers count that is not a whole int and a
+     negative --max-cached each exit 2 naming the flag, before serving.
 
 Set REFGEN_CHAOS=1 to additionally run every store-scenario daemon plus a
 retry session under low-probability injected faults (REFGEN_FAULT): results
@@ -536,6 +541,28 @@ def main():
             "--connect batch responses differ from the local run"
         print("connect batch OK: a failed item exits 4 locally and with --connect, "
               "responses byte-identical")
+
+        # A compile failure keeps its envelope and its position over the wire.
+        bad_path = os.path.join(out_dir, "bad.cir")
+        with open(bad_path, "w") as handle:
+            handle.write("R1 a 0 1k\nC1 a 0 bogus\n")
+        session = [refgen, bad_path, "--in=a", "--out=0", "--json=-"]
+        local = subprocess.run(session, capture_output=True, text=True, timeout=120)
+        remote = subprocess.run([*session, "--connect=" + target],
+                                capture_output=True, text=True, timeout=120)
+        assert local.returncode == 3, (local.returncode, local.stderr)
+        assert remote.returncode == 3, (remote.returncode, remote.stderr)
+        local_envelope = json.loads(local.stdout)
+        assert remote.stdout, "--connect compile failure printed no envelope"
+        remote_envelope = json.loads(remote.stdout)
+        assert remote_envelope["ok"] is False and remote_envelope["responses"] == [], \
+            remote_envelope
+        for key in ("code", "line", "column"):
+            assert remote_envelope["status"].get(key) == local_envelope["status"][key], \
+                (key, remote_envelope["status"], local_envelope["status"])
+        print(f"connect compile failure OK: envelope with "
+              f"{local_envelope['status']['code']} at line {local_envelope['status']['line']}, "
+              f"column {local_envelope['status']['column']} locally and with --connect")
     finally:
         listener.terminate()
         listener.wait(timeout=30)
@@ -674,6 +701,18 @@ def main():
         if proc.poll() is None:
             proc.kill()
             proc.wait(timeout=30)
+
+    # --- 12. Numeric daemon flags are strict -------------------------------
+    # Each is a usage error before the daemon serves; stdin is empty, so a
+    # daemon that accepted a stdio flag would exit 0, and one that accepted
+    # a --listen port would still be serving at the timeout.
+    for flag in ("--listen=99999", "--listen=abc", "--workers=1e10", "--max-cached=-1"):
+        run = subprocess.run([daemon, flag], stdin=subprocess.DEVNULL, capture_output=True,
+                             text=True, timeout=10)
+        assert run.returncode == 2, (flag, run.returncode, run.stderr)
+        name = flag.split("=")[0]
+        assert f"bad {name} " in run.stderr, (flag, run.stderr)
+    print("daemon flags OK: a bad --listen, --workers or --max-cached exits 2 naming the flag")
 
 
 if __name__ == "__main__":
