@@ -16,8 +16,10 @@
 // automatic batched SoA path, see sparse/batched.h) on the large-size axis —
 // ladder-1024, ladder-4096 and RC grid meshes (genuine fill-in) — and
 // records the samples_per_sec_per_core headline metric plus the
-// batched-over-scalar speedup per circuit.
+// batched-over-scalar speedup per circuit. Each replay row is the median of
+// 7 windows of thread CPU time, printed with the windows' min-max range.
 #include <benchmark/benchmark.h>
+#include <time.h>  // clock_gettime, CLOCK_THREAD_CPUTIME_ID
 
 #include <algorithm>
 #include <cmath>
@@ -43,26 +45,57 @@ namespace {
 
 using symref::support::thread_ladder;
 
+/// CPU time of the calling thread: a replay window measured in it does not
+/// count the time the host gives to other processes.
+double thread_cpu_seconds() {
+  timespec now{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &now);
+  return static_cast<double>(now.tv_sec) + 1e-9 * static_cast<double>(now.tv_nsec);
+}
+
+struct Throughput {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
 /// Sustained single-thread replay throughput on one circuit: repeated
 /// evaluate_batch() over a fixed probe-point set (the engine's inner loop
 /// with the adaptive logic stripped away), on the scalar oracle path when
 /// `force_scalar`. The first batch warms the caches and establishes the
-/// factorization plan before timing starts.
-double replay_samples_per_sec(const symref::mna::CofactorEvaluator& evaluator,
-                              const std::vector<std::complex<double>>& points,
-                              double f_scale, bool force_scalar) {
+/// factorization plan before timing starts. Each of 7 windows replays until
+/// it has used 0.1 s of thread CPU time.
+Throughput replay_samples_per_sec(const symref::mna::CofactorEvaluator& evaluator,
+                                  const std::vector<std::complex<double>>& points,
+                                  double f_scale, bool force_scalar) {
+  constexpr int kWindows = 7;
+  constexpr double kWindowSeconds = 0.1;
   std::optional<symref::sparse::testing::ScopedScalarReplay> scalar;
   if (force_scalar) scalar.emplace();
   auto warm = evaluator.evaluate_batch(points, f_scale, 1.0);
   benchmark::DoNotOptimize(warm.data());
-  symref::support::Timer timer;
-  std::size_t samples = 0;
-  while (timer.seconds() < 0.2) {
-    auto batch = evaluator.evaluate_batch(points, f_scale, 1.0);
-    benchmark::DoNotOptimize(batch.data());
-    samples += batch.size();
+  std::vector<double> rates;
+  for (int window = 0; window < kWindows; ++window) {
+    const double start = thread_cpu_seconds();
+    double elapsed = 0.0;
+    std::size_t samples = 0;
+    while (elapsed < kWindowSeconds) {
+      auto batch = evaluator.evaluate_batch(points, f_scale, 1.0);
+      benchmark::DoNotOptimize(batch.data());
+      samples += batch.size();
+      elapsed = thread_cpu_seconds() - start;
+    }
+    rates.push_back(static_cast<double>(samples) / elapsed);
   }
-  return static_cast<double>(samples) / timer.seconds();
+  std::sort(rates.begin(), rates.end());
+  return {rates[kWindows / 2], rates.front(), rates.back()};
+}
+
+/// "median [min, max]" of a throughput row.
+std::string format_throughput(const Throughput& rate) {
+  return symref::support::format_sci(rate.median, 3) + " [" +
+         symref::support::format_sci(rate.min, 3) + ", " +
+         symref::support::format_sci(rate.max, 3) + "]";
 }
 
 void print_kernel_throughput(std::map<std::string, double>& json_metrics) {
@@ -84,7 +117,8 @@ void print_kernel_throughput(std::map<std::string, double>& json_metrics) {
                   symref::circuits::grid_mesh_spec(32, 32), 128});
 
   symref::support::TextTable table;
-  table.set_header({"circuit", "dim", "scalar [samp/s]", "batched [samp/s]", "speedup"});
+  table.set_header({"circuit", "dim", "scalar [samp/s, median [min, max]]",
+                    "batched [samp/s, median [min, max]]", "speedup"});
   for (Row& row : rows) {
     const auto canonical = symref::netlist::canonicalize(row.circuit);
     const symref::mna::NodalSystem system(canonical);
@@ -97,15 +131,14 @@ void print_kernel_throughput(std::map<std::string, double>& json_metrics) {
       const double theta = 3.141592653589793 * (k + 0.5) / row.points;
       points[static_cast<std::size_t>(k)] = {std::cos(theta), std::sin(theta)};
     }
-    const double scalar = replay_samples_per_sec(evaluator, points, f_scale, true);
-    const double batched = replay_samples_per_sec(evaluator, points, f_scale, false);
-    const double speedup = scalar > 0.0 ? batched / scalar : 0.0;
-    table.add_row({row.tag, std::to_string(system.dim()), symref::support::format_sci(scalar, 3),
-                   symref::support::format_sci(batched, 3),
-                   symref::support::format_sci(speedup, 3)});
+    const Throughput scalar = replay_samples_per_sec(evaluator, points, f_scale, true);
+    const Throughput batched = replay_samples_per_sec(evaluator, points, f_scale, false);
+    const double speedup = scalar.median > 0.0 ? batched.median / scalar.median : 0.0;
+    table.add_row({row.tag, std::to_string(system.dim()), format_throughput(scalar),
+                   format_throughput(batched), symref::support::format_sci(speedup, 3)});
     const std::string prefix = std::string(row.tag) + "_";
-    json_metrics[prefix + "scalar_samples_per_sec_per_core"] = scalar;
-    json_metrics[prefix + "batched_samples_per_sec_per_core"] = batched;
+    json_metrics[prefix + "scalar_samples_per_sec_per_core"] = scalar.median;
+    json_metrics[prefix + "batched_samples_per_sec_per_core"] = batched.median;
     json_metrics[prefix + "batched_speedup"] = speedup;
   }
   std::printf("%s\n", table.str().c_str());

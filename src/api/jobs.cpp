@@ -19,6 +19,10 @@ namespace {
 
 using MonotonicClock = std::chrono::steady_clock;
 
+/// Bound on the jobs a manager holds: beyond it, the oldest finished jobs
+/// are forgotten (their ids then poll as kNotFound).
+constexpr std::size_t kMaxRetainedJobs = 4096;
+
 /// The outcome of a job of `type` that ends with `status` and no response.
 JobOutcome failure(AnyRequest::Type type, Status status) {
   JobOutcome outcome;
@@ -230,11 +234,8 @@ class JobManager::Monitor {
   std::thread thread_;
 };
 
-JobManager::JobManager(const Service& service, int workers, std::size_t max_retained_jobs,
-                       std::size_t max_queue_depth)
-    : service_(service),
-      max_retained_jobs_(max_retained_jobs == 0 ? 1 : max_retained_jobs),
-      queue_(workers, max_queue_depth) {}
+JobManager::JobManager(const Service& service, int workers, std::size_t max_queue_depth)
+    : service_(service), queue_(workers, max_queue_depth) {}
 
 JobManager::~JobManager() {
   std::vector<std::shared_ptr<Job>> live;
@@ -264,8 +265,8 @@ void JobManager::register_job(const std::shared_ptr<Job>& job) {
   jobs_.emplace(job->id, job);
   // Forget the oldest finished jobs beyond the retention bound. Live jobs
   // are never dropped, so a slow queue cannot lose work — only history.
-  if (jobs_.size() > max_retained_jobs_) {
-    for (auto it = jobs_.begin(); it != jobs_.end() && jobs_.size() > max_retained_jobs_;) {
+  if (jobs_.size() > kMaxRetainedJobs) {
+    for (auto it = jobs_.begin(); it != jobs_.end() && jobs_.size() > kMaxRetainedJobs;) {
       bool done = false;
       {
         const std::lock_guard<std::mutex> job_lock(it->second->mutex);

@@ -131,14 +131,13 @@ struct SubmitOptions {
 
 class JobManager {
  public:
-  /// `workers` <= 0 picks the hardware thread count. `max_retained_jobs`
-  /// bounds the finished-job history: once exceeded, the oldest done jobs
-  /// are forgotten (their ids then poll as kNotFound). `max_queue_depth`
-  /// bounds tasks waiting for a worker (0 = unbounded): a submit that
-  /// finds the queue full completes immediately with kOverloaded — the
-  /// shed-load half of the backpressure contract.
-  explicit JobManager(const Service& service, int workers = 0,
-                      std::size_t max_retained_jobs = 4096, std::size_t max_queue_depth = 0);
+  /// `workers` <= 0 picks the hardware thread count; at most
+  /// support::ThreadPool::kMaxLanes run. `max_queue_depth` bounds tasks
+  /// waiting for a worker (0 = unbounded): a submit that finds the queue
+  /// full completes immediately with kOverloaded — the shed-load half of
+  /// the backpressure contract. Once more than 4096 jobs are held, the
+  /// oldest finished ones are forgotten (their ids then poll as kNotFound).
+  explicit JobManager(const Service& service, int workers = 0, std::size_t max_queue_depth = 0);
   /// Cancels every live job, waits for running ones to stop at their next
   /// checkpoint, and joins the workers.
   ~JobManager();
@@ -197,7 +196,6 @@ class JobManager {
   static JobInfo snapshot(const Job& job);
 
   const Service& service_;
-  const std::size_t max_retained_jobs_;
 
   mutable std::mutex mutex_;
   JobId next_ = 0;

@@ -85,8 +85,7 @@ ServerCore::ServerCore(ServerOptions options)
       store_(options_.store_dir.empty()
                  ? nullptr
                  : std::make_unique<support::BlobStore>(options_.store_dir)),
-      jobs_(service_, options_.workers, /*max_retained_jobs=*/4096,
-            options_.max_queue_depth) {}
+      jobs_(service_, options_.workers, options_.max_queue_depth) {}
 
 void ServerCore::request_shutdown() {
   shutdown_.store(true, std::memory_order_relaxed);

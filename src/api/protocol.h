@@ -45,7 +45,8 @@ namespace symref::api::protocol {
 
 struct ServerOptions {
   ServiceOptions service;
-  /// JobManager worker lanes; <= 0 picks the hardware thread count.
+  /// JobManager worker lanes; <= 0 picks the hardware thread count, and at
+  /// most support::ThreadPool::kMaxLanes run.
   int workers = 0;
   /// Bound on jobs waiting for a worker (0 = unbounded). A submit that
   /// finds the queue full completes immediately with kOverloaded — clients

@@ -95,6 +95,7 @@ void ThreadPool::parallel_for(
 
 WorkQueue::WorkQueue(int workers, std::size_t max_pending) : max_pending_(max_pending) {
   if (workers <= 0) workers = ThreadPool::hardware_threads();
+  workers = std::min(workers, ThreadPool::kMaxLanes);
   workers_.reserve(static_cast<std::size_t>(workers));
   for (int i = 0; i < workers; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -109,10 +110,6 @@ WorkQueue::~WorkQueue() {
   }
   cv_.notify_all();
   for (std::thread& worker : workers_) worker.join();
-}
-
-bool WorkQueue::post(std::function<void()> task) {
-  return try_post(std::move(task)) == PostResult::kAccepted;
 }
 
 WorkQueue::PostResult WorkQueue::try_post(std::function<void()> task) {

@@ -101,11 +101,12 @@ class WorkQueue {
     kStopped,   ///< shutdown began; task dropped
   };
 
-  /// `workers` <= 0 picks hardware_threads(). Unlike ThreadPool, the caller
-  /// is NOT a lane — post() returns immediately — so a queue always spawns
-  /// at least one worker. `max_pending` bounds the tasks waiting to start
-  /// (0 = unbounded): a bounded queue sheds load instead of buffering an
-  /// unbounded backlog behind a slow worker pool.
+  /// `workers` <= 0 picks hardware_threads(); at most ThreadPool::kMaxLanes
+  /// run. Unlike ThreadPool, the caller is NOT a lane — try_post() returns
+  /// immediately — so a queue always spawns at least one worker.
+  /// `max_pending` bounds the tasks waiting to start (0 = unbounded): a
+  /// bounded queue sheds load instead of buffering an unbounded backlog
+  /// behind a slow worker pool.
   explicit WorkQueue(int workers = 0, std::size_t max_pending = 0);
   /// Stops accepting work, discards tasks that have not started, and joins
   /// the workers (running tasks finish first). Callers that need discarded
@@ -115,10 +116,6 @@ class WorkQueue {
 
   WorkQueue(const WorkQueue&) = delete;
   WorkQueue& operator=(const WorkQueue&) = delete;
-
-  /// Enqueue a task. Returns false (task dropped) after shutdown began or
-  /// when the depth bound is hit — post(t) == (try_post(t) == kAccepted).
-  bool post(std::function<void()> task);
 
   /// Enqueue a task, distinguishing "queue full" from "shut down" so
   /// callers can answer kOverloaded vs kCancelled.

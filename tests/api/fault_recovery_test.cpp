@@ -335,7 +335,7 @@ TEST_F(FaultRecoveryTest, BoundedQueueShedsLoadAsOverloaded) {
   const Service service;
   const CircuitHandle rc = compile(service, kRcNetlist);
   const CircuitHandle big = compile(service, netlist::write_netlist(circuits::ua741()));
-  JobManager jobs(service, 1, /*max_retained_jobs=*/64, /*max_queue_depth=*/1);
+  JobManager jobs(service, 1, /*max_queue_depth=*/1);
 
   AnyRequest blocker;
   blocker.type = AnyRequest::Type::kRefgen;

@@ -21,13 +21,14 @@ TEST(WorkQueue, DestructorDiscardsUnstartedTasksWithoutHanging) {
     WorkQueue queue(1);
     EXPECT_EQ(queue.workers(), 1);
     // Occupy the only worker until released, then pile up pending tasks.
-    EXPECT_TRUE(queue.post([&] {
+    EXPECT_EQ(queue.try_post([&] {
       started.fetch_add(1);
       std::unique_lock<std::mutex> lock(mutex);
       cv.wait(lock, [&] { return release; });
-    }));
+    }),
+              WorkQueue::PostResult::kAccepted);
     while (started.load() == 0) std::this_thread::yield();
-    for (int i = 0; i < 10; ++i) queue.post([&] { started.fetch_add(1); });
+    for (int i = 0; i < 10; ++i) queue.try_post([&] { started.fetch_add(1); });
     {
       const std::lock_guard<std::mutex> lock(mutex);
       release = true;
@@ -49,7 +50,7 @@ TEST(WorkQueue, DrainsWhenCallerWaits) {
   WorkQueue queue(3);
   constexpr int kTasks = 64;
   for (int i = 0; i < kTasks; ++i) {
-    queue.post([&] {
+    queue.try_post([&] {
       if (count.fetch_add(1) + 1 == kTasks) {
         const std::lock_guard<std::mutex> lock(mutex);
         cv.notify_all();
@@ -69,7 +70,7 @@ TEST(WorkQueue, TasksRunOffTheCallingThread) {
   std::condition_variable cv;
   bool done = false;
   WorkQueue queue(1);  // after the cv: joined before the cv is destroyed
-  queue.post([&] {
+  queue.try_post([&] {
     {
       const std::lock_guard<std::mutex> lock(mutex);
       worker = std::this_thread::get_id();
@@ -85,6 +86,12 @@ TEST(WorkQueue, TasksRunOffTheCallingThread) {
 TEST(WorkQueue, DefaultWorkerCountIsHardware) {
   WorkQueue queue;
   EXPECT_EQ(queue.workers(), ThreadPool::hardware_threads());
+}
+
+TEST(WorkQueue, WorkerCountIsBoundedLikeThePoolLanes) {
+  // Counts come from daemon flags; one past the bound starts no more threads.
+  WorkQueue queue(ThreadPool::kMaxLanes + 1);
+  EXPECT_EQ(queue.workers(), ThreadPool::kMaxLanes);
 }
 
 TEST(WorkQueue, BoundedQueueShedsLoadWhenFull) {
@@ -108,7 +115,6 @@ TEST(WorkQueue, BoundedQueueShedsLoadWhenFull) {
   EXPECT_EQ(queue.try_post([&] { ran.fetch_add(1); }), WorkQueue::PostResult::kAccepted);
   EXPECT_EQ(queue.try_post([&] { ran.fetch_add(1); }), WorkQueue::PostResult::kAccepted);
   EXPECT_EQ(queue.try_post([&] { ran.fetch_add(1); }), WorkQueue::PostResult::kFull);
-  EXPECT_FALSE(queue.post([&] { ran.fetch_add(1); }));
   {
     const std::lock_guard<std::mutex> lock(mutex);
     release = true;

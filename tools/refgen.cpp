@@ -55,11 +55,11 @@
 //                                          requests; '-' reads stdin)
 //   --sigma= --max-iterations= --threads=  engine options for flag-built
 //                                          requests
-//   --timeout=<seconds>                    cancel outstanding work after the
-//                                          budget (exit code 9, local runs);
-//                                          a budget that is not positive or
-//                                          that the clock cannot hold (about
-//                                          9.2e9 s and up) exits 2
+//   --timeout=<seconds>                    local runs: cancel outstanding
+//                                          work after the budget (exit code
+//                                          9); a budget that is not positive
+//                                          or that the clock cannot hold
+//                                          (about 9.2e9 s and up) exits 2
 //   --connect=[host:]port                  run the session on a refgend
 //                                          daemon instead of in-process
 //   --retry=N                              with --connect: retry the dial
@@ -77,6 +77,9 @@
 //
 // A numeric flag is read only when all of its value parses and fits its
 // type (a whole number for the counts); anything else exits 2 naming it.
+// So does a flag the mode does not use: --timeout with --connect, --retry
+// or --deadline-ms without it. A session writes one --json envelope, also
+// when --retry re-runs it.
 //
 // Exit status: 0 all requests ok; 2 usage/input error; otherwise the class
 // of the first failure: 3 parse_error, 4 invalid_spec, 5 invalid_argument,
@@ -622,15 +625,17 @@ int dial_with_retry(const std::string& target, int retries, std::string* error) 
   }
 }
 
-/// Write the JSON envelope where --json points: stdout for "-" (or a bare
-/// --json), else the named file. Returns 0, or 2 when the file cannot be
-/// written.
-int write_envelope(const symref::support::CliArgs& args, const Json& envelope) {
+/// Write the session's one JSON envelope where --json points: stdout for "-"
+/// (or a bare --json), else the named file. Nothing is written without
+/// --json, or for a null envelope (a --connect session that never reached
+/// the daemon). Returns `code`, or 2 when the file cannot be written.
+int write_envelope(const symref::support::CliArgs& args, const Json& envelope, int code) {
+  if (!args.has("json") || envelope.is_null()) return code;
   const std::string path = args.get("json", "-");
   const std::string text = envelope.dump(2);
   if (path == "-" || path.empty()) {
     std::printf("%s\n", text.c_str());
-    return 0;
+    return code;
   }
   std::ofstream file(path);
   file << text << '\n';
@@ -638,27 +643,28 @@ int write_envelope(const symref::support::CliArgs& args, const Json& envelope) {
     std::fprintf(stderr, "error: cannot write '%s'\n", path.c_str());
     return 2;
   }
-  return 0;
+  return code;
 }
 
-/// Report a session whose netlist did not compile, local or remote: the
-/// --json envelope keeps `status`, `ok: false` and `responses: []` (no
-/// `circuit`), then the error goes to stderr. Returns the exit code.
-int fail_compile(const symref::support::CliArgs& args, bool json_mode, const Status& status) {
-  if (json_mode) {
-    Json output = Json::object();
-    output.set("tool", "refgen");
-    output.set("status", symref::api::to_json(status));
-    output.set("ok", false);
-    output.set("responses", Json::array());
-    if (const int written = write_envelope(args, output); written != 0) return written;
-  }
+/// Report a session whose netlist did not compile, local or remote: its
+/// envelope keeps `status`, `ok: false` and `responses: []` (no `circuit`),
+/// and the error goes to stderr. Returns the exit code.
+int fail_compile(const Status& status, Json* envelope) {
+  *envelope = Json::object();
+  envelope->set("tool", "refgen");
+  envelope->set("status", symref::api::to_json(status));
+  envelope->set("ok", false);
+  envelope->set("responses", Json::array());
   std::fprintf(stderr, "error: %s\n", status.to_string().c_str());
   return exit_code_for(status.code());
 }
 
+/// One attempt of a --connect session. Once the daemon is dialed, sets
+/// `envelope` to the attempt's envelope; run() writes the last one. Returns
+/// the exit code.
 int run_connected(const symref::support::CliArgs& args, const std::string& netlist_text,
-                  const std::vector<AnyRequest>& requests, bool json_mode, bool progress) {
+                  const std::vector<AnyRequest>& requests, bool json_mode, bool progress,
+                  Json* envelope) {
   // Numeric flags are read before dialing, so a bad one leaves no circuit
   // compiled on the daemon.
   const int retries = args.get_int("retry", 0);
@@ -678,12 +684,12 @@ int run_connected(const symref::support::CliArgs& args, const std::string& netli
   Json circuit;
   Status status = remote_call(transport, &next_id, "compile", std::move(compile_params),
                               progress, &circuit);
-  if (!status.ok()) return fail_compile(args, json_mode, status);
+  if (!status.ok()) return fail_compile(status, envelope);
   const Json* circuit_id = circuit.find("circuit_id");
   if (circuit_id == nullptr || !circuit_id->is_string()) {
     return fail_compile(
-        args, json_mode,
-        Status::error(StatusCode::kInternal, "daemon compile reply without circuit_id"));
+        Status::error(StatusCode::kInternal, "daemon compile reply without circuit_id"),
+        envelope);
   }
   if (!json_mode) {
     std::fprintf(stderr, "compiled on daemon: %s (dim %d)\n",
@@ -740,16 +746,13 @@ int run_connected(const symref::support::CliArgs& args, const std::string& netli
   evict_params.set("circuit_id", circuit_id->as_string());
   (void)remote_call(transport, &next_id, "evict", std::move(evict_params), false, &evicted);
 
-  if (json_mode) {
-    Json output = Json::object();
-    output.set("tool", "refgen");
-    output.set("status", symref::api::to_json(Status()));
-    output.set("connect", args.get("connect"));
-    output.set("circuit", std::move(circuit));
-    output.set("ok", failures.exit_code() == 0);
-    output.set("responses", std::move(responses));
-    if (const int written = write_envelope(args, output); written != 0) return written;
-  }
+  *envelope = Json::object();
+  envelope->set("tool", "refgen");
+  envelope->set("status", symref::api::to_json(Status()));
+  envelope->set("connect", args.get("connect"));
+  envelope->set("circuit", std::move(circuit));
+  envelope->set("ok", failures.exit_code() == 0);
+  envelope->set("responses", std::move(responses));
   return failures.exit_code();
 }
 
@@ -759,6 +762,19 @@ int run(const symref::support::CliArgs& args) {
   if (args.positional().empty()) {
     print_usage();
     return 2;
+  }
+  // A flag the mode does not use is a usage error, before anything is
+  // compiled or dialed.
+  if (args.has("connect") && args.has("timeout")) {
+    std::fprintf(stderr, "error: --timeout applies to local runs; with --connect, "
+                         "use --deadline-ms\n");
+    return 2;
+  }
+  for (const char* flag : {"retry", "deadline-ms"}) {
+    if (!args.has("connect") && args.has(flag)) {
+      std::fprintf(stderr, "error: --%s applies only with --connect\n", flag);
+      return 2;
+    }
   }
 
   std::string netlist_text;
@@ -957,19 +973,21 @@ int run(const symref::support::CliArgs& args) {
   }
 
   // --- Remote session (--connect): the daemon executes, we render -----------
+  Json envelope;  // the session's one --json document, written last
   if (args.has("connect")) {
     // An io_error session (connection died mid-flight) is transient from
     // the client's seat: with --retry, re-dial and replay the whole session
-    // — requests are idempotent (and store-backed daemons replay warm).
+    // — requests are idempotent (and store-backed daemons replay warm). Only
+    // the last attempt that reached the daemon leaves its envelope.
     const int retries = args.get_int("retry", 0);
     int code = 0;
     for (int attempt = 0;; ++attempt) {
-      code = run_connected(args, netlist_text, requests, json_mode, progress);
+      code = run_connected(args, netlist_text, requests, json_mode, progress, &envelope);
       if (code != exit_code_for(StatusCode::kIoError) || attempt >= retries) break;
       std::fprintf(stderr, "refgen: session failed with io_error; retrying\n");
       std::this_thread::sleep_for(retry_backoff(attempt));
     }
-    return code;
+    return write_envelope(args, envelope, code);
   }
 
   // --- Local --timeout: one cancellation source covers the whole session ----
@@ -991,7 +1009,10 @@ int run(const symref::support::CliArgs& args) {
   // --- Compile once, serve the session --------------------------------------
   const symref::api::Service service;
   auto compiled = service.compile_netlist(netlist_text, args.get("name"));
-  if (!compiled.ok()) return fail_compile(args, json_mode, compiled.status());
+  if (!compiled.ok()) {
+    const int code = fail_compile(compiled.status(), &envelope);
+    return write_envelope(args, envelope, code);
+  }
   const symref::api::CircuitHandle handle = compiled.take();
   if (!json_mode) std::fprintf(stderr, "%s\n", handle.summary().c_str());
 
@@ -1019,24 +1040,21 @@ int run(const symref::support::CliArgs& args) {
     responses.push_back(std::move(response));
   }
 
-  if (json_mode) {
-    Json circuit = Json::object();
-    circuit.set("name", handle.name());
-    circuit.set("summary", handle.summary());
-    circuit.set("nodes", handle.circuit().node_count());
-    circuit.set("elements", static_cast<double>(handle.circuit().element_count()));
-    circuit.set("dim", handle.dim());
-    circuit.set("order_bound", handle.order_bound());
+  Json circuit = Json::object();
+  circuit.set("name", handle.name());
+  circuit.set("summary", handle.summary());
+  circuit.set("nodes", handle.circuit().node_count());
+  circuit.set("elements", static_cast<double>(handle.circuit().element_count()));
+  circuit.set("dim", handle.dim());
+  circuit.set("order_bound", handle.order_bound());
 
-    Json output = Json::object();
-    output.set("tool", "refgen");
-    output.set("status", symref::api::to_json(Status()));
-    output.set("circuit", std::move(circuit));
-    output.set("ok", failures.exit_code() == 0);
-    output.set("responses", std::move(responses));
-    if (const int written = write_envelope(args, output); written != 0) return written;
-  }
-  return failures.exit_code();
+  envelope = Json::object();
+  envelope.set("tool", "refgen");
+  envelope.set("status", symref::api::to_json(Status()));
+  envelope.set("circuit", std::move(circuit));
+  envelope.set("ok", failures.exit_code() == 0);
+  envelope.set("responses", std::move(responses));
+  return write_envelope(args, envelope, failures.exit_code());
 }
 
 }  // namespace

@@ -12,7 +12,8 @@
 //   $ refgend --listen=0              # ephemeral port (printed on stdout)
 //
 // Flags:
-//   --workers=N     job worker lanes (default: hardware threads)
+//   --workers=N     job worker lanes, at most 64 (default: hardware
+//                   threads)
 //   --listen=PORT   serve TCP on 127.0.0.1:PORT (0 to 65535; 0 picks an
 //                   ephemeral port) instead of stdio; prints
 //                   "refgend: listening on 127.0.0.1:<port>" first
@@ -51,6 +52,7 @@
 #include "api/protocol.h"
 #include "support/cli.h"
 #include "support/fault_injection.h"
+#include "support/thread_pool.h"
 #include "transport_posix.h"
 
 namespace {
@@ -193,6 +195,11 @@ void read_flags(const symref::support::CliArgs& args, ServerOptions* options, in
     return static_cast<std::size_t>(value);
   };
   options->workers = args.get_int("workers", 0);
+  if (options->workers > symref::support::ThreadPool::kMaxLanes) {
+    throw symref::support::FlagError(
+        "bad --workers '" + args.get("workers") + "' (want at most " +
+        std::to_string(symref::support::ThreadPool::kMaxLanes) + ")");
+  }
   options->service.max_cached_responses = bound("max-cached", 64);
   options->max_queue_depth = bound("max-queue", 0);
   *port = args.get_int("listen", 0);

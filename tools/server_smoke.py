@@ -41,7 +41,9 @@ have no time-varying sources):
      unknown node exits 4 (invalid_spec) both locally and with --connect,
      with byte-identical scrubbed responses. A netlist that does not compile
      writes the same --json envelope both ways: ok false, no responses, and
-     the local run's status code, line and column.
+     the local run's status code, line and column. A --retry=1 session
+     through a proxy that drops its first connection after the compile line
+     writes one --json envelope, whose responses equal the local run's.
   9. Spec churn cannot grow a handle: on a --max-cached=4 daemon, refgen
      jobs for the 8 output nodes of an RC ladder and 20 unknown output
      nodes (each failing invalid_spec) leave exactly 4 resident responses
@@ -56,8 +58,9 @@ have no time-varying sources):
      whose retained jobs held their circuits grew by ~40 MB), and "list"
      still names each retained job's circuit.
  12. Numeric daemon flags are strict: a --listen port that does not parse
-     or is out of range, a --workers count that is not a whole int and a
-     negative --max-cached each exit 2 naming the flag, before serving.
+     or is out of range, a --workers count that is not a whole int or is
+     above 64 and a negative --max-cached each exit 2 naming the flag,
+     before serving.
 
 Set REFGEN_CHAOS=1 to additionally run every store-scenario daemon plus a
 retry session under low-probability injected faults (REFGEN_FAULT): results
@@ -71,6 +74,7 @@ import socket
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 
 
@@ -523,6 +527,46 @@ def main():
         print(f"connect --progress OK: 3 responses byte-identical to the local "
               f"run, {len(iter_lines(local))} identical iter lines")
 
+        # A retried session writes one envelope: the proxy drops the first
+        # connection once it has read the compile line, and --retry=1 re-runs
+        # the session on a second connection that it forwards to the daemon.
+        proxy = socket.create_server(("127.0.0.1", 0))
+
+        def pump(source, sink):
+            try:
+                while data := source.recv(65536):
+                    sink.sendall(data)
+                sink.shutdown(socket.SHUT_WR)
+            except OSError:
+                pass
+
+        def serve_proxy():
+            for attempt in range(2):
+                client, _ = proxy.accept()
+                if attempt == 0:
+                    with client, client.makefile("rb") as stream:
+                        stream.readline()  # the compile line
+                    continue
+                upstream = socket.create_connection(("127.0.0.1", int(target.rsplit(":", 1)[1])))
+                threading.Thread(target=pump, args=(upstream, client), daemon=True).start()
+                pump(client, upstream)
+
+        threading.Thread(target=serve_proxy, daemon=True).start()
+        session = [refgen, netlist_path, "--in=inp", "--out=vo", "--json=-"]
+        local = subprocess.run(session, capture_output=True, text=True, timeout=120)
+        remote = subprocess.run(
+            [*session, f"--connect=127.0.0.1:{proxy.getsockname()[1]}", "--retry=1"],
+            capture_output=True, text=True, timeout=120)
+        proxy.close()
+        assert local.returncode == 0, local.stderr
+        assert remote.returncode == 0, (remote.returncode, remote.stderr)
+        assert "retrying" in remote.stderr, "the proxy did not drop the first attempt"
+        assert json.loads(remote.stdout)["ok"] is True, "stdout is not one envelope"
+        assert responses(remote) == responses(local), \
+            "--connect --retry responses differ from the local run"
+        print("connect --retry OK: a session re-run after a dropped connection "
+              "writes one envelope, responses byte-identical to the local run")
+
         # A batch whose second item fails: the session exits 4 (invalid_spec)
         # with the same responses whether it runs locally or on the daemon.
         batch_path = os.path.join(out_dir, "batch.json")
@@ -706,13 +750,15 @@ def main():
     # Each is a usage error before the daemon serves; stdin is empty, so a
     # daemon that accepted a stdio flag would exit 0, and one that accepted
     # a --listen port would still be serving at the timeout.
-    for flag in ("--listen=99999", "--listen=abc", "--workers=1e10", "--max-cached=-1"):
+    for flag in ("--listen=99999", "--listen=abc", "--workers=1e10", "--workers=65",
+                 "--max-cached=-1"):
         run = subprocess.run([daemon, flag], stdin=subprocess.DEVNULL, capture_output=True,
                              text=True, timeout=10)
         assert run.returncode == 2, (flag, run.returncode, run.stderr)
         name = flag.split("=")[0]
         assert f"bad {name} " in run.stderr, (flag, run.stderr)
-    print("daemon flags OK: a bad --listen, --workers or --max-cached exits 2 naming the flag")
+    print("daemon flags OK: a bad --listen, --workers (65 included) or --max-cached "
+          "exits 2 naming the flag")
 
 
 if __name__ == "__main__":
