@@ -161,6 +161,8 @@ BENCHMARK(BM_ApiRefgenWarm)->Unit(benchmark::kMicrosecond);
 }  // namespace
 
 int main(int argc, char** argv) {
+  // google-benchmark takes its --benchmark_* flags out of argv first.
+  benchmark::Initialize(&argc, argv);
   const symref::support::CliArgs args(argc, argv, {"json"});
   const std::string json_path = args.get("json", symref::support::kBenchJsonPath);
   measure_refgen();
@@ -170,7 +172,6 @@ int main(int argc, char** argv) {
   } else {
     std::printf("metrics merged into %s\n\n", json_path.c_str());
   }
-  benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -187,6 +187,8 @@ BENCHMARK(BM_Ua741ReferencePlain)->Unit(benchmark::kMillisecond);
 }  // namespace
 
 int main(int argc, char** argv) {
+  // google-benchmark takes its --benchmark_* flags out of argv first.
+  benchmark::Initialize(&argc, argv);
   const symref::support::CliArgs args(argc, argv, {"json", "threads"});
   const std::string json_path = args.get("json", symref::support::kBenchJsonPath);
   const int max_threads = args.get_int("threads", 1);
@@ -197,7 +199,6 @@ int main(int argc, char** argv) {
   } else {
     std::printf("metrics merged into %s\n\n", json_path.c_str());
   }
-  benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -257,10 +257,11 @@ BENCHMARK(BM_Ua741SparseLuPerPoint)->Unit(benchmark::kMicrosecond);
 }  // namespace
 
 int main(int argc, char** argv) {
+  // google-benchmark takes its --benchmark_* flags out of argv first.
+  benchmark::Initialize(&argc, argv);
   const symref::support::CliArgs args(argc, argv, {"json", "threads", "max-stages"});
   print_summary(args.get("json", symref::support::kBenchJsonPath), args.get_int("threads", 1),
                 args.get_int("max-stages", 128));
-  benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

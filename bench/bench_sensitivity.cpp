@@ -57,9 +57,10 @@ BENCHMARK(BM_AdjointBandRanking)->Unit(benchmark::kMillisecond);
 }  // namespace
 
 int main(int argc, char** argv) {
+  // google-benchmark takes its --benchmark_* flags out of argv first.
+  benchmark::Initialize(&argc, argv);
   const symref::support::CliArgs args(argc, argv, {"json"});
   print_ranking(args.get("json", symref::support::kBenchJsonPath));
-  benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -1,6 +1,6 @@
 // CMOS OTA design tour: references, poles, sensitivities.
 //
-//   $ ./mos_ota_tour [--cl=2p] [--cc=1p] [--rz=0]
+//   $ ./mos_ota_tour [--cl=2e-12] [--cc=1e-12] [--rz=0]
 //
 // Walks the two-stage Miller OTA through the full toolbox: adaptive
 // reference generation, pole extraction (dominant pole, non-dominant pole,
@@ -21,7 +21,7 @@
 #include "support/cli.h"
 
 int main(int argc, char** argv) {
-  const symref::support::CliArgs args(argc, argv);
+  const symref::support::CliArgs args(argc, argv, {"cl", "cc", "rz"});
   symref::circuits::MosOtaOptions options;
   options.load_capacitance = args.get_double("cl", 2e-12);
   options.compensation_capacitance = args.get_double("cc", 1e-12);

@@ -19,7 +19,7 @@
 #include "symbolic/det.h"
 
 int main(int argc, char** argv) {
-  const symref::support::CliArgs args(argc, argv);
+  const symref::support::CliArgs args(argc, argv, {"sigma"});
 
   const auto ota = symref::circuits::ota_fig1();
   const auto canonical = symref::netlist::canonicalize(ota);

@@ -1,6 +1,6 @@
 // Simplification During Generation, end to end (the paper's motivation).
 //
-//   $ ./symbolic_simplification [--eps=0.01] [--coefficient=2]
+//   $ ./symbolic_simplification [--eps=0.01]
 //
 // 1. Generate the numerical reference for the OTA's determinant with the
 //    adaptive engine.
@@ -17,7 +17,7 @@
 #include "symbolic/sdg.h"
 
 int main(int argc, char** argv) {
-  const symref::support::CliArgs args(argc, argv);
+  const symref::support::CliArgs args(argc, argv, {"eps"});
   const double eps = args.get_double("eps", 0.01);
 
   const auto ota = symref::circuits::ota_fig1();

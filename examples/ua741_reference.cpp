@@ -20,7 +20,7 @@
 #include "support/log.h"
 
 int main(int argc, char** argv) {
-  const symref::support::CliArgs args(argc, argv);
+  const symref::support::CliArgs args(argc, argv, {"sigma"}, {"no-deflation", "trace", "live"});
   if (args.has("trace")) {
     symref::support::set_log_level(symref::support::LogLevel::Debug);
   }

@@ -5,6 +5,12 @@
 // parse/canonicalize/assembly/plan work is paid once per circuit, not once
 // per request. The JSON wire mapping of these structs lives in
 // api/serialize.h; docs/api.md documents the schema.
+//
+// On a handle whose netlist carries nonlinear devices (D/Q/M cards), the
+// AC-family requests (refgen, sweep, poles_zeros, batch items, param_sweep,
+// simplify) run on the small-signal circuit linearized at the handle's
+// solved DC bias; a param_sweep re-biases each sample. That circuit is the
+// only one such a handle has, so no request member selects it.
 #pragma once
 
 #include <complex>
@@ -27,12 +33,6 @@ namespace symref::api {
 struct RefgenRequest {
   mna::TransferSpec spec;
   refgen::AdaptiveOptions options;
-  /// Required `true` to serve this request on a handle whose netlist
-  /// contains nonlinear devices (D/Q/M cards): the request then runs
-  /// against the small-signal circuit linearized at the handle's solved DC
-  /// operating point. On a purely linear handle the flag is ignored.
-  /// Omitting it on a device-bearing handle fails with kInvalidArgument.
-  bool auto_linearize = false;
 };
 
 struct RefgenResponse {
@@ -58,12 +58,6 @@ struct SweepRequest {
   /// sweep fails with kCancelled and nothing partial is memoized.
   /// Like threads, not part of the response-cache key.
   support::CancellationToken cancel;
-  /// Required `true` to serve this request on a handle whose netlist
-  /// contains nonlinear devices (D/Q/M cards): the request then runs
-  /// against the small-signal circuit linearized at the handle's solved DC
-  /// operating point. On a purely linear handle the flag is ignored.
-  /// Omitting it on a device-bearing handle fails with kInvalidArgument.
-  bool auto_linearize = false;
 };
 
 struct SweepResponse {
@@ -78,12 +72,6 @@ struct PolesZerosRequest {
   mna::TransferSpec spec;
   /// Options of the underlying reference generation.
   refgen::AdaptiveOptions options;
-  /// Required `true` to serve this request on a handle whose netlist
-  /// contains nonlinear devices (D/Q/M cards): the request then runs
-  /// against the small-signal circuit linearized at the handle's solved DC
-  /// operating point. On a purely linear handle the flag is ignored.
-  /// Omitting it on a device-bearing handle fails with kInvalidArgument.
-  bool auto_linearize = false;
 };
 
 struct PolesZerosResponse {
@@ -121,13 +109,6 @@ struct ParamSweepRequest {
   int threads = 1;
   /// Cooperative cancellation, polled per sample. Not part of the cache key.
   support::CancellationToken cancel;
-  /// Required `true` to serve this request on a handle whose netlist
-  /// contains nonlinear devices (D/Q/M cards): the request then runs
-  /// against the small-signal circuit linearized at the PER-SAMPLE solved DC
-  /// operating point (each elaborated sample is re-biased, so `.param`
-  /// symbols reaching device cards vary the operating point). On a purely linear handle the flag is ignored.
-  /// Omitting it on a device-bearing handle fails with kInvalidArgument.
-  bool auto_linearize = false;
 };
 
 struct ParamSweepResponse {
@@ -147,12 +128,6 @@ struct ParamSweepResponse {
 struct SimplifyRequest {
   mna::TransferSpec spec;
   refgen::SimplifyOptions options;
-  /// Required `true` to serve this request on a handle whose netlist
-  /// contains nonlinear devices (D/Q/M cards): the request then runs
-  /// against the small-signal circuit linearized at the handle's solved DC
-  /// operating point. On a purely linear handle the flag is ignored.
-  /// Omitting it on a device-bearing handle fails with kInvalidArgument.
-  bool auto_linearize = false;
 };
 
 struct SimplifyResponse {
@@ -179,11 +154,12 @@ struct OpResponse {
 };
 
 /// Time-domain (transient) integration of the handle's circuit over
-/// [0, tstop]. Unlike the AC-family requests there is NO auto_linearize
-/// gate: the integrator runs the large-signal netlist directly, solving a
-/// damped Newton iteration per step on device-bearing handles — that is the
-/// point of a transient analysis. Linear handles integrate with one plan
-/// replay per step (see transient/transient.h for the step-bucket contract).
+/// [0, tstop]. Unlike the AC-family requests, which a device-bearing handle
+/// serves on its small-signal circuit, the integrator runs the large-signal
+/// netlist directly, solving a damped Newton iteration per step on
+/// device-bearing handles — that is the point of a transient analysis.
+/// Linear handles integrate with one plan replay per step (see
+/// transient/transient.h for the step-bucket contract).
 struct TransientRequest {
   /// End of the simulated window (seconds, > 0 required).
   double tstop = 0.0;

@@ -293,7 +293,7 @@ template <typename IO, typename Request>
 void schema(IO& io, Request& request) {
   io.object("spec", request.spec, Need::kRequired);
   io.object("options", request.options);
-  io.field("auto_linearize", request.auto_linearize);
+  io.ignored("auto_linearize");  // legacy: device handles need no opt-in
 }
 
 template <typename IO, Is<SweepRequest> Sweep>
@@ -303,8 +303,8 @@ void schema(IO& io, Sweep& sweep) {
   io.field("f_stop_hz", sweep.f_stop_hz);
   io.field("points_per_decade", sweep.points_per_decade);
   io.field("threads", sweep.threads);
-  io.field("auto_linearize", sweep.auto_linearize);
-  io.ignored("kernel");
+  // Legacy: device handles need no opt-in; the replay kernel is automatic.
+  for (const char* key : {"auto_linearize", "kernel"}) io.ignored(key);
 }
 
 template <typename IO, Is<OpRequest> Op>
@@ -337,10 +337,11 @@ void schema(IO& io, Simplify& simplify) {
   io.field("band_points", options.band_points);
   io.field("max_terms", options.max_terms_per_coefficient, Need::kPositive);
   io.object("options", options.engine);
-  io.field("auto_linearize", simplify.auto_linearize);
   // Legacy: pruning always runs; its share and the SDG queue and skip knobs
-  // are constants.
-  for (const char* key : {"prune", "prune_share", "max_queue", "skip_factor"}) io.ignored(key);
+  // are constants, and device handles need no opt-in.
+  for (const char* key : {"prune", "prune_share", "max_queue", "skip_factor", "auto_linearize"}) {
+    io.ignored(key);
+  }
 }
 
 template <typename IO, Is<mna::ParamAxis> Axis>
@@ -377,8 +378,8 @@ void schema(IO& io, ParamSweep& sweep) {
   io.field("f_stop_hz", sweep.f_stop_hz);
   io.field("points_per_decade", sweep.points_per_decade);
   io.field("threads", sweep.threads);
-  io.field("auto_linearize", sweep.auto_linearize);
-  io.ignored("kernel");
+  // Legacy: device handles need no opt-in; the replay kernel is automatic.
+  for (const char* key : {"auto_linearize", "kernel"}) io.ignored(key);
 }
 
 template <typename IO, Is<AnyRequest> Any>

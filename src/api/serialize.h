@@ -110,8 +110,8 @@ std::string request_key(const Json& encoded_request);
 /// "simplify"|"op"|"transient", ...}. Strict: unknown keys and missing
 /// required fields fail with kInvalidArgument, so typos in hand-written
 /// request files surface instead of silently using defaults. A batch request
-/// carries "items": an array of {"spec", "options", "auto_linearize"} refgen
-/// items, plus optional "threads". A param_sweep request carries "mode"
+/// carries "items": an array of {"spec", "options"} refgen items, plus
+/// optional "threads". A param_sweep request carries "mode"
 /// ("grid"|"monte_carlo") and "params": grid axes {"name", "from", "to",
 /// "count", "log"} or Monte-Carlo dimensions {"name", "nominal",
 /// "rel_sigma", "dist"} plus "samples"/"seed". A transient request carries
@@ -120,14 +120,14 @@ std::string request_key(const Json& encoded_request);
 /// ("f_start_hz"/"f_stop_hz"/"band_points"), optional "max_terms", and
 /// the nested reference-engine "options" ("sigma",
 /// "tuning_r", "max_iterations", "threads"). An op request carries nothing
-/// else. Every AC-family request and batch item accepts an optional boolean
-/// "auto_linearize" (required true on device-bearing handles). Legacy
-/// members are accepted with any value and ignored: "kernel" on sweep,
-/// param_sweep and engine "options"; "noise_decades", "use_deflation",
-/// "conjugate_symmetry", "simultaneous_scaling", "geometric_mean_heuristic",
-/// "initial_f", "initial_g" and "no_progress_limit" on engine "options";
-/// "prune", "prune_share", "max_queue" and "skip_factor" on simplify; and
-/// "threads" on op and transient.
+/// else. Legacy members are accepted with any value and ignored:
+/// "auto_linearize" on every AC-family request and batch item; "kernel" on
+/// sweep, param_sweep and engine "options"; "noise_decades",
+/// "use_deflation", "conjugate_symmetry", "simultaneous_scaling",
+/// "geometric_mean_heuristic", "initial_f", "initial_g" and
+/// "no_progress_limit" on engine "options"; "prune", "prune_share",
+/// "max_queue" and "skip_factor" on simplify; and "threads" on op and
+/// transient.
 Result<AnyRequest> request_from_json(const Json& json);
 
 /// Parse a request *session*: either one request object or an array of

@@ -30,10 +30,6 @@ Status termination_status(const refgen::AdaptiveResult& result) {
                          "adaptive engine: system is singular at the initial scaling "
                          "(floating section or zero-admittance cut)");
   }
-  if (result.termination == "cancelled") {
-    return Status::error(StatusCode::kCancelled,
-                         "adaptive engine: run cancelled before completion");
-  }
   return Status::error(StatusCode::kIncomplete,
                        "adaptive engine terminated without a complete reference: " +
                            result.termination);
@@ -137,22 +133,6 @@ using internal::CompiledCircuit;
 
 namespace {
 
-/// The auto_linearize gate: a device-bearing handle only serves AC-family
-/// requests that explicitly opted into the linearized circuit, so a client
-/// that does not know about devices cannot silently analyze the wrong
-/// (nonsensical large-signal) netlist. Linear handles ignore the flag.
-Status check_auto_linearize(const CompiledCircuit& compiled, bool auto_linearize) {
-  if (compiled.original.has_devices() && !auto_linearize) {
-    return Status::error(
-        StatusCode::kInvalidArgument,
-        "handle '" + compiled.name +
-            "' contains nonlinear devices; set auto_linearize=true to run this "
-            "analysis on the small-signal circuit linearized at the solved "
-            "operating point");
-  }
-  return Status();
-}
-
 /// The engine's ablation switches (all on by default) are in no request_key,
 /// so a request that turns one off fails instead of sharing a cache entry
 /// with the paper's run. Ablations run on refgen::generate_reference.
@@ -245,9 +225,6 @@ Result<Response> cached_call(CompiledCircuit& compiled,
 Result<RefgenResponse> cached_refgen(CompiledCircuit& compiled, const RefgenRequest& request,
                                      const refgen::AdaptiveOptions& options) {
   if (const Status gate = check_engine_switches(options); !gate.ok()) return gate;
-  if (const Status gate = check_auto_linearize(compiled, request.auto_linearize); !gate.ok()) {
-    return gate;
-  }
   return cached_call(
       compiled, compiled.refgen_cache, request, [&]() -> Result<RefgenResponse> {
         const mna::CofactorEvaluator evaluator(compiled.system, request.spec);
@@ -339,9 +316,6 @@ Result<SimplifyResponse> Service::simplify(const CircuitHandle& handle,
     if (const Status gate = check_engine_switches(request.options.engine); !gate.ok()) {
       return gate;
     }
-    if (const Status gate = check_auto_linearize(compiled, request.auto_linearize); !gate.ok()) {
-      return gate;
-    }
     return cached_call(
         compiled, compiled.simplify_cache, request, [&]() -> Result<SimplifyResponse> {
           const mna::CofactorEvaluator evaluator(compiled.system, request.spec);
@@ -360,10 +334,7 @@ Result<SimplifyResponse> Service::simplify(const CircuitHandle& handle,
 
 Result<SweepResponse> Service::sweep(const CircuitHandle& handle,
                                      const SweepRequest& request) const {
-  return guarded<SweepResponse>(handle, [&](CompiledCircuit& compiled) -> Result<SweepResponse> {
-    if (const Status gate = check_auto_linearize(compiled, request.auto_linearize); !gate.ok()) {
-      return gate;
-    }
+  return guarded<SweepResponse>(handle, [&](CompiledCircuit& compiled) {
     return cached_call(
         compiled, compiled.sweep_cache, request, [&]() -> Result<SweepResponse> {
           SweepResponse response;
@@ -383,9 +354,6 @@ Result<ParamSweepResponse> Service::param_sweep(const CircuitHandle& handle,
       return Status::error(StatusCode::kInvalidArgument,
                            "param_sweep requires a handle compiled from netlist text "
                            "(compile_netlist), not a programmatic circuit");
-    }
-    if (const Status gate = check_auto_linearize(compiled, request.auto_linearize); !gate.ok()) {
-      return gate;
     }
     // Fields the mode does not use are rejected before the lookup: the
     // request's encoding (its cache key) carries only the mode's own fields.
@@ -445,9 +413,9 @@ Result<OpResponse> Service::op(const CircuitHandle& handle, const OpRequest& /*r
 
 Result<TransientResponse> Service::transient(const CircuitHandle& handle,
                                              const TransientRequest& request) const {
-  // Deliberately NO check_auto_linearize: a transient analysis runs the
-  // large-signal netlist directly (Newton per step on device handles) —
-  // linearizing first would be answering a different question.
+  // A transient analysis runs the large-signal netlist directly (Newton per
+  // step on device handles), never the linearized circuit the AC family
+  // runs on: linearizing first would be answering a different question.
   return guarded<TransientResponse>(handle, [&](CompiledCircuit& compiled) {
     return cached_call(
         compiled, compiled.transient_cache, request, [&]() -> Result<TransientResponse> {
@@ -508,8 +476,8 @@ Result<PolesZerosResponse> Service::poles_zeros(const CircuitHandle& handle,
   support::Timer timer;
   return guarded<PolesZerosResponse>(handle, [&](CompiledCircuit& compiled)
                                                  -> Result<PolesZerosResponse> {
-    Result<RefgenResponse> reference = cached_refgen(
-        compiled, {request.spec, request.options, request.auto_linearize}, request.options);
+    Result<RefgenResponse> reference =
+        cached_refgen(compiled, {request.spec, request.options}, request.options);
     if (!reference.ok()) return reference.status();
     const refgen::NumericalReference& ref = reference.value().result.reference;
     const numeric::RootResult zeros = numeric::find_roots(ref.numerator().polynomial());

@@ -116,7 +116,7 @@ class CircuitHandle {
   [[nodiscard]] const netlist::Circuit& circuit() const;
   /// True when the compiled netlist carries nonlinear devices (D/Q/M
   /// cards); such a handle solved its DC bias at compile and serves every
-  /// AC-family request on the linearized circuit (auto_linearize gate).
+  /// AC-family request on the circuit linearized at that bias.
   [[nodiscard]] bool has_devices() const;
   /// The small-signal circuit the AC-family analyses run on: the
   /// linearization of circuit() at the solved operating point when
@@ -203,7 +203,7 @@ class Service {
   [[nodiscard]] Result<OpResponse> op(const CircuitHandle& handle,
                                       const OpRequest& request) const;
 
-  /// Time-domain integration over [0, tstop]. No auto_linearize gate: the
+  /// Time-domain integration over [0, tstop]. Unlike the AC family, the
   /// integrator runs the handle's large-signal circuit directly (devices get
   /// a warm-started Newton iteration per step). Small responses are memoized
   /// like the other request types; big waveforms are recomputed

@@ -187,10 +187,7 @@ AdaptiveResult AdaptiveScalingEngine::run() {
                                                              0.375, 0.625, 0.875};
 
   for (int iter = 0; iter < options_.max_iterations; ++iter) {
-    if (options_.cancel.cancelled()) {
-      result.termination = "cancelled";
-      break;
-    }
+    if (options_.cancel.cancelled()) throw support::CancelledError();
     support::Timer iteration_timer;
     IterationRecord record;
     record.index = iter;

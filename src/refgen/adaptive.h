@@ -79,9 +79,9 @@ struct AdaptiveOptions {
   /// request fingerprint: two requests differing only here are identical.
   ProgressObserver on_iteration;
   /// Cooperative cancellation checkpoint, polled once per interpolation
-  /// iteration. A cancelled run() returns promptly with whatever is known
-  /// so far and termination == "cancelled" (complete stays false). Like
-  /// on_iteration, not part of any request fingerprint.
+  /// iteration. A cancelled run() throws support::CancelledError at the
+  /// next iteration boundary. Like on_iteration, not part of any request
+  /// fingerprint.
   support::CancellationToken cancel;
 };
 

@@ -370,7 +370,6 @@ SimplifyResult simplify_transfer(const netlist::Circuit& canonical,
   // ---- 3. Numerical reference of the reduced circuit (eq. (3) inputs).
   AdaptiveScalingEngine engine(reduced_system, spec, options.engine, &reduced_evaluator);
   const AdaptiveResult reference_run = engine.run();
-  if (reference_run.termination == "cancelled") throw support::CancelledError();
 
   // ---- 4. SDG enumeration with band-weighted epsilon allocation.
   const symbolic::SymbolicNodalMatrix matrix(reduced);

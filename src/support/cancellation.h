@@ -5,14 +5,10 @@
 // load is enough and a checkpoint costs one cache read. Cancellation is
 // cooperative: the engines poll at natural safepoints (once per
 // interpolation iteration, once per sweep point), finish the state they are
-// mutating, and stop — nothing is interrupted mid-factorization, so caches
-// and plans stay valid for the next request on the same handle.
-//
-// Two stopping styles coexist:
-//   - AdaptiveScalingEngine returns a partial AdaptiveResult with
-//     termination == "cancelled" (the facade maps it to kCancelled);
-//   - value-returning sweeps (AcSimulator::bode) throw CancelledError,
-//     which api::status_from_current_exception also maps to kCancelled.
+// mutating, and stop by throwing CancelledError — nothing is interrupted
+// mid-factorization, so caches and plans stay valid for the next request on
+// the same handle. api::status_from_current_exception maps the throw to
+// kCancelled.
 #pragma once
 
 #include <atomic>

@@ -6,26 +6,27 @@
 
 namespace symref::support {
 
-CliArgs::CliArgs(int argc, const char* const* argv,
-                 std::initializer_list<const char*> value_flags) {
+CliArgs::CliArgs(int argc, const char* const* argv, std::initializer_list<const char*> value_flags,
+                 std::initializer_list<const char*> switches) {
   const std::set<std::string> takes_value(value_flags.begin(), value_flags.end());
+  const std::set<std::string> is_switch(switches.begin(), switches.end());
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--", 0) == 0) {
       const auto eq = arg.find('=');
-      if (eq == std::string::npos) {
-        const std::string name = arg.substr(2);
+      const std::string name = arg.substr(2, eq == std::string::npos ? eq : eq - 2);
+      const bool value_flag = takes_value.count(name) != 0;
+      if (!value_flag && is_switch.count(name) == 0) throw FlagError("unknown flag --" + name);
+      if (eq != std::string::npos) {
+        if (!value_flag) throw FlagError("--" + name + " takes no value");
+        flags_[name] = arg.substr(eq + 1);
+      } else if (value_flag && i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
         // A value flag consumes the next token unless that token is itself a
         // flag (a user who wrote `--json --threads 8` forgot the path; do
         // not swallow `--threads`).
-        if (takes_value.count(name) != 0 && i + 1 < argc &&
-            std::string(argv[i + 1]).rfind("--", 0) != 0) {
-          flags_[name] = argv[++i];
-        } else {
-          flags_[name] = "";
-        }
+        flags_[name] = argv[++i];
       } else {
-        flags_[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
+        flags_[name] = "";
       }
     } else {
       positional_.push_back(arg);

@@ -1,7 +1,8 @@
 // Tiny flag parser shared by the tools, examples and benches:
 // `--key=value` / `--flag`, plus space-separated values (`--key value`) for
-// flags the caller declares as value-taking. Anything fancier belongs to
-// the user.
+// flags the caller declares as value-taking. The caller declares every flag
+// it reads, so a mistyped or retired flag is an error, never silently
+// ignored. Anything fancier belongs to the user.
 #pragma once
 
 #include <initializer_list>
@@ -12,8 +13,9 @@
 
 namespace symref::support {
 
-/// A numeric flag whose value does not parse whole or does not fit the
-/// requested type; what() names the flag and the value.
+/// A flag the caller did not declare, a switch given a value, or a numeric
+/// flag whose value does not parse whole or does not fit the requested type;
+/// what() names the flag (and the value).
 class FlagError : public std::invalid_argument {
  public:
   using std::invalid_argument::invalid_argument;
@@ -21,12 +23,14 @@ class FlagError : public std::invalid_argument {
 
 class CliArgs {
  public:
-  /// `value_flags` names flags (without the leading `--`) that consume the
-  /// following argument as their value when written space-separated
-  /// (`--json out.json`); the `--json=out.json` form always works. Flags not
-  /// listed stay boolean when written without '='.
-  CliArgs(int argc, const char* const* argv,
-          std::initializer_list<const char*> value_flags = {});
+  /// `value_flags` and `switches` name (without the leading `--`) every
+  /// flag the caller reads; any other flag throws FlagError naming it. A
+  /// value flag consumes the following argument as its value when written
+  /// space-separated (`--json out.json`); the `--json=out.json` form always
+  /// works. A switch never consumes the next argument, and a switch written
+  /// with a value (`--poles=false`) throws FlagError.
+  CliArgs(int argc, const char* const* argv, std::initializer_list<const char*> value_flags,
+          std::initializer_list<const char*> switches = {});
 
   /// True if `--name` or `--name=...` was passed.
   [[nodiscard]] bool has(const std::string& name) const;

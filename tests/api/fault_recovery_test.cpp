@@ -179,8 +179,7 @@ TEST_F(FaultRecoveryTest, NewtonStepFaultsFallBackToFreshFactorizationsAndOpStil
   auto repeat = service.op(faulty, {});
   ASSERT_TRUE(repeat.ok());
   EXPECT_TRUE(repeat.value().from_cache);
-  auto ac = service.refgen(faulty, {mna::TransferSpec::voltage_gain("d", "m"), {},
-                                    /*auto_linearize=*/true});
+  auto ac = service.refgen(faulty, {mna::TransferSpec::voltage_gain("d", "m"), {}});
   ASSERT_TRUE(ac.ok()) << ac.status().to_string();
   EXPECT_TRUE(ac.value().result.complete);
 }

@@ -380,35 +380,21 @@ TEST(SerializeRequest, LegacyExecutionMembersParseAndAreIgnored) {
   EXPECT_EQ(to_json(transient).find("threads"), nullptr);
 }
 
-TEST(SerializeRequest, BatchItemsRoundTripAutoLinearize) {
+TEST(SerializeRequest, BatchItemsRoundTrip) {
   AnyRequest request;
   request.type = AnyRequest::Type::kBatch;
   request.batch.threads = 3;
-  request.batch.items.push_back({mna::TransferSpec::voltage_gain("in", "out"), {}, true});
-  request.batch.items.push_back({mna::TransferSpec::voltage_gain("in", "mid"), {}, false});
+  request.batch.items.push_back({mna::TransferSpec::voltage_gain("in", "out"), {}});
+  request.batch.items.push_back({mna::TransferSpec::voltage_gain("in", "mid"), {}});
   request.batch.items[0].options.sigma = 5;
   const auto parsed = request_from_json(to_json(request));
   ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
   const BatchRequest& round = parsed.value().batch;
   ASSERT_EQ(round.items.size(), 2u);
-  EXPECT_TRUE(round.items[0].auto_linearize);
-  EXPECT_FALSE(round.items[1].auto_linearize);
   EXPECT_EQ(round.items[0].options.sigma, 5);
   EXPECT_EQ(round.items[1].spec.out_pos, "mid");
   EXPECT_EQ(round.threads, 3);
   EXPECT_EQ(to_json(parsed.value()).dump(), to_json(request).dump());
-
-  // Hand-written items may carry the flag; non-booleans are rejected.
-  EXPECT_TRUE(request_from_json(
-                  Json::parse(R"({"type":"batch","items":[{"spec":{"in":"a","out":"b"},
-                    "auto_linearize":true}]})")
-                      .take())
-                  .ok());
-  EXPECT_FALSE(request_from_json(
-                   Json::parse(R"({"type":"batch","items":[{"spec":{"in":"a","out":"b"},
-                     "auto_linearize":1}]})")
-                       .take())
-                   .ok());
 }
 
 TEST(RequestKey, ExecutionKnobsShareAKeyAndOneUlpMisses) {
@@ -439,7 +425,7 @@ TEST(RequestKey, ExecutionKnobsShareAKeyAndOneUlpMisses) {
   EXPECT_NE(request_key(to_json(inf_stop)), request_key(to_json(nan_stop)));
 
   // A poles_zeros request is keyed as its own type.
-  const PolesZerosRequest poles{refgen.spec, refgen.options, false};
+  const PolesZerosRequest poles{refgen.spec, refgen.options};
   EXPECT_NE(request_key(to_json(refgen)), request_key(to_json(poles)));
 }
 
@@ -457,26 +443,26 @@ struct PinnedEncoding {
 
 const PinnedEncoding kPinnedEncodings[] = {
     {R"({"type":"refgen","spec":{"kind":"transimpedance","in":"inp","in_neg":"inn","out":"vo","out_neg":"ref"},"options":{"sigma":9,"noise_decades":12.5,"tuning_r":-0.5,"max_iterations":40,"use_deflation":false,"conjugate_symmetry":false,"simultaneous_scaling":false,"geometric_mean_heuristic":true,"initial_f":2.5e9,"initial_g":1e-3,"no_progress_limit":5,"threads":4},"auto_linearize":true})",
-     R"({"type":"refgen","spec":{"kind":"transimpedance","in":"inp","in_neg":"inn","out":"vo","out_neg":"ref"},"options":{"sigma":9,"tuning_r":-0.5,"max_iterations":4e+01,"threads":4},"auto_linearize":true})",
-     R"({"type":"refgen","spec":{"kind":"transimpedance","in":"inp","in_neg":"inn","out":"vo","out_neg":"ref"},"options":{"sigma":9,"tuning_r":-0.5,"max_iterations":4e+01},"auto_linearize":true})"},
+     R"({"type":"refgen","spec":{"kind":"transimpedance","in":"inp","in_neg":"inn","out":"vo","out_neg":"ref"},"options":{"sigma":9,"tuning_r":-0.5,"max_iterations":4e+01,"threads":4}})",
+     R"({"type":"refgen","spec":{"kind":"transimpedance","in":"inp","in_neg":"inn","out":"vo","out_neg":"ref"},"options":{"sigma":9,"tuning_r":-0.5,"max_iterations":4e+01}})"},
     {R"({"type":"poles_zeros","spec":{"in":"a","out":"b"}})",
-     R"({"type":"poles_zeros","spec":{"kind":"voltage_gain","in":"a","in_neg":"0","out":"b","out_neg":"0"},"options":{"sigma":6,"tuning_r":0,"max_iterations":64,"threads":1},"auto_linearize":false})",
-     R"({"type":"poles_zeros","spec":{"kind":"voltage_gain","in":"a","in_neg":"0","out":"b","out_neg":"0"},"options":{"sigma":6,"tuning_r":0,"max_iterations":64},"auto_linearize":false})"},
+     R"({"type":"poles_zeros","spec":{"kind":"voltage_gain","in":"a","in_neg":"0","out":"b","out_neg":"0"},"options":{"sigma":6,"tuning_r":0,"max_iterations":64,"threads":1}})",
+     R"({"type":"poles_zeros","spec":{"kind":"voltage_gain","in":"a","in_neg":"0","out":"b","out_neg":"0"},"options":{"sigma":6,"tuning_r":0,"max_iterations":64}})"},
     {R"({"type":"sweep","spec":{"in":"inp","out":"vo"},"f_start_hz":10,"f_stop_hz":1e6,"points_per_decade":5,"threads":8,"auto_linearize":true})",
-     R"({"type":"sweep","spec":{"kind":"voltage_gain","in":"inp","in_neg":"0","out":"vo","out_neg":"0"},"f_start_hz":1e+01,"f_stop_hz":1e+06,"points_per_decade":5,"threads":8,"auto_linearize":true})",
-     R"({"type":"sweep","spec":{"kind":"voltage_gain","in":"inp","in_neg":"0","out":"vo","out_neg":"0"},"f_start_hz":1e+01,"f_stop_hz":1e+06,"points_per_decade":5,"auto_linearize":true})"},
+     R"({"type":"sweep","spec":{"kind":"voltage_gain","in":"inp","in_neg":"0","out":"vo","out_neg":"0"},"f_start_hz":1e+01,"f_stop_hz":1e+06,"points_per_decade":5,"threads":8})",
+     R"({"type":"sweep","spec":{"kind":"voltage_gain","in":"inp","in_neg":"0","out":"vo","out_neg":"0"},"f_start_hz":1e+01,"f_stop_hz":1e+06,"points_per_decade":5})"},
     {R"({"type":"batch","items":[{"spec":{"in":"in","out":"out"},"options":{"sigma":5},"auto_linearize":true},{"spec":{"in":"in","out":"mid"}}],"threads":3})",
-     R"({"type":"batch","items":[{"spec":{"kind":"voltage_gain","in":"in","in_neg":"0","out":"out","out_neg":"0"},"options":{"sigma":5,"tuning_r":0,"max_iterations":64,"threads":1},"auto_linearize":true},{"spec":{"kind":"voltage_gain","in":"in","in_neg":"0","out":"mid","out_neg":"0"},"options":{"sigma":6,"tuning_r":0,"max_iterations":64,"threads":1},"auto_linearize":false}],"threads":3})",
-     R"({"type":"batch","items":[{"spec":{"kind":"voltage_gain","in":"in","in_neg":"0","out":"out","out_neg":"0"},"options":{"sigma":5,"tuning_r":0,"max_iterations":64},"auto_linearize":true},{"spec":{"kind":"voltage_gain","in":"in","in_neg":"0","out":"mid","out_neg":"0"},"options":{"sigma":6,"tuning_r":0,"max_iterations":64},"auto_linearize":false}]})"},
+     R"({"type":"batch","items":[{"spec":{"kind":"voltage_gain","in":"in","in_neg":"0","out":"out","out_neg":"0"},"options":{"sigma":5,"tuning_r":0,"max_iterations":64,"threads":1}},{"spec":{"kind":"voltage_gain","in":"in","in_neg":"0","out":"mid","out_neg":"0"},"options":{"sigma":6,"tuning_r":0,"max_iterations":64,"threads":1}}],"threads":3})",
+     R"({"type":"batch","items":[{"spec":{"kind":"voltage_gain","in":"in","in_neg":"0","out":"out","out_neg":"0"},"options":{"sigma":5,"tuning_r":0,"max_iterations":64}},{"spec":{"kind":"voltage_gain","in":"in","in_neg":"0","out":"mid","out_neg":"0"},"options":{"sigma":6,"tuning_r":0,"max_iterations":64}}]})"},
     {R"({"type":"param_sweep","spec":{"in":"vin","out":"vout"},"params":[{"name":"ccomp","from":1e-12,"to":4e-12,"count":4},{"name":"rload","from":1e3,"to":1e5,"count":3,"log":true}],"f_start_hz":1e3,"f_stop_hz":1e8,"points_per_decade":3,"threads":2})",
-     R"({"type":"param_sweep","spec":{"kind":"voltage_gain","in":"vin","in_neg":"0","out":"vout","out_neg":"0"},"mode":"grid","params":[{"name":"ccomp","from":1e-12,"to":4e-12,"count":4,"log":false},{"name":"rload","from":1e+03,"to":1e+05,"count":3,"log":true}],"f_start_hz":1e+03,"f_stop_hz":1e+08,"points_per_decade":3,"threads":2,"auto_linearize":false})",
-     R"({"type":"param_sweep","spec":{"kind":"voltage_gain","in":"vin","in_neg":"0","out":"vout","out_neg":"0"},"mode":"grid","params":[{"name":"ccomp","from":1e-12,"to":4e-12,"count":4,"log":false},{"name":"rload","from":1e+03,"to":1e+05,"count":3,"log":true}],"f_start_hz":1e+03,"f_stop_hz":1e+08,"points_per_decade":3,"auto_linearize":false})"},
+     R"({"type":"param_sweep","spec":{"kind":"voltage_gain","in":"vin","in_neg":"0","out":"vout","out_neg":"0"},"mode":"grid","params":[{"name":"ccomp","from":1e-12,"to":4e-12,"count":4,"log":false},{"name":"rload","from":1e+03,"to":1e+05,"count":3,"log":true}],"f_start_hz":1e+03,"f_stop_hz":1e+08,"points_per_decade":3,"threads":2})",
+     R"({"type":"param_sweep","spec":{"kind":"voltage_gain","in":"vin","in_neg":"0","out":"vout","out_neg":"0"},"mode":"grid","params":[{"name":"ccomp","from":1e-12,"to":4e-12,"count":4,"log":false},{"name":"rload","from":1e+03,"to":1e+05,"count":3,"log":true}],"f_start_hz":1e+03,"f_stop_hz":1e+08,"points_per_decade":3})"},
     {R"({"type":"param_sweep","spec":{"in":"inp","out":"vo"},"mode":"monte_carlo","params":[{"name":"ccomp","nominal":30e-12,"rel_sigma":0.1},{"name":"rload","nominal":2e3,"rel_sigma":0.05,"dist":"uniform"}],"samples":256,"seed":9007199254740992,"auto_linearize":true})",
-     R"({"type":"param_sweep","spec":{"kind":"voltage_gain","in":"inp","in_neg":"0","out":"vo","out_neg":"0"},"mode":"monte_carlo","samples":256,"seed":9007199254740992,"params":[{"name":"ccomp","nominal":3e-11,"rel_sigma":0.1,"dist":"gaussian"},{"name":"rload","nominal":2e+03,"rel_sigma":0.05,"dist":"uniform"}],"f_start_hz":1,"f_stop_hz":1e+09,"points_per_decade":1e+01,"threads":1,"auto_linearize":true})",
-     R"({"type":"param_sweep","spec":{"kind":"voltage_gain","in":"inp","in_neg":"0","out":"vo","out_neg":"0"},"mode":"monte_carlo","samples":256,"seed":9007199254740992,"params":[{"name":"ccomp","nominal":3e-11,"rel_sigma":0.1,"dist":"gaussian"},{"name":"rload","nominal":2e+03,"rel_sigma":0.05,"dist":"uniform"}],"f_start_hz":1,"f_stop_hz":1e+09,"points_per_decade":1e+01,"auto_linearize":true})"},
+     R"({"type":"param_sweep","spec":{"kind":"voltage_gain","in":"inp","in_neg":"0","out":"vo","out_neg":"0"},"mode":"monte_carlo","samples":256,"seed":9007199254740992,"params":[{"name":"ccomp","nominal":3e-11,"rel_sigma":0.1,"dist":"gaussian"},{"name":"rload","nominal":2e+03,"rel_sigma":0.05,"dist":"uniform"}],"f_start_hz":1,"f_stop_hz":1e+09,"points_per_decade":1e+01,"threads":1})",
+     R"({"type":"param_sweep","spec":{"kind":"voltage_gain","in":"inp","in_neg":"0","out":"vo","out_neg":"0"},"mode":"monte_carlo","samples":256,"seed":9007199254740992,"params":[{"name":"ccomp","nominal":3e-11,"rel_sigma":0.1,"dist":"gaussian"},{"name":"rload","nominal":2e+03,"rel_sigma":0.05,"dist":"uniform"}],"f_start_hz":1,"f_stop_hz":1e+09,"points_per_decade":1e+01})"},
     {R"({"type":"simplify","spec":{"in":"inp","out":"vo"},"error_budget":0.02,"f_start_hz":5,"f_stop_hz":5e4,"band_points":11,"prune":false,"prune_share":0.25,"max_terms":2147483647,"max_queue":1,"skip_factor":1e-4,"options":{"sigma":8,"threads":8},"auto_linearize":true})",
-     R"({"type":"simplify","spec":{"kind":"voltage_gain","in":"inp","in_neg":"0","out":"vo","out_neg":"0"},"error_budget":0.02,"f_start_hz":5,"f_stop_hz":5e+04,"band_points":11,"max_terms":2147483647,"options":{"sigma":8,"tuning_r":0,"max_iterations":64,"threads":8},"auto_linearize":true})",
-     R"({"type":"simplify","spec":{"kind":"voltage_gain","in":"inp","in_neg":"0","out":"vo","out_neg":"0"},"error_budget":0.02,"f_start_hz":5,"f_stop_hz":5e+04,"band_points":11,"max_terms":2147483647,"options":{"sigma":8,"tuning_r":0,"max_iterations":64},"auto_linearize":true})"},
+     R"({"type":"simplify","spec":{"kind":"voltage_gain","in":"inp","in_neg":"0","out":"vo","out_neg":"0"},"error_budget":0.02,"f_start_hz":5,"f_stop_hz":5e+04,"band_points":11,"max_terms":2147483647,"options":{"sigma":8,"tuning_r":0,"max_iterations":64,"threads":8}})",
+     R"({"type":"simplify","spec":{"kind":"voltage_gain","in":"inp","in_neg":"0","out":"vo","out_neg":"0"},"error_budget":0.02,"f_start_hz":5,"f_stop_hz":5e+04,"band_points":11,"max_terms":2147483647,"options":{"sigma":8,"tuning_r":0,"max_iterations":64}})"},
     {R"({"type":"op"})",
      R"({"type":"op"})",
      R"({"type":"op"})"},
@@ -484,14 +470,14 @@ const PinnedEncoding kPinnedEncodings[] = {
      R"({"type":"transient","tstop":0.001,"tstep":1e-06,"method":"bdf2","adaptive":false})",
      R"({"type":"transient","tstop":0.001,"tstep":1e-06,"method":"bdf2","adaptive":false})"},
     {R"({"type":"sweep","spec":{"in":"a","out":"b"},"kernel":"batched"})",
-     R"({"type":"sweep","spec":{"kind":"voltage_gain","in":"a","in_neg":"0","out":"b","out_neg":"0"},"f_start_hz":1,"f_stop_hz":1e+09,"points_per_decade":1e+01,"threads":1,"auto_linearize":false})",
-     R"({"type":"sweep","spec":{"kind":"voltage_gain","in":"a","in_neg":"0","out":"b","out_neg":"0"},"f_start_hz":1,"f_stop_hz":1e+09,"points_per_decade":1e+01,"auto_linearize":false})"},
+     R"({"type":"sweep","spec":{"kind":"voltage_gain","in":"a","in_neg":"0","out":"b","out_neg":"0"},"f_start_hz":1,"f_stop_hz":1e+09,"points_per_decade":1e+01,"threads":1})",
+     R"({"type":"sweep","spec":{"kind":"voltage_gain","in":"a","in_neg":"0","out":"b","out_neg":"0"},"f_start_hz":1,"f_stop_hz":1e+09,"points_per_decade":1e+01})"},
     {R"({"type":"refgen","spec":{"in":"a","out":"b"},"options":{"kernel":"scalar"}})",
-     R"({"type":"refgen","spec":{"kind":"voltage_gain","in":"a","in_neg":"0","out":"b","out_neg":"0"},"options":{"sigma":6,"tuning_r":0,"max_iterations":64,"threads":1},"auto_linearize":false})",
-     R"({"type":"refgen","spec":{"kind":"voltage_gain","in":"a","in_neg":"0","out":"b","out_neg":"0"},"options":{"sigma":6,"tuning_r":0,"max_iterations":64},"auto_linearize":false})"},
+     R"({"type":"refgen","spec":{"kind":"voltage_gain","in":"a","in_neg":"0","out":"b","out_neg":"0"},"options":{"sigma":6,"tuning_r":0,"max_iterations":64,"threads":1}})",
+     R"({"type":"refgen","spec":{"kind":"voltage_gain","in":"a","in_neg":"0","out":"b","out_neg":"0"},"options":{"sigma":6,"tuning_r":0,"max_iterations":64}})"},
     {R"({"type":"param_sweep","spec":{"in":"a","out":"b"},"kernel":"batched","params":[{"name":"r","from":1,"to":2,"count":2}]})",
-     R"({"type":"param_sweep","spec":{"kind":"voltage_gain","in":"a","in_neg":"0","out":"b","out_neg":"0"},"mode":"grid","params":[{"name":"r","from":1,"to":2,"count":2,"log":false}],"f_start_hz":1,"f_stop_hz":1e+09,"points_per_decade":1e+01,"threads":1,"auto_linearize":false})",
-     R"({"type":"param_sweep","spec":{"kind":"voltage_gain","in":"a","in_neg":"0","out":"b","out_neg":"0"},"mode":"grid","params":[{"name":"r","from":1,"to":2,"count":2,"log":false}],"f_start_hz":1,"f_stop_hz":1e+09,"points_per_decade":1e+01,"auto_linearize":false})"},
+     R"({"type":"param_sweep","spec":{"kind":"voltage_gain","in":"a","in_neg":"0","out":"b","out_neg":"0"},"mode":"grid","params":[{"name":"r","from":1,"to":2,"count":2,"log":false}],"f_start_hz":1,"f_stop_hz":1e+09,"points_per_decade":1e+01,"threads":1})",
+     R"({"type":"param_sweep","spec":{"kind":"voltage_gain","in":"a","in_neg":"0","out":"b","out_neg":"0"},"mode":"grid","params":[{"name":"r","from":1,"to":2,"count":2,"log":false}],"f_start_hz":1,"f_stop_hz":1e+09,"points_per_decade":1e+01})"},
     {R"({"type":"op","threads":4})",
      R"({"type":"op"})",
      R"({"type":"op"})"},
@@ -533,7 +519,7 @@ class RandomRequests {
       case AnyRequest::Type::kRefgen: request.refgen = refgen(); break;
       case AnyRequest::Type::kPolesZeros: {
         const RefgenRequest shape = refgen();
-        request.poles_zeros = {shape.spec, shape.options, shape.auto_linearize};
+        request.poles_zeros = {shape.spec, shape.options};
         break;
       }
       case AnyRequest::Type::kSweep:
@@ -542,7 +528,6 @@ class RandomRequests {
         request.sweep.f_stop_hz = real();
         request.sweep.points_per_decade = integer();
         request.sweep.threads = integer();
-        request.sweep.auto_linearize = flag();
         break;
       case AnyRequest::Type::kBatch:
         for (std::uint64_t n = rng_.uniform_index(4); n > 0; --n) {
@@ -609,7 +594,7 @@ class RandomRequests {
     options.threads = integer();
     return options;
   }
-  RefgenRequest refgen() { return {spec(), options(), flag()}; }
+  RefgenRequest refgen() { return {spec(), options()}; }
   ParamSweepRequest param_sweep() {
     ParamSweepRequest sweep;
     sweep.spec = spec();
@@ -633,7 +618,6 @@ class RandomRequests {
     sweep.f_stop_hz = real();
     sweep.points_per_decade = integer();
     sweep.threads = integer();
-    sweep.auto_linearize = flag();
     return sweep;
   }
   SimplifyRequest simplify() {
@@ -646,7 +630,6 @@ class RandomRequests {
     options.band_points = integer();
     options.max_terms_per_coefficient = 1 + rng_.uniform_index(INT_MAX);
     options.engine = this->options();
-    simplify.auto_linearize = flag();
     return simplify;
   }
 
@@ -741,8 +724,9 @@ TEST(SerializeSchema, SimplifyTermCapRangesOverOneToIntMax) {
 }
 
 TEST(SerializeSchema, LegacyMembersChangeNeitherEncodingNorKey) {
-  // The 12 members that left the wire, each at a non-default value: every
+  // The 13 members that left the wire, each at a non-default value: every
   // document must encode, and key, exactly as it does without them.
+  // "auto_linearize" rides every AC-family type, at any value.
   const std::string legacy_options =
       R"("noise_decades":10,"use_deflation":false,"conjugate_symmetry":false,)"
       R"("simultaneous_scaling":false,"geometric_mean_heuristic":true,"initial_f":2.5e9,)"
@@ -754,16 +738,27 @@ TEST(SerializeSchema, LegacyMembersChangeNeitherEncodingNorKey) {
     std::string without;
   } cases[] = {
       {R"({"type":"refgen","spec":{"in":"a","out":"b"},"options":{"sigma":7,)" + legacy_options +
-           "}}",
+           R"(},"auto_linearize":true})",
        R"({"type":"refgen","spec":{"in":"a","out":"b"},"options":{"sigma":7}})"},
-      {R"({"type":"poles_zeros","spec":{"in":"a","out":"b"},"options":{)" + legacy_options + "}}",
+      {R"({"type":"poles_zeros","spec":{"in":"a","out":"b"},"options":{)" + legacy_options +
+           R"(},"auto_linearize":false})",
        R"({"type":"poles_zeros","spec":{"in":"a","out":"b"}})"},
       {R"({"type":"batch","items":[{"spec":{"in":"a","out":"b"},"options":{)" + legacy_options +
-           "}}]}",
-       R"({"type":"batch","items":[{"spec":{"in":"a","out":"b"}}]})"},
+           R"(},"auto_linearize":true},{"spec":{"in":"a","out":"c"},"auto_linearize":1}]})",
+       R"({"type":"batch","items":[{"spec":{"in":"a","out":"b"}},{"spec":{"in":"a","out":"c"}}]})"},
       {R"({"type":"simplify","spec":{"in":"a","out":"b"},)" + legacy_simplify +
-           R"(,"options":{)" + legacy_options + "}}",
+           R"(,"options":{)" + legacy_options + R"(},"auto_linearize":true})",
        R"({"type":"simplify","spec":{"in":"a","out":"b"}})"},
+      {R"({"type":"sweep","spec":{"in":"a","out":"b"},"auto_linearize":true,"kernel":"scalar"})",
+       R"({"type":"sweep","spec":{"in":"a","out":"b"}})"},
+      {R"({"type":"param_sweep","spec":{"in":"a","out":"b"},"auto_linearize":true,)"
+       R"("params":[{"name":"r","from":1,"to":2,"count":2}]})",
+       R"({"type":"param_sweep","spec":{"in":"a","out":"b"},)"
+       R"("params":[{"name":"r","from":1,"to":2,"count":2}]})"},
+      {R"({"type":"param_sweep","spec":{"in":"a","out":"b"},"mode":"monte_carlo",)"
+       R"("params":[{"name":"r","nominal":1,"rel_sigma":0.1}],"auto_linearize":"yes"})",
+       R"({"type":"param_sweep","spec":{"in":"a","out":"b"},"mode":"monte_carlo",)"
+       R"("params":[{"name":"r","nominal":1,"rel_sigma":0.1}]})"},
   };
   for (const auto& c : cases) {
     SCOPED_TRACE(c.with_legacy);
@@ -810,22 +805,6 @@ TEST(SerializeSchema, FailuresNameTheObjectTheyAreIn) {
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << c.document;
     EXPECT_EQ(status.message(), c.message) << c.document;
   }
-}
-
-TEST(SerializeRequest, AutoLinearizeRoundTripsOnAcFamilyRequests) {
-  AnyRequest request;
-  request.type = AnyRequest::Type::kRefgen;
-  request.refgen.spec = mna::TransferSpec::voltage_gain("in", "out");
-  request.refgen.auto_linearize = true;
-  const auto parsed = request_from_json(to_json(request));
-  ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
-  EXPECT_TRUE(parsed.value().refgen.auto_linearize);
-
-  // Omitted on the wire -> false, so device-bearing handles fail closed.
-  const auto bare = request_from_json(
-      Json::parse(R"({"type":"refgen","spec":{"in":"a","out":"b"}})").take());
-  ASSERT_TRUE(bare.ok());
-  EXPECT_FALSE(bare.value().refgen.auto_linearize);
 }
 
 TEST(SerializeResponse, OpPayloadShape) {

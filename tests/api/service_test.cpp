@@ -709,7 +709,7 @@ TEST(ServiceHistory, WarmHandleMatchesFreshHandleAndBatchItem) {
   EXPECT_GE(direct_stats.value().fresh_factorizations, refgens.size());
 }
 
-// --- Nonlinear handles: .op and the auto_linearize gate --------------------
+// --- Nonlinear handles: .op and the linearized AC family -------------------
 
 constexpr const char* kDiodeNetlist = R"(
 .title forward-biased diode
@@ -717,7 +717,8 @@ constexpr const char* kDiodeNetlist = R"(
 V1 in 0 dc 5
 R1 in d 1k
 D1 d 0 nd
-R2 d m 1k
+.param r2v=1k
+R2 d m {r2v}
 C2 m 0 1n
 )";
 
@@ -759,40 +760,60 @@ TEST(ServiceOp, LinearHandleIsInvalidArgument) {
   EXPECT_NE(response.status().message().find("nonlinear devices"), std::string::npos);
 }
 
-TEST(ServiceOp, AutoLinearizeGatesEveryAcFamilyEntryPoint) {
+TEST(ServiceOp, DeviceHandlesServeEveryAcFamilyRequest) {
+  // A device-bearing handle has one small-signal circuit, the linearization
+  // at its compiled bias, and every AC-family request runs on it.
   const Service service;
   const CircuitHandle handle = service.compile_netlist(kDiodeNetlist).take();
+  ASSERT_TRUE(handle.has_devices());
   const mna::TransferSpec spec = mna::TransferSpec::voltage_gain("d", "m");
 
-  // Without the flag: fail closed, with an actionable message.
-  const auto refused = service.refgen(handle, {spec, {}});
-  ASSERT_FALSE(refused.ok());
-  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(refused.status().message().find("auto_linearize"), std::string::npos);
+  const auto refgen = service.refgen(handle, {spec, {}});
+  ASSERT_TRUE(refgen.ok()) << refgen.status().to_string();
+  EXPECT_TRUE(refgen.value().result.complete);
   SweepRequest sweep;
   sweep.spec = spec;
-  EXPECT_EQ(service.sweep(handle, sweep).status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(service.poles_zeros(handle, {spec, {}}).status().code(),
-            StatusCode::kInvalidArgument);
+  sweep.f_stop_hz = 1e6;
+  const auto swept = service.sweep(handle, sweep);
+  EXPECT_TRUE(swept.ok()) << swept.status().to_string();
+  const auto poles = service.poles_zeros(handle, {spec, {}});
+  EXPECT_TRUE(poles.ok()) << poles.status().to_string();
   SimplifyRequest simplify;
   simplify.spec = spec;
-  EXPECT_EQ(service.simplify(handle, simplify).status().code(),
-            StatusCode::kInvalidArgument);
+  const auto simplified = service.simplify(handle, simplify);
+  EXPECT_TRUE(simplified.ok()) << simplified.status().to_string();
+  ParamSweepRequest param_sweep;
+  param_sweep.spec = spec;
+  param_sweep.axes = {{"r2v", 1e3, 4e3, 3}};
+  param_sweep.f_stop_hz = 1e6;
+  const auto param_swept = service.param_sweep(handle, param_sweep);
+  EXPECT_TRUE(param_swept.ok()) << param_swept.status().to_string();
+  BatchRequest batch;
+  batch.items = {{spec, {}}, {spec, {}}};
+  batch.items[1].options.sigma = 8;
+  const auto batched = service.batch(handle, batch);
+  ASSERT_TRUE(batched.ok()) << batched.status().to_string();
+  for (const BatchItemResponse& item : batched.value().items) {
+    EXPECT_TRUE(item.status.ok()) << item.status.to_string();
+  }
 
-  // With it: the request runs against the linearized small-signal circuit.
-  const auto allowed = service.refgen(handle, {spec, {}, /*auto_linearize=*/true});
-  ASSERT_TRUE(allowed.ok()) << allowed.status().to_string();
-  EXPECT_TRUE(allowed.value().result.complete);
-
-  // The flag is a no-op on linear handles (back-compat with every caller).
-  // It is part of the request, so it keys its own cache entry, as it does in
-  // the daemon's reference store.
-  const CircuitHandle rc = service.compile_netlist(kRcNetlist).take();
-  const auto linear = service.refgen(rc, {rc_spec(), {}, /*auto_linearize=*/true});
-  ASSERT_TRUE(linear.ok()) << linear.status().to_string();
-  const auto plain = service.refgen(rc, {rc_spec(), {}});
-  ASSERT_TRUE(plain.ok()) << plain.status().to_string();
-  EXPECT_FALSE(plain.value().from_cache);
+  // A stored request that still carries the legacy member shares the key of
+  // the same request without it.
+  const auto decode = [](const char* text) {
+    const auto parsed = request_from_json(Json::parse(text).take());
+    EXPECT_TRUE(parsed.ok()) << parsed.status().to_string();
+    return parsed.value();
+  };
+  const AnyRequest legacy_refgen =
+      decode(R"({"type":"refgen","spec":{"in":"d","out":"m"},"auto_linearize":true})");
+  const auto refgen_again = service.refgen(handle, legacy_refgen.refgen);
+  ASSERT_TRUE(refgen_again.ok()) << refgen_again.status().to_string();
+  EXPECT_TRUE(refgen_again.value().from_cache);
+  const AnyRequest legacy_sweep = decode(
+      R"({"type":"sweep","spec":{"in":"d","out":"m"},"f_stop_hz":1e6,"auto_linearize":true})");
+  const auto sweep_again = service.sweep(handle, legacy_sweep.sweep);
+  ASSERT_TRUE(sweep_again.ok()) << sweep_again.status().to_string();
+  EXPECT_TRUE(sweep_again.value().from_cache);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Transistor-level µA741 deck (tools/data/ua741_npn.cir): the .op solver
 // must converge on the real 24-junction bias problem through ONE shared
 // factorization plan, land on the textbook collector currents, and the
-// auto-linearized small-signal circuit must reproduce the hand-built
+// small-signal circuit linearized at that bias must reproduce the hand-built
 // circuits::ua741() reference element by element and across the Bode sweep.
 #include <gtest/gtest.h>
 

@@ -53,7 +53,7 @@ TEST(FormatSci, SignificantDigits) {
 
 TEST(CliArgs, FlagsAndPositional) {
   const char* argv[] = {"prog", "--alpha=3.5", "--flag", "file.cir", "--name=x"};
-  const CliArgs args(5, argv);
+  const CliArgs args(5, argv, {"alpha", "name"}, {"flag"});
   EXPECT_TRUE(args.has("alpha"));
   EXPECT_TRUE(args.has("flag"));
   EXPECT_FALSE(args.has("missing"));
@@ -70,7 +70,9 @@ TEST(CliArgs, NumberMustParseWholeAndFit) {
   const char* argv[] = {"prog",      "--word=abc",  "--tail=7x",      "--fraction=3.5",
                         "--exp=1e3", "--huge=1e10", "--overflow=1e999", "--nan=nan",
                         "--empty=",  "--neg=-12",   "--bare"};
-  const CliArgs args(11, argv);
+  const CliArgs args(11, argv,
+                     {"word", "tail", "fraction", "exp", "huge", "overflow", "nan", "empty", "neg"},
+                     {"bare"});
   // Doubles: all of the value, finite.
   EXPECT_DOUBLE_EQ(args.get_double("fraction", 0.0), 3.5);
   EXPECT_DOUBLE_EQ(args.get_double("exp", 0.0), 1e3);
@@ -94,7 +96,7 @@ TEST(CliArgs, NumberMustParseWholeAndFit) {
 
 TEST(CliArgs, DeclaredValueFlagConsumesNextArgument) {
   const char* argv[] = {"prog", "--json", "out.json", "--threads", "8", "--flag", "pos"};
-  const CliArgs args(7, argv, {"json", "threads"});
+  const CliArgs args(7, argv, {"json", "threads"}, {"flag"});
   EXPECT_EQ(args.get("json"), "out.json");
   EXPECT_EQ(args.get_int("threads", 1), 8);
   EXPECT_TRUE(args.has("flag"));
@@ -102,16 +104,39 @@ TEST(CliArgs, DeclaredValueFlagConsumesNextArgument) {
   EXPECT_EQ(args.positional()[0], "pos");
 }
 
-TEST(CliArgs, UndeclaredFlagStaysBoolean) {
-  // Without the declaration, `--flag value` keeps `value` positional, and
-  // the `--json=x` form works with or without the declaration.
+TEST(CliArgs, SwitchDoesNotConsumeNextArgument) {
+  // A switch keeps the token after it positional; a value flag written
+  // `--json=x` needs no following token.
   const char* argv[] = {"prog", "--flag", "value", "--json=x"};
-  const CliArgs args(4, argv);
+  const CliArgs args(4, argv, {"json"}, {"flag"});
   EXPECT_TRUE(args.has("flag"));
   EXPECT_EQ(args.get("flag", ""), "");
   EXPECT_EQ(args.get("json"), "x");
   ASSERT_EQ(args.positional().size(), 1u);
   EXPECT_EQ(args.positional()[0], "value");
+  // A switch takes no value: `--flag=false` would read as the bare switch.
+  const char* valued[] = {"prog", "--flag=false"};
+  try {
+    (void)CliArgs(2, valued, {"json"}, {"flag"});
+    ADD_FAILURE() << "no FlagError";
+  } catch (const FlagError& error) {
+    EXPECT_EQ(std::string(error.what()), "--flag takes no value");
+  }
+}
+
+TEST(CliArgs, UnknownFlagThrows) {
+  // A flag the caller did not declare is an error naming it, in every form:
+  // a near miss, a bare switch, and a retired flag.
+  for (const char* flag : {"--sigm=9", "--thread", "--kernel=scalar", "--auto-linearize"}) {
+    const char* argv[] = {"prog", "deck.cir", flag};
+    try {
+      (void)CliArgs(3, argv, {"sigma", "threads"}, {"poles"});
+      ADD_FAILURE() << "no FlagError for " << flag;
+    } catch (const FlagError& error) {
+      const std::string name = std::string(flag).substr(0, std::string(flag).find('='));
+      EXPECT_EQ(std::string(error.what()), "unknown flag " + name);
+    }
+  }
 }
 
 TEST(CliArgs, ValueFlagWithMissingValueFallsBack) {

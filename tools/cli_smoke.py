@@ -2,8 +2,9 @@
 """Smoke-test the refgen CLI end to end: cli_smoke.py <refgen>
 
 The counterpart of server_smoke.py. Checks the --json envelope, payloads
-byte-identical at 1 vs 8 threads, the range flags, the error paths and one
-exit code per status class (docs/api.md), from any working directory.
+byte-identical at 1 vs 8 threads, the range flags, unknown flags, the
+error paths and one exit code per status class (docs/api.md), from any
+working directory.
 Every case runs; the exit status is 1 if any failed.
 """
 import json
@@ -141,8 +142,9 @@ def simplify_threads():
 
 
 def op_threads():
+    # The AC requests run on the deck linearized at its bias, with no opt-in.
     d = same_at_1_and_8(UA741_NPN, "--op", "--in=inp", "--in-neg=inn", "--out=vo", "--refgen",
-                        "--sweep=1:1e8:3", "--auto-linearize")
+                        "--sweep=1:1e8:3")
     assert [r["type"] for r in d["responses"]] == ["op", "refgen", "sweep"], d["responses"]
     op = d["responses"][0]
     # The 24-junction Newton solve replays ONE shared factorization plan.
@@ -154,7 +156,7 @@ def op_threads():
     assert volts["vo"]["v"].startswith(("0x", "-0x"))  # bit-exact hex form
     assert len(op["devices"]) == 19
     dc_gain_db = d["responses"][2]["points"][0]["magnitude_db"]
-    assert dc_gain_db > 100.0, dc_gain_db  # auto-linearized open-loop gain
+    assert dc_gain_db > 100.0, dc_gain_db  # the linearized open-loop gain
     return f"{op['newton_iterations']} Newton iterations, {dc_gain_db:.1f} dB DC gain"
 
 
@@ -167,8 +169,7 @@ def device_monte_carlo_threads():
     path = scratch("ua741_npn_mc.cir", deck.replace(r5, "\nr5 b11 bias {r5v}\n")
                    .replace(vcc, "\n.param r5v=39000" + vcc))
     mc = same_at_1_and_8(path, "--in=inp", "--in-neg=inn", "--out=vo", "--mc-param=r5v:39000:0.05",
-                         "--mc-samples=64", "--seed=3", "--probe=1:1e8:2",
-                         "--auto-linearize")["responses"][0]
+                         "--mc-samples=64", "--seed=3", "--probe=1:1e8:2")["responses"][0]
     assert mc["type"] == "param_sweep" and len(mc["samples"]) == 64
     assert mc["op_solves"] == 65, mc["op_solves"]  # nominal + one per sample
     assert all(s["ok"] for s in mc["samples"])
@@ -197,14 +198,13 @@ def refused_replay_threads():
 
 
 def error_paths():
-    expect_exit(5, UA741_NPN, "--in=inp", "--in-neg=inn", "--out=vo", says=["auto_linearize"])
     expect_exit(3, scratch("badexpr.cir", ".param g=0\nR1 a 0 {1/g}\nC1 a 0 1n\n"), "--in=a",
                 "--out=0", says=["division by zero", "line 2, column 10"])
     expect_exit(3, scratch("bad.cir", "R1 a 0 1k\nC1 a 0 bogus\n"), "--in=a", "--out=0",
                 says=["parse_error", "column"])
     deep = "R1 in 0 {" + "(" * 50000 + "1k" + ")" * 50000 + "}\n"  # typed, no stack overflow
     expect_exit(3, scratch("deep.cir", deep), "--in=in", "--out=0", says=["nested deeper"])
-    return "the auto_linearize gate exits 5; bad values and {expr} exit 3 with a position"
+    return "bad values and {expr} exit 3 with a position"
 
 
 def exit_codes():
@@ -240,6 +240,17 @@ def mode_flags():
     return "--retry and --deadline-ms without --connect, --timeout with it, exit 2"
 
 
+def unknown_flags():
+    # A flag refgen does not read exits 2 naming it: a near miss, and the
+    # retired --kernel and --auto-linearize. So does a switch given a value,
+    # which would otherwise read as the bare switch.
+    ports = (UA741, "--in=inp", "--out=vo")
+    for flag in ("--sigm=9", "--thread=8", "--kernel=scalar", "--auto-linearize"):
+        expect_exit(2, *ports, flag, says=["unknown flag " + flag.split("=")[0]])
+    expect_exit(2, *ports, "--poles=false", says=["--poles takes no value"])
+    return "--sigm, --thread, --kernel, --auto-linearize and --poles=false exit 2"
+
+
 def main():
     global REFGEN, SCRATCH
     if len(sys.argv) != 2:
@@ -247,7 +258,7 @@ def main():
     REFGEN, failed = os.path.abspath(sys.argv[1]), []
     cases = (json_shape, session_equals_requests_alone, param_sweep_threads, range_flags,
              simplify_threads, op_threads, device_monte_carlo_threads, transient_threads,
-             refused_replay_threads, error_paths, exit_codes, mode_flags)
+             refused_replay_threads, error_paths, exit_codes, mode_flags, unknown_flags)
     with tempfile.TemporaryDirectory(prefix="cli_smoke_") as SCRATCH:
         for function in cases:
             start = time.monotonic()

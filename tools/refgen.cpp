@@ -25,9 +25,6 @@
 //   --op                                   DC operating-point request (the
 //                                          bias a device-bearing netlist is
 //                                          linearized at; needs no ports)
-//   --auto-linearize                       mark every AC-family request of
-//                                          the session auto_linearize=true —
-//                                          required for D/Q/M netlists
 //   --sweep=f_start:f_stop[:pts_per_dec]   AC sweep request
 //   --poles                                poles/zeros request
 //   --sweep-param=name:from:to:count[:log][,name:...]
@@ -42,8 +39,7 @@
 //                                          (method: trap|bdf1|bdf2; "fixed"
 //                                          disables the LTE step control;
 //                                          needs no ports; runs the
-//                                          large-signal netlist directly —
-//                                          no --auto-linearize required)
+//                                          large-signal netlist directly)
 //   --simplify                             reference-driven symbolic
 //                                          simplification request
 //   --error-budget=E                       simplify: certified max relative
@@ -75,11 +71,15 @@
 //   --progress                             iteration progress on stderr
 //   --name=label                           handle label in the output
 //
-// A numeric flag is read only when all of its value parses and fits its
-// type (a whole number for the counts); anything else exits 2 naming it.
-// So does a flag the mode does not use: --timeout with --connect, --retry
-// or --deadline-ms without it. A session writes one --json envelope, also
-// when --retry re-runs it.
+// On a netlist with D/Q/M cards, every AC-family request (reference,
+// sweep, poles, parameter sweep, simplify) runs on the small-signal circuit
+// linearized at the solved DC operating point; --op shows that bias.
+//
+// A flag not listed above exits 2 naming it. A numeric flag is read only
+// when all of its value parses and fits its type (a whole number for the
+// counts); anything else exits 2 naming it. So does a flag the mode does
+// not use: --timeout with --connect, --retry or --deadline-ms without it. A
+// session writes one --json envelope, also when --retry re-runs it.
 //
 // Exit status: 0 all requests ok; 2 usage/input error; otherwise the class
 // of the first failure: 3 parse_error, 4 invalid_spec, 5 invalid_argument,
@@ -308,8 +308,8 @@ void print_usage() {
       "            [--mc-samples=N] [--seed=S] [--probe=f0:f1[:ppd]]\n"
       "  transfer: [--in-neg=<node>] [--out-neg=<node>] [--transimpedance]\n"
       "  engine:   [--sigma=N] [--max-iterations=N] [--threads=N] [--timeout=SECONDS]\n"
-      "  devices:  [--auto-linearize] (required to run AC analyses on a netlist\n"
-      "            with D/Q/M cards; they use the linearized small-signal circuit)\n"
+      "  devices:  AC analyses of a netlist with D/Q/M cards run on the circuit\n"
+      "            linearized at its DC operating point (--op)\n"
       "  remote:   [--connect=[host:]port] [--retry=N] [--deadline-ms=N]\n"
       "            (drive a refgend daemon)\n"
       "  output:   [--json[=path|-]] [--emit-reference] [--progress] [--name=label]\n"
@@ -945,33 +945,6 @@ int run(const symref::support::CliArgs& args) {
       }
     }
   }
-  // --auto-linearize marks every AC-family request of the session (including
-  // ones read from a --requests file) — the explicit opt-in a device-bearing
-  // netlist requires before its linearized circuit is analyzed.
-  if (args.has("auto-linearize")) {
-    for (AnyRequest& request : requests) {
-      switch (request.type) {
-        case AnyRequest::Type::kRefgen: request.refgen.auto_linearize = true; break;
-        case AnyRequest::Type::kSweep: request.sweep.auto_linearize = true; break;
-        case AnyRequest::Type::kPolesZeros:
-          request.poles_zeros.auto_linearize = true;
-          break;
-        case AnyRequest::Type::kParamSweep:
-          request.param_sweep.auto_linearize = true;
-          break;
-        case AnyRequest::Type::kSimplify: request.simplify.auto_linearize = true; break;
-        case AnyRequest::Type::kBatch:
-          for (symref::api::RefgenRequest& item : request.batch.items) {
-            item.auto_linearize = true;
-          }
-          break;
-        case AnyRequest::Type::kOp: break;  // op serves the bias itself
-        case AnyRequest::Type::kTransient:
-          break;  // transient always runs the large-signal netlist
-      }
-    }
-  }
-
   // --- Remote session (--connect): the daemon executes, we render -----------
   Json envelope;  // the session's one --json document, written last
   if (args.has("connect")) {
@@ -1060,13 +1033,13 @@ int run(const symref::support::CliArgs& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const symref::support::CliArgs args(
-      argc, argv,
-      {"in", "out", "in-neg", "out-neg", "sigma", "max-iterations", "threads", "sweep",
-       "sweep-param", "mc-param", "mc-samples", "seed", "probe", "requests", "json", "name",
-       "timeout", "connect", "retry", "deadline-ms", "error-budget", "band", "tran"});
   try {
-    return run(args);
+    return run(symref::support::CliArgs(
+        argc, argv,
+        {"in", "out", "in-neg", "out-neg", "sigma", "max-iterations", "threads", "sweep",
+         "sweep-param", "mc-param", "mc-samples", "seed", "probe", "requests", "json", "name",
+         "timeout", "connect", "retry", "deadline-ms", "error-budget", "band", "tran"},
+        {"transimpedance", "refgen", "op", "poles", "simplify", "emit-reference", "progress"}));
   } catch (const symref::support::FlagError& error) {
     std::fprintf(stderr, "error: %s\n", error.what());
     return 2;

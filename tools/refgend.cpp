@@ -25,7 +25,8 @@
 //                   to DIR and are replayed byte-identically across
 //                   restarts (docs/api.md "Reference store")
 //
-// A numeric flag that does not parse whole, or is out of range, exits 2.
+// An unknown flag, or a numeric flag that does not parse whole or is out
+// of range, exits 2 naming it.
 //
 // stdio mode serves exactly one session and exits at EOF or shutdown. TCP
 // mode serves until any client sends shutdown or the process receives
@@ -209,11 +210,10 @@ void read_flags(const symref::support::CliArgs& args, ServerOptions* options, in
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const symref::support::CliArgs args(
-      argc, argv, {"workers", "listen", "max-cached", "max-queue", "store"});
+/// The daemon's whole run; a flag that is unknown, or numeric and does not
+/// parse or is out of range, throws support::FlagError, which main() turns
+/// into exit 2.
+int run(const symref::support::CliArgs& args) {
   if (!args.positional().empty()) {
     std::fprintf(stderr,
                  "usage: refgend [--workers=N] [--listen=PORT] [--max-cached=N] "
@@ -222,12 +222,7 @@ int main(int argc, char** argv) {
   }
   ServerOptions options;
   int port = 0;
-  try {
-    read_flags(args, &options, &port);
-  } catch (const symref::support::FlagError& error) {
-    std::fprintf(stderr, "refgend: %s\n", error.what());
-    return 2;
-  }
+  read_flags(args, &options, &port);
   options.store_dir = args.get("store");
   ServerCore core(options);
   if (symref::support::BlobStore* store = core.store();
@@ -237,4 +232,16 @@ int main(int argc, char** argv) {
   install_signal_handlers();
   if (args.has("listen")) return serve_tcp(core, port);
   return serve_stdio(core);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(symref::support::CliArgs(
+        argc, argv, {"workers", "listen", "max-cached", "max-queue", "store"}));
+  } catch (const symref::support::FlagError& error) {
+    std::fprintf(stderr, "refgend: %s\n", error.what());
+    return 2;
+  }
 }

@@ -57,10 +57,10 @@ have no time-varying sources):
      VmRSS grows by less than 8 MB between cycle 5 and cycle 200 (a daemon
      whose retained jobs held their circuits grew by ~40 MB), and "list"
      still names each retained job's circuit.
- 12. Numeric daemon flags are strict: a --listen port that does not parse
-     or is out of range, a --workers count that is not a whole int or is
-     above 64 and a negative --max-cached each exit 2 naming the flag,
-     before serving.
+ 12. Daemon flags are strict: a --listen port that does not parse or is
+     out of range, a --workers count that is not a whole int or is above
+     64, a negative --max-cached and a mistyped --wokers each exit 2
+     naming the flag, before serving.
 
 Set REFGEN_CHAOS=1 to additionally run every store-scenario daemon plus a
 retry session under low-probability injected faults (REFGEN_FAULT): results
@@ -746,19 +746,19 @@ def main():
             proc.kill()
             proc.wait(timeout=30)
 
-    # --- 12. Numeric daemon flags are strict -------------------------------
+    # --- 12. Daemon flags are strict ---------------------------------------
     # Each is a usage error before the daemon serves; stdin is empty, so a
     # daemon that accepted a stdio flag would exit 0, and one that accepted
     # a --listen port would still be serving at the timeout.
-    for flag in ("--listen=99999", "--listen=abc", "--workers=1e10", "--workers=65",
-                 "--max-cached=-1"):
+    cases = [(flag, f"bad {flag.split('=')[0]} ") for flag in (
+        "--listen=99999", "--listen=abc", "--workers=1e10", "--workers=65", "--max-cached=-1")]
+    for flag, says in cases + [("--wokers=2", "unknown flag --wokers")]:
         run = subprocess.run([daemon, flag], stdin=subprocess.DEVNULL, capture_output=True,
                              text=True, timeout=10)
         assert run.returncode == 2, (flag, run.returncode, run.stderr)
-        name = flag.split("=")[0]
-        assert f"bad {name} " in run.stderr, (flag, run.stderr)
-    print("daemon flags OK: a bad --listen, --workers (65 included) or --max-cached "
-          "exits 2 naming the flag")
+        assert says in run.stderr, (flag, run.stderr)
+    print("daemon flags OK: a bad --listen, --workers (65 included) or --max-cached, "
+          "and an unknown --wokers, exits 2 naming the flag")
 
 
 if __name__ == "__main__":
