@@ -28,9 +28,7 @@ struct Row {
   symref::refgen::AdaptiveResult result;
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const symref::support::CliArgs args(argc, argv, {"json"});
   const std::string json_path = args.get("json", symref::support::kBenchJsonPath);
   std::map<std::string, double> json_metrics;
@@ -90,4 +88,10 @@ int main(int argc, char** argv) {
     std::printf("metrics merged into %s\n", json_path.c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return symref::support::run_main([&] { return run(argc, argv); });
 }

@@ -184,9 +184,7 @@ void BM_Ua741ReferencePlain(benchmark::State& state) {
 }
 BENCHMARK(BM_Ua741ReferencePlain)->Unit(benchmark::kMillisecond);
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   // google-benchmark takes its --benchmark_* flags out of argv first.
   benchmark::Initialize(&argc, argv);
   const symref::support::CliArgs args(argc, argv, {"json", "threads"});
@@ -201,4 +199,10 @@ int main(int argc, char** argv) {
   }
   benchmark::RunSpecifiedBenchmarks();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return symref::support::run_main([&] { return run(argc, argv); });
 }

@@ -254,9 +254,7 @@ void BM_Ua741SparseLuPerPoint(benchmark::State& state) {
 }
 BENCHMARK(BM_Ua741SparseLuPerPoint)->Unit(benchmark::kMicrosecond);
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   // google-benchmark takes its --benchmark_* flags out of argv first.
   benchmark::Initialize(&argc, argv);
   const symref::support::CliArgs args(argc, argv, {"json", "threads", "max-stages"});
@@ -264,4 +262,10 @@ int main(int argc, char** argv) {
                 args.get_int("max-stages", 128));
   benchmark::RunSpecifiedBenchmarks();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return symref::support::run_main([&] { return run(argc, argv); });
 }

@@ -174,9 +174,7 @@ void BM_ParamSweepMc256(benchmark::State& state) {
 }
 BENCHMARK(BM_ParamSweepMc256)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   // google-benchmark takes its --benchmark_* flags out of argv first.
   benchmark::Initialize(&argc, argv);
   const symref::support::CliArgs args(argc, argv, {"json"});
@@ -189,4 +187,10 @@ int main(int argc, char** argv) {
   }
   benchmark::RunSpecifiedBenchmarks();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return symref::support::run_main([&] { return run(argc, argv); });
 }

@@ -20,7 +20,9 @@
 #include "symbolic/det.h"
 #include "symbolic/sdg.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const symref::support::CliArgs args(argc, argv, {"json"});
   const std::string json_path = args.get("json", symref::support::kBenchJsonPath);
   std::map<std::string, double> json_metrics;
@@ -82,4 +84,10 @@ int main(int argc, char** argv) {
     std::printf("metrics merged into %s\n", json_path.c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return symref::support::run_main([&] { return run(argc, argv); });
 }

@@ -54,13 +54,17 @@ void BM_AdjointBandRanking(benchmark::State& state) {
 }
 BENCHMARK(BM_AdjointBandRanking)->Unit(benchmark::kMillisecond);
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   // google-benchmark takes its --benchmark_* flags out of argv first.
   benchmark::Initialize(&argc, argv);
   const symref::support::CliArgs args(argc, argv, {"json"});
   print_ranking(args.get("json", symref::support::kBenchJsonPath));
   benchmark::RunSpecifiedBenchmarks();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return symref::support::run_main([&] { return run(argc, argv); });
 }

@@ -146,9 +146,7 @@ void BM_SubmitDoneWarm(benchmark::State& state) {
 }
 BENCHMARK(BM_SubmitDoneWarm)->Unit(benchmark::kMicrosecond);
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   // google-benchmark takes its --benchmark_* flags out of argv first.
   benchmark::Initialize(&argc, argv);
   const symref::support::CliArgs args(argc, argv, {"json"});
@@ -162,4 +160,10 @@ int main(int argc, char** argv) {
   }
   benchmark::RunSpecifiedBenchmarks();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return symref::support::run_main([&] { return run(argc, argv); });
 }

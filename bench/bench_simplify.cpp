@@ -22,7 +22,9 @@
 #include "support/cli.h"
 #include "support/table.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const symref::support::CliArgs args(argc, argv, {"json", "threads", "error-budget"});
   const std::string json_path = args.get("json", symref::support::kBenchJsonPath);
   const int threads = args.get_int("threads", 8);
@@ -90,4 +92,10 @@ int main(int argc, char** argv) {
     std::printf("metrics merged into %s\n", json_path.c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return symref::support::run_main([&] { return run(argc, argv); });
 }

@@ -53,9 +53,7 @@ void print_table(const char* title, const BaselineResult& result) {
   std::printf("%s\n", table.str().c_str());
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const symref::support::CliArgs args(argc, argv, {"json"});
   const std::string json_path = args.get("json", symref::support::kBenchJsonPath);
   std::printf("=== Table 1: OTA differential voltage gain coefficients ===\n");
@@ -95,4 +93,10 @@ int main(int argc, char** argv) {
     std::printf("metrics merged into %s\n", json_path.c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return symref::support::run_main([&] { return run(argc, argv); });
 }

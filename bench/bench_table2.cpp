@@ -52,9 +52,7 @@ void print_iteration(const char* title, const IterationRecord& it, int den_degre
   std::printf("%s\n", table.str().c_str());
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const symref::support::CliArgs args(argc, argv, {"json"});
   const std::string json_path = args.get("json", symref::support::kBenchJsonPath);
   std::printf("=== Table 2: uA741 voltage-gain denominator, adaptive iterations ===\n");
@@ -93,4 +91,10 @@ int main(int argc, char** argv) {
     std::printf("metrics merged into %s\n", json_path.c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return symref::support::run_main([&] { return run(argc, argv); });
 }

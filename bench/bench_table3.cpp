@@ -14,7 +14,9 @@
 #include "support/cli.h"
 #include "support/table.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const symref::support::CliArgs args(argc, argv, {"json"});
   const std::string json_path = args.get("json", symref::support::kBenchJsonPath);
   std::printf("=== Table 3: uA741 denominator, remaining interpolations ===\n\n");
@@ -80,4 +82,10 @@ int main(int argc, char** argv) {
     std::printf("metrics merged into %s\n", json_path.c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return symref::support::run_main([&] { return run(argc, argv); });
 }

@@ -167,9 +167,7 @@ void BM_TransientRectifier(benchmark::State& state) {
 }
 BENCHMARK(BM_TransientRectifier)->Unit(benchmark::kMillisecond);
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   // google-benchmark takes its --benchmark_* flags out of argv first.
   benchmark::Initialize(&argc, argv);
   const symref::support::CliArgs args(argc, argv, {"json"});
@@ -182,4 +180,10 @@ int main(int argc, char** argv) {
   }
   benchmark::RunSpecifiedBenchmarks();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return symref::support::run_main([&] { return run(argc, argv); });
 }

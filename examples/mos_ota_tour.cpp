@@ -20,7 +20,9 @@
 #include "refgen/adaptive.h"
 #include "support/cli.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const symref::support::CliArgs args(argc, argv, {"cl", "cc", "rz"});
   symref::circuits::MosOtaOptions options;
   options.load_capacitance = args.get_double("cl", 2e-12);
@@ -79,4 +81,10 @@ int main(int argc, char** argv) {
                 std::abs(ranking[i].normalized));
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return symref::support::run_main([&] { return run(argc, argv); });
 }

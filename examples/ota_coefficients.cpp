@@ -18,7 +18,9 @@
 #include "support/cli.h"
 #include "symbolic/det.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const symref::support::CliArgs args(argc, argv, {"sigma"});
 
   const auto ota = symref::circuits::ota_fig1();
@@ -75,4 +77,10 @@ int main(int argc, char** argv) {
                 symref::numeric::relative_difference(den.at(i).value, exact));
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return symref::support::run_main([&] { return run(argc, argv); });
 }

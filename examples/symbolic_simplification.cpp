@@ -16,7 +16,9 @@
 #include "symbolic/det.h"
 #include "symbolic/sdg.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const symref::support::CliArgs args(argc, argv, {"eps"});
   const double eps = args.get_double("eps", 0.01);
 
@@ -69,4 +71,10 @@ int main(int argc, char** argv) {
   std::printf("Reading: with an accurate reference, eq. (3) stops the generation after\n");
   std::printf("the few dominant terms — the simplified symbolic formula a designer reads.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return symref::support::run_main([&] { return run(argc, argv); });
 }

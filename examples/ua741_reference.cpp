@@ -19,7 +19,9 @@
 #include "support/cli.h"
 #include "support/log.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const symref::support::CliArgs args(argc, argv, {"sigma"}, {"no-deflation", "trace", "live"});
   if (args.has("trace")) {
     symref::support::set_log_level(symref::support::LogLevel::Debug);
@@ -92,4 +94,10 @@ int main(int argc, char** argv) {
   std::printf("DC gain %.1f dB, unity-gain crossover near %.2g Hz (classic 741: ~1 MHz)\n",
               comparison.points.front().simulated_db, crossover);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return symref::support::run_main([&] { return run(argc, argv); });
 }

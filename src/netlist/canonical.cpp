@@ -1,7 +1,6 @@
 #include "netlist/canonical.h"
 
-#include <cmath>
-#include <map>
+#include <set>
 #include <stdexcept>
 #include <string>
 
@@ -27,14 +26,17 @@ bool is_canonical(const Circuit& circuit) noexcept {
 
 namespace {
 
-/// Big-G model of "v(out+,out-) = gain * v(c+,c-)": output conductance plus
-/// a transconductance pushing the output toward the target voltage.
-void emit_forced_vcvs(Circuit& out, const std::string& name, const std::string& op,
-                      const std::string& on, const std::string& cp, const std::string& cn,
-                      double gain, double big_g) {
-  out.add_conductance(name + ".go", op, on, big_g);
-  // At out+: +Gbig*(V+ - V-) - gain*Gbig*(Vc+ - Vc-) = external current.
-  out.add_vccs(name + ".gmu", on, op, cp, cn, gain * big_g);
+/// The branch-current node of element `name`: gg * v(name.x) is the current
+/// from `p` through the element to `n` (`name.gy1`), and the KCL row of
+/// name.x starts with gg * (v(cp) - v(cn)) (`name.gy2`). The caller adds the
+/// rest of the element's constraint, scaled by gg, to that row.
+std::string emit_branch_node(Circuit& out, const std::string& name, const std::string& p,
+                             const std::string& n, const std::string& cp, const std::string& cn,
+                             double gg) {
+  const std::string x = name + ".x";
+  out.add_vccs(name + ".gy1", p, n, x, "0", gg);
+  out.add_vccs(name + ".gy2", x, "0", cp, cn, gg);
+  return x;
 }
 
 }  // namespace
@@ -45,13 +47,8 @@ Circuit canonicalize(const Circuit& circuit) {
         "canonicalize: circuit contains nonlinear devices; solve a DC operating point and "
         "linearize (dc::linearize_at) first");
   }
-  const std::vector<double> conductances = circuit.conductance_values();
-  const double mean_g = numeric::geometric_mean(conductances);
-  const double gyrator_g = mean_g > 0.0 ? mean_g : 1e-3;
-  const double peak = numeric::max_abs(conductances);
-  // VCVS outputs and current senses share one big G.
-  const double big_g = peak > 0.0 ? 1e6 * peak : 1.0;
-  const double opamp_gm = peak > 0.0 ? 1e4 * peak : 1.0;
+  const double mean_g = numeric::geometric_mean(circuit.conductance_values());
+  const double gg = mean_g > 0.0 ? mean_g : 1e-3;
 
   Circuit out;
   out.title = circuit.title;
@@ -60,12 +57,8 @@ Circuit canonicalize(const Circuit& circuit) {
     out.node(circuit.node_name(i));
   }
 
-  // Current-sensing V sources referenced by F/H elements become sense
-  // conductances; remember their terminals for the controlled outputs.
-  struct SenseInfo {
-    std::string pos, neg;
-  };
-  std::map<std::string, SenseInfo> senses;
+  // V sources that an F or H senses stay as 0 V branches; the rest drop.
+  std::set<std::string> sensed;
   for (const Element& e : circuit.elements()) {
     if (e.kind != ElementKind::Cccs && e.kind != ElementKind::Ccvs) continue;
     const Element* branch = circuit.find_element(e.ctrl_branch);
@@ -74,12 +67,7 @@ Circuit canonicalize(const Circuit& circuit) {
                                   "' controls through '" + e.ctrl_branch +
                                   "', which is not a voltage source");
     }
-    if (senses.find(e.ctrl_branch) == senses.end()) {
-      const std::string p = circuit.node_name(branch->node_pos);
-      const std::string n = circuit.node_name(branch->node_neg);
-      out.add_conductance(e.ctrl_branch + ".gs", p, n, big_g);
-      senses[e.ctrl_branch] = {p, n};
-    }
+    sensed.insert(e.ctrl_branch);
   }
 
   for (const Element& e : circuit.elements()) {
@@ -100,42 +88,43 @@ Circuit canonicalize(const Circuit& circuit) {
         out.add_conductance(e.name, np, nn, 1.0 / e.value);
         break;
       case ElementKind::Inductor: {
-        // Gyrator-C: i(np->nn) = (V(np)-V(nn)) / (s L) with C = L * gg^2.
-        const std::string internal = e.name + ".x";
-        out.add_vccs(e.name + ".gy1", np, nn, internal, "0", gyrator_g);
-        out.add_vccs(e.name + ".gy2", internal, "0", nn, np, gyrator_g);
-        out.add_capacitor(e.name + ".cx", internal, "0",
-                          e.value * gyrator_g * gyrator_g);
+        // -gg * (v(np) - v(nn)) + s * L * gg^2 * v(x) = 0: the current is
+        // (v(np) - v(nn)) / (s L).
+        const std::string x = emit_branch_node(out, e.name, np, nn, nn, np, gg);
+        out.add_capacitor(e.name + ".cx", x, "0", e.value * gg * gg);
         break;
       }
-      case ElementKind::Vcvs:
-        emit_forced_vcvs(out, e.name, np, nn, circuit.node_name(e.ctrl_pos),
-                         circuit.node_name(e.ctrl_neg), e.value, big_g);
-        break;
-      case ElementKind::IdealOpAmp: {
-        // Nullor approximated by a single large transconductance driving
-        // the output node: KCL at the output forces v(ctrl+) - v(ctrl-) =
-        // -I_out / gm_A -> ~0. One large factor instead of the VCVS model's
-        // two keeps the matrix entry spread (and thus the evaluation error
-        // of the interpolation engine) small.
-        out.add_vccs(e.name + ".gma", "0", np, circuit.node_name(e.ctrl_pos),
-                     circuit.node_name(e.ctrl_neg), opamp_gm);
+      case ElementKind::Vcvs: {
+        // gg * (v(np) - v(nn)) - gain * gg * (v(c+) - v(c-)) = 0.
+        const std::string x = emit_branch_node(out, e.name, np, nn, np, nn, gg);
+        out.add_vccs(e.name + ".gc", x, "0", circuit.node_name(e.ctrl_neg),
+                     circuit.node_name(e.ctrl_pos), e.value * gg);
         break;
       }
-      case ElementKind::Cccs: {
-        const SenseInfo& sense = senses.at(e.ctrl_branch);
-        // Sense current = Gs * (Vp - Vq); replicate gain * that current.
-        out.add_vccs(e.name, np, nn, sense.pos, sense.neg, e.value * big_g);
+      case ElementKind::IdealOpAmp:
+        // Nullor: the nullator row gg * (v(c+) - v(c-)) = 0; the norator is
+        // the output's branch current.
+        emit_branch_node(out, e.name, np, nn, circuit.node_name(e.ctrl_pos),
+                         circuit.node_name(e.ctrl_neg), gg);
         break;
-      }
+      case ElementKind::Cccs:
+        // gain * sensed current, the sense node's voltage times gg.
+        out.add_vccs(e.name, np, nn, e.ctrl_branch + ".x", "0", e.value * gg);
+        break;
       case ElementKind::Ccvs: {
-        const SenseInfo& sense = senses.at(e.ctrl_branch);
-        emit_forced_vcvs(out, e.name, np, nn, sense.pos, sense.neg, e.value * big_g, big_g);
+        // gg * (v(np) - v(nn)) - ohms * gg * (gg * v(sense.x)) = 0.
+        const std::string x = emit_branch_node(out, e.name, np, nn, np, nn, gg);
+        out.add_vccs(e.name + ".gc", x, "0", "0", e.ctrl_branch + ".x", e.value * gg * gg);
         break;
       }
       case ElementKind::VoltageSource:
       case ElementKind::CurrentSource:
-        SYMREF_DEBUG("canonicalize: dropping independent source '" << e.name << "'");
+        if (sensed.count(e.name) != 0) {
+          // A sensed V source is a 0 V branch: gg * (v(np) - v(nn)) = 0.
+          emit_branch_node(out, e.name, np, nn, np, nn, gg);
+        } else {
+          SYMREF_DEBUG("canonicalize: dropping independent source '" << e.name << "'");
+        }
         break;
     }
   }

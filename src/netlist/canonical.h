@@ -3,29 +3,32 @@
 // Conductance scaling (paper eq. (11)) requires every determinant term to be
 // a product of exactly M admittance factors, which holds only when all
 // matrix entries are sums of conductances, capacitances and
-// transconductances. This pass rewrites a general circuit into that class:
+// transconductances. This pass rewrites a general circuit into that class
+// exactly, for any element values:
 //
 //   R            -> G = 1/R
-//   L            -> gyrator (two VCCS of conductance gg) + grounded
-//                   capacitor C = L*gg^2
-//   VCVS (E)     -> output conductance Gbig + VCCS gm = gain*Gbig
-//                   (error O(Gext/Gbig))
-//   ideal opamp  -> one grounded VCCS driving the output with a large
-//                   transconductance gm_A (virtual-short error O(G/gm_A))
-//   CCCS (F)     -> controlling V-source replaced by sense conductance Gs,
-//                   plus VCCS gm = gain*Gs across the sense nodes
-//   CCVS (H)     -> sense conductance + VCVS-style big-G output
-//   V/I sources  -> dropped (transfer-function ports are specified
-//                   separately; see mna::TransferSpec)
+//   branch node  -> every element that needs a branch current gets an
+//                   internal node x: gg * v(x) is the branch current, and
+//                   the KCL row of x is the element's constraint scaled by gg
+//   L            -> branch node + grounded capacitor C = L*gg^2 on x
+//                   (-gg*(v(p)-v(n)) + s*L*gg^2*v(x) = 0)
+//   VCVS (E)     -> branch node, row gg*(v(p)-v(n)) - gain*gg*(v(c+)-v(c-))
+//   ideal opamp  -> branch node from the output to ground (the norator),
+//                   row gg*(v(c+)-v(c-)) (the nullator)
+//   sensed V     -> a V source an F or H senses: branch node, row
+//                   gg*(v(p)-v(n)), so its sense current is gg*v(x)
+//   CCCS (F)     -> VCCS gain*gg controlled by the sense node
+//   CCVS (H)     -> VCVS row controlled by the sense node, ohms*gg^2
+//   V/I sources  -> other independent sources are dropped (transfer-function
+//                   ports are specified separately; see mna::TransferSpec)
 //
-// The introduced conductances follow from the circuit's own conductances G:
+// The one value derived from the circuit is the branch-node conductance
+// gg = geometric mean of the circuit's conductances (1e-3 S when there is
+// none); any gg gives the same transfer function.
 //
-//   gg    = geometric mean of G (1e-3 S when there is none)
-//   Gbig  = Gs = 1e6 * max |G| (1 S when there is none)
-//   gm_A  = 1e4 * max |G|      (1 S when there is none)
-//
-// Each introduced element gets a derived name ("l1.gy1", "e2.go", ...), so
-// simplification and symbolic output stay traceable to the original element.
+// Each introduced element gets a derived name ("l1.gy1", "l1.gy2", "l1.cx",
+// "e2.gc", ...) and each branch node is "<element>.x", so simplification
+// and symbolic output stay traceable to the original element.
 #pragma once
 
 #include "netlist/circuit.h"

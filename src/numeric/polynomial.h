@@ -7,7 +7,6 @@
 //                                 dynamic range exceeds IEEE double
 #pragma once
 
-#include <algorithm>
 #include <cassert>
 #include <complex>
 #include <cstddef>
@@ -99,26 +98,6 @@ class Polynomial {
   }
   friend Polynomial operator*(Polynomial p, const T& scalar) { return p *= scalar; }
   friend Polynomial operator*(const T& scalar, Polynomial p) { return p *= scalar; }
-
-  /// p(alpha * s): coefficient i is multiplied by alpha^i.
-  [[nodiscard]] Polynomial scale_variable(const T& alpha) const {
-    Polynomial out = *this;
-    T power = alpha;
-    for (std::size_t i = 1; i < out.coeffs_.size(); ++i) {
-      out.coeffs_[i] *= power;
-      power = power * alpha;
-    }
-    out.trim();
-    return out;
-  }
-
-  /// s^k * p(s).
-  [[nodiscard]] Polynomial shift_up(std::size_t k) const {
-    if (is_zero() || k == 0) return *this;
-    std::vector<T> out(coeffs_.size() + k, T{});
-    std::copy(coeffs_.begin(), coeffs_.end(), out.begin() + static_cast<std::ptrdiff_t>(k));
-    return Polynomial(std::move(out));
-  }
 
   /// dp/ds.
   [[nodiscard]] Polynomial derivative() const {

@@ -23,23 +23,4 @@ double geometric_mean(std::span<const double> values) noexcept {
   return std::exp(log_sum / static_cast<double>(count));
 }
 
-double max_abs(std::span<const double> values) noexcept {
-  double best = 0.0;
-  for (const double v : values) {
-    const double a = std::fabs(v);
-    if (a > best) best = a;
-  }
-  return best;
-}
-
-double min_abs_nonzero(std::span<const double> values) noexcept {
-  double best = 0.0;
-  for (const double v : values) {
-    const double a = std::fabs(v);
-    if (a == 0.0) continue;
-    if (best == 0.0 || a < best) best = a;
-  }
-  return best;
-}
-
 }  // namespace symref::numeric

@@ -13,10 +13,4 @@ double mean(std::span<const double> values) noexcept;
 /// Element values span decades, so this is the robust "typical magnitude".
 double geometric_mean(std::span<const double> values) noexcept;
 
-/// Largest absolute value; 0 for an empty span.
-double max_abs(std::span<const double> values) noexcept;
-
-/// Smallest nonzero absolute value; 0 if no nonzero entry.
-double min_abs_nonzero(std::span<const double> values) noexcept;
-
 }  // namespace symref::numeric

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <set>
 
 namespace symref::support {
@@ -67,6 +68,15 @@ double CliArgs::get_double(const std::string& name, double fallback) const {
 int CliArgs::get_int(const std::string& name, int fallback) const {
   const auto it = flags_.find(name);
   return it == flags_.end() ? fallback : parse_whole<int>(name, it->second, "a whole number");
+}
+
+int run_main(const std::function<int()>& body) {
+  try {
+    return body();
+  } catch (const FlagError& error) {
+    std::fprintf(stderr, "error: %s\n", error.what());
+    return 2;
+  }
 }
 
 }  // namespace symref::support

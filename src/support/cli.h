@@ -5,6 +5,7 @@
 // ignored. Anything fancier belongs to the user.
 #pragma once
 
+#include <functional>
 #include <initializer_list>
 #include <map>
 #include <stdexcept>
@@ -53,5 +54,10 @@ class CliArgs {
   std::map<std::string, std::string> flags_;
   std::vector<std::string> positional_;
 };
+
+/// Runs a program's `main` body and returns its exit code; a FlagError that
+/// escapes it prints "error: <what>" on stderr and returns 2, the usage
+/// exit code.
+int run_main(const std::function<int()>& body);
 
 }  // namespace symref::support

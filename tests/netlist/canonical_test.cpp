@@ -1,19 +1,25 @@
 // Canonicalization to the homogeneous admittance class {G, C, VCCS}.
 //
 // The strongest check is electrical: the canonical circuit must present the
-// same transfer function as the original (up to the documented O(1/Gbig)
-// modeling error), verified through the full-MNA AC simulator.
+// same transfer function as the original, exactly up to rounding, verified
+// through the full-MNA AC simulator.
 #include "netlist/canonical.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "circuits/filters.h"
 #include "circuits/ladder.h"
 #include "mna/ac.h"
 #include "netlist/circuit.h"
+#include "numeric/roots.h"
+#include "refgen/adaptive.h"
 
 namespace symref::netlist {
 namespace {
@@ -72,19 +78,96 @@ TEST(Canonical, InductorGyratorMatchesImpedance) {
   }
 }
 
-TEST(Canonical, VcvsBigGApproximation) {
-  // Non-inverting amplifier-ish: E gain 10 buffering a divider.
-  Circuit c;
-  c.add_resistor("r1", "in", "x", 1e3);
-  c.add_resistor("r2", "x", "0", 1e3);
-  c.add_vcvs("e1", "out", "0", "x", "0", 10.0);
-  c.add_resistor("rl", "out", "0", 1e3);
-  const Circuit canonical = canonicalize(c);
-  ASSERT_TRUE(is_canonical(canonical));
-  const auto spec = mna::TransferSpec::voltage_gain("in", "out");
-  // Error is O(Gload/Gbig) ~ 1e-6 with Gbig = 1e6 * max G.
-  EXPECT_LT(transfer_mismatch(c, canonical, spec, 1e3), 1e-5);
-  EXPECT_DOUBLE_EQ(canonical.find_element("e1.go")->value, 1e6 * 1e-3);
+/// Relative error of the reference's H(s) that its coefficients' reported
+/// accuracies allow: each coefficient's error bound, summed through |N(s)|
+/// and |D(s)|.
+double reported_accuracy(const refgen::NumericalReference& reference, std::complex<double> s) {
+  const auto bound = [s](const refgen::PolynomialReference& p) {
+    std::complex<double> value = 0.0;
+    double error = 0.0;
+    for (int i = 0; i <= p.order_bound(); ++i) {
+      const double coefficient = p.at(i).value.to_double();
+      value += coefficient * std::pow(s, i);
+      error += p.at(i).relative_accuracy * std::abs(coefficient) * std::pow(std::abs(s), i);
+    }
+    return error / std::abs(value);
+  };
+  return bound(reference.numerator()) + bound(reference.denominator());
+}
+
+TEST(Canonical, ActiveConstructionsAreExact) {
+  // One fixed topology per construction, with seeded random R and C values:
+  // E (Sallen-Key), O (inverting amplifier, Tow-Thomas), F and H with the
+  // 0 V source they sense.
+  symref::support::Rng rng(29);
+  const auto r = [&rng] { return rng.log_uniform(1e2, 1e5); };
+  const auto c = [&rng] { return rng.log_uniform(1e-10, 1e-7); };
+  for (int trial = 0; trial < 3; ++trial) {
+    std::vector<std::pair<std::string, Circuit>> decks;
+    Circuit sk;
+    sk.add_resistor("r1", "in", "a", r());
+    sk.add_resistor("r2", "a", "b", r());
+    sk.add_capacitor("c1", "a", "out", c());
+    sk.add_capacitor("c2", "b", "0", c());
+    sk.add_vcvs("e1", "out", "0", "b", "0", rng.uniform(1.0, 2.5));
+    decks.emplace_back("sallen-key", std::move(sk));
+    Circuit inv;
+    inv.add_resistor("r1", "in", "m", r());
+    inv.add_resistor("r2", "m", "out", r());
+    inv.add_capacitor("c2", "m", "out", c());
+    inv.add_opamp("o1", "out", "0", "m");
+    decks.emplace_back("inverting amplifier", std::move(inv));
+    for (const bool cccs : {true, false}) {
+      Circuit stage;
+      stage.add_resistor("r1", "in", "a", r());
+      stage.add_vsource("vs", "a", "b", 0.0);
+      stage.add_resistor("r2", "b", "0", r());
+      stage.add_capacitor("c2", "b", "0", c());
+      if (cccs) {
+        stage.add_cccs("f1", "0", "out", "vs", rng.uniform(1.0, 20.0));
+      } else {
+        stage.add_ccvs("h1", "out", "0", "vs", r());
+      }
+      stage.add_resistor("r3", "out", "0", r());
+      stage.add_capacitor("c3", "out", "0", c());
+      decks.emplace_back(cccs ? "current amplifier" : "transresistance", std::move(stage));
+    }
+    Circuit tt;
+    tt.add_resistor("rg", "in", "va", r());
+    tt.add_resistor("rq", "bp", "va", r());
+    tt.add_resistor("rfb", "inv", "va", r());
+    tt.add_capacitor("c1", "va", "bp", c());
+    tt.add_opamp("a1", "bp", "0", "va");
+    tt.add_resistor("r2", "bp", "vb", r());
+    tt.add_capacitor("c2", "vb", "out", c());
+    tt.add_opamp("a2", "out", "0", "vb");
+    tt.add_resistor("r3", "out", "vc", r());
+    tt.add_resistor("r4", "inv", "vc", r());
+    tt.add_opamp("a3", "inv", "0", "vc");
+    decks.emplace_back("tow-thomas", std::move(tt));
+
+    const auto spec = mna::TransferSpec::voltage_gain("in", "out");
+    for (const auto& [name, deck] : decks) {
+      const Circuit canonical = canonicalize(deck);
+      ASSERT_TRUE(is_canonical(canonical)) << name;
+      const refgen::AdaptiveResult result = refgen::generate_reference(deck, spec);
+      ASSERT_TRUE(result.complete) << name << " " << result.termination;
+      double highest_pole_hz = 1.0;
+      for (const auto& pole :
+           numeric::find_roots(result.reference.denominator().polynomial()).roots) {
+        highest_pole_hz = std::max(highest_pole_hz, std::abs(pole) / (2.0 * M_PI));
+      }
+      for (double f = 1.0; f <= 10.0 * highest_pole_hz; f *= std::sqrt(std::sqrt(10.0))) {
+        EXPECT_LT(transfer_mismatch(deck, canonical, spec, f), 1e-12)
+            << name << " trial " << trial << " f " << f;
+        const std::complex<double> s(0.0, 2.0 * M_PI * f);
+        const std::complex<double> h = mna::AcSimulator(deck).transfer(spec, f);
+        EXPECT_LE(std::abs(result.reference.transfer(s) - h) / std::abs(h),
+                  reported_accuracy(result.reference, s))
+            << name << " trial " << trial << " f " << f;
+      }
+    }
+  }
 }
 
 TEST(Canonical, IdealOpampFollower) {
@@ -95,8 +178,10 @@ TEST(Canonical, IdealOpampFollower) {
   const Circuit canonical = canonicalize(c);
   ASSERT_TRUE(is_canonical(canonical));
   const auto spec = mna::TransferSpec::voltage_gain("in", "out");
-  const std::complex<double> h = mna::AcSimulator(canonical).transfer(spec, 1e3);
-  EXPECT_NEAR(std::abs(h), 1.0, 1e-3);  // follower gain 1 within 1/A0
+  for (const double freq : {1e2, 1e3, 1e4, 1e5, 1e6}) {
+    const std::complex<double> h = mna::AcSimulator(canonical).transfer(spec, freq);
+    EXPECT_LT(std::abs(h - 1.0), 1e-12) << freq;  // an exact unity follower
+  }
 }
 
 TEST(Canonical, SallenKeyTransferPreserved) {
@@ -104,12 +189,12 @@ TEST(Canonical, SallenKeyTransferPreserved) {
   const Circuit canonical = canonicalize(sk);
   ASSERT_TRUE(is_canonical(canonical));
   const auto spec = circuits::sallen_key_spec();
-  for (const double freq : {1e2, 1e3, 1e4, 1e5}) {
-    EXPECT_LT(transfer_mismatch(sk, canonical, spec, freq), 1e-3) << freq;
+  for (const double freq : {1e2, 1e3, 1e4, 1e5, 1e6}) {
+    EXPECT_LT(transfer_mismatch(sk, canonical, spec, freq), 1e-12) << freq;
   }
 }
 
-TEST(Canonical, CccsThroughSenseConductance) {
+TEST(Canonical, CccsThroughZeroVoltSense) {
   // F mirrors the current of sense source V1 (0 V) through R1 into R2.
   Circuit c;
   c.add_vsource("v1", "a", "0", 0.0);
@@ -121,7 +206,9 @@ TEST(Canonical, CccsThroughSenseConductance) {
   // i(r1) = vin/1k; i(f1) = 2 * that; v(out) = -i * 1k = -2 vin (sign per
   // SPICE F convention). Compare original vs canonical, not absolute signs.
   const auto spec = mna::TransferSpec::voltage_gain("in", "out");
-  EXPECT_LT(transfer_mismatch(c, canonical, spec, 1e3), 1e-3);
+  for (const double freq : {1e2, 1e3, 1e4, 1e5, 1e6}) {
+    EXPECT_LT(transfer_mismatch(c, canonical, spec, freq), 1e-12) << freq;
+  }
 }
 
 TEST(Canonical, CcvsRejectedWithoutVoltageSourceBranch) {

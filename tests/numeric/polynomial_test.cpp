@@ -63,24 +63,6 @@ TEST(Polynomial, Multiplication) {
   EXPECT_TRUE((a * Polynomial<double>{}).is_zero());
 }
 
-TEST(Polynomial, ScaleVariable) {
-  // p(s) = 1 + s + s^2, p(2t) = 1 + 2t + 4t^2.
-  const Polynomial<double> p({1.0, 1.0, 1.0});
-  const Polynomial<double> q = p.scale_variable(2.0);
-  EXPECT_EQ(q.coeff(0), 1.0);
-  EXPECT_EQ(q.coeff(1), 2.0);
-  EXPECT_EQ(q.coeff(2), 4.0);
-}
-
-TEST(Polynomial, ShiftUp) {
-  const Polynomial<double> p({3.0, 4.0});
-  const Polynomial<double> q = p.shift_up(2);  // 3s^2 + 4s^3
-  EXPECT_EQ(q.degree(), 3);
-  EXPECT_EQ(q.coeff(0), 0.0);
-  EXPECT_EQ(q.coeff(2), 3.0);
-  EXPECT_EQ(q.coeff(3), 4.0);
-}
-
 TEST(Polynomial, Derivative) {
   const Polynomial<double> p({5.0, 3.0, 2.0, 1.0});
   const Polynomial<double> d = p.derivative();
@@ -140,17 +122,6 @@ TEST(Polynomial, ComplexCoefficients) {
   const Polynomial<C> sq = p * p;
   EXPECT_EQ(sq.degree(), 2);
   EXPECT_LT(std::abs(sq.coeff(2) - C(0, -2) * C(0, -2)), 1e-15);
-}
-
-TEST(Polynomial, ScaledShiftAndScaleVariable) {
-  Polynomial<ScaledDouble> p;
-  p.set_coeff(0, ScaledDouble(2.0));
-  p.set_coeff(1, ScaledDouble(3.0));
-  const auto shifted = p.shift_up(2);
-  EXPECT_EQ(shifted.degree(), 3);
-  EXPECT_NEAR(shifted.coeff(2).to_double(), 2.0, 1e-15);
-  const auto scaled = p.scale_variable(ScaledDouble(10.0));
-  EXPECT_NEAR(scaled.coeff(1).to_double(), 30.0, 1e-12);
 }
 
 TEST(Polynomial, EvalScaledAtZeroAndRealAxis) {

@@ -27,17 +27,5 @@ TEST(Stats, GeometricMeanUsesMagnitudes) {
   EXPECT_NEAR(geometric_mean(v), 6.0, 1e-12);
 }
 
-TEST(Stats, MaxAbs) {
-  const std::vector<double> v{-7.0, 3.0, 5.0};
-  EXPECT_DOUBLE_EQ(max_abs(v), 7.0);
-  EXPECT_DOUBLE_EQ(max_abs({}), 0.0);
-}
-
-TEST(Stats, MinAbsNonzero) {
-  const std::vector<double> v{0.0, -2.0, 5.0};
-  EXPECT_DOUBLE_EQ(min_abs_nonzero(v), 2.0);
-  EXPECT_DOUBLE_EQ(min_abs_nonzero(std::vector<double>{0.0, 0.0}), 0.0);
-}
-
 }  // namespace
 }  // namespace symref::numeric

@@ -154,6 +154,17 @@ TEST(CliArgs, ValueFlagDoesNotSwallowFollowingFlag) {
   EXPECT_EQ(args.get_int("threads", 1), 8);
 }
 
+TEST(CliArgs, RunMainTurnsFlagErrorIntoUsageExit) {
+  // The body's own exit code passes through; a FlagError becomes exit 2 and
+  // "error: <what>" on stderr.
+  EXPECT_EQ(run_main([] { return 7; }), 7);
+  const char* argv[] = {"prog", "--sigm=6"};
+  testing::internal::CaptureStderr();
+  const int code = run_main([&argv] { return CliArgs(2, argv, {"sigma"}).get_int("sigma", 6); });
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "error: unknown flag --sigm\n");
+  EXPECT_EQ(code, 2);
+}
+
 TEST(Rng, DeterministicAcrossInstances) {
   Rng a(123);
   Rng b(123);

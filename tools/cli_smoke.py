@@ -2,12 +2,13 @@
 """Smoke-test the refgen CLI end to end: cli_smoke.py <refgen>
 
 The counterpart of server_smoke.py. Checks the --json envelope, payloads
-byte-identical at 1 vs 8 threads, the range flags, unknown flags, the
-error paths and one exit code per status class (docs/api.md), from any
-working directory.
+byte-identical at 1 vs 8 threads, the range flags, that refgen and sweep
+agree on decks with controlled sources, unknown flags, the error paths and
+one exit code per status class (docs/api.md), from any working directory.
 Every case runs; the exit status is 1 if any failed.
 """
 import json
+import math
 import os
 import subprocess
 import sys
@@ -19,6 +20,12 @@ UA741, UA741_CORE, UA741_NPN, TWO_STAGE = (os.path.join(DATA, name) for name in 
     "ua741.cir", "ua741_core.cir", "ua741_npn.cir", "two_stage_amp.cir"))
 PEAK_DETECTOR = ("* peak detector\n.model dfast d is=1e-14 n=1\nvin in 0 dc 0 sin(0 5 1k)\n"
                  "rs in a 10\nd1 a out dfast\nc1 out 0 1u\nrbleed out 0 100k\n.end\n")
+ACTIVE_DECKS = {  # one deck per construction: E, O, and F and H with the 0 V source they sense
+    "sallen_key": "R1 in a 10k\nR2 a b 10k\nC1 a out 10n\nC2 b 0 10n\nE1 out 0 b 0 1.586\n",
+    "inverting_amplifier": "R1 in m 1k\nR2 m out 10k\nC2 m out 1n\nO1 out 0 m\n",
+    "current_amplifier": "R1 in a 1k\nVs a b 0\nR2 b 0 1k\nF1 0 out Vs 10\nR3 out 0 1k\n"
+                         "C3 out 0 1n\n",
+    "ccvs_stage": "R1 in a 1k\nVs a b 0\nR2 b 0 1k\nH1 out 0 Vs 500\nR3 out 0 1k\nC3 out 0 1n\n"}
 REFGEN = SCRATCH = ""  # set by main()
 
 
@@ -197,6 +204,27 @@ def refused_replay_threads():
     return f"{d['responses'][0]['total_evaluations']} refgen evaluations, every replay refused"
 
 
+def active_decks_match_sweep():
+    # refgen and sweep describe one circuit: the reference's coefficients,
+    # evaluated at every sweep frequency, give the sweep's response.
+    worst = {}
+    for name, deck in ACTIVE_DECKS.items():
+        ref, sweep = envelope(scratch(name + ".cir", deck + ".end\n"), "--in=in", "--out=out",
+                              "--refgen", "--sweep=1:1e9:2")["responses"]
+        assert ref["status"]["code"] == "ok" and ref["complete"] is True, (name, ref["status"])
+        num, den = ([c["value"]["approx"] for c in ref["reference"][part]["coefficients"]]
+                    for part in ("numerator", "denominator"))
+        errors = []
+        for point in sweep["points"]:
+            s = 2j * math.pi * point["frequency_hz"]
+            h = sum(c * s**i for i, c in enumerate(num)) / sum(c * s**i for i, c in enumerate(den))
+            want = complex(point["real"], point["imag"])
+            errors.append(abs(h - want) / abs(want))
+        worst[name] = max(errors)
+    assert max(worst.values()) <= 1e-12, f"refgen differs from the sweep: {worst}"
+    return ", ".join(f"{name} {error:.1e}" for name, error in worst.items())
+
+
 def error_paths():
     expect_exit(3, scratch("badexpr.cir", ".param g=0\nR1 a 0 {1/g}\nC1 a 0 1n\n"), "--in=a",
                 "--out=0", says=["division by zero", "line 2, column 10"])
@@ -258,7 +286,8 @@ def main():
     REFGEN, failed = os.path.abspath(sys.argv[1]), []
     cases = (json_shape, session_equals_requests_alone, param_sweep_threads, range_flags,
              simplify_threads, op_threads, device_monte_carlo_threads, transient_threads,
-             refused_replay_threads, error_paths, exit_codes, mode_flags, unknown_flags)
+             refused_replay_threads, active_decks_match_sweep, error_paths, exit_codes,
+             mode_flags, unknown_flags)
     with tempfile.TemporaryDirectory(prefix="cli_smoke_") as SCRATCH:
         for function in cases:
             start = time.monotonic()

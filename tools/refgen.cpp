@@ -1033,15 +1033,12 @@ int run(const symref::support::CliArgs& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
+  return symref::support::run_main([&] {
     return run(symref::support::CliArgs(
         argc, argv,
         {"in", "out", "in-neg", "out-neg", "sigma", "max-iterations", "threads", "sweep",
          "sweep-param", "mc-param", "mc-samples", "seed", "probe", "requests", "json", "name",
          "timeout", "connect", "retry", "deadline-ms", "error-budget", "band", "tran"},
         {"transimpedance", "refgen", "op", "poles", "simplify", "emit-reference", "progress"}));
-  } catch (const symref::support::FlagError& error) {
-    std::fprintf(stderr, "error: %s\n", error.what());
-    return 2;
-  }
+  });
 }
