@@ -18,6 +18,11 @@
 // records the samples_per_sec_per_core headline metric plus the
 // batched-over-scalar speedup per circuit. Each replay row is the median of
 // 7 windows of thread CPU time, printed with the windows' min-max range.
+//
+// BM_CoefficientTransform times the paper's eq. (5) alone: the extended-range
+// coefficient recovery the engine runs on every iteration, at K = 37 (the
+// µA741's size) and at the ladder sizes just above a power of two, where the
+// transform is the direct O(K^2) one.
 #include <benchmark/benchmark.h>
 #include <time.h>  // clock_gettime, CLOCK_THREAD_CPUTIME_ID
 
@@ -34,10 +39,12 @@
 #include "circuits/ua741.h"
 #include "mna/nodal.h"
 #include "netlist/canonical.h"
+#include "numeric/dft.h"
 #include "refgen/adaptive.h"
 #include "sparse/batched.h"
 #include "support/bench_json.h"
 #include "support/cli.h"
+#include "support/random.h"
 #include "support/table.h"
 #include "support/timer.h"
 
@@ -253,6 +260,23 @@ void BM_Ua741SparseLuPerPoint(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Ua741SparseLuPerPoint)->Unit(benchmark::kMicrosecond);
+
+void BM_CoefficientTransform(benchmark::State& state) {
+  const auto count = static_cast<std::size_t>(state.range(0));
+  symref::support::Rng rng(count);
+  std::vector<symref::numeric::ScaledComplex> samples(count);
+  for (auto& sample : samples) {
+    sample = symref::numeric::ScaledComplex::from_mantissa_exp(
+        {rng.uniform(-1, 1), rng.uniform(-1, 1)},
+        static_cast<std::int64_t>(rng.uniform_index(41)) - 20);
+  }
+  for (auto _ : state) {
+    auto coefficients = symref::numeric::coefficients_from_unit_circle_samples(samples);
+    benchmark::DoNotOptimize(coefficients.data());
+  }
+}
+BENCHMARK(BM_CoefficientTransform)->Arg(37)->Arg(257)->Arg(513)->Arg(1025)->Arg(2049)
+    ->Unit(benchmark::kMillisecond);
 
 int run(int argc, char** argv) {
   // google-benchmark takes its --benchmark_* flags out of argv first.

@@ -51,15 +51,16 @@ std::vector<ScaledDouble> real_magnitudes(const std::vector<ScaledComplex>& coef
 ScaledComplex deflate_sample(const ScaledComplex& sample, std::complex<double> s_hat,
                              const std::vector<KnownCoefficient>& known, int shift) {
   ScaledComplex residual = sample;
+  const double theta = std::arg(s_hat);
   for (const KnownCoefficient& kc : known) {
     // p_i * s^i; powers of a unit-magnitude point are computed by polar form
     // to avoid error accumulation for large i.
-    const double angle = std::arg(s_hat) * static_cast<double>(kc.index);
+    const double angle = theta * static_cast<double>(kc.index);
     const ScaledComplex power(std::complex<double>(std::cos(angle), std::sin(angle)));
     residual -= ScaledComplex(kc.value) * power;
   }
   if (shift != 0) {
-    const double angle = -std::arg(s_hat) * static_cast<double>(shift);
+    const double angle = -theta * static_cast<double>(shift);
     residual *= ScaledComplex(std::complex<double>(std::cos(angle), std::sin(angle)));
   }
   return residual;

@@ -57,12 +57,18 @@ std::vector<std::complex<double>> transform(const std::vector<std::complex<doubl
     return data;
   }
   // Direct transform with compensated accumulation: the interpolation's
-  // round-off floor is set right here, so every extra digit matters.
+  // round-off floor is set right here, so every extra digit matters. The
+  // pair (j, k) takes twiddle((j*k) mod n), read from a table of the n
+  // exact-angle twiddles; the index is carried by addition.
+  std::vector<std::complex<double>> table(n);
+  for (std::size_t m = 0; m < n; ++m) table[m] = twiddle(m, n, sign);
   std::vector<std::complex<double>> output(n);
   for (std::size_t k = 0; k < n; ++k) {
     KahanSum<std::complex<double>> sum;
-    for (std::size_t j = 0; j < n; ++j) {
-      sum.add(input[j] * twiddle(static_cast<std::uint64_t>(j) * k, n, sign));
+    for (std::size_t j = 0, index = 0; j < n; ++j) {
+      sum.add(input[j] * table[index]);
+      index += k;
+      if (index >= n) index -= n;
     }
     output[k] = sum.value();
   }

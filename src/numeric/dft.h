@@ -6,10 +6,13 @@
 //   p_i = (1/K) * sum_k P(s_k) * exp(-2*pi*j*i*k/K),  s_k = exp(+2*pi*j*k/K)
 //
 // Two implementations are provided: a radix-2 iterative FFT for power-of-two
-// sizes and a direct O(K^2) transform with exact-angle twiddles otherwise
-// (K is at most a few hundred here, so the direct path is never a
-// bottleneck). A ScaledComplex front-end removes the overflow limit of the
-// textbook method: samples are shifted to a common binary exponent first.
+// sizes and a direct transform otherwise. The direct path is O(K^2)
+// compensated multiply-adds over one table of the K exact-angle twiddles,
+// built per call with K cos/sin pairs. One extended-range recovery takes
+// about 0.6 ms at K = 257 and 25 ms at K = 2049 (BM_CoefficientTransform,
+// GCC 12 Release, 2.1 GHz x86-64). Ladders of n stages run it at K = n + 1.
+// A ScaledComplex front-end removes the overflow limit of the textbook
+// method: samples are shifted to a common binary exponent first.
 #pragma once
 
 #include <complex>

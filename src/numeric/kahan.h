@@ -5,6 +5,7 @@
 // keeps the floor at ~1e-16 * max instead of ~K * 1e-16 * max.
 #pragma once
 
+#include <cmath>
 #include <complex>
 
 namespace symref::numeric {
@@ -31,7 +32,13 @@ class KahanSum {
   }
 
  private:
-  static double magnitude(double v) noexcept { return v < 0 ? -v : v; }
+  // fabs, not `v < 0 ? -v : v`: with that branch on a summand's random sign
+  // the direct transform took 3x as long (BM_CoefficientTransform, K = 257:
+  // 1.35 against 0.43 ms, GCC 12 Release). The two differ only in the sign
+  // of a zero or a NaN, which add()'s comparison cannot see. The selection
+  // stays `re > im ? re : im`: where one part is NaN, std::max returns the
+  // other part, and add() would take the other side.
+  static double magnitude(double v) noexcept { return std::fabs(v); }
   static double magnitude(const std::complex<double>& v) noexcept {
     const double re = magnitude(v.real());
     const double im = magnitude(v.imag());

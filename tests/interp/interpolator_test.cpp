@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <complex>
+#include <cstdint>
+#include <cstring>
 
 #include "numeric/dft.h"
 #include "numeric/polynomial.h"
@@ -137,6 +139,61 @@ TEST(Deflation, PreservesConjugateSymmetry) {
     const auto b = deflate_sample(ScaledComplex(p.eval(points[6 - k])), points[6 - k],
                                   known, 1);
     EXPECT_LT(std::abs(a.conj().to_complex() - b.to_complex()), 1e-12) << k;
+  }
+}
+
+TEST(Deflation, OneArgPerSampleKeepsTheBitsOfThePerTermFormula) {
+  // Reference: eq. (17) with std::arg(s_hat) taken once per known
+  // coefficient and once more for the shift. Taking it once per sample
+  // must change no bit of the residual.
+  const auto per_term = [](const ScaledComplex& sample, Complex s_hat,
+                           const std::vector<KnownCoefficient>& known, int shift) {
+    ScaledComplex residual = sample;
+    for (const KnownCoefficient& kc : known) {
+      const double angle = std::arg(s_hat) * static_cast<double>(kc.index);
+      residual -= ScaledComplex(kc.value) *
+                  ScaledComplex(Complex(std::cos(angle), std::sin(angle)));
+    }
+    if (shift != 0) {
+      const double angle = -std::arg(s_hat) * static_cast<double>(shift);
+      residual *= ScaledComplex(Complex(std::cos(angle), std::sin(angle)));
+    }
+    return residual;
+  };
+  support::Rng rng(0xDEF1A7E);
+  const auto scaled_value = [&rng] {
+    return ScaledDouble::from_mantissa_exp(rng.uniform(-2, 2),
+                                           static_cast<std::int64_t>(rng.uniform_index(4001)) -
+                                               2000);
+  };
+  for (const int K : {37, 201, 257}) {
+    // Seeded known lists up to index 600: sparse and dense, short and long.
+    std::vector<std::vector<KnownCoefficient>> lists;
+    for (const int length : {1, 8, 60, 200}) {
+      std::vector<KnownCoefficient> known;
+      for (int i = 0; i < length; ++i) {
+        known.push_back({static_cast<int>(rng.uniform_index(601)), scaled_value()});
+      }
+      lists.push_back(std::move(known));
+    }
+    const auto points = numeric::unit_circle_points(static_cast<std::size_t>(K));
+    for (std::size_t k = 0; k < points.size(); ++k) {
+      const Complex s = points[k];
+      const ScaledComplex sample = ScaledComplex::from_mantissa_exp(
+          Complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), scaled_value().exponent2());
+      for (int shift = 0; shift <= 40; ++shift) {
+        // Every list meets every shift at many points.
+        const auto& known = lists[(k + static_cast<std::size_t>(shift)) % lists.size()];
+        const ScaledComplex expected = per_term(sample, s, known, shift);
+        const ScaledComplex actual = deflate_sample(sample, s, known, shift);
+        const Complex e = expected.mantissa();
+        const Complex a = actual.mantissa();
+        ASSERT_EQ(std::memcmp(&e, &a, sizeof(Complex)), 0)
+            << "K " << K << " s " << s << " known " << known.size() << " shift " << shift;
+        ASSERT_EQ(expected.exponent2(), actual.exponent2())
+            << "K " << K << " s " << s << " known " << known.size() << " shift " << shift;
+      }
+    }
   }
 }
 

@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <complex>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "numeric/kahan.h"
@@ -14,6 +18,201 @@ namespace symref::numeric {
 namespace {
 
 using Complex = std::complex<double>;
+
+// Reference for the direct path: one exact-angle cos/sin pair per (j, k)
+// and a compensated sum whose magnitude branches on the sign. The library's
+// twiddle table, its index arithmetic and its branch-free magnitude must
+// give the same bits as this loop for every input.
+namespace per_pair {
+
+class KahanSum {
+ public:
+  void add(const Complex& value) {
+    const Complex t = sum_ + value;
+    if (magnitude(sum_) >= magnitude(value)) {
+      compensation_ += (sum_ - t) + value;
+    } else {
+      compensation_ += (value - t) + sum_;
+    }
+    sum_ = t;
+  }
+  [[nodiscard]] Complex value() const { return sum_ + compensation_; }
+
+ private:
+  static double magnitude(double v) { return v < 0 ? -v : v; }
+  static double magnitude(const Complex& v) {
+    const double re = magnitude(v.real());
+    const double im = magnitude(v.imag());
+    return re > im ? re : im;
+  }
+  Complex sum_{};
+  Complex compensation_{};
+};
+
+/// The extended-range recovery's alignment: every sample at the largest
+/// exponent, those more than 1100 binary orders below it flushed to zero.
+std::vector<Complex> align(const std::vector<ScaledComplex>& samples, std::int64_t& max_exp) {
+  max_exp = 0;
+  bool any_nonzero = false;
+  for (const auto& sample : samples) {
+    if (sample.is_zero()) continue;
+    max_exp = any_nonzero ? std::max(max_exp, sample.exponent2()) : sample.exponent2();
+    any_nonzero = true;
+  }
+  std::vector<Complex> aligned(samples.size());
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    if (samples[i].is_zero()) continue;
+    const std::int64_t gap = max_exp - samples[i].exponent2();
+    aligned[i] = gap > 1100 ? Complex()
+                            : samples[i].mantissa() * std::ldexp(1.0, static_cast<int>(-gap));
+  }
+  return aligned;
+}
+
+struct Expected {
+  std::vector<Complex> dft, idft, coefficients;
+  std::vector<ScaledComplex> scaled_coefficients;
+};
+
+/// dft(x), idft(x) and both coefficient recoveries (of x and of `scaled`)
+/// by the per-pair loop. twiddle(j*k, n, sign) is {cos(angle), sign *
+/// sin(angle)}, so one cos/sin pair per (j, k) serves all three sums.
+Expected transforms(const std::vector<Complex>& x, const std::vector<ScaledComplex>& scaled) {
+  constexpr double kTwoPi = 6.283185307179586476925286766559;
+  const std::size_t n = x.size();
+  std::int64_t max_exp = 0;
+  const std::vector<Complex> y = align(scaled, max_exp);
+  Expected out{std::vector<Complex>(n), std::vector<Complex>(n), {}, {}};
+  std::vector<Complex> forward_y(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    KahanSum forward;
+    KahanSum inverse;
+    KahanSum aligned;
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::uint64_t num = static_cast<std::uint64_t>(j) * k;
+      const double angle = kTwoPi * static_cast<double>(num % n) / static_cast<double>(n);
+      const double c = std::cos(angle);
+      const double s = std::sin(angle);
+      forward.add(x[j] * Complex(c, -1 * s));
+      inverse.add(x[j] * Complex(c, +1 * s));
+      aligned.add(y[j] * Complex(c, -1 * s));
+    }
+    out.dft[k] = forward.value();
+    out.idft[k] = inverse.value();
+    forward_y[k] = aligned.value();
+  }
+  const double scale = 1.0 / static_cast<double>(n);
+  out.coefficients = out.dft;
+  for (auto& value : out.coefficients) value *= scale;
+  for (auto& value : out.idft) value *= scale;
+  const bool any_nonzero = std::any_of(scaled.begin(), scaled.end(),
+                                       [](const ScaledComplex& v) { return !v.is_zero(); });
+  out.scaled_coefficients.resize(n);
+  for (std::size_t i = 0; i < n && any_nonzero; ++i) {
+    out.scaled_coefficients[i] = ScaledComplex::from_mantissa_exp(forward_y[i] * scale, max_exp);
+  }
+  return out;
+}
+
+}  // namespace per_pair
+
+bool same_bits(const std::vector<Complex>& a, const std::vector<Complex>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(Complex)) == 0;
+}
+
+bool same_bits(const std::vector<ScaledComplex>& a, const std::vector<ScaledComplex>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const Complex ma = a[i].mantissa();
+    const Complex mb = b[i].mantissa();
+    if (std::memcmp(&ma, &mb, sizeof(Complex)) != 0 || a[i].exponent2() != b[i].exponent2()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// One seeded part of a sample: a signed zero, a value 2^300 or 2^-300 off
+/// the unit scale, the exact negation of an earlier part (so sums cancel
+/// exactly), or a plain value.
+double hard_part(support::Rng& rng, const std::vector<Complex>& earlier) {
+  switch (rng.uniform_index(8)) {
+    case 0: return rng.sign() * 0.0;
+    case 1: return std::ldexp(rng.uniform(-1, 1), 300);
+    case 2: return std::ldexp(rng.uniform(-1, 1), -300);
+    case 3:
+      if (!earlier.empty()) {
+        const Complex& other = earlier[rng.uniform_index(earlier.size())];
+        return rng.sign() > 0 ? -other.real() : -other.imag();
+      }
+      return 1.0;
+    default: return rng.uniform(-1, 1);
+  }
+}
+
+std::vector<Complex> hard_samples(support::Rng& rng, std::size_t count) {
+  std::vector<Complex> samples;
+  samples.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const double re = hard_part(rng, samples);
+    samples.emplace_back(re, hard_part(rng, samples));
+  }
+  return samples;
+}
+
+/// Extended-range samples 2^±3000 apart, so that alignment flushes some of
+/// them to zero and keeps the rest.
+std::vector<ScaledComplex> hard_scaled_samples(support::Rng& rng, std::size_t count) {
+  const std::vector<Complex> mantissas = hard_samples(rng, count);
+  std::vector<ScaledComplex> samples(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto shift = static_cast<std::int64_t>(rng.uniform_index(6001)) - 3000;
+    samples[i] = ScaledComplex::from_mantissa_exp(mantissas[i], shift);
+  }
+  return samples;
+}
+
+/// -log10 of the worst error of the coefficient recovery relative to its
+/// largest output, against a long-double direct transform, on samples
+/// spread log-uniformly over 6 decades.
+double transform_digits(std::size_t count, std::uint64_t seed) {
+  support::Rng rng(seed);
+  std::vector<Complex> samples(count);
+  for (auto& v : samples) {
+    const double scale = std::pow(10.0, rng.uniform(-6.0, 0.0));
+    v = {scale * rng.uniform(-1, 1), scale * rng.uniform(-1, 1)};
+  }
+  const std::vector<Complex> actual = coefficients_from_unit_circle_samples(samples);
+  constexpr long double kTwoPi = 6.283185307179586476925286766559L;
+  std::vector<long double> cos_table(count);
+  std::vector<long double> sin_table(count);
+  for (std::size_t m = 0; m < count; ++m) {
+    const long double angle =
+        kTwoPi * static_cast<long double>(m) / static_cast<long double>(count);
+    cos_table[m] = std::cos(angle);
+    sin_table[m] = -std::sin(angle);
+  }
+  long double worst = 0.0L;
+  long double largest = 0.0L;
+  for (std::size_t k = 0; k < count; ++k) {
+    long double re = 0.0L;
+    long double im = 0.0L;
+    for (std::size_t j = 0, index = 0; j < count; ++j) {
+      const long double xr = samples[j].real();
+      const long double xi = samples[j].imag();
+      re += xr * cos_table[index] - xi * sin_table[index];
+      im += xr * sin_table[index] + xi * cos_table[index];
+      index = (index + k) % count;
+    }
+    re /= static_cast<long double>(count);
+    im /= static_cast<long double>(count);
+    largest = std::max(largest, std::hypot(re, im));
+    worst = std::max(worst, std::hypot(re - static_cast<long double>(actual[k].real()),
+                                       im - static_cast<long double>(actual[k].imag())));
+  }
+  return static_cast<double>(-std::log10(worst / largest));
+}
 
 TEST(UnitCircle, PointsLieOnCircleAndStartAtOne) {
   const auto points = unit_circle_points(8);
@@ -42,9 +241,8 @@ TEST(Dft, RoundTripIdentity) {
 }
 
 TEST(Dft, FftAgreesWithDirectTransform) {
-  // 16 is a power of two (FFT path); compare against a 17-point direct
-  // transform restricted... instead: compute the 16-point transform with the
-  // direct formula by hand.
+  // 16 is a power of two, so dft() takes the radix-2 path; compare it with
+  // the direct sum over exp(-2*pi*j*j*k/16), written out here.
   support::Rng rng(8);
   std::vector<Complex> data(16);
   for (auto& v : data) v = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
@@ -164,6 +362,46 @@ TEST(Dft, ParsevalEnergyConserved) {
   for (const auto& v : x) ex += std::norm(v);
   for (const auto& v : X) eX += std::norm(v);
   EXPECT_NEAR(eX, ex * 12.0, 1e-10);  // Parseval with unnormalized forward
+}
+
+TEST(Dft, DirectPathKeepsTheBitsOfThePerPairLoop) {
+  // Every size below 300 that takes the direct path, and a few large ones.
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 1; n <= 300; ++n) {
+    if ((n & (n - 1)) != 0) sizes.push_back(n);
+  }
+  for (const std::size_t n : {509u, 513u, 1021u, 1025u, 2049u}) sizes.push_back(n);
+  for (const std::size_t n : sizes) {
+    support::Rng rng(0x5EED0000u + n);
+    const std::vector<Complex> samples = hard_samples(rng, n);
+    const std::vector<ScaledComplex> scaled = hard_scaled_samples(rng, n);
+    const per_pair::Expected expected = per_pair::transforms(samples, scaled);
+    EXPECT_TRUE(same_bits(dft(samples), expected.dft)) << "dft, K " << n;
+    EXPECT_TRUE(same_bits(idft(samples), expected.idft)) << "idft, K " << n;
+    EXPECT_TRUE(same_bits(coefficients_from_unit_circle_samples(samples),
+                          expected.coefficients))
+        << "coefficients, K " << n;
+    EXPECT_TRUE(same_bits(coefficients_from_unit_circle_samples(scaled),
+                          expected.scaled_coefficients))
+        << "scaled coefficients, K " << n;
+  }
+}
+
+TEST(Dft, DirectPathKeepsFifteenDigits) {
+  // Against a long-double oracle; the compensated sum over exact-angle
+  // twiddles measured 15.4-15.5 digits.
+  for (const std::size_t n : {257u, 509u, 1000u, 1021u, 2049u}) {
+    EXPECT_GE(transform_digits(n, 31 + n), 15.0) << "K " << n;
+  }
+}
+
+TEST(Dft, Radix2PathKeepsItsPresentDigits) {
+  // A floor, not a goal: fft_radix2 builds its twiddles by the recurrence
+  // w *= wn, which loses digits as K grows (13.8-13.9 measured at these
+  // sizes). Exact-angle radix-2 twiddles (ROADMAP item 3) raise it.
+  for (const std::size_t n : {1024u, 2048u}) {
+    EXPECT_GE(transform_digits(n, 31 + n), 13.5) << "K " << n;
+  }
 }
 
 TEST(Kahan, CompensatedSummationBeatsNaive) {
